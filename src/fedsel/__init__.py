@@ -37,7 +37,6 @@ from .selection import (
     SelectionPolicy,
     exploit_select,
     explore_select,
-    greedy_select,
 )
 from .solver import (
     GlobalState,
@@ -54,7 +53,7 @@ from .solver import (
 from .valuation import (
     CoalitionGame,
     ContributionLedger,
-    coalition_value,
+    coalition_value_fn,
     exact_shapley,
     tmc_estimate,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "SelectionPolicy",
     "exploit_select",
     "explore_select",
-    "greedy_select",
     "GlobalState",
     "Hyperparams",
     "LocalUpdate",
@@ -108,7 +106,7 @@ __all__ = [
     "primal_objective",
     "CoalitionGame",
     "ContributionLedger",
-    "coalition_value",
+    "coalition_value_fn",
     "exact_shapley",
     "tmc_estimate",
     "__version__",

@@ -41,9 +41,6 @@ DEFAULTS: dict[str, dict[str, tuple[str, object]]] = {
         "gamma": ("float", 1.0),
         "reg_lambda": ("opt_float", None),  # empty means 1/D
         "epochs": ("int", 10),
-        "block_size": ("int", 10),
-        "eta": ("float", 0.01),
-        "local_solver": ("str", "dual"),
         "aggregation_denominator": ("str", "accepted"),
     },
     "selection": {
@@ -243,15 +240,12 @@ def build_config(values: dict[str, dict[str, object]]) -> ExperimentConfig:
             gamma=s["gamma"],
             reg_lambda=s["reg_lambda"],
             epochs=s["epochs"],
-            block_size=s["block_size"],
-            eta=s["eta"],
             c_fraction=sel["c_fraction"],
             delta_t=val["delta_t"],
             trunc_tol=val["trunc_tol"],
             theta_threshold=orch["theta_threshold"],
-            global_accuracy_target=orch["duality_gap_target"],
+            duality_gap_target=orch["duality_gap_target"],
             seed=orch["seed"],
-            local_solver=s["local_solver"],
             aggregation_denominator=s["aggregation_denominator"],
         )
         hyper.make_loss()  # force loss-name and gamma validation now, not mid-run

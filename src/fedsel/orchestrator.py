@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,11 +33,12 @@ from .solver import (
     GlobalState,
     Hyperparams,
     LocalUpdate,
+    aggregation_count,
     apply_dual_update,
     device_update_ovr,
     fenchel_gap,
 )
-from .valuation import CoalitionGame, ContributionLedger, tmc_estimate
+from .valuation import CoalitionGame, ContributionLedger, coalition_value_fn, tmc_estimate
 
 CSV_COLUMNS = (
     "round",
@@ -193,7 +193,6 @@ class Experiment:
         eval_every: int = 1,
         stop_at_accuracy: float | None = None,
         audit_sink: list[dict] | None = None,
-        gram_cache_size: int = 128,
         cost_ranges: dict | None = None,
     ):
         if eval_every < 1:
@@ -224,8 +223,9 @@ class Experiment:
             **(cost_ranges or {}),
         )
 
-        self._gram_cache: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._gram_cache_size = gram_cache_size
+        # every device's Gram matrix once computed: 8 * sum(n_m^2) bytes at
+        # most, which is no more than 8 * D * max(n_m)
+        self._gram_cache: dict[int, np.ndarray] = {}
         self._persistent_ledger: ContributionLedger | None = (
             ContributionLedger() if policy.beta_persistence else None
         )
@@ -233,15 +233,10 @@ class Experiment:
     # -- per-device caches ------------------------------------------------
 
     def _gram(self, device_id: int) -> np.ndarray:
-        cached = self._gram_cache.get(device_id)
-        if cached is not None:
-            self._gram_cache.move_to_end(device_id)
-            return cached
-        feats = np.asarray(self.devices[device_id].features, dtype=np.float64)
-        gram = feats @ feats.T
-        self._gram_cache[device_id] = gram
-        if len(self._gram_cache) > self._gram_cache_size:
-            self._gram_cache.popitem(last=False)
+        gram = self._gram_cache.get(device_id)
+        if gram is None:
+            feats = np.asarray(self.devices[device_id].features, dtype=np.float64)
+            gram = self._gram_cache[device_id] = feats @ feats.T
         return gram
 
     # -- round mechanics ---------------------------------------------------
@@ -290,45 +285,6 @@ class Experiment:
             for m, ups in updates.items()
         }
 
-    def _aggregation_count(self, plan: RoundPlan) -> int:
-        rule = self.hyper.aggregation_denominator
-        if rule == "accepted":
-            return len(plan.accepted)
-        if rule == "explored":
-            return len(plan.explored)
-        return self.num_devices
-
-    def _value_fn(self, phi_cols: np.ndarray, stacked: dict[int, np.ndarray]):
-        """Coalition value on the validation split via cached score matrices.
-
-        Algebraically identical to scoring phi + sum(deltas)/count from
-        scratch, but each candidate coalition costs O(n_val * K) instead of a
-        fresh feature matmul.
-        """
-        val_features = np.asarray(self.split.validation_features, dtype=np.float64)
-        val_labels = self.split.validation_labels
-        base = val_features @ phi_cols
-        member = {m: val_features @ delta for m, delta in stacked.items()}
-        rule = self.hyper.aggregation_denominator
-
-        def value(subset: tuple[int, ...]) -> float:
-            scores = base
-            if subset:
-                if rule == "accepted":
-                    count = len(subset)
-                elif rule == "explored":
-                    count = len(stacked)
-                else:
-                    count = self.num_devices
-                total = member[subset[0]].copy()
-                for m in subset[1:]:
-                    total += member[m]
-                scores = base + total / count
-            predicted = np.argmax(scores, axis=1)
-            return float(np.mean(predicted == val_labels))
-
-        return value
-
     def _plan(
         self,
         round_index: int,
@@ -339,7 +295,14 @@ class Experiment:
         if self.policy.kind in ("random", "full"):
             return random_aggregate_plan(explored)
 
-        value = self._value_fn(phi_cols, stacked)
+        value = coalition_value_fn(
+            phi_cols,
+            stacked,
+            self.split.validation_features,
+            self.split.validation_labels,
+            self.hyper.aggregation_denominator,
+            self.num_devices,
+        )
         if self.policy.kind == "greedy":
             # budget defaults to the whole candidate pool; early stop trims it
             k = self.policy.greedy_k or len(explored)
@@ -384,7 +347,12 @@ class Experiment:
         updates = self._device_updates(round_index, explored, states, phi_cols)
         stacked = self._stack_updates(updates)
         plan = self._plan(round_index, explored, phi_cols, stacked)
-        plan.aggregation_count = self._aggregation_count(plan)
+        plan.aggregation_count = aggregation_count(
+            self.hyper.aggregation_denominator,
+            len(plan.accepted),
+            len(plan.explored),
+            self.num_devices,
+        )
         new_states = [
             apply_dual_update(
                 states[k], [updates[m][k] for m in plan.accepted], plan.aggregation_count
@@ -538,15 +506,19 @@ class Experiment:
                         stop_reason = "accuracy_target"
                         break
                     if (
-                        self.hyper.global_accuracy_target is not None
-                        and row.duality_gap <= self.hyper.global_accuracy_target
+                        self.hyper.duality_gap_target is not None
+                        and row.duality_gap <= self.hyper.duality_gap_target
                     ):
                         stop_reason = "duality_gap_target"
                         break
+        except BaseException as exc:
+            if manifest is not None:
+                manifest.fail(out, exc, len(metrics))
+            raise
         finally:
             if csv_handle is not None:
                 csv_handle.close()
-        if manifest is not None and out is not None:
+        if manifest is not None:
             manifest.finalize(out, stop_reason, len(metrics))
         return ExperimentResult(
             policy=self.policy.kind,
@@ -572,6 +544,7 @@ class RunManifest:
     finished_at: str | None = None
     rows_written: int = 0
     stop_reason: str | None = None
+    error: str | None = None
     outputs: tuple[str, ...] = ()
 
     PATH = "manifest.json"
@@ -604,17 +577,25 @@ class RunManifest:
             "status": self.status,
             "rows_written": self.rows_written,
             "stop_reason": self.stop_reason,
+            "error": self.error,
             "outputs": list(self.outputs),
         }
         (out / self.PATH).write_text(json.dumps(payload, indent=2) + "\n")
 
-    def finalize(self, out: Path, stop_reason: str, rows: int) -> None:
-        self.status = "complete"
+    def finalize(
+        self, out: Path, stop_reason: str | None, rows: int, status: str = "complete"
+    ) -> None:
+        self.status = status
         self.finished_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         self.stop_reason = stop_reason
         self.rows_written = rows
         self.outputs = ("metrics.csv", self.PATH)
         self.write(out)
+
+    def fail(self, out: Path, exc: BaseException, rows: int) -> None:
+        """Record a run that raised: the error and the rows written before it."""
+        self.error = f"{type(exc).__name__}: {exc}"
+        self.finalize(out, None, rows, status="failed")
 
 
 def run_experiment(

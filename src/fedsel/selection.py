@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .valuation import ContributionLedger, coalition_value
+from .valuation import ContributionLedger
 
 POLICY_KINDS = ("cds", "random", "greedy", "full")
 KEEP_RULE_KINDS = ("positive", "top_k", "threshold")
@@ -122,29 +122,6 @@ def greedy_from_value_fn(players, k: int, value_fn, early_stop: bool = False) ->
         remaining.remove(best_id)
         current_value = best_value
     return tuple(sorted(chosen))
-
-
-def greedy_select(
-    phi_cols,
-    updates,
-    validation_features,
-    validation_labels,
-    k: int,
-    aggregation_rule: str = "accepted",
-    early_stop: bool = False,
-    total_devices: int | None = None,
-) -> tuple[int, ...]:
-    """Greedy coalition growth scored by validation coalition value."""
-    if k > len(updates):
-        raise ValueError(f"k={k} exceeds the {len(updates)} available updates")
-
-    def value(subset) -> float:
-        return coalition_value(
-            phi_cols, updates, subset, validation_features, validation_labels,
-            aggregation_rule, total_devices,
-        )
-
-    return greedy_from_value_fn(sorted(updates), k, value, early_stop)
 
 
 def random_aggregate_plan(explored, aggregation_count: int | None = None) -> RoundPlan:

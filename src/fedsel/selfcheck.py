@@ -156,7 +156,7 @@ def check_duality() -> tuple[bool, str]:
         features = rng.normal(size=(n, d))
         features /= max(1.0, float(np.max(np.linalg.norm(features, axis=1))))
         labels = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-        hp = Hyperparams(loss=loss_name, epochs=200, block_size=16, seed=7 + trial)
+        hp = Hyperparams(loss=loss_name, epochs=200, seed=7 + trial)
         lam = hp.resolved_lambda(n)
         loss = hp.make_loss()
 

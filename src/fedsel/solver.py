@@ -14,9 +14,7 @@ shared-vector map is phi = F.T @ alpha / (lambda * D).
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +22,6 @@ from .losses import Loss, make_loss
 from .rng import substream
 
 AGGREGATION_RULES = ("accepted", "explored", "all")
-LOCAL_SOLVERS = ("dual", "primal_sgd")
 
 
 @dataclass
@@ -38,15 +35,12 @@ class Hyperparams:
     gamma: float = 1.0
     reg_lambda: float | None = None
     epochs: int = 10
-    block_size: int = 10
-    eta: float = 0.01
     c_fraction: float = 0.1
     delta_t: int = 1
     trunc_tol: float = 0.0
     theta_threshold: float = 0.5
-    global_accuracy_target: float | None = None
+    duality_gap_target: float | None = None
     seed: int = 1
-    local_solver: str = "dual"
     aggregation_denominator: str = "accepted"
 
     def __post_init__(self) -> None:
@@ -54,18 +48,12 @@ class Hyperparams:
             raise ValueError(f"c_fraction must be in (0, 1], got {self.c_fraction}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
         if self.delta_t < 1:
             raise ValueError(f"delta_t must be >= 1, got {self.delta_t}")
         if self.trunc_tol < 0.0:
             raise ValueError(f"trunc_tol must be >= 0, got {self.trunc_tol}")
         if self.reg_lambda is not None and not self.reg_lambda > 0.0:
             raise ValueError(f"reg_lambda must be positive, got {self.reg_lambda}")
-        if self.eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.local_solver not in LOCAL_SOLVERS:
-            raise ValueError(f"local_solver must be one of {LOCAL_SOLVERS}, got {self.local_solver!r}")
         if self.aggregation_denominator not in AGGREGATION_RULES:
             raise ValueError(
                 f"aggregation_denominator must be one of {AGGREGATION_RULES}, "
@@ -197,7 +185,7 @@ def local_subproblem_value(
     )
 
 
-def _coordinate_passes(labels_pm, alpha0, margins, gram_scaled, qii, loss, epochs, block_size, rng):
+def _coordinate_passes(labels_pm, alpha0, margins, gram_scaled, qii, loss, epochs, rng):
     """Sequential closed-form coordinate ascent, margins maintained via Gram rows.
 
     Mutates nothing passed in except through the returned rho; `margins` is
@@ -209,12 +197,11 @@ def _coordinate_passes(labels_pm, alpha0, margins, gram_scaled, qii, loss, epoch
     margins = margins.copy()
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, block_size):
-            for i in order[start : start + block_size]:
-                delta = loss.coordinate_delta(alpha0[i] + rho[i], labels_pm[i], margins[i], qii[i])
-                if np.any(delta):
-                    rho[i] += delta
-                    margins += np.outer(gram_scaled[i], delta)
+        for i in order:
+            delta = loss.coordinate_delta(alpha0[i] + rho[i], labels_pm[i], margins[i], qii[i])
+            if np.any(delta):
+                rho[i] += delta
+                margins += np.outer(gram_scaled[i], delta)
     return rho, margins
 
 
@@ -227,7 +214,7 @@ def _theta_from_certificate(improvement: np.ndarray, gap: np.ndarray) -> np.ndar
     return np.clip(theta, 0.0, 1.0)
 
 
-def _solve_columns(device, phi_cols, alpha_cols, labels_pm, loss, lam, total_samples, epochs, block_size, rng, gram=None):
+def _solve_columns(device, phi_cols, alpha_cols, labels_pm, loss, lam, total_samples, epochs, rng, gram=None):
     """Run the local dual solve for K binary columns sharing one device."""
     feats = np.asarray(device.features, dtype=np.float64)
     if gram is None:
@@ -238,7 +225,7 @@ def _solve_columns(device, phi_cols, alpha_cols, labels_pm, loss, lam, total_sam
     base_margins = feats @ phi_cols
 
     rho, margins = _coordinate_passes(
-        labels_pm, alpha_cols, base_margins, gram_scaled, qii, loss, epochs, block_size, rng
+        labels_pm, alpha_cols, base_margins, gram_scaled, qii, loss, epochs, rng
     )
     delta_phi = feats.T @ rho / lam_total
 
@@ -295,7 +282,6 @@ def device_update(
         lam,
         total_samples,
         epochs,
-        hp.block_size,
         rng,
         gram=gram,
     )
@@ -340,7 +326,7 @@ def device_update_ovr(
     )
     rho, delta_phi, theta = _solve_columns(
         device, phi_cols, alpha_cols, labels_pm, loss, lam, total_samples,
-        epochs, hp.block_size, rng, gram=gram,
+        epochs, rng, gram=gram,
     )
     return [
         LocalUpdate(
@@ -355,47 +341,21 @@ def device_update_ovr(
     ]
 
 
-def device_update_sgd(
-    device,
-    phi,
-    hp: Hyperparams,
-    rng,
-    *,
-    labels=None,
-    epochs: int | None = None,
-) -> LocalUpdate:
-    """Optional primal parity mode: E epochs of mini-batch SGD from w = phi.
+def aggregation_count(rule: str, accepted: int, explored: int, total_devices: int | None) -> int:
+    """Averaging denominator of one aggregation.
 
-    Returns rho = 0 and a raw delta_phi = w_final - phi; the alpha/phi
-    consistency invariant does not apply in this mode and achieved_theta is
-    reported as the conservative 1.0.
+    `accepted` divides by the number of aggregated updates, `explored` by the
+    round's explored count, `all` by the fleet size, total_devices.
     """
-    if device.size == 0:
-        raise ValueError(f"device {device.device_id} has no training samples")
-    labels = device.labels if labels is None else np.asarray(labels)
-    if isinstance(rng, (int, np.integer)):
-        rng = substream(int(rng))
-    epochs = hp.epochs if epochs is None else epochs
-    lam = hp.resolved_lambda(device.size)
-    loss = hp.make_loss()
-    feats = np.asarray(device.features, dtype=np.float64)
-    w = np.asarray(phi, dtype=np.float64).copy()
-    n = device.size
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, hp.block_size):
-            batch = order[start : start + hp.block_size]
-            slopes = loss.derivative(feats[batch] @ w, labels[batch])
-            grad = feats[batch].T @ slopes / len(batch) + lam * w
-            w -= hp.eta * grad
-    return LocalUpdate(
-        device_id=device.device_id,
-        sample_indices=device.sample_indices,
-        rho=np.zeros(n),
-        delta_phi=w - np.asarray(phi, dtype=np.float64),
-        achieved_theta=1.0,
-        local_epochs_used=epochs,
-    )
+    if rule == "accepted":
+        return accepted
+    if rule == "explored":
+        return explored
+    if rule == "all":
+        if total_devices is None:
+            raise ValueError("aggregation rule 'all' needs total_devices")
+        return total_devices
+    raise ValueError(f"unknown aggregation rule {rule!r}; known: {AGGREGATION_RULES}")
 
 
 def apply_dual_update(state: GlobalState, updates, aggregation_count: int) -> GlobalState:
@@ -414,19 +374,3 @@ def apply_dual_update(state: GlobalState, updates, aggregation_count: int) -> Gl
         phi += update.delta_phi / aggregation_count
     return GlobalState(phi=phi, alpha=alpha, round_index=state.round_index)
 
-
-def write_vector(path: str | Path, values) -> None:
-    """Debug dump: 8-byte little-endian count, then float64 little-endian values."""
-    values = np.asarray(values, dtype="<f8").ravel()
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", values.shape[0]))
-        fh.write(values.tobytes())
-
-
-def read_vector(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        (count,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.shape[0] != count:
-        raise ValueError(f"vector file {path} declares {count} values, holds {data.shape[0]}")
-    return data.astype(np.float64)

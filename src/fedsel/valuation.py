@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .solver import aggregation_count
+
 EXACT_PLAYER_GUARD = 10
 
 
@@ -54,49 +56,43 @@ def record_marginal(ledger: ContributionLedger, device_id: int, marginal: float)
     return ledger
 
 
-def _predict(features: np.ndarray, weight_cols: np.ndarray) -> np.ndarray:
-    scores = features @ weight_cols
-    return np.argmax(scores, axis=1)
-
-
-def coalition_value(
+def coalition_value_fn(
     phi_cols: np.ndarray,
-    updates: dict[int, np.ndarray],
-    subset,
+    member_deltas: dict[int, np.ndarray],
     validation_features: np.ndarray,
     validation_labels: np.ndarray,
     aggregation_rule: str = "accepted",
     total_devices: int | None = None,
-) -> float:
-    """Validation accuracy of phi plus the mean of the subset's updates.
+) -> Callable[[tuple[int, ...]], float]:
+    """The coalition-value oracle: subset -> validation accuracy of phi plus
+    the subset's aggregated updates.
 
-    phi_cols and each update are (d, K) one-vs-rest weight columns. The
-    aggregation_rule picks the averaging denominator: `accepted` divides by
-    the subset size (never less than 1), `explored` by the number of updates
-    available this round, `all` by the total device count.
+    phi_cols and each member delta are (d, K) one-vs-rest weight columns;
+    member_deltas holds every explored device, and aggregation_rule picks
+    the averaging denominator (see solver.aggregation_count). Validation
+    scores of phi and of each delta are computed once, so a coalition costs
+    O(n_val * K) instead of a fresh feature matmul.
     """
     if len(validation_labels) == 0:
-        raise ValueError("coalition_value needs a nonempty validation split")
-    subset = tuple(subset)
-    missing = [m for m in subset if m not in updates]
-    if missing:
-        raise ValueError(f"subset contains devices without updates: {missing}")
-    if aggregation_rule == "accepted":
-        denom = max(1, len(subset))
-    elif aggregation_rule == "explored":
-        denom = max(1, len(updates))
-    elif aggregation_rule == "all":
-        if total_devices is None:
-            raise ValueError("aggregation_rule 'all' needs total_devices")
-        denom = total_devices
-    else:
-        raise ValueError(f"unknown aggregation_rule {aggregation_rule!r}")
+        raise ValueError("the coalition value needs a nonempty validation split")
+    explored = len(member_deltas)
+    aggregation_count(aggregation_rule, 1, explored, total_devices)  # fail early on a bad rule
+    val_features = np.asarray(validation_features, dtype=np.float64)
+    base = val_features @ phi_cols
+    member = {m: val_features @ delta for m, delta in member_deltas.items()}
 
-    candidate = phi_cols
-    if subset:
-        candidate = phi_cols + sum(updates[m] for m in subset) / denom
-    predicted = _predict(validation_features, candidate)
-    return float(np.mean(predicted == validation_labels))
+    def value(subset: tuple[int, ...]) -> float:
+        scores = base
+        if subset:
+            count = aggregation_count(aggregation_rule, len(subset), explored, total_devices)
+            total = member[subset[0]].copy()
+            for m in subset[1:]:
+                total += member[m]
+            scores = base + total / count
+        predicted = np.argmax(scores, axis=1)
+        return float(np.mean(predicted == validation_labels))
+
+    return value
 
 
 def tmc_estimate(

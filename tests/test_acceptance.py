@@ -127,7 +127,7 @@ def test_criterion_4_duality_gap_correctness():
         min_gap = min(min_gap, duality_gap(np.zeros(n), feats, labels, hinge, lam))
 
         device = DeviceDataset(0, feats, labels, np.arange(n))
-        hp = Hyperparams(loss="smoothed_hinge", reg_lambda=lam, epochs=200, block_size=10)
+        hp = Hyperparams(loss="smoothed_hinge", reg_lambda=lam, epochs=200)
         update = device_update(
             device, np.zeros(d), np.zeros(n), hp, substream(100 + i), total_samples=n
         )
@@ -182,7 +182,7 @@ def paper_grid(idx_corpus):
             unbalanced=True,
         )
         hyper = Hyperparams(
-            loss="smoothed_hinge", epochs=10, block_size=10, eta=0.01,
+            loss="smoothed_hinge", epochs=10,
             c_fraction=0.1, delta_t=1, trunc_tol=0.0, seed=seed,
         )
 

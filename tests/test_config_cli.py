@@ -1,5 +1,6 @@
 """Config parsing/validation and the command-line contract."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from fedsel.config import (
     read_config_file,
 )
 from fedsel.selfcheck import run_selfcheck
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
 
 TINY = [
     "--set", "data.source=synthetic",
@@ -58,6 +61,11 @@ def test_config_file_overrides_defaults(tmp_path):
     assert values["orchestrator"]["rounds"] == 50
 
 
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_configs_load(path):
+    assert load_config(path).rounds > 0
+
+
 def test_config_file_unknown_names(tmp_path):
     bad_section = tmp_path / "a.ini"
     bad_section.write_text("[training]\nepochs = 3\n")
@@ -68,6 +76,12 @@ def test_config_file_unknown_names(tmp_path):
     bad_key.write_text("[solver]\nlearning_rate = 0.1\n")
     with pytest.raises(ConfigError, match="unknown key solver.learning_rate"):
         read_config_file(bad_key)
+
+    # solver knobs that never changed a run are no longer accepted
+    for key, raw in (("block_size", "10"), ("eta", "0.01"), ("local_solver", "dual")):
+        bad_key.write_text(f"[solver]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=f"unknown key solver.{key}"):
+            read_config_file(bad_key)
 
     with pytest.raises(ConfigError, match="cannot read"):
         read_config_file(tmp_path / "missing.ini")
@@ -187,6 +201,10 @@ def test_cli_run_config_error_exits_2(capsys):
     code = main(["run", "--config", "/nonexistent/exp.ini"])
     assert code == 2
     assert "cannot read" in capsys.readouterr().err
+
+    for key in ("solver.block_size=10", "solver.eta=0.01", "solver.local_solver=dual"):
+        assert main(["run", "--set", key]) == 2
+        assert "unknown key" in capsys.readouterr().err
 
 
 def test_cli_compare_merges_runs_and_dedups(tmp_path, capsys):

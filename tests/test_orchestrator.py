@@ -7,6 +7,7 @@ import pytest
 from conftest import tiny_split
 
 import fedsel.orchestrator as orch
+from fedsel.cli import main
 from fedsel.orchestrator import (
     Experiment,
     RoundMetrics,
@@ -17,9 +18,15 @@ from fedsel.orchestrator import (
     run_experiment,
 )
 from fedsel.rng import DEVICE, substream
-from fedsel.selection import KeepRule, RoundPlan, SelectionPolicy
-from fedsel.solver import Hyperparams, LocalUpdate, device_update_ovr
-from fedsel.valuation import coalition_value
+from fedsel.selection import SelectionPolicy
+from fedsel.solver import (
+    AGGREGATION_RULES,
+    Hyperparams,
+    LocalUpdate,
+    aggregation_count,
+    device_update_ovr,
+)
+from fedsel.valuation import coalition_value_fn
 
 HP = Hyperparams(loss="smoothed_hinge", epochs=2, c_fraction=0.5, seed=3)
 
@@ -68,20 +75,44 @@ def test_cds_and_random_share_the_exploration_stream():
         assert exp._explored(1) == tuple(range(8))
 
 
+def _scratch_value(phi_cols, deltas, subset, features, labels, count):
+    """Reference coalition value: score phi + sum(deltas)/count from scratch."""
+    candidate = phi_cols
+    if subset:
+        candidate = phi_cols + sum(deltas[m] for m in subset) / count
+    return float(np.mean(np.argmax(features @ candidate, axis=1) == labels))
+
+
 def test_value_fn_matches_coalition_value_on_every_subset():
-    split = tiny_split()
-    exp = Experiment(split, HP, SelectionPolicy(kind="cds"))
-    states = exp.initial_states()
-    phi_cols = np.stack([s.phi for s in states], axis=1)
-    updates = exp._device_updates(1, (0, 1, 2, 3), states, phi_cols)
-    stacked = exp._stack_updates(updates)
-    value = exp._value_fn(phi_cols, stacked)
-    for size in range(5):
-        for subset in combinations(range(4), size):
-            assert value(subset) == coalition_value(
-                phi_cols, stacked, subset,
-                split.validation_features, split.validation_labels, "accepted",
+    split = tiny_split(num_devices=6)  # explored < fleet, so 'explored' != 'all'
+    explored = (0, 1, 2, 3)
+    rng = np.random.default_rng(0)
+    for rule in AGGREGATION_RULES:
+        hp = HP.with_overrides(aggregation_denominator=rule)
+        exp = Experiment(split, hp, SelectionPolicy(kind="cds"))
+        states = exp.initial_states()
+        cases = []
+        for round_index in (1, 2):  # round 2 starts from a nonzero phi
+            phi_cols = np.stack([s.phi for s in states], axis=1)
+            updates = exp._device_updates(round_index, explored, states, phi_cols)
+            cases.append((phi_cols, exp._stack_updates(updates)))
+            states, _ = exp.run_round(states, round_index)
+        assert np.any(cases[1][0])
+        # random weights hold the accuracy near chance, where the denominator moves it
+        shape = cases[0][0].shape
+        cases.append((rng.normal(size=shape), {m: rng.normal(size=shape) for m in explored}))
+        for phi_cols, deltas in cases:
+            value = coalition_value_fn(
+                phi_cols, deltas, split.validation_features, split.validation_labels,
+                rule, exp.num_devices,
             )
+            for size in range(5):
+                for subset in combinations(explored, size):
+                    count = {"accepted": len(subset), "explored": 4, "all": 6}[rule]
+                    assert value(subset) == _scratch_value(
+                        phi_cols, deltas, subset,
+                        split.validation_features, split.validation_labels, count,
+                    )
 
 
 def test_null_update_round_keeps_phi_and_falls_back_to_top_one(monkeypatch):
@@ -113,13 +144,21 @@ def test_null_update_round_keeps_phi_and_falls_back_to_top_one(monkeypatch):
 
 
 def test_aggregation_count_follows_denominator_rule():
-    split = tiny_split()
-    plan = RoundPlan(explored=(0, 1, 2), accepted=(1,))
-    counts = {}
-    for rule in ("accepted", "explored", "all"):
-        hp = HP.with_overrides(aggregation_denominator=rule)
-        counts[rule] = Experiment(split, hp, SelectionPolicy(kind="cds"))._aggregation_count(plan)
+    counts = {rule: aggregation_count(rule, 1, 3, 4) for rule in AGGREGATION_RULES}
     assert counts == {"accepted": 1, "explored": 3, "all": 4}
+    with pytest.raises(ValueError, match="total_devices"):
+        aggregation_count("all", 1, 3, None)
+    with pytest.raises(ValueError, match="unknown aggregation rule"):
+        aggregation_count("median", 1, 3, 4)
+    # the round loop divides by the same count
+    split = tiny_split()
+    for rule in AGGREGATION_RULES:
+        hp = HP.with_overrides(aggregation_denominator=rule)
+        exp = Experiment(split, hp, SelectionPolicy(kind="cds"))
+        _, plan = exp.run_round(exp.initial_states(), 1)
+        assert plan.aggregation_count == aggregation_count(
+            rule, len(plan.accepted), len(plan.explored), 4
+        )
 
 
 def test_consistency_invariant_holds_across_rounds():
@@ -171,6 +210,39 @@ def test_accuracy_stop_target():
     result = exp.run(10)
     assert result.stop_reason == "accuracy_target"
     assert result.metrics[-1].round_index == 1
+
+
+def test_duality_gap_stop_target():
+    split = tiny_split()
+    hp = HP.with_overrides(duality_gap_target=1e9)
+    result = Experiment(split, hp, SelectionPolicy(kind="random")).run(10)
+    assert result.stop_reason == "duality_gap_target"
+    assert result.metrics[-1].round_index == 1
+
+
+def test_crashed_run_marks_its_manifest_failed(tmp_path, monkeypatch):
+    def broken_update(*args, **kwargs):
+        raise ValueError("local solve diverged")
+
+    monkeypatch.setattr(orch, "device_update_ovr", broken_update)
+    out = tmp_path / "crash"
+    with pytest.raises(ValueError, match="diverged"):
+        run_experiment(tiny_split(), HP, SelectionPolicy(kind="cds"), rounds=2, out_dir=out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "ValueError: local solve diverged"
+    assert manifest["rows_written"] == 1  # the round-0 row, written before round 1
+    assert manifest["stop_reason"] is None
+    assert len((out / "metrics.csv").read_text().splitlines()) == 2
+
+    cli_out = tmp_path / "cli"
+    code = main([
+        "run", "--quiet", "--out", str(cli_out),
+        "--set", "data.source=synthetic", "--set", "data.num_devices=5",
+        "--set", "data.synthetic_train_size=200", "--set", "orchestrator.rounds=2",
+    ])
+    assert code == 1
+    assert json.loads((cli_out / "manifest.json").read_text())["status"] == "failed"
 
 
 def test_rerun_is_byte_identical_and_seed_sensitive():

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedsel.rng import EXPLORE, substream
-from fedsel.valuation import ContributionLedger
+from fedsel.valuation import ContributionLedger, coalition_value_fn
 from fedsel.selection import (
     KeepRule,
     RoundPlan,
@@ -14,7 +14,6 @@ from fedsel.selection import (
     exploration_size,
     explore_select,
     greedy_from_value_fn,
-    greedy_select,
     random_aggregate_plan,
 )
 
@@ -176,9 +175,10 @@ def test_greedy_select_on_validation_accuracy():
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.2], [0.2, 1.0]])
     labels = np.array([0, 1, 0, 1])
     updates = {0: -3.0 * np.eye(2), 1: np.eye(2)}
-    assert greedy_select(phi, updates, feats, labels, k=1) == (1,)
+    value = coalition_value_fn(phi, updates, feats, labels)
+    assert greedy_from_value_fn(updates, 1, value) == (1,)
     with pytest.raises(ValueError, match="exceeds"):
-        greedy_select(phi, updates, feats, labels, k=3)
+        greedy_from_value_fn(updates, 3, value)
 
 
 @given(seed=st.integers(0, 200))

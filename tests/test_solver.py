@@ -18,8 +18,6 @@ from fedsel.solver import (
     local_subproblem_value,
     primal_from_dual,
     primal_objective,
-    read_vector,
-    write_vector,
 )
 
 HINGE = SmoothedHinge(gamma=1.0)
@@ -147,7 +145,7 @@ def test_solver_closes_gap_on_separable_instance():
     feats = np.array([[1.0, 0.2], [-1.0, -0.1]])
     labels = np.array([1.0, -1.0])
     device = DeviceDataset(0, feats, labels, np.arange(2))
-    hp = Hyperparams(loss="smoothed_hinge", reg_lambda=0.5, epochs=200, block_size=1)
+    hp = Hyperparams(loss="smoothed_hinge", reg_lambda=0.5, epochs=200)
     update = device_update(
         device, np.zeros(2), np.zeros(2), hp, substream(0), total_samples=2
     )
@@ -274,7 +272,7 @@ def test_ovr_column_matches_lone_run():
     feats = rng.normal(size=(n, dim))
     labels = rng.integers(k, size=n)
     device = DeviceDataset(0, feats, labels, np.arange(n))
-    hp = Hyperparams(loss="smoothed_hinge", reg_lambda=0.1, epochs=2, block_size=5)
+    hp = Hyperparams(loss="smoothed_hinge", reg_lambda=0.1, epochs=2)
     phi_cols = rng.normal(size=(dim, k)) * 0.01
     alpha_cols = np.zeros((n, k))
 
@@ -379,18 +377,6 @@ def test_consistency_invariant_after_aggregations():
 # -- misc ------------------------------------------------------------------------
 
 
-def test_vector_round_trip(tmp_path):
-    path = tmp_path / "phi.bin"
-    values = np.array([1.5, -2.25, 0.0, 1e-300])
-    write_vector(path, values)
-    assert np.array_equal(read_vector(path), values)
-    # truncated payload is detected
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match="declares"):
-        read_vector(path)
-
-
 def test_hyperparams_validation():
     with pytest.raises(ValueError, match="c_fraction"):
         Hyperparams(c_fraction=0.0)
@@ -402,8 +388,6 @@ def test_hyperparams_validation():
         Hyperparams(trunc_tol=-1.0)
     with pytest.raises(ValueError, match="reg_lambda"):
         Hyperparams(reg_lambda=0.0)
-    with pytest.raises(ValueError, match="local_solver"):
-        Hyperparams(local_solver="newton")
     with pytest.raises(ValueError, match="aggregation_denominator"):
         Hyperparams(aggregation_denominator="most")
     assert Hyperparams().resolved_lambda(500) == pytest.approx(1 / 500)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fedsel.valuation import (
     CoalitionGame,
     ContributionLedger,
-    coalition_value,
+    coalition_value_fn,
     exact_shapley,
     record_marginal,
     tmc_estimate,
@@ -74,41 +74,41 @@ def _identity_setup():
 
 def test_coalition_value_empty_subset_scores_base_model():
     phi, feats, labels = _identity_setup()
-    acc = coalition_value(phi, {0: -2.0 * np.eye(2)}, (), feats, labels)
-    assert acc == 1.0
+    value = coalition_value_fn(phi, {0: -2.0 * np.eye(2)}, feats, labels)
+    assert value(()) == 1.0
 
 
 def test_coalition_value_applies_update():
     phi, feats, labels = _identity_setup()
-    acc = coalition_value(phi, {0: -2.0 * np.eye(2)}, (0,), feats, labels)
-    assert acc == 0.0
+    value = coalition_value_fn(phi, {0: -2.0 * np.eye(2)}, feats, labels)
+    assert value((0,)) == 0.0
 
 
 def test_coalition_value_denominators():
     phi, feats, labels = _identity_setup()
     # -1.5*I flips the model when divided by 1 but not by 2 or 3
     updates = {0: -1.5 * np.eye(2), 1: np.zeros((2, 2))}
-    assert coalition_value(phi, updates, (0,), feats, labels, "accepted") == 0.0
-    assert coalition_value(phi, updates, (0,), feats, labels, "explored") == 1.0
-    assert coalition_value(phi, updates, (0,), feats, labels, "all", total_devices=3) == 1.0
+    assert coalition_value_fn(phi, updates, feats, labels, "accepted")((0,)) == 0.0
+    assert coalition_value_fn(phi, updates, feats, labels, "explored")((0,)) == 1.0
+    value = coalition_value_fn(phi, updates, feats, labels, "all", total_devices=3)
+    assert value((0,)) == 1.0
 
 
 def test_coalition_value_argmax_ties_to_lowest_class():
     feats = np.array([[1.0, 1.0]])
-    acc = coalition_value(np.eye(2), {}, (), feats, np.array([0]))
-    assert acc == 1.0
+    assert coalition_value_fn(np.eye(2), {}, feats, np.array([0]))(()) == 1.0
 
 
 def test_coalition_value_errors():
     phi, feats, labels = _identity_setup()
-    with pytest.raises(ValueError, match="without updates"):
-        coalition_value(phi, {}, (0,), feats, labels)
+    with pytest.raises(KeyError):
+        coalition_value_fn(phi, {}, feats, labels)((0,))
     with pytest.raises(ValueError, match="nonempty validation"):
-        coalition_value(phi, {}, (), feats[:0], labels[:0])
+        coalition_value_fn(phi, {}, feats[:0], labels[:0])
     with pytest.raises(ValueError, match="total_devices"):
-        coalition_value(phi, {0: np.eye(2)}, (0,), feats, labels, "all")
-    with pytest.raises(ValueError, match="aggregation_rule"):
-        coalition_value(phi, {0: np.eye(2)}, (0,), feats, labels, "median")
+        coalition_value_fn(phi, {0: np.eye(2)}, feats, labels, "all")
+    with pytest.raises(ValueError, match="aggregation rule"):
+        coalition_value_fn(phi, {0: np.eye(2)}, feats, labels, "median")
 
 
 # -- exact Shapley ---------------------------------------------------------------
