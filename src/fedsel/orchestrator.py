@@ -35,6 +35,7 @@ from .solver import (
     LocalUpdate,
     aggregation_count,
     apply_dual_update,
+    coordinate_backend,
     device_update_ovr,
     fenchel_gap,
 )
@@ -540,6 +541,7 @@ class RunManifest:
     config_digest: str
     config: dict
     started_at: str
+    solver_backend: str
     status: str = "running"
     finished_at: str | None = None
     rows_written: int = 0
@@ -562,6 +564,7 @@ class RunManifest:
             config_digest=cls.digest(config),
             config=config,
             started_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            solver_backend=coordinate_backend(),
         )
         manifest.write(out)
         return manifest
@@ -575,6 +578,7 @@ class RunManifest:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "status": self.status,
+            "solver_backend": self.solver_backend,
             "rows_written": self.rows_written,
             "stop_reason": self.stop_reason,
             "error": self.error,

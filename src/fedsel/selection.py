@@ -124,14 +124,9 @@ def greedy_from_value_fn(players, k: int, value_fn, early_stop: bool = False) ->
     return tuple(sorted(chosen))
 
 
-def random_aggregate_plan(explored, aggregation_count: int | None = None) -> RoundPlan:
+def random_aggregate_plan(explored) -> RoundPlan:
     """FedAvg behavior: accept every explored device, no contribution filter."""
     explored = tuple(explored)
     if not explored:
         raise ValueError("random_aggregate_plan needs a nonempty explored set")
-    return RoundPlan(
-        explored=explored,
-        accepted=explored,
-        betas={},
-        aggregation_count=len(explored) if aggregation_count is None else aggregation_count,
-    )
+    return RoundPlan(explored=explored, accepted=explored)

@@ -6,7 +6,9 @@ the primal iterate w(alpha) = grad g*(phi). Devices own disjoint blocks of the
 dual vector alpha (one coordinate per training sample) and improve them by
 randomized coordinate ascent with exact closed-form steps; the server absorbs
 accepted increments into (alpha, phi) keeping the two consistent to machine
-precision.
+precision. The coordinate loop runs in a small C kernel (_sdca.c, built on
+first use) when a compiler is available and the kernel reproduces the numpy
+reference loop bit for bit; otherwise the numpy loop runs.
 
 Conventions: feature matrices are row-per-sample (n, d); the dual dimension D
 is always the global training size, so every data term carries 1/D and the
@@ -14,11 +16,18 @@ shared-vector map is phi = F.T @ alpha / (lambda * D).
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import subprocess
+import tempfile
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
-from .losses import Loss, make_loss
+from .losses import Loss, SmoothedHinge, SquaredLoss, make_loss
 from .rng import substream
 
 AGGREGATION_RULES = ("accepted", "explored", "all")
@@ -185,24 +194,145 @@ def local_subproblem_value(
     )
 
 
-def _coordinate_passes(labels_pm, alpha0, margins, gram_scaled, qii, loss, epochs, rng):
+def _visit_orders(rng, epochs: int, n: int) -> np.ndarray:
+    """The (epochs, n) coordinate visit orders, one permutation per epoch."""
+    return np.array([rng.permutation(n) for _ in range(epochs)], dtype=np.int64).reshape(epochs, n)
+
+
+def _coordinate_passes(labels_pm, alpha0, margins, gram_scaled, qii, loss, orders):
     """Sequential closed-form coordinate ascent, margins maintained via Gram rows.
 
-    Mutates nothing passed in except through the returned rho; `margins` is
-    copied. Shapes are (n, K): the same shuffled visit order drives all K
-    one-vs-rest columns at once.
+    The reference loop: the compiled kernel must reproduce its bytes. Mutates
+    nothing passed in; `margins` is copied. Shapes are (n, K): each visit
+    order drives all K one-vs-rest columns at once.
     """
-    n = labels_pm.shape[0]
     rho = np.zeros_like(alpha0)
     margins = margins.copy()
-    for _ in range(epochs):
-        order = rng.permutation(n)
+    for order in orders:
         for i in order:
             delta = loss.coordinate_delta(alpha0[i] + rho[i], labels_pm[i], margins[i], qii[i])
             if np.any(delta):
                 rho[i] += delta
                 margins += np.outer(gram_scaled[i], delta)
     return rho, margins
+
+
+_KERNEL_SOURCE = Path(__file__).with_name("_sdca.c")
+_COMPILE_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_LOSS_CODES = {SmoothedHinge: 0, SquaredLoss: 1}
+_F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+_I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+
+
+def _compile_kernel(source: bytes, command: list[str], target: Path) -> None:
+    """Compile to a unique temporary name, then move it into place atomically."""
+    fd, partial = tempfile.mkstemp(prefix=target.stem + ".", suffix=".tmp", dir=target.parent)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [*command, "-x", "c", "-", "-o", partial], input=source, capture_output=True, check=True
+        )
+        os.replace(partial, target)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+
+
+def _writable(directory: Path) -> bool:
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        return False
+    return os.access(directory, os.W_OK)
+
+
+def _load_kernel(compiler: str = "cc", cache_dir: Path | None = None):
+    """The compiled coordinate loop, or None when it cannot be built or fails its probe.
+
+    The shared library is cached in `cache_dir` (the package's __pycache__ by
+    default) under the SHA-256 of the C source and the compile command; when
+    that directory is not writable it is built in a private temporary
+    directory instead.
+    """
+    source = _KERNEL_SOURCE.read_bytes()
+    command = [compiler, *_COMPILE_FLAGS]
+    key = hashlib.sha256(source + "\0".join(command).encode()).hexdigest()
+    cache_dir = Path(__file__).with_name("__pycache__") if cache_dir is None else Path(cache_dir)
+    target = cache_dir / f"_sdca.{key}.so"
+    try:
+        if target.exists() or _writable(cache_dir):
+            if not target.exists():
+                _compile_kernel(source, command, target)
+            library = ctypes.CDLL(str(target))
+        else:
+            with tempfile.TemporaryDirectory(prefix="fedsel-") as private:
+                target = Path(private) / target.name
+                _compile_kernel(source, command, target)
+                library = ctypes.CDLL(str(target))  # stays mapped once the file is gone
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    kernel = library.sdca_passes
+    kernel.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64, ctypes.c_int32, ctypes.c_double,
+        _F64, _F64, _F64, _F64, _F64, _F64, _F64,
+    ]
+    kernel.restype = None
+    return kernel if _probe_matches(kernel) else None
+
+
+def _kernel_passes(kernel, labels_pm, alpha0, margins, gram_scaled, qii, loss, orders):
+    """_coordinate_passes through the compiled kernel; same arguments, same bytes."""
+    n, k = labels_pm.shape
+    if not (
+        alpha0.shape == margins.shape == (n, k)
+        and gram_scaled.shape == (n, n)
+        and qii.shape == (n,)
+        and orders.ndim == 2
+        and orders.shape[1] == n
+        and (orders.size == 0 or 0 <= orders.min() <= orders.max() < n)
+    ):
+        raise ValueError("coordinate kernel arguments have inconsistent shapes")
+    rho = np.zeros((n, k))
+    margins = np.array(margins, dtype=np.float64, order="C")
+    kernel(
+        n, k, orders.shape[0], orders, _LOSS_CODES[type(loss)], getattr(loss, "gamma", 0.0),
+        labels_pm, alpha0, gram_scaled, qii, rho, margins, np.empty(k),
+    )
+    return rho, margins
+
+
+def _probe_matches(kernel) -> bool:
+    """Whether the kernel reproduces the numpy loop's bytes on a fixed device.
+
+    17 samples, 3 columns, 2 epochs, alpha0 spread over the interior and both
+    clip bounds, both losses.
+    """
+    rng = np.random.default_rng(17)
+    n, k = 17, 3
+    feats = rng.normal(size=(n, 5))
+    gram_scaled = feats @ feats.T / n
+    qii = np.diagonal(gram_scaled).copy()
+    labels_pm = np.where(rng.random((n, k)) < 0.5, 1.0, -1.0)
+    alpha0 = labels_pm * rng.choice([0.0, 0.3, 1.0], size=(n, k))
+    margins = rng.normal(size=(n, k))
+    orders = _visit_orders(rng, 2, n)
+    for loss in (SmoothedHinge(gamma=0.5), SquaredLoss()):
+        args = (labels_pm, alpha0, margins, gram_scaled, qii, loss, orders)
+        expected = _coordinate_passes(*args)
+        got = _kernel_passes(kernel, *args)
+        if any(a.tobytes() != b.tobytes() for a, b in zip(expected, got)):
+            return False
+    return True
+
+
+@functools.cache
+def _kernel():
+    return _load_kernel()
+
+
+def coordinate_backend() -> str:
+    """Which coordinate loop runs: "c" for the verified compiled kernel, else "numpy"."""
+    return "numpy" if _kernel() is None else "c"
 
 
 def _theta_from_certificate(improvement: np.ndarray, gap: np.ndarray) -> np.ndarray:
@@ -220,13 +350,19 @@ def _solve_columns(device, phi_cols, alpha_cols, labels_pm, loss, lam, total_sam
     if gram is None:
         gram = feats @ feats.T
     lam_total = lam * total_samples
-    gram_scaled = gram / lam_total
+    gram_scaled = np.ascontiguousarray(gram / lam_total)
     qii = np.diagonal(gram) / lam_total
     base_margins = feats @ phi_cols
+    alpha_cols = np.ascontiguousarray(alpha_cols, dtype=np.float64)
+    labels_pm = np.ascontiguousarray(labels_pm, dtype=np.float64)
+    orders = _visit_orders(rng, epochs, labels_pm.shape[0])
 
-    rho, margins = _coordinate_passes(
-        labels_pm, alpha_cols, base_margins, gram_scaled, qii, loss, epochs, rng
-    )
+    kernel = _kernel()
+    args = (labels_pm, alpha_cols, base_margins, gram_scaled, qii, loss, orders)
+    if kernel is not None:
+        rho, margins = _kernel_passes(kernel, *args)
+    else:
+        rho, margins = _coordinate_passes(*args)
     delta_phi = feats.T @ rho / lam_total
 
     # projection guards the conjugates against ulp drift in aggregated alpha

@@ -7,6 +7,7 @@ import pytest
 from conftest import tiny_split
 
 import fedsel.orchestrator as orch
+from fedsel import solver
 from fedsel.cli import main
 from fedsel.orchestrator import (
     Experiment,
@@ -188,6 +189,7 @@ def test_zero_round_run_reports_only_the_initial_row(tmp_path):
     assert manifest["status"] == "complete"
     assert manifest["rows_written"] == 1
     assert manifest["stop_reason"] == "completed"
+    assert manifest["solver_backend"] == solver.coordinate_backend()
 
 
 def test_run_rejects_negative_rounds_and_bad_eval_every():
@@ -255,6 +257,24 @@ def test_rerun_is_byte_identical_and_seed_sensitive():
         lines.append(metrics_csv_lines(result.metrics))
     assert lines[0] == lines[1]
     assert lines[0] != lines[2]
+
+
+@pytest.mark.parametrize("policy", ["cds", "greedy", "random"])
+def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, policy):
+    split = tiny_split(num_devices=6, samples_per_device=30)
+    runs = []
+    for hp in (HP, HP.with_overrides(loss="squared", aggregation_denominator="explored")):
+        for backend in ("default", "numpy"):
+            if backend == "numpy":
+                monkeypatch.setattr(solver, "_kernel", lambda: None)
+            out = tmp_path / f"{hp.loss}-{backend}"
+            run_experiment(split, hp, SelectionPolicy(kind=policy), rounds=3, out_dir=out)
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["solver_backend"] == solver.coordinate_backend()
+            runs.append((out / "metrics.csv").read_bytes())
+            monkeypatch.undo()
+    assert runs[0] == runs[1] and runs[2] == runs[3]
+    assert runs[0] != runs[2]
 
 
 def test_round_costs_accumulate_and_beta_summary_present():

@@ -128,7 +128,6 @@ def test_round_plan_validation():
 def test_random_aggregate_plan_accepts_everyone():
     plan = random_aggregate_plan((3, 1, 2))
     assert plan.accepted == plan.explored == (3, 1, 2)
-    assert plan.aggregation_count == 3
     with pytest.raises(ValueError, match="nonempty"):
         random_aggregate_plan(())
 

@@ -1,7 +1,10 @@
 """Dual solver contracts: objectives, gaps, device updates, aggregation."""
+import shutil
+
 import numpy as np
 import pytest
 
+from fedsel import solver
 from fedsel.data import DeviceDataset
 from fedsel.losses import SmoothedHinge, SquaredLoss
 from fedsel.rng import substream
@@ -298,6 +301,137 @@ def test_ovr_column_matches_lone_run():
         assert updates[cls].achieved_theta == pytest.approx(
             lone.achieved_theta, abs=1e-12
         )
+
+
+# -- compiled coordinate kernel ------------------------------------------------
+
+needs_compiler = pytest.mark.skipif(
+    shutil.which("cc") is None, reason="no C compiler: the numpy loop is the only backend"
+)
+
+
+def pass_inputs(n, k, alpha_kind, loss, seed=0):
+    """_coordinate_passes arguments for a device of n samples and k columns.
+
+    alpha_kind: "zero", "interior" (strictly inside the hinge box), "bounds"
+    (every coordinate at 0 or at the box edge), or "optimum": alpha = y and
+    margins -0.0, where every step's K deltas are +0.0 for both losses. The
+    update must then be skipped: adding +0.0 would turn the margins' -0.0
+    into +0.0.
+    """
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(n, 6)) / 2.0
+    lam_total = 0.5 * n
+    gram = feats @ feats.T
+    gram_scaled = np.ascontiguousarray(gram / lam_total)
+    qii = np.diagonal(gram) / lam_total
+    labels_pm = np.where(rng.random((n, k)) < 0.4, 1.0, -1.0)
+    margins = feats @ rng.normal(size=(6, k))
+    alpha0 = np.zeros((n, k))
+    if alpha_kind == "interior":
+        alpha0 = labels_pm * rng.uniform(0.05, 0.95, size=(n, k))
+    elif alpha_kind == "bounds":
+        alpha0 = labels_pm * rng.choice([0.0, 1.0], size=(n, k))
+    elif alpha_kind == "optimum":
+        alpha0 = labels_pm.copy()
+        margins = np.full((n, k), -0.0)
+    return labels_pm, alpha0, margins, gram_scaled, qii, loss
+
+
+@needs_compiler
+@pytest.mark.parametrize("k", [1, 10])
+@pytest.mark.parametrize("alpha_kind", ["zero", "interior", "bounds", "optimum"])
+@pytest.mark.parametrize(
+    "loss", [SmoothedHinge(gamma=1.0), SmoothedHinge(gamma=0.5), SquaredLoss()], ids=repr
+)
+def test_kernel_matches_numpy_loop_bitwise(loss, alpha_kind, k):
+    kernel = solver._kernel()
+    assert kernel is not None, "a C compiler is present but the kernel was not loaded"
+    for n in (1, 17, 600):
+        args = pass_inputs(n, k, alpha_kind, loss, seed=n)
+        for epochs in (0, 1, 3):
+            orders = solver._visit_orders(substream(n, epochs), epochs, n)
+            rho, margins = solver._coordinate_passes(*args, orders)
+            got_rho, got_margins = solver._kernel_passes(kernel, *args, orders)
+            assert got_rho.tobytes() == rho.tobytes(), (n, epochs)
+            assert got_margins.tobytes() == margins.tobytes(), (n, epochs)
+            if alpha_kind == "optimum":
+                assert not rho.any() and margins.tobytes() == args[2].tobytes()
+
+
+def fixed_device_updates(k, loss_name, n=17):
+    """device_update (k=1) or device_update_ovr (k>1) on a fixed device."""
+    device = make_device(n=n, dim=4, seed=31)
+    hp = Hyperparams(loss=loss_name, gamma=0.5, reg_lambda=0.1, epochs=3)
+    if k == 1:
+        update = device_update(
+            device, np.full(4, 0.02), 0.5 * device.labels, hp, substream(5), total_samples=40
+        )
+        return [update]
+    labels = np.arange(n) % k
+    device = DeviceDataset(0, device.features, labels, np.arange(n))
+    alpha_cols = np.where(labels[:, None] == np.arange(k), 0.25, -0.25)
+    return device_update_ovr(
+        device, np.full((4, k), 0.01), alpha_cols, k, hp, substream(5), total_samples=40
+    )
+
+
+def update_bytes(updates):
+    return [(u.rho.tobytes(), u.delta_phi.tobytes(), u.achieved_theta) for u in updates]
+
+
+@needs_compiler
+@pytest.mark.parametrize("k", [1, 10])
+@pytest.mark.parametrize("loss_name", ["smoothed_hinge", "squared"])
+def test_device_updates_equal_across_backends(monkeypatch, loss_name, k):
+    assert solver.coordinate_backend() == "c"
+    compiled = update_bytes(fixed_device_updates(k, loss_name))
+    monkeypatch.setattr(solver, "_kernel", lambda: None)
+    assert solver.coordinate_backend() == "numpy"
+    assert update_bytes(fixed_device_updates(k, loss_name)) == compiled
+
+
+def test_missing_compiler_falls_back_to_numpy(tmp_path, monkeypatch):
+    reference = update_bytes(fixed_device_updates(10, "smoothed_hinge"))
+    missing = str(tmp_path / "no-such-cc")
+    monkeypatch.setattr(solver, "_kernel", lambda: solver._load_kernel(missing, tmp_path))
+    assert solver.coordinate_backend() == "numpy"
+    assert update_bytes(fixed_device_updates(10, "smoothed_hinge")) == reference
+    assert list(tmp_path.iterdir()) == []  # no partial library left behind
+
+
+@needs_compiler
+def test_probe_mismatch_falls_back_to_numpy(tmp_path, monkeypatch):
+    reference = update_bytes(fixed_device_updates(10, "smoothed_hinge"))
+    exact = solver._coordinate_passes
+
+    def one_ulp_off(*args):  # stands in for a miscompiled kernel
+        rho, margins = exact(*args)
+        return np.nextafter(rho, np.inf), margins
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_coordinate_passes", one_ulp_off)
+        kernel = solver._load_kernel(cache_dir=tmp_path)
+    assert kernel is None
+    monkeypatch.setattr(solver, "_kernel", lambda: kernel)
+    assert solver.coordinate_backend() == "numpy"
+    assert update_bytes(fixed_device_updates(10, "smoothed_hinge")) == reference
+
+
+@needs_compiler
+def test_kernel_cache_is_reused_and_unwritable_cache_builds_privately(tmp_path):
+    assert solver._load_kernel(cache_dir=tmp_path / "cache") is not None
+    built = sorted((tmp_path / "cache").iterdir())
+    assert len(built) == 1 and built[0].suffix == ".so"
+    stamp = built[0].stat().st_mtime_ns
+    assert solver._load_kernel(cache_dir=tmp_path / "cache") is not None
+    assert sorted((tmp_path / "cache").iterdir()) == built
+    assert built[0].stat().st_mtime_ns == stamp
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert solver._load_kernel(cache_dir=blocker / "cache") is not None
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "cache", blocker]
 
 
 # -- aggregation -----------------------------------------------------------------
