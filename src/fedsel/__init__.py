@@ -18,7 +18,6 @@ from .data import (
     generate_synthetic,
     load_idx_split,
     parse_idx,
-    partition_non_iid,
     write_idx,
 )
 from .losses import LOSSES, SmoothedHinge, SquaredLoss, make_loss
@@ -76,7 +75,6 @@ __all__ = [
     "generate_synthetic",
     "load_idx_split",
     "parse_idx",
-    "partition_non_iid",
     "write_idx",
     "LOSSES",
     "SmoothedHinge",

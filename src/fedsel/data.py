@@ -72,9 +72,9 @@ def read_idx(path: str | Path) -> np.ndarray:
 class DeviceDataset:
     """One device's local training shard plus its held-out test split.
 
-    sample_indices are global dual-coordinate ids in a built SplitDataset
-    (contiguous per device); straight out of partition_non_iid they are the
-    original positions in the input sample arrays.
+    sample_indices are global dual-coordinate ids (contiguous per device).
+    Inside a SplitDataset, features is a float64 row view of the split's one
+    training matrix.
     """
 
     device_id: int
@@ -94,6 +94,14 @@ class DeviceDataset:
 
 @dataclass
 class SplitDataset:
+    """Per-device shards, server validation, global test, and their metadata.
+
+    The training pool is held once: one C-contiguous float64 matrix in
+    dual-coordinate order, built on construction. Every device's features
+    become a row view of it, and each device's own copy is dropped as its rows
+    are written.
+    """
+
     devices: list[DeviceDataset]
     validation_features: np.ndarray
     validation_labels: np.ndarray
@@ -101,6 +109,16 @@ class SplitDataset:
     test_labels: np.ndarray
     num_classes: int
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        train = np.empty((sum(dev.size for dev in self.devices), self.feature_dim))
+        cursor = 0
+        for dev in self.devices:
+            rows = train[cursor : cursor + dev.size]
+            rows[...] = dev.features
+            dev.features = rows
+            cursor += len(rows)
+        self._train = train, np.concatenate([dev.labels for dev in self.devices])
 
     @property
     def total_train(self) -> int:
@@ -111,10 +129,11 @@ class SplitDataset:
         return self.devices[0].features.shape[1]
 
     def stacked_train(self) -> tuple[np.ndarray, np.ndarray]:
-        """All training shards vertically stacked in dual-coordinate order."""
-        feats = np.vstack([dev.features for dev in self.devices])
-        labels = np.concatenate([dev.labels for dev in self.devices])
-        return feats, labels
+        """The float64 training matrix and its labels, in dual-coordinate order.
+
+        Both are the arrays the split holds, not copies.
+        """
+        return self._train
 
 
 def _label_aligned_shards(labels: np.ndarray, num_shards: int) -> list[np.ndarray]:
@@ -213,54 +232,23 @@ def shard_partition(
     return assignments
 
 
-def partition_non_iid(
-    features: np.ndarray,
-    labels: np.ndarray,
-    num_devices: int,
-    shards_per_device: int,
-    seed: int,
-    unbalanced: bool = False,
-) -> list[DeviceDataset]:
-    """Partition training samples into non-i.i.d. per-device shards."""
-    parts = shard_partition(labels, num_devices, shards_per_device, seed, unbalanced)
-    return [
-        DeviceDataset(
-            device_id=m,
-            features=features[idx],
-            labels=np.asarray(labels)[idx],
-            sample_indices=idx,
-        )
-        for m, idx in enumerate(parts)
-    ]
-
-
 def _carve_local_tests(
-    devices: list[DeviceDataset], fraction: float, seed: int
-) -> list[DeviceDataset]:
-    """Move a seeded fraction of each shard into the device's test split.
+    parts: list[np.ndarray], fraction: float, seed: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split each device's sample ids into (train, local test) by a seeded fraction.
 
     At least one training sample always remains; a single-sample device ends
     up with an empty local test split.
     """
     rng = substream(seed, LOCAL_TEST)
     carved = []
-    for dev in devices:
-        n = dev.size
-        take = min(n - 1, int(round(fraction * n)))
-        take = max(take, 0)
+    for ids in parts:
+        n = len(ids)
+        take = max(min(n - 1, int(round(fraction * n))), 0)
         test_pos = np.sort(rng.choice(n, size=take, replace=False))
         train_mask = np.ones(n, dtype=bool)
         train_mask[test_pos] = False
-        carved.append(
-            DeviceDataset(
-                device_id=dev.device_id,
-                features=dev.features[train_mask],
-                labels=dev.labels[train_mask],
-                sample_indices=dev.sample_indices[train_mask],
-                test_features=dev.features[test_pos],
-                test_labels=dev.labels[test_pos],
-            )
-        )
+        carved.append((ids[train_mask], ids[test_pos]))
     return carved
 
 
@@ -296,16 +284,25 @@ def build_split(
     train_mask = np.ones(n, dtype=bool)
     train_mask[val_pos] = False
 
-    devices = partition_non_iid(
-        train_features[train_mask],
-        train_labels[train_mask],
-        num_devices,
-        shards_per_device,
-        seed,
-        unbalanced,
+    # sample ids are routed first; each device's rows are gathered once
+    pool = np.flatnonzero(train_mask)
+    parts = shard_partition(
+        train_labels[pool], num_devices, shards_per_device, seed, unbalanced
     )
-    devices = _carve_local_tests(devices, device_test_fraction, seed)
-    devices = _assign_dual_ids(devices)
+    carved = _carve_local_tests([pool[part] for part in parts], device_test_fraction, seed)
+    devices = _assign_dual_ids(
+        [
+            DeviceDataset(
+                device_id=m,
+                features=train_features[train_ids],
+                labels=train_labels[train_ids],
+                sample_indices=train_ids,
+                test_features=train_features[test_ids],
+                test_labels=train_labels[test_ids],
+            )
+            for m, (train_ids, test_ids) in enumerate(carved)
+        ]
+    )
     num_classes = int(max(train_labels.max(), test_labels.max())) + 1
     return SplitDataset(
         devices=devices,
@@ -353,7 +350,6 @@ def load_idx_split(
     validation_size: int = 5000,
     device_test_fraction: float = 0.2,
     unbalanced: bool = False,
-    dtype=np.float32,
 ) -> SplitDataset:
     """Load an MNIST-layout IDX directory and build the full split.
 
@@ -374,7 +370,7 @@ def load_idx_split(
         raise DataFormatError("test image/label counts disagree")
 
     def flat(images: np.ndarray) -> np.ndarray:
-        out = images.reshape(len(images), -1).astype(dtype) / dtype(255.0)
+        out = images.reshape(len(images), -1).astype(np.float32) / np.float32(255.0)
         return _with_bias(out)
 
     split = build_split(

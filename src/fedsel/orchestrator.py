@@ -120,11 +120,10 @@ def _scores(features: np.ndarray, phi_cols: np.ndarray) -> np.ndarray:
     return np.asarray(features, dtype=np.float64) @ phi_cols
 
 
-def _accuracy(features: np.ndarray, labels: np.ndarray, phi_cols: np.ndarray) -> float:
-    if features.shape[0] == 0:
+def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
+    if scores.shape[0] == 0:
         raise ValueError("accuracy over an empty sample set is undefined")
-    predicted = np.argmax(_scores(features, phi_cols), axis=1)
-    return float(np.mean(predicted == labels))
+    return float(np.mean(np.argmax(scores, axis=1) == labels))
 
 
 def _binary_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -137,26 +136,40 @@ def evaluate_global(
     split: SplitDataset,
     loss: Loss,
     reg_lambda: float,
+    train_margins: np.ndarray,
+    train_targets: np.ndarray,
 ) -> tuple[float, float]:
     """Test accuracy of the argmax predictor plus mean per-class train objective.
 
-    The objective averages, over the one-vs-rest columns, the regularized
-    primal value on the full training pool; with phi_cols == 0 it equals
-    loss.value(0, -1) averaged with loss.value(0, +1) weighted by class
-    frequency, and the accuracy equals the frequency of class 0 because
-    argmax breaks ties toward the lowest class id.
+    train_margins is the training matrix times phi_cols and train_targets its
+    (n, K) one-vs-rest targets. The objective averages, over the one-vs-rest
+    columns, the regularized primal value on the full training pool; with
+    phi_cols == 0 it equals loss.value(0, -1) averaged with loss.value(0, +1)
+    weighted by class frequency, and the accuracy equals the frequency of
+    class 0 because argmax breaks ties toward the lowest class id.
     """
-    features, labels = split.stacked_train()
-    accuracy = _accuracy(split.test_features, split.test_labels, phi_cols)
-    margins = _scores(features, phi_cols)
-    targets = _binary_labels(labels, split.num_classes)
-    data_term = float(np.mean(loss.value(margins, targets)))
+    accuracy = _accuracy(_scores(split.test_features, phi_cols), split.test_labels)
+    data_term = float(np.mean(loss.value(train_margins, train_targets)))
     reg_term = 0.5 * reg_lambda * float(np.mean(np.sum(phi_cols**2, axis=0)))
     return accuracy, data_term + reg_term
 
 
+def device_test_scores(
+    phi_cols: np.ndarray, devices: list[DeviceDataset]
+) -> dict[int, np.ndarray]:
+    """(n_test, K) scores of each device's local test split, keyed by device id.
+
+    Devices without held-out samples have no entry.
+    """
+    return {
+        device.device_id: _scores(device.test_features, phi_cols)
+        for device in devices
+        if device.test_features is not None and device.test_features.shape[0] > 0
+    }
+
+
 def fairness_audit(
-    phi_cols: np.ndarray,
+    test_scores: dict[int, np.ndarray],
     devices: list[DeviceDataset],
     loss: Loss,
     threshold: float,
@@ -164,16 +177,16 @@ def fairness_audit(
 ) -> tuple[dict[int, float], set[int]]:
     """Per-device held-out risk and the ids whose risk exceeds the threshold.
 
-    Risk for a device is the mean one-vs-rest loss over its local test split
-    (samples x classes). Devices without held-out samples carry no risk
-    estimate and cannot violate.
+    test_scores comes from device_test_scores. Risk for a device is the mean
+    one-vs-rest loss over its local test split (samples x classes). Devices
+    without held-out samples carry no risk estimate and cannot violate.
     """
     risks: dict[int, float] = {}
     violators: set[int] = set()
     for device in devices:
-        if device.test_features is None or device.test_features.shape[0] == 0:
+        margins = test_scores.get(device.device_id)
+        if margins is None:
             continue
-        margins = _scores(device.test_features, phi_cols)
         targets = _binary_labels(device.test_labels, num_classes)
         risk = float(np.mean(loss.value(margins, targets)))
         risks[device.device_id] = risk
@@ -212,8 +225,7 @@ class Experiment:
         self.loss = hyper.make_loss()
         self.reg_lambda = hyper.resolved_lambda(self.total_samples)
 
-        self.train_features, train_labels = split.stacked_train()
-        self.train_targets = _binary_labels(train_labels, self.num_classes)
+        self.train_targets = _binary_labels(split.stacked_train()[1], self.num_classes)
 
         sizes = {d.device_id: d.size for d in split.devices}
         self.profiles = sample_profiles(
@@ -236,7 +248,7 @@ class Experiment:
     def _gram(self, device_id: int) -> np.ndarray:
         gram = self._gram_cache.get(device_id)
         if gram is None:
-            feats = np.asarray(self.devices[device_id].features, dtype=np.float64)
+            feats = self.devices[device_id].features
             gram = self._gram_cache[device_id] = feats @ feats.T
         return gram
 
@@ -375,24 +387,24 @@ class Experiment:
         cum_cost_s: float,
     ) -> RoundMetrics:
         phi_cols = np.stack([s.phi for s in states], axis=1)
+        train_margins = self.split.stacked_train()[0] @ phi_cols
         test_acc, train_loss = evaluate_global(
-            phi_cols, self.split, self.loss, self.reg_lambda
+            phi_cols, self.split, self.loss, self.reg_lambda, train_margins, self.train_targets
         )
-
-        margins = self.train_features @ phi_cols
         duality_gap = float(
             np.mean(
                 [
-                    fenchel_gap(s.alpha, margins[:, k], self.train_targets[:, k], self.loss)
+                    fenchel_gap(
+                        s.alpha, train_margins[:, k], self.train_targets[:, k], self.loss
+                    )
                     for k, s in enumerate(states)
                 ]
             )
         )
 
+        test_scores = device_test_scores(phi_cols, self.split.devices)
         local_accs = [
-            _accuracy(d.test_features, d.test_labels, phi_cols)
-            for d in self.split.devices
-            if d.test_features is not None and d.test_features.shape[0] > 0
+            _accuracy(scores, self.devices[m].test_labels) for m, scores in test_scores.items()
         ]
         if local_accs:
             pers_mean = float(np.mean(local_accs))
@@ -403,7 +415,7 @@ class Experiment:
             pers_mean = pers_var = pers_min = pers_max = float("nan")
 
         _, violators = fairness_audit(
-            phi_cols,
+            test_scores,
             self.split.devices,
             self.loss,
             self.hyper.theta_threshold,

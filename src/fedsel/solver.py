@@ -246,13 +246,23 @@ def _writable(directory: Path) -> bool:
     return os.access(directory, os.W_OK)
 
 
+def _remove_stale_kernels(cache_dir: Path, keep: Path) -> None:
+    """Best-effort removal of libraries built from another source or command."""
+    for stale in cache_dir.glob("_sdca.*.so"):
+        if stale != keep:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
+
+
 def _load_kernel(compiler: str = "cc", cache_dir: Path | None = None):
     """The compiled coordinate loop, or None when it cannot be built or fails its probe.
 
     The shared library is cached in `cache_dir` (the package's __pycache__ by
-    default) under the SHA-256 of the C source and the compile command; when
-    that directory is not writable it is built in a private temporary
-    directory instead.
+    default) under the SHA-256 of the C source and the compile command; a
+    fresh build there removes the libraries of other keys. When that directory
+    is not writable it is built in a private temporary directory instead.
     """
     source = _KERNEL_SOURCE.read_bytes()
     command = [compiler, *_COMPILE_FLAGS]
@@ -263,6 +273,7 @@ def _load_kernel(compiler: str = "cc", cache_dir: Path | None = None):
         if target.exists() or _writable(cache_dir):
             if not target.exists():
                 _compile_kernel(source, command, target)
+                _remove_stale_kernels(cache_dir, keep=target)
             library = ctypes.CDLL(str(target))
         else:
             with tempfile.TemporaryDirectory(prefix="fedsel-") as private:

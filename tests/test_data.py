@@ -10,7 +10,9 @@ from hypothesis.extra.numpy import arrays
 
 from fedsel.data import (
     DataFormatError,
+    DeviceDataset,
     IDX_FILES,
+    SplitDataset,
     build_split,
     generate_synthetic,
     load_idx_split,
@@ -230,3 +232,54 @@ def test_build_split_dual_ids_are_contiguous():
     stacked_feats, stacked_labels = split.stacked_train()
     assert stacked_feats.shape[0] == cursor == split.total_train
     assert len(stacked_labels) == cursor
+
+
+def _assert_row_views(split, expected_rows):
+    """Every device's features are float64, C-contiguous row views of the one
+    training matrix and hold expected_rows[device_id] exactly."""
+    matrix, _ = split.stacked_train()
+    assert split.stacked_train()[0] is matrix
+    assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+    for dev in split.devices:
+        assert dev.features.dtype == np.float64
+        assert dev.features.flags.c_contiguous
+        assert np.shares_memory(dev.features, matrix)
+        assert np.array_equal(dev.features, expected_rows[dev.device_id])
+        assert np.array_equal(matrix[dev.sample_indices], dev.features)
+
+
+def test_build_split_devices_are_float64_row_views():
+    rng = np.random.default_rng(3)
+    feats = rng.uniform(size=(300, 4)).astype(np.float32)
+    feats[:, 0] = np.arange(300)  # row id, exact in float32
+    labels = rng.integers(3, size=300)
+    split = build_split(
+        feats, labels, feats[:50], labels[:50],
+        num_devices=5, shards_per_device=2, seed=8,
+        validation_size=30, device_test_fraction=0.2,
+    )
+    rows = {dev.device_id: feats[dev.features[:, 0].astype(int)] for dev in split.devices}
+    _assert_row_views(split, rows)
+    for dev in split.devices:
+        assert np.array_equal(dev.labels, labels[dev.features[:, 0].astype(int)])
+
+
+def test_hand_built_split_devices_are_float64_row_views():
+    rng = np.random.default_rng(4)
+    shards = [rng.normal(size=(n, 3)).astype(np.float32) for n in (4, 1, 6)]
+    starts = np.cumsum([0] + [len(shard) for shard in shards])
+    devices = [
+        DeviceDataset(
+            m, shard, np.zeros(len(shard), dtype=np.int64), np.arange(starts[m], starts[m + 1])
+        )
+        for m, shard in enumerate(shards)
+    ]
+    split = SplitDataset(
+        devices=devices,
+        validation_features=shards[0],
+        validation_labels=np.zeros(4, dtype=np.int64),
+        test_features=shards[0],
+        test_labels=np.zeros(4, dtype=np.int64),
+        num_classes=1,
+    )
+    _assert_row_views(split, dict(enumerate(shards)))

@@ -1,5 +1,6 @@
 """Round-loop behavior: evaluation, pairing, aggregation, stopping, reporting."""
 import json
+from dataclasses import fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -9,9 +10,11 @@ from conftest import tiny_split
 import fedsel.orchestrator as orch
 from fedsel import solver
 from fedsel.cli import main
+from fedsel.data import DeviceDataset, SplitDataset
 from fedsel.orchestrator import (
     Experiment,
     RoundMetrics,
+    device_test_scores,
     evaluate_global,
     fairness_audit,
     metrics_csv_lines,
@@ -35,8 +38,11 @@ HP = Hyperparams(loss="smoothed_hinge", epochs=2, c_fraction=0.5, seed=3)
 def test_zero_model_scores_class_zero_frequency():
     split = tiny_split()
     loss = HP.make_loss()
+    phi_cols = np.zeros((split.feature_dim, 3))
+    features, labels = split.stacked_train()
     acc, train_loss = evaluate_global(
-        np.zeros((split.feature_dim, 3)), split, loss, HP.resolved_lambda(split.total_train)
+        phi_cols, split, loss, HP.resolved_lambda(split.total_train),
+        features @ phi_cols, orch._binary_labels(labels, 3),
     )
     assert acc == float(np.mean(split.test_labels == 0))
     # smoothed hinge at margin 0 is 1/2 for both targets, regularizer is 0
@@ -171,6 +177,111 @@ def test_consistency_invariant_holds_across_rounds():
         assert state.consistency_error(features, exp.reg_lambda) < 1e-9
 
 
+def _float32_split() -> tuple:
+    """A tiny split built from float32 arrays, as IDX pixels arrive, where
+    device 2 has no local test split; also returns the float32 training shards."""
+    base = tiny_split(num_devices=5, samples_per_device=14)
+    shards = [d.features.astype(np.float32) for d in base.devices]
+    devices = [
+        DeviceDataset(
+            device_id=d.device_id,
+            features=shard,
+            labels=d.labels,
+            sample_indices=d.sample_indices,
+            test_features=None if d.device_id == 2 else d.test_features.astype(np.float32),
+            test_labels=None if d.device_id == 2 else d.test_labels,
+        )
+        for d, shard in zip(base.devices, shards)
+    ]
+    split = SplitDataset(
+        devices=devices,
+        validation_features=base.validation_features.astype(np.float32),
+        validation_labels=base.validation_labels,
+        test_features=base.test_features.astype(np.float32),
+        test_labels=base.test_labels,
+        num_classes=base.num_classes,
+    )
+    return split, shards
+
+
+def _reference_metrics(exp, shards, states, round_index, plan, round_cost_s, cum_cost_s):
+    """Experiment.evaluate computed the way it was before the split held one
+    float64 training matrix: a float32 vstack upcast, two train products, and
+    every device's test scores computed twice."""
+    split, loss, num_classes = exp.split, exp.loss, exp.num_classes
+    phi_cols = np.stack([s.phi for s in states], axis=1)
+
+    def scores(features):
+        return np.asarray(features, dtype=np.float64) @ phi_cols
+
+    def binary(labels):
+        return np.where(labels[:, None] == np.arange(num_classes)[None, :], 1.0, -1.0)
+
+    def accuracy(features, labels):
+        return float(np.mean(np.argmax(scores(features), axis=1) == labels))
+
+    stacked = np.vstack(shards)
+    targets = binary(np.concatenate([d.labels for d in split.devices]))
+    data_term = float(np.mean(loss.value(scores(stacked), targets)))
+    reg_term = 0.5 * exp.reg_lambda * float(np.mean(np.sum(phi_cols**2, axis=0)))
+    gap_margins = stacked @ phi_cols
+    gap = float(np.mean([
+        solver.fenchel_gap(s.alpha, gap_margins[:, k], targets[:, k], loss)
+        for k, s in enumerate(states)
+    ]))
+    held = [d for d in split.devices if d.test_features is not None]
+    local_accs = [accuracy(d.test_features, d.test_labels) for d in held]
+    risks = [
+        float(np.mean(loss.value(scores(d.test_features), binary(d.test_labels))))
+        for d in held
+    ]
+    if plan is not None and plan.betas:
+        betas = np.array(sorted(plan.betas.values()))
+        beta_summary = (float(betas[0]), float(np.median(betas)), float(betas[-1]))
+    else:
+        beta_summary = (float("nan"),) * 3
+    return RoundMetrics(
+        round_index=round_index,
+        policy=exp.policy.kind,
+        test_acc=accuracy(split.test_features, split.test_labels),
+        train_loss=data_term + reg_term,
+        personalization_mean=float(np.mean(local_accs)),
+        personalization_var=float(np.var(local_accs)),
+        personalization_min=float(np.min(local_accs)),
+        personalization_max=float(np.max(local_accs)),
+        fairness_violations=sum(r > exp.hyper.theta_threshold for r in risks),
+        duality_gap=gap,
+        round_cost_s=round_cost_s,
+        cum_cost_s=cum_cost_s,
+        explored=0 if plan is None else len(plan.explored),
+        accepted=0 if plan is None else len(plan.accepted),
+        beta_min=beta_summary[0],
+        beta_median=beta_summary[1],
+        beta_max=beta_summary[2],
+    )
+
+
+@pytest.mark.parametrize("loss", ["smoothed_hinge", "squared"])
+def test_evaluate_matches_two_pass_reference_bitwise(loss):
+    split, shards = _float32_split()
+    hp = HP.with_overrides(loss=loss, epochs=1, c_fraction=0.6, theta_threshold=0.15)
+    exp = Experiment(split, hp, SelectionPolicy(kind="cds"))
+    states = exp.initial_states()
+    cases = [(0, states, None)]
+    for round_index in (1, 2):
+        states, plan = exp.run_round(states, round_index)
+    cases.append((2, states, plan))
+    # a random phi keeps the accuracies away from 0 and 1
+    rng = np.random.default_rng(4)
+    cases.append((3, [replace(s, phi=rng.normal(size=s.phi.shape)) for s in states], plan))
+    for round_index, states, plan in cases:
+        got = exp.evaluate(states, round_index, plan, 1.25, 2.5)
+        want = _reference_metrics(exp, shards, states, round_index, plan, 1.25, 2.5)
+        assert [repr(getattr(got, f.name)) for f in fields(RoundMetrics)] == [
+            repr(getattr(want, f.name)) for f in fields(RoundMetrics)
+        ]
+
+
 def test_zero_round_run_reports_only_the_initial_row(tmp_path):
     split = tiny_split()
     result = run_experiment(
@@ -303,11 +414,12 @@ def test_fairness_audit_threshold_extremes():
     split = tiny_split()
     loss = HP.make_loss()
     phi = np.zeros((split.feature_dim, 3))
-    risks, violators = fairness_audit(phi, split.devices, loss, float("inf"), 3)
+    scores = device_test_scores(phi, split.devices)
+    risks, violators = fairness_audit(scores, split.devices, loss, float("inf"), 3)
     assert violators == set()
     assert set(risks) == {0, 1, 2, 3}
     # at threshold 0 every audited device violates: hinge risk at phi=0 is 1/2
-    _, violators = fairness_audit(phi, split.devices, loss, 0.0, 3)
+    _, violators = fairness_audit(scores, split.devices, loss, 0.0, 3)
     assert violators == {0, 1, 2, 3}
     assert all(r == 0.5 for r in risks.values())
 
@@ -325,7 +437,8 @@ def test_fairness_audit_identical_devices_agree():
     )
     rng = np.random.default_rng(0)
     phi = rng.normal(size=(split.feature_dim, 3))
-    risks, violators = fairness_audit(phi, [clone, twin], HP.make_loss(), 0.4, 3)
+    scores = device_test_scores(phi, [clone, twin])
+    risks, violators = fairness_audit(scores, [clone, twin], HP.make_loss(), 0.4, 3)
     assert risks[clone.device_id] == risks[9]
     assert (clone.device_id in violators) == (9 in violators)
 
@@ -338,9 +451,8 @@ def test_fairness_audit_skips_devices_without_holdout():
         labels=split.devices[0].labels,
         sample_indices=split.devices[0].sample_indices,
     )
-    risks, violators = fairness_audit(
-        np.zeros((split.feature_dim, 3)), [bare], HP.make_loss(), 0.0, 3
-    )
+    scores = device_test_scores(np.zeros((split.feature_dim, 3)), [bare])
+    risks, violators = fairness_audit(scores, [bare], HP.make_loss(), 0.0, 3)
     assert risks == {} and violators == set()
 
 

@@ -434,6 +434,24 @@ def test_kernel_cache_is_reused_and_unwritable_cache_builds_privately(tmp_path):
     assert sorted(tmp_path.iterdir()) == [tmp_path / "cache", blocker]
 
 
+@needs_compiler
+def test_fresh_kernel_build_removes_stale_libraries(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale = cache / "_sdca.0123abcd.so"
+    unrelated = cache / "other.so"
+    for planted in (stale, unrelated):
+        planted.write_bytes(b"not a library")
+    assert solver._load_kernel(cache_dir=cache) is not None
+    built = [p for p in cache.iterdir() if p != unrelated]
+    assert len(built) == 1 and built[0].name.startswith("_sdca.") and built[0] != stale
+    assert unrelated.exists()
+    # reusing a cached build leaves the directory alone
+    stale.write_bytes(b"not a library")
+    assert solver._load_kernel(cache_dir=cache) is not None
+    assert stale.exists() and built[0].exists()
+
+
 # -- aggregation -----------------------------------------------------------------
 
 
