@@ -4,7 +4,10 @@
  * orders, the same operations in the same order, so rho and margins come out
  * bitwise-equal to the numpy loop. Build without FMA contraction and without
  * -ffast-math. All arrays are C-contiguous: orders (epochs, n), labels,
- * alpha0, rho and margins (n, k), gram (n, n), qii (n), delta (k) scratch.
+ * alpha0 and rho (n, k), gram (n, n), qii (n), delta (k) scratch. The margins
+ * are held K-major, (k, n), so the rank-1 update after each step is k
+ * contiguous loops over the samples, which the compiler vectorises; every
+ * element is still one rounded product followed by one rounded add.
  * loss 0 is the smoothed hinge of width gamma, loss 1 the squared loss.
  */
 #include <stdint.h>
@@ -16,33 +19,34 @@ void sdca_passes(int64_t n, int64_t k, int64_t epochs, const int64_t *orders,
 {
     for (int64_t step = 0; step < epochs * n; step++) {
         const int64_t i = orders[step];
-        const double *y = labels + i * k, *m = margins + i * k, *a0 = alpha0 + i * k;
+        const double *y = labels + i * k, *a0 = alpha0 + i * k;
         double *r = rho + i * k;
         const double q = qii[i];
         int moved = 0;
         for (int64_t c = 0; c < k; c++) {
-            const double a = a0[c] + r[c];
+            const double a = a0[c] + r[c], m = margins[c * n + i];
             double d;
             if (loss == 0) {
                 const double s = y[c] * a;
-                double clipped = s + (1.0 - y[c] * m[c] - gamma * s) / (gamma + q);
+                double clipped = s + (1.0 - y[c] * m - gamma * s) / (gamma + q);
                 if (clipped < 0.0) clipped = 0.0;  /* np.clip: -0.0 and NaN pass */
                 if (clipped > 1.0) clipped = 1.0;
                 d = y[c] * clipped - a;
             } else {
-                d = (y[c] - a - m[c]) / (1.0 + q);
+                d = (y[c] - a - m) / (1.0 + q);
             }
             delta[c] = d;
             moved |= d != 0.0;  /* np.any: NaN counts, -0.0 does not */
         }
         if (!moved) continue;
         for (int64_t c = 0; c < k; c++) r[c] += delta[c];
-        const double *g = gram + i * n;
-        for (int64_t j = 0; j < n; j++) {
-            double *mj = margins + j * k;
-            for (int64_t c = 0; c < k; c++) {
-                const double product = g[j] * delta[c];
-                mj[c] += product;
+        const double *restrict g = gram + i * n;
+        for (int64_t c = 0; c < k; c++) {
+            const double d = delta[c];
+            double *restrict mc = margins + c * n;
+            for (int64_t j = 0; j < n; j++) {
+                const double product = g[j] * d;
+                mc[j] += product;
             }
         }
     }

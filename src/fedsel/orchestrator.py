@@ -38,6 +38,7 @@ from .solver import (
     coordinate_backend,
     device_update_ovr,
     fenchel_gap,
+    scaled_gram,
 )
 from .valuation import CoalitionGame, ContributionLedger, coalition_value_fn, tmc_estimate
 
@@ -236,8 +237,8 @@ class Experiment:
             **(cost_ranges or {}),
         )
 
-        # every device's Gram matrix once computed: 8 * sum(n_m^2) bytes at
-        # most, which is no more than 8 * D * max(n_m)
+        # every device's Gram matrix over lambda*D once computed: 8 * sum(n_m^2)
+        # bytes at most, which is no more than 8 * D * max(n_m)
         self._gram_cache: dict[int, np.ndarray] = {}
         self._persistent_ledger: ContributionLedger | None = (
             ContributionLedger() if policy.beta_persistence else None
@@ -245,11 +246,12 @@ class Experiment:
 
     # -- per-device caches ------------------------------------------------
 
-    def _gram(self, device_id: int) -> np.ndarray:
+    def _scaled_gram(self, device_id: int) -> np.ndarray:
         gram = self._gram_cache.get(device_id)
         if gram is None:
-            feats = self.devices[device_id].features
-            gram = self._gram_cache[device_id] = feats @ feats.T
+            gram = self._gram_cache[device_id] = scaled_gram(
+                self.devices[device_id].features, self.reg_lambda, self.total_samples
+            )
         return gram
 
     # -- round mechanics ---------------------------------------------------
@@ -286,7 +288,7 @@ class Experiment:
                 self.hyper,
                 substream(self.hyper.seed, DEVICE, round_index, m),
                 total_samples=self.total_samples,
-                gram=self._gram(m),
+                gram_scaled=self._scaled_gram(m),
             )
         return updates
 

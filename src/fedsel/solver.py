@@ -218,7 +218,7 @@ def _coordinate_passes(labels_pm, alpha0, margins, gram_scaled, qii, loss, order
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_sdca.c")
-_COMPILE_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_COMPILE_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _LOSS_CODES = {SmoothedHinge: 0, SquaredLoss: 1}
 _F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
@@ -292,7 +292,11 @@ def _load_kernel(compiler: str = "cc", cache_dir: Path | None = None):
 
 
 def _kernel_passes(kernel, labels_pm, alpha0, margins, gram_scaled, qii, loss, orders):
-    """_coordinate_passes through the compiled kernel; same arguments, same bytes."""
+    """_coordinate_passes through the compiled kernel; same arguments, same bytes.
+
+    The kernel holds the margins K-major, (K, n): they are copied in
+    transposed and copied back out as a fresh C-contiguous (n, K) array.
+    """
     n, k = labels_pm.shape
     if not (
         alpha0.shape == margins.shape == (n, k)
@@ -304,22 +308,23 @@ def _kernel_passes(kernel, labels_pm, alpha0, margins, gram_scaled, qii, loss, o
     ):
         raise ValueError("coordinate kernel arguments have inconsistent shapes")
     rho = np.zeros((n, k))
-    margins = np.array(margins, dtype=np.float64, order="C")
+    margins_t = np.array(margins.T, dtype=np.float64, order="C")
     kernel(
         n, k, orders.shape[0], orders, _LOSS_CODES[type(loss)], getattr(loss, "gamma", 0.0),
-        labels_pm, alpha0, gram_scaled, qii, rho, margins, np.empty(k),
+        labels_pm, alpha0, gram_scaled, qii, rho, margins_t, np.empty(k),
     )
-    return rho, margins
+    return rho, np.array(margins_t.T, order="C")
 
 
 def _probe_matches(kernel) -> bool:
     """Whether the kernel reproduces the numpy loop's bytes on a fixed device.
 
-    17 samples, 3 columns, 2 epochs, alpha0 spread over the interior and both
-    clip bounds, both losses.
+    37 samples (odd, so the kernel's vectorised margin loop and its scalar
+    remainder both run), 3 columns, 2 epochs, alpha0 spread over the interior
+    and both clip bounds, both losses.
     """
     rng = np.random.default_rng(17)
-    n, k = 17, 3
+    n, k = 37, 3
     feats = rng.normal(size=(n, 5))
     gram_scaled = feats @ feats.T / n
     qii = np.diagonal(gram_scaled).copy()
@@ -355,14 +360,22 @@ def _theta_from_certificate(improvement: np.ndarray, gap: np.ndarray) -> np.ndar
     return np.clip(theta, 0.0, 1.0)
 
 
-def _solve_columns(device, phi_cols, alpha_cols, labels_pm, loss, lam, total_samples, epochs, rng, gram=None):
+def scaled_gram(features, lam: float, total_samples: int) -> np.ndarray:
+    """The device's Gram matrix over lambda*D, the local solve's coupling matrix."""
+    features = np.asarray(features, dtype=np.float64)
+    return features @ features.T / (lam * total_samples)
+
+
+def _solve_columns(
+    device, phi_cols, alpha_cols, labels_pm, loss, lam, total_samples, epochs, rng, gram_scaled=None
+):
     """Run the local dual solve for K binary columns sharing one device."""
     feats = np.asarray(device.features, dtype=np.float64)
-    if gram is None:
-        gram = feats @ feats.T
     lam_total = lam * total_samples
-    gram_scaled = np.ascontiguousarray(gram / lam_total)
-    qii = np.diagonal(gram) / lam_total
+    if gram_scaled is None:
+        gram_scaled = scaled_gram(feats, lam, total_samples)
+    gram_scaled = np.ascontiguousarray(gram_scaled, dtype=np.float64)
+    qii = np.diagonal(gram_scaled).copy()
     base_margins = feats @ phi_cols
     alpha_cols = np.ascontiguousarray(alpha_cols, dtype=np.float64)
     labels_pm = np.ascontiguousarray(labels_pm, dtype=np.float64)
@@ -401,13 +414,15 @@ def device_update(
     total_samples: int,
     labels=None,
     epochs: int | None = None,
-    gram=None,
+    gram_scaled=None,
 ) -> LocalUpdate:
     """E passes of seeded randomized dual coordinate ascent on one device.
 
     Labels must be in {-1, +1} (pass binarized labels for one-vs-rest use).
     `epochs` overrides hp.epochs and may be 0, in which case rho = 0 and
-    achieved_theta = 1 whenever any improvement was available.
+    achieved_theta = 1 whenever any improvement was available. `gram_scaled`
+    is the device's scaled_gram(features, lambda, total_samples), computed
+    here when not given.
     """
     if device.size == 0:
         raise ValueError(f"device {device.device_id} has no training samples")
@@ -430,7 +445,7 @@ def device_update(
         total_samples,
         epochs,
         rng,
-        gram=gram,
+        gram_scaled=gram_scaled,
     )
     return LocalUpdate(
         device_id=device.device_id,
@@ -452,7 +467,7 @@ def device_update_ovr(
     *,
     total_samples: int,
     epochs: int | None = None,
-    gram=None,
+    gram_scaled=None,
 ) -> list[LocalUpdate]:
     """One-vs-rest device update: all K class columns in one sweep.
 
@@ -460,6 +475,7 @@ def device_update_ovr(
     coordinates of column k are bitwise-identical to a lone device_update run
     with the same rng stream; delta_phi and achieved_theta agree to rounding
     (batched matrix products may differ from a lone run in the last ulp).
+    `gram_scaled` is as in device_update.
     """
     if device.size == 0:
         raise ValueError(f"device {device.device_id} has no training samples")
@@ -473,7 +489,7 @@ def device_update_ovr(
     )
     rho, delta_phi, theta = _solve_columns(
         device, phi_cols, alpha_cols, labels_pm, loss, lam, total_samples,
-        epochs, rng, gram=gram,
+        epochs, rng, gram_scaled=gram_scaled,
     )
     return [
         LocalUpdate(

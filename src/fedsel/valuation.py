@@ -109,9 +109,10 @@ def tmc_estimate(
     rounds are independent and reproducible regardless of execution order. The
     walk evaluates value_fn on growing permutation prefixes; once the full-set
     value is within trunc_tol of the running value, remaining marginals are
-    recorded as zero without further evaluations. Per round the value function
-    runs at most len(players) + 2 times (empty set, full set, one per
-    non-truncated step; the final step reuses the full-set value).
+    recorded as zero without further evaluations. value_fn is deterministic, so
+    the empty-set and full-set values are computed once per call; each round
+    then evaluates one prefix per non-truncated step except the last, which
+    reuses the full-set value: at most delta_t * (len(players) - 1) + 2 calls.
     """
     players = tuple(game.players)
     if not players:
@@ -124,11 +125,11 @@ def tmc_estimate(
         ledger = ContributionLedger()
 
     n = len(players)
+    empty_value = float(game.value_fn(()))
+    full_value = float(game.value_fn(tuple(sorted(players))))
     for t_prime in range(delta_t):
         rng = np.random.default_rng((seed, t_prime))
         perm = tuple(rng.permutation(players))
-        empty_value = float(game.value_fn(()))
-        full_value = float(game.value_fn(tuple(sorted(players))))
         previous = empty_value
         truncated_from = None
         marginals = {}

@@ -126,7 +126,7 @@ def test_null_update_round_keeps_phi_and_falls_back_to_top_one(monkeypatch):
     split = tiny_split()
 
     def zero_updates(device, phi_cols, alpha_cols, num_classes, hp, rng, *,
-                     total_samples, epochs=None, gram=None):
+                     total_samples, epochs=None, gram_scaled=None):
         return [
             LocalUpdate(
                 device_id=device.device_id,

@@ -347,16 +347,31 @@ def pass_inputs(n, k, alpha_kind, loss, seed=0):
 def test_kernel_matches_numpy_loop_bitwise(loss, alpha_kind, k):
     kernel = solver._kernel()
     assert kernel is not None, "a C compiler is present but the kernel was not loaded"
-    for n in (1, 17, 600):
+    # 601 is odd and large: one call runs the vectorised margin loop and its
+    # scalar remainder
+    for n in (1, 17, 600, 601):
         args = pass_inputs(n, k, alpha_kind, loss, seed=n)
         for epochs in (0, 1, 3):
             orders = solver._visit_orders(substream(n, epochs), epochs, n)
             rho, margins = solver._coordinate_passes(*args, orders)
             got_rho, got_margins = solver._kernel_passes(kernel, *args, orders)
+            assert got_margins.shape == (n, k) and got_margins.dtype == np.float64
+            assert got_margins.flags.c_contiguous
             assert got_rho.tobytes() == rho.tobytes(), (n, epochs)
             assert got_margins.tobytes() == margins.tobytes(), (n, epochs)
             if alpha_kind == "optimum":
                 assert not rho.any() and margins.tobytes() == args[2].tobytes()
+
+
+def test_kernel_compile_flags_keep_ieee_arithmetic():
+    # no FMA contraction, no value-changing optimisation, no CPU-specific code:
+    # a cached library may be loaded on another CPU, where the probe cannot
+    # catch an illegal instruction
+    flags = solver._COMPILE_FLAGS
+    assert "-ffp-contract=off" in flags
+    for unsafe in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations"):
+        assert unsafe not in flags
+    assert not any(flag.startswith("-march=") for flag in flags)
 
 
 def fixed_device_updates(k, loss_name, n=17):

@@ -187,9 +187,9 @@ def test_tmc_deterministic_in_seed():
 def test_tmc_call_budget_without_truncation():
     game, calls = counted(random_game(5, 11))
     tmc_estimate(game, delta_t=3, trunc_tol=0.0, seed=1)
-    # empty set, full set, and one prefix per non-final step
-    assert len(calls) == 3 * (len(game.players) + 1)
-    assert len(calls) <= 3 * (len(game.players) + 2)
+    # empty and full set once per call, one prefix per non-final step
+    assert len(calls) == 3 * (len(game.players) - 1) + 2
+    assert calls[:2] == [(), tuple(sorted(game.players))]
 
 
 def test_tmc_infinite_tolerance_truncates_everything():
@@ -200,9 +200,12 @@ def test_tmc_infinite_tolerance_truncates_everything():
     )
     assert all(v == 0.0 for v in ledger.beta.values())
     assert all(c == 5 for c in ledger.counts.values())
-    # only the empty and full sets are ever evaluated
-    assert len(calls) == 2 * 5
+    # only the empty and full sets are ever evaluated, once each
+    assert len(calls) == 2
     assert {len(s) for s in calls} == {0, 4}
+    # every audit entry still carries both values
+    expected = (game.value_fn(()), game.value_fn(tuple(sorted(game.players))))
+    assert [(e["empty_value"], e["full_value"]) for e in audit] == [expected] * 5
     assert [entry["truncated_from"] for entry in audit] == [0] * 5
 
 
