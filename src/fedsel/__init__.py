@@ -51,8 +51,8 @@ from .solver import (
 )
 from .valuation import (
     CoalitionGame,
+    CoalitionOracle,
     ContributionLedger,
-    coalition_value_fn,
     exact_shapley,
     tmc_estimate,
 )
@@ -103,8 +103,8 @@ __all__ = [
     "local_subproblem_value",
     "primal_objective",
     "CoalitionGame",
+    "CoalitionOracle",
     "ContributionLedger",
-    "coalition_value_fn",
     "exact_shapley",
     "tmc_estimate",
     "__version__",

@@ -40,7 +40,13 @@ from .solver import (
     fenchel_gap,
     scaled_gram,
 )
-from .valuation import CoalitionGame, ContributionLedger, coalition_value_fn, tmc_estimate
+from .valuation import (
+    CoalitionGame,
+    CoalitionOracle,
+    ContributionLedger,
+    tmc_estimate,
+    value_backend,
+)
 
 CSV_COLUMNS = (
     "round",
@@ -310,7 +316,7 @@ class Experiment:
         if self.policy.kind in ("random", "full"):
             return random_aggregate_plan(explored)
 
-        value = coalition_value_fn(
+        value = CoalitionOracle(
             phi_cols,
             stacked,
             self.split.validation_features,
@@ -556,6 +562,7 @@ class RunManifest:
     config: dict
     started_at: str
     solver_backend: str
+    value_backend: str
     status: str = "running"
     finished_at: str | None = None
     rows_written: int = 0
@@ -579,6 +586,7 @@ class RunManifest:
             config=config,
             started_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             solver_backend=coordinate_backend(),
+            value_backend=value_backend(),
         )
         manifest.write(out)
         return manifest
@@ -593,6 +601,7 @@ class RunManifest:
             "finished_at": self.finished_at,
             "status": self.status,
             "solver_backend": self.solver_backend,
+            "value_backend": self.value_backend,
             "rows_written": self.rows_written,
             "stop_reason": self.stop_reason,
             "error": self.error,

@@ -24,6 +24,16 @@ class KeepRule:
             raise ValueError(f"keep rule must be one of {KEEP_RULE_KINDS}, got {self.kind!r}")
         if self.kind == "top_k" and self.k < 1:
             raise ValueError(f"top_k keep rule needs k >= 1, got {self.k}")
+        # a value the rule never reads is refused rather than ignored
+        if self.kind != "top_k" and self.k != KeepRule.k:
+            raise ValueError(
+                f"keep_k={self.k} is read only by the top_k keep rule, not {self.kind!r}"
+            )
+        if self.kind != "threshold" and self.cutoff != KeepRule.cutoff:
+            raise ValueError(
+                f"keep_cutoff={self.cutoff} is read only by the threshold keep rule, "
+                f"not {self.kind!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -97,9 +107,11 @@ def exploit_select(ledger: ContributionLedger, keep_rule: KeepRule) -> tuple[int
 def greedy_from_value_fn(players, k: int, value_fn, early_stop: bool = False) -> tuple[int, ...]:
     """Iteratively add the player with the greatest coalition-value gain.
 
-    Candidate coalitions are passed to value_fn as sorted tuples. Ties go to
-    the lowest player id. With early_stop, growth stops once the best marginal
-    gain is <= 0, but the first pick is always kept.
+    Candidate coalitions are passed to value_fn as sorted tuples, a sweep's
+    candidates in one call to value_fn.values when it has that batch method
+    (see valuation.CoalitionOracle). Ties go to the lowest player id. With
+    early_stop, growth stops once the best marginal gain is <= 0, but the
+    first pick is always kept.
     """
     players = sorted(players)
     if k <= 0:
@@ -107,13 +119,18 @@ def greedy_from_value_fn(players, k: int, value_fn, early_stop: bool = False) ->
     if k > len(players):
         raise ValueError(f"k={k} exceeds the {len(players)} available updates")
 
+    batch = getattr(value_fn, "values", None)
     chosen: list[int] = []
     current_value = value_fn(())
     remaining = players
     while len(chosen) < k and remaining:
         best_id, best_value = None, -np.inf
-        for m in remaining:
-            candidate_value = value_fn(tuple(sorted(chosen + [m])))
+        candidates = [tuple(sorted(chosen + [m])) for m in remaining]
+        if batch is not None:
+            candidate_values = batch(candidates)
+        else:
+            candidate_values = [value_fn(c) for c in candidates]
+        for m, candidate_value in zip(remaining, candidate_values):
             if candidate_value > best_value:
                 best_id, best_value = m, candidate_value
         if early_stop and chosen and best_value - current_value <= 0.0:

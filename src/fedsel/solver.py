@@ -7,8 +7,8 @@ dual vector alpha (one coordinate per training sample) and improve them by
 randomized coordinate ascent with exact closed-form steps; the server absorbs
 accepted increments into (alpha, phi) keeping the two consistent to machine
 precision. The coordinate loop runs in a small C kernel (_sdca.c, built on
-first use) when a compiler is available and the kernel reproduces the numpy
-reference loop bit for bit; otherwise the numpy loop runs.
+first use by fedsel.native) when a compiler is available and the kernel
+reproduces the numpy reference loop bit for bit; otherwise the numpy loop runs.
 
 Conventions: feature matrices are row-per-sample (n, d); the dual dimension D
 is always the global training size, so every data term carries 1/D and the
@@ -18,15 +18,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
-import os
-import subprocess
-import tempfile
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
+from . import native
 from .losses import Loss, SmoothedHinge, SquaredLoss, make_loss
 from .rng import substream
 
@@ -217,75 +213,18 @@ def _coordinate_passes(labels_pm, alpha0, margins, gram_scaled, qii, loss, order
     return rho, margins
 
 
-_KERNEL_SOURCE = Path(__file__).with_name("_sdca.c")
-_COMPILE_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _LOSS_CODES = {SmoothedHinge: 0, SquaredLoss: 1}
-_F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-_I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 
 
-def _compile_kernel(source: bytes, command: list[str], target: Path) -> None:
-    """Compile to a unique temporary name, then move it into place atomically."""
-    fd, partial = tempfile.mkstemp(prefix=target.stem + ".", suffix=".tmp", dir=target.parent)
-    os.close(fd)
-    try:
-        subprocess.run(
-            [*command, "-x", "c", "-", "-o", partial], input=source, capture_output=True, check=True
-        )
-        os.replace(partial, target)
-    finally:
-        if os.path.exists(partial):
-            os.remove(partial)
-
-
-def _writable(directory: Path) -> bool:
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError:
-        return False
-    return os.access(directory, os.W_OK)
-
-
-def _remove_stale_kernels(cache_dir: Path, keep: Path) -> None:
-    """Best-effort removal of libraries built from another source or command."""
-    for stale in cache_dir.glob("_sdca.*.so"):
-        if stale != keep:
-            try:
-                stale.unlink()
-            except OSError:
-                pass
-
-
-def _load_kernel(compiler: str = "cc", cache_dir: Path | None = None):
-    """The compiled coordinate loop, or None when it cannot be built or fails its probe.
-
-    The shared library is cached in `cache_dir` (the package's __pycache__ by
-    default) under the SHA-256 of the C source and the compile command; a
-    fresh build there removes the libraries of other keys. When that directory
-    is not writable it is built in a private temporary directory instead.
-    """
-    source = _KERNEL_SOURCE.read_bytes()
-    command = [compiler, *_COMPILE_FLAGS]
-    key = hashlib.sha256(source + "\0".join(command).encode()).hexdigest()
-    cache_dir = Path(__file__).with_name("__pycache__") if cache_dir is None else Path(cache_dir)
-    target = cache_dir / f"_sdca.{key}.so"
-    try:
-        if target.exists() or _writable(cache_dir):
-            if not target.exists():
-                _compile_kernel(source, command, target)
-                _remove_stale_kernels(cache_dir, keep=target)
-            library = ctypes.CDLL(str(target))
-        else:
-            with tempfile.TemporaryDirectory(prefix="fedsel-") as private:
-                target = Path(private) / target.name
-                _compile_kernel(source, command, target)
-                library = ctypes.CDLL(str(target))  # stays mapped once the file is gone
-    except (OSError, subprocess.CalledProcessError):
+def _bind_kernel(library):
+    """The compiled coordinate loop from the shared library, or None when
+    there is no library or the loop fails its probe."""
+    if library is None:
         return None
     kernel = library.sdca_passes
     kernel.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64, ctypes.c_int32, ctypes.c_double,
-        _F64, _F64, _F64, _F64, _F64, _F64, _F64,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, native.I64, ctypes.c_int32,
+        ctypes.c_double, *[native.F64] * 7,
     ]
     kernel.restype = None
     return kernel if _probe_matches(kernel) else None
@@ -343,7 +282,7 @@ def _probe_matches(kernel) -> bool:
 
 @functools.cache
 def _kernel():
-    return _load_kernel()
+    return _bind_kernel(native.library())
 
 
 def coordinate_backend() -> str:

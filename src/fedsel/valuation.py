@@ -8,12 +8,15 @@ Shapley implementation serves as the validation oracle for small games.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from . import native
 from .solver import aggregation_count
 
 EXACT_PLAYER_GUARD = 10
@@ -56,14 +59,10 @@ def record_marginal(ledger: ContributionLedger, device_id: int, marginal: float)
     return ledger
 
 
-def coalition_value_fn(
-    phi_cols: np.ndarray,
-    member_deltas: dict[int, np.ndarray],
-    validation_features: np.ndarray,
-    validation_labels: np.ndarray,
-    aggregation_rule: str = "accepted",
-    total_devices: int | None = None,
-) -> Callable[[tuple[int, ...]], float]:
+VALUE_BLOCK_ROWS = 64  # validation rows per block of the compiled value kernel
+
+
+class CoalitionOracle:
     """The coalition-value oracle: subset -> validation accuracy of phi plus
     the subset's aggregated updates.
 
@@ -71,28 +70,179 @@ def coalition_value_fn(
     member_deltas holds every explored device, and aggregation_rule picks
     the averaging denominator (see solver.aggregation_count). Validation
     scores of phi and of each delta are computed once, so a coalition costs
-    O(n_val * K) instead of a fresh feature matmul.
+    O(n_val * K) instead of a fresh feature matmul. Calling the oracle values
+    one subset with numpy; `values` values many at once with the compiled
+    kernel, with bitwise-equal results.
     """
-    if len(validation_labels) == 0:
-        raise ValueError("the coalition value needs a nonempty validation split")
-    explored = len(member_deltas)
-    aggregation_count(aggregation_rule, 1, explored, total_devices)  # fail early on a bad rule
-    val_features = np.asarray(validation_features, dtype=np.float64)
-    base = val_features @ phi_cols
-    member = {m: val_features @ delta for m, delta in member_deltas.items()}
 
-    def value(subset: tuple[int, ...]) -> float:
-        scores = base
+    def __init__(
+        self,
+        phi_cols: np.ndarray,
+        member_deltas: dict[int, np.ndarray],
+        validation_features: np.ndarray,
+        validation_labels: np.ndarray,
+        aggregation_rule: str = "accepted",
+        total_devices: int | None = None,
+    ) -> None:
+        if len(validation_labels) == 0:
+            raise ValueError("the coalition value needs a nonempty validation split")
+        self._rule = aggregation_rule
+        self._explored = len(member_deltas)
+        self._total_devices = total_devices
+        aggregation_count(aggregation_rule, 1, self._explored, total_devices)  # fail early
+        val_features = np.asarray(validation_features, dtype=np.float64)
+        self._labels = np.asarray(validation_labels)
+        self._base = val_features @ phi_cols
+        self._rows = {m: i for i, m in enumerate(member_deltas)}
+        self._members = [val_features @ delta for delta in member_deltas.values()]
+
+    def _count(self, size: int) -> int:
+        return aggregation_count(self._rule, size, self._explored, self._total_devices)
+
+    def __call__(self, subset: tuple[int, ...]) -> float:
+        scores = self._base
         if subset:
-            count = aggregation_count(aggregation_rule, len(subset), explored, total_devices)
-            total = member[subset[0]].copy()
+            total = self._members[self._rows[subset[0]]].copy()
             for m in subset[1:]:
-                total += member[m]
-            scores = base + total / count
+                total += self._members[self._rows[m]]
+            scores = self._base + total / self._count(len(subset))
         predicted = np.argmax(scores, axis=1)
-        return float(np.mean(predicted == validation_labels))
+        return float(np.mean(predicted == self._labels))
 
-    return value
+    def values(self, subsets: list[tuple[int, ...]]) -> list[float]:
+        """[self(s) for s in subsets], in one pass of the compiled kernel.
+
+        Falls back to the per-subset numpy path when the kernel is not
+        available, the labels are not integers, or a base or member score is
+        not finite (np.argmax ranks NaN first, the kernel does not).
+        """
+        kernel = _value_kernel() if subsets else None
+        if kernel is None or not self._kernel_safe:
+            return [self(s) for s in subsets]
+        return self._kernel_values(kernel, subsets)
+
+    @functools.cached_property
+    def _kernel_safe(self) -> bool:
+        scores = [self._base, *self._members]
+        labels = self._labels
+        return labels.dtype.kind in "biu" and labels.shape == self._base.shape[:1] and all(
+            a.dtype == np.float64 and a.flags.c_contiguous and a.shape == self._base.shape
+            and np.isfinite(a).all()
+            for a in scores
+        )
+
+    def _kernel_values(self, kernel, subsets) -> list[float]:
+        """The kernel's values, in the order given.
+
+        The kernel sees the subsets sorted by their member rows, so subsets
+        sharing leading members are adjacent and share partial sums; each
+        value depends on its own subset alone.
+        """
+        keyed = sorted((tuple(self._rows[m] for m in s), i) for i, s in enumerate(subsets))
+        sizes = [len(rows) for rows, _ in keyed]
+        offsets = np.zeros(len(keyed) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        rows = np.fromiter(
+            (r for member_rows, _ in keyed for r in member_rows), dtype=np.int64,
+            count=int(offsets[-1]),
+        )
+        counts = np.array([self._count(size) if size else 1 for size in sizes], dtype=np.float64)
+        correct = np.empty(len(keyed), dtype=np.int64)
+        n, k = self._base.shape
+        members = np.array([m.ctypes.data for m in self._members], dtype=np.uintp)
+        kernel(
+            n, k, VALUE_BLOCK_ROWS, self._base, members,
+            np.ascontiguousarray(self._labels, dtype=np.int64), len(keyed), offsets, rows,
+            counts, correct, np.empty((max(sizes), VALUE_BLOCK_ROWS, k)),
+            np.empty((VALUE_BLOCK_ROWS, k)),
+        )
+        values = [0.0] * len(keyed)
+        for (_, i), hits in zip(keyed, correct.tolist()):
+            values[i] = hits / n
+        return values
+
+
+def _bind_value_kernel(library):
+    """The compiled value kernel from the shared library, or None when there
+    is no library or the kernel fails its probe."""
+    if library is None:
+        return None
+    kernel = library.coalition_values
+    kernel.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, native.F64, native.POINTERS, native.I64,
+        ctypes.c_int64, native.I64, native.I64, native.F64, native.I64, native.F64, native.F64,
+    ]
+    kernel.restype = None
+    return kernel if _value_probe_matches(kernel) else None
+
+
+def _value_probe_matches(kernel) -> bool:
+    """Whether the kernel reproduces the numpy path's values on fixed games.
+
+    133 validation rows (two full blocks and a partial one), 3 classes, 5
+    members; the empty subset, every single member and two walks' prefixes,
+    under all three aggregation rules. The validation features are the
+    identity, so member scores are the deltas themselves.
+    """
+    members = (2, 3, 5, 7, 11)
+    subsets = [(), *[(m,) for m in members]]
+    for seed in range(2):
+        walk = np.random.default_rng(seed).permutation(members)
+        subsets += [tuple(sorted(walk[:step])) for step in range(2, len(members) + 1)]
+    eye = np.eye(133)
+    for rule, total_devices in (("accepted", None), ("explored", None), ("all", 9)):
+        for base, deltas, labels in (
+            _integer_game(133, members),
+            _ordered_sum_game(133, members, subsets[1:], rule, total_devices),
+        ):
+            oracle = CoalitionOracle(base, deltas, eye, labels, rule, total_devices)
+            if oracle._kernel_values(kernel, subsets) != [oracle(s) for s in subsets]:
+                return False
+    return True
+
+
+def _integer_game(n, members):
+    """Small-integer scores: classes tie exactly, and the first maximum must win."""
+    rng = np.random.default_rng(23)
+    deltas = {m: rng.integers(-2, 3, size=(n, 3)).astype(float) for m in members}
+    return rng.integers(-2, 3, size=(n, 3)).astype(float), deltas, rng.integers(0, 3, size=n)
+
+
+def _ordered_sum_game(n, members, subsets, rule, total_devices):
+    """Scores where the member sum's order shows in the value.
+
+    Member scores in class 1 span 17 orders of magnitude and are 0 in class
+    0; row i's class-0 base equals subset i's class-1 member sum, taken in
+    the subset's order and averaged, so the classes tie there and the label
+    0 is predicted. A sum in any other order breaks the tie in some rows.
+    Class 2 never wins.
+    """
+    rng = np.random.default_rng(29)
+    deltas = {}
+    for m in members:
+        delta = np.zeros((n, 3))
+        delta[:, 1] = rng.normal(size=n) * 10.0 ** rng.integers(-17, 1, size=n)
+        delta[:, 2] = rng.normal(size=n)
+        deltas[m] = delta
+    base = np.zeros((n, 3))
+    base[:, 2] = -100.0
+    for i in range(n):
+        subset = subsets[i % len(subsets)]
+        total = deltas[subset[0]][i, 1]
+        for m in subset[1:]:
+            total += deltas[m][i, 1]
+        base[i, 0] = total / aggregation_count(rule, len(subset), len(members), total_devices)
+    return base, deltas, np.zeros(n, dtype=np.int64)
+
+
+@functools.cache
+def _value_kernel():
+    return _bind_value_kernel(native.library())
+
+
+def value_backend() -> str:
+    """Which batch value path runs: "c" for the verified compiled kernel, else "numpy"."""
+    return "numpy" if _value_kernel() is None else "c"
 
 
 def tmc_estimate(
@@ -113,6 +263,11 @@ def tmc_estimate(
     the empty-set and full-set values are computed once per call; each round
     then evaluates one prefix per non-truncated step except the last, which
     reuses the full-set value: at most delta_t * (len(players) - 1) + 2 calls.
+
+    With trunc_tol == 0 no walk depends on a value, so when value_fn has a
+    batch method `values` (see CoalitionOracle) every walk's prefixes go to it
+    in one call instead of one call each; the ledger and the audit entries
+    are the same.
     """
     players = tuple(game.players)
     if not players:
@@ -127,9 +282,13 @@ def tmc_estimate(
     n = len(players)
     empty_value = float(game.value_fn(()))
     full_value = float(game.value_fn(tuple(sorted(players))))
-    for t_prime in range(delta_t):
-        rng = np.random.default_rng((seed, t_prime))
-        perm = tuple(rng.permutation(players))
+    perms = [tuple(np.random.default_rng((seed, t)).permutation(players)) for t in range(delta_t)]
+    batch = getattr(game.value_fn, "values", None)
+    prefix_values = None
+    if trunc_tol == 0 and batch is not None:
+        prefixes = [tuple(sorted(perm[:size])) for perm in perms for size in range(1, n)]
+        prefix_values = iter(batch(prefixes))
+    for t_prime, perm in enumerate(perms):
         previous = empty_value
         truncated_from = None
         marginals = {}
@@ -140,9 +299,10 @@ def tmc_estimate(
                     truncated_from = step
             elif step == n - 1:
                 current = full_value
+            elif prefix_values is not None:
+                current = float(next(prefix_values))
             else:
-                prefix = tuple(sorted(perm[: step + 1]))
-                current = float(game.value_fn(prefix))
+                current = float(game.value_fn(tuple(sorted(perm[: step + 1]))))
             marginal = current - previous
             record_marginal(ledger, player, marginal)
             marginals[player] = marginal

@@ -137,6 +137,37 @@ def test_build_config_validation(override, message):
         load_config(None, [override])
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["selection.keep_k=3"],
+        ["selection.keep_cutoff=0.2"],
+        ["selection.keep_rule=threshold", "selection.keep_k=2"],
+        ["selection.keep_rule=top_k", "selection.keep_k=2", "selection.keep_cutoff=0.1"],
+        ["selection.keep_rule=positive", "selection.keep_cutoff=-1"],
+    ],
+)
+def test_keep_values_the_rule_never_reads_are_rejected(overrides):
+    with pytest.raises(ConfigError, match="keep_(k|cutoff)=.* read only by"):
+        load_config(None, overrides)
+    # on the command line too
+    assert main(["run", *[a for o in overrides for a in ("--set", o)]]) == 2
+
+
+def test_keep_values_the_rule_reads_are_accepted():
+    top_k = load_config(None, ["selection.keep_rule=top_k", "selection.keep_k=3"])
+    assert top_k.policy.keep_rule.k == 3
+    cut = load_config(None, ["selection.keep_rule=threshold", "selection.keep_cutoff=0.2"])
+    assert cut.policy.keep_rule.cutoff == 0.2
+    # defaults restated under any rule are fine
+    load_config(None, ["selection.keep_rule=threshold", "selection.keep_k=1"])
+    # a key read only by some policies stays legal: compare runs one config under several
+    random = load_config(
+        None, ["orchestrator.policy=random", "selection.keep_rule=top_k", "selection.keep_k=3"]
+    )
+    assert random.policy.kind == "random"
+
+
 def test_load_config_flag_patches():
     cfg = load_config(None, ["orchestrator.seed=5"], seed=9, policy="greedy", out_dir="x")
     assert cfg.hyper.seed == 9  # flags win over --set

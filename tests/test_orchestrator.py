@@ -8,7 +8,7 @@ import pytest
 from conftest import tiny_split
 
 import fedsel.orchestrator as orch
-from fedsel import solver
+from fedsel import solver, valuation
 from fedsel.cli import main
 from fedsel.data import DeviceDataset, SplitDataset
 from fedsel.orchestrator import (
@@ -30,7 +30,7 @@ from fedsel.solver import (
     aggregation_count,
     device_update_ovr,
 )
-from fedsel.valuation import coalition_value_fn
+from fedsel.valuation import CoalitionOracle
 
 HP = Hyperparams(loss="smoothed_hinge", epochs=2, c_fraction=0.5, seed=3)
 
@@ -109,17 +109,18 @@ def test_value_fn_matches_coalition_value_on_every_subset():
         shape = cases[0][0].shape
         cases.append((rng.normal(size=shape), {m: rng.normal(size=shape) for m in explored}))
         for phi_cols, deltas in cases:
-            value = coalition_value_fn(
+            value = CoalitionOracle(
                 phi_cols, deltas, split.validation_features, split.validation_labels,
                 rule, exp.num_devices,
             )
-            for size in range(5):
-                for subset in combinations(explored, size):
-                    count = {"accepted": len(subset), "explored": 4, "all": 6}[rule]
-                    assert value(subset) == _scratch_value(
-                        phi_cols, deltas, subset,
-                        split.validation_features, split.validation_labels, count,
-                    )
+            subsets = [s for size in range(5) for s in combinations(explored, size)]
+            for subset in subsets:
+                count = {"accepted": len(subset), "explored": 4, "all": 6}[rule]
+                assert value(subset) == _scratch_value(
+                    phi_cols, deltas, subset,
+                    split.validation_features, split.validation_labels, count,
+                )
+            assert value.values(subsets) == [value(s) for s in subsets]
 
 
 def test_null_update_round_keeps_phi_and_falls_back_to_top_one(monkeypatch):
@@ -301,6 +302,7 @@ def test_zero_round_run_reports_only_the_initial_row(tmp_path):
     assert manifest["rows_written"] == 1
     assert manifest["stop_reason"] == "completed"
     assert manifest["solver_backend"] == solver.coordinate_backend()
+    assert manifest["value_backend"] == valuation.value_backend()
 
 
 def test_run_rejects_negative_rounds_and_bad_eval_every():
@@ -370,18 +372,22 @@ def test_rerun_is_byte_identical_and_seed_sensitive():
     assert lines[0] != lines[2]
 
 
-@pytest.mark.parametrize("policy", ["cds", "greedy", "random"])
+@pytest.mark.parametrize("policy", ["cds", "cds-walks", "greedy", "random"])
 def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, policy):
     split = tiny_split(num_devices=6, samples_per_device=30)
+    base = HP.with_overrides(delta_t=6) if policy == "cds-walks" else HP
     runs = []
-    for hp in (HP, HP.with_overrides(loss="squared", aggregation_denominator="explored")):
+    for hp in (base, base.with_overrides(loss="squared", aggregation_denominator="explored")):
         for backend in ("default", "numpy"):
             if backend == "numpy":
                 monkeypatch.setattr(solver, "_kernel", lambda: None)
+                monkeypatch.setattr(valuation, "_value_kernel", lambda: None)
             out = tmp_path / f"{hp.loss}-{backend}"
-            run_experiment(split, hp, SelectionPolicy(kind=policy), rounds=3, out_dir=out)
+            kind = policy.split("-")[0]
+            run_experiment(split, hp, SelectionPolicy(kind=kind), rounds=3, out_dir=out)
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["solver_backend"] == solver.coordinate_backend()
+            assert manifest["value_backend"] == valuation.value_backend()
             runs.append((out / "metrics.csv").read_bytes())
             monkeypatch.undo()
     assert runs[0] == runs[1] and runs[2] == runs[3]

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedsel.rng import EXPLORE, substream
-from fedsel.valuation import ContributionLedger, coalition_value_fn
+from fedsel.valuation import CoalitionOracle, ContributionLedger
 from fedsel.selection import (
     KeepRule,
     RoundPlan,
@@ -110,6 +110,11 @@ def test_keep_rule_validation():
         KeepRule("best")
     with pytest.raises(ValueError, match="top_k"):
         KeepRule("top_k", k=0)
+    with pytest.raises(ValueError, match="keep_k=2 is read only by the top_k"):
+        KeepRule("positive", k=2)
+    with pytest.raises(ValueError, match="keep_cutoff=0.5 is read only by the threshold"):
+        KeepRule("top_k", k=2, cutoff=0.5)
+    assert KeepRule("threshold", k=1, cutoff=0.5).cutoff == 0.5
 
 
 def test_policy_validation():
@@ -174,7 +179,7 @@ def test_greedy_select_on_validation_accuracy():
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.2], [0.2, 1.0]])
     labels = np.array([0, 1, 0, 1])
     updates = {0: -3.0 * np.eye(2), 1: np.eye(2)}
-    value = coalition_value_fn(phi, updates, feats, labels)
+    value = CoalitionOracle(phi, updates, feats, labels)
     assert greedy_from_value_fn(updates, 1, value) == (1,)
     with pytest.raises(ValueError, match="exceeds"):
         greedy_from_value_fn(updates, 3, value)

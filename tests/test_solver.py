@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from fedsel import solver
+from fedsel import native, solver
 from fedsel.data import DeviceDataset
 from fedsel.losses import SmoothedHinge, SquaredLoss
 from fedsel.rng import substream
@@ -363,15 +363,28 @@ def test_kernel_matches_numpy_loop_bitwise(loss, alpha_kind, k):
                 assert not rho.any() and margins.tobytes() == args[2].tobytes()
 
 
-def test_kernel_compile_flags_keep_ieee_arithmetic():
+def test_kernel_compile_flags_keep_ieee_arithmetic(tmp_path, monkeypatch):
     # no FMA contraction, no value-changing optimisation, no CPU-specific code:
     # a cached library may be loaded on another CPU, where the probe cannot
     # catch an illegal instruction
-    flags = solver._COMPILE_FLAGS
+    flags = native.COMPILE_FLAGS
     assert "-ffp-contract=off" in flags
     for unsafe in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations"):
         assert unsafe not in flags
     assert not any(flag.startswith("-march=") for flag in flags)
+
+    # both kernels are built by that one command, into one library
+    builds = []
+
+    def record(command, input, **_):
+        builds.append((command, input))
+        raise native.subprocess.CalledProcessError(1, command)
+
+    monkeypatch.setattr(native.subprocess, "run", record)
+    assert native.load_library(cache_dir=tmp_path) is None
+    [(command, source)] = builds
+    assert command[1 : 1 + len(flags)] == list(flags)
+    assert b"void sdca_passes(" in source and b"void coalition_values(" in source
 
 
 def fixed_device_updates(k, loss_name, n=17):
@@ -409,7 +422,9 @@ def test_device_updates_equal_across_backends(monkeypatch, loss_name, k):
 def test_missing_compiler_falls_back_to_numpy(tmp_path, monkeypatch):
     reference = update_bytes(fixed_device_updates(10, "smoothed_hinge"))
     missing = str(tmp_path / "no-such-cc")
-    monkeypatch.setattr(solver, "_kernel", lambda: solver._load_kernel(missing, tmp_path))
+    monkeypatch.setattr(
+        solver, "_kernel", lambda: solver._bind_kernel(native.load_library(missing, tmp_path))
+    )
     assert solver.coordinate_backend() == "numpy"
     assert update_bytes(fixed_device_updates(10, "smoothed_hinge")) == reference
     assert list(tmp_path.iterdir()) == []  # no partial library left behind
@@ -426,7 +441,7 @@ def test_probe_mismatch_falls_back_to_numpy(tmp_path, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_coordinate_passes", one_ulp_off)
-        kernel = solver._load_kernel(cache_dir=tmp_path)
+        kernel = solver._bind_kernel(native.load_library(cache_dir=tmp_path))
     assert kernel is None
     monkeypatch.setattr(solver, "_kernel", lambda: kernel)
     assert solver.coordinate_backend() == "numpy"
@@ -435,17 +450,17 @@ def test_probe_mismatch_falls_back_to_numpy(tmp_path, monkeypatch):
 
 @needs_compiler
 def test_kernel_cache_is_reused_and_unwritable_cache_builds_privately(tmp_path):
-    assert solver._load_kernel(cache_dir=tmp_path / "cache") is not None
+    assert native.load_library(cache_dir=tmp_path / "cache") is not None
     built = sorted((tmp_path / "cache").iterdir())
     assert len(built) == 1 and built[0].suffix == ".so"
     stamp = built[0].stat().st_mtime_ns
-    assert solver._load_kernel(cache_dir=tmp_path / "cache") is not None
+    assert native.load_library(cache_dir=tmp_path / "cache") is not None
     assert sorted((tmp_path / "cache").iterdir()) == built
     assert built[0].stat().st_mtime_ns == stamp
 
     blocker = tmp_path / "file"
     blocker.write_text("")
-    assert solver._load_kernel(cache_dir=blocker / "cache") is not None
+    assert native.load_library(cache_dir=blocker / "cache") is not None
     assert sorted(tmp_path.iterdir()) == [tmp_path / "cache", blocker]
 
 
@@ -453,18 +468,21 @@ def test_kernel_cache_is_reused_and_unwritable_cache_builds_privately(tmp_path):
 def test_fresh_kernel_build_removes_stale_libraries(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
-    stale = cache / "_sdca.0123abcd.so"
+    # an earlier key of the shared library, and a coordinate-loop-only library
+    # from before the kernels shared one
+    stale = [cache / "_native.0123abcd.so", cache / "_sdca.0123abcd.so"]
     unrelated = cache / "other.so"
-    for planted in (stale, unrelated):
+    for planted in (*stale, unrelated):
         planted.write_bytes(b"not a library")
-    assert solver._load_kernel(cache_dir=cache) is not None
+    assert native.load_library(cache_dir=cache) is not None
     built = [p for p in cache.iterdir() if p != unrelated]
-    assert len(built) == 1 and built[0].name.startswith("_sdca.") and built[0] != stale
+    assert len(built) == 1 and built[0].name.startswith("_native.") and built[0] not in stale
     assert unrelated.exists()
     # reusing a cached build leaves the directory alone
-    stale.write_bytes(b"not a library")
-    assert solver._load_kernel(cache_dir=cache) is not None
-    assert stale.exists() and built[0].exists()
+    for planted in stale:
+        planted.write_bytes(b"not a library")
+    assert native.load_library(cache_dir=cache) is not None
+    assert all(p.exists() for p in stale) and built[0].exists()
 
 
 # -- aggregation -----------------------------------------------------------------

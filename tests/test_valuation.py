@@ -1,14 +1,19 @@
 """Contribution estimation: ledger, coalition values, TMC vs exact Shapley."""
+import shutil
+from itertools import combinations
+
 import numpy as np
 import pytest
 from conftest import random_game
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsel import native, solver, valuation
+from fedsel.selection import greedy_from_value_fn
 from fedsel.valuation import (
     CoalitionGame,
+    CoalitionOracle,
     ContributionLedger,
-    coalition_value_fn,
     exact_shapley,
     record_marginal,
     tmc_estimate,
@@ -74,13 +79,13 @@ def _identity_setup():
 
 def test_coalition_value_empty_subset_scores_base_model():
     phi, feats, labels = _identity_setup()
-    value = coalition_value_fn(phi, {0: -2.0 * np.eye(2)}, feats, labels)
+    value = CoalitionOracle(phi, {0: -2.0 * np.eye(2)}, feats, labels)
     assert value(()) == 1.0
 
 
 def test_coalition_value_applies_update():
     phi, feats, labels = _identity_setup()
-    value = coalition_value_fn(phi, {0: -2.0 * np.eye(2)}, feats, labels)
+    value = CoalitionOracle(phi, {0: -2.0 * np.eye(2)}, feats, labels)
     assert value((0,)) == 0.0
 
 
@@ -88,27 +93,264 @@ def test_coalition_value_denominators():
     phi, feats, labels = _identity_setup()
     # -1.5*I flips the model when divided by 1 but not by 2 or 3
     updates = {0: -1.5 * np.eye(2), 1: np.zeros((2, 2))}
-    assert coalition_value_fn(phi, updates, feats, labels, "accepted")((0,)) == 0.0
-    assert coalition_value_fn(phi, updates, feats, labels, "explored")((0,)) == 1.0
-    value = coalition_value_fn(phi, updates, feats, labels, "all", total_devices=3)
+    assert CoalitionOracle(phi, updates, feats, labels, "accepted")((0,)) == 0.0
+    assert CoalitionOracle(phi, updates, feats, labels, "explored")((0,)) == 1.0
+    value = CoalitionOracle(phi, updates, feats, labels, "all", total_devices=3)
     assert value((0,)) == 1.0
 
 
 def test_coalition_value_argmax_ties_to_lowest_class():
     feats = np.array([[1.0, 1.0]])
-    assert coalition_value_fn(np.eye(2), {}, feats, np.array([0]))(()) == 1.0
+    assert CoalitionOracle(np.eye(2), {}, feats, np.array([0]))(()) == 1.0
 
 
 def test_coalition_value_errors():
     phi, feats, labels = _identity_setup()
     with pytest.raises(KeyError):
-        coalition_value_fn(phi, {}, feats, labels)((0,))
+        CoalitionOracle(phi, {}, feats, labels)((0,))
     with pytest.raises(ValueError, match="nonempty validation"):
-        coalition_value_fn(phi, {}, feats[:0], labels[:0])
+        CoalitionOracle(phi, {}, feats[:0], labels[:0])
     with pytest.raises(ValueError, match="total_devices"):
-        coalition_value_fn(phi, {0: np.eye(2)}, feats, labels, "all")
+        CoalitionOracle(phi, {0: np.eye(2)}, feats, labels, "all")
     with pytest.raises(ValueError, match="aggregation rule"):
-        coalition_value_fn(phi, {0: np.eye(2)}, feats, labels, "median")
+        CoalitionOracle(phi, {0: np.eye(2)}, feats, labels, "median")
+
+
+# -- batch values ----------------------------------------------------------------
+
+needs_compiler = pytest.mark.skipif(
+    shutil.which("cc") is None, reason="no C compiler: the numpy path is the only backend"
+)
+RULES = (("accepted", None), ("explored", None), ("all", 11))
+
+
+def oracle_game(rule="accepted", total_devices=None, n_val=301, players=(1, 4, 6, 9, 12, 15)):
+    """A random 10-class oracle over odd n_val rows (a partial kernel block)."""
+    rng = np.random.default_rng(n_val)
+    features = rng.normal(size=(n_val, 7))
+    phi = rng.normal(size=(7, 10)) * 0.3
+    deltas = {m: rng.normal(size=(7, 10)) for m in players}
+    labels = rng.integers(0, 10, size=n_val)
+    return CoalitionOracle(phi, deltas, features, labels, rule, total_devices)
+
+
+def walk_prefixes(players, walks, seed=0):
+    """Every sorted prefix of `walks` random permutations, as tmc_estimate forms them."""
+    rng = np.random.default_rng(seed)
+    prefixes = []
+    for _ in range(walks):
+        perm = rng.permutation(players)
+        prefixes += [tuple(sorted(perm[:size])) for size in range(1, len(players) + 1)]
+    return prefixes
+
+
+def kernel_unused(oracle, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the kernel must not run")
+
+    monkeypatch.setattr(oracle, "_kernel_values", refuse)
+
+
+@needs_compiler
+@pytest.mark.parametrize("rule, total_devices", RULES)
+def test_batch_values_equal_calls_on_walk_prefixes(rule, total_devices):
+    assert valuation.value_backend() == "c"
+    players = (1, 4, 6, 9, 12, 15)
+    for n_val in (1, 64, 301):  # one row, one full block, and a partial last block
+        oracle = oracle_game(rule, total_devices, n_val=n_val)
+        subsets = [(), (9,), *walk_prefixes(players, 5), (), (12,)]
+        assert oracle.values(subsets) == [oracle(s) for s in subsets]
+        lone = oracle_game(rule, total_devices, n_val=n_val, players=(7,))
+        assert lone.values([(7,), (), (7,)]) == [lone((7,)), lone(()), lone((7,))]
+
+
+@needs_compiler
+def test_batch_values_on_exact_ties_pick_the_first_maximum():
+    # small-integer scores tie across classes on most rows
+    rng = np.random.default_rng(5)
+    features = np.eye(97)
+    phi = rng.integers(-1, 2, size=(97, 4)).astype(float)
+    deltas = {m: rng.integers(-2, 3, size=(97, 4)).astype(float) for m in range(5)}
+    labels = np.zeros(97, dtype=int)  # class 0 is the first maximum of every tie
+    subsets = [tuple(c) for size in range(6) for c in combinations(range(5), size)]
+    for rule, total_devices in RULES:
+        oracle = CoalitionOracle(phi, deltas, features, labels, rule, total_devices)
+        assert oracle.values(subsets) == [oracle(s) for s in subsets]
+    # all-zero scores: every row ties across every class, and class 0 wins
+    flat = CoalitionOracle(np.zeros((97, 4)), {0: np.zeros((97, 4))}, features, labels)
+    assert flat.values([(), (0,)]) == [1.0, 1.0]
+
+
+@needs_compiler
+@pytest.mark.parametrize("rule, total_devices", RULES)
+def test_batch_values_sum_members_in_subset_order(rule, total_devices):
+    # row i's first class ties its second under subset i only when the member
+    # scores are summed in the subset's order; the kernel's probe game
+    members = (2, 3, 5, 7, 11)
+    subsets = walk_prefixes(members, 3, seed=4)
+    base, deltas, labels = valuation._ordered_sum_game(
+        97, members, subsets, rule, total_devices
+    )
+    oracle = CoalitionOracle(base, deltas, np.eye(97), labels, rule, total_devices)
+    got = oracle.values(subsets)
+    assert got == [oracle(s) for s in subsets]
+    reversed_order = [oracle(tuple(reversed(s))) for s in subsets]
+    assert got != reversed_order  # the game does see the order
+
+
+@needs_compiler
+def test_batch_values_in_a_greedy_sweep():
+    oracle = oracle_game("explored")
+    players = sorted((1, 4, 6, 9, 12, 15))
+    chosen = [6, 12]
+    sweep = [tuple(sorted(chosen + [m])) for m in players if m not in chosen]
+    assert oracle.values(sweep) == [oracle(s) for s in sweep]
+
+    def plain(subset):
+        return oracle(subset)
+
+    for k in (1, 3, 6):
+        for early_stop in (False, True):
+            assert greedy_from_value_fn(players, k, oracle, early_stop) == greedy_from_value_fn(
+                players, k, plain, early_stop
+            )
+
+
+def test_greedy_hands_each_sweep_to_the_batch_method():
+    table = {(): 0.0, (0,): 1.0, (1,): 1.0, (2,): 0.5, (0, 1): 1.5, (0, 2): 2.0,
+             (1, 2): 2.0, (0, 1, 2): 2.5}
+
+    class Batched:
+        def __init__(self):
+            self.batches = []
+
+        def __call__(self, subset):
+            return table[subset]
+
+        def values(self, subsets):
+            self.batches.append(list(subsets))
+            return [table[s] for s in subsets]
+
+    batched = Batched()
+    # (0,) and (1,) tie: the lowest id wins, as on the per-call path
+    assert greedy_from_value_fn([0, 1, 2], 2, batched) == (0, 2)
+    assert batched.batches == [[(0,), (1,), (2,)], [(0, 1), (0, 2)]]
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_take_the_numpy_path(monkeypatch, poison):
+    for target in ("member", "base"):
+        rng = np.random.default_rng(2)
+        phi = rng.normal(size=(3, 4))
+        deltas = {m: rng.normal(size=(3, 4)) for m in range(3)}
+        (deltas[1] if target == "member" else phi)[0, 2] = poison
+        features = rng.normal(size=(9, 3))
+        oracle = CoalitionOracle(phi, deltas, features, rng.integers(0, 4, size=9))
+        kernel_unused(oracle, monkeypatch)
+        subsets = [(), (0,), (0, 1), (0, 1, 2), (2,)]
+        assert oracle.values(subsets) == [oracle(s) for s in subsets]
+
+
+def test_labels_the_kernel_cannot_read_take_the_numpy_path(monkeypatch):
+    rng = np.random.default_rng(3)
+    features = rng.normal(size=(9, 3))
+    deltas = {m: rng.normal(size=(3, 4)) for m in range(3)}
+    # non-integer labels never match a class index; a column of labels broadcasts
+    for labels in (np.full(9, 1.5), np.full(9, 1.0), rng.integers(0, 4, size=(9, 1))):
+        oracle = CoalitionOracle(rng.normal(size=(3, 4)), deltas, features, labels)
+        kernel_unused(oracle, monkeypatch)
+        subsets = [(), (0,), (0, 2)]
+        assert oracle.values(subsets) == [oracle(s) for s in subsets]
+
+
+def test_forced_numpy_fallback_gives_the_same_values(monkeypatch):
+    subsets = [(), *walk_prefixes((1, 4, 6, 9, 12, 15), 4)]
+    expected = oracle_game("all", 11).values(subsets)
+    monkeypatch.setattr(valuation, "_value_kernel", lambda: None)
+    assert valuation.value_backend() == "numpy"
+    oracle = oracle_game("all", 11)
+    kernel_unused(oracle, monkeypatch)
+    assert oracle.values(subsets) == expected == [oracle(s) for s in subsets]
+    assert oracle.values([]) == []
+
+
+def test_batch_values_reject_unknown_members():
+    with pytest.raises(KeyError):
+        oracle_game().values([(1,), (2,)])
+
+
+@needs_compiler
+def test_value_probe_mismatch_disables_only_the_value_kernel(monkeypatch):
+    library = native.library()
+    exact = CoalitionOracle.__call__
+
+    def one_row_off(self, subset):  # stands in for a miscompiled kernel
+        return exact(self, subset) + 1.0 / len(self._labels)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CoalitionOracle, "__call__", one_row_off)
+        assert valuation._bind_value_kernel(library) is None
+    assert valuation._bind_value_kernel(library) is not None
+    assert solver._bind_kernel(library) is not None
+
+
+@pytest.mark.parametrize("rule, total_devices", RULES)
+def test_tmc_batch_and_per_call_paths_agree(rule, total_devices):
+    oracle = oracle_game(rule, total_devices)
+    players = (1, 4, 6, 9, 12, 15)
+    calls = []
+
+    def plain(subset):  # no batch method: one call per prefix
+        calls.append(subset)
+        return oracle(subset)
+
+    results = []
+    for value_fn in (oracle, plain):
+        audit = []
+        ledger = tmc_estimate(
+            CoalitionGame(players, value_fn), delta_t=7, trunc_tol=0.0, seed=3,
+            audit_sink=audit.append,
+        )
+        results.append((repr(ledger), audit))
+    assert results[0] == results[1]
+    assert len(calls) == 7 * (len(players) - 1) + 2
+
+
+def test_tmc_batches_every_walk_in_one_call():
+    oracle = oracle_game()
+    players = (1, 4, 6, 9, 12, 15)
+    batches = []
+
+    class Recorded:
+        def __call__(self, subset):
+            return oracle(subset)
+
+        def values(self, subsets):
+            batches.append(list(subsets))
+            return oracle.values(subsets)
+
+    tmc_estimate(CoalitionGame(players, Recorded()), delta_t=5, trunc_tol=0.0, seed=8)
+    assert [len(batch) for batch in batches] == [5 * (len(players) - 1)]
+    assert all(batch == tuple(sorted(batch)) for batch in batches[0])
+
+
+def test_tmc_with_truncation_keeps_per_prefix_calls():
+    # a truncating walk's stopping point depends on the values it sees
+    oracle = oracle_game()
+    players = (1, 4, 6, 9, 12, 15)
+
+    class Unbatched:
+        def __call__(self, subset):
+            return oracle(subset)
+
+        def values(self, subsets):
+            raise AssertionError("a truncating walk must not batch")
+
+    for tol in (0.02, 0.05):
+        ledger = tmc_estimate(CoalitionGame(players, Unbatched()), 4, tol, seed=2)
+        plain = tmc_estimate(CoalitionGame(players, lambda s: oracle(s)), 4, tol, seed=2)
+        assert repr(ledger) == repr(plain)
+        assert set(ledger.counts.values()) == {4}
 
 
 # -- exact Shapley ---------------------------------------------------------------
