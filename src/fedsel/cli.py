@@ -22,20 +22,26 @@ from .orchestrator import CSV_COLUMNS, Experiment, ExperimentResult, rounds_to_t
 from .selfcheck import SUITES, run_selfcheck
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", type=Path, default=None, help="config file path")
-    sp.add_argument("--seed", type=int, default=None, help="master seed override")
-    sp.add_argument(
-        "--set",
+# every flag a subcommand may take; each subcommand registers only those it reads
+_FLAGS = {
+    "--config": dict(type=Path, default=None, help="config file path"),
+    "--seed": dict(type=int, default=None, help="master seed override"),
+    "--set": dict(
         dest="overrides",
         action="append",
         default=[],
         metavar="KEY=VALUE",
         help="override a config key (section.key=value, repeatable)",
-    )
-    sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument("--policy", default=None, help="selection policy override")
-    sp.add_argument("--quiet", action="store_true", help="suppress per-round logs")
+    ),
+    "--out": dict(default=None, help="output directory"),
+    "--policy": dict(default=None, help="selection policy override"),
+    "--quiet": dict(action="store_true", help="suppress per-round logs"),
+}
+
+
+def _add_flags(sp: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        sp.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,10 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one experiment")
-    _add_common(run_p)
+    _add_flags(run_p, *_FLAGS)
 
-    cmp_p = sub.add_parser("compare", help="paired policy/seed sweep")
-    _add_common(cmp_p)
+    # no abbreviations, so --seed and --policy cannot stand for --seeds and --policies
+    cmp_p = sub.add_parser(
+        "compare", help="paired policy/seed sweep", allow_abbrev=False
+    )
+    _add_flags(cmp_p, "--config", "--set", "--out", "--quiet")
     cmp_p.add_argument(
         "--policies", default="cds,random,greedy", help="comma-separated policy list"
     )
@@ -73,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     part_p = sub.add_parser(
         "partition-report", help="print per-device label histograms"
     )
-    _add_common(part_p)
+    _add_flags(part_p, "--config", "--set", "--seed")
     return parser
 
 
@@ -211,7 +220,7 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_partition_report(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, args.overrides, args.seed, args.policy, args.out)
+    cfg = load_config(args.config, args.overrides, args.seed)
     split = cfg.build_split()
     print(
         f"devices={len(split.devices)} classes={split.num_classes} "

@@ -274,6 +274,11 @@ def build_config(values: dict[str, dict[str, object]]) -> ExperimentConfig:
         )
     if data["num_devices"] < 1:
         raise ConfigError(f"data.num_devices must be >= 1, got {data['num_devices']}")
+    if not 0 <= data["device_test_fraction"] < 1:
+        raise ConfigError(
+            f"data.device_test_fraction must be in [0, 1), "
+            f"got {data['device_test_fraction']}"
+        )
     cost = values["cost"]
     for lo_key, hi_key in (
         ("cpu_freq_min_hz", "cpu_freq_max_hz"),

@@ -96,10 +96,13 @@ class DeviceDataset:
 class SplitDataset:
     """Per-device shards, server validation, global test, and their metadata.
 
-    The training pool is held once: one C-contiguous float64 matrix in
-    dual-coordinate order, built on construction. Every device's features
-    become a row view of it, and each device's own copy is dropped as its rows
-    are written.
+    Every feature matrix is held once, as one C-contiguous float64 matrix:
+    the training pool in dual-coordinate order, the device test splits in
+    device order, the validation split and the global test split. Every
+    device's features and test_features become row views of the first two.
+    Construction converts what it is given (float32, one array per device)
+    into this layout, dropping each device's own copy as its rows are
+    written; arrays already in it, as the loaders write them, are kept.
     """
 
     devices: list[DeviceDataset]
@@ -111,13 +114,13 @@ class SplitDataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        train = np.empty((sum(dev.size for dev in self.devices), self.feature_dim))
-        cursor = 0
-        for dev in self.devices:
-            rows = train[cursor : cursor + dev.size]
-            rows[...] = dev.features
-            dev.features = rows
-            cursor += len(rows)
+        train = _hold_rows(self.devices, "features", self.feature_dim)
+        held = [dev for dev in self.devices if dev.test_features is not None]
+        _hold_rows(held, "test_features", self.feature_dim)
+        self.validation_features = np.ascontiguousarray(
+            self.validation_features, dtype=np.float64
+        )
+        self.test_features = np.ascontiguousarray(self.test_features, dtype=np.float64)
         self._train = train, np.concatenate([dev.labels for dev in self.devices])
 
     @property
@@ -134,6 +137,40 @@ class SplitDataset:
         Both are the arrays the split holds, not copies.
         """
         return self._train
+
+
+def _hold_rows(devices: list[DeviceDataset], attr: str, dim: int) -> np.ndarray:
+    """Rebind each device's `attr` to row views of one float64 matrix, returned.
+
+    The devices' arrays are kept as they are when they already are
+    consecutive C-contiguous float64 row views covering one such matrix.
+    """
+    blocks = [getattr(dev, attr) for dev in devices]
+    base = blocks[0].base if blocks else None
+    if (
+        isinstance(base, np.ndarray)
+        and base.dtype == np.float64
+        and base.flags.c_contiguous
+    ):
+        starts = np.cumsum([0] + [len(block) for block in blocks])
+        if starts[-1] == len(base) and all(
+            block.base is base
+            and block.dtype == base.dtype
+            and block.flags.c_contiguous
+            and block.shape[1:] == base.shape[1:]
+            and block.ctypes.data == base.ctypes.data + start * base.strides[0]
+            for block, start in zip(blocks, starts)
+        ):
+            return base
+    del blocks, base  # so each device's own array is freed once its rows are copied
+    matrix = np.empty((sum(len(getattr(dev, attr)) for dev in devices), dim))
+    cursor = 0
+    for dev in devices:
+        rows = matrix[cursor : cursor + len(getattr(dev, attr))]
+        rows[...] = getattr(dev, attr)
+        setattr(dev, attr, rows)
+        cursor += len(rows)
+    return matrix
 
 
 def _label_aligned_shards(labels: np.ndarray, num_shards: int) -> list[np.ndarray]:
@@ -261,52 +298,69 @@ def _assign_dual_ids(devices: list[DeviceDataset]) -> list[DeviceDataset]:
     return devices
 
 
-def build_split(
-    train_features: np.ndarray,
+def _assemble(
+    write_rows,
+    dim: int,
     train_labels: np.ndarray,
     test_features: np.ndarray,
     test_labels: np.ndarray,
     num_devices: int,
     shards_per_device: int,
     seed: int,
-    validation_size: int = 5000,
-    device_test_fraction: float = 0.2,
-    unbalanced: bool = False,
+    validation_size: int,
+    device_test_fraction: float,
+    unbalanced: bool,
 ) -> SplitDataset:
-    """Shared pipeline: carve server validation, partition, carve local tests."""
+    """Carve server validation, partition, carve local tests, then write rows.
+
+    Sample ids are routed first; write_rows(ids, out) then fills the float64
+    rows out with training samples ids, straight in their final matrix.
+    """
     n = len(train_labels)
     if not 0 <= validation_size < n:
         raise DataFormatError(
             f"validation_size {validation_size} out of range for {n} training samples"
         )
+    if not 0 <= device_test_fraction < 1:
+        raise DataFormatError(
+            f"device_test_fraction must be in [0, 1), got {device_test_fraction}"
+        )
     rng = substream(seed)
     val_pos = np.sort(rng.choice(n, size=validation_size, replace=False))
     train_mask = np.ones(n, dtype=bool)
     train_mask[val_pos] = False
-
-    # sample ids are routed first; each device's rows are gathered once
     pool = np.flatnonzero(train_mask)
     parts = shard_partition(
         train_labels[pool], num_devices, shards_per_device, seed, unbalanced
     )
     carved = _carve_local_tests([pool[part] for part in parts], device_test_fraction, seed)
-    devices = _assign_dual_ids(
-        [
+    train = np.empty((sum(len(ids) for ids, _ in carved), dim))
+    device_test = np.empty((sum(len(ids) for _, ids in carved), dim))
+    devices = []
+    train_cursor = test_cursor = 0
+    for m, (train_ids, test_ids) in enumerate(carved):
+        rows = train[train_cursor : train_cursor + len(train_ids)]
+        test_rows = device_test[test_cursor : test_cursor + len(test_ids)]
+        write_rows(train_ids, rows)
+        write_rows(test_ids, test_rows)
+        devices.append(
             DeviceDataset(
                 device_id=m,
-                features=train_features[train_ids],
+                features=rows,
                 labels=train_labels[train_ids],
                 sample_indices=train_ids,
-                test_features=train_features[test_ids],
+                test_features=test_rows,
                 test_labels=train_labels[test_ids],
             )
-            for m, (train_ids, test_ids) in enumerate(carved)
-        ]
-    )
+        )
+        train_cursor += len(rows)
+        test_cursor += len(test_rows)
+    validation = np.empty((len(val_pos), dim))
+    write_rows(val_pos, validation)
     num_classes = int(max(train_labels.max(), test_labels.max())) + 1
     return SplitDataset(
-        devices=devices,
-        validation_features=train_features[val_pos],
+        devices=_assign_dual_ids(devices),
+        validation_features=validation,
         validation_labels=train_labels[val_pos],
         test_features=test_features,
         test_labels=test_labels,
@@ -322,9 +376,46 @@ def build_split(
     )
 
 
-def _with_bias(features: np.ndarray) -> np.ndarray:
-    ones = np.ones((features.shape[0], 1), dtype=features.dtype)
-    return np.hstack([features, ones])
+def build_split(
+    train_features: np.ndarray,
+    train_labels: np.ndarray,
+    test_features: np.ndarray,
+    test_labels: np.ndarray,
+    num_devices: int,
+    shards_per_device: int,
+    seed: int,
+    validation_size: int = 5000,
+    device_test_fraction: float = 0.2,
+    unbalanced: bool = False,
+) -> SplitDataset:
+    """Split float feature arrays: validation, device shards, local tests."""
+
+    def copy_rows(ids: np.ndarray, out: np.ndarray) -> None:
+        out[...] = train_features[ids]
+
+    return _assemble(
+        copy_rows, train_features.shape[1], train_labels, test_features, test_labels,
+        num_devices, shards_per_device, seed, validation_size, device_test_fraction,
+        unbalanced,
+    )
+
+
+# rows per float32 temporary when pixels are written into a float64 matrix
+_PIXEL_BLOCK_ROWS = 512
+
+
+def _write_pixels(images: np.ndarray, ids: np.ndarray, out: np.ndarray) -> None:
+    """Write flattened uint8 images[ids] into the float64 rows out.
+
+    A pixel becomes float32(u8) / float32(255), then float64, and the last
+    column is the bias 1.0; rows go in blocks of _PIXEL_BLOCK_ROWS.
+    """
+    for start in range(0, len(ids), _PIXEL_BLOCK_ROWS):
+        block = images[ids[start : start + _PIXEL_BLOCK_ROWS]].astype(np.float32)
+        block /= np.float32(255.0)
+        rows = out[start : start + len(block)]
+        rows[:, :-1] = block
+        rows[:, -1] = 1.0
 
 
 IDX_FILES = {
@@ -354,7 +445,8 @@ def load_idx_split(
     """Load an MNIST-layout IDX directory and build the full split.
 
     Expects the four canonical filenames (optionally gzipped). Pixels are
-    scaled to [0, 1] and flattened; a bias column is appended.
+    scaled to [0, 1] and flattened, and a bias column is appended, as they are
+    written from the uint8 images straight into the split's float64 matrices.
     """
     data_dir = Path(data_dir)
     arrays = {key: read_idx(_find_idx(data_dir, stem)) for key, stem in IDX_FILES.items()}
@@ -369,21 +461,23 @@ def load_idx_split(
     if len(arrays["test_images"]) != len(arrays["test_labels"]):
         raise DataFormatError("test image/label counts disagree")
 
-    def flat(images: np.ndarray) -> np.ndarray:
-        out = images.reshape(len(images), -1).astype(np.float32) / np.float32(255.0)
-        return _with_bias(out)
-
-    split = build_split(
-        flat(arrays["train_images"]),
+    train_images = arrays["train_images"].reshape(len(arrays["train_images"]), -1)
+    test_images = arrays["test_images"].reshape(len(arrays["test_images"]), -1)
+    dim = train_images.shape[1] + 1
+    test_features = np.empty((len(test_images), dim))
+    _write_pixels(test_images, np.arange(len(test_images)), test_features)
+    split = _assemble(
+        lambda ids, out: _write_pixels(train_images, ids, out),
+        dim,
         arrays["train_labels"].astype(np.int64),
-        flat(arrays["test_images"]),
+        test_features,
         arrays["test_labels"].astype(np.int64),
         num_devices,
         shards_per_device,
         seed,
-        validation_size=validation_size,
-        device_test_fraction=device_test_fraction,
-        unbalanced=unbalanced,
+        validation_size,
+        device_test_fraction,
+        unbalanced,
     )
     split.meta["source"] = str(data_dir)
     split.meta["image_shape"] = list(arrays["train_images"].shape[1:])
@@ -430,7 +524,8 @@ def generate_synthetic(
     span = np.where(hi > lo, hi - lo, 1.0)
 
     def scaled(raw: np.ndarray) -> np.ndarray:
-        return _with_bias(np.clip((raw - lo) / span, 0.0, 1.0))
+        features = np.clip((raw - lo) / span, 0.0, 1.0)
+        return np.hstack([features, np.ones((len(features), 1))])
 
     train_feats = scaled(train_raw)
     order = np.arange(train_size)  # already label-sorted by construction

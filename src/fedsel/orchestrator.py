@@ -123,10 +123,6 @@ class ExperimentResult:
     out_dir: Path | None = None
 
 
-def _scores(features: np.ndarray, phi_cols: np.ndarray) -> np.ndarray:
-    return np.asarray(features, dtype=np.float64) @ phi_cols
-
-
 def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
     if scores.shape[0] == 0:
         raise ValueError("accuracy over an empty sample set is undefined")
@@ -155,7 +151,7 @@ def evaluate_global(
     weighted by class frequency, and the accuracy equals the frequency of
     class 0 because argmax breaks ties toward the lowest class id.
     """
-    accuracy = _accuracy(_scores(split.test_features, phi_cols), split.test_labels)
+    accuracy = _accuracy(split.test_features @ phi_cols, split.test_labels)
     data_term = float(np.mean(loss.value(train_margins, train_targets)))
     reg_term = 0.5 * reg_lambda * float(np.mean(np.sum(phi_cols**2, axis=0)))
     return accuracy, data_term + reg_term
@@ -169,7 +165,7 @@ def device_test_scores(
     Devices without held-out samples have no entry.
     """
     return {
-        device.device_id: _scores(device.test_features, phi_cols)
+        device.device_id: device.test_features @ phi_cols
         for device in devices
         if device.test_features is not None and device.test_features.shape[0] > 0
     }

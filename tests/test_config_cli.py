@@ -130,6 +130,9 @@ def test_overrides_dotted_and_bare():
         ("cost.snr_min=0", "snr_min"),
         ("cost.bandwidth_hz=0", "bandwidth_hz"),
         ("valuation.delta_t=0", "delta_t"),
+        ("data.device_test_fraction=1.0", "device_test_fraction"),
+        ("data.device_test_fraction=1.5", "device_test_fraction"),
+        ("data.device_test_fraction=-0.5", "device_test_fraction"),
     ],
 )
 def test_build_config_validation(override, message):
@@ -295,6 +298,24 @@ def test_selfcheck_catches_a_corrupted_conjugate(capsys):
     captured = capsys.readouterr()
     assert ok is False
     assert "[FAIL] conjugate" in captured.out
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("compare", ["--seed", "3"]),
+        ("compare", ["--policy", "random"]),
+        ("partition-report", ["--out", "report_out"]),
+        ("partition-report", ["--quiet"]),
+        ("partition-report", ["--policy", "random"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_cli_rejects_flags_the_subcommand_never_reads(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *TINY, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_cli_partition_report(capsys):

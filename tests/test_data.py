@@ -1,6 +1,8 @@
 """IDX codec, partitioner, and dataset-builder contracts."""
 import gzip
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from fedsel.data import (
     write_idx,
     write_synthetic_image_corpus,
 )
+from fedsel.data import _carve_local_tests
+from fedsel.rng import substream
 
 
 def idx_bytes(magic_ndim: int, dims: tuple[int, ...], payload: bytes) -> bytes:
@@ -211,6 +215,106 @@ def test_load_idx_split_layout(idx_corpus):
         assert held_out == pytest.approx(0.2, abs=0.05)
 
 
+def _float32_pool_split(corpus_dir, num_devices, shards_per_device, seed,
+                        validation_size, device_test_fraction, unbalanced):
+    """Every field of the split as the loader built it from a float32 pixel
+    pool with a bias column: per-device float32 gathers, upcast to float64
+    where the split stored them (device test, validation and test splits
+    were upcast when evaluated)."""
+    raw = {key: read_idx(Path(corpus_dir) / stem) for key, stem in IDX_FILES.items()}
+
+    def pool(images):
+        flat = images.reshape(len(images), -1).astype(np.float32) / np.float32(255.0)
+        return np.hstack([flat, np.ones((len(flat), 1), dtype=np.float32)])
+
+    feats, labels = pool(raw["train_images"]), raw["train_labels"].astype(np.int64)
+    n = len(labels)
+    val_pos = np.sort(substream(seed).choice(n, size=validation_size, replace=False))
+    mask = np.ones(n, dtype=bool)
+    mask[val_pos] = False
+    rest = np.flatnonzero(mask)
+    parts = shard_partition(labels[rest], num_devices, shards_per_device, seed, unbalanced)
+    carved = _carve_local_tests([rest[part] for part in parts], device_test_fraction, seed)
+    f64 = lambda a: np.asarray(a, dtype=np.float64)  # noqa: E731
+    sizes = np.cumsum([0] + [len(train) for train, _ in carved])
+    fields = {
+        "train": f64(np.vstack([feats[train] for train, _ in carved])),
+        "train_labels": np.concatenate([labels[train] for train, _ in carved]),
+        "validation": f64(feats[val_pos]),
+        "validation_labels": labels[val_pos],
+        "test": f64(pool(raw["test_images"])),
+        "test_labels": raw["test_labels"].astype(np.int64),
+    }
+    for m, (train, test) in enumerate(carved):
+        fields[f"device{m}.features"] = f64(feats[train])
+        fields[f"device{m}.labels"] = labels[train]
+        fields[f"device{m}.sample_indices"] = np.arange(sizes[m], sizes[m + 1])
+        fields[f"device{m}.test_features"] = f64(feats[test])
+        fields[f"device{m}.test_labels"] = labels[test]
+    return fields
+
+
+def _split_fields(split):
+    train, train_labels = split.stacked_train()
+    fields = {
+        "train": train,
+        "train_labels": train_labels,
+        "validation": split.validation_features,
+        "validation_labels": split.validation_labels,
+        "test": split.test_features,
+        "test_labels": split.test_labels,
+    }
+    for dev in split.devices:
+        for name in ("features", "labels", "sample_indices", "test_features", "test_labels"):
+            fields[f"device{dev.device_id}.{name}"] = getattr(dev, name)
+    return fields
+
+
+@pytest.mark.parametrize("unbalanced", [False, True])
+def test_load_idx_split_matches_the_float32_pool_bytes(tmp_path, unbalanced):
+    # devices, validation and test all span more than one 512-row pixel block
+    corpus = write_synthetic_image_corpus(tmp_path, train_size=4000, test_size=700, seed=3)
+    args = dict(num_devices=4, shards_per_device=2, seed=5, validation_size=600,
+                device_test_fraction=0.2, unbalanced=unbalanced)
+    split = load_idx_split(corpus, **args)
+    assert max(dev.size for dev in split.devices) > 512
+    got, want = _split_fields(split), _float32_pool_split(corpus, **args)
+    assert got.keys() == want.keys()
+    for name, expected in want.items():
+        assert got[name].dtype == expected.dtype, name
+        assert got[name].shape == expected.shape, name
+        assert got[name].tobytes() == expected.tobytes(), name
+    _assert_row_views(split, {dev.device_id: dev.features for dev in split.devices})
+
+
+def test_load_idx_split_peak_memory_is_the_matrices_it_holds(idx_corpus):
+    corpus_dir, _ = idx_corpus
+    tracemalloc.start()
+    try:
+        split = load_idx_split(
+            corpus_dir, num_devices=100, shards_per_device=2, seed=1, unbalanced=True
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = (
+        split.stacked_train()[0].nbytes
+        + sum(dev.test_features.nbytes for dev in split.devices)
+        + split.validation_features.nbytes
+        + split.test_features.nbytes
+    )
+    assert peak <= 1.25 * held, f"peak {peak / held:.2f}x the split's matrices"
+
+
+@pytest.mark.parametrize("fraction", [1.0, 1.5, -0.5, float("nan")])
+def test_build_split_rejects_device_test_fraction_outside_unit_interval(fraction):
+    feats = np.zeros((60, 3))
+    labels = np.arange(60) % 3
+    with pytest.raises(DataFormatError, match="device_test_fraction"):
+        build_split(feats, labels, feats, labels, num_devices=2, shards_per_device=2,
+                    seed=1, validation_size=10, device_test_fraction=fraction)
+
+
 def test_load_idx_split_missing_file(tmp_path):
     with pytest.raises(DataFormatError, match="missing IDX file"):
         load_idx_split(tmp_path, num_devices=2, shards_per_device=2, seed=1)
@@ -236,7 +340,9 @@ def test_build_split_dual_ids_are_contiguous():
 
 def _assert_row_views(split, expected_rows):
     """Every device's features are float64, C-contiguous row views of the one
-    training matrix and hold expected_rows[device_id] exactly."""
+    training matrix and hold expected_rows[device_id] exactly; every device
+    test split is a row view of one device-test matrix, in device order, and
+    the validation and test matrices are C-contiguous float64."""
     matrix, _ = split.stacked_train()
     assert split.stacked_train()[0] is matrix
     assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
@@ -246,6 +352,16 @@ def _assert_row_views(split, expected_rows):
         assert np.shares_memory(dev.features, matrix)
         assert np.array_equal(dev.features, expected_rows[dev.device_id])
         assert np.array_equal(matrix[dev.sample_indices], dev.features)
+    held = [dev.test_features for dev in split.devices if dev.test_features is not None]
+    tests = held[0].base
+    assert tests.dtype == np.float64 and tests.flags.c_contiguous
+    for rows in held:
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        assert rows.base is tests
+        assert len(rows) == 0 or np.shares_memory(rows, tests)
+    assert np.array_equal(np.concatenate(held), tests)
+    for features in (split.validation_features, split.test_features):
+        assert features.dtype == np.float64 and features.flags.c_contiguous
 
 
 def test_build_split_devices_are_float64_row_views():
@@ -267,19 +383,28 @@ def test_build_split_devices_are_float64_row_views():
 def test_hand_built_split_devices_are_float64_row_views():
     rng = np.random.default_rng(4)
     shards = [rng.normal(size=(n, 3)).astype(np.float32) for n in (4, 1, 6)]
+    held_out = [rng.normal(size=(n, 3)).astype(np.float32) for n in (2, 0)] + [None]
     starts = np.cumsum([0] + [len(shard) for shard in shards])
     devices = [
         DeviceDataset(
-            m, shard, np.zeros(len(shard), dtype=np.int64), np.arange(starts[m], starts[m + 1])
+            m, shard, np.zeros(len(shard), dtype=np.int64), np.arange(starts[m], starts[m + 1]),
+            test, None if test is None else np.zeros(len(test), dtype=np.int64),
         )
-        for m, shard in enumerate(shards)
+        for m, (shard, test) in enumerate(zip(shards, held_out))
     ]
     split = SplitDataset(
         devices=devices,
         validation_features=shards[0],
         validation_labels=np.zeros(4, dtype=np.int64),
-        test_features=shards[0],
-        test_labels=np.zeros(4, dtype=np.int64),
+        test_features=shards[2][::2],
+        test_labels=np.zeros(3, dtype=np.int64),
         num_classes=1,
     )
     _assert_row_views(split, dict(enumerate(shards)))
+    for dev, test in zip(split.devices, held_out):
+        if test is None:
+            assert dev.test_features is None
+        else:
+            assert dev.test_features.tobytes() == test.astype(np.float64).tobytes()
+    assert split.validation_features.tobytes() == shards[0].astype(np.float64).tobytes()
+    assert split.test_features.tobytes() == shards[2][::2].astype(np.float64).tobytes()
