@@ -4,25 +4,26 @@
  * orders, the same operations in the same order, so rho and margins come out
  * bitwise-equal to the numpy loop. Build without FMA contraction and without
  * -ffast-math. All arrays are C-contiguous: orders (epochs, n), labels,
- * alpha0 and rho (n, k), gram (n, n), qii (n), delta (k) scratch. The margins
- * are held K-major, (k, n), so the rank-1 update after each step is k
- * contiguous loops over the samples, which the compiler vectorises; every
- * element is still one rounded product followed by one rounded add.
+ * alpha0 and rho (n, k), gram (n, n), qii (n). The margins are held K-major,
+ * (k, n), so the rank-1 update after each step is k contiguous loops over the
+ * samples, which the compiler vectorises; every element is still one rounded
+ * product followed by one rounded add. A column updates its rho and margins
+ * only when its own step moved: columns share only the visit order and the
+ * Gram row, and a zero step would add only zeros.
  * loss 0 is the smoothed hinge of width gamma, loss 1 the squared loss.
  */
 #include <stdint.h>
 
 void sdca_passes(int64_t n, int64_t k, int64_t epochs, const int64_t *orders,
                  int32_t loss, double gamma, const double *labels, const double *alpha0,
-                 const double *gram, const double *qii, double *rho, double *margins,
-                 double *delta)
+                 const double *gram, const double *qii, double *rho, double *margins)
 {
     for (int64_t step = 0; step < epochs * n; step++) {
         const int64_t i = orders[step];
         const double *y = labels + i * k, *a0 = alpha0 + i * k;
         double *r = rho + i * k;
         const double q = qii[i];
-        int moved = 0;
+        const double *restrict g = gram + i * n;
         for (int64_t c = 0; c < k; c++) {
             const double a = a0[c] + r[c], m = margins[c * n + i];
             double d;
@@ -35,14 +36,8 @@ void sdca_passes(int64_t n, int64_t k, int64_t epochs, const int64_t *orders,
             } else {
                 d = (y[c] - a - m) / (1.0 + q);
             }
-            delta[c] = d;
-            moved |= d != 0.0;  /* np.any: NaN counts, -0.0 does not */
-        }
-        if (!moved) continue;
-        for (int64_t c = 0; c < k; c++) r[c] += delta[c];
-        const double *restrict g = gram + i * n;
-        for (int64_t c = 0; c < k; c++) {
-            const double d = delta[c];
+            if (d == 0.0) continue;  /* np.flatnonzero: NaN moves, -0.0 does not */
+            r[c] += d;
             double *restrict mc = margins + c * n;
             for (int64_t j = 0; j < n; j++) {
                 const double product = g[j] * d;

@@ -46,6 +46,7 @@ from .valuation import (
     ContributionLedger,
     tmc_estimate,
     value_backend,
+    value_threads,
 )
 
 CSV_COLUMNS = (
@@ -274,18 +275,14 @@ class Experiment:
         states: list[GlobalState],
         phi_cols: np.ndarray,
     ) -> dict[int, list[LocalUpdate]]:
-        alpha_cols = {
-            m: np.stack(
-                [s.alpha[self.devices[m].sample_indices] for s in states], axis=1
-            )
-            for m in explored
-        }
         updates: dict[int, list[LocalUpdate]] = {}
         for m in explored:
+            # built just before the solve, so one device's columns are held at a time
+            rows = self.devices[m].sample_indices
             updates[m] = device_update_ovr(
                 self.devices[m],
                 phi_cols,
-                alpha_cols[m],
+                np.stack([s.alpha[rows] for s in states], axis=1),
                 self.num_classes,
                 self.hyper,
                 substream(self.hyper.seed, DEVICE, round_index, m),
@@ -559,6 +556,7 @@ class RunManifest:
     started_at: str
     solver_backend: str
     value_backend: str
+    value_threads: int
     status: str = "running"
     finished_at: str | None = None
     rows_written: int = 0
@@ -583,6 +581,7 @@ class RunManifest:
             started_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             solver_backend=coordinate_backend(),
             value_backend=value_backend(),
+            value_threads=value_threads(),
         )
         manifest.write(out)
         return manifest
@@ -598,6 +597,7 @@ class RunManifest:
             "status": self.status,
             "solver_backend": self.solver_backend,
             "value_backend": self.value_backend,
+            "value_threads": self.value_threads,
             "rows_written": self.rows_written,
             "stop_reason": self.stop_reason,
             "error": self.error,

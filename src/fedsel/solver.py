@@ -200,16 +200,17 @@ def _coordinate_passes(labels_pm, alpha0, margins, gram_scaled, qii, loss, order
 
     The reference loop: the compiled kernel must reproduce its bytes. Mutates
     nothing passed in; `margins` is copied. Shapes are (n, K): each visit
-    order drives all K one-vs-rest columns at once.
+    order drives all K one-vs-rest columns at once, and only the columns
+    whose step moved (NaN moves, -0.0 does not) update rho and margins.
     """
     rho = np.zeros_like(alpha0)
     margins = margins.copy()
     for order in orders:
         for i in order:
             delta = loss.coordinate_delta(alpha0[i] + rho[i], labels_pm[i], margins[i], qii[i])
-            if np.any(delta):
-                rho[i] += delta
-                margins += np.outer(gram_scaled[i], delta)
+            for c in np.flatnonzero(delta).tolist():
+                rho[i, c] += delta[c]
+                margins[:, c] += gram_scaled[i] * delta[c]
     return rho, margins
 
 
@@ -224,7 +225,7 @@ def _bind_kernel(library):
     kernel = library.sdca_passes
     kernel.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, native.I64, ctypes.c_int32,
-        ctypes.c_double, *[native.F64] * 7,
+        ctypes.c_double, *[native.F64] * 6,
     ]
     kernel.restype = None
     return kernel if _probe_matches(kernel) else None
@@ -250,29 +251,39 @@ def _kernel_passes(kernel, labels_pm, alpha0, margins, gram_scaled, qii, loss, o
     margins_t = np.array(margins.T, dtype=np.float64, order="C")
     kernel(
         n, k, orders.shape[0], orders, _LOSS_CODES[type(loss)], getattr(loss, "gamma", 0.0),
-        labels_pm, alpha0, gram_scaled, qii, rho, margins_t, np.empty(k),
+        labels_pm, alpha0, gram_scaled, qii, rho, margins_t,
     )
     return rho, np.array(margins_t.T, order="C")
 
 
-def _probe_matches(kernel) -> bool:
-    """Whether the kernel reproduces the numpy loop's bytes on a fixed device.
+def _probe_inputs() -> list[tuple]:
+    """The probe's _coordinate_passes arguments, one tuple per loss.
 
     37 samples (odd, so the kernel's vectorised margin loop and its scalar
-    remainder both run), 3 columns, 2 epochs, alpha0 spread over the interior
-    and both clip bounds, both losses.
+    remainder both run), 4 columns, 2 epochs, alpha0 spread over the interior
+    and both clip bounds, so in many steps some columns move and others do
+    not; one NaN base margin in the last column, whose steps then move with
+    NaN deltas.
     """
     rng = np.random.default_rng(17)
-    n, k = 37, 3
+    n, k = 37, 4
     feats = rng.normal(size=(n, 5))
     gram_scaled = feats @ feats.T / n
     qii = np.diagonal(gram_scaled).copy()
     labels_pm = np.where(rng.random((n, k)) < 0.5, 1.0, -1.0)
     alpha0 = labels_pm * rng.choice([0.0, 0.3, 1.0], size=(n, k))
     margins = rng.normal(size=(n, k))
+    margins[n // 2, k - 1] = np.nan
     orders = _visit_orders(rng, 2, n)
-    for loss in (SmoothedHinge(gamma=0.5), SquaredLoss()):
-        args = (labels_pm, alpha0, margins, gram_scaled, qii, loss, orders)
+    return [
+        (labels_pm, alpha0, margins, gram_scaled, qii, loss, orders)
+        for loss in (SmoothedHinge(gamma=0.5), SquaredLoss())
+    ]
+
+
+def _probe_matches(kernel) -> bool:
+    """Whether the kernel reproduces the numpy loop's bytes on _probe_inputs."""
+    for args in _probe_inputs():
         expected = _coordinate_passes(*args)
         got = _kernel_passes(kernel, *args)
         if any(a.tobytes() != b.tobytes() for a, b in zip(expected, got)):

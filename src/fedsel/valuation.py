@@ -11,6 +11,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -60,6 +62,11 @@ def record_marginal(ledger: ContributionLedger, device_id: int, marginal: float)
 
 
 VALUE_BLOCK_ROWS = 64  # validation rows per block of the compiled value kernel
+# Score additions (rows x classes x subsets and members) a batch needs per
+# extra row range, and so per extra thread. On a 2-core x86-64 host a second
+# range added about 1 ms to small batches, lost at 2.7M additions, saved
+# about 10% at 23M and 35-50% at 1.2G (a grid TMC call).
+RANGE_WORK = 1 << 24
 
 
 class CoalitionOracle:
@@ -114,12 +121,15 @@ class CoalitionOracle:
 
         Falls back to the per-subset numpy path when the kernel is not
         available, the labels are not integers, or a base or member score is
-        not finite (np.argmax ranks NaN first, the kernel does not).
+        not finite (np.argmax ranks NaN first, the kernel does not). The rows
+        are split into one range per RANGE_WORK of the batch's work, at most
+        value_threads() of them.
         """
         kernel = _value_kernel() if subsets else None
         if kernel is None or not self._kernel_safe:
             return [self(s) for s in subsets]
-        return self._kernel_values(kernel, subsets)
+        work = self._base.size * (len(subsets) + sum(map(len, subsets)))
+        return self._kernel_values(kernel, subsets, min(value_threads(), 1 + work // RANGE_WORK))
 
     @functools.cached_property
     def _kernel_safe(self) -> bool:
@@ -131,12 +141,17 @@ class CoalitionOracle:
             for a in scores
         )
 
-    def _kernel_values(self, kernel, subsets) -> list[float]:
+    def _kernel_values(self, kernel, subsets, ranges: int) -> list[float]:
         """The kernel's values, in the order given.
 
         The kernel sees the subsets sorted by their member rows, so subsets
         sharing leading members are adjacent and share partial sums; each
-        value depends on its own subset alone.
+        value depends on its own subset alone. The validation rows are split
+        into `ranges` contiguous ranges on block boundaries (fewer when there
+        are fewer blocks), each scored by its own kernel call on its own
+        thread (ctypes releases the GIL); every buffer is allocated here, and
+        the ranges' integer counts of correct rows are summed, so the values
+        do not depend on `ranges`.
         """
         keyed = sorted((tuple(self._rows[m] for m in s), i) for i, s in enumerate(subsets))
         sizes = [len(rows) for rows, _ in keyed]
@@ -147,19 +162,57 @@ class CoalitionOracle:
             count=int(offsets[-1]),
         )
         counts = np.array([self._count(size) if size else 1 for size in sizes], dtype=np.float64)
-        correct = np.empty(len(keyed), dtype=np.int64)
         n, k = self._base.shape
+        labels = np.ascontiguousarray(self._labels, dtype=np.int64)
         members = np.array([m.ctypes.data for m in self._members], dtype=np.uintp)
-        kernel(
-            n, k, VALUE_BLOCK_ROWS, self._base, members,
-            np.ascontiguousarray(self._labels, dtype=np.int64), len(keyed), offsets, rows,
-            counts, correct, np.empty((max(sizes), VALUE_BLOCK_ROWS, k)),
-            np.empty((VALUE_BLOCK_ROWS, k)),
-        )
+        bounds = _row_ranges(n, ranges)
+        correct = np.empty((len(bounds), len(keyed)), dtype=np.int64)
+        _run_concurrently([
+            functools.partial(
+                kernel, stop - start, k, VALUE_BLOCK_ROWS, self._base[start:stop],
+                members + np.uintp(start * k * self._base.itemsize), labels[start:stop],
+                len(keyed), offsets, rows, counts, correct[part],
+                np.empty((max(sizes), VALUE_BLOCK_ROWS, k)), np.empty((VALUE_BLOCK_ROWS, k)),
+            )
+            for part, (start, stop) in enumerate(bounds)
+        ])
         values = [0.0] * len(keyed)
-        for (_, i), hits in zip(keyed, correct.tolist()):
+        for (_, i), hits in zip(keyed, correct.sum(axis=0).tolist()):
             values[i] = hits / n
         return values
+
+
+def _row_ranges(n: int, ranges: int) -> list[tuple[int, int]]:
+    """At most `ranges` contiguous, nonempty (start, stop) ranges covering n
+    rows, each starting on a VALUE_BLOCK_ROWS boundary."""
+    blocks = -(-n // VALUE_BLOCK_ROWS)
+    parts = max(1, min(ranges, blocks))
+    edges = [min(n, blocks * p // parts * VALUE_BLOCK_ROWS) for p in range(parts + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _run_concurrently(calls) -> None:
+    """Run every call: the first on this thread, each other on a thread started
+    and joined here, so no thread outlives the call (a forked child inherits
+    none). An error on another thread is raised here once all have finished."""
+    errors = []
+
+    def run(call):
+        try:
+            call()
+        except Exception as error:  # handed to the calling thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=run, args=(call,)) for call in calls[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        calls[0]()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _bind_value_kernel(library):
@@ -181,8 +234,9 @@ def _value_probe_matches(kernel) -> bool:
 
     133 validation rows (two full blocks and a partial one), 3 classes, 5
     members; the empty subset, every single member and two walks' prefixes,
-    under all three aggregation rules. The validation features are the
-    identity, so member scores are the deltas themselves.
+    under all three aggregation rules, scored as one row range and as two.
+    The validation features are the identity, so member scores are the
+    deltas themselves.
     """
     members = (2, 3, 5, 7, 11)
     subsets = [(), *[(m,) for m in members]]
@@ -196,7 +250,8 @@ def _value_probe_matches(kernel) -> bool:
             _ordered_sum_game(133, members, subsets[1:], rule, total_devices),
         ):
             oracle = CoalitionOracle(base, deltas, eye, labels, rule, total_devices)
-            if oracle._kernel_values(kernel, subsets) != [oracle(s) for s in subsets]:
+            expected = [oracle(s) for s in subsets]
+            if any(oracle._kernel_values(kernel, subsets, ranges) != expected for ranges in (1, 2)):
                 return False
     return True
 
@@ -243,6 +298,16 @@ def _value_kernel():
 def value_backend() -> str:
     """Which batch value path runs: "c" for the verified compiled kernel, else "numpy"."""
     return "numpy" if _value_kernel() is None else "c"
+
+
+def value_threads() -> int:
+    """Most threads one `values` call runs the kernel on: one per usable CPU,
+    or 1 on the numpy path."""
+    if _value_kernel() is None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # no affinity call on this platform (macOS)
 
 
 def tmc_estimate(

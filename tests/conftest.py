@@ -40,6 +40,7 @@ def tiny_split(
     num_classes: int = 3,
     seed: int = 7,
     test_size: int = 30,
+    validation_size: int = 40,
 ) -> SplitDataset:
     """Small dense split with per-device test slices, for orchestrator tests."""
     from fedsel.data import DeviceDataset
@@ -68,7 +69,7 @@ def tiny_split(
             )
         )
         offset += samples_per_device
-    val_x, val_y = draw(40)
+    val_x, val_y = draw(validation_size)
     test_x, test_y = draw(test_size)
     return SplitDataset(
         devices=devices,

@@ -303,6 +303,7 @@ def test_zero_round_run_reports_only_the_initial_row(tmp_path):
     assert manifest["stop_reason"] == "completed"
     assert manifest["solver_backend"] == solver.coordinate_backend()
     assert manifest["value_backend"] == valuation.value_backend()
+    assert manifest["value_threads"] == valuation.value_threads()
 
 
 def test_run_rejects_negative_rounds_and_bad_eval_every():
@@ -374,24 +375,32 @@ def test_rerun_is_byte_identical_and_seed_sensitive():
 
 @pytest.mark.parametrize("policy", ["cds", "cds-walks", "greedy", "random"])
 def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, policy):
-    split = tiny_split(num_devices=6, samples_per_device=30)
+    # 150 validation rows: three value-kernel blocks, so the batch values can
+    # be split into three row ranges
+    split = tiny_split(num_devices=6, samples_per_device=30, validation_size=150)
     base = HP.with_overrides(delta_t=6) if policy == "cds-walks" else HP
     runs = []
     for hp in (base, base.with_overrides(loss="squared", aggregation_denominator="explored")):
-        for backend in ("default", "numpy"):
+        for backend in ("fan-out", "numpy", "one-range"):
+            if backend == "fan-out":  # every batch on three threads
+                monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+                monkeypatch.setattr(valuation, "RANGE_WORK", 1)
             if backend == "numpy":
                 monkeypatch.setattr(solver, "_kernel", lambda: None)
                 monkeypatch.setattr(valuation, "_value_kernel", lambda: None)
+            if backend == "one-range":  # as on a host with one usable CPU
+                monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid: {0})
             out = tmp_path / f"{hp.loss}-{backend}"
             kind = policy.split("-")[0]
             run_experiment(split, hp, SelectionPolicy(kind=kind), rounds=3, out_dir=out)
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["solver_backend"] == solver.coordinate_backend()
             assert manifest["value_backend"] == valuation.value_backend()
+            assert manifest["value_threads"] == valuation.value_threads()
             runs.append((out / "metrics.csv").read_bytes())
             monkeypatch.undo()
-    assert runs[0] == runs[1] and runs[2] == runs[3]
-    assert runs[0] != runs[2]
+    assert runs[0] == runs[1] == runs[2] and runs[3] == runs[4] == runs[5]
+    assert runs[0] != runs[3]
 
 
 def test_round_costs_accumulate_and_beta_summary_present():

@@ -314,10 +314,11 @@ def pass_inputs(n, k, alpha_kind, loss, seed=0):
     """_coordinate_passes arguments for a device of n samples and k columns.
 
     alpha_kind: "zero", "interior" (strictly inside the hinge box), "bounds"
-    (every coordinate at 0 or at the box edge), or "optimum": alpha = y and
-    margins -0.0, where every step's K deltas are +0.0 for both losses. The
+    (every coordinate at 0 or at the box edge), "optimum": alpha = y and
+    margins -0.0, where every step's K deltas are +0.0 for both losses (the
     update must then be skipped: adding +0.0 would turn the margins' -0.0
-    into +0.0.
+    into +0.0), or "nan": "bounds" with one NaN margin in the last column,
+    whose steps then move with NaN deltas.
     """
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n, 6)) / 2.0
@@ -330,17 +331,19 @@ def pass_inputs(n, k, alpha_kind, loss, seed=0):
     alpha0 = np.zeros((n, k))
     if alpha_kind == "interior":
         alpha0 = labels_pm * rng.uniform(0.05, 0.95, size=(n, k))
-    elif alpha_kind == "bounds":
-        alpha0 = labels_pm * rng.choice([0.0, 1.0], size=(n, k))
     elif alpha_kind == "optimum":
         alpha0 = labels_pm.copy()
         margins = np.full((n, k), -0.0)
+    if alpha_kind in ("bounds", "nan"):
+        alpha0 = labels_pm * rng.choice([0.0, 1.0], size=(n, k))
+    if alpha_kind == "nan":
+        margins[n // 2, k - 1] = np.nan
     return labels_pm, alpha0, margins, gram_scaled, qii, loss
 
 
 @needs_compiler
 @pytest.mark.parametrize("k", [1, 10])
-@pytest.mark.parametrize("alpha_kind", ["zero", "interior", "bounds", "optimum"])
+@pytest.mark.parametrize("alpha_kind", ["zero", "interior", "bounds", "optimum", "nan"])
 @pytest.mark.parametrize(
     "loss", [SmoothedHinge(gamma=1.0), SmoothedHinge(gamma=0.5), SquaredLoss()], ids=repr
 )
@@ -361,6 +364,110 @@ def test_kernel_matches_numpy_loop_bitwise(loss, alpha_kind, k):
             assert got_margins.tobytes() == margins.tobytes(), (n, epochs)
             if alpha_kind == "optimum":
                 assert not rho.any() and margins.tobytes() == args[2].tobytes()
+
+
+def all_columns_passes(labels_pm, alpha0, margins, gram_scaled, qii, loss, orders, steps=None):
+    """The coordinate loop before the per-column gate, kept as a frozen reference.
+
+    Whenever any column's step moved, every column's rho and margins took
+    its delta, zeros included. `steps`, when given, collects each visited
+    step's mask of columns whose own delta moved.
+    """
+    rho = np.zeros_like(alpha0)
+    margins = margins.copy()
+    for order in orders:
+        for i in order:
+            delta = loss.coordinate_delta(alpha0[i] + rho[i], labels_pm[i], margins[i], qii[i])
+            if steps is not None:
+                steps.append(delta != 0)
+            if np.any(delta):
+                rho[i] += delta
+                margins += np.outer(gram_scaled[i], delta)
+    return rho, margins
+
+
+def gated_passes(*args):
+    """_coordinate_passes, then the kernel's passes when the kernel is loaded."""
+    kernel = solver._kernel()
+    results = [solver._coordinate_passes(*args)]
+    if kernel is not None:
+        results.append(solver._kernel_passes(kernel, *args))
+    return results
+
+
+def mixed_steps(steps):
+    """How many steps moved some columns and left others still."""
+    moved = np.array(steps)
+    return int(np.sum(moved.any(axis=1) & ~moved.all(axis=1)))
+
+
+def ovr_device_inputs(n, k, loss, seed):
+    """One-vs-rest solve inputs for a device of n samples: class labels
+    skewed towards a few classes, every column's alpha either zero or at the
+    clip bound (alpha = y), and margins from a small random model."""
+    rng = np.random.default_rng(seed)
+    classes = rng.choice(k, size=n, p=np.arange(k, 0, -1) / (k * (k + 1) / 2))
+    labels_pm = np.where(classes[:, None] == np.arange(k), 1.0, -1.0)
+    feats = rng.normal(size=(n, 8)) + classes[:, None] * 0.3
+    gram_scaled = solver.scaled_gram(feats, 0.01, 4 * n)
+    qii = np.diagonal(gram_scaled).copy()
+    alpha0 = labels_pm * rng.choice([0.0, 1.0], size=(n, k))
+    margins = feats @ rng.normal(size=(8, k)) * 0.1
+    return labels_pm, alpha0, margins, gram_scaled, qii, loss
+
+
+@pytest.mark.parametrize("loss", [SmoothedHinge(gamma=1.0), SquaredLoss()], ids=repr)
+def test_column_gate_matches_all_columns_loop_bitwise(loss):
+    # adding +-0 leaves every nonzero value unchanged, and rho starts at +0.0,
+    # so gating each column on its own step moves no byte of rho or margins
+    # (no base margin here is -0.0)
+    mixed = 0
+    for n in (1, 9, 60, 333):  # unbalanced device sizes
+        args = ovr_device_inputs(n, 10, loss, seed=n)
+        for epochs in (1, 3):
+            orders = solver._visit_orders(substream(n, epochs), epochs, n)
+            steps = []
+            rho, margins = all_columns_passes(*args, orders, steps=steps)
+            mixed += mixed_steps(steps)
+            for got_rho, got_margins in gated_passes(*args, orders):
+                assert got_rho.tobytes() == rho.tobytes(), (n, epochs)
+                assert got_margins.tobytes() == margins.tobytes(), (n, epochs)
+    assert mixed > 0
+
+
+def test_probe_inputs_mix_moving_and_still_columns():
+    # squared-loss steps nearly always move; the hinge columns at their clip
+    # bounds are the ones that stay still
+    hinge, squared = solver._probe_inputs()
+    steps = []
+    all_columns_passes(*hinge, steps=steps)
+    moved = np.array(steps)
+    assert mixed_steps(steps) > 0
+    # the first column is still while another moves: a gate on column 0 alone
+    # would skip those steps
+    assert np.any(~moved[:, 0] & moved[:, 1:].any(axis=1))
+    for args in (hinge, squared):
+        # once the NaN spreads, every step of the last column moves with a NaN delta
+        assert np.isnan(solver._coordinate_passes(*args)[0][:, -1]).all()
+
+
+@pytest.mark.parametrize("loss", [SmoothedHinge(gamma=1.0), SquaredLoss()], ids=repr)
+def test_still_column_keeps_negative_zero_margins(loss):
+    # the one byte the gate may change: the all-columns loop added g * (+0.0)
+    # to a still column's -0.0 margins when another column moved, which turns
+    # some of them into +0.0; the gated loop leaves them -0.0, rho identical
+    n = 23
+    labels_pm, alpha0, margins, gram_scaled, qii, _ = pass_inputs(n, 2, "interior", loss)
+    alpha0[:, 1] = labels_pm[:, 1]  # column 1 at its optimum: every step is +0.0
+    margins[:, 1] = -0.0
+    orders = solver._visit_orders(substream(3), 2, n)
+    args = (labels_pm, alpha0, margins, gram_scaled, qii, loss, orders)
+    old_rho, old_margins = all_columns_passes(*args)
+    assert np.signbit(old_margins[:, 1]).sum() < n  # the old loop did flip some
+    for rho, got_margins in gated_passes(*args):
+        assert rho.tobytes() == old_rho.tobytes()
+        assert got_margins[:, 1].tobytes() == margins[:, 1].tobytes()  # all still -0.0
+        assert got_margins[:, 0].tobytes() == old_margins[:, 0].tobytes()
 
 
 def test_kernel_compile_flags_keep_ieee_arithmetic(tmp_path, monkeypatch):

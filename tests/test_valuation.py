@@ -1,5 +1,7 @@
 """Contribution estimation: ledger, coalition values, TMC vs exact Shapley."""
+import multiprocessing
 import shutil
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -162,6 +164,112 @@ def test_batch_values_equal_calls_on_walk_prefixes(rule, total_devices):
         assert oracle.values(subsets) == [oracle(s) for s in subsets]
         lone = oracle_game(rule, total_devices, n_val=n_val, players=(7,))
         assert lone.values([(7,), (), (7,)]) == [lone((7,)), lone(()), lone((7,))]
+
+
+@needs_compiler
+@pytest.mark.parametrize("n_val", [1, 64, 133, 301])
+def test_batch_values_equal_calls_across_row_ranges(n_val):
+    kernel = valuation._value_kernel()
+    players = (1, 4, 6, 9, 12, 15)
+    blocks = -(-n_val // valuation.VALUE_BLOCK_ROWS)
+    for rule, total_devices in RULES:
+        oracle = oracle_game(rule, total_devices, n_val=n_val)
+        subsets = [(), (9,), *walk_prefixes(players, 5), (12,)]
+        expected = [oracle(s) for s in subsets]
+        for ranges in (1, 2, 3, blocks + 2):  # the last asks for more ranges than blocks
+            assert oracle._kernel_values(kernel, subsets, ranges) == expected, (ranges, rule)
+
+
+def count_ranges(monkeypatch):
+    """A list that collects the number of row ranges of every kernel pass."""
+    ranges = []
+    run = valuation._run_concurrently
+
+    def counting(calls):
+        ranges.append(len(calls))
+        run(calls)
+
+    monkeypatch.setattr(valuation, "_run_concurrently", counting)
+    return ranges
+
+
+@needs_compiler
+def test_batch_values_fan_out_only_with_enough_work(monkeypatch):
+    assert valuation._value_kernel() is not None  # its probe runs before the count starts
+    ranges = count_ranges(monkeypatch)
+    monkeypatch.setattr(valuation, "value_threads", lambda: 3)
+    oracle = oracle_game(n_val=301)  # 5 blocks
+    subsets = walk_prefixes((1, 4, 6, 9, 12, 15), 5)
+    expected = [oracle(s) for s in subsets]
+    # 301 rows x 10 classes x (30 subsets + 105 members) = 406,350 additions
+    assert oracle.values(subsets) == expected and ranges == [1]
+    monkeypatch.setattr(valuation, "RANGE_WORK", 300_000)
+    assert oracle.values(subsets) == expected and ranges == [1, 2]
+    monkeypatch.setattr(valuation, "RANGE_WORK", 40_000)
+    assert oracle.values(subsets) == expected and ranges == [1, 2, 3]  # capped at 3 threads
+
+
+def test_row_ranges_cover_the_rows_on_block_boundaries():
+    block = valuation.VALUE_BLOCK_ROWS
+    for n in (1, 63, 64, 65, 133, 301, 5000):
+        blocks = -(-n // block)
+        for ranges in (1, 2, 3, 7, blocks + 2):
+            bounds = valuation._row_ranges(n, ranges)
+            assert len(bounds) == min(ranges, blocks)
+            assert bounds[0][0] == 0 and bounds[-1][1] == n
+            assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+            assert all(start % block == 0 and stop > start for start, stop in bounds)
+
+
+@needs_compiler
+def test_value_probe_scores_two_row_ranges_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid: {0})
+    ranges = count_ranges(monkeypatch)
+    assert valuation._bind_value_kernel(native.library()) is not None
+    assert max(ranges) >= 2
+
+
+def test_run_concurrently_raises_a_thread_error_after_joining_all():
+    finished = []
+
+    def fail():
+        raise ValueError("range 1 failed")
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="range 1 failed"):
+        valuation._run_concurrently(
+            [lambda: finished.append(0), fail, lambda: finished.append(2)]
+        )
+    assert sorted(finished) == [0, 2]
+    assert threading.active_count() == before
+
+
+def _values_in_child(oracle, subsets, conn):
+    conn.send(oracle.values(subsets))
+    conn.close()
+
+
+@needs_compiler
+def test_batch_values_finish_in_a_forked_child(monkeypatch):
+    monkeypatch.setattr(valuation, "value_threads", lambda: 3)
+    monkeypatch.setattr(valuation, "RANGE_WORK", 1)
+    oracle = oracle_game(n_val=301)
+    subsets = [(), *walk_prefixes((1, 4, 6, 9, 12, 15), 3)]
+    expected = oracle.values(subsets)  # the parent runs its threads first
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_values_in_child, args=(oracle, subsets, send))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the forked child did not finish its values call"
+        got = receive.recv()
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+    assert got == expected == [oracle(s) for s in subsets]
 
 
 @needs_compiler
