@@ -1,7 +1,7 @@
 """Selection policies: exploration sampling, contribution cuts, greedy growth."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fedsel.rng import EXPLORE, substream
@@ -95,10 +95,14 @@ def test_exploit_empty_ledger_is_an_error():
     scale=st.floats(0.01, 100.0),
 )
 def test_exploit_positive_cut_is_scale_invariant(betas, scale):
+    scaled_betas = {m: scale * b for m, b in betas.items()}
+    # The cut reads only signs and the ranking. Rounding can break both: a
+    # subnormal beta can flush to 0.0 (5e-324 * 0.5) and two close betas can
+    # round to one value, so the claim covers scalings that keep them.
+    assume(all((scaled_betas[m] > 0.0) == (b > 0.0) for m, b in betas.items()))
+    assume(len(set(scaled_betas.values())) == len(set(betas.values())))
     base = exploit_select(ledger_from(betas), KeepRule("positive"))
-    scaled = exploit_select(
-        ledger_from({m: scale * b for m, b in betas.items()}), KeepRule("positive")
-    )
+    scaled = exploit_select(ledger_from(scaled_betas), KeepRule("positive"))
     assert base == scaled
 
 
