@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, load_config
 from .data import DataFormatError
-from .orchestrator import CSV_COLUMNS, Experiment, ExperimentResult, rounds_to_target
+from .orchestrator import CSV_COLUMNS, rounds_to_target, run_experiment
 from .selfcheck import SUITES, run_selfcheck
 
 
@@ -86,29 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_one(
-    cfg: ExperimentConfig, split, out_dir: str | None, quiet: bool
-) -> ExperimentResult:
-    exp = Experiment(
-        split,
-        cfg.hyper,
-        cfg.policy,
-        eval_every=cfg.eval_every,
-        stop_at_accuracy=cfg.stop_at_accuracy,
-        cost_ranges=cfg.cost_ranges(),
-    )
-    return exp.run(
-        cfg.rounds,
-        out_dir=out_dir,
-        config_payload=cfg.payload(),
-        log=None if quiet else print,
-    )
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.overrides, args.seed, args.policy, args.out)
     split = cfg.build_split()
-    result = _run_one(cfg, split, cfg.out_dir, args.quiet)
+    result = run_experiment(
+        split, cfg.hyper, cfg.policy, cfg.rounds,
+        eval_every=cfg.eval_every, stop_at_accuracy=cfg.stop_at_accuracy,
+        out_dir=cfg.out_dir, config_payload=cfg.payload(),
+        cost_ranges=cfg.cost_ranges(), log=None if args.quiet else print,
+    )
     last = result.metrics[-1]
     print(
         f"policy={result.policy} seed={result.seed} rounds={last.round_index} "
@@ -155,8 +141,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 # one split per seed; every policy sees identical data and
                 # identical exploration draws, so comparisons are paired
                 split = cfg.build_split()
-            run_dir = out_root / f"{policy}_seed{seed}"
-            result = _run_one(cfg, split, run_dir, args.quiet)
+            result = run_experiment(
+                split, cfg.hyper, cfg.policy, cfg.rounds,
+                eval_every=cfg.eval_every, stop_at_accuracy=cfg.stop_at_accuracy,
+                out_dir=out_root / f"{policy}_seed{seed}", config_payload=cfg.payload(),
+                cost_ranges=cfg.cost_ranges(), log=None if args.quiet else print,
+            )
             for m in result.metrics:
                 merged_rows.append((seed, ",".join(m.csv_row())))
             reached = rounds_to_target(result.metrics, args.target_accuracy)

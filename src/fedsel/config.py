@@ -180,10 +180,6 @@ class ExperimentConfig:
     out_dir: str | None
     values: dict[str, dict[str, object]] = field(default_factory=dict)
 
-    @property
-    def policy_kind(self) -> str:
-        return self.policy.kind
-
     def payload(self) -> dict:
         return self.values
 

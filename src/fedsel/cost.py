@@ -43,19 +43,15 @@ class DeviceProfile:
 
 @dataclass
 class RoundCostReport:
-    """Per-device (compute, uplink) seconds and the straggler round cost."""
+    """The straggler round cost and the running total it brings the run to."""
 
-    per_device: dict[int, tuple[float, float]]
     round_cost_s: float
     cumulative_s: float
 
 
-def compute_time(profile: DeviceProfile, data_bits: float | None = None) -> float:
-    """Seconds of local computation: cycles_per_bit * bits / cpu_freq."""
-    bits = profile.data_bits if data_bits is None else data_bits
-    if bits <= 0:
-        raise ValueError(f"data_bits must be positive, got {bits}")
-    return profile.cycles_per_bit * bits / profile.cpu_freq_hz
+def compute_time(profile: DeviceProfile) -> float:
+    """Seconds of local computation: cycles_per_bit * data_bits / cpu_freq."""
+    return profile.cycles_per_bit * profile.data_bits / profile.cpu_freq_hz
 
 
 def uplink_rate(profile: DeviceProfile) -> float:
@@ -77,7 +73,6 @@ def round_cost(per_device: dict[int, tuple[float, float]], cumulative_before: fl
         raise ValueError("round_cost needs a nonempty schedule")
     worst = max(t_comp + t_comm for t_comp, t_comm in per_device.values())
     return RoundCostReport(
-        per_device=dict(per_device),
         round_cost_s=worst,
         cumulative_s=cumulative_before + worst,
     )

@@ -3,9 +3,8 @@
 Each loss works on raw scores a = x.w and labels in {-1, +1} and exposes:
 
   value(a, y)             per-sample loss f(a)
-  derivative(a, y)        f'(a), used by the primal SGD mode and the checks
+  derivative(a, y)        f'(a), used by the checks
   conjugate(u, y)         f*(u), +inf outside the conjugate's domain
-  curvature               strong-convexity modulus of f* on its domain
   coordinate_delta(...)   closed-form single-coordinate dual ascent step
   dual_feasible(alpha, y) whether -alpha lies in the domain of f*
   project_dual(alpha, y)  nearest point of the domain, a rounding guard
@@ -31,10 +30,6 @@ class SmoothedHinge:
     def __post_init__(self) -> None:
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-
-    @property
-    def curvature(self) -> float:
-        return self.gamma
 
     def value(self, margins, labels):
         z = 1.0 - np.asarray(labels) * np.asarray(margins)
@@ -78,10 +73,6 @@ class SmoothedHinge:
 @dataclass(frozen=True)
 class SquaredLoss:
     """0.5*(a - y)^2; conjugate is finite everywhere."""
-
-    @property
-    def curvature(self) -> float:
-        return 1.0
 
     def value(self, margins, labels):
         diff = np.asarray(margins) - np.asarray(labels)

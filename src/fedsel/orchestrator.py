@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cost import DeviceProfile, sample_profiles, schedule_cost
+from .cost import sample_profiles, schedule_cost
 from .data import DeviceDataset, SplitDataset
 from .losses import Loss
 from .rng import DEVICE, EXPLORE, VALUATION, stream_seed, substream
@@ -38,6 +38,7 @@ from .solver import (
     coordinate_backend,
     device_update_ovr,
     fenchel_gap,
+    one_vs_rest_targets,
     scaled_gram,
 )
 from .valuation import (
@@ -115,11 +116,13 @@ def rounds_to_target(metrics: list[RoundMetrics], target: float) -> int | None:
 
 @dataclass
 class ExperimentResult:
+    """A finished run; states holds one 1-D GlobalState view per class of the
+    final (d, K) state."""
+
     policy: str
     seed: int
     metrics: list[RoundMetrics]
     states: list[GlobalState]
-    profiles: dict[int, DeviceProfile]
     stop_reason: str
     out_dir: Path | None = None
 
@@ -128,11 +131,6 @@ def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
     if scores.shape[0] == 0:
         raise ValueError("accuracy over an empty sample set is undefined")
     return float(np.mean(np.argmax(scores, axis=1) == labels))
-
-
-def _binary_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    # (n, K) matrix of {-1, +1} one-vs-rest targets.
-    return np.where(labels[:, None] == np.arange(num_classes)[None, :], 1.0, -1.0)
 
 
 def evaluate_global(
@@ -191,7 +189,7 @@ def fairness_audit(
         margins = test_scores.get(device.device_id)
         if margins is None:
             continue
-        targets = _binary_labels(device.test_labels, num_classes)
+        targets = one_vs_rest_targets(device.test_labels, num_classes)
         risk = float(np.mean(loss.value(margins, targets)))
         risks[device.device_id] = risk
         if risk > threshold:
@@ -229,7 +227,7 @@ class Experiment:
         self.loss = hyper.make_loss()
         self.reg_lambda = hyper.resolved_lambda(self.total_samples)
 
-        self.train_targets = _binary_labels(split.stacked_train()[1], self.num_classes)
+        self.train_targets = one_vs_rest_targets(split.stacked_train()[1], self.num_classes)
 
         sizes = {d.device_id: d.size for d in split.devices}
         self.profiles = sample_profiles(
@@ -269,20 +267,15 @@ class Experiment:
         return explore_select(self.num_devices, self.hyper.c_fraction, rng)
 
     def _device_updates(
-        self,
-        round_index: int,
-        explored: tuple[int, ...],
-        states: list[GlobalState],
-        phi_cols: np.ndarray,
-    ) -> dict[int, list[LocalUpdate]]:
-        updates: dict[int, list[LocalUpdate]] = {}
+        self, round_index: int, explored: tuple[int, ...], state: GlobalState
+    ) -> dict[int, LocalUpdate]:
+        updates: dict[int, LocalUpdate] = {}
         for m in explored:
-            # built just before the solve, so one device's columns are held at a time
-            rows = self.devices[m].sample_indices
+            # sliced just before the solve, so one device's dual rows are held at a time
             updates[m] = device_update_ovr(
                 self.devices[m],
-                phi_cols,
-                np.stack([s.alpha[rows] for s in states], axis=1),
+                state.phi,
+                state.alpha[self.devices[m].sample_indices],
                 self.num_classes,
                 self.hyper,
                 substream(self.hyper.seed, DEVICE, round_index, m),
@@ -291,27 +284,19 @@ class Experiment:
             )
         return updates
 
-    def _stack_updates(
-        self, updates: dict[int, list[LocalUpdate]]
-    ) -> dict[int, np.ndarray]:
-        return {
-            m: np.stack([u.delta_phi for u in ups], axis=1)
-            for m, ups in updates.items()
-        }
-
     def _plan(
         self,
         round_index: int,
         explored: tuple[int, ...],
         phi_cols: np.ndarray,
-        stacked: dict[int, np.ndarray],
+        deltas: dict[int, np.ndarray],
     ) -> RoundPlan:
         if self.policy.kind in ("random", "full"):
             return random_aggregate_plan(explored)
 
         value = CoalitionOracle(
             phi_cols,
-            stacked,
+            deltas,
             self.split.validation_features,
             self.split.validation_labels,
             self.hyper.aggregation_denominator,
@@ -353,57 +338,55 @@ class Experiment:
         return RoundPlan(explored=explored, accepted=accepted, betas=betas)
 
     def run_round(
-        self, states: list[GlobalState], round_index: int
-    ) -> tuple[list[GlobalState], RoundPlan]:
-        """One atomic global round; returns fresh states and the round plan."""
+        self, state: GlobalState, round_index: int
+    ) -> tuple[GlobalState, RoundPlan]:
+        """One atomic global round; returns the new state and the round plan.
+
+        state holds phi (d, K) and alpha (D, K). Each explored device replies
+        with one LocalUpdate of rho (n_m, K) and delta_phi (d, K), and the
+        accepted replies are absorbed in one apply_dual_update call.
+        """
         explored = self._explored(round_index)
-        phi_cols = np.stack([s.phi for s in states], axis=1)
-        updates = self._device_updates(round_index, explored, states, phi_cols)
-        stacked = self._stack_updates(updates)
-        plan = self._plan(round_index, explored, phi_cols, stacked)
-        plan.aggregation_count = aggregation_count(
+        updates = self._device_updates(round_index, explored, state)
+        deltas = {m: u.delta_phi for m, u in updates.items()}
+        plan = self._plan(round_index, explored, state.phi, deltas)
+        count = aggregation_count(
             self.hyper.aggregation_denominator,
             len(plan.accepted),
             len(plan.explored),
             self.num_devices,
         )
-        new_states = [
-            apply_dual_update(
-                states[k], [updates[m][k] for m in plan.accepted], plan.aggregation_count
-            )
-            for k in range(self.num_classes)
-        ]
-        for state in new_states:
-            state.round_index = round_index
-        return new_states, plan
+        return apply_dual_update(state, [updates[m] for m in plan.accepted], count), plan
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(
         self,
-        states: list[GlobalState],
+        state: GlobalState,
         round_index: int,
         plan: RoundPlan | None,
         round_cost_s: float,
         cum_cost_s: float,
     ) -> RoundMetrics:
-        phi_cols = np.stack([s.phi for s in states], axis=1)
-        train_margins = self.split.stacked_train()[0] @ phi_cols
+        train_margins = self.split.stacked_train()[0] @ state.phi
         test_acc, train_loss = evaluate_global(
-            phi_cols, self.split, self.loss, self.reg_lambda, train_margins, self.train_targets
+            state.phi, self.split, self.loss, self.reg_lambda, train_margins, self.train_targets
         )
         duality_gap = float(
             np.mean(
                 [
                     fenchel_gap(
-                        s.alpha, train_margins[:, k], self.train_targets[:, k], self.loss
+                        state.alpha[:, k],
+                        train_margins[:, k],
+                        self.train_targets[:, k],
+                        self.loss,
                     )
-                    for k, s in enumerate(states)
+                    for k in range(self.num_classes)
                 ]
             )
         )
 
-        test_scores = device_test_scores(phi_cols, self.split.devices)
+        test_scores = device_test_scores(state.phi, self.split.devices)
         local_accs = [
             _accuracy(scores, self.devices[m].test_labels) for m, scores in test_scores.items()
         ]
@@ -455,12 +438,6 @@ class Experiment:
 
     # -- full run -----------------------------------------------------------
 
-    def initial_states(self) -> list[GlobalState]:
-        return [
-            GlobalState.zeros(self.split.feature_dim, self.total_samples)
-            for _ in range(self.num_classes)
-        ]
-
     def run(
         self,
         rounds: int,
@@ -482,7 +459,7 @@ class Experiment:
             csv_handle = open(out / "metrics.csv", "w", encoding="utf-8")
             csv_handle.write(",".join(CSV_COLUMNS) + "\n")
 
-        states = self.initial_states()
+        state = GlobalState.zeros(self.split.feature_dim, self.total_samples, self.num_classes)
         metrics: list[RoundMetrics] = []
         stop_reason = "completed"
         cum_cost = 0.0
@@ -500,9 +477,9 @@ class Experiment:
                 )
 
         try:
-            emit(self.evaluate(states, 0, None, 0.0, 0.0))
+            emit(self.evaluate(state, 0, None, 0.0, 0.0))
             for t in range(1, rounds + 1):
-                states, plan = self.run_round(states, t)
+                state, plan = self.run_round(state, t)
                 report = schedule_cost(
                     self.profiles,
                     plan.explored,
@@ -511,7 +488,7 @@ class Experiment:
                 )
                 cum_cost = report.cumulative_s
                 if t % self.eval_every == 0 or t == rounds:
-                    row = self.evaluate(states, t, plan, report.round_cost_s, cum_cost)
+                    row = self.evaluate(state, t, plan, report.round_cost_s, cum_cost)
                     emit(row)
                     if (
                         self.stop_at_accuracy is not None
@@ -538,8 +515,10 @@ class Experiment:
             policy=self.policy.kind,
             seed=self.hyper.seed,
             metrics=metrics,
-            states=states,
-            profiles=self.profiles,
+            states=[
+                GlobalState(phi=state.phi[:, k], alpha=state.alpha[:, k])
+                for k in range(self.num_classes)
+            ],
             stop_reason=stop_reason,
             out_dir=out,
         )

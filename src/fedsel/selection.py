@@ -56,7 +56,6 @@ class RoundPlan:
     explored: tuple[int, ...]
     accepted: tuple[int, ...]
     betas: dict[int, float] = field(default_factory=dict)
-    aggregation_count: int = 0
 
     def __post_init__(self) -> None:
         if self.explored and not self.accepted:

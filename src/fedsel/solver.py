@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,21 +73,22 @@ class Hyperparams:
     def make_loss(self) -> Loss:
         return make_loss(self.loss, self.gamma)
 
-    def with_overrides(self, **kw) -> "Hyperparams":
-        return replace(self, **kw)
-
 
 @dataclass
 class GlobalState:
-    """Server-held shared vector and the full dual vector for one binary problem."""
+    """Server-held shared vector phi and the full dual vector alpha.
+
+    One binary problem holds phi (d,) and alpha (D,); K one-vs-rest problems
+    hold them as phi (d, K) and alpha (D, K), one column per class.
+    """
 
     phi: np.ndarray
     alpha: np.ndarray
-    round_index: int = 0
 
     @classmethod
-    def zeros(cls, dim: int, total_samples: int) -> "GlobalState":
-        return cls(phi=np.zeros(dim), alpha=np.zeros(total_samples))
+    def zeros(cls, dim: int, total_samples: int, num_classes: int) -> "GlobalState":
+        """The zero state of num_classes one-vs-rest problems."""
+        return cls(phi=np.zeros((dim, num_classes)), alpha=np.zeros((total_samples, num_classes)))
 
     def consistency_error(self, features: np.ndarray, lam: float) -> float:
         """max-norm distance between phi and its recomputation from alpha."""
@@ -98,14 +99,18 @@ class GlobalState:
 
 @dataclass
 class LocalUpdate:
-    """One device's reply for one binary problem."""
+    """One device's reply: its dual increment rho and the matching delta_phi.
+
+    From device_update, rho is (n,), delta_phi (d,) and achieved_theta a float;
+    from device_update_ovr, rho is (n, K), delta_phi (d, K) and
+    achieved_theta (K,), one column per class.
+    """
 
     device_id: int
     sample_indices: np.ndarray
     rho: np.ndarray
     delta_phi: np.ndarray
-    achieved_theta: float
-    local_epochs_used: int
+    achieved_theta: float | np.ndarray
 
 
 def dual_objective(alpha, features, labels, loss: Loss, lam: float) -> float:
@@ -188,6 +193,11 @@ def local_subproblem_value(
         - (rho * base_margins).sum() / total_samples
         - 0.5 * lam * delta_phi @ delta_phi
     )
+
+
+def one_vs_rest_targets(labels, num_classes: int) -> np.ndarray:
+    """(n, K) matrix of {-1, +1} targets, +1 where the label is the column's class."""
+    return np.where(labels[:, None] == np.arange(num_classes)[None, :], 1.0, -1.0)
 
 
 def _visit_orders(rng, epochs: int, n: int) -> np.ndarray:
@@ -403,7 +413,6 @@ def device_update(
         rho=rho[:, 0],
         delta_phi=delta_phi[:, 0],
         achieved_theta=float(theta[0]),
-        local_epochs_used=epochs,
     )
 
 
@@ -418,13 +427,15 @@ def device_update_ovr(
     total_samples: int,
     epochs: int | None = None,
     gram_scaled=None,
-) -> list[LocalUpdate]:
+) -> LocalUpdate:
     """One-vs-rest device update: all K class columns in one sweep.
 
-    Every class column sees the same coordinate visit order, so the dual
-    coordinates of column k are bitwise-identical to a lone device_update run
-    with the same rng stream; delta_phi and achieved_theta agree to rounding
-    (batched matrix products may differ from a lone run in the last ulp).
+    phi_cols is (d, K) and alpha_cols the device's (n, K) dual rows; the reply
+    holds rho (n, K), delta_phi (d, K) and achieved_theta (K,). Every class
+    column sees the same coordinate visit order, so the dual coordinates of
+    column k are bitwise-identical to a lone device_update run with the same
+    rng stream; delta_phi and achieved_theta agree to rounding (batched
+    matrix products may differ from a lone run in the last ulp).
     `gram_scaled` is as in device_update.
     """
     if device.size == 0:
@@ -434,24 +445,17 @@ def device_update_ovr(
     epochs = hp.epochs if epochs is None else epochs
     lam = hp.resolved_lambda(total_samples)
     loss = hp.make_loss()
-    labels_pm = np.where(
-        device.labels[:, None] == np.arange(num_classes)[None, :], 1.0, -1.0
-    )
     rho, delta_phi, theta = _solve_columns(
-        device, phi_cols, alpha_cols, labels_pm, loss, lam, total_samples,
-        epochs, rng, gram_scaled=gram_scaled,
+        device, phi_cols, alpha_cols, one_vs_rest_targets(device.labels, num_classes),
+        loss, lam, total_samples, epochs, rng, gram_scaled=gram_scaled,
     )
-    return [
-        LocalUpdate(
-            device_id=device.device_id,
-            sample_indices=device.sample_indices,
-            rho=rho[:, k],
-            delta_phi=delta_phi[:, k],
-            achieved_theta=float(theta[k]),
-            local_epochs_used=epochs,
-        )
-        for k in range(num_classes)
-    ]
+    return LocalUpdate(
+        device_id=device.device_id,
+        sample_indices=device.sample_indices,
+        rho=rho,
+        delta_phi=delta_phi,
+        achieved_theta=theta,
+    )
 
 
 def aggregation_count(rule: str, accepted: int, explored: int, total_devices: int | None) -> int:
@@ -474,9 +478,11 @@ def aggregation_count(rule: str, accepted: int, explored: int, total_devices: in
 def apply_dual_update(state: GlobalState, updates, aggregation_count: int) -> GlobalState:
     """Absorb accepted updates, each scaled by 1/aggregation_count.
 
-    alpha and phi absorb the same scaled quantities, so the consistency
-    invariant ||phi - X.alpha/(lambda D)||_inf survives exactly. Updates are
-    combined in device-id order regardless of arrival order.
+    State and updates share their columns: none for one binary problem, K for
+    K one-vs-rest problems. alpha and phi absorb the same scaled quantities,
+    so the consistency invariant ||phi - X.alpha/(lambda D)||_inf survives
+    exactly. Updates are combined in device-id order regardless of arrival
+    order.
     """
     if aggregation_count <= 0:
         raise ValueError(f"aggregation_count must be positive, got {aggregation_count}")
@@ -485,5 +491,5 @@ def apply_dual_update(state: GlobalState, updates, aggregation_count: int) -> Gl
     for update in sorted(updates, key=lambda u: u.device_id):
         alpha[update.sample_indices] += update.rho / aggregation_count
         phi += update.delta_phi / aggregation_count
-    return GlobalState(phi=phi, alpha=alpha, round_index=state.round_index)
+    return GlobalState(phi=phi, alpha=alpha)
 

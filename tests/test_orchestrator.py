@@ -25,10 +25,13 @@ from fedsel.rng import DEVICE, substream
 from fedsel.selection import SelectionPolicy
 from fedsel.solver import (
     AGGREGATION_RULES,
+    GlobalState,
     Hyperparams,
     LocalUpdate,
     aggregation_count,
+    apply_dual_update,
     device_update_ovr,
+    one_vs_rest_targets,
 )
 from fedsel.valuation import CoalitionOracle
 
@@ -42,7 +45,7 @@ def test_zero_model_scores_class_zero_frequency():
     features, labels = split.stacked_train()
     acc, train_loss = evaluate_global(
         phi_cols, split, loss, HP.resolved_lambda(split.total_train),
-        features @ phi_cols, orch._binary_labels(labels, 3),
+        features @ phi_cols, one_vs_rest_targets(labels, 3),
     )
     assert acc == float(np.mean(split.test_labels == 0))
     # smoothed hinge at margin 0 is 1/2 for both targets, regularizer is 0
@@ -53,10 +56,9 @@ def test_single_device_full_participation_is_identity_aggregation():
     split = tiny_split(num_devices=1, samples_per_device=10, seed=11)
     hp = Hyperparams(c_fraction=1.0, epochs=2, seed=5)
     exp = Experiment(split, hp, SelectionPolicy(kind="random"))
-    new_states, plan = exp.run_round(exp.initial_states(), 1)
+    state, plan = exp.run_round(GlobalState.zeros(split.feature_dim, 10, 3), 1)
     assert plan.explored == plan.accepted == (0,)
-    assert plan.aggregation_count == 1
-    updates = device_update_ovr(
+    update = device_update_ovr(
         split.devices[0],
         np.zeros((split.feature_dim, 3)),
         np.zeros((10, 3)),
@@ -65,8 +67,8 @@ def test_single_device_full_participation_is_identity_aggregation():
         substream(5, DEVICE, 1, 0),
         total_samples=10,
     )
-    for k in range(3):
-        assert np.array_equal(new_states[k].phi, updates[k].delta_phi)
+    assert np.array_equal(state.phi, update.delta_phi)
+    assert np.array_equal(state.alpha, update.rho)
 
 
 def test_cds_and_random_share_the_exploration_stream():
@@ -95,15 +97,14 @@ def test_value_fn_matches_coalition_value_on_every_subset():
     explored = (0, 1, 2, 3)
     rng = np.random.default_rng(0)
     for rule in AGGREGATION_RULES:
-        hp = HP.with_overrides(aggregation_denominator=rule)
+        hp = replace(HP, aggregation_denominator=rule)
         exp = Experiment(split, hp, SelectionPolicy(kind="cds"))
-        states = exp.initial_states()
+        state = GlobalState.zeros(split.feature_dim, split.total_train, 3)
         cases = []
         for round_index in (1, 2):  # round 2 starts from a nonzero phi
-            phi_cols = np.stack([s.phi for s in states], axis=1)
-            updates = exp._device_updates(round_index, explored, states, phi_cols)
-            cases.append((phi_cols, exp._stack_updates(updates)))
-            states, _ = exp.run_round(states, round_index)
+            updates = exp._device_updates(round_index, explored, state)
+            cases.append((state.phi, {m: u.delta_phi for m, u in updates.items()}))
+            state, _ = exp.run_round(state, round_index)
         assert np.any(cases[1][0])
         # random weights hold the accuracy near chance, where the denominator moves it
         shape = cases[0][0].shape
@@ -128,27 +129,22 @@ def test_null_update_round_keeps_phi_and_falls_back_to_top_one(monkeypatch):
 
     def zero_updates(device, phi_cols, alpha_cols, num_classes, hp, rng, *,
                      total_samples, epochs=None, gram_scaled=None):
-        return [
-            LocalUpdate(
-                device_id=device.device_id,
-                sample_indices=device.sample_indices,
-                rho=np.zeros(device.size),
-                delta_phi=np.zeros(phi_cols.shape[0]),
-                achieved_theta=1.0,
-                local_epochs_used=0,
-            )
-            for _ in range(num_classes)
-        ]
+        return LocalUpdate(
+            device_id=device.device_id,
+            sample_indices=device.sample_indices,
+            rho=np.zeros(alpha_cols.shape),
+            delta_phi=np.zeros(phi_cols.shape),
+            achieved_theta=np.ones(num_classes),
+        )
 
     monkeypatch.setattr(orch, "device_update_ovr", zero_updates)
     exp = Experiment(split, HP, SelectionPolicy(kind="cds"))
-    states = exp.initial_states()
-    new_states, plan = exp.run_round(states, 1)
+    state = GlobalState.zeros(split.feature_dim, split.total_train, 3)
+    new_state, plan = exp.run_round(state, 1)
     assert plan.betas == {m: 0.0 for m in plan.explored}
     assert plan.accepted == (min(plan.explored),)
-    for before, after in zip(states, new_states):
-        assert np.array_equal(before.phi, after.phi)
-        assert np.array_equal(before.alpha, after.alpha)
+    assert np.array_equal(state.phi, new_state.phi)
+    assert np.array_equal(state.alpha, new_state.alpha)
 
 
 def test_aggregation_count_follows_denominator_rule():
@@ -158,15 +154,86 @@ def test_aggregation_count_follows_denominator_rule():
         aggregation_count("all", 1, 3, None)
     with pytest.raises(ValueError, match="unknown aggregation rule"):
         aggregation_count("median", 1, 3, 4)
-    # the round loop divides by the same count
+    # the round loop adds sum(accepted delta_phi) / count to phi, bit for bit
     split = tiny_split()
+    first_counts = {}
     for rule in AGGREGATION_RULES:
-        hp = HP.with_overrides(aggregation_denominator=rule)
-        exp = Experiment(split, hp, SelectionPolicy(kind="cds"))
-        _, plan = exp.run_round(exp.initial_states(), 1)
-        assert plan.aggregation_count == aggregation_count(
-            rule, len(plan.accepted), len(plan.explored), 4
+        exp = Experiment(split, replace(HP, aggregation_denominator=rule), SelectionPolicy())
+        state = GlobalState.zeros(split.feature_dim, split.total_train, 3)
+        for round_index in (1, 2):  # round 2 starts from a nonzero phi
+            updates = exp._device_updates(round_index, exp._explored(round_index), state)
+            new_state, plan = exp.run_round(state, round_index)
+            count = aggregation_count(rule, len(plan.accepted), len(plan.explored), 4)
+            first_counts.setdefault(rule, count)
+            want = state.phi.copy()
+            for m in sorted(plan.accepted):
+                want += updates[m].delta_phi / count
+            assert new_state.phi.tobytes() == want.tobytes()
+            state = new_state
+    assert first_counts["explored"] != first_counts["all"]
+
+
+def per_class_round(exp, states, round_index):
+    """The round loop as it was with one 1-D GlobalState per class: phi and
+    each device's alpha rows stacked from the K states, the reply split into K
+    per-class updates, their delta_phi stacked again for the value oracle, and
+    K apply_dual_update calls."""
+    explored = exp._explored(round_index)
+    phi_cols = np.stack([s.phi for s in states], axis=1)
+    updates = {}
+    for m in explored:
+        rows = exp.devices[m].sample_indices
+        reply = device_update_ovr(
+            exp.devices[m],
+            phi_cols,
+            np.stack([s.alpha[rows] for s in states], axis=1),
+            exp.num_classes,
+            exp.hyper,
+            substream(exp.hyper.seed, DEVICE, round_index, m),
+            total_samples=exp.total_samples,
+            gram_scaled=exp._scaled_gram(m),
         )
+        updates[m] = [
+            LocalUpdate(
+                m, reply.sample_indices, reply.rho[:, k], reply.delta_phi[:, k],
+                float(reply.achieved_theta[k]),
+            )
+            for k in range(exp.num_classes)
+        ]
+    stacked = {m: np.stack([u.delta_phi for u in ups], axis=1) for m, ups in updates.items()}
+    plan = exp._plan(round_index, explored, phi_cols, stacked)
+    count = aggregation_count(
+        exp.hyper.aggregation_denominator, len(plan.accepted), len(plan.explored),
+        exp.num_devices,
+    )
+    new_states = [
+        apply_dual_update(states[k], [updates[m][k] for m in plan.accepted], count)
+        for k in range(exp.num_classes)
+    ]
+    return new_states, plan
+
+
+@pytest.mark.parametrize("rule", AGGREGATION_RULES)
+@pytest.mark.parametrize("kind", ["cds", "greedy", "random"])
+def test_one_state_round_matches_per_class_rounds_bitwise(kind, rule):
+    split = tiny_split(num_devices=6)
+    hp = replace(HP, aggregation_denominator=rule)
+    exp = Experiment(split, hp, SelectionPolicy(kind=kind))
+    reference = Experiment(split, hp, SelectionPolicy(kind=kind))
+    state = GlobalState.zeros(split.feature_dim, split.total_train, 3)
+    states = [
+        GlobalState(phi=np.zeros(split.feature_dim), alpha=np.zeros(split.total_train))
+        for _ in range(3)
+    ]
+    for round_index in (1, 2):
+        state, plan = exp.run_round(state, round_index)
+        states, want_plan = per_class_round(reference, states, round_index)
+        assert repr(plan) == repr(want_plan)
+        assert state.phi.tobytes() == np.stack([s.phi for s in states], axis=1).tobytes()
+        assert state.alpha.tobytes() == np.stack([s.alpha for s in states], axis=1).tobytes()
+    assert state.phi.shape == (split.feature_dim, 3)
+    assert state.alpha.shape == (split.total_train, 3)
+    assert np.any(state.phi)
 
 
 def test_consistency_invariant_holds_across_rounds():
@@ -205,12 +272,12 @@ def _float32_split() -> tuple:
     return split, shards
 
 
-def _reference_metrics(exp, shards, states, round_index, plan, round_cost_s, cum_cost_s):
+def _reference_metrics(exp, shards, state, round_index, plan, round_cost_s, cum_cost_s):
     """Experiment.evaluate computed the way it was before the split held one
     float64 training matrix: a float32 vstack upcast, two train products, and
     every device's test scores computed twice."""
     split, loss, num_classes = exp.split, exp.loss, exp.num_classes
-    phi_cols = np.stack([s.phi for s in states], axis=1)
+    phi_cols = state.phi
 
     def scores(features):
         return np.asarray(features, dtype=np.float64) @ phi_cols
@@ -227,8 +294,8 @@ def _reference_metrics(exp, shards, states, round_index, plan, round_cost_s, cum
     reg_term = 0.5 * exp.reg_lambda * float(np.mean(np.sum(phi_cols**2, axis=0)))
     gap_margins = stacked @ phi_cols
     gap = float(np.mean([
-        solver.fenchel_gap(s.alpha, gap_margins[:, k], targets[:, k], loss)
-        for k, s in enumerate(states)
+        solver.fenchel_gap(state.alpha[:, k], gap_margins[:, k], targets[:, k], loss)
+        for k in range(num_classes)
     ]))
     held = [d for d in split.devices if d.test_features is not None]
     local_accs = [accuracy(d.test_features, d.test_labels) for d in held]
@@ -265,19 +332,19 @@ def _reference_metrics(exp, shards, states, round_index, plan, round_cost_s, cum
 @pytest.mark.parametrize("loss", ["smoothed_hinge", "squared"])
 def test_evaluate_matches_two_pass_reference_bitwise(loss):
     split, shards = _float32_split()
-    hp = HP.with_overrides(loss=loss, epochs=1, c_fraction=0.6, theta_threshold=0.15)
+    hp = replace(HP, loss=loss, epochs=1, c_fraction=0.6, theta_threshold=0.15)
     exp = Experiment(split, hp, SelectionPolicy(kind="cds"))
-    states = exp.initial_states()
-    cases = [(0, states, None)]
+    state = GlobalState.zeros(split.feature_dim, split.total_train, 3)
+    cases = [(0, state, None)]
     for round_index in (1, 2):
-        states, plan = exp.run_round(states, round_index)
-    cases.append((2, states, plan))
+        state, plan = exp.run_round(state, round_index)
+    cases.append((2, state, plan))
     # a random phi keeps the accuracies away from 0 and 1
     rng = np.random.default_rng(4)
-    cases.append((3, [replace(s, phi=rng.normal(size=s.phi.shape)) for s in states], plan))
-    for round_index, states, plan in cases:
-        got = exp.evaluate(states, round_index, plan, 1.25, 2.5)
-        want = _reference_metrics(exp, shards, states, round_index, plan, 1.25, 2.5)
+    cases.append((3, replace(state, phi=rng.normal(size=state.phi.shape)), plan))
+    for round_index, state, plan in cases:
+        got = exp.evaluate(state, round_index, plan, 1.25, 2.5)
+        want = _reference_metrics(exp, shards, state, round_index, plan, 1.25, 2.5)
         assert [repr(getattr(got, f.name)) for f in fields(RoundMetrics)] == [
             repr(getattr(want, f.name)) for f in fields(RoundMetrics)
         ]
@@ -330,7 +397,7 @@ def test_accuracy_stop_target():
 
 def test_duality_gap_stop_target():
     split = tiny_split()
-    hp = HP.with_overrides(duality_gap_target=1e9)
+    hp = replace(HP, duality_gap_target=1e9)
     result = Experiment(split, hp, SelectionPolicy(kind="random")).run(10)
     assert result.stop_reason == "duality_gap_target"
     assert result.metrics[-1].round_index == 1
@@ -366,7 +433,7 @@ def test_rerun_is_byte_identical_and_seed_sensitive():
     lines = []
     for seed in (3, 3, 4):
         result = run_experiment(
-            split, HP.with_overrides(seed=seed), SelectionPolicy(kind="cds"), rounds=2
+            split, replace(HP, seed=seed), SelectionPolicy(kind="cds"), rounds=2
         )
         lines.append(metrics_csv_lines(result.metrics))
     assert lines[0] == lines[1]
@@ -378,9 +445,9 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
     # 150 validation rows: three value-kernel blocks, so the batch values can
     # be split into three row ranges
     split = tiny_split(num_devices=6, samples_per_device=30, validation_size=150)
-    base = HP.with_overrides(delta_t=6) if policy == "cds-walks" else HP
+    base = replace(HP, delta_t=6) if policy == "cds-walks" else HP
     runs = []
-    for hp in (base, base.with_overrides(loss="squared", aggregation_denominator="explored")):
+    for hp in (base, replace(base, loss="squared", aggregation_denominator="explored")):
         for backend in ("fan-out", "numpy", "one-range"):
             if backend == "fan-out":  # every batch on three threads
                 monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -499,7 +566,7 @@ def test_cds_audit_sink_collects_permutation_records():
     split = tiny_split()
     sink: list[dict] = []
     run_experiment(
-        split, HP.with_overrides(delta_t=2), SelectionPolicy(kind="cds"),
+        split, replace(HP, delta_t=2), SelectionPolicy(kind="cds"),
         rounds=2, audit_sink=sink,
     )
     assert len(sink) == 4  # delta_t permutations per global round
@@ -511,11 +578,10 @@ def test_cds_audit_sink_collects_permutation_records():
 def test_beta_persistence_keeps_means_across_rounds():
     split = tiny_split()
     policy = SelectionPolicy(kind="cds", beta_persistence=True)
-    exp = Experiment(split, HP.with_overrides(c_fraction=1.0), policy)
-    states = exp.initial_states()
-    states, _ = exp.run_round(states, 1)
+    exp = Experiment(split, replace(HP, c_fraction=1.0), policy)
+    state, _ = exp.run_round(GlobalState.zeros(split.feature_dim, split.total_train, 3), 1)
     counts_after_1 = dict(exp._persistent_ledger.counts)
-    exp.run_round(states, 2)
+    exp.run_round(state, 2)
     for m, count in exp._persistent_ledger.counts.items():
         assert count >= counts_after_1.get(m, 0)
     assert max(exp._persistent_ledger.counts.values()) > max(counts_after_1.values())

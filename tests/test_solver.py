@@ -1,5 +1,6 @@
 """Dual solver contracts: objectives, gaps, device updates, aggregation."""
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,7 +232,6 @@ def test_device_update_zero_epochs():
     assert np.array_equal(update.rho, np.zeros(12))
     assert np.array_equal(update.delta_phi, np.zeros(4))
     assert update.achieved_theta == 1.0
-    assert update.local_epochs_used == 0
 
 
 def test_device_update_improves_dual_objective():
@@ -279,9 +279,12 @@ def test_ovr_column_matches_lone_run():
     phi_cols = rng.normal(size=(dim, k)) * 0.01
     alpha_cols = np.zeros((n, k))
 
-    updates = device_update_ovr(
+    update = device_update_ovr(
         device, phi_cols, alpha_cols, k, hp, substream(21), total_samples=n
     )
+    assert update.rho.shape == (n, k)
+    assert update.delta_phi.shape == (dim, k)
+    assert update.achieved_theta.shape == (k,)
     for cls in range(k):
         lone = device_update(
             device,
@@ -294,11 +297,11 @@ def test_ovr_column_matches_lone_run():
         )
         # coordinate decisions are bitwise-identical; the batched matrix
         # products behind delta_phi/theta only agree to rounding
-        assert np.array_equal(updates[cls].rho, lone.rho)
+        assert np.array_equal(update.rho[:, cls], lone.rho)
         np.testing.assert_allclose(
-            updates[cls].delta_phi, lone.delta_phi, rtol=1e-12, atol=1e-15
+            update.delta_phi[:, cls], lone.delta_phi, rtol=1e-12, atol=1e-15
         )
-        assert updates[cls].achieved_theta == pytest.approx(
+        assert update.achieved_theta[cls] == pytest.approx(
             lone.achieved_theta, abs=1e-12
         )
 
@@ -506,13 +509,16 @@ def fixed_device_updates(k, loss_name, n=17):
     labels = np.arange(n) % k
     device = DeviceDataset(0, device.features, labels, np.arange(n))
     alpha_cols = np.where(labels[:, None] == np.arange(k), 0.25, -0.25)
-    return device_update_ovr(
+    return [device_update_ovr(
         device, np.full((4, k), 0.01), alpha_cols, k, hp, substream(5), total_samples=40
-    )
+    )]
 
 
 def update_bytes(updates):
-    return [(u.rho.tobytes(), u.delta_phi.tobytes(), u.achieved_theta) for u in updates]
+    return [
+        (u.rho.tobytes(), u.delta_phi.tobytes(), np.asarray(u.achieved_theta).tobytes())
+        for u in updates
+    ]
 
 
 @needs_compiler
@@ -602,7 +608,6 @@ def _update(device_id, indices, rho, delta_phi):
         rho=np.asarray(rho, dtype=float),
         delta_phi=np.asarray(delta_phi, dtype=float),
         achieved_theta=0.0,
-        local_epochs_used=1,
     )
 
 
@@ -652,7 +657,7 @@ def test_consistency_invariant_after_aggregations():
                       np.arange(m * 10, (m + 1) * 10))
         for m in range(4)
     ]
-    state = GlobalState.zeros(dim, n)
+    state = GlobalState(phi=np.zeros(dim), alpha=np.zeros(n))
     for round_index in range(3):
         updates = [
             device_update(
@@ -684,4 +689,6 @@ def test_hyperparams_validation():
         Hyperparams(aggregation_denominator="most")
     assert Hyperparams().resolved_lambda(500) == pytest.approx(1 / 500)
     assert Hyperparams(reg_lambda=0.25).resolved_lambda(500) == 0.25
-    assert Hyperparams().with_overrides(epochs=5).epochs == 5
+    assert replace(Hyperparams(), epochs=5).epochs == 5
+    with pytest.raises(ValueError, match="epochs"):
+        replace(Hyperparams(), epochs=0)
