@@ -14,6 +14,7 @@
  */
 #include <stdint.h>
 
+FEDSEL_CLONES  /* from _isa.c */
 void sdca_passes(int64_t n, int64_t k, int64_t epochs, const int64_t *orders,
                  int32_t loss, double gamma, const double *labels, const double *alpha0,
                  const double *gram, const double *qii, double *rho, double *margins)

@@ -20,9 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCES = tuple(Path(__file__).with_name(name) for name in ("_sdca.c", "_coalition.c"))
+# _isa.c comes first: it defines the FEDSEL_CLONES attribute the kernels use
+SOURCES = tuple(
+    Path(__file__).with_name(name) for name in ("_isa.c", "_sdca.c", "_coalition.c")
+)
 # No FMA contraction, no value-changing optimisation and no -march: a cached
-# library may be loaded on another CPU. Each kernel starts on a 64-byte
+# library may be loaded on another CPU, where the loader binds each kernel's
+# AVX2 or baseline clone (see _isa.c). Each kernel starts on a 64-byte
 # boundary, so its loops sit where they would in a library of its own: 32
 # bytes further on, the coordinate loop ran 40% slower on an x86-64 host.
 COMPILE_FLAGS = ("-O3", "-ffp-contract=off", "-falign-functions=64", "-fPIC", "-shared")
@@ -99,3 +103,14 @@ def load_library(compiler: str = "cc", cache_dir: Path | None = None) -> ctypes.
 def library() -> ctypes.CDLL | None:
     """The process's shared library, built or loaded on first use."""
     return load_library()
+
+
+def native_isa(lib: ctypes.CDLL | None) -> str | None:
+    """The kernel clone the loader binds in `lib` on this CPU: "avx2" or
+    "default", or None without a library."""
+    if lib is None:
+        return None
+    report = lib.native_isa
+    report.argtypes = []
+    report.restype = ctypes.c_char_p
+    return report().decode()

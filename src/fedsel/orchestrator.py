@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import native
 from .cost import sample_profiles, schedule_cost
 from .data import DeviceDataset, SplitDataset
 from .losses import Loss
@@ -536,6 +537,7 @@ class RunManifest:
     solver_backend: str
     value_backend: str
     value_threads: int
+    native_isa: str | None
     status: str = "running"
     finished_at: str | None = None
     rows_written: int = 0
@@ -561,6 +563,7 @@ class RunManifest:
             solver_backend=coordinate_backend(),
             value_backend=value_backend(),
             value_threads=value_threads(),
+            native_isa=native.native_isa(native.library()),
         )
         manifest.write(out)
         return manifest
@@ -577,6 +580,7 @@ class RunManifest:
             "solver_backend": self.solver_backend,
             "value_backend": self.value_backend,
             "value_threads": self.value_threads,
+            "native_isa": self.native_isa,
             "rows_written": self.rows_written,
             "stop_reason": self.stop_reason,
             "error": self.error,

@@ -78,8 +78,9 @@ class CoalitionOracle:
     the averaging denominator (see solver.aggregation_count). Validation
     scores of phi and of each delta are computed once, so a coalition costs
     O(n_val * K) instead of a fresh feature matmul. Calling the oracle values
-    one subset with numpy; `values` values many at once with the compiled
-    kernel, with bitwise-equal results.
+    one subset with numpy; `values` values many subsets at once, and
+    `walk_values` every prefix of many walks, with compiled kernels and
+    bitwise-equal results.
     """
 
     def __init__(
@@ -131,6 +132,30 @@ class CoalitionOracle:
         work = self._base.size * (len(subsets) + sum(map(len, subsets)))
         return self._kernel_values(kernel, subsets, min(value_threads(), 1 + work // RANGE_WORK))
 
+    def walk_values(self, perms: list[tuple[int, ...]]) -> list[list[float]]:
+        """[[self(tuple(sorted(perm[:size]))) for size in range(1, len(perm))]
+        for perm in perms], in one pass of the compiled walk kernel.
+
+        The walks are of one length and visit each member at most once. The
+        kernel adds each walk's member scores to one running sum in walk
+        order and scores a row from it only where a rounding bound certifies
+        that the sorted sum predicts the same class; it scores every other
+        row exactly as a call does (see _coalition.c). Falls back to the
+        per-call numpy path as `values` does, and splits the rows into
+        ranges by the same rule.
+        """
+        if len({len(perm) for perm in perms}) > 1 or any(len(set(p)) != len(p) for p in perms):
+            raise ValueError("walks must have one length and visit each member at most once")
+        kernel = _walk_kernel() if perms and len(perms[0]) > 1 else None
+        if kernel is None or not self._kernel_safe:
+            return self._walk_values_by_call(perms)
+        work = 2 * self._base.size * len(perms) * (len(perms[0]) - 1)
+        ranges = min(value_threads(), 1 + work // RANGE_WORK)
+        return self._kernel_walk_values(kernel, perms, ranges)[0]
+
+    def _walk_values_by_call(self, perms) -> list[list[float]]:
+        return [[self(tuple(sorted(p[:size]))) for size in range(1, len(p))] for p in perms]
+
     @functools.cached_property
     def _kernel_safe(self) -> bool:
         scores = [self._base, *self._members]
@@ -180,6 +205,35 @@ class CoalitionOracle:
         for (_, i), hits in zip(keyed, correct.sum(axis=0).tolist()):
             values[i] = hits / n
         return values
+
+    def _kernel_walk_values(self, kernel, perms, ranges: int) -> tuple[list[list[float]], int]:
+        """The walk kernel's values, and how many rows it scored on its exact
+        path. The kernel sees the members in ascending id order and the walks
+        as ranks in it; the rows are split into ranges as in _kernel_values.
+        """
+        ids = sorted(self._rows)
+        rank = {m: q for q, m in enumerate(ids)}
+        walks = np.array([[rank[m] for m in perm] for perm in perms], dtype=np.int64)
+        steps = walks.shape[1] - 1
+        counts = np.array([self._count(size) for size in range(1, steps + 1)], dtype=np.float64)
+        members = np.array([self._members[self._rows[m]].ctypes.data for m in ids], dtype=np.uintp)
+        n, k = self._base.shape
+        labels = np.ascontiguousarray(self._labels, dtype=np.int64)
+        scratch = VALUE_BLOCK_ROWS * (len(ids) * (k + 1) + 2 * k + 6) + len(ids)
+        bounds = _row_ranges(n, ranges)
+        correct = np.empty((len(bounds), len(perms) * steps), dtype=np.int64)
+        exact_rows = np.empty(len(bounds), dtype=np.int64)
+        _run_concurrently([
+            functools.partial(
+                kernel, stop - start, k, VALUE_BLOCK_ROWS, self._base[start:stop],
+                members + np.uintp(start * k * self._base.itemsize), len(ids), labels[start:stop],
+                len(perms), steps + 1, walks, counts, correct[part], exact_rows[part : part + 1],
+                np.empty(scratch),
+            )
+            for part, (start, stop) in enumerate(bounds)
+        ])
+        hits = correct.sum(axis=0).reshape(len(perms), steps).tolist()
+        return [[h / n for h in walk] for walk in hits], int(exact_rows.sum())
 
 
 def _row_ranges(n: int, ranges: int) -> list[tuple[int, int]]:
@@ -256,6 +310,50 @@ def _value_probe_matches(kernel) -> bool:
     return True
 
 
+def _bind_walk_kernel(library):
+    """The compiled walk kernel from the shared library, or None when there
+    is no library or the kernel fails its probe."""
+    if library is None:
+        return None
+    kernel = library.walk_values
+    kernel.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, native.F64, native.POINTERS,
+        ctypes.c_int64, native.I64, ctypes.c_int64, ctypes.c_int64, native.I64, native.F64,
+        native.I64, native.I64, native.F64,
+    ]
+    kernel.restype = None
+    return kernel if _walk_probe_matches(kernel) else None
+
+
+def _walk_probe_matches(kernel) -> bool:
+    """Whether the walk kernel reproduces the numpy path's values on fixed games.
+
+    133 validation rows; two random walks over 5 members of the integer and
+    ordered-sum games, whose ties only the exact path scores right, and a
+    descending walk and a random one over 48 members of the absorbed-sum
+    game, whose sums only the full rounding bound keeps off the fast path;
+    under all three aggregation rules, scored as one row range and as two.
+    """
+    eye = np.eye(133)
+    members = (2, 3, 5, 7, 11)
+    walks = [tuple(np.random.default_rng(seed).permutation(members)) for seed in range(2)]
+    prefixes = [tuple(sorted(walk[:size])) for walk in walks for size in range(1, len(walk))]
+    wide = tuple(range(48))
+    wide_walks = [wide[::-1], tuple(np.random.default_rng(2).permutation(wide))]
+    for rule, total_devices in (("accepted", None), ("explored", None), ("all", 30)):
+        for (base, deltas, labels), perms in (
+            (_integer_game(133, members), walks),
+            (_ordered_sum_game(133, members, prefixes, rule, total_devices), walks),
+            (_absorbed_sum_game(133, wide), wide_walks),
+        ):
+            oracle = CoalitionOracle(base, deltas, eye, labels, rule, total_devices)
+            expected = oracle._walk_values_by_call(perms)
+            for ranges in (1, 2):
+                if oracle._kernel_walk_values(kernel, perms, ranges)[0] != expected:
+                    return False
+    return True
+
+
 def _integer_game(n, members):
     """Small-integer scores: classes tie exactly, and the first maximum must win."""
     rng = np.random.default_rng(23)
@@ -290,20 +388,53 @@ def _ordered_sum_game(n, members, subsets, rule, total_devices):
     return base, deltas, np.zeros(n, dtype=np.int64)
 
 
+def _absorbed_sum_game(n, members):
+    """Scores whose sum in ascending id order and in descending id order
+    (the walk the probe takes) rank two classes apart.
+
+    Row i has 2 classes, base scores 0 and label 0, and targets the
+    descending walk's prefix of size s = 2 + i % (len(members) - 2): every
+    member in it scores just under 2^-53 in both classes, except that the
+    prefix's smallest id scores 1 in class 1 and its largest id 1 in class 0.
+    A small score added to 1 rounds away; the small scores added first
+    survive. So the ascending sum ranks class 0 first, and the walk-order sum
+    ranks class 1 first by (s - 2) or (s - 1) units of 2^-53 (over the
+    count), while A_r is about 2. A bound of 8u (A_r / N + beta_r), the
+    certificate without its 2s term, would certify class 1 for s >= 35.
+    """
+    small = 2.0**-53 * (1.0 - 2.0**-20)
+    walk = sorted(members, reverse=True)
+    deltas = {m: np.zeros((n, 2)) for m in members}
+    for i in range(n):
+        prefix = walk[: 2 + i % (len(members) - 2)]
+        for m in prefix:
+            deltas[m][i] = small
+        deltas[min(prefix)][i, 1] = 1.0
+        deltas[max(prefix)][i, 0] = 1.0
+    return np.zeros((n, 2)), deltas, np.zeros(n, dtype=np.int64)
+
+
 @functools.cache
 def _value_kernel():
     return _bind_value_kernel(native.library())
 
 
+@functools.cache
+def _walk_kernel():
+    return _bind_walk_kernel(native.library())
+
+
 def value_backend() -> str:
-    """Which batch value path runs: "c" for the verified compiled kernel, else "numpy"."""
-    return "numpy" if _value_kernel() is None else "c"
+    """Which value kernels run: "c" when the batch and the walk kernel both
+    passed their probes, "numpy" when neither runs, else "mixed"."""
+    compiled = (_value_kernel() is not None) + (_walk_kernel() is not None)
+    return ("numpy", "mixed", "c")[compiled]
 
 
 def value_threads() -> int:
-    """Most threads one `values` call runs the kernel on: one per usable CPU,
-    or 1 on the numpy path."""
-    if _value_kernel() is None:
+    """Most threads one `values` or `walk_values` call runs a kernel on: one
+    per usable CPU, or 1 on the numpy path."""
+    if _value_kernel() is None and _walk_kernel() is None:
         return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -330,9 +461,11 @@ def tmc_estimate(
     reuses the full-set value: at most delta_t * (len(players) - 1) + 2 calls.
 
     With trunc_tol == 0 no walk depends on a value, so when value_fn has a
-    batch method `values` (see CoalitionOracle) every walk's prefixes go to it
-    in one call instead of one call each; the ledger and the audit entries
-    are the same.
+    method `walk_values` (see CoalitionOracle) every walk goes to it in one
+    call, which returns each walk's prefix values instead of one call per
+    prefix; the ledger and the audit entries are the same. With
+    trunc_tol > 0, and for a value_fn without that method, each prefix is
+    one value_fn call.
     """
     players = tuple(game.players)
     if not players:
@@ -348,11 +481,10 @@ def tmc_estimate(
     empty_value = float(game.value_fn(()))
     full_value = float(game.value_fn(tuple(sorted(players))))
     perms = [tuple(np.random.default_rng((seed, t)).permutation(players)) for t in range(delta_t)]
-    batch = getattr(game.value_fn, "values", None)
+    walk_values = getattr(game.value_fn, "walk_values", None)
     prefix_values = None
-    if trunc_tol == 0 and batch is not None:
-        prefixes = [tuple(sorted(perm[:size])) for perm in perms for size in range(1, n)]
-        prefix_values = iter(batch(prefixes))
+    if trunc_tol == 0 and walk_values is not None:
+        prefix_values = iter([value for walk in walk_values(perms) for value in walk])
     for t_prime, perm in enumerate(perms):
         previous = empty_value
         truncated_from = None

@@ -8,7 +8,7 @@ import pytest
 from conftest import tiny_split
 
 import fedsel.orchestrator as orch
-from fedsel import solver, valuation
+from fedsel import native, solver, valuation
 from fedsel.cli import main
 from fedsel.data import DeviceDataset, SplitDataset
 from fedsel.orchestrator import (
@@ -371,6 +371,8 @@ def test_zero_round_run_reports_only_the_initial_row(tmp_path):
     assert manifest["solver_backend"] == solver.coordinate_backend()
     assert manifest["value_backend"] == valuation.value_backend()
     assert manifest["value_threads"] == valuation.value_threads()
+    assert manifest["native_isa"] == native.native_isa(native.library())
+    assert manifest["native_isa"] in ("avx2", "default", None)
 
 
 def test_run_rejects_negative_rounds_and_bad_eval_every():
@@ -455,6 +457,7 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
             if backend == "numpy":
                 monkeypatch.setattr(solver, "_kernel", lambda: None)
                 monkeypatch.setattr(valuation, "_value_kernel", lambda: None)
+                monkeypatch.setattr(valuation, "_walk_kernel", lambda: None)
             if backend == "one-range":  # as on a host with one usable CPU
                 monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid: {0})
             out = tmp_path / f"{hp.loss}-{backend}"
@@ -464,6 +467,7 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
             assert manifest["solver_backend"] == solver.coordinate_backend()
             assert manifest["value_backend"] == valuation.value_backend()
             assert manifest["value_threads"] == valuation.value_threads()
+            assert manifest["native_isa"] == native.native_isa(native.library())
             runs.append((out / "metrics.csv").read_bytes())
             monkeypatch.undo()
     assert runs[0] == runs[1] == runs[2] and runs[3] == runs[4] == runs[5]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedsel import native, solver
+from fedsel import native, solver, valuation
 from fedsel.data import DeviceDataset
 from fedsel.losses import SmoothedHinge, SquaredLoss
 from fedsel.rng import substream
@@ -495,6 +495,21 @@ def test_kernel_compile_flags_keep_ieee_arithmetic(tmp_path, monkeypatch):
     [(command, source)] = builds
     assert command[1 : 1 + len(flags)] == list(flags)
     assert b"void sdca_passes(" in source and b"void coalition_values(" in source
+    assert b"void walk_values(" in source
+
+
+@needs_compiler
+def test_kernels_built_without_target_clones_pass_all_three_probes(tmp_path, monkeypatch):
+    # the plain functions, as built where target_clones is not available
+    assert native.native_isa(native.library()) in ("avx2", "default")
+    plain = (*native.COMPILE_FLAGS, "-DFEDSEL_NO_TARGET_CLONES")
+    monkeypatch.setattr(native, "COMPILE_FLAGS", plain)
+    library = native.load_library(cache_dir=tmp_path)
+    assert native.native_isa(library) == "default"
+    assert solver._bind_kernel(library) is not None
+    assert valuation._bind_value_kernel(library) is not None
+    assert valuation._bind_walk_kernel(library) is not None
+    assert native.native_isa(None) is None
 
 
 def fixed_device_updates(k, loss_name, n=17):

@@ -151,6 +151,17 @@ def kernel_unused(oracle, monkeypatch):
         raise AssertionError("the kernel must not run")
 
     monkeypatch.setattr(oracle, "_kernel_values", refuse)
+    monkeypatch.setattr(oracle, "_kernel_walk_values", refuse)
+
+
+def walk_calls(oracle, perms):
+    """What walk_values must return: each walk's sorted prefixes, one call each."""
+    return [[oracle(tuple(sorted(perm[:size]))) for size in range(1, len(perm))] for perm in perms]
+
+
+def random_walks(players, walks, seed=0):
+    rng = np.random.default_rng(seed)
+    return [tuple(int(m) for m in rng.permutation(players)) for _ in range(walks)]
 
 
 @needs_compiler
@@ -375,6 +386,7 @@ def test_forced_numpy_fallback_gives_the_same_values(monkeypatch):
     subsets = [(), *walk_prefixes((1, 4, 6, 9, 12, 15), 4)]
     expected = oracle_game("all", 11).values(subsets)
     monkeypatch.setattr(valuation, "_value_kernel", lambda: None)
+    monkeypatch.setattr(valuation, "_walk_kernel", lambda: None)
     assert valuation.value_backend() == "numpy"
     oracle = oracle_game("all", 11)
     kernel_unused(oracle, monkeypatch)
@@ -434,12 +446,19 @@ def test_tmc_batches_every_walk_in_one_call():
             return oracle(subset)
 
         def values(self, subsets):
-            batches.append(list(subsets))
-            return oracle.values(subsets)
+            raise AssertionError("walks go to walk_values")
 
-    tmc_estimate(CoalitionGame(players, Recorded()), delta_t=5, trunc_tol=0.0, seed=8)
-    assert [len(batch) for batch in batches] == [5 * (len(players) - 1)]
-    assert all(batch == tuple(sorted(batch)) for batch in batches[0])
+        def walk_values(self, perms):
+            batches.append(list(perms))
+            return oracle.walk_values(perms)
+
+    audit = []
+    tmc_estimate(
+        CoalitionGame(players, Recorded()), delta_t=5, trunc_tol=0.0, seed=8,
+        audit_sink=audit.append,
+    )
+    assert len(batches) == 1
+    assert [list(perm) for perm in batches[0]] == [entry["permutation"] for entry in audit]
 
 
 def test_tmc_with_truncation_keeps_per_prefix_calls():
@@ -459,6 +478,168 @@ def test_tmc_with_truncation_keeps_per_prefix_calls():
         plain = tmc_estimate(CoalitionGame(players, lambda s: oracle(s)), 4, tol, seed=2)
         assert repr(ledger) == repr(plain)
         assert set(ledger.counts.values()) == {4}
+
+
+# -- walk values -----------------------------------------------------------------
+
+
+@needs_compiler
+@pytest.mark.parametrize("n_val", [1, 64, 133, 301])
+def test_walk_values_equal_calls_across_rules_and_row_ranges(n_val):
+    kernel = valuation._walk_kernel()
+    assert kernel is not None
+    blocks = -(-n_val // valuation.VALUE_BLOCK_ROWS)
+    for rule, total_devices in RULES:
+        oracle = oracle_game(rule, total_devices, n_val=n_val)
+        for players in ((9,), (4, 12), (1, 4, 6, 9, 12, 15)):
+            perms = random_walks(players, 4, seed=len(players))
+            expected = walk_calls(oracle, perms)
+            assert oracle.walk_values(perms) == expected
+            if len(players) == 1:
+                assert expected == [[]] * 4
+                continue
+            for ranges in (1, 2, blocks + 2):  # the last asks for more ranges than blocks
+                values, exact_rows = oracle._kernel_walk_values(kernel, perms, ranges)
+                assert values == expected, (rule, players, ranges)
+                assert exact_rows == 0  # random scores: every row is certified
+
+
+@needs_compiler
+@pytest.mark.parametrize("rule, total_devices", RULES)
+def test_walk_values_score_tie_games_on_the_exact_path(rule, total_devices):
+    kernel = valuation._walk_kernel()
+    members = (2, 3, 5, 7, 11)
+    perms = random_walks(members, 3, seed=4)
+    prefixes = [tuple(sorted(perm[:size])) for perm in perms for size in range(1, len(perm))]
+    wide = tuple(range(48))
+    for (base, deltas, labels), walks in (
+        (valuation._integer_game(97, members), perms),
+        (valuation._ordered_sum_game(97, members, prefixes, rule, total_devices), perms),
+        (valuation._absorbed_sum_game(97, wide), [wide[::-1], *random_walks(wide, 2)]),
+    ):
+        oracle = CoalitionOracle(base, deltas, np.eye(97), labels, rule, total_devices)
+        expected = walk_calls(oracle, walks)
+        for ranges in (1, 2):
+            values, exact_rows = oracle._kernel_walk_values(kernel, walks, ranges)
+            assert values == expected
+            assert exact_rows > 0
+
+
+@needs_compiler
+def test_absorbed_sum_game_separates_the_two_summation_orders():
+    # at the longest prefix the walk-order sum ranks class 1 first by 46
+    # units of 2^-53, more than a bound without its 2s term allows (32 units
+    # with A_r = 2)
+    wide = tuple(range(48))
+    _, deltas, _ = valuation._absorbed_sum_game(46, wide)
+    prefix = wide[::-1][:47]  # row 45 targets the walk's prefix of size 47
+    ascending = sum_in_order([deltas[m][45] for m in sorted(prefix)])
+    walked = sum_in_order([deltas[m][45] for m in prefix])
+    assert ascending[0] > ascending[1] == 1.0
+    assert walked[0] == 1.0 and walked[1] == 1.0 + 46 * 2.0**-53
+
+
+def sum_in_order(rows):
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
+
+
+@needs_compiler
+@pytest.mark.parametrize("scale", [1e300, 1e-310])
+def test_walk_values_equal_calls_at_extreme_scales(scale):
+    rng = np.random.default_rng(11)
+    n, players = 133, (3, 5, 8, 13, 21, 34)
+    base = rng.normal(size=(n, 4)) * scale
+    deltas = {m: rng.normal(size=(n, 4)) * scale for m in players}
+    labels = rng.integers(0, 4, size=n)
+    perms = random_walks(players, 6, seed=5)
+    for rule, total_devices in RULES:
+        oracle = CoalitionOracle(base, deltas, np.eye(n), labels, rule, total_devices)
+        assert np.abs(oracle._members[0]).max() == np.abs(deltas[3]).max()
+        expected = walk_calls(oracle, perms)
+        for ranges in (1, 2):
+            values, _ = oracle._kernel_walk_values(valuation._walk_kernel(), perms, ranges)
+            assert values == expected, (rule, ranges)
+
+
+@needs_compiler
+def test_walk_values_fan_out_only_with_enough_work(monkeypatch):
+    assert valuation._walk_kernel() is not None  # its probe runs before the count starts
+    ranges = count_ranges(monkeypatch)
+    monkeypatch.setattr(valuation, "value_threads", lambda: 3)
+    oracle = oracle_game(n_val=301)  # 5 blocks
+    perms = random_walks((1, 4, 6, 9, 12, 15), 5)
+    expected = walk_calls(oracle, perms)
+    # 2 x 301 rows x 10 classes x 5 walks x 5 prefixes = 150,500 score operations
+    assert oracle.walk_values(perms) == expected and ranges == [1]
+    monkeypatch.setattr(valuation, "RANGE_WORK", 100_000)
+    assert oracle.walk_values(perms) == expected and ranges == [1, 2]
+    monkeypatch.setattr(valuation, "RANGE_WORK", 10_000)
+    assert oracle.walk_values(perms) == expected and ranges == [1, 2, 3]  # capped at 3 threads
+
+
+@needs_compiler
+def test_walk_probe_scores_two_row_ranges_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid: {0})
+    ranges = count_ranges(monkeypatch)
+    assert valuation._bind_walk_kernel(native.library()) is not None
+    assert max(ranges) >= 2
+
+
+@needs_compiler
+def test_walk_probe_mismatch_disables_only_the_walk_kernel(monkeypatch):
+    library = native.library()
+    exact = CoalitionOracle._kernel_walk_values
+
+    def one_row_off(self, *args):  # stands in for a miscompiled kernel
+        values, exact_rows = exact(self, *args)
+        return [[v + 1.0 / len(self._labels) for v in walk] for walk in values], exact_rows
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CoalitionOracle, "_kernel_walk_values", one_row_off)
+        assert valuation._bind_walk_kernel(library) is None
+        assert valuation._bind_value_kernel(library) is not None
+    assert valuation._bind_walk_kernel(library) is not None
+    assert solver._bind_kernel(library) is not None
+    with monkeypatch.context() as patch:
+        patch.setattr(valuation, "_walk_kernel", lambda: None)
+        assert valuation.value_backend() == "mixed"
+        assert valuation.value_threads() >= 1
+
+
+def test_walk_values_reject_bad_walks():
+    oracle = oracle_game()
+    with pytest.raises(ValueError, match="one length"):
+        oracle.walk_values([(1, 4, 6), (1, 4)])
+    with pytest.raises(ValueError, match="at most once"):
+        oracle.walk_values([(1, 4, 1)])
+    with pytest.raises(KeyError):
+        oracle.walk_values([(1, 2, 4)])
+    assert oracle.walk_values([]) == []
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+def test_walk_values_with_non_finite_scores_take_the_numpy_path(monkeypatch, poison):
+    rng = np.random.default_rng(2)
+    deltas = {m: rng.normal(size=(3, 4)) for m in range(3)}
+    deltas[1][0, 2] = poison
+    oracle = CoalitionOracle(
+        rng.normal(size=(3, 4)), deltas, rng.normal(size=(9, 3)), rng.integers(0, 4, size=9)
+    )
+    kernel_unused(oracle, monkeypatch)
+    perms = [(0, 1, 2), (2, 0, 1)]
+    assert oracle.walk_values(perms) == walk_calls(oracle, perms)
+
+
+def test_forced_numpy_fallback_gives_the_same_walk_values(monkeypatch):
+    perms = random_walks((1, 4, 6, 9, 12, 15), 4)
+    expected = oracle_game("explored").walk_values(perms)
+    monkeypatch.setattr(valuation, "_walk_kernel", lambda: None)
+    oracle = oracle_game("explored")
+    kernel_unused(oracle, monkeypatch)
+    assert oracle.walk_values(perms) == expected == walk_calls(oracle, perms)
 
 
 # -- exact Shapley ---------------------------------------------------------------
