@@ -78,14 +78,14 @@ def load_library(compiler: str = "cc", cache_dir: Path | None = None) -> ctypes.
     The library is cached in `cache_dir` (the package's __pycache__ by
     default); a fresh build there removes the libraries of other keys. When
     that directory is not writable it is built in a private temporary
-    directory instead.
+    directory instead. A missing or unreadable source also gives None.
     """
-    source = b"\n".join(path.read_bytes() for path in SOURCES)
     command = [compiler, *COMPILE_FLAGS]
-    key = hashlib.sha256(source + "\0".join(command).encode()).hexdigest()
     cache_dir = Path(__file__).with_name("__pycache__") if cache_dir is None else Path(cache_dir)
-    target = cache_dir / f"{LIBRARY_PREFIX}.{key}.so"
     try:
+        source = b"\n".join(path.read_bytes() for path in SOURCES)
+        key = hashlib.sha256(source + "\0".join(command).encode()).hexdigest()
+        target = cache_dir / f"{LIBRARY_PREFIX}.{key}.so"
         if target.exists() or _writable(cache_dir):
             if not target.exists():
                 _compile(source, command, target)
@@ -114,3 +114,44 @@ def native_isa(lib: ctypes.CDLL | None) -> str | None:
     report.argtypes = []
     report.restype = ctypes.c_char_p
     return report().decode()
+
+
+# Thread-count getters of OpenBLAS builds: plain, with 64-bit integers, and
+# with the symbol prefix of the scipy-openblas wheels numpy ships with.
+_BLAS_THREAD_SYMBOLS = tuple(
+    f"{prefix}openblas_get_num_threads{suffix}"
+    for prefix in ("", "scipy_")
+    for suffix in ("", "64_")
+)
+
+
+def blas() -> dict:
+    """numpy's BLAS: "name" and "version" from numpy's build configuration,
+    and "threads" from the loaded library's get_num_threads symbol; each is
+    None where it cannot be read."""
+    try:
+        config = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
+        config = {}
+    return {"name": config.get("name"), "version": config.get("version"), "threads": _blas_threads()}
+
+
+def _blas_threads() -> int | None:
+    """The thread count of the first loaded BLAS library with a known getter,
+    found in the process's memory map (so None off Linux)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = dict.fromkeys(
+                line.split()[-1] for line in maps if "blas" in Path(line.split()[-1]).name.lower()
+            )
+        for path in paths:
+            library = ctypes.CDLL(path)  # already loaded: the same handle
+            for symbol in _BLAS_THREAD_SYMBOLS:
+                if hasattr(library, symbol):
+                    getter = getattr(library, symbol)
+                    getter.argtypes = []
+                    getter.restype = ctypes.c_int
+                    return getter()
+    except OSError:
+        pass
+    return None

@@ -245,6 +245,9 @@ class Experiment:
         self._persistent_ledger: ContributionLedger | None = (
             ContributionLedger() if policy.beta_persistence else None
         )
+        # how this run's value oracles built their member scores: None before
+        # the first oracle, "per_member" once one fell back, else "stacked"
+        self.value_products: str | None = None
 
     # -- per-device caches ------------------------------------------------
 
@@ -303,6 +306,8 @@ class Experiment:
             self.hyper.aggregation_denominator,
             self.num_devices,
         )
+        if self.value_products != "per_member":
+            self.value_products = value.value_products
         if self.policy.kind == "greedy":
             # budget defaults to the whole candidate pool; early stop trims it
             k = self.policy.greedy_k or len(explored)
@@ -450,6 +455,7 @@ class Experiment:
         if rounds < 0:
             raise ValueError("rounds must be >= 0")
         out = Path(out_dir) if out_dir is not None else None
+        self.value_products = None
         manifest = None
         csv_handle = None
         if out is not None:
@@ -505,13 +511,15 @@ class Experiment:
                         break
         except BaseException as exc:
             if manifest is not None:
-                manifest.fail(out, exc, len(metrics))
+                manifest.fail(out, exc, len(metrics), self.value_products)
             raise
         finally:
             if csv_handle is not None:
                 csv_handle.close()
         if manifest is not None:
-            manifest.finalize(out, stop_reason, len(metrics))
+            manifest.finalize(
+                out, stop_reason, len(metrics), value_products=self.value_products
+            )
         return ExperimentResult(
             policy=self.policy.kind,
             seed=self.hyper.seed,
@@ -538,10 +546,12 @@ class RunManifest:
     value_backend: str
     value_threads: int
     native_isa: str | None
+    blas: dict
     status: str = "running"
     finished_at: str | None = None
     rows_written: int = 0
     stop_reason: str | None = None
+    value_products: str | None = None
     error: str | None = None
     outputs: tuple[str, ...] = ()
 
@@ -564,6 +574,7 @@ class RunManifest:
             value_backend=value_backend(),
             value_threads=value_threads(),
             native_isa=native.native_isa(native.library()),
+            blas=native.blas(),
         )
         manifest.write(out)
         return manifest
@@ -581,6 +592,8 @@ class RunManifest:
             "value_backend": self.value_backend,
             "value_threads": self.value_threads,
             "native_isa": self.native_isa,
+            "blas": self.blas,
+            "value_products": self.value_products,
             "rows_written": self.rows_written,
             "stop_reason": self.stop_reason,
             "error": self.error,
@@ -589,19 +602,27 @@ class RunManifest:
         (out / self.PATH).write_text(json.dumps(payload, indent=2) + "\n")
 
     def finalize(
-        self, out: Path, stop_reason: str | None, rows: int, status: str = "complete"
+        self,
+        out: Path,
+        stop_reason: str | None,
+        rows: int,
+        status: str = "complete",
+        value_products: str | None = None,
     ) -> None:
         self.status = status
+        self.value_products = value_products
         self.finished_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         self.stop_reason = stop_reason
         self.rows_written = rows
         self.outputs = ("metrics.csv", self.PATH)
         self.write(out)
 
-    def fail(self, out: Path, exc: BaseException, rows: int) -> None:
+    def fail(
+        self, out: Path, exc: BaseException, rows: int, value_products: str | None = None
+    ) -> None:
         """Record a run that raised: the error and the rows written before it."""
         self.error = f"{type(exc).__name__}: {exc}"
-        self.finalize(out, None, rows, status="failed")
+        self.finalize(out, None, rows, "failed", value_products)
 
 
 def run_experiment(

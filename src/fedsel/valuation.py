@@ -67,6 +67,10 @@ VALUE_BLOCK_ROWS = 64  # validation rows per block of the compiled value kernel
 # range added about 1 ms to small batches, lost at 2.7M additions, saved
 # about 10% at 23M and 35-50% at 1.2G (a grid TMC call).
 RANGE_WORK = 1 << 24
+# Most member updates stacked into one validation product. On a 2-core x86-64
+# host with OpenBLAS, stacks of up to 20 members gave the per-member bytes at
+# 1 to 4 threads, and most stacks of 21 to 39 did not (see _member_scores).
+STACKED_MEMBERS = 20
 
 
 class CoalitionOracle:
@@ -77,7 +81,10 @@ class CoalitionOracle:
     member_deltas holds every explored device, and aggregation_rule picks
     the averaging denominator (see solver.aggregation_count). Validation
     scores of phi and of each delta are computed once, so a coalition costs
-    O(n_val * K) instead of a fresh feature matmul. Calling the oracle values
+    O(n_val * K) instead of a fresh feature matmul; the member scores come
+    from stacked products where their shape passed the probe of
+    _member_scores, and value_products says which ("stacked" or
+    "per_member"). Calling the oracle values
     one subset with numpy; `values` values many subsets at once, and
     `walk_values` every prefix of many walks, with compiled kernels and
     bitwise-equal results.
@@ -102,7 +109,10 @@ class CoalitionOracle:
         self._labels = np.asarray(validation_labels)
         self._base = val_features @ phi_cols
         self._rows = {m: i for i, m in enumerate(member_deltas)}
-        self._members = [val_features @ delta for delta in member_deltas.values()]
+        self._members, stacked = _member_scores(
+            val_features, list(member_deltas.values()), self._base.shape[1]
+        )
+        self.value_products = "stacked" if stacked else "per_member"
 
     def _count(self, size: int) -> int:
         return aggregation_count(self._rule, size, self._explored, self._total_devices)
@@ -234,6 +244,61 @@ class CoalitionOracle:
         ])
         hits = correct.sum(axis=0).reshape(len(perms), steps).tolist()
         return [[h / n for h in walk] for walk in hits], int(exact_rows.sum())
+
+
+# (rows, features, classes, members) of a stacked product -> whether it gave
+# the per-member bytes on its first use in this process
+_STACKED_SHAPES: dict[tuple[int, int, int, int], bool] = {}
+
+
+def _member_scores(features, deltas, classes: int) -> tuple[list[np.ndarray], bool]:
+    """[features @ delta for delta in deltas], equal bit for bit, and whether
+    every chunk of more than one member was stacked.
+
+    The P deltas go in ceil(P / STACKED_MEMBERS) near-equal chunks, and each
+    chunk of more than one member is one product `features @ hstack(chunk)`,
+    written into one reused buffer and copied out into one C-contiguous
+    (n, classes) array per member. A BLAS may block a wider product
+    differently, so the first chunk of each shape in the process is also
+    scored member by member, and those scores are kept; the stacked product
+    is used for that shape only if its bytes were equal (_same_bytes). A
+    shape that failed stays on per-member products.
+
+    One array per member, not one (P, n, classes) array: on glibc an array
+    that large is a fresh mapping every round, while the per-member arrays
+    reuse the blocks the last round freed. On the grid (100 members) the
+    single array raised the benchmark's peak RSS by about 9 MiB more.
+    """
+    n, d = features.shape
+    scores = [None] * len(deltas)
+    chunks = max(1, -(-len(deltas) // STACKED_MEMBERS))
+    edges = [len(deltas) * c // chunks for c in range(chunks + 1)]
+    buffer = np.empty(n * classes * -(-len(deltas) // chunks))
+    stacked = True
+    for start, stop in zip(edges[:-1], edges[1:]):
+        size = stop - start
+        shape = (n, d, classes, size)
+        verdict = _STACKED_SHAPES.get(shape) if size > 1 else False  # None: not probed
+        if verdict is not False:
+            product = buffer[: n * classes * size].reshape(n, size * classes)
+            np.matmul(features, np.hstack(deltas[start:stop]), out=product)
+            by_member = product.reshape(n, size, classes).transpose(1, 0, 2)
+        if verdict:
+            scores[start:stop] = [member.copy() for member in by_member]
+            continue
+        scores[start:stop] = [features @ delta for delta in deltas[start:stop]]
+        if verdict is None:
+            verdict = _STACKED_SHAPES[shape] = _same_bytes(scores[start:stop], by_member)
+        stacked = stacked and (verdict or size == 1)
+    return scores, stacked
+
+
+def _same_bytes(members, stacked: np.ndarray) -> bool:
+    """Whether each member's float64 scores hold the bytes of its slice of
+    the stacked scores, (P, n, classes)."""
+    return len(members) == len(stacked) and all(
+        np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(members, stacked)
+    )
 
 
 def _row_ranges(n: int, ranges: int) -> list[tuple[int, int]]:

@@ -373,6 +373,9 @@ def test_zero_round_run_reports_only_the_initial_row(tmp_path):
     assert manifest["value_threads"] == valuation.value_threads()
     assert manifest["native_isa"] == native.native_isa(native.library())
     assert manifest["native_isa"] in ("avx2", "default", None)
+    assert manifest["blas"] == native.blas()
+    assert set(manifest["blas"]) == {"name", "version", "threads"}
+    assert manifest["value_products"] is None  # no round, so no value oracle
 
 
 def test_run_rejects_negative_rounds_and_bad_eval_every():
@@ -418,6 +421,7 @@ def test_crashed_run_marks_its_manifest_failed(tmp_path, monkeypatch):
     assert manifest["error"] == "ValueError: local solve diverged"
     assert manifest["rows_written"] == 1  # the round-0 row, written before round 1
     assert manifest["stop_reason"] is None
+    assert manifest["value_products"] is None
     assert len((out / "metrics.csv").read_text().splitlines()) == 2
 
     cli_out = tmp_path / "cli"
@@ -428,6 +432,22 @@ def test_crashed_run_marks_its_manifest_failed(tmp_path, monkeypatch):
     ])
     assert code == 1
     assert json.loads((cli_out / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_failed_run_records_the_value_products_of_its_rounds(tmp_path, monkeypatch):
+    def broken_cost(*args, **kwargs):  # after round 1's plan
+        raise ValueError("cost model failed")
+
+    valuation.value_backend()  # the kernels' probes run unpatched
+    monkeypatch.setattr(valuation, "_STACKED_SHAPES", {})
+    monkeypatch.setattr(valuation, "_same_bytes", lambda a, b: False)
+    monkeypatch.setattr(orch, "schedule_cost", broken_cost)
+    out = tmp_path / "crash"
+    with pytest.raises(ValueError, match="cost model"):
+        run_experiment(tiny_split(), HP, SelectionPolicy(kind="cds"), rounds=2, out_dir=out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["value_products"] == "per_member"
 
 
 def test_rerun_is_byte_identical_and_seed_sensitive():
@@ -450,7 +470,7 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
     base = replace(HP, delta_t=6) if policy == "cds-walks" else HP
     runs = []
     for hp in (base, replace(base, loss="squared", aggregation_denominator="explored")):
-        for backend in ("fan-out", "numpy", "one-range"):
+        for backend in ("fan-out", "numpy", "one-range", "per-member"):
             if backend == "fan-out":  # every batch on three threads
                 monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid: {0, 1, 2})
                 monkeypatch.setattr(valuation, "RANGE_WORK", 1)
@@ -460,6 +480,10 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
                 monkeypatch.setattr(valuation, "_walk_kernel", lambda: None)
             if backend == "one-range":  # as on a host with one usable CPU
                 monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid: {0})
+            if backend == "per-member":  # as on a BLAS whose stacked products differ
+                valuation.value_backend()  # the kernels' probes run unpatched
+                monkeypatch.setattr(valuation, "_STACKED_SHAPES", {})
+                monkeypatch.setattr(valuation, "_same_bytes", lambda a, b: False)
             out = tmp_path / f"{hp.loss}-{backend}"
             kind = policy.split("-")[0]
             run_experiment(split, hp, SelectionPolicy(kind=kind), rounds=3, out_dir=out)
@@ -468,10 +492,17 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
             assert manifest["value_backend"] == valuation.value_backend()
             assert manifest["value_threads"] == valuation.value_threads()
             assert manifest["native_isa"] == native.native_isa(native.library())
+            assert manifest["blas"] == native.blas()
+            if kind == "random":
+                assert manifest["value_products"] is None
+            elif backend == "per-member":
+                assert manifest["value_products"] == "per_member"
+            else:
+                assert manifest["value_products"] in ("stacked", "per_member")
             runs.append((out / "metrics.csv").read_bytes())
             monkeypatch.undo()
-    assert runs[0] == runs[1] == runs[2] and runs[3] == runs[4] == runs[5]
-    assert runs[0] != runs[3]
+    assert runs[0] == runs[1] == runs[2] == runs[3] and runs[4] == runs[5] == runs[6] == runs[7]
+    assert runs[0] != runs[4]
 
 
 def test_round_costs_accumulate_and_beta_summary_present():

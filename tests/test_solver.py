@@ -1,6 +1,8 @@
 """Dual solver contracts: objectives, gaps, device updates, aggregation."""
+import fnmatch
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from fedsel.solver import (
     primal_objective,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 HINGE = SmoothedHinge(gamma=1.0)
 SQUARED = SquaredLoss()
 
@@ -611,6 +614,35 @@ def test_fresh_kernel_build_removes_stale_libraries(tmp_path):
         planted.write_bytes(b"not a library")
     assert native.load_library(cache_dir=cache) is not None
     assert all(p.exists() for p in stale) and built[0].exists()
+
+
+def test_missing_kernel_source_gives_no_library(tmp_path, monkeypatch):
+    # as in an installed package that left a source out
+    monkeypatch.setattr(native, "SOURCES", (*native.SOURCES, tmp_path / "_missing.c"))
+    assert native.load_library(cache_dir=tmp_path / "cache") is None
+    assert not (tmp_path / "cache").exists()
+
+
+def test_blas_facts_that_cannot_be_read_are_none(monkeypatch):
+    facts = native.blas()
+    assert set(facts) == {"name", "version", "threads"}
+    assert facts["threads"] is None or facts["threads"] >= 1
+
+    def old_show_config(mode="stdout"):  # numpy before 1.26 has no mode
+        raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+    monkeypatch.setattr(native.np, "show_config", old_show_config)
+    monkeypatch.setattr(native, "_BLAS_THREAD_SYMBOLS", ())
+    assert native.blas() == {"name": None, "version": None, "threads": None}
+
+
+def test_every_kernel_source_is_package_data():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    patterns = pyproject["tool"]["setuptools"]["package-data"]["fedsel"]
+    for source in native.SOURCES:
+        assert source.parent.name == "fedsel"
+        assert any(fnmatch.fnmatch(source.name, pattern) for pattern in patterns), source.name
 
 
 # -- aggregation -----------------------------------------------------------------

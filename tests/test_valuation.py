@@ -1,8 +1,13 @@
 """Contribution estimation: ledger, coalition values, TMC vs exact Shapley."""
+import json
 import multiprocessing
+import os
 import shutil
+import subprocess
+import sys
 import threading
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -640,6 +645,124 @@ def test_forced_numpy_fallback_gives_the_same_walk_values(monkeypatch):
     oracle = oracle_game("explored")
     kernel_unused(oracle, monkeypatch)
     assert oracle.walk_values(perms) == expected == walk_calls(oracle, perms)
+
+
+# -- member scores ----------------------------------------------------------------
+
+# Runs in a child with a fixed BLAS thread count. For each member count P it
+# builds an oracle on the grid's validation shape (5000 x 785) and reports
+# whether its member scores hold the bytes of the per-member products, which
+# products it took, and the shapes the probe rejected.
+MEMBER_SCORES_CHILD = """
+import json, sys
+import numpy as np
+from fedsel import native, valuation
+classes = int(sys.argv[1])
+rng = np.random.default_rng(classes)
+features = rng.normal(size=(5000, 785))
+labels = rng.integers(0, classes, size=5000)
+report = {"threads": native.blas()["threads"], "cases": {}}
+for members in (1, 10, 20, 21, 30, 100):
+    deltas = {m: rng.normal(size=(785, classes)) for m in range(members)}
+    oracle = valuation.CoalitionOracle(rng.normal(size=(785, classes)), deltas, features, labels)
+    expected = np.stack([features @ delta for delta in deltas.values()])
+    report["cases"][members] = {
+        "equal": valuation._same_bytes(oracle._members, expected),
+        "products": oracle.value_products,
+        "rejected": [shape for shape, ok in valuation._STACKED_SHAPES.items() if not ok],
+    }
+print(json.dumps(report))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("classes", [2, 3, 10])
+def test_member_scores_equal_per_member_products(threads, classes):
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": str(threads),
+        "PYTHONPATH": str(Path(valuation.__file__).parents[1]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMBER_SCORES_CHILD, str(classes)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["threads"] in (threads, None)
+    for members, case in report["cases"].items():
+        # a rejected shape leaves its chunks on per-member products, so the
+        # bytes are equal either way
+        assert case["equal"], (members, case)
+        chunks = -(-int(members) // valuation.STACKED_MEMBERS)
+        sizes = {int(members) * (c + 1) // chunks - int(members) * c // chunks for c in range(chunks)}
+        rejected = {tuple(shape)[3] for shape in case["rejected"]} & sizes
+        assert case["products"] == ("per_member" if rejected else "stacked"), (members, case)
+
+
+def member_deltas(members, rows, classes, seed=0):
+    rng = np.random.default_rng(seed)
+    return {m: rng.normal(size=(rows, classes)) for m in range(members)}
+
+
+def test_stacked_member_scores_keep_each_members_columns(monkeypatch):
+    # identity features: every score is its delta entry exactly, whatever the
+    # BLAS, so a stacked product may be forced without a probe
+    deltas = member_deltas(45, 31, 3)
+    monkeypatch.setattr(valuation, "_STACKED_SHAPES", {(31, 31, 3, 15): True})
+    monkeypatch.setattr(valuation, "_same_bytes", None)  # no probe may run
+    oracle = CoalitionOracle(np.zeros((31, 3)), deltas, np.eye(31), np.zeros(31, dtype=int))
+    assert oracle.value_products == "stacked"
+    assert len(oracle._members) == 45
+    assert np.array_equal(np.stack(oracle._members), np.stack(list(deltas.values())))
+    assert all(member.flags.c_contiguous for member in oracle._members)
+    assert oracle._kernel_safe
+
+
+def recording_probe(probes, verdict):
+    """A probe comparison that records each chunk's size and returns verdict."""
+    def same_bytes(a, b):
+        probes.append(len(a))
+        return verdict
+
+    return same_bytes
+
+
+def test_member_chunks_are_near_equal_and_probed_once_per_shape(monkeypatch):
+    probes = []
+    monkeypatch.setattr(valuation, "_STACKED_SHAPES", {})
+    monkeypatch.setattr(valuation, "_same_bytes", recording_probe(probes, True))
+    features = np.random.default_rng(1).normal(size=(40, 9))
+    for members in (21, 21, 41, 1):
+        CoalitionOracle(np.zeros((9, 4)), member_deltas(members, 9, 4), features, np.zeros(40, int))
+    # 21 members in chunks of 10 and 11, 41 in chunks of 13, 14 and 14; the
+    # second 21-member oracle and the one-member chunk are not probed
+    assert probes == [10, 11, 13, 14]
+    assert set(valuation._STACKED_SHAPES) == {(40, 9, 4, size) for size in (10, 11, 13, 14)}
+
+
+def test_probe_mismatch_keeps_per_member_products(monkeypatch):
+    rng = np.random.default_rng(7)
+    features = rng.normal(size=(301, 7))
+    phi = rng.normal(size=(7, 10)) * 0.3
+    labels = rng.integers(0, 10, size=301)
+    deltas = member_deltas(21, 7, 10)
+    perms = random_walks(tuple(deltas), 3)
+    subsets = [(), *walk_prefixes(tuple(deltas), 2)]
+    reference = CoalitionOracle(phi, deltas, features, labels, "explored")
+    valuation.value_backend()  # binds the kernels: their probes build oracles too
+    probes = []
+    monkeypatch.setattr(valuation, "_STACKED_SHAPES", {})
+    monkeypatch.setattr(valuation, "_same_bytes", recording_probe(probes, False))
+    expected = np.stack([features @ delta for delta in deltas.values()])
+    for _ in range(2):
+        oracle = CoalitionOracle(phi, deltas, features, labels, "explored")
+        assert oracle.value_products == "per_member"
+        assert probes == [10, 11]  # each shape is probed once per process
+        assert valuation._STACKED_SHAPES == {(301, 7, 10, 10): False, (301, 7, 10, 11): False}
+        assert np.array_equal(np.stack(oracle._members).view(np.uint64), expected.view(np.uint64))
+        assert oracle.values(subsets) == reference.values(subsets)
+        assert oracle.walk_values(perms) == reference.walk_values(perms)
 
 
 # -- exact Shapley ---------------------------------------------------------------
