@@ -1,107 +1,34 @@
-/* Validation accuracy of many coalitions in one pass over the validation rows.
- *
- * The compiled twin of fedsel.valuation.CoalitionOracle.__call__: for every
- * subset the member scores are summed sequentially in the subset's order,
- * the total is divided by the subset's count and added to the base scores,
- * and each row predicts its first maximum class, exactly as the numpy path
- * does, so the correct-row counts give bitwise-equal values. Build without
- * -ffast-math. Every score must be finite: np.argmax ranks NaN first, this
- * loop does not.
- *
- * Rows are visited in blocks of `block` rows on the outside and the subsets
- * on the inside, so each member's block of scores is read from memory once
- * per call rather than once per subset. Within a block, partial[j] holds the
- * sum of the first j + 1 members of the previous subset; a subset that shares
- * its first `same` members with the previous one recomputes only partial[same]
- * onwards, so the caller puts subsets with common leading members next to
- * each other.
- *
- * All arrays are C-contiguous: base (n, k), each members[p] (n, k), labels
- * (n), offsets (subsets + 1) into rows, which lists each subset's member
- * indices in summation order, counts (subsets) the averaging denominators,
- * correct (subsets) the output, partial (longest subset, block, k) and
- * scores (block, k) scratch.
- */
-#include <math.h>
-#include <stdint.h>
-#include <string.h>
-
-FEDSEL_CLONES  /* from _isa.c */
-void coalition_values(int64_t n, int64_t k, int64_t block, const double *base,
-                      const double *const *members, const int64_t *labels, int64_t subsets,
-                      const int64_t *offsets, const int64_t *rows, const double *counts,
-                      int64_t *correct, double *partial, double *scores)
-{
-    const int64_t stride = block * k;
-    for (int64_t s = 0; s < subsets; s++) correct[s] = 0;
-    for (int64_t start = 0; start < n; start += block) {
-        const int64_t height = n - start < block ? n - start : block;
-        const int64_t width = height * k;
-        const double *b = base + start * k;
-        const int64_t *previous = rows;
-        int64_t previous_size = 0;
-        for (int64_t s = 0; s < subsets; s++) {
-            const int64_t *current = rows + offsets[s];
-            const int64_t size = offsets[s + 1] - offsets[s];
-            int64_t same = 0;
-            while (same < size && same < previous_size && current[same] == previous[same]) same++;
-            for (int64_t j = same; j < size; j++) {
-                const double *restrict m = members[current[j]] + start * k;
-                double *restrict out = partial + j * stride;
-                if (j == 0) {
-                    memcpy(out, m, (size_t)width * sizeof(double));
-                } else {
-                    const double *restrict in = out - stride;
-                    for (int64_t e = 0; e < width; e++) out[e] = in[e] + m[e];
-                }
-            }
-            previous = current;
-            previous_size = size;
-
-            /* the base plus the averaged total, then each row's first maximum */
-            const double *top_scores = b;
-            if (size) {
-                const double *restrict total = partial + (size - 1) * stride;
-                const double count = counts[s];
-                for (int64_t e = 0; e < width; e++) scores[e] = b[e] + total[e] / count;
-                top_scores = scores;
-            }
-            int64_t hits = 0;
-            for (int64_t r = 0; r < height; r++) {
-                const double *row = top_scores + r * k;
-                int64_t best = 0;
-                for (int64_t c = 1; c < k; c++)
-                    if (row[c] > row[best]) best = c;
-                hits += best == labels[start + r];
-            }
-            correct[s] += hits;
-        }
-    }
-}
-
-/* Validation accuracy of every proper prefix of many walks, in one pass.
+/* Validation accuracy of every nonempty prefix of many walks after one shared
+ * prefix, in one pass.
  *
  * The compiled twin of fedsel.valuation.CoalitionOracle.walk_values: for walk
- * w and prefix size s in 1..length-1, correct[w * (length - 1) + s - 1] counts
- * the rows that the oracle scores correctly on the subset sorted(perm[:s]),
- * the same count coalition_values gives for it. members[q] holds the scores of
- * the member of rank q in ascending id order, and perms (walks, length) lists
- * each walk's distinct member ranks, so a prefix sorted by id is a prefix
- * sorted by rank. counts[s - 1] is the averaging denominator of size s.
+ * w and step j in 1..steps, correct[w * steps + j - 1] counts the rows that
+ * the oracle scores correctly on the subset sorted(prefix + perm[:j]), the
+ * same count the oracle's call gives for it. members[q] holds the scores of
+ * the member of rank q in ascending id order, prefix lists `shared` distinct
+ * member ranks and perms (walks, steps) each walk's distinct ranks, none of
+ * them in the prefix, so a subset sorted by id is a subset sorted by rank.
+ * counts[j - 1] is the averaging denominator of the subset of size
+ * shared + j. A truncated Monte-Carlo call has no prefix; a greedy sweep
+ * passes its chosen set as the prefix and each candidate as a walk of one
+ * step.
  *
  * Per block of `block` rows the base and every member's scores are copied
- * class-major, (k, block), into the thread's scratch, so each loop below runs
- * over the rows of one class and vectorises. Per walk, the member scores are
- * added in walk order to one running sum, one add per score and step, and
- * A_r = sum_j max_c |a_j[r,c]| is kept as a second running sum. Each step then
- * forms V' = base + run * (1 / count) and each row's first maximum w.
+ * class-major, (k, block), into the thread's scratch, so each loop below
+ * runs over the rows of one class and vectorises. The prefix's member scores
+ * are summed once per block, in the order given, and each walk adds its
+ * member scores to that sum in walk order, one add per score and step;
+ * A_r = sum_j max_c |a_j[r,c]| over the prefix and the walk is kept as a
+ * second running sum. Each step then forms V' = base + run * (1 / count) and
+ * each row's first maximum w.
  *
- * Certificate. Fix a row r, a class c and a prefix of size s with count N,
- * and write a_1..a_s for its member scores, S for their exact sum, b for the
- * base score, u = 2^-53 and g = (s-1)u / (1 - (s-1)u). The reference adds the
- * members in ascending rank order to T, then V = fl(b + fl(T / N)); this loop
- * has R, their sum in walk order, and V' = fl(b + fl(R * fl(1 / N))). Both
- * are recursive sums, so |T - S| and |R - S| are at most g sum_j |a_j| (Higham,
+ * Certificate. Fix a row r, a class c and a subset of s members (prefix and
+ * walk steps together) with count N, and write a_1..a_s for its member
+ * scores, S for their exact sum, b for the base score, u = 2^-53 and
+ * g = (s-1)u / (1 - (s-1)u). The reference adds the members in ascending
+ * rank order to T, then V = fl(b + fl(T / N)); this loop has R, their sum in
+ * prefix-then-walk order, and V' = fl(b + fl(R * fl(1 / N))). Both are
+ * recursive sums, so |T - S| and |R - S| are at most g sum_j |a_j| (Higham,
  * Accuracy and Stability of Numerical Algorithms, 2002, eq. 4.4). With
  * X = sum_j |a_j| / N and every rounding fl(x) = x (1 + d), |d| <= u:
  *   |fl(T / N) - S / N|          <= g X + u (1 + g) X,
@@ -121,13 +48,18 @@ void coalition_values(int64_t n, int64_t k, int64_t block, const double *base,
  * first, maximum too. With A_r and beta_r at most 2^1020 no sum overflows.
  *
  * Exact path. Every other row (an exact or near tie, a bound past 2^1020, a
- * prefix of 2^20 or more members) is scored as the reference scores it: the
- * prefix's members summed in ascending rank order, divided by the count,
- * added to the base, first maximum. exact_rows counts these rows.
+ * subset of 2^20 or more members) is scored as the reference scores it: the
+ * subset's members, prefix included, summed in ascending rank order, divided
+ * by the count, added to the base, first maximum. exact_rows counts these
+ * rows.
  *
- * scratch holds players * (k + 1) * block + (2k + 6) * block + players
+ * All arrays are C-contiguous: base (n, k), each members[q] (n, k), labels
+ * (n). scratch holds players * (k + 1) * block + (3k + 7) * block + players
  * doubles.
  */
+#include <math.h>
+#include <stdint.h>
+
 static inline int64_t certified(double top, double second, double spread, double beta,
                                 double inv, double coef)
 {
@@ -135,69 +67,90 @@ static inline int64_t certified(double top, double second, double spread, double
     return (spread <= 0x1p1020) & (beta <= 0x1p1020) & (top - second > 2.0 * bound);
 }
 
+/* Copies the rows of one member's block class-major into a, (k, block), and
+ * each row's max_c |score| into a_peak. */
+static inline void lay_out(const double *m, int64_t k, int64_t block, int64_t height, double *a,
+                           double *a_peak)
+{
+    for (int64_t c = 0; c < k; c++)
+        for (int64_t r = 0; r < height; r++) a[c * block + r] = m[r * k + c];
+    for (int64_t r = 0; r < height; r++) a_peak[r] = 0.0;
+    for (int64_t c = 0; c < k; c++)
+        for (int64_t r = 0; r < height; r++) {
+            const double x = fabs(a[c * block + r]);
+            a_peak[r] = x > a_peak[r] ? x : a_peak[r];
+        }
+}
+
 FEDSEL_CLONES  /* from _isa.c */
 void walk_values(int64_t n, int64_t k, int64_t block, const double *base,
                  const double *const *members, int64_t players, const int64_t *labels,
-                 int64_t walks, int64_t length, const int64_t *perms, const double *counts,
-                 int64_t *correct, int64_t *exact_rows, double *scratch)
+                 int64_t shared, const int64_t *prefix, int64_t walks, int64_t steps,
+                 const int64_t *perms, const double *counts, int64_t *correct,
+                 int64_t *exact_rows, double *scratch)
 {
-    const int64_t steps = length - 1;
     double *const scores = scratch;                    /* (players, k, block) */
     double *const peak = scores + players * k * block; /* (players, block): max_c |a| */
     double *const base_t = peak + players * block;     /* (k, block) */
-    double *const run = base_t + k * block;            /* (k, block): walk-order sum */
-    double *const beta = run + k * block, *const spread = beta + block;
-    double *const top = spread + block, *const second = top + block;
-    double *const best = second + block, *const label = best + block;
-    double *const in = label + block;                  /* (players): 1 in the prefix */
+    double *const pre = base_t + k * block;            /* (k, block): prefix sum */
+    double *const run = pre + k * block;               /* (k, block): prefix-then-walk sum */
+    double *const beta = run + k * block, *const pre_spread = beta + block;
+    double *const spread = pre_spread + block, *const top = spread + block;
+    double *const second = top + block, *const best = second + block;
+    double *const label = best + block;
+    double *const in = label + block;                  /* (players): 1 in the subset */
+    for (int64_t q = 0; q < players; q++) in[q] = 0.0;
+    for (int64_t j = 0; j < shared; j++) in[prefix[j]] = 1.0;
     for (int64_t i = 0; i < walks * steps; i++) correct[i] = 0;
     *exact_rows = 0;
     for (int64_t start = 0; start < n; start += block) {
         const int64_t height = n - start < block ? n - start : block;
-        for (int64_t r = 0; r < height; r++) {
-            const double *b = base + (start + r) * k;
-            double most = 0.0;
+        lay_out(base + start * k, k, block, height, base_t, beta);
+        for (int64_t r = 0; r < height; r++) label[r] = (double)labels[start + r];
+        for (int64_t q = 0; q < players; q++)
+            lay_out(members[q] + start * k, k, block, height, scores + q * k * block, peak + q * block);
+        for (int64_t j = 0; j < shared; j++) {
+            const double *restrict a = scores + prefix[j] * k * block;
+            const double *restrict a_peak = peak + prefix[j] * block;
             for (int64_t c = 0; c < k; c++) {
-                base_t[c * block + r] = b[c];
-                most = fabs(b[c]) > most ? fabs(b[c]) : most;
+                double *restrict sum = pre + c * block;
+                const double *restrict add = a + c * block;
+                if (j)
+                    for (int64_t r = 0; r < height; r++) sum[r] += add[r];
+                else
+                    for (int64_t r = 0; r < height; r++) sum[r] = add[r];
             }
-            beta[r] = most;
-            label[r] = (double)labels[start + r];
-        }
-        for (int64_t q = 0; q < players; q++) {
-            double *a = scores + q * k * block;
-            for (int64_t r = 0; r < height; r++) {
-                const double *m = members[q] + (start + r) * k;
-                double most = 0.0;
-                for (int64_t c = 0; c < k; c++) {
-                    a[c * block + r] = m[c];
-                    most = fabs(m[c]) > most ? fabs(m[c]) : most;
-                }
-                peak[q * block + r] = most;
-            }
+            if (j)
+                for (int64_t r = 0; r < height; r++) pre_spread[r] += a_peak[r];
+            else
+                for (int64_t r = 0; r < height; r++) pre_spread[r] = a_peak[r];
         }
         for (int64_t w = 0; w < walks; w++) {
-            const int64_t *perm = perms + w * length;
-            for (int64_t q = 0; q < players; q++) in[q] = 0.0;
-            for (int64_t size = 1; size <= steps; size++) {
-                const int64_t q = perm[size - 1];
+            const int64_t *perm = perms + w * steps;
+            for (int64_t step = 1; step <= steps; step++) {
+                const int64_t q = perm[step - 1];
                 const double *restrict a = scores + q * k * block;
                 const double *restrict a_peak = peak + q * block;
                 in[q] = 1.0;
                 for (int64_t c = 0; c < k; c++) {
                     double *restrict sum = run + c * block;
-                    const double *restrict add = a + c * block;
-                    if (size == 1)
-                        for (int64_t r = 0; r < height; r++) sum[r] = add[r];
-                    else
+                    const double *restrict add = a + c * block, *restrict prior = pre + c * block;
+                    if (step > 1)
                         for (int64_t r = 0; r < height; r++) sum[r] += add[r];
+                    else if (shared)
+                        for (int64_t r = 0; r < height; r++) sum[r] = prior[r] + add[r];
+                    else
+                        for (int64_t r = 0; r < height; r++) sum[r] = add[r];
                 }
-                if (size == 1)
-                    for (int64_t r = 0; r < height; r++) spread[r] = a_peak[r];
-                else
+                if (step > 1)
                     for (int64_t r = 0; r < height; r++) spread[r] += a_peak[r];
+                else if (shared)
+                    for (int64_t r = 0; r < height; r++) spread[r] = pre_spread[r] + a_peak[r];
+                else
+                    for (int64_t r = 0; r < height; r++) spread[r] = a_peak[r];
 
-                const double count = counts[size - 1], inv = 1.0 / count;
+                const int64_t size = shared + step;
+                const double count = counts[step - 1], inv = 1.0 / count;
                 for (int64_t r = 0; r < height; r++) {
                     top[r] = -INFINITY;
                     second[r] = -INFINITY;
@@ -247,8 +200,9 @@ void walk_values(int64_t n, int64_t k, int64_t block, const double *base,
                     hits += first == labels[start + r];
                     *exact_rows += 1;
                 }
-                correct[w * steps + size - 1] += hits;
+                correct[w * steps + step - 1] += hits;
             }
+            for (int64_t j = 0; j < steps; j++) in[perm[j]] = 0.0;
         }
     }
 }

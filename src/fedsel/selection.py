@@ -106,11 +106,12 @@ def exploit_select(ledger: ContributionLedger, keep_rule: KeepRule) -> tuple[int
 def greedy_from_value_fn(players, k: int, value_fn, early_stop: bool = False) -> tuple[int, ...]:
     """Iteratively add the player with the greatest coalition-value gain.
 
-    Candidate coalitions are passed to value_fn as sorted tuples, a sweep's
-    candidates in one call to value_fn.values when it has that batch method
-    (see valuation.CoalitionOracle). Ties go to the lowest player id. With
-    early_stop, growth stops once the best marginal gain is <= 0, but the
-    first pick is always kept.
+    Candidate coalitions are valued as sorted tuples: one value_fn call each,
+    or, when value_fn has the method `walk_values` (see
+    valuation.CoalitionOracle), a sweep's candidates in one call to it, with
+    the chosen set as the shared prefix and each candidate as a one-member
+    walk. Ties go to the lowest player id. With early_stop, growth stops
+    once the best marginal gain is <= 0, but the first pick is always kept.
     """
     players = sorted(players)
     if k <= 0:
@@ -118,17 +119,17 @@ def greedy_from_value_fn(players, k: int, value_fn, early_stop: bool = False) ->
     if k > len(players):
         raise ValueError(f"k={k} exceeds the {len(players)} available updates")
 
-    batch = getattr(value_fn, "values", None)
+    sweep = getattr(value_fn, "walk_values", None)
     chosen: list[int] = []
     current_value = value_fn(())
     remaining = players
     while len(chosen) < k and remaining:
         best_id, best_value = None, -np.inf
-        candidates = [tuple(sorted(chosen + [m])) for m in remaining]
-        if batch is not None:
-            candidate_values = batch(candidates)
+        if sweep is not None:
+            walks = [(m,) for m in remaining]
+            candidate_values = [value for [value] in sweep(walks, tuple(chosen))]
         else:
-            candidate_values = [value_fn(c) for c in candidates]
+            candidate_values = [value_fn(tuple(sorted(chosen + [m]))) for m in remaining]
         for m, candidate_value in zip(remaining, candidate_values):
             if candidate_value > best_value:
                 best_id, best_value = m, candidate_value

@@ -61,11 +61,17 @@ def record_marginal(ledger: ContributionLedger, device_id: int, marginal: float)
     return ledger
 
 
-VALUE_BLOCK_ROWS = 64  # validation rows per block of the compiled value kernel
-# Score additions (rows x classes x subsets and members) a batch needs per
-# extra row range, and so per extra thread. On a 2-core x86-64 host a second
-# range added about 1 ms to small batches, lost at 2.7M additions, saved
-# about 10% at 23M and 35-50% at 1.2G (a grid TMC call).
+VALUE_BLOCK_ROWS = 64  # validation rows per block of the compiled walk kernel
+# Work a walk_values call needs per extra row range, and so per extra thread:
+# rows x classes x (members + 2 x values), for each member's class-major copy
+# and each value's add and scoring. On a 2-core x86-64 host, timed alone, a
+# second range cost 0.2-1 ms below 1M and saved 40% at 15M (a grid greedy
+# sweep of 100 candidates: 19.9 ms on one range, 11.7 ms on two). Inside a
+# grid pass it saved nothing: sweeps took 20-22 ms on two ranges against
+# 19-20 ms on one, and grid TMC calls (146M) 85-126 ms against 88-140 ms,
+# because the calls follow the oracle's BLAS products and OpenBLAS's worker
+# keeps spinning on the second core (with one BLAS thread the same sweeps
+# took 11-15 ms on two ranges). So sweeps stay on one range.
 RANGE_WORK = 1 << 24
 # Most member updates stacked into one validation product. On a 2-core x86-64
 # host with OpenBLAS, stacks of up to 20 members gave the per-member bytes at
@@ -85,9 +91,10 @@ class CoalitionOracle:
     from stacked products where their shape passed the probe of
     _member_scores, and value_products says which ("stacked" or
     "per_member"). Calling the oracle values
-    one subset with numpy; `values` values many subsets at once, and
-    `walk_values` every prefix of many walks, with compiled kernels and
-    bitwise-equal results.
+    one subset with numpy; `walk_values` values every prefix of many walks
+    after a shared prefix (a truncated Monte-Carlo call's walks, or a greedy
+    sweep's candidates after its chosen set) with the compiled walk kernel
+    and bitwise-equal results.
     """
 
     def __init__(
@@ -127,44 +134,47 @@ class CoalitionOracle:
         predicted = np.argmax(scores, axis=1)
         return float(np.mean(predicted == self._labels))
 
-    def values(self, subsets: list[tuple[int, ...]]) -> list[float]:
-        """[self(s) for s in subsets], in one pass of the compiled kernel.
+    def walk_values(self, walks, prefix=()) -> list[list[float]]:
+        """[[self(tuple(sorted((*prefix, *walk[:size])))) for size in range(1, len(walk) + 1)]
+        for walk in walks], in one pass of the compiled walk kernel.
 
-        Falls back to the per-subset numpy path when the kernel is not
-        available, the labels are not integers, or a base or member score is
-        not finite (np.argmax ranks NaN first, the kernel does not). The rows
-        are split into one range per RANGE_WORK of the batch's work, at most
+        The walks are of one length, and together with the prefix each visits
+        a member at most once. A truncated Monte-Carlo call passes its walks
+        with no prefix; a greedy sweep passes its chosen set as the prefix
+        and each candidate as a walk of one member. Per block of validation
+        rows the kernel sums the prefix's member scores once, in the order
+        given, adds each walk's member scores to that sum in walk order, and
+        scores a row from it only where a rounding bound certifies that the
+        sorted sum predicts the same class; it scores every other row exactly
+        as a call does (see _coalition.c).
+
+        Falls back to one call per value when the kernel is not available,
+        the labels are not integers, or a base or member score is not finite
+        (np.argmax ranks NaN first, the kernel does not). The rows are split
+        into one range per RANGE_WORK of the call's work, at most
         value_threads() of them.
         """
-        kernel = _value_kernel() if subsets else None
+        prefix = tuple(prefix)
+        if len({len(walk) for walk in walks}) > 1:
+            raise ValueError("walks must have one length")
+        if len(set(prefix)) != len(prefix) or any(
+            len({*prefix, *walk}) != len(prefix) + len(walk) for walk in walks
+        ):
+            raise ValueError(
+                "walks must visit each member at most once, none of them in the prefix"
+            )
+        kernel = _walk_kernel() if walks and walks[0] else None
         if kernel is None or not self._kernel_safe:
-            return [self(s) for s in subsets]
-        work = self._base.size * (len(subsets) + sum(map(len, subsets)))
-        return self._kernel_values(kernel, subsets, min(value_threads(), 1 + work // RANGE_WORK))
-
-    def walk_values(self, perms: list[tuple[int, ...]]) -> list[list[float]]:
-        """[[self(tuple(sorted(perm[:size]))) for size in range(1, len(perm))]
-        for perm in perms], in one pass of the compiled walk kernel.
-
-        The walks are of one length and visit each member at most once. The
-        kernel adds each walk's member scores to one running sum in walk
-        order and scores a row from it only where a rounding bound certifies
-        that the sorted sum predicts the same class; it scores every other
-        row exactly as a call does (see _coalition.c). Falls back to the
-        per-call numpy path as `values` does, and splits the rows into
-        ranges by the same rule.
-        """
-        if len({len(perm) for perm in perms}) > 1 or any(len(set(p)) != len(p) for p in perms):
-            raise ValueError("walks must have one length and visit each member at most once")
-        kernel = _walk_kernel() if perms and len(perms[0]) > 1 else None
-        if kernel is None or not self._kernel_safe:
-            return self._walk_values_by_call(perms)
-        work = 2 * self._base.size * len(perms) * (len(perms[0]) - 1)
+            return self._walk_values_by_call(walks, prefix)
+        work = self._base.size * (len(self._members) + 2 * len(walks) * len(walks[0]))
         ranges = min(value_threads(), 1 + work // RANGE_WORK)
-        return self._kernel_walk_values(kernel, perms, ranges)[0]
+        return self._kernel_walk_values(kernel, walks, ranges, prefix)[0]
 
-    def _walk_values_by_call(self, perms) -> list[list[float]]:
-        return [[self(tuple(sorted(p[:size]))) for size in range(1, len(p))] for p in perms]
+    def _walk_values_by_call(self, walks, prefix=()) -> list[list[float]]:
+        return [
+            [self(tuple(sorted((*prefix, *walk[:size])))) for size in range(1, len(walk) + 1)]
+            for walk in walks
+        ]
 
     @functools.cached_property
     def _kernel_safe(self) -> bool:
@@ -176,73 +186,45 @@ class CoalitionOracle:
             for a in scores
         )
 
-    def _kernel_values(self, kernel, subsets, ranges: int) -> list[float]:
-        """The kernel's values, in the order given.
-
-        The kernel sees the subsets sorted by their member rows, so subsets
-        sharing leading members are adjacent and share partial sums; each
-        value depends on its own subset alone. The validation rows are split
-        into `ranges` contiguous ranges on block boundaries (fewer when there
-        are fewer blocks), each scored by its own kernel call on its own
-        thread (ctypes releases the GIL); every buffer is allocated here, and
-        the ranges' integer counts of correct rows are summed, so the values
-        do not depend on `ranges`.
-        """
-        keyed = sorted((tuple(self._rows[m] for m in s), i) for i, s in enumerate(subsets))
-        sizes = [len(rows) for rows, _ in keyed]
-        offsets = np.zeros(len(keyed) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        rows = np.fromiter(
-            (r for member_rows, _ in keyed for r in member_rows), dtype=np.int64,
-            count=int(offsets[-1]),
-        )
-        counts = np.array([self._count(size) if size else 1 for size in sizes], dtype=np.float64)
-        n, k = self._base.shape
-        labels = np.ascontiguousarray(self._labels, dtype=np.int64)
-        members = np.array([m.ctypes.data for m in self._members], dtype=np.uintp)
-        bounds = _row_ranges(n, ranges)
-        correct = np.empty((len(bounds), len(keyed)), dtype=np.int64)
-        _run_concurrently([
-            functools.partial(
-                kernel, stop - start, k, VALUE_BLOCK_ROWS, self._base[start:stop],
-                members + np.uintp(start * k * self._base.itemsize), labels[start:stop],
-                len(keyed), offsets, rows, counts, correct[part],
-                np.empty((max(sizes), VALUE_BLOCK_ROWS, k)), np.empty((VALUE_BLOCK_ROWS, k)),
-            )
-            for part, (start, stop) in enumerate(bounds)
-        ])
-        values = [0.0] * len(keyed)
-        for (_, i), hits in zip(keyed, correct.sum(axis=0).tolist()):
-            values[i] = hits / n
-        return values
-
-    def _kernel_walk_values(self, kernel, perms, ranges: int) -> tuple[list[list[float]], int]:
+    def _kernel_walk_values(
+        self, kernel, walks, ranges: int, prefix=()
+    ) -> tuple[list[list[float]], int]:
         """The walk kernel's values, and how many rows it scored on its exact
-        path. The kernel sees the members in ascending id order and the walks
-        as ranks in it; the rows are split into ranges as in _kernel_values.
+        path.
+
+        The kernel sees the members in ascending id order, and the prefix
+        and the walks as ranks in it. The validation rows are split into
+        `ranges` contiguous ranges on block boundaries (fewer when there are
+        fewer blocks), each scored by its own kernel call on its own thread
+        (ctypes releases the GIL); every buffer is allocated here, and the
+        ranges' integer counts of correct rows are summed, so the values do
+        not depend on `ranges`.
         """
         ids = sorted(self._rows)
         rank = {m: q for q, m in enumerate(ids)}
-        walks = np.array([[rank[m] for m in perm] for perm in perms], dtype=np.int64)
-        steps = walks.shape[1] - 1
-        counts = np.array([self._count(size) for size in range(1, steps + 1)], dtype=np.float64)
+        shared = np.array([rank[m] for m in prefix], dtype=np.int64)
+        perms = np.array([[rank[m] for m in walk] for walk in walks], dtype=np.int64)
+        steps = perms.shape[1]
+        counts = np.array(
+            [self._count(len(prefix) + step) for step in range(1, steps + 1)], dtype=np.float64
+        )
         members = np.array([self._members[self._rows[m]].ctypes.data for m in ids], dtype=np.uintp)
         n, k = self._base.shape
         labels = np.ascontiguousarray(self._labels, dtype=np.int64)
-        scratch = VALUE_BLOCK_ROWS * (len(ids) * (k + 1) + 2 * k + 6) + len(ids)
+        scratch = VALUE_BLOCK_ROWS * (len(ids) * (k + 1) + 3 * k + 7) + len(ids)
         bounds = _row_ranges(n, ranges)
-        correct = np.empty((len(bounds), len(perms) * steps), dtype=np.int64)
+        correct = np.empty((len(bounds), len(walks) * steps), dtype=np.int64)
         exact_rows = np.empty(len(bounds), dtype=np.int64)
         _run_concurrently([
             functools.partial(
                 kernel, stop - start, k, VALUE_BLOCK_ROWS, self._base[start:stop],
                 members + np.uintp(start * k * self._base.itemsize), len(ids), labels[start:stop],
-                len(perms), steps + 1, walks, counts, correct[part], exact_rows[part : part + 1],
-                np.empty(scratch),
+                len(shared), shared, len(walks), steps, perms, counts, correct[part],
+                exact_rows[part : part + 1], np.empty(scratch),
             )
             for part, (start, stop) in enumerate(bounds)
         ])
-        hits = correct.sum(axis=0).reshape(len(perms), steps).tolist()
+        hits = correct.sum(axis=0).reshape(len(walks), steps).tolist()
         return [[h / n for h in walk] for walk in hits], int(exact_rows.sum())
 
 
@@ -334,47 +316,6 @@ def _run_concurrently(calls) -> None:
         raise errors[0]
 
 
-def _bind_value_kernel(library):
-    """The compiled value kernel from the shared library, or None when there
-    is no library or the kernel fails its probe."""
-    if library is None:
-        return None
-    kernel = library.coalition_values
-    kernel.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, native.F64, native.POINTERS, native.I64,
-        ctypes.c_int64, native.I64, native.I64, native.F64, native.I64, native.F64, native.F64,
-    ]
-    kernel.restype = None
-    return kernel if _value_probe_matches(kernel) else None
-
-
-def _value_probe_matches(kernel) -> bool:
-    """Whether the kernel reproduces the numpy path's values on fixed games.
-
-    133 validation rows (two full blocks and a partial one), 3 classes, 5
-    members; the empty subset, every single member and two walks' prefixes,
-    under all three aggregation rules, scored as one row range and as two.
-    The validation features are the identity, so member scores are the
-    deltas themselves.
-    """
-    members = (2, 3, 5, 7, 11)
-    subsets = [(), *[(m,) for m in members]]
-    for seed in range(2):
-        walk = np.random.default_rng(seed).permutation(members)
-        subsets += [tuple(sorted(walk[:step])) for step in range(2, len(members) + 1)]
-    eye = np.eye(133)
-    for rule, total_devices in (("accepted", None), ("explored", None), ("all", 9)):
-        for base, deltas, labels in (
-            _integer_game(133, members),
-            _ordered_sum_game(133, members, subsets[1:], rule, total_devices),
-        ):
-            oracle = CoalitionOracle(base, deltas, eye, labels, rule, total_devices)
-            expected = [oracle(s) for s in subsets]
-            if any(oracle._kernel_values(kernel, subsets, ranges) != expected for ranges in (1, 2)):
-                return False
-    return True
-
-
 def _bind_walk_kernel(library):
     """The compiled walk kernel from the shared library, or None when there
     is no library or the kernel fails its probe."""
@@ -383,8 +324,8 @@ def _bind_walk_kernel(library):
     kernel = library.walk_values
     kernel.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, native.F64, native.POINTERS,
-        ctypes.c_int64, native.I64, ctypes.c_int64, ctypes.c_int64, native.I64, native.F64,
-        native.I64, native.I64, native.F64,
+        ctypes.c_int64, native.I64, ctypes.c_int64, native.I64, ctypes.c_int64, ctypes.c_int64,
+        native.I64, native.F64, native.I64, native.I64, native.F64,
     ]
     kernel.restype = None
     return kernel if _walk_probe_matches(kernel) else None
@@ -393,28 +334,42 @@ def _bind_walk_kernel(library):
 def _walk_probe_matches(kernel) -> bool:
     """Whether the walk kernel reproduces the numpy path's values on fixed games.
 
-    133 validation rows; two random walks over 5 members of the integer and
-    ordered-sum games, whose ties only the exact path scores right, and a
-    descending walk and a random one over 48 members of the absorbed-sum
-    game, whose sums only the full rounding bound keeps off the fast path;
-    under all three aggregation rules, scored as one row range and as two.
+    133 validation rows. The integer and ordered-sum games, whose ties only
+    the exact path scores right, take two random walks over 5 members and a
+    sweep of one-step walks after a shared prefix of two. The absorbed-sum
+    game takes a descending walk and a random one over 48 members, and a
+    walk of the descending walk's last two members after its first 46 as
+    the prefix, in walk order: only the full rounding bound, with the
+    prefix counted in the size, keeps its sums off the fast path. The
+    cancelling-prefix game takes a sweep after its prefix, which only a
+    bound with the prefix in A_r keeps off the fast path and only an exact
+    path that sums the prefix scores right. All under the three aggregation
+    rules, scored as one row range and as two.
     """
     eye = np.eye(133)
     members = (2, 3, 5, 7, 11)
     walks = [tuple(np.random.default_rng(seed).permutation(members)) for seed in range(2)]
-    prefixes = [tuple(sorted(walk[:size])) for walk in walks for size in range(1, len(walk))]
-    wide = tuple(range(48))
-    wide_walks = [wide[::-1], tuple(np.random.default_rng(2).permutation(wide))]
+    sweep, chosen = [(2,), (5,), (11,)], (3, 7)
+    subsets = [tuple(sorted(walk[:size])) for walk in walks for size in range(1, len(walk) + 1)]
+    subsets += [tuple(sorted((*chosen, *walk))) for walk in sweep]
+    descending = tuple(range(47, -1, -1))
     for rule, total_devices in (("accepted", None), ("explored", None), ("all", 30)):
-        for (base, deltas, labels), perms in (
-            (_integer_game(133, members), walks),
-            (_ordered_sum_game(133, members, prefixes, rule, total_devices), walks),
-            (_absorbed_sum_game(133, wide), wide_walks),
+        integer = _integer_game(133, members)
+        ordered = _ordered_sum_game(133, members, subsets, rule, total_devices)
+        absorbed = _absorbed_sum_game(133, descending)
+        for (base, deltas, labels), perms, prefix in (
+            (integer, walks, ()),
+            (integer, sweep, chosen),
+            (ordered, walks, ()),
+            (ordered, sweep, chosen),
+            (absorbed, [descending, tuple(np.random.default_rng(2).permutation(48))], ()),
+            (absorbed, [descending[46:]], descending[:46]),
+            (_cancelling_prefix_game(133), [(0,), (1,), (2,)], (3, 4)),
         ):
             oracle = CoalitionOracle(base, deltas, eye, labels, rule, total_devices)
-            expected = oracle._walk_values_by_call(perms)
+            expected = oracle._walk_values_by_call(perms, prefix)
             for ranges in (1, 2):
-                if oracle._kernel_walk_values(kernel, perms, ranges)[0] != expected:
+                if oracle._kernel_walk_values(kernel, perms, ranges, prefix)[0] != expected:
                     return False
     return True
 
@@ -479,9 +434,25 @@ def _absorbed_sum_game(n, members):
     return np.zeros((n, 2)), deltas, np.zeros(n, dtype=np.int64)
 
 
-@functools.cache
-def _value_kernel():
-    return _bind_value_kernel(native.library())
+def _cancelling_prefix_game(n):
+    """Scores whose prefix cancels only when it is summed first.
+
+    Members 0 to 4, 2 classes, base scores 0 and label 0. In row i, members 3
+    and 4 (the prefix) score x and -x in class 1, with x a power of two from
+    2^-3 to 2^3, and each of members 0, 1 and 2 scores a small e below half
+    an ulp of x there. The ascending sum e + x - x is 0, so the classes tie
+    and class 0 wins; the prefix-then-walk sum x - x + e is e, which ranks
+    class 1 first. A_r is about 2x, and a bound that left the prefix out of
+    it (A_r = e) would certify class 1; an exact path that left the prefix
+    out of the subset would sum e alone.
+    """
+    deltas = {m: np.zeros((n, 2)) for m in range(5)}
+    for i in range(n):
+        x = 2.0 ** (i % 7 - 3)
+        deltas[3][i, 1], deltas[4][i, 1] = x, -x
+        for m in range(3):
+            deltas[m][i, 1] = x * 2.0**-60 * (1 + m / 4)
+    return np.zeros((n, 2)), deltas, np.zeros(n, dtype=np.int64)
 
 
 @functools.cache
@@ -490,16 +461,15 @@ def _walk_kernel():
 
 
 def value_backend() -> str:
-    """Which value kernels run: "c" when the batch and the walk kernel both
-    passed their probes, "numpy" when neither runs, else "mixed"."""
-    compiled = (_value_kernel() is not None) + (_walk_kernel() is not None)
-    return ("numpy", "mixed", "c")[compiled]
+    """Which path values coalitions: "c" when the walk kernel passed its
+    probe, else "numpy"."""
+    return "numpy" if _walk_kernel() is None else "c"
 
 
 def value_threads() -> int:
-    """Most threads one `values` or `walk_values` call runs a kernel on: one
-    per usable CPU, or 1 on the numpy path."""
-    if _value_kernel() is None and _walk_kernel() is None:
+    """Most threads one `walk_values` call runs the kernel on: one per usable
+    CPU, or 1 on the numpy path."""
+    if _walk_kernel() is None:
         return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -526,11 +496,11 @@ def tmc_estimate(
     reuses the full-set value: at most delta_t * (len(players) - 1) + 2 calls.
 
     With trunc_tol == 0 no walk depends on a value, so when value_fn has a
-    method `walk_values` (see CoalitionOracle) every walk goes to it in one
-    call, which returns each walk's prefix values instead of one call per
-    prefix; the ledger and the audit entries are the same. With
-    trunc_tol > 0, and for a value_fn without that method, each prefix is
-    one value_fn call.
+    method `walk_values` (see CoalitionOracle) every walk but its last member
+    goes to it in one call, which returns the values of each walk's proper
+    prefixes instead of one call per prefix; the ledger and the audit
+    entries are the same. With trunc_tol > 0, and for a value_fn without
+    that method, each prefix is one value_fn call.
     """
     players = tuple(game.players)
     if not players:
@@ -549,7 +519,8 @@ def tmc_estimate(
     walk_values = getattr(game.value_fn, "walk_values", None)
     prefix_values = None
     if trunc_tol == 0 and walk_values is not None:
-        prefix_values = iter([value for walk in walk_values(perms) for value in walk])
+        walks = [perm[:-1] for perm in perms]  # the full set's value is known
+        prefix_values = iter([value for walk in walk_values(walks) for value in walk])
     for t_prime, perm in enumerate(perms):
         previous = empty_value
         truncated_from = None

@@ -121,7 +121,11 @@ def test_value_fn_matches_coalition_value_on_every_subset():
                     phi_cols, deltas, subset,
                     split.validation_features, split.validation_labels, count,
                 )
-            assert value.values(subsets) == [value(s) for s in subsets]
+            for chosen in subsets[:-1]:  # a greedy sweep after each chosen set
+                walks = [(m,) for m in explored if m not in chosen]
+                assert value.walk_values(walks, chosen) == [
+                    [value(tuple(sorted((*chosen, m))))] for (m,) in walks
+                ]
 
 
 def test_null_update_round_keeps_phi_and_falls_back_to_top_one(monkeypatch):
@@ -476,7 +480,6 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
                 monkeypatch.setattr(valuation, "RANGE_WORK", 1)
             if backend == "numpy":
                 monkeypatch.setattr(solver, "_kernel", lambda: None)
-                monkeypatch.setattr(valuation, "_value_kernel", lambda: None)
                 monkeypatch.setattr(valuation, "_walk_kernel", lambda: None)
             if backend == "one-range":  # as on a host with one usable CPU
                 monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid: {0})

@@ -497,12 +497,11 @@ def test_kernel_compile_flags_keep_ieee_arithmetic(tmp_path, monkeypatch):
     assert native.load_library(cache_dir=tmp_path) is None
     [(command, source)] = builds
     assert command[1 : 1 + len(flags)] == list(flags)
-    assert b"void sdca_passes(" in source and b"void coalition_values(" in source
-    assert b"void walk_values(" in source
+    assert b"void sdca_passes(" in source and b"void walk_values(" in source
 
 
 @needs_compiler
-def test_kernels_built_without_target_clones_pass_all_three_probes(tmp_path, monkeypatch):
+def test_kernels_built_without_target_clones_pass_both_probes(tmp_path, monkeypatch):
     # the plain functions, as built where target_clones is not available
     assert native.native_isa(native.library()) in ("avx2", "default")
     plain = (*native.COMPILE_FLAGS, "-DFEDSEL_NO_TARGET_CLONES")
@@ -510,7 +509,6 @@ def test_kernels_built_without_target_clones_pass_all_three_probes(tmp_path, mon
     library = native.load_library(cache_dir=tmp_path)
     assert native.native_isa(library) == "default"
     assert solver._bind_kernel(library) is not None
-    assert valuation._bind_value_kernel(library) is not None
     assert valuation._bind_walk_kernel(library) is not None
     assert native.native_isa(None) is None
 

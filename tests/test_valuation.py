@@ -123,7 +123,9 @@ def test_coalition_value_errors():
         CoalitionOracle(phi, {0: np.eye(2)}, feats, labels, "median")
 
 
-# -- batch values ----------------------------------------------------------------
+# -- greedy sweeps ---------------------------------------------------------------
+# A greedy sweep values its chosen set plus each remaining candidate: one
+# walk_values call with the chosen set as the shared prefix and one-member walks.
 
 needs_compiler = pytest.mark.skipif(
     shutil.which("cc") is None, reason="no C compiler: the numpy path is the only backend"
@@ -155,13 +157,26 @@ def kernel_unused(oracle, monkeypatch):
     def refuse(*args):
         raise AssertionError("the kernel must not run")
 
-    monkeypatch.setattr(oracle, "_kernel_values", refuse)
     monkeypatch.setattr(oracle, "_kernel_walk_values", refuse)
 
 
-def walk_calls(oracle, perms):
-    """What walk_values must return: each walk's sorted prefixes, one call each."""
-    return [[oracle(tuple(sorted(perm[:size]))) for size in range(1, len(perm))] for perm in perms]
+def walk_calls(oracle, walks, prefix=()):
+    """What walk_values must return: the prefix plus each nonempty prefix of
+    each walk, sorted, one call each."""
+    return [
+        [oracle(tuple(sorted((*prefix, *walk[:size])))) for size in range(1, len(walk) + 1)]
+        for walk in walks
+    ]
+
+
+def sweep(players, chosen):
+    """A greedy sweep's walks after `chosen`: one per remaining player."""
+    return [(m,) for m in sorted(players) if m not in chosen]
+
+
+def sweeps_after(players, chosen_sets):
+    """(walks, prefix) of the sweep after each chosen set that leaves a candidate."""
+    return [(sweep(players, c), tuple(c)) for c in chosen_sets if len(c) < len(players)]
 
 
 def random_walks(players, walks, seed=0):
@@ -172,28 +187,35 @@ def random_walks(players, walks, seed=0):
 @needs_compiler
 @pytest.mark.parametrize("rule, total_devices", RULES)
 def test_batch_values_equal_calls_on_walk_prefixes(rule, total_devices):
+    # a sweep after every prefix of five walks, and a walk's own chosen order
     assert valuation.value_backend() == "c"
     players = (1, 4, 6, 9, 12, 15)
     for n_val in (1, 64, 301):  # one row, one full block, and a partial last block
         oracle = oracle_game(rule, total_devices, n_val=n_val)
-        subsets = [(), (9,), *walk_prefixes(players, 5), (), (12,)]
-        assert oracle.values(subsets) == [oracle(s) for s in subsets]
+        for walks, prefix in sweeps_after(players, [(), *walk_prefixes(players, 5)]):
+            assert oracle.walk_values(walks, prefix) == walk_calls(oracle, walks, prefix)
+        for walk in random_walks(players, 3, seed=n_val):
+            chosen = walk[:3]  # in pick order, not sorted
+            assert oracle.walk_values([walk[3:]], chosen) == walk_calls(oracle, [walk[3:]], chosen)
         lone = oracle_game(rule, total_devices, n_val=n_val, players=(7,))
-        assert lone.values([(7,), (), (7,)]) == [lone((7,)), lone(()), lone((7,))]
+        assert lone.walk_values([(7,), (7,)]) == [[lone((7,))], [lone((7,))]]
+        assert lone.walk_values([], (7,)) == []
 
 
 @needs_compiler
 @pytest.mark.parametrize("n_val", [1, 64, 133, 301])
 def test_batch_values_equal_calls_across_row_ranges(n_val):
-    kernel = valuation._value_kernel()
+    kernel = valuation._walk_kernel()
     players = (1, 4, 6, 9, 12, 15)
     blocks = -(-n_val // valuation.VALUE_BLOCK_ROWS)
     for rule, total_devices in RULES:
         oracle = oracle_game(rule, total_devices, n_val=n_val)
-        subsets = [(), (9,), *walk_prefixes(players, 5), (12,)]
-        expected = [oracle(s) for s in subsets]
-        for ranges in (1, 2, 3, blocks + 2):  # the last asks for more ranges than blocks
-            assert oracle._kernel_values(kernel, subsets, ranges) == expected, (ranges, rule)
+        for walks, prefix in sweeps_after(players, [(), (9,), (4, 12), (1, 6, 9, 15)]):
+            expected = walk_calls(oracle, walks, prefix)
+            for ranges in (1, 2, 3, blocks + 2):  # the last asks for more ranges than blocks
+                values, exact_rows = oracle._kernel_walk_values(kernel, walks, ranges, prefix)
+                assert values == expected, (ranges, rule, prefix)
+                assert exact_rows == 0  # random scores: every row is certified
 
 
 def count_ranges(monkeypatch):
@@ -211,18 +233,18 @@ def count_ranges(monkeypatch):
 
 @needs_compiler
 def test_batch_values_fan_out_only_with_enough_work(monkeypatch):
-    assert valuation._value_kernel() is not None  # its probe runs before the count starts
+    assert valuation._walk_kernel() is not None  # its probe runs before the count starts
     ranges = count_ranges(monkeypatch)
     monkeypatch.setattr(valuation, "value_threads", lambda: 3)
     oracle = oracle_game(n_val=301)  # 5 blocks
-    subsets = walk_prefixes((1, 4, 6, 9, 12, 15), 5)
-    expected = [oracle(s) for s in subsets]
-    # 301 rows x 10 classes x (30 subsets + 105 members) = 406,350 additions
-    assert oracle.values(subsets) == expected and ranges == [1]
-    monkeypatch.setattr(valuation, "RANGE_WORK", 300_000)
-    assert oracle.values(subsets) == expected and ranges == [1, 2]
+    walks, prefix = sweep((1, 4, 6, 9, 12, 15), (4, 12)), (4, 12)
+    expected = walk_calls(oracle, walks, prefix)
+    # 301 rows x 10 classes x (6 members laid out + 2 x 4 values) = 42,140
+    assert oracle.walk_values(walks, prefix) == expected and ranges == [1]
     monkeypatch.setattr(valuation, "RANGE_WORK", 40_000)
-    assert oracle.values(subsets) == expected and ranges == [1, 2, 3]  # capped at 3 threads
+    assert oracle.walk_values(walks, prefix) == expected and ranges == [1, 2]
+    monkeypatch.setattr(valuation, "RANGE_WORK", 20_000)
+    assert oracle.walk_values(walks, prefix) == expected and ranges == [1, 2, 3]  # capped at 3
 
 
 def test_row_ranges_cover_the_rows_on_block_boundaries():
@@ -235,14 +257,6 @@ def test_row_ranges_cover_the_rows_on_block_boundaries():
             assert bounds[0][0] == 0 and bounds[-1][1] == n
             assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
             assert all(start % block == 0 and stop > start for start, stop in bounds)
-
-
-@needs_compiler
-def test_value_probe_scores_two_row_ranges_on_one_cpu(monkeypatch):
-    monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid: {0})
-    ranges = count_ranges(monkeypatch)
-    assert valuation._bind_value_kernel(native.library()) is not None
-    assert max(ranges) >= 2
 
 
 def test_run_concurrently_raises_a_thread_error_after_joining_all():
@@ -260,8 +274,8 @@ def test_run_concurrently_raises_a_thread_error_after_joining_all():
     assert threading.active_count() == before
 
 
-def _values_in_child(oracle, subsets, conn):
-    conn.send(oracle.values(subsets))
+def _values_in_child(oracle, walks, prefix, conn):
+    conn.send(oracle.walk_values(walks, prefix))
     conn.close()
 
 
@@ -270,22 +284,22 @@ def test_batch_values_finish_in_a_forked_child(monkeypatch):
     monkeypatch.setattr(valuation, "value_threads", lambda: 3)
     monkeypatch.setattr(valuation, "RANGE_WORK", 1)
     oracle = oracle_game(n_val=301)
-    subsets = [(), *walk_prefixes((1, 4, 6, 9, 12, 15), 3)]
-    expected = oracle.values(subsets)  # the parent runs its threads first
+    walks, prefix = sweep((1, 4, 6, 9, 12, 15), (6,)), (6,)
+    expected = oracle.walk_values(walks, prefix)  # the parent runs its threads first
     context = multiprocessing.get_context("fork")
     receive, send = context.Pipe(duplex=False)
-    child = context.Process(target=_values_in_child, args=(oracle, subsets, send))
+    child = context.Process(target=_values_in_child, args=(oracle, walks, prefix, send))
     child.start()
     send.close()
     try:
-        assert receive.poll(60), "the forked child did not finish its values call"
+        assert receive.poll(60), "the forked child did not finish its walk_values call"
         got = receive.recv()
         child.join(timeout=60)
         assert not child.is_alive() and child.exitcode == 0
     finally:
         if child.is_alive():
             child.kill()
-    assert got == expected == [oracle(s) for s in subsets]
+    assert got == expected == walk_calls(oracle, walks, prefix)
 
 
 @needs_compiler
@@ -296,27 +310,33 @@ def test_batch_values_on_exact_ties_pick_the_first_maximum():
     phi = rng.integers(-1, 2, size=(97, 4)).astype(float)
     deltas = {m: rng.integers(-2, 3, size=(97, 4)).astype(float) for m in range(5)}
     labels = np.zeros(97, dtype=int)  # class 0 is the first maximum of every tie
-    subsets = [tuple(c) for size in range(6) for c in combinations(range(5), size)]
+    chosen_sets = [tuple(c) for size in range(5) for c in combinations(range(5), size)]
     for rule, total_devices in RULES:
         oracle = CoalitionOracle(phi, deltas, features, labels, rule, total_devices)
-        assert oracle.values(subsets) == [oracle(s) for s in subsets]
+        for walks, prefix in sweeps_after(range(5), chosen_sets):
+            values, exact_rows = oracle._kernel_walk_values(
+                valuation._walk_kernel(), walks, 1, prefix
+            )
+            assert values == walk_calls(oracle, walks, prefix)
+            assert exact_rows > 0
     # all-zero scores: every row ties across every class, and class 0 wins
     flat = CoalitionOracle(np.zeros((97, 4)), {0: np.zeros((97, 4))}, features, labels)
-    assert flat.values([(), (0,)]) == [1.0, 1.0]
+    assert flat.walk_values([(0,)]) == [[1.0]]
 
 
 @needs_compiler
 @pytest.mark.parametrize("rule, total_devices", RULES)
 def test_batch_values_sum_members_in_subset_order(rule, total_devices):
-    # row i's first class ties its second under subset i only when the member
-    # scores are summed in the subset's order; the kernel's probe game
+    # row i's first class ties its second under sweep subset i only when the
+    # member scores are summed in ascending id order; the kernel's probe game
     members = (2, 3, 5, 7, 11)
-    subsets = walk_prefixes(members, 3, seed=4)
+    cases = sweeps_after(members, [(), (5,), (3, 11), (2, 7, 11)])
+    subsets = [tuple(sorted((*prefix, m))) for walks, prefix in cases for (m,) in walks]
     base, deltas, labels = valuation._ordered_sum_game(
         97, members, subsets, rule, total_devices
     )
     oracle = CoalitionOracle(base, deltas, np.eye(97), labels, rule, total_devices)
-    got = oracle.values(subsets)
+    got = [value for walks, prefix in cases for [value] in oracle.walk_values(walks, prefix)]
     assert got == [oracle(s) for s in subsets]
     reversed_order = [oracle(tuple(reversed(s))) for s in subsets]
     assert got != reversed_order  # the game does see the order
@@ -326,9 +346,8 @@ def test_batch_values_sum_members_in_subset_order(rule, total_devices):
 def test_batch_values_in_a_greedy_sweep():
     oracle = oracle_game("explored")
     players = sorted((1, 4, 6, 9, 12, 15))
-    chosen = [6, 12]
-    sweep = [tuple(sorted(chosen + [m])) for m in players if m not in chosen]
-    assert oracle.values(sweep) == [oracle(s) for s in sweep]
+    walks = sweep(players, (6, 12))
+    assert oracle.walk_values(walks, [12, 6]) == walk_calls(oracle, walks, (6, 12))
 
     def plain(subset):
         return oracle(subset)
@@ -340,25 +359,69 @@ def test_batch_values_in_a_greedy_sweep():
             )
 
 
+def sweep_games(rule, total_devices):
+    """The probe's games, each with the players greedy chooses among."""
+    members = (2, 3, 5, 7, 11)
+    subsets = [tuple(c) for size in range(1, 6) for c in combinations(members, size)]
+    wide = tuple(range(48))
+    return [
+        (valuation._integer_game(97, members), members),
+        (valuation._ordered_sum_game(97, members, subsets, rule, total_devices), members),
+        (valuation._absorbed_sum_game(97, wide), wide),
+    ]
+
+
+@needs_compiler
+@pytest.mark.parametrize("ranges", [1, 2])
+@pytest.mark.parametrize("rule, total_devices", RULES)
+def test_greedy_through_the_kernel_picks_as_per_call_greedy(
+    monkeypatch, rule, total_devices, ranges
+):
+    assert valuation._walk_kernel() is not None  # its probe runs before the count starts
+    passes = count_ranges(monkeypatch)
+    monkeypatch.setattr(valuation, "value_threads", lambda: ranges)
+    monkeypatch.setattr(valuation, "RANGE_WORK", 1)
+    sweeps = []
+    walk_values = CoalitionOracle.walk_values
+
+    def recorded(self, walks, prefix=()):
+        values = walk_values(self, walks, prefix)
+        sweeps.append([value for [value] in values])
+        return values
+
+    monkeypatch.setattr(CoalitionOracle, "walk_values", recorded)
+    for (base, deltas, labels), players in sweep_games(rule, total_devices):
+        oracle = CoalitionOracle(base, deltas, np.eye(97), labels, rule, total_devices)
+        for early_stop in (False, True):
+            for k in (1, 3, len(players)):
+                picked = greedy_from_value_fn(players, k, oracle, early_stop)
+                assert picked == greedy_from_value_fn(
+                    players, k, lambda s: oracle(s), early_stop
+                ), (players, early_stop, k)
+    assert passes and set(passes) == {ranges}
+    # some sweep's best value is shared, so the lowest id must win through the kernel
+    assert any(values.count(max(values)) > 1 for values in sweeps)
+
+
 def test_greedy_hands_each_sweep_to_the_batch_method():
     table = {(): 0.0, (0,): 1.0, (1,): 1.0, (2,): 0.5, (0, 1): 1.5, (0, 2): 2.0,
              (1, 2): 2.0, (0, 1, 2): 2.5}
 
-    class Batched:
+    class Sweeping:
         def __init__(self):
-            self.batches = []
+            self.sweeps = []
 
         def __call__(self, subset):
             return table[subset]
 
-        def values(self, subsets):
-            self.batches.append(list(subsets))
-            return [table[s] for s in subsets]
+        def walk_values(self, walks, prefix=()):
+            self.sweeps.append((list(walks), prefix))
+            return [[table[tuple(sorted((*prefix, *walk)))]] for walk in walks]
 
-    batched = Batched()
+    sweeping = Sweeping()
     # (0,) and (1,) tie: the lowest id wins, as on the per-call path
-    assert greedy_from_value_fn([0, 1, 2], 2, batched) == (0, 2)
-    assert batched.batches == [[(0,), (1,), (2,)], [(0, 1), (0, 2)]]
+    assert greedy_from_value_fn([0, 1, 2], 2, sweeping) == (0, 2)
+    assert sweeping.sweeps == [([(0,), (1,), (2,)], ()), ([(1,), (2,)], (0,))]
 
 
 @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
@@ -371,8 +434,8 @@ def test_non_finite_scores_take_the_numpy_path(monkeypatch, poison):
         features = rng.normal(size=(9, 3))
         oracle = CoalitionOracle(phi, deltas, features, rng.integers(0, 4, size=9))
         kernel_unused(oracle, monkeypatch)
-        subsets = [(), (0,), (0, 1), (0, 1, 2), (2,)]
-        assert oracle.values(subsets) == [oracle(s) for s in subsets]
+        for walks, prefix in sweeps_after(range(3), [(), (0,), (0, 1), (2,)]):
+            assert oracle.walk_values(walks, prefix) == walk_calls(oracle, walks, prefix)
 
 
 def test_labels_the_kernel_cannot_read_take_the_numpy_path(monkeypatch):
@@ -383,40 +446,28 @@ def test_labels_the_kernel_cannot_read_take_the_numpy_path(monkeypatch):
     for labels in (np.full(9, 1.5), np.full(9, 1.0), rng.integers(0, 4, size=(9, 1))):
         oracle = CoalitionOracle(rng.normal(size=(3, 4)), deltas, features, labels)
         kernel_unused(oracle, monkeypatch)
-        subsets = [(), (0,), (0, 2)]
-        assert oracle.values(subsets) == [oracle(s) for s in subsets]
+        for walks, prefix in sweeps_after(range(3), [(), (0,), (0, 2)]):
+            assert oracle.walk_values(walks, prefix) == walk_calls(oracle, walks, prefix)
 
 
 def test_forced_numpy_fallback_gives_the_same_values(monkeypatch):
-    subsets = [(), *walk_prefixes((1, 4, 6, 9, 12, 15), 4)]
-    expected = oracle_game("all", 11).values(subsets)
-    monkeypatch.setattr(valuation, "_value_kernel", lambda: None)
+    cases = sweeps_after((1, 4, 6, 9, 12, 15), [(), *walk_prefixes((1, 4, 6, 9, 12, 15), 4)])
+    expected = [oracle_game("all", 11).walk_values(walks, prefix) for walks, prefix in cases]
     monkeypatch.setattr(valuation, "_walk_kernel", lambda: None)
     assert valuation.value_backend() == "numpy"
+    assert valuation.value_threads() == 1
     oracle = oracle_game("all", 11)
     kernel_unused(oracle, monkeypatch)
-    assert oracle.values(subsets) == expected == [oracle(s) for s in subsets]
-    assert oracle.values([]) == []
+    assert [oracle.walk_values(walks, prefix) for walks, prefix in cases] == expected
+    assert expected == [walk_calls(oracle, walks, prefix) for walks, prefix in cases]
+    assert oracle.walk_values([], (1, 4)) == []
 
 
 def test_batch_values_reject_unknown_members():
     with pytest.raises(KeyError):
-        oracle_game().values([(1,), (2,)])
-
-
-@needs_compiler
-def test_value_probe_mismatch_disables_only_the_value_kernel(monkeypatch):
-    library = native.library()
-    exact = CoalitionOracle.__call__
-
-    def one_row_off(self, subset):  # stands in for a miscompiled kernel
-        return exact(self, subset) + 1.0 / len(self._labels)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(CoalitionOracle, "__call__", one_row_off)
-        assert valuation._bind_value_kernel(library) is None
-    assert valuation._bind_value_kernel(library) is not None
-    assert solver._bind_kernel(library) is not None
+        oracle_game().walk_values([(1,), (2,)])
+    with pytest.raises(KeyError):
+        oracle_game().walk_values([(1,), (4,)], (2,))
 
 
 @pytest.mark.parametrize("rule, total_devices", RULES)
@@ -450,12 +501,9 @@ def test_tmc_batches_every_walk_in_one_call():
         def __call__(self, subset):
             return oracle(subset)
 
-        def values(self, subsets):
-            raise AssertionError("walks go to walk_values")
-
-        def walk_values(self, perms):
-            batches.append(list(perms))
-            return oracle.walk_values(perms)
+        def walk_values(self, walks):
+            batches.append(list(walks))
+            return oracle.walk_values(walks)
 
     audit = []
     tmc_estimate(
@@ -463,7 +511,8 @@ def test_tmc_batches_every_walk_in_one_call():
         audit_sink=audit.append,
     )
     assert len(batches) == 1
-    assert [list(perm) for perm in batches[0]] == [entry["permutation"] for entry in audit]
+    # each walk but its last member: the full set's value is known
+    assert [list(walk) for walk in batches[0]] == [entry["permutation"][:-1] for entry in audit]
 
 
 def test_tmc_with_truncation_keeps_per_prefix_calls():
@@ -475,7 +524,7 @@ def test_tmc_with_truncation_keeps_per_prefix_calls():
         def __call__(self, subset):
             return oracle(subset)
 
-        def values(self, subsets):
+        def walk_values(self, walks, prefix=()):
             raise AssertionError("a truncating walk must not batch")
 
     for tol in (0.02, 0.05):
@@ -500,9 +549,6 @@ def test_walk_values_equal_calls_across_rules_and_row_ranges(n_val):
             perms = random_walks(players, 4, seed=len(players))
             expected = walk_calls(oracle, perms)
             assert oracle.walk_values(perms) == expected
-            if len(players) == 1:
-                assert expected == [[]] * 4
-                continue
             for ranges in (1, 2, blocks + 2):  # the last asks for more ranges than blocks
                 values, exact_rows = oracle._kernel_walk_values(kernel, perms, ranges)
                 assert values == expected, (rule, players, ranges)
@@ -515,17 +561,26 @@ def test_walk_values_score_tie_games_on_the_exact_path(rule, total_devices):
     kernel = valuation._walk_kernel()
     members = (2, 3, 5, 7, 11)
     perms = random_walks(members, 3, seed=4)
-    prefixes = [tuple(sorted(perm[:size])) for perm in perms for size in range(1, len(perm))]
-    wide = tuple(range(48))
-    for (base, deltas, labels), walks in (
-        (valuation._integer_game(97, members), perms),
-        (valuation._ordered_sum_game(97, members, prefixes, rule, total_devices), perms),
-        (valuation._absorbed_sum_game(97, wide), [wide[::-1], *random_walks(wide, 2)]),
+    chosen, candidates = (3, 7), sweep(members, (3, 7))
+    subsets = [tuple(sorted(perm[:size])) for perm in perms for size in range(1, len(perm) + 1)]
+    subsets += [tuple(sorted((*chosen, m))) for (m,) in candidates]
+    integer = valuation._integer_game(97, members)
+    ordered = valuation._ordered_sum_game(97, members, subsets, rule, total_devices)
+    descending = tuple(range(47, -1, -1))
+    absorbed = valuation._absorbed_sum_game(97, descending)
+    for (base, deltas, labels), walks, prefix in (
+        (integer, perms, ()),
+        (integer, candidates, chosen),
+        (ordered, perms, ()),
+        (ordered, candidates, chosen),
+        (absorbed, [descending, *random_walks(descending, 2)], ()),
+        (absorbed, [descending[46:]], descending[:46]),
+        (valuation._cancelling_prefix_game(97), sweep(range(5), (3, 4)), (3, 4)),
     ):
         oracle = CoalitionOracle(base, deltas, np.eye(97), labels, rule, total_devices)
-        expected = walk_calls(oracle, walks)
+        expected = walk_calls(oracle, walks, prefix)
         for ranges in (1, 2):
-            values, exact_rows = oracle._kernel_walk_values(kernel, walks, ranges)
+            values, exact_rows = oracle._kernel_walk_values(kernel, walks, ranges, prefix)
             assert values == expected
             assert exact_rows > 0
 
@@ -577,7 +632,7 @@ def test_walk_values_fan_out_only_with_enough_work(monkeypatch):
     oracle = oracle_game(n_val=301)  # 5 blocks
     perms = random_walks((1, 4, 6, 9, 12, 15), 5)
     expected = walk_calls(oracle, perms)
-    # 2 x 301 rows x 10 classes x 5 walks x 5 prefixes = 150,500 score operations
+    # 301 rows x 10 classes x (6 members laid out + 2 x 5 walks x 6 prefixes) = 198,660
     assert oracle.walk_values(perms) == expected and ranges == [1]
     monkeypatch.setattr(valuation, "RANGE_WORK", 100_000)
     assert oracle.walk_values(perms) == expected and ranges == [1, 2]
@@ -605,13 +660,8 @@ def test_walk_probe_mismatch_disables_only_the_walk_kernel(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(CoalitionOracle, "_kernel_walk_values", one_row_off)
         assert valuation._bind_walk_kernel(library) is None
-        assert valuation._bind_value_kernel(library) is not None
     assert valuation._bind_walk_kernel(library) is not None
     assert solver._bind_kernel(library) is not None
-    with monkeypatch.context() as patch:
-        patch.setattr(valuation, "_walk_kernel", lambda: None)
-        assert valuation.value_backend() == "mixed"
-        assert valuation.value_threads() >= 1
 
 
 def test_walk_values_reject_bad_walks():
@@ -620,6 +670,10 @@ def test_walk_values_reject_bad_walks():
         oracle.walk_values([(1, 4, 6), (1, 4)])
     with pytest.raises(ValueError, match="at most once"):
         oracle.walk_values([(1, 4, 1)])
+    with pytest.raises(ValueError, match="none of them in the prefix"):
+        oracle.walk_values([(1,), (4,)], (4, 9))  # a candidate already chosen
+    with pytest.raises(ValueError, match="at most once"):
+        oracle.walk_values([(1,)], (4, 4))
     with pytest.raises(KeyError):
         oracle.walk_values([(1, 2, 4)])
     assert oracle.walk_values([]) == []
@@ -748,9 +802,9 @@ def test_probe_mismatch_keeps_per_member_products(monkeypatch):
     labels = rng.integers(0, 10, size=301)
     deltas = member_deltas(21, 7, 10)
     perms = random_walks(tuple(deltas), 3)
-    subsets = [(), *walk_prefixes(tuple(deltas), 2)]
+    sweeps = sweeps_after(tuple(deltas), [(), *walk_prefixes(tuple(deltas), 2)])
     reference = CoalitionOracle(phi, deltas, features, labels, "explored")
-    valuation.value_backend()  # binds the kernels: their probes build oracles too
+    valuation.value_backend()  # binds the kernel: its probe builds oracles too
     probes = []
     monkeypatch.setattr(valuation, "_STACKED_SHAPES", {})
     monkeypatch.setattr(valuation, "_same_bytes", recording_probe(probes, False))
@@ -761,7 +815,8 @@ def test_probe_mismatch_keeps_per_member_products(monkeypatch):
         assert probes == [10, 11]  # each shape is probed once per process
         assert valuation._STACKED_SHAPES == {(301, 7, 10, 10): False, (301, 7, 10, 11): False}
         assert np.array_equal(np.stack(oracle._members).view(np.uint64), expected.view(np.uint64))
-        assert oracle.values(subsets) == reference.values(subsets)
+        for walks, prefix in sweeps:
+            assert oracle.walk_values(walks, prefix) == reference.walk_values(walks, prefix)
         assert oracle.walk_values(perms) == reference.walk_values(perms)
 
 
