@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import native
+from . import native, products
 from .cost import sample_profiles, schedule_cost
 from .data import DeviceDataset, SplitDataset
 from .losses import Loss
@@ -128,10 +129,10 @@ class ExperimentResult:
     out_dir: Path | None = None
 
 
-def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
-    if scores.shape[0] == 0:
+def _accuracy(predicted: np.ndarray, labels: np.ndarray) -> float:
+    if predicted.shape[0] == 0:
         raise ValueError("accuracy over an empty sample set is undefined")
-    return float(np.mean(np.argmax(scores, axis=1) == labels))
+    return float(np.mean(predicted == labels))
 
 
 def evaluate_global(
@@ -144,15 +145,31 @@ def evaluate_global(
 ) -> tuple[float, float]:
     """Test accuracy of the argmax predictor plus mean per-class train objective.
 
-    train_margins is the training matrix times phi_cols and train_targets its
-    (n, K) one-vs-rest targets. The objective averages, over the one-vs-rest
-    columns, the regularized primal value on the full training pool; with
-    phi_cols == 0 it equals loss.value(0, -1) averaged with loss.value(0, +1)
-    weighted by class frequency, and the accuracy equals the frequency of
-    class 0 because argmax breaks ties toward the lowest class id.
+    Both train arrays are class-major, (K, n) for the split's n training
+    rows: train_margins is phi_cols.T @ X.T for the training matrix X (as
+    products.kmajor_product gives it) and train_targets the one-vs-rest
+    targets, row k holding +1 where the label is k and -1 elsewhere. Any
+    other shape, the row-major (n, K) layout among them, raises ValueError.
+    The objective averages, over the one-vs-rest problems, the regularized
+    primal value on the full training pool; with phi_cols == 0 it equals
+    loss.value(0, -1) averaged with loss.value(0, +1) weighted by class
+    frequency, and the accuracy equals the frequency of class 0 because
+    argmax breaks ties toward the lowest class id.
     """
-    accuracy = _accuracy(split.test_features @ phi_cols, split.test_labels)
-    data_term = float(np.mean(loss.value(train_margins, train_targets)))
+    kmajor = (phi_cols.shape[1], split.stacked_train()[0].shape[0])
+    if train_margins.shape != kmajor or train_targets.shape != kmajor:
+        raise ValueError(
+            f"train margins and targets must be class-major {kmajor}, got "
+            f"{train_margins.shape} and {train_targets.shape}"
+        )
+    test_scores = products.kmajor_product(split.test_features, [phi_cols])
+    accuracy = _accuracy(np.argmax(test_scores, axis=0), split.test_labels)
+    # one class at a time on contiguous rows, into the (n, K) order the mean
+    # has always summed in: a class-major sum would round differently
+    values = np.empty(kmajor[::-1])
+    for k, (margins, targets) in enumerate(zip(train_margins, train_targets)):
+        values[:, k] = loss.value(margins, targets)
+    data_term = float(np.mean(values))
     reg_term = 0.5 * reg_lambda * float(np.mean(np.sum(phi_cols**2, axis=0)))
     return accuracy, data_term + reg_term
 
@@ -162,7 +179,9 @@ def device_test_scores(
 ) -> dict[int, np.ndarray]:
     """(n_test, K) scores of each device's local test split, keyed by device id.
 
-    Devices without held-out samples have no entry.
+    Devices without held-out samples have no entry. The products stay
+    row-major: at the grid's 44 to 165 rows per device, class-major products
+    (products.kmajor_product) changed some scores.
     """
     return {
         device.device_id: device.test_features @ phi_cols
@@ -228,7 +247,10 @@ class Experiment:
         self.loss = hyper.make_loss()
         self.reg_lambda = hyper.resolved_lambda(self.total_samples)
 
-        self.train_targets = one_vs_rest_targets(split.stacked_train()[1], self.num_classes)
+        # class-major, (K, D), as evaluate_global takes them
+        self.train_targets = np.ascontiguousarray(
+            one_vs_rest_targets(split.stacked_train()[1], self.num_classes).T
+        )
 
         sizes = {d.device_id: d.size for d in split.devices}
         self.profiles = sample_profiles(
@@ -245,9 +267,6 @@ class Experiment:
         self._persistent_ledger: ContributionLedger | None = (
             ContributionLedger() if policy.beta_persistence else None
         )
-        # how this run's value oracles built their member scores: None before
-        # the first oracle, "per_member" once one fell back, else "stacked"
-        self.value_products: str | None = None
 
     # -- per-device caches ------------------------------------------------
 
@@ -306,8 +325,6 @@ class Experiment:
             self.hyper.aggregation_denominator,
             self.num_devices,
         )
-        if self.value_products != "per_member":
-            self.value_products = value.value_products
         if self.policy.kind == "greedy":
             # budget defaults to the whole candidate pool; early stop trims it
             k = self.policy.greedy_k or len(explored)
@@ -374,27 +391,23 @@ class Experiment:
         round_cost_s: float,
         cum_cost_s: float,
     ) -> RoundMetrics:
-        train_margins = self.split.stacked_train()[0] @ state.phi
+        train_margins = products.kmajor_product(self.split.stacked_train()[0], [state.phi])
         test_acc, train_loss = evaluate_global(
             state.phi, self.split, self.loss, self.reg_lambda, train_margins, self.train_targets
         )
         duality_gap = float(
             np.mean(
                 [
-                    fenchel_gap(
-                        state.alpha[:, k],
-                        train_margins[:, k],
-                        self.train_targets[:, k],
-                        self.loss,
-                    )
-                    for k in range(self.num_classes)
+                    fenchel_gap(state.alpha[:, k], margins, targets, self.loss)
+                    for k, (margins, targets) in enumerate(zip(train_margins, self.train_targets))
                 ]
             )
         )
 
         test_scores = device_test_scores(state.phi, self.split.devices)
         local_accs = [
-            _accuracy(scores, self.devices[m].test_labels) for m, scores in test_scores.items()
+            _accuracy(np.argmax(scores, axis=1), self.devices[m].test_labels)
+            for m, scores in test_scores.items()
         ]
         if local_accs:
             pers_mean = float(np.mean(local_accs))
@@ -455,7 +468,6 @@ class Experiment:
         if rounds < 0:
             raise ValueError("rounds must be >= 0")
         out = Path(out_dir) if out_dir is not None else None
-        self.value_products = None
         manifest = None
         csv_handle = None
         if out is not None:
@@ -465,6 +477,12 @@ class Experiment:
             )
             csv_handle = open(out / "metrics.csv", "w", encoding="utf-8")
             csv_handle.write(",".join(CSV_COLUMNS) + "\n")
+        # after RunManifest.start: the kernels' probes it runs make products too
+        layouts_before = products.LAYOUTS.copy()
+
+        def value_products() -> str | None:
+            ran = products.LAYOUTS - layouts_before
+            return "row_major" if ran["row_major"] else "k_major" if ran["k_major"] else None
 
         state = GlobalState.zeros(self.split.feature_dim, self.total_samples, self.num_classes)
         metrics: list[RoundMetrics] = []
@@ -511,14 +529,14 @@ class Experiment:
                         break
         except BaseException as exc:
             if manifest is not None:
-                manifest.fail(out, exc, len(metrics), self.value_products)
+                manifest.fail(out, exc, len(metrics), value_products())
             raise
         finally:
             if csv_handle is not None:
                 csv_handle.close()
         if manifest is not None:
             manifest.finalize(
-                out, stop_reason, len(metrics), value_products=self.value_products
+                out, stop_reason, len(metrics), value_products=value_products()
             )
         return ExperimentResult(
             policy=self.policy.kind,
@@ -547,6 +565,8 @@ class RunManifest:
     value_threads: int
     native_isa: str | None
     blas: dict
+    python: str
+    numpy: str
     status: str = "running"
     finished_at: str | None = None
     rows_written: int = 0
@@ -575,6 +595,8 @@ class RunManifest:
             value_threads=value_threads(),
             native_isa=native.native_isa(native.library()),
             blas=native.blas(),
+            python=platform.python_version(),
+            numpy=np.__version__,
         )
         manifest.write(out)
         return manifest
@@ -593,6 +615,8 @@ class RunManifest:
             "value_threads": self.value_threads,
             "native_isa": self.native_isa,
             "blas": self.blas,
+            "python": self.python,
+            "numpy": self.numpy,
             "value_products": self.value_products,
             "rows_written": self.rows_written,
             "stop_reason": self.stop_reason,

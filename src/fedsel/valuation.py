@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import native
+from .products import kmajor_product
 from .solver import aggregation_count
 
 EXACT_PLAYER_GUARD = 10
@@ -73,9 +74,12 @@ VALUE_BLOCK_ROWS = 64  # validation rows per block of the compiled walk kernel
 # keeps spinning on the second core (with one BLAS thread the same sweeps
 # took 11-15 ms on two ranges). So sweeps stay on one range.
 RANGE_WORK = 1 << 24
-# Most member updates stacked into one validation product. On a 2-core x86-64
-# host with OpenBLAS, stacks of up to 20 members gave the per-member bytes at
-# 1 to 4 threads, and most stacks of 21 to 39 did not (see _member_scores).
+# Most (d, K) blocks, phi and member updates, stacked into one validation
+# product. With OpenBLAS 0.3.31 on 2-core x86-64 hosts, row-major stacks of
+# up to 20 members gave the per-member bytes at 1 to 4 threads and most
+# stacks of 21 to 39 did not; class-major stacks of 1 to 40 gave them at 1
+# and 2 threads (SkylakeX kernels). Every stacked shape is probed (see
+# products).
 STACKED_MEMBERS = 20
 
 
@@ -87,14 +91,12 @@ class CoalitionOracle:
     member_deltas holds every explored device, and aggregation_rule picks
     the averaging denominator (see solver.aggregation_count). Validation
     scores of phi and of each delta are computed once, so a coalition costs
-    O(n_val * K) instead of a fresh feature matmul; the member scores come
-    from stacked products where their shape passed the probe of
-    _member_scores, and value_products says which ("stacked" or
-    "per_member"). Calling the oracle values
-    one subset with numpy; `walk_values` values every prefix of many walks
-    after a shared prefix (a truncated Monte-Carlo call's walks, or a greedy
-    sweep's candidates after its chosen set) with the compiled walk kernel
-    and bitwise-equal results.
+    O(n_val * K) instead of a fresh feature matmul; they come from probed,
+    stacked class-major products (see _validation_scores). Calling the
+    oracle values one subset with numpy; `walk_values` values every prefix
+    of many walks after a shared prefix (a truncated Monte-Carlo call's
+    walks, or a greedy sweep's candidates after its chosen set) with the
+    compiled walk kernel and bitwise-equal results.
     """
 
     def __init__(
@@ -114,12 +116,10 @@ class CoalitionOracle:
         aggregation_count(aggregation_rule, 1, self._explored, total_devices)  # fail early
         val_features = np.asarray(validation_features, dtype=np.float64)
         self._labels = np.asarray(validation_labels)
-        self._base = val_features @ phi_cols
         self._rows = {m: i for i, m in enumerate(member_deltas)}
-        self._members, stacked = _member_scores(
-            val_features, list(member_deltas.values()), self._base.shape[1]
+        self._base, *self._members = _validation_scores(
+            val_features, [phi_cols, *member_deltas.values()]
         )
-        self.value_products = "stacked" if stacked else "per_member"
 
     def _count(self, size: int) -> int:
         return aggregation_count(self._rule, size, self._explored, self._total_devices)
@@ -228,59 +228,32 @@ class CoalitionOracle:
         return [[h / n for h in walk] for walk in hits], int(exact_rows.sum())
 
 
-# (rows, features, classes, members) of a stacked product -> whether it gave
-# the per-member bytes on its first use in this process
-_STACKED_SHAPES: dict[tuple[int, int, int, int], bool] = {}
+def _validation_scores(features, weights) -> list[np.ndarray]:
+    """[features @ w for w in weights], equal bit for bit, each a
+    C-contiguous (n, classes) array.
 
+    The P blocks (phi, then each member's update) go in
+    ceil(P / STACKED_MEMBERS) near-equal chunks, and each chunk is one
+    class-major product (products.kmajor_product, probed once per shape)
+    written into one reused buffer, from which each block's classes are
+    copied out into an array of its own, in the (n, classes) layout the
+    walk kernel reads.
 
-def _member_scores(features, deltas, classes: int) -> tuple[list[np.ndarray], bool]:
-    """[features @ delta for delta in deltas], equal bit for bit, and whether
-    every chunk of more than one member was stacked.
-
-    The P deltas go in ceil(P / STACKED_MEMBERS) near-equal chunks, and each
-    chunk of more than one member is one product `features @ hstack(chunk)`,
-    written into one reused buffer and copied out into one C-contiguous
-    (n, classes) array per member. A BLAS may block a wider product
-    differently, so the first chunk of each shape in the process is also
-    scored member by member, and those scores are kept; the stacked product
-    is used for that shape only if its bytes were equal (_same_bytes). A
-    shape that failed stays on per-member products.
-
-    One array per member, not one (P, n, classes) array: on glibc an array
-    that large is a fresh mapping every round, while the per-member arrays
+    One array per block, not one (P, n, classes) array: on glibc an array
+    that large is a fresh mapping every round, while the per-block arrays
     reuse the blocks the last round freed. On the grid (100 members) the
     single array raised the benchmark's peak RSS by about 9 MiB more.
     """
-    n, d = features.shape
-    scores = [None] * len(deltas)
-    chunks = max(1, -(-len(deltas) // STACKED_MEMBERS))
-    edges = [len(deltas) * c // chunks for c in range(chunks + 1)]
-    buffer = np.empty(n * classes * -(-len(deltas) // chunks))
-    stacked = True
+    n, classes = features.shape[0], weights[0].shape[1]
+    chunks = -(-len(weights) // STACKED_MEMBERS)
+    edges = [len(weights) * c // chunks for c in range(chunks + 1)]
+    buffer = np.empty(n * classes * -(-len(weights) // chunks))
+    scores = []
     for start, stop in zip(edges[:-1], edges[1:]):
-        size = stop - start
-        shape = (n, d, classes, size)
-        verdict = _STACKED_SHAPES.get(shape) if size > 1 else False  # None: not probed
-        if verdict is not False:
-            product = buffer[: n * classes * size].reshape(n, size * classes)
-            np.matmul(features, np.hstack(deltas[start:stop]), out=product)
-            by_member = product.reshape(n, size, classes).transpose(1, 0, 2)
-        if verdict:
-            scores[start:stop] = [member.copy() for member in by_member]
-            continue
-        scores[start:stop] = [features @ delta for delta in deltas[start:stop]]
-        if verdict is None:
-            verdict = _STACKED_SHAPES[shape] = _same_bytes(scores[start:stop], by_member)
-        stacked = stacked and (verdict or size == 1)
-    return scores, stacked
-
-
-def _same_bytes(members, stacked: np.ndarray) -> bool:
-    """Whether each member's float64 scores hold the bytes of its slice of
-    the stacked scores, (P, n, classes)."""
-    return len(members) == len(stacked) and all(
-        np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(members, stacked)
-    )
+        out = buffer[: n * classes * (stop - start)].reshape(-1, n)
+        product = kmajor_product(features, weights[start:stop], out)
+        scores += [product[j : j + classes].T.copy() for j in range(0, len(product), classes)]
+    return scores
 
 
 def _row_ranges(n: int, ranges: int) -> list[tuple[int, int]]:

@@ -1,5 +1,6 @@
 """Round-loop behavior: evaluation, pairing, aggregation, stopping, reporting."""
 import json
+import platform
 from dataclasses import fields, replace
 from itertools import combinations
 
@@ -8,7 +9,7 @@ import pytest
 from conftest import tiny_split
 
 import fedsel.orchestrator as orch
-from fedsel import native, solver, valuation
+from fedsel import native, products, solver, valuation
 from fedsel.cli import main
 from fedsel.data import DeviceDataset, SplitDataset
 from fedsel.orchestrator import (
@@ -45,11 +46,23 @@ def test_zero_model_scores_class_zero_frequency():
     features, labels = split.stacked_train()
     acc, train_loss = evaluate_global(
         phi_cols, split, loss, HP.resolved_lambda(split.total_train),
-        features @ phi_cols, one_vs_rest_targets(labels, 3),
+        (features @ phi_cols).T, one_vs_rest_targets(labels, 3).T,
     )
     assert acc == float(np.mean(split.test_labels == 0))
     # smoothed hinge at margin 0 is 1/2 for both targets, regularizer is 0
     assert train_loss == 0.5
+
+
+def test_evaluate_global_rejects_row_major_train_arrays():
+    # zero margins score 1/2 in any layout, so only the shape check can tell
+    split = tiny_split()
+    phi_cols = np.zeros((split.feature_dim, 3))
+    features, labels = split.stacked_train()
+    margins, targets = features @ phi_cols, one_vs_rest_targets(labels, 3)
+    lam = HP.resolved_lambda(split.total_train)
+    for bad in ((margins, targets.T), (margins.T, targets), (margins, targets)):
+        with pytest.raises(ValueError, match="class-major"):
+            evaluate_global(phi_cols, split, HP.make_loss(), lam, *bad)
 
 
 def test_single_device_full_participation_is_identity_aggregation():
@@ -334,7 +347,7 @@ def _reference_metrics(exp, shards, state, round_index, plan, round_cost_s, cum_
 
 
 @pytest.mark.parametrize("loss", ["smoothed_hinge", "squared"])
-def test_evaluate_matches_two_pass_reference_bitwise(loss):
+def test_evaluate_matches_two_pass_reference_bitwise(loss, monkeypatch):
     split, shards = _float32_split()
     hp = replace(HP, loss=loss, epochs=1, c_fraction=0.6, theta_threshold=0.15)
     exp = Experiment(split, hp, SelectionPolicy(kind="cds"))
@@ -346,12 +359,20 @@ def test_evaluate_matches_two_pass_reference_bitwise(loss):
     # a random phi keeps the accuracies away from 0 and 1
     rng = np.random.default_rng(4)
     cases.append((3, replace(state, phi=rng.normal(size=state.phi.shape)), plan))
-    for round_index, state, plan in cases:
-        got = exp.evaluate(state, round_index, plan, 1.25, 2.5)
-        want = _reference_metrics(exp, shards, state, round_index, plan, 1.25, 2.5)
-        assert [repr(getattr(got, f.name)) for f in fields(RoundMetrics)] == [
-            repr(getattr(want, f.name)) for f in fields(RoundMetrics)
-        ]
+    # the shapes' probes as this BLAS answers them, then every probe failed
+    for verdict in ("probed", "row_major"):
+        if verdict == "row_major":
+            monkeypatch.setattr(products, "_SHAPES", {})
+            monkeypatch.setattr(products, "_same_bytes", lambda a, b: False)
+        ran = products.LAYOUTS.copy()
+        for round_index, state, plan in cases:
+            got = exp.evaluate(state, round_index, plan, 1.25, 2.5)
+            want = _reference_metrics(exp, shards, state, round_index, plan, 1.25, 2.5)
+            assert [repr(getattr(got, f.name)) for f in fields(RoundMetrics)] == [
+                repr(getattr(want, f.name)) for f in fields(RoundMetrics)
+            ]
+        if verdict == "row_major":
+            assert (products.LAYOUTS - ran).keys() == {"row_major"}
 
 
 def test_zero_round_run_reports_only_the_initial_row(tmp_path):
@@ -379,7 +400,10 @@ def test_zero_round_run_reports_only_the_initial_row(tmp_path):
     assert manifest["native_isa"] in ("avx2", "default", None)
     assert manifest["blas"] == native.blas()
     assert set(manifest["blas"]) == {"name", "version", "threads"}
-    assert manifest["value_products"] is None  # no round, so no value oracle
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    # the round-0 evaluation's products ran, in either layout
+    assert manifest["value_products"] in ("k_major", "row_major")
 
 
 def test_run_rejects_negative_rounds_and_bad_eval_every():
@@ -425,7 +449,7 @@ def test_crashed_run_marks_its_manifest_failed(tmp_path, monkeypatch):
     assert manifest["error"] == "ValueError: local solve diverged"
     assert manifest["rows_written"] == 1  # the round-0 row, written before round 1
     assert manifest["stop_reason"] is None
-    assert manifest["value_products"] is None
+    assert manifest["value_products"] in ("k_major", "row_major")  # round 0's evaluation
     assert len((out / "metrics.csv").read_text().splitlines()) == 2
 
     cli_out = tmp_path / "cli"
@@ -443,15 +467,17 @@ def test_failed_run_records_the_value_products_of_its_rounds(tmp_path, monkeypat
         raise ValueError("cost model failed")
 
     valuation.value_backend()  # the kernels' probes run unpatched
-    monkeypatch.setattr(valuation, "_STACKED_SHAPES", {})
-    monkeypatch.setattr(valuation, "_same_bytes", lambda a, b: False)
     monkeypatch.setattr(orch, "schedule_cost", broken_cost)
-    out = tmp_path / "crash"
-    with pytest.raises(ValueError, match="cost model"):
-        run_experiment(tiny_split(), HP, SelectionPolicy(kind="cds"), rounds=2, out_dir=out)
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "failed"
-    assert manifest["value_products"] == "per_member"
+    # every probe passed (the bytes are not checked here), then every probe failed
+    for verdict, recorded in ((True, "k_major"), (False, "row_major")):
+        monkeypatch.setattr(products, "_SHAPES", {})
+        monkeypatch.setattr(products, "_same_bytes", lambda a, b: verdict)
+        out = tmp_path / recorded
+        with pytest.raises(ValueError, match="cost model"):
+            run_experiment(tiny_split(), HP, SelectionPolicy(kind="cds"), rounds=2, out_dir=out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["value_products"] == recorded
 
 
 def test_rerun_is_byte_identical_and_seed_sensitive():
@@ -474,7 +500,7 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
     base = replace(HP, delta_t=6) if policy == "cds-walks" else HP
     runs = []
     for hp in (base, replace(base, loss="squared", aggregation_denominator="explored")):
-        for backend in ("fan-out", "numpy", "one-range", "per-member"):
+        for backend in ("fan-out", "numpy", "one-range", "row-major"):
             if backend == "fan-out":  # every batch on three threads
                 monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid: {0, 1, 2})
                 monkeypatch.setattr(valuation, "RANGE_WORK", 1)
@@ -483,10 +509,10 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
                 monkeypatch.setattr(valuation, "_walk_kernel", lambda: None)
             if backend == "one-range":  # as on a host with one usable CPU
                 monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid: {0})
-            if backend == "per-member":  # as on a BLAS whose stacked products differ
+            if backend == "row-major":  # as on a BLAS whose class-major products differ
                 valuation.value_backend()  # the kernels' probes run unpatched
-                monkeypatch.setattr(valuation, "_STACKED_SHAPES", {})
-                monkeypatch.setattr(valuation, "_same_bytes", lambda a, b: False)
+                monkeypatch.setattr(products, "_SHAPES", {})
+                monkeypatch.setattr(products, "_same_bytes", lambda a, b: False)
             out = tmp_path / f"{hp.loss}-{backend}"
             kind = policy.split("-")[0]
             run_experiment(split, hp, SelectionPolicy(kind=kind), rounds=3, out_dir=out)
@@ -496,12 +522,10 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
             assert manifest["value_threads"] == valuation.value_threads()
             assert manifest["native_isa"] == native.native_isa(native.library())
             assert manifest["blas"] == native.blas()
-            if kind == "random":
-                assert manifest["value_products"] is None
-            elif backend == "per-member":
-                assert manifest["value_products"] == "per_member"
+            if backend == "row-major":
+                assert manifest["value_products"] == "row_major"
             else:
-                assert manifest["value_products"] in ("stacked", "per_member")
+                assert manifest["value_products"] in ("k_major", "row_major")
             runs.append((out / "metrics.csv").read_bytes())
             monkeypatch.undo()
     assert runs[0] == runs[1] == runs[2] == runs[3] and runs[4] == runs[5] == runs[6] == runs[7]

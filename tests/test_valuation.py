@@ -15,7 +15,7 @@ from conftest import random_game
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsel import native, solver, valuation
+from fedsel import native, products, solver, valuation
 from fedsel.selection import greedy_from_value_fn
 from fedsel.valuation import (
     CoalitionGame,
@@ -705,25 +705,31 @@ def test_forced_numpy_fallback_gives_the_same_walk_values(monkeypatch):
 
 # Runs in a child with a fixed BLAS thread count. For each member count P it
 # builds an oracle on the grid's validation shape (5000 x 785) and reports
-# whether its member scores hold the bytes of the per-member products, which
-# products it took, and the shapes the probe rejected.
+# whether its base and member scores hold the bytes of the per-member
+# products, which layouts its products ran in, and the shapes the probe
+# rejected.
 MEMBER_SCORES_CHILD = """
 import json, sys
 import numpy as np
-from fedsel import native, valuation
+from fedsel import native, products, valuation
 classes = int(sys.argv[1])
 rng = np.random.default_rng(classes)
 features = rng.normal(size=(5000, 785))
 labels = rng.integers(0, classes, size=5000)
 report = {"threads": native.blas()["threads"], "cases": {}}
 for members in (1, 10, 20, 21, 30, 100):
+    phi = rng.normal(size=(785, classes))
     deltas = {m: rng.normal(size=(785, classes)) for m in range(members)}
-    oracle = valuation.CoalitionOracle(rng.normal(size=(785, classes)), deltas, features, labels)
-    expected = np.stack([features @ delta for delta in deltas.values()])
+    before = products.LAYOUTS.copy()
+    oracle = valuation.CoalitionOracle(phi, deltas, features, labels)
+    expected = [features @ delta for delta in (phi, *deltas.values())]
     report["cases"][members] = {
-        "equal": valuation._same_bytes(oracle._members, expected),
-        "products": oracle.value_products,
-        "rejected": [shape for shape, ok in valuation._STACKED_SHAPES.items() if not ok],
+        "equal": all(
+            np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            for a, b in zip([oracle._base, *oracle._members], expected, strict=True)
+        ),
+        "layouts": sorted(products.LAYOUTS - before),
+        "rejected": [shape for shape, ok in products._SHAPES.items() if not ok],
     }
 print(json.dumps(report))
 """
@@ -748,10 +754,14 @@ def test_member_scores_equal_per_member_products(threads, classes):
         # a rejected shape leaves its chunks on per-member products, so the
         # bytes are equal either way
         assert case["equal"], (members, case)
-        chunks = -(-int(members) // valuation.STACKED_MEMBERS)
-        sizes = {int(members) * (c + 1) // chunks - int(members) * c // chunks for c in range(chunks)}
+        blocks = int(members) + 1  # the base and the members
+        chunks = -(-blocks // valuation.STACKED_MEMBERS)
+        sizes = {blocks * (c + 1) // chunks - blocks * c // chunks for c in range(chunks)}
         rejected = {tuple(shape)[3] for shape in case["rejected"]} & sizes
-        assert case["products"] == ("per_member" if rejected else "stacked"), (members, case)
+        layouts = {size in rejected for size in sizes}
+        assert case["layouts"] == sorted({"row_major" if r else "k_major" for r in layouts}), (
+            members, case,
+        )
 
 
 def member_deltas(members, rows, classes, seed=0):
@@ -763,10 +773,14 @@ def test_stacked_member_scores_keep_each_members_columns(monkeypatch):
     # identity features: every score is its delta entry exactly, whatever the
     # BLAS, so a stacked product may be forced without a probe
     deltas = member_deltas(45, 31, 3)
-    monkeypatch.setattr(valuation, "_STACKED_SHAPES", {(31, 31, 3, 15): True})
-    monkeypatch.setattr(valuation, "_same_bytes", None)  # no probe may run
-    oracle = CoalitionOracle(np.zeros((31, 3)), deltas, np.eye(31), np.zeros(31, dtype=int))
-    assert oracle.value_products == "stacked"
+    phi = np.arange(93.0).reshape(31, 3)
+    # phi and 45 members go in chunks of 15, 15 and 16
+    monkeypatch.setattr(products, "_SHAPES", {(31, 31, 3, 15): True, (31, 31, 3, 16): True})
+    monkeypatch.setattr(products, "_same_bytes", None)  # no probe may run
+    before = products.LAYOUTS.copy()
+    oracle = CoalitionOracle(phi, deltas, np.eye(31), np.zeros(31, dtype=int))
+    assert products.LAYOUTS - before == {"k_major": 3}
+    assert np.array_equal(oracle._base, phi) and oracle._base.flags.c_contiguous
     assert len(oracle._members) == 45
     assert np.array_equal(np.stack(oracle._members), np.stack(list(deltas.values())))
     assert all(member.flags.c_contiguous for member in oracle._members)
@@ -784,15 +798,16 @@ def recording_probe(probes, verdict):
 
 def test_member_chunks_are_near_equal_and_probed_once_per_shape(monkeypatch):
     probes = []
-    monkeypatch.setattr(valuation, "_STACKED_SHAPES", {})
-    monkeypatch.setattr(valuation, "_same_bytes", recording_probe(probes, True))
+    monkeypatch.setattr(products, "_SHAPES", {})
+    monkeypatch.setattr(products, "_same_bytes", recording_probe(probes, True))
     features = np.random.default_rng(1).normal(size=(40, 9))
     for members in (21, 21, 41, 1):
         CoalitionOracle(np.zeros((9, 4)), member_deltas(members, 9, 4), features, np.zeros(40, int))
-    # 21 members in chunks of 10 and 11, 41 in chunks of 13, 14 and 14; the
-    # second 21-member oracle and the one-member chunk are not probed
-    assert probes == [10, 11, 13, 14]
-    assert set(valuation._STACKED_SHAPES) == {(40, 9, 4, size) for size in (10, 11, 13, 14)}
+    # phi and 21 members go in chunks of 11 and 11, phi and 41 members in
+    # chunks of 14, and phi and 1 member in one chunk of 2; the second
+    # 21-member oracle is not probed
+    assert probes == [11, 14, 2]
+    assert set(products._SHAPES) == {(40, 9, 4, size) for size in (11, 14, 2)}
 
 
 def test_probe_mismatch_keeps_per_member_products(monkeypatch):
@@ -806,14 +821,16 @@ def test_probe_mismatch_keeps_per_member_products(monkeypatch):
     reference = CoalitionOracle(phi, deltas, features, labels, "explored")
     valuation.value_backend()  # binds the kernel: its probe builds oracles too
     probes = []
-    monkeypatch.setattr(valuation, "_STACKED_SHAPES", {})
-    monkeypatch.setattr(valuation, "_same_bytes", recording_probe(probes, False))
+    monkeypatch.setattr(products, "_SHAPES", {})
+    monkeypatch.setattr(products, "_same_bytes", recording_probe(probes, False))
     expected = np.stack([features @ delta for delta in deltas.values()])
     for _ in range(2):
+        before = products.LAYOUTS.copy()
         oracle = CoalitionOracle(phi, deltas, features, labels, "explored")
-        assert oracle.value_products == "per_member"
-        assert probes == [10, 11]  # each shape is probed once per process
-        assert valuation._STACKED_SHAPES == {(301, 7, 10, 10): False, (301, 7, 10, 11): False}
+        assert products.LAYOUTS - before == {"row_major": 2}  # phi and 21 members in 2 chunks
+        assert probes == [11]  # each shape is probed once per process
+        assert products._SHAPES == {(301, 7, 10, 11): False}
+        assert np.array_equal(oracle._base.view(np.uint64), (features @ phi).view(np.uint64))
         assert np.array_equal(np.stack(oracle._members).view(np.uint64), expected.view(np.uint64))
         for walks, prefix in sweeps:
             assert oracle.walk_values(walks, prefix) == reference.walk_values(walks, prefix)
