@@ -8,9 +8,9 @@ features) by thin weight blocks: phi or one explored update, (d, K) each.
 2-core x86-64 hosts this was faster than the row-major `X @ W` at the grid
 shapes (44,001 rows: 56.6 -> 42.6 ms with SkylakeX kernels) and had its
 bytes, but not at every shape: at 44 to 165 rows some scores differed. So
-every shape is probed on its first use in the process against the
-row-major products, and a shape whose bytes differ stays on them,
-transposed.
+every shape is probed in the process against the row-major products, on
+its first use with a nonzero weight block, and a shape whose bytes differ
+stays on them, transposed.
 """
 from __future__ import annotations
 
@@ -19,7 +19,8 @@ from collections import Counter
 import numpy as np
 
 # (rows, features, block columns, blocks) of a product -> whether its
-# class-major bytes equalled the row-major ones on first use in this process
+# class-major bytes equalled the row-major ones on its first use with a
+# nonzero block in this process
 _SHAPES: dict[tuple[int, int, int, int], bool] = {}
 # how many products this process ran as one class-major product
 # ("k_major") and as row-major products, transposed ("row_major")
@@ -32,11 +33,14 @@ def kmajor_product(features: np.ndarray, blocks, out: np.ndarray | None = None) 
     under B weight blocks of one shape (d, b), block after block.
 
     Where the shape (n, d, b, B) passed its probe, this is the one product
-    `hstack(blocks).T @ features.T`. Its first use in the process also
-    computes the row-major products and compares them byte for byte
-    (_same_bytes); a shape that differs stays on the row-major products for
-    the rest of the process. The scores are written into `out` when given,
-    a C-contiguous (B * b, n) float64 array.
+    `hstack(blocks).T @ features.T`. Until the shape has a verdict, each
+    call also computes the row-major products, compares them byte for byte
+    (_same_bytes) and returns the row-major bytes where they differ. A
+    difference is kept as the shape's verdict for the rest of the process,
+    and so is equality once a block was nonzero: all-zero blocks (the zero
+    model every run starts from) give zeros in both layouts and show
+    nothing of how they round. The scores are written into `out` when
+    given, a C-contiguous (B * b, n) float64 array.
     """
     n, d = features.shape
     width = blocks[0].shape[1]
@@ -49,7 +53,9 @@ def kmajor_product(features: np.ndarray, blocks, out: np.ndarray | None = None) 
     if not verdict:
         by_block = [features @ w for w in blocks]
         if verdict is None:
-            verdict = _SHAPES[shape] = _same_bytes(by_block, out)
+            verdict = _same_bytes(by_block, out)
+            if not verdict or any(w.any() for w in blocks):
+                _SHAPES[shape] = verdict
         if not verdict:
             for j, scores in enumerate(by_block):
                 out[j * width : (j + 1) * width] = scores.T

@@ -75,11 +75,11 @@ VALUE_BLOCK_ROWS = 64  # validation rows per block of the compiled walk kernel
 # took 11-15 ms on two ranges). So sweeps stay on one range.
 RANGE_WORK = 1 << 24
 # Most (d, K) blocks, phi and member updates, stacked into one validation
-# product. With OpenBLAS 0.3.31 on 2-core x86-64 hosts, row-major stacks of
-# up to 20 members gave the per-member bytes at 1 to 4 threads and most
-# stacks of 21 to 39 did not; class-major stacks of 1 to 40 gave them at 1
-# and 2 threads (SkylakeX kernels). Every stacked shape is probed (see
-# products).
+# product. The cap bounds the reused product buffer, which is alive with
+# every member's scores: on the grid (5,000 validation rows, 10 classes) 20
+# blocks make a 7.6 MiB buffer, and stacks of 20 raised the benchmark's
+# grid_greedy peak RSS by 7.7 MiB (BENCH_11.json). Every stacked shape is
+# probed (see products).
 STACKED_MEMBERS = 20
 
 

@@ -1,4 +1,5 @@
 """Class-major products: byte equality with the row-major products they replace."""
+import json
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from conftest import tiny_split
 
 from fedsel import products, valuation
 from fedsel.cli import main
-from fedsel.orchestrator import Experiment
+from fedsel.orchestrator import Experiment, run_experiment
 from fedsel.selection import SelectionPolicy
 from fedsel.solver import Hyperparams
 
@@ -66,6 +67,63 @@ def test_failed_probe_keeps_the_row_major_bytes_and_layout(fresh_probes, monkeyp
     assert probes == [4]
     assert products._SHAPES == {(61, 17, 3, 4): False}
     assert products.LAYOUTS - before == {"row_major": 2}
+
+
+def test_zero_blocks_leave_the_shape_unprobed(fresh_probes, monkeypatch):
+    rng = np.random.default_rng(2)
+    features = rng.normal(size=(23, 6))
+    probe = products._same_bytes
+    probed = []
+
+    def recording(by_block, kmajor):
+        probed.append(bool(np.hstack(by_block).any()))
+        return probe(by_block, kmajor)
+
+    monkeypatch.setattr(products, "_same_bytes", recording)
+    zero = np.zeros((6, 4))
+    for _ in range(2):  # zeros in both layouts show nothing of how they round
+        assert same_bytes(products.kmajor_product(features, [zero]), row_major(features, [zero]))
+    assert products._SHAPES == {}
+    w = rng.normal(size=(6, 4))
+    for _ in range(2):  # the first nonzero block probes the shape, once
+        assert same_bytes(products.kmajor_product(features, [w]), row_major(features, [w]))
+    assert probed == [False, False, True]
+    assert (23, 6, 4, 1) in products._SHAPES
+
+
+def test_class_major_bytes_that_differ_after_the_zero_model_stay_row_major(
+    tmp_path, monkeypatch
+):
+    # A run starts from the zero model, whose products are zeros in both
+    # layouts. Class-major products one ulp off wherever they are nonzero
+    # must still be caught, by the probes of the later rounds.
+    matmul = np.matmul
+
+    def one_ulp_off(a, b, out=None):
+        product = matmul(a, b, out=out)
+        nonzero = np.flatnonzero(product)
+        if nonzero.size:
+            product.flat[nonzero[0]] = np.nextafter(product.flat[nonzero[0]], np.inf)
+        return product
+
+    split = tiny_split()
+    hp = Hyperparams(loss="smoothed_hinge", epochs=2, c_fraction=0.5, seed=3)
+    valuation.value_backend()  # the kernels' probes run unpatched
+    runs = []
+    for name in ("row_major", "one_ulp_off"):
+        with monkeypatch.context() as patch:
+            patch.setattr(products, "_SHAPES", {})
+            if name == "row_major":  # the reference: every probe failed
+                patch.setattr(products, "_same_bytes", lambda a, b: False)
+            else:
+                patch.setattr(np, "matmul", one_ulp_off)
+            run_experiment(split, hp, SelectionPolicy(kind="cds"), rounds=3, out_dir=tmp_path / name)
+            if name == "one_ulp_off":
+                assert products._SHAPES and not any(products._SHAPES.values())
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["value_products"] == "row_major"
+        runs.append((tmp_path / name / "metrics.csv").read_bytes())
+    assert runs[0] == runs[1]
 
 
 def test_probe_compares_every_block_byte_for_byte():
