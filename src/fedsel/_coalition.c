@@ -13,14 +13,15 @@
  * passes its chosen set as the prefix and each candidate as a walk of one
  * step.
  *
- * Per block of `block` rows the base and every member's scores are copied
- * class-major, (k, block), into the thread's scratch, so each loop below
- * runs over the rows of one class and vectorises. The prefix's member scores
- * are summed once per block, in the order given, and each walk adds its
- * member scores to that sum in walk order, one add per score and step;
- * A_r = sum_j max_c |a_j[r,c]| over the prefix and the walk is kept as a
- * second running sum. Each step then forms V' = base + run * (1 / count) and
- * each row's first maximum w.
+ * Scores are read in place, class-major: class c of row r is at
+ * base[c * ld + r] and members[q][c * ld + r], so each loop below runs over
+ * the contiguous rows of one class and vectorises. Per block of `block` rows
+ * each member's max_c |score| is taken once into the thread's scratch. The
+ * prefix's member scores are summed once per block, in the order given, and
+ * each walk adds its member scores to that sum in walk order, one add per
+ * score and step; A_r = sum_j max_c |a_j[r,c]| over the prefix and the walk
+ * is kept as a second running sum. Each step then forms
+ * V' = base + run * (1 / count) and each row's first maximum w.
  *
  * Certificate. Fix a row r, a class c and a subset of s members (prefix and
  * walk steps together) with count N, and write a_1..a_s for its member
@@ -53,9 +54,8 @@
  * by the count, added to the base, first maximum. exact_rows counts these
  * rows.
  *
- * All arrays are C-contiguous: base (n, k), each members[q] (n, k), labels
- * (n). scratch holds players * (k + 1) * block + (3k + 7) * block + players
- * doubles.
+ * base and each members[q] hold k rows of stride ld >= n, labels n entries.
+ * scratch holds players * (block + 1) + (2k + 7) * block doubles.
  */
 #include <math.h>
 #include <stdint.h>
@@ -67,54 +67,49 @@ static inline int64_t certified(double top, double second, double spread, double
     return (spread <= 0x1p1020) & (beta <= 0x1p1020) & (top - second > 2.0 * bound);
 }
 
-/* Copies the rows of one member's block class-major into a, (k, block), and
- * each row's max_c |score| into a_peak. */
-static inline void lay_out(const double *m, int64_t k, int64_t block, int64_t height, double *a,
-                           double *a_peak)
+/* Each row's max_c |x[c * ld + r]| into peak. */
+static inline void row_peaks(const double *x, int64_t k, int64_t ld, int64_t height, double *peak)
 {
-    for (int64_t c = 0; c < k; c++)
-        for (int64_t r = 0; r < height; r++) a[c * block + r] = m[r * k + c];
-    for (int64_t r = 0; r < height; r++) a_peak[r] = 0.0;
+    for (int64_t r = 0; r < height; r++) peak[r] = 0.0;
     for (int64_t c = 0; c < k; c++)
         for (int64_t r = 0; r < height; r++) {
-            const double x = fabs(a[c * block + r]);
-            a_peak[r] = x > a_peak[r] ? x : a_peak[r];
+            const double a = fabs(x[c * ld + r]);
+            peak[r] = a > peak[r] ? a : peak[r];
         }
 }
 
 FEDSEL_CLONES  /* from _isa.c */
-void walk_values(int64_t n, int64_t k, int64_t block, const double *base,
+void walk_values(int64_t n, int64_t k, int64_t ld, int64_t block, const double *base,
                  const double *const *members, int64_t players, const int64_t *labels,
                  int64_t shared, const int64_t *prefix, int64_t walks, int64_t steps,
                  const int64_t *perms, const double *counts, int64_t *correct,
                  int64_t *exact_rows, double *scratch)
 {
-    double *const scores = scratch;                    /* (players, k, block) */
-    double *const peak = scores + players * k * block; /* (players, block): max_c |a| */
-    double *const base_t = peak + players * block;     /* (k, block) */
-    double *const pre = base_t + k * block;            /* (k, block): prefix sum */
-    double *const run = pre + k * block;               /* (k, block): prefix-then-walk sum */
+    double *const peak = scratch;                   /* (players, block): max_c |a| */
+    double *const pre = peak + players * block;     /* (k, block): prefix sum */
+    double *const run = pre + k * block;            /* (k, block): prefix-then-walk sum */
     double *const beta = run + k * block, *const pre_spread = beta + block;
     double *const spread = pre_spread + block, *const top = spread + block;
     double *const second = top + block, *const best = second + block;
     double *const label = best + block;
-    double *const in = label + block;                  /* (players): 1 in the subset */
+    double *const in = label + block;               /* (players): 1 in the subset */
     for (int64_t q = 0; q < players; q++) in[q] = 0.0;
     for (int64_t j = 0; j < shared; j++) in[prefix[j]] = 1.0;
     for (int64_t i = 0; i < walks * steps; i++) correct[i] = 0;
     *exact_rows = 0;
     for (int64_t start = 0; start < n; start += block) {
         const int64_t height = n - start < block ? n - start : block;
-        lay_out(base + start * k, k, block, height, base_t, beta);
+        const double *const base_t = base + start;
+        row_peaks(base_t, k, ld, height, beta);
         for (int64_t r = 0; r < height; r++) label[r] = (double)labels[start + r];
         for (int64_t q = 0; q < players; q++)
-            lay_out(members[q] + start * k, k, block, height, scores + q * k * block, peak + q * block);
+            row_peaks(members[q] + start, k, ld, height, peak + q * block);
         for (int64_t j = 0; j < shared; j++) {
-            const double *restrict a = scores + prefix[j] * k * block;
+            const double *restrict a = members[prefix[j]] + start;
             const double *restrict a_peak = peak + prefix[j] * block;
             for (int64_t c = 0; c < k; c++) {
                 double *restrict sum = pre + c * block;
-                const double *restrict add = a + c * block;
+                const double *restrict add = a + c * ld;
                 if (j)
                     for (int64_t r = 0; r < height; r++) sum[r] += add[r];
                 else
@@ -129,12 +124,12 @@ void walk_values(int64_t n, int64_t k, int64_t block, const double *base,
             const int64_t *perm = perms + w * steps;
             for (int64_t step = 1; step <= steps; step++) {
                 const int64_t q = perm[step - 1];
-                const double *restrict a = scores + q * k * block;
+                const double *restrict a = members[q] + start;
                 const double *restrict a_peak = peak + q * block;
                 in[q] = 1.0;
                 for (int64_t c = 0; c < k; c++) {
                     double *restrict sum = run + c * block;
-                    const double *restrict add = a + c * block, *restrict prior = pre + c * block;
+                    const double *restrict add = a + c * ld, *restrict prior = pre + c * block;
                     if (step > 1)
                         for (int64_t r = 0; r < height; r++) sum[r] += add[r];
                     else if (shared)
@@ -157,7 +152,7 @@ void walk_values(int64_t n, int64_t k, int64_t block, const double *base,
                     best[r] = 0.0;
                 }
                 for (int64_t c = 0; c < k; c++) {
-                    const double *restrict b = base_t + c * block, *restrict sum = run + c * block;
+                    const double *restrict b = base_t + c * ld, *restrict sum = run + c * block;
                     const double class = (double)c;
                     for (int64_t r = 0; r < height; r++) {
                         /* min and max forms: no masked stores, so AVX2 blends */
@@ -187,11 +182,11 @@ void walk_values(int64_t n, int64_t k, int64_t block, const double *base,
                         int empty = 1;
                         for (int64_t p = 0; p < players; p++) {
                             if (in[p] == 0.0) continue;
-                            const double x = scores[(p * k + c) * block + r];
+                            const double x = members[p][start + c * ld + r];
                             total = empty ? x : total + x;
                             empty = 0;
                         }
-                        const double v = base_t[c * block + r] + total / count;
+                        const double v = base_t[c * ld + r] + total / count;
                         if (c == 0 || v > most) {
                             most = v;
                             first = c;

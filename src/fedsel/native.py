@@ -26,7 +26,7 @@ SOURCES = tuple(
 )
 # No FMA contraction, no value-changing optimisation and no -march: a cached
 # library may be loaded on another CPU, where the loader binds each kernel's
-# AVX2 or baseline clone (see _isa.c). Each kernel starts on a 64-byte
+# AVX-512, AVX2 or baseline clone (see _isa.c). Each kernel starts on a 64-byte
 # boundary, so its loops sit where they would in a library of its own: 32
 # bytes further on, the coordinate loop ran 40% slower on an x86-64 host.
 COMPILE_FLAGS = ("-O3", "-ffp-contract=off", "-falign-functions=64", "-fPIC", "-shared")
@@ -106,8 +106,8 @@ def library() -> ctypes.CDLL | None:
 
 
 def native_isa(lib: ctypes.CDLL | None) -> str | None:
-    """The kernel clone the loader binds in `lib` on this CPU: "avx2" or
-    "default", or None without a library."""
+    """The kernel clone the loader binds in `lib` on this CPU: "avx512f",
+    "avx2" or "default", or None without a library."""
     if lib is None:
         return None
     report = lib.native_isa
@@ -116,29 +116,44 @@ def native_isa(lib: ctypes.CDLL | None) -> str | None:
     return report().decode()
 
 
-# Thread-count getters of OpenBLAS builds: plain, with 64-bit integers, and
-# with the symbol prefix of the scipy-openblas wheels numpy ships with.
-_BLAS_THREAD_SYMBOLS = tuple(
-    f"{prefix}openblas_get_num_threads{suffix}"
-    for prefix in ("", "scipy_")
-    for suffix in ("", "64_")
-)
+def _openblas_symbols(name: str) -> tuple[str, ...]:
+    """The names of an OpenBLAS function in its builds: plain, with 64-bit
+    integers, and with the symbol prefix of the scipy-openblas wheels numpy
+    ships with."""
+    return tuple(
+        f"{prefix}openblas_{name}{suffix}" for prefix in ("", "scipy_") for suffix in ("", "64_")
+    )
+
+
+_BLAS_THREAD_SYMBOLS = _openblas_symbols("get_num_threads")
+# the kernels OpenBLAS picked for this CPU at load time, which a DYNAMIC_ARCH
+# build's configuration string does not name
+_BLAS_CORE_SYMBOLS = _openblas_symbols("get_corename")
 
 
 def blas() -> dict:
     """numpy's BLAS: "name" and "version" from numpy's build configuration,
-    and "threads" from the loaded library's get_num_threads symbol; each is
-    None where it cannot be read."""
+    and from the loaded library "threads" (its get_num_threads) and "core"
+    (its get_corename: the kernels that run, such as "SkylakeX", where the
+    build configuration may name others); each is None where it cannot be
+    read."""
     try:
         config = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
         config = {}
-    return {"name": config.get("name"), "version": config.get("version"), "threads": _blas_threads()}
+    core = _blas_call(_BLAS_CORE_SYMBOLS, ctypes.c_char_p)
+    return {
+        "name": config.get("name"),
+        "version": config.get("version"),
+        "threads": _blas_call(_BLAS_THREAD_SYMBOLS, ctypes.c_int),
+        "core": None if core is None else core.decode(errors="replace"),
+    }
 
 
-def _blas_threads() -> int | None:
-    """The thread count of the first loaded BLAS library with a known getter,
-    found in the process's memory map (so None off Linux)."""
+def _blas_call(symbols: tuple[str, ...], restype):
+    """The result of the first of `symbols` found in a loaded BLAS library,
+    called without arguments, or None; the libraries are found in the
+    process's memory map (so None off Linux)."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             paths = dict.fromkeys(
@@ -146,12 +161,12 @@ def _blas_threads() -> int | None:
             )
         for path in paths:
             library = ctypes.CDLL(path)  # already loaded: the same handle
-            for symbol in _BLAS_THREAD_SYMBOLS:
+            for symbol in symbols:
                 if hasattr(library, symbol):
-                    getter = getattr(library, symbol)
-                    getter.argtypes = []
-                    getter.restype = ctypes.c_int
-                    return getter()
+                    function = getattr(library, symbol)
+                    function.argtypes = []
+                    function.restype = restype
+                    return function()
     except OSError:
         pass
     return None

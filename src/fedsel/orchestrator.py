@@ -142,6 +142,7 @@ def evaluate_global(
     reg_lambda: float,
     train_margins: np.ndarray,
     train_targets: np.ndarray,
+    train_values: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Test accuracy of the argmax predictor plus mean per-class train objective.
 
@@ -150,6 +151,8 @@ def evaluate_global(
     products.kmajor_product gives it) and train_targets the one-vs-rest
     targets, row k holding +1 where the label is k and -1 elsewhere. Any
     other shape, the row-major (n, K) layout among them, raises ValueError.
+    train_values, when given, is _train_loss_values of those two arrays,
+    computed once for this and for fenchel_gap.
     The objective averages, over the one-vs-rest problems, the regularized
     primal value on the full training pool; with phi_cols == 0 it equals
     loss.value(0, -1) averaged with loss.value(0, +1) weighted by class
@@ -164,14 +167,26 @@ def evaluate_global(
         )
     test_scores = products.kmajor_product(split.test_features, [phi_cols])
     accuracy = _accuracy(np.argmax(test_scores, axis=0), split.test_labels)
-    # one class at a time on contiguous rows, into the (n, K) order the mean
-    # has always summed in: a class-major sum would round differently
-    values = np.empty(kmajor[::-1])
-    for k, (margins, targets) in enumerate(zip(train_margins, train_targets)):
-        values[:, k] = loss.value(margins, targets)
-    data_term = float(np.mean(values))
+    if train_values is None:
+        train_values = _train_loss_values(train_margins, train_targets, loss)
+    data_term = float(np.mean(train_values))
     reg_term = 0.5 * reg_lambda * float(np.mean(np.sum(phi_cols**2, axis=0)))
     return accuracy, data_term + reg_term
+
+
+def _train_loss_values(
+    train_margins: np.ndarray, train_targets: np.ndarray, loss: Loss
+) -> np.ndarray:
+    """loss.value of class-major (K, n) margins and targets, as an (n, K) array.
+
+    One class at a time on contiguous rows, into the (n, K) order the train
+    objective's mean has always summed in: a class-major sum would round
+    differently.
+    """
+    values = np.empty(train_margins.shape[::-1])
+    for k, (margins, targets) in enumerate(zip(train_margins, train_targets)):
+        values[:, k] = loss.value(margins, targets)
+    return values
 
 
 def device_test_scores(
@@ -181,10 +196,16 @@ def device_test_scores(
 
     Devices without held-out samples have no entry. The products stay
     row-major: at the grid's 44 to 165 rows per device, class-major products
-    (products.kmajor_product) changed some scores.
+    (products.kmajor_product) changed some scores. The zero model's scores
+    are +0.0 without a product (products.zero_model).
     """
+    zero = products.zero_model([phi_cols])
     return {
-        device.device_id: device.test_features @ phi_cols
+        device.device_id: (
+            np.zeros((device.test_features.shape[0], phi_cols.shape[1]))
+            if zero
+            else device.test_features @ phi_cols
+        )
         for device in devices
         if device.test_features is not None and device.test_features.shape[0] > 0
     }
@@ -392,13 +413,17 @@ class Experiment:
         cum_cost_s: float,
     ) -> RoundMetrics:
         train_margins = products.kmajor_product(self.split.stacked_train()[0], [state.phi])
+        train_values = _train_loss_values(train_margins, self.train_targets, self.loss)
         test_acc, train_loss = evaluate_global(
-            state.phi, self.split, self.loss, self.reg_lambda, train_margins, self.train_targets
+            state.phi, self.split, self.loss, self.reg_lambda, train_margins, self.train_targets,
+            train_values,
         )
         duality_gap = float(
             np.mean(
                 [
-                    fenchel_gap(state.alpha[:, k], margins, targets, self.loss)
+                    fenchel_gap(
+                        state.alpha[:, k], margins, targets, self.loss, values=train_values[:, k]
+                    )
                     for k, (margins, targets) in enumerate(zip(train_margins, self.train_targets))
                 ]
             )

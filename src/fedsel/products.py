@@ -10,7 +10,8 @@ shapes (44,001 rows: 56.6 -> 42.6 ms with SkylakeX kernels) and had its
 bytes, but not at every shape: at 44 to 165 rows some scores differed. So
 every shape is probed in the process against the row-major products, on
 its first use with a nonzero weight block, and a shape whose bytes differ
-stays on them, transposed.
+stays on them, transposed. The zero model's products are not computed at
+all (zero_model).
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ import numpy as np
 # nonzero block in this process
 _SHAPES: dict[tuple[int, int, int, int], bool] = {}
 # how many products this process ran as one class-major product
-# ("k_major") and as row-major products, transposed ("row_major")
+# ("k_major") and as row-major products, transposed ("row_major"); the zero
+# model's +0.0 scores are neither
 LAYOUTS: Counter = Counter()
 
 
@@ -35,17 +37,19 @@ def kmajor_product(features: np.ndarray, blocks, out: np.ndarray | None = None) 
     Where the shape (n, d, b, B) passed its probe, this is the one product
     `hstack(blocks).T @ features.T`. Until the shape has a verdict, each
     call also computes the row-major products, compares them byte for byte
-    (_same_bytes) and returns the row-major bytes where they differ. A
-    difference is kept as the shape's verdict for the rest of the process,
-    and so is equality once a block was nonzero: all-zero blocks (the zero
-    model every run starts from) give zeros in both layouts and show
-    nothing of how they round. The scores are written into `out` when
-    given, a C-contiguous (B * b, n) float64 array.
+    (_same_bytes), returns the row-major bytes where they differ and keeps
+    the verdict for the rest of the process. Blocks that are all +0.0 (the
+    zero model every run starts from) give +0.0 scores without a product
+    or a probe: they show nothing of how a layout rounds. The scores are
+    written into `out` when given, a C-contiguous (B * b, n) float64 array.
     """
     n, d = features.shape
     width = blocks[0].shape[1]
     if out is None:
         out = np.empty((len(blocks) * width, n))
+    if zero_model(blocks):
+        out[...] = 0.0
+        return out
     shape = (n, d, width, len(blocks))
     verdict = _SHAPES.get(shape)  # None: not probed yet
     if verdict is not False:
@@ -53,14 +57,27 @@ def kmajor_product(features: np.ndarray, blocks, out: np.ndarray | None = None) 
     if not verdict:
         by_block = [features @ w for w in blocks]
         if verdict is None:
-            verdict = _same_bytes(by_block, out)
-            if not verdict or any(w.any() for w in blocks):
-                _SHAPES[shape] = verdict
+            verdict = _SHAPES[shape] = _same_bytes(by_block, out)
         if not verdict:
             for j, scores in enumerate(by_block):
                 out[j * width : (j + 1) * width] = scores.T
     LAYOUTS["k_major" if verdict else "row_major"] += 1
     return out
+
+
+def zero_model(blocks) -> bool:
+    """Whether every block in `blocks` is float64 and all +0.0, the bits of
+    np.zeros.
+
+    The product of finite features with such weights is +0.0 in every
+    entry, in either layout: each term x * (+0.0) is +0.0 or -0.0, and the
+    sums start from +0.0, to which adding either zero gives +0.0 (tests
+    check this against BLAS on features with negative entries). So callers
+    return +0.0 arrays instead of such a product; -0.0 weights take the
+    product.
+    """
+    arrays = [np.asarray(w) for w in blocks]
+    return all(a.dtype == np.float64 and not a.view(np.uint64).any() for a in arrays)
 
 
 def _same_bytes(by_block, kmajor: np.ndarray) -> bool:

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import native
 from .losses import Loss, SmoothedHinge, SquaredLoss, make_loss
+from .products import zero_model
 from .rng import substream
 
 AGGREGATION_RULES = ("accepted", "explored", "all")
@@ -143,17 +144,20 @@ def duality_gap(alpha, features, labels, loss: Loss, lam: float) -> float:
     )
 
 
-def fenchel_gap(alpha, margins, labels, loss: Loss) -> float:
+def fenchel_gap(alpha, margins, labels, loss: Loss, values=None) -> float:
     """Per-coordinate Fenchel-Young decomposition of the duality gap.
 
     Equal to primal - dual whenever margins = F @ phi(alpha); every summand is
     nonnegative in exact arithmetic, which keeps the reported gap from dipping
     below zero through summation noise on large datasets. alpha is projected
     onto the conjugate's domain first, absorbing ulp-level drift from
-    aggregation without changing feasible inputs.
+    aggregation without changing feasible inputs. `values`, when given, is
+    loss.value(margins, labels), already computed by the caller.
     """
     alpha = loss.project_dual(np.asarray(alpha, dtype=np.float64), labels)
-    terms = loss.value(margins, labels) + loss.conjugate(-alpha, labels) + alpha * margins
+    if values is None:
+        values = loss.value(margins, labels)
+    terms = values + loss.conjugate(-alpha, labels) + alpha * margins
     return float(np.mean(terms))
 
 
@@ -336,7 +340,10 @@ def _solve_columns(
         gram_scaled = scaled_gram(feats, lam, total_samples)
     gram_scaled = np.ascontiguousarray(gram_scaled, dtype=np.float64)
     qii = np.diagonal(gram_scaled).copy()
-    base_margins = feats @ phi_cols
+    if zero_model([phi_cols]):  # the zero model: +0.0, as the product gives
+        base_margins = np.zeros((feats.shape[0], phi_cols.shape[1]))
+    else:
+        base_margins = feats @ phi_cols
     alpha_cols = np.ascontiguousarray(alpha_cols, dtype=np.float64)
     labels_pm = np.ascontiguousarray(labels_pm, dtype=np.float64)
     orders = _visit_orders(rng, epochs, labels_pm.shape[0])

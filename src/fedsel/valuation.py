@@ -63,23 +63,26 @@ def record_marginal(ledger: ContributionLedger, device_id: int, marginal: float)
 
 
 VALUE_BLOCK_ROWS = 64  # validation rows per block of the compiled walk kernel
-# Work a walk_values call needs per extra row range, and so per extra thread:
-# rows x classes x (members + 2 x values), for each member's class-major copy
-# and each value's add and scoring. On a 2-core x86-64 host, timed alone, a
-# second range cost 0.2-1 ms below 1M and saved 40% at 15M (a grid greedy
-# sweep of 100 candidates: 19.9 ms on one range, 11.7 ms on two). Inside a
-# grid pass it saved nothing: sweeps took 20-22 ms on two ranges against
-# 19-20 ms on one, and grid TMC calls (146M) 85-126 ms against 88-140 ms,
-# because the calls follow the oracle's BLAS products and OpenBLAS's worker
-# keeps spinning on the second core (with one BLAS thread the same sweeps
-# took 11-15 ms on two ranges). So sweeps stay on one range.
-RANGE_WORK = 1 << 24
+# Work a walk_values call needs per extra row range: rows x classes x
+# (members + 2 x values), for each member's row peaks and each value's add
+# and scoring. The calls follow the oracle's BLAS products, after which
+# OpenBLAS's idle worker busy-waits on one core (a grid pass burns twice its
+# wall time in CPU), so a call may run two ranges per usable CPU
+# (value_threads) and take a larger share of the cores from that worker. On
+# a 2-core AVX-512 host, with 4 ranges against 2, the six truncated
+# Monte-Carlo calls of a grid pass (146M each) took 0.31-0.32 s against
+# 0.43-0.45 s, and with RANGE_WORK at 4M against 16M (one range) the 13
+# greedy sweeps of a grid pass (2-15M each, 3-4 ranges) 0.19-0.22 s against
+# 0.23-0.24 s. Timed alone right after a product, a call below 1M lost
+# 0.5-1 ms on more than one range.
+RANGE_WORK = 1 << 22
 # Most (d, K) blocks, phi and member updates, stacked into one validation
-# product. The cap bounds the reused product buffer, which is alive with
-# every member's scores: on the grid (5,000 validation rows, 10 classes) 20
-# blocks make a 7.6 MiB buffer, and stacks of 20 raised the benchmark's
-# grid_greedy peak RSS by 7.7 MiB (BENCH_11.json). Every stacked shape is
-# probed (see products).
+# product. Each chunk's product buffer lives as long as the oracle, since
+# the member scores are row views into it, so the cap bounds the chunk, not
+# the memory: on the grid (5,000 validation rows, 10 classes) 20 blocks make
+# a 7.6 MiB buffer, the size at which BENCH_11.json and BENCH_13.json
+# measured the benchmark's peak RSS. Every stacked shape is probed (see
+# products).
 STACKED_MEMBERS = 20
 
 
@@ -92,11 +95,12 @@ class CoalitionOracle:
     the averaging denominator (see solver.aggregation_count). Validation
     scores of phi and of each delta are computed once, so a coalition costs
     O(n_val * K) instead of a fresh feature matmul; they come from probed,
-    stacked class-major products (see _validation_scores). Calling the
-    oracle values one subset with numpy; `walk_values` values every prefix
-    of many walks after a shared prefix (a truncated Monte-Carlo call's
-    walks, or a greedy sweep's candidates after its chosen set) with the
-    compiled walk kernel and bitwise-equal results.
+    stacked class-major products and stay class-major, (K, n_val) each (see
+    _validation_scores). Calling the oracle values one subset with numpy;
+    `walk_values` values every prefix of many walks after a shared prefix
+    (a truncated Monte-Carlo call's walks, or a greedy sweep's candidates
+    after its chosen set) with the compiled walk kernel and bitwise-equal
+    results.
     """
 
     def __init__(
@@ -131,7 +135,7 @@ class CoalitionOracle:
             for m in subset[1:]:
                 total += self._members[self._rows[m]]
             scores = self._base + total / self._count(len(subset))
-        predicted = np.argmax(scores, axis=1)
+        predicted = np.argmax(scores, axis=0)
         return float(np.mean(predicted == self._labels))
 
     def walk_values(self, walks, prefix=()) -> list[list[float]]:
@@ -180,7 +184,7 @@ class CoalitionOracle:
     def _kernel_safe(self) -> bool:
         scores = [self._base, *self._members]
         labels = self._labels
-        return labels.dtype.kind in "biu" and labels.shape == self._base.shape[:1] and all(
+        return labels.dtype.kind in "biu" and labels.shape == self._base.shape[1:] and all(
             a.dtype == np.float64 and a.flags.c_contiguous and a.shape == self._base.shape
             and np.isfinite(a).all()
             for a in scores
@@ -193,7 +197,9 @@ class CoalitionOracle:
         path.
 
         The kernel sees the members in ascending id order, and the prefix
-        and the walks as ranks in it. The validation rows are split into
+        and the walks as ranks in it; it reads the class-major base and
+        member rows in place, each range from its first row on, with the
+        row stride n. The validation rows are split into
         `ranges` contiguous ranges on block boundaries (fewer when there are
         fewer blocks), each scored by its own kernel call on its own thread
         (ctypes releases the GIL); every buffer is allocated here, and the
@@ -209,16 +215,18 @@ class CoalitionOracle:
             [self._count(len(prefix) + step) for step in range(1, steps + 1)], dtype=np.float64
         )
         members = np.array([self._members[self._rows[m]].ctypes.data for m in ids], dtype=np.uintp)
-        n, k = self._base.shape
+        k, n = self._base.shape
         labels = np.ascontiguousarray(self._labels, dtype=np.int64)
-        scratch = VALUE_BLOCK_ROWS * (len(ids) * (k + 1) + 3 * k + 7) + len(ids)
+        scratch = len(ids) * (VALUE_BLOCK_ROWS + 1) + (2 * k + 7) * VALUE_BLOCK_ROWS
         bounds = _row_ranges(n, ranges)
         correct = np.empty((len(bounds), len(walks) * steps), dtype=np.int64)
         exact_rows = np.empty(len(bounds), dtype=np.int64)
+        itemsize = self._base.itemsize
+        base = self._base.ctypes.data
         _run_concurrently([
             functools.partial(
-                kernel, stop - start, k, VALUE_BLOCK_ROWS, self._base[start:stop],
-                members + np.uintp(start * k * self._base.itemsize), len(ids), labels[start:stop],
+                kernel, stop - start, k, n, VALUE_BLOCK_ROWS, base + start * itemsize,
+                members + np.uintp(start * itemsize), len(ids), labels[start:stop],
                 len(shared), shared, len(walks), steps, perms, counts, correct[part],
                 exact_rows[part : part + 1], np.empty(scratch),
             )
@@ -229,30 +237,22 @@ class CoalitionOracle:
 
 
 def _validation_scores(features, weights) -> list[np.ndarray]:
-    """[features @ w for w in weights], equal bit for bit, each a
-    C-contiguous (n, classes) array.
+    """[(features @ w).T for w in weights], equal bit for bit: each a
+    C-contiguous (classes, n) row view, the layout the walk kernel reads.
 
     The P blocks (phi, then each member's update) go in
     ceil(P / STACKED_MEMBERS) near-equal chunks, and each chunk is one
-    class-major product (products.kmajor_product, probed once per shape)
-    written into one reused buffer, from which each block's classes are
-    copied out into an array of its own, in the (n, classes) layout the
-    walk kernel reads.
-
-    One array per block, not one (P, n, classes) array: on glibc an array
-    that large is a fresh mapping every round, while the per-block arrays
-    reuse the blocks the last round freed. On the grid (100 members) the
-    single array raised the benchmark's peak RSS by about 9 MiB more.
+    class-major product (products.kmajor_product, probed once per shape) in
+    a buffer of its own, which the chunk's views keep alive as long as the
+    oracle.
     """
-    n, classes = features.shape[0], weights[0].shape[1]
+    classes = weights[0].shape[1]
     chunks = -(-len(weights) // STACKED_MEMBERS)
     edges = [len(weights) * c // chunks for c in range(chunks + 1)]
-    buffer = np.empty(n * classes * -(-len(weights) // chunks))
     scores = []
     for start, stop in zip(edges[:-1], edges[1:]):
-        out = buffer[: n * classes * (stop - start)].reshape(-1, n)
-        product = kmajor_product(features, weights[start:stop], out)
-        scores += [product[j : j + classes].T.copy() for j in range(0, len(product), classes)]
+        product = kmajor_product(features, weights[start:stop])
+        scores += [product[j : j + classes] for j in range(0, len(product), classes)]
     return scores
 
 
@@ -296,7 +296,8 @@ def _bind_walk_kernel(library):
         return None
     kernel = library.walk_values
     kernel.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, native.F64, native.POINTERS,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+        native.POINTERS,
         ctypes.c_int64, native.I64, ctypes.c_int64, native.I64, ctypes.c_int64, ctypes.c_int64,
         native.I64, native.F64, native.I64, native.I64, native.F64,
     ]
@@ -305,19 +306,29 @@ def _bind_walk_kernel(library):
 
 
 def _walk_probe_matches(kernel) -> bool:
-    """Whether the walk kernel reproduces the numpy path's values on fixed games.
+    """Whether the walk kernel reproduces the numpy path's values on the
+    probe games (_probe_games), scored as one row range and as two."""
+    for oracle, perms, prefix in _probe_games():
+        expected = oracle._walk_values_by_call(perms, prefix)
+        for ranges in (1, 2):
+            if oracle._kernel_walk_values(kernel, perms, ranges, prefix)[0] != expected:
+                return False
+    return True
 
-    133 validation rows. The integer and ordered-sum games, whose ties only
-    the exact path scores right, take two random walks over 5 members and a
-    sweep of one-step walks after a shared prefix of two. The absorbed-sum
-    game takes a descending walk and a random one over 48 members, and a
-    walk of the descending walk's last two members after its first 46 as
-    the prefix, in walk order: only the full rounding bound, with the
-    prefix counted in the size, keeps its sums off the fast path. The
-    cancelling-prefix game takes a sweep after its prefix, which only a
-    bound with the prefix in A_r keeps off the fast path and only an exact
-    path that sums the prefix scores right. All under the three aggregation
-    rules, scored as one row range and as two.
+
+def _probe_games():
+    """(oracle, walks, prefix) of each probe game, on 133 validation rows.
+
+    The integer and ordered-sum games, whose ties only the exact path scores
+    right, take two random walks over 5 members and a sweep of one-step
+    walks after a shared prefix of two. The absorbed-sum game takes a
+    descending walk and a random one over 48 members, and a walk of the
+    descending walk's last two members after its first 46 as the prefix, in
+    walk order: only the full rounding bound, with the prefix counted in the
+    size, keeps its sums off the fast path. The cancelling-prefix game takes
+    a sweep after its prefix, which only a bound with the prefix in A_r
+    keeps off the fast path and only an exact path that sums the prefix
+    scores right. All under the three aggregation rules.
     """
     eye = np.eye(133)
     members = (2, 3, 5, 7, 11)
@@ -339,12 +350,7 @@ def _walk_probe_matches(kernel) -> bool:
             (absorbed, [descending[46:]], descending[:46]),
             (_cancelling_prefix_game(133), [(0,), (1,), (2,)], (3, 4)),
         ):
-            oracle = CoalitionOracle(base, deltas, eye, labels, rule, total_devices)
-            expected = oracle._walk_values_by_call(perms, prefix)
-            for ranges in (1, 2):
-                if oracle._kernel_walk_values(kernel, perms, ranges, prefix)[0] != expected:
-                    return False
-    return True
+            yield CoalitionOracle(base, deltas, eye, labels, rule, total_devices), perms, prefix
 
 
 def _integer_game(n, members):
@@ -440,13 +446,13 @@ def value_backend() -> str:
 
 
 def value_threads() -> int:
-    """Most threads one `walk_values` call runs the kernel on: one per usable
-    CPU, or 1 on the numpy path."""
+    """Most threads one `walk_values` call runs the kernel on: two per usable
+    CPU (see RANGE_WORK), or 1 on the numpy path."""
     if _walk_kernel() is None:
         return 1
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1  # no affinity call on this platform (macOS)
+        return 2 * len(os.sched_getaffinity(0))
+    return 2 * (os.cpu_count() or 1)  # no affinity call on this platform (macOS)
 
 
 def tmc_estimate(

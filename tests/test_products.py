@@ -1,16 +1,18 @@
 """Class-major products: byte equality with the row-major products they replace."""
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import tiny_split
 
-from fedsel import products, valuation
+from fedsel import products, solver, valuation
 from fedsel.cli import main
-from fedsel.orchestrator import Experiment, run_experiment
+from fedsel.data import DeviceDataset
+from fedsel.orchestrator import Experiment, device_test_scores, run_experiment
 from fedsel.selection import SelectionPolicy
-from fedsel.solver import Hyperparams
+from fedsel.solver import Hyperparams, device_update_ovr
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -87,7 +89,7 @@ def test_zero_blocks_leave_the_shape_unprobed(fresh_probes, monkeypatch):
     w = rng.normal(size=(6, 4))
     for _ in range(2):  # the first nonzero block probes the shape, once
         assert same_bytes(products.kmajor_product(features, [w]), row_major(features, [w]))
-    assert probed == [False, False, True]
+    assert probed == [True]  # the zero blocks took no product and no probe
     assert (23, 6, 4, 1) in products._SHAPES
 
 
@@ -169,3 +171,78 @@ def test_synthetic_quick_metrics_equal_with_every_probe_failed(tmp_path, monkeyp
         assert code == 0
         runs.append((out / "metrics.csv").read_bytes())
     assert runs[0] == runs[1]
+
+
+# -- the zero model -------------------------------------------------------------
+
+
+def negative_features(rng, rows, dim):
+    """Normal features, with row 0 all negative: every term x * (+0.0) there is -0.0."""
+    features = rng.normal(size=(rows, dim))
+    features[0] = -np.abs(features[0]) - 0.5
+    return features
+
+
+def test_zero_model_products_are_the_blas_bytes(fresh_probes):
+    # the grid's train, test and validation shapes (a chunk of 20 stacked
+    # blocks), and a device's test rows in one-vs-rest and binary widths
+    rng = np.random.default_rng(17)
+    shapes = ((44001, 10, 1), (10000, 10, 1), (5000, 10, 20), (165, 10, 1), (44, 1, 2))
+    for rows, width, blocks in shapes:
+        features = negative_features(rng, rows, 785)
+        zeros = [np.zeros((785, width)) for _ in range(blocks)]
+        assert products.zero_model(zeros)
+        got = products.kmajor_product(features, zeros)
+        assert same_bytes(got, row_major(features, zeros))  # BLAS, row-major
+        assert same_bytes(got, np.hstack(zeros).T @ features.T)  # BLAS, class-major
+        assert same_bytes(got, np.zeros_like(got))  # +0.0, not -0.0
+    assert products._SHAPES == {}  # no probe ran
+
+
+def test_only_positive_zero_weights_are_the_zero_model():
+    zero = np.zeros((5, 3))
+    assert products.zero_model([zero, zero[:, :1], np.zeros(5)])
+    assert not products.zero_model([zero, -zero])
+    assert not products.zero_model([np.full((5, 3), 5e-324)])
+    assert not products.zero_model([np.zeros((5, 3), dtype=np.float32)])  # takes the product
+
+
+def test_zero_model_device_test_scores_are_the_blas_bytes():
+    rng = np.random.default_rng(4)
+    grid_like = [  # the grid's 44 to 165 test rows per device
+        SimpleNamespace(device_id=m, test_features=negative_features(rng, rows, 785))
+        for m, rows in enumerate((44, 101, 165))
+    ]
+    split = tiny_split()
+    cases = ((grid_like, np.zeros((785, 10))), (split.devices, np.zeros((split.feature_dim, 3))))
+    for devices, phi in cases:
+        got = device_test_scores(phi, devices)
+        expected = {
+            d.device_id: d.test_features @ phi
+            for d in devices
+            if d.test_features is not None and len(d.test_features)
+        }
+        assert got.keys() == expected.keys() and expected
+        assert all(same_bytes(got[m], expected[m]) for m in expected)
+
+
+@pytest.mark.parametrize("loss", ["smoothed_hinge", "squared"])
+def test_zero_model_local_solve_is_the_blas_bytes(monkeypatch, loss):
+    # the base margins of a round-1 solve: +0.0 without a product, the same
+    # rho, delta_phi and theta as with it
+    rng = np.random.default_rng(6)
+    labels = rng.integers(0, 4, size=60)
+    device = DeviceDataset(
+        device_id=0, features=negative_features(rng, 60, 13), labels=labels,
+        sample_indices=np.arange(60),
+    )
+    hp = Hyperparams(loss=loss, epochs=2, seed=3)
+    phi, alpha = np.zeros((13, 4)), np.zeros((60, 4))
+    runs = []
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(solver, "zero_model", lambda blocks: False)
+        update = device_update_ovr(device, phi, alpha, 4, hp, 9, total_samples=600)
+        runs.append([update.rho, update.delta_phi, update.achieved_theta])
+    for a, b in zip(*runs):
+        assert same_bytes(a, b)

@@ -500,17 +500,73 @@ def test_kernel_compile_flags_keep_ieee_arithmetic(tmp_path, monkeypatch):
     assert b"void sdca_passes(" in source and b"void walk_values(" in source
 
 
+@pytest.fixture(scope="module")
+def plain_library(tmp_path_factory):
+    """The kernels built once as plain functions, as where target_clones is
+    not available: the baseline body, whatever this CPU has."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "COMPILE_FLAGS", (*native.COMPILE_FLAGS, "-DFEDSEL_NO_TARGET_CLONES"))
+        return native.load_library(cache_dir=tmp_path_factory.mktemp("plain"))
+
+
 @needs_compiler
-def test_kernels_built_without_target_clones_pass_both_probes(tmp_path, monkeypatch):
-    # the plain functions, as built where target_clones is not available
-    assert native.native_isa(native.library()) in ("avx2", "default")
-    plain = (*native.COMPILE_FLAGS, "-DFEDSEL_NO_TARGET_CLONES")
-    monkeypatch.setattr(native, "COMPILE_FLAGS", plain)
-    library = native.load_library(cache_dir=tmp_path)
-    assert native.native_isa(library) == "default"
-    assert solver._bind_kernel(library) is not None
-    assert valuation._bind_walk_kernel(library) is not None
+def test_kernels_built_without_target_clones_pass_both_probes(plain_library):
+    assert native.native_isa(native.library()) in ("avx512f", "avx2", "default")
+    assert native.native_isa(plain_library) == "default"
+    assert solver._bind_kernel(plain_library) is not None
+    assert valuation._bind_walk_kernel(plain_library) is not None
     assert native.native_isa(None) is None
+
+
+def tmc_sized_game(n=640, members=30, classes=10, seed=41):
+    """A grid TMC call's shape on fewer rows: 30 members, 10 classes, 50 walks
+    of 29 steps. Every fifth row scores small integers, so classes tie
+    exactly there and the exact path runs."""
+    rng = np.random.default_rng(seed)
+
+    def scores():
+        block = rng.normal(size=(n, classes))
+        block[::5] = rng.integers(-2, 3, size=block[::5].shape)
+        return block
+
+    oracle = valuation.CoalitionOracle(
+        scores(), {m: scores() for m in range(members)}, np.eye(n),
+        rng.integers(0, classes, size=n), "explored",
+    )
+    walks = [tuple(int(m) for m in rng.permutation(members)[:-1]) for _ in range(50)]
+    return oracle, walks
+
+
+@needs_compiler
+def test_cloned_kernels_give_the_plain_bodys_bytes(plain_library):
+    # the body the loader binds here (see native_isa) against the baseline
+    # body, on the probe games, a TMC-sized game with exact ties and a
+    # split into more row ranges than CPUs
+    cloned, plain = valuation._walk_kernel(), valuation._bind_walk_kernel(plain_library)
+    assert cloned is not None and plain is not None
+    cases = [(oracle, walks, prefix, (1, 2)) for oracle, walks, prefix in valuation._probe_games()]
+    oracle, walks = tmc_sized_game()
+    most = valuation.value_threads()  # two ranges per usable CPU
+    cases.append((oracle, walks, (), (1, most)))
+    cases.append((oracle, [(m,) for m in range(10, 30)], tuple(range(10)), (1, most)))
+    exact_rows = 0
+    for oracle, walks, prefix, ranges in cases:
+        for parts in ranges:
+            got = oracle._kernel_walk_values(cloned, walks, parts, prefix)
+            assert got == oracle._kernel_walk_values(plain, walks, 1, prefix), parts
+            exact_rows += got[1]
+    assert exact_rows > 0
+    cloned, plain = solver._kernel(), solver._bind_kernel(plain_library)
+    assert cloned is not None and plain is not None
+    inputs = [*solver._probe_inputs(), *(
+        (*pass_inputs(n, 10, kind, loss, seed=n), solver._visit_orders(substream(n), 3, n))
+        for n in (165, 440)  # a grid device's rows, odd and even
+        for kind in ("interior", "bounds", "nan")
+        for loss in (HINGE, SQUARED)
+    )]
+    for args in inputs:
+        for a, b in zip(solver._kernel_passes(cloned, *args), solver._kernel_passes(plain, *args)):
+            assert a.tobytes() == b.tobytes()
 
 
 def fixed_device_updates(k, loss_name, n=17):
@@ -623,15 +679,17 @@ def test_missing_kernel_source_gives_no_library(tmp_path, monkeypatch):
 
 def test_blas_facts_that_cannot_be_read_are_none(monkeypatch):
     facts = native.blas()
-    assert set(facts) == {"name", "version", "threads"}
+    assert set(facts) == {"name", "version", "threads", "core"}
     assert facts["threads"] is None or facts["threads"] >= 1
+    assert facts["core"] is None or (isinstance(facts["core"], str) and facts["core"])
 
     def old_show_config(mode="stdout"):  # numpy before 1.26 has no mode
         raise TypeError("show_config() got an unexpected keyword argument 'mode'")
 
     monkeypatch.setattr(native.np, "show_config", old_show_config)
     monkeypatch.setattr(native, "_BLAS_THREAD_SYMBOLS", ())
-    assert native.blas() == {"name": None, "version": None, "threads": None}
+    monkeypatch.setattr(native, "_BLAS_CORE_SYMBOLS", ())
+    assert native.blas() == {"name": None, "version": None, "threads": None, "core": None}
 
 
 def test_every_kernel_source_is_package_data():

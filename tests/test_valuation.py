@@ -239,7 +239,7 @@ def test_batch_values_fan_out_only_with_enough_work(monkeypatch):
     oracle = oracle_game(n_val=301)  # 5 blocks
     walks, prefix = sweep((1, 4, 6, 9, 12, 15), (4, 12)), (4, 12)
     expected = walk_calls(oracle, walks, prefix)
-    # 301 rows x 10 classes x (6 members laid out + 2 x 4 values) = 42,140
+    # 301 rows x 10 classes x (6 members + 2 x 4 values) = 42,140
     assert oracle.walk_values(walks, prefix) == expected and ranges == [1]
     monkeypatch.setattr(valuation, "RANGE_WORK", 40_000)
     assert oracle.walk_values(walks, prefix) == expected and ranges == [1, 2]
@@ -632,12 +632,27 @@ def test_walk_values_fan_out_only_with_enough_work(monkeypatch):
     oracle = oracle_game(n_val=301)  # 5 blocks
     perms = random_walks((1, 4, 6, 9, 12, 15), 5)
     expected = walk_calls(oracle, perms)
-    # 301 rows x 10 classes x (6 members laid out + 2 x 5 walks x 6 prefixes) = 198,660
+    # 301 rows x 10 classes x (6 members + 2 x 5 walks x 6 prefixes) = 198,660
     assert oracle.walk_values(perms) == expected and ranges == [1]
     monkeypatch.setattr(valuation, "RANGE_WORK", 100_000)
     assert oracle.walk_values(perms) == expected and ranges == [1, 2]
     monkeypatch.setattr(valuation, "RANGE_WORK", 10_000)
     assert oracle.walk_values(perms) == expected and ranges == [1, 2, 3]  # capped at 3 threads
+
+
+@needs_compiler
+def test_a_call_runs_at_most_two_ranges_per_usable_cpu(monkeypatch):
+    assert valuation._walk_kernel() is not None  # its probe runs before the count starts
+    ranges = count_ranges(monkeypatch)
+    monkeypatch.setattr(valuation, "RANGE_WORK", 1)
+    oracle = oracle_game(n_val=301)  # 5 blocks
+    perms = random_walks((1, 4, 6, 9, 12, 15), 5)
+    expected = walk_calls(oracle, perms)
+    for cpus in ({0}, {0, 1}, {0, 1, 2}):
+        monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert valuation.value_threads() == 2 * len(cpus)
+        assert oracle.walk_values(perms) == expected
+    assert ranges == [2, 4, 5]  # never more ranges than blocks
 
 
 @needs_compiler
@@ -705,9 +720,9 @@ def test_forced_numpy_fallback_gives_the_same_walk_values(monkeypatch):
 
 # Runs in a child with a fixed BLAS thread count. For each member count P it
 # builds an oracle on the grid's validation shape (5000 x 785) and reports
-# whether its base and member scores hold the bytes of the per-member
-# products, which layouts its products ran in, and the shapes the probe
-# rejected.
+# whether its class-major base and member scores hold the bytes of the
+# transposed per-member products, which layouts its products ran in, and
+# the shapes the probe rejected.
 MEMBER_SCORES_CHILD = """
 import json, sys
 import numpy as np
@@ -722,7 +737,7 @@ for members in (1, 10, 20, 21, 30, 100):
     deltas = {m: rng.normal(size=(785, classes)) for m in range(members)}
     before = products.LAYOUTS.copy()
     oracle = valuation.CoalitionOracle(phi, deltas, features, labels)
-    expected = [features @ delta for delta in (phi, *deltas.values())]
+    expected = [(features @ delta).T for delta in (phi, *deltas.values())]
     report["cases"][members] = {
         "equal": all(
             np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -780,9 +795,9 @@ def test_stacked_member_scores_keep_each_members_columns(monkeypatch):
     before = products.LAYOUTS.copy()
     oracle = CoalitionOracle(phi, deltas, np.eye(31), np.zeros(31, dtype=int))
     assert products.LAYOUTS - before == {"k_major": 3}
-    assert np.array_equal(oracle._base, phi) and oracle._base.flags.c_contiguous
+    assert np.array_equal(oracle._base, phi.T) and oracle._base.flags.c_contiguous
     assert len(oracle._members) == 45
-    assert np.array_equal(np.stack(oracle._members), np.stack(list(deltas.values())))
+    assert np.array_equal(np.stack(oracle._members), np.stack([d.T for d in deltas.values()]))
     assert all(member.flags.c_contiguous for member in oracle._members)
     assert oracle._kernel_safe
 
@@ -823,14 +838,14 @@ def test_probe_mismatch_keeps_per_member_products(monkeypatch):
     probes = []
     monkeypatch.setattr(products, "_SHAPES", {})
     monkeypatch.setattr(products, "_same_bytes", recording_probe(probes, False))
-    expected = np.stack([features @ delta for delta in deltas.values()])
+    expected = np.stack([(features @ delta).T for delta in deltas.values()])
     for _ in range(2):
         before = products.LAYOUTS.copy()
         oracle = CoalitionOracle(phi, deltas, features, labels, "explored")
         assert products.LAYOUTS - before == {"row_major": 2}  # phi and 21 members in 2 chunks
         assert probes == [11]  # each shape is probed once per process
         assert products._SHAPES == {(301, 7, 10, 11): False}
-        assert np.array_equal(oracle._base.view(np.uint64), (features @ phi).view(np.uint64))
+        assert np.array_equal(oracle._base.view(np.uint64), (features @ phi).T.view(np.uint64))
         assert np.array_equal(np.stack(oracle._members).view(np.uint64), expected.view(np.uint64))
         for walks, prefix in sweeps:
             assert oracle.walk_values(walks, prefix) == reference.walk_values(walks, prefix)
