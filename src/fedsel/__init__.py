@@ -4,8 +4,9 @@ A linear convex model is trained by distributed dual coordinate ascent over
 partitioned devices; each round explores a random device subset, estimates
 per-device marginal contributions by truncated Monte-Carlo permutation
 sampling on a validation coalition game, and aggregates only the updates that
-help. Baseline policies (random, greedy, full participation) share the same
-exploration randomness so comparisons are paired by construction.
+help. Baseline policies (random, which is full participation at C = 1, and
+greedy) share the same exploration randomness so comparisons are paired by
+construction.
 """
 
 from .config import ConfigError, ExperimentConfig, load_config
@@ -28,7 +29,6 @@ from .orchestrator import (
     RunManifest,
     evaluate_global,
     fairness_audit,
-    run_experiment,
 )
 from .selection import (
     KeepRule,
@@ -86,7 +86,6 @@ __all__ = [
     "RunManifest",
     "evaluate_global",
     "fairness_audit",
-    "run_experiment",
     "KeepRule",
     "RoundPlan",
     "SelectionPolicy",

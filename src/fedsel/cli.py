@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .data import DataFormatError
-from .orchestrator import CSV_COLUMNS, rounds_to_target, run_experiment
+from .orchestrator import CSV_HEADER, Experiment, ExperimentResult, rounds_to_target
 from .selfcheck import SUITES, run_selfcheck
 
 
@@ -86,15 +86,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(cfg: ExperimentConfig, split, out_dir, quiet: bool) -> ExperimentResult:
+    """One run of cfg on split, as `run` and every run of `compare` make it."""
+    experiment = Experiment(
+        split, cfg.hyper, cfg.policy,
+        eval_every=cfg.eval_every, stop_at_accuracy=cfg.stop_at_accuracy,
+        cost_ranges=cfg.cost_ranges(),
+    )
+    return experiment.run(
+        cfg.rounds, out_dir=out_dir, config_payload=cfg.payload(),
+        log=None if quiet else print,
+    )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.overrides, args.seed, args.policy, args.out)
-    split = cfg.build_split()
-    result = run_experiment(
-        split, cfg.hyper, cfg.policy, cfg.rounds,
-        eval_every=cfg.eval_every, stop_at_accuracy=cfg.stop_at_accuracy,
-        out_dir=cfg.out_dir, config_payload=cfg.payload(),
-        cost_ranges=cfg.cost_ranges(), log=None if args.quiet else print,
-    )
+    result = _run(cfg, cfg.build_split(), cfg.out_dir, args.quiet)
     last = result.metrics[-1]
     print(
         f"policy={result.policy} seed={result.seed} rounds={last.round_index} "
@@ -131,7 +138,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_root = Path(base.out_dir) if base.out_dir else Path("compare_out")
     out_root.mkdir(parents=True, exist_ok=True)
 
-    merged_rows: list[tuple[int, str]] = []
+    merged_lines: list[str] = []
     table: list[dict] = []
     for seed in seed_ints:
         split = None
@@ -141,14 +148,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 # one split per seed; every policy sees identical data and
                 # identical exploration draws, so comparisons are paired
                 split = cfg.build_split()
-            result = run_experiment(
-                split, cfg.hyper, cfg.policy, cfg.rounds,
-                eval_every=cfg.eval_every, stop_at_accuracy=cfg.stop_at_accuracy,
-                out_dir=out_root / f"{policy}_seed{seed}", config_payload=cfg.payload(),
-                cost_ranges=cfg.cost_ranges(), log=None if args.quiet else print,
-            )
-            for m in result.metrics:
-                merged_rows.append((seed, ",".join(m.csv_row())))
+            result = _run(cfg, split, out_root / f"{policy}_seed{seed}", args.quiet)
+            merged_lines.extend(f"{seed},{m.csv_line()}" for m in result.metrics)
             reached = rounds_to_target(result.metrics, args.target_accuracy)
             cost = next(
                 (
@@ -176,9 +177,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     merged_path = out_root / "merged_metrics.csv"
     with open(merged_path, "w", encoding="utf-8") as fh:
-        fh.write("seed," + ",".join(CSV_COLUMNS) + "\n")
-        for seed, row in merged_rows:
-            fh.write(f"{seed},{row}\n")
+        fh.write("seed," + CSV_HEADER)
+        fh.writelines(merged_lines)
 
     target_col = f"rounds_to_{args.target_accuracy:g}"
     summary_path = out_root / "summary.csv"

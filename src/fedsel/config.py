@@ -48,7 +48,6 @@ DEFAULTS: dict[str, dict[str, tuple[str, object]]] = {
         "keep_rule": ("str", "positive"),
         "keep_k": ("int", 1),
         "keep_cutoff": ("float", 0.0),
-        "greedy_k": ("opt_int", None),
         "greedy_early_stop": ("bool", True),
         "beta_persistence": ("bool", False),
     },
@@ -251,7 +250,6 @@ def build_config(values: dict[str, dict[str, object]]) -> ExperimentConfig:
         policy = SelectionPolicy(
             kind=orch["policy"],
             keep_rule=keep,
-            greedy_k=sel["greedy_k"],
             greedy_early_stop=sel["greedy_early_stop"],
             beta_persistence=sel["beta_persistence"],
         )

@@ -104,5 +104,10 @@ def make_loss(name: str, gamma: float = 1.0) -> Loss:
     if name == "smoothed_hinge":
         return SmoothedHinge(gamma=gamma)
     if name == "squared":
+        # a value the loss never reads is refused rather than ignored
+        if gamma != SmoothedHinge.gamma:
+            raise ValueError(
+                f"gamma={gamma} is read only by the smoothed_hinge loss, not 'squared'"
+            )
         return SquaredLoss()
     raise ValueError(f"unknown loss {name!r}, expected one of {sorted(LOSSES)}")

@@ -13,7 +13,7 @@ import hashlib
 import json
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,11 +66,13 @@ CSV_COLUMNS = (
     "explored",
     "accepted",
 )
+CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
 @dataclass
 class RoundMetrics:
-    """Snapshot of global and per-device quality after a completed round."""
+    """One metrics.csv row: global and per-device quality after a completed
+    round. The fields are CSV_COLUMNS, in order; round_index is `round`."""
 
     round_index: int
     policy: str
@@ -78,34 +80,18 @@ class RoundMetrics:
     train_loss: float
     personalization_mean: float
     personalization_var: float
-    personalization_min: float
-    personalization_max: float
     fairness_violations: int
     duality_gap: float
     round_cost_s: float
     cum_cost_s: float
     explored: int
     accepted: int
-    beta_min: float = float("nan")
-    beta_median: float = float("nan")
-    beta_max: float = float("nan")
 
-    def csv_row(self) -> list[str]:
-        cells: list[str] = []
-        for name in CSV_COLUMNS:
-            value = getattr(self, "round_index" if name == "round" else name)
-            if isinstance(value, float):
-                # repr round-trips exactly, keeping rerun CSVs byte-identical.
-                cells.append(repr(value))
-            else:
-                cells.append(str(value))
-        return cells
-
-
-def metrics_csv_lines(metrics: list[RoundMetrics]) -> list[str]:
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(m.csv_row()) for m in metrics)
-    return lines
+    def csv_line(self) -> str:
+        """This row as a line under CSV_HEADER. Floats are written by repr,
+        which round-trips exactly, keeping rerun CSVs byte-identical."""
+        cells = (repr(v) if isinstance(v, float) else str(v) for v in astuple(self))
+        return ",".join(cells) + "\n"
 
 
 def rounds_to_target(metrics: list[RoundMetrics], target: float) -> int | None:
@@ -305,7 +291,7 @@ class Experiment:
         # greedy is defined as collecting every device's update and then
         # picking a subset, so it pays the full fleet's round cost; cds and
         # random draw the same S_t from the shared exploration stream.
-        if self.policy.kind in ("full", "greedy"):
+        if self.policy.kind == "greedy":
             return tuple(sorted(self.devices))
         rng = substream(self.hyper.seed, EXPLORE, round_index)
         return explore_select(self.num_devices, self.hyper.c_fraction, rng)
@@ -335,7 +321,7 @@ class Experiment:
         phi_cols: np.ndarray,
         deltas: dict[int, np.ndarray],
     ) -> RoundPlan:
-        if self.policy.kind in ("random", "full"):
+        if self.policy.kind == "random":
             return random_aggregate_plan(explored)
 
         value = CoalitionOracle(
@@ -347,11 +333,9 @@ class Experiment:
             self.num_devices,
         )
         if self.policy.kind == "greedy":
-            # budget defaults to the whole candidate pool; early stop trims it
-            k = self.policy.greedy_k or len(explored)
-            k = min(k, len(explored))
+            # the budget is the whole candidate pool; early stop trims it
             accepted = greedy_from_value_fn(
-                explored, k, value, early_stop=self.policy.greedy_early_stop
+                explored, len(explored), value, early_stop=self.policy.greedy_early_stop
             )
             return RoundPlan(explored=explored, accepted=accepted, betas={})
 
@@ -437,10 +421,8 @@ class Experiment:
         if local_accs:
             pers_mean = float(np.mean(local_accs))
             pers_var = float(np.var(local_accs))
-            pers_min = float(np.min(local_accs))
-            pers_max = float(np.max(local_accs))
         else:
-            pers_mean = pers_var = pers_min = pers_max = float("nan")
+            pers_mean = pers_var = float("nan")
 
         _, violators = fairness_audit(
             test_scores,
@@ -450,16 +432,6 @@ class Experiment:
             self.num_classes,
         )
 
-        if plan is not None and plan.betas:
-            beta_values = np.array(sorted(plan.betas.values()))
-            beta_summary = (
-                float(beta_values[0]),
-                float(np.median(beta_values)),
-                float(beta_values[-1]),
-            )
-        else:
-            beta_summary = (float("nan"),) * 3
-
         return RoundMetrics(
             round_index=round_index,
             policy=self.policy.kind,
@@ -467,17 +439,12 @@ class Experiment:
             train_loss=train_loss,
             personalization_mean=pers_mean,
             personalization_var=pers_var,
-            personalization_min=pers_min,
-            personalization_max=pers_max,
             fairness_violations=len(violators),
             duality_gap=duality_gap,
             round_cost_s=round_cost_s,
             cum_cost_s=cum_cost_s,
             explored=0 if plan is None else len(plan.explored),
             accepted=0 if plan is None else len(plan.accepted),
-            beta_min=beta_summary[0],
-            beta_median=beta_summary[1],
-            beta_max=beta_summary[2],
         )
 
     # -- full run -----------------------------------------------------------
@@ -501,7 +468,7 @@ class Experiment:
                 out, self.policy.kind, self.hyper.seed, config_payload or {}
             )
             csv_handle = open(out / "metrics.csv", "w", encoding="utf-8")
-            csv_handle.write(",".join(CSV_COLUMNS) + "\n")
+            csv_handle.write(CSV_HEADER)
         # after RunManifest.start: the kernels' probes it runs make products too
         layouts_before = products.LAYOUTS.copy()
 
@@ -517,7 +484,7 @@ class Experiment:
         def emit(row: RoundMetrics) -> None:
             metrics.append(row)
             if csv_handle is not None:
-                csv_handle.write(",".join(row.csv_row()) + "\n")
+                csv_handle.write(row.csv_line())
                 csv_handle.flush()
             if log is not None:
                 log(
@@ -576,15 +543,18 @@ class Experiment:
         )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunManifest:
-    """Provenance record written before round 1 and finalized at exit."""
+    """Provenance record written before round 1 and finalized at exit;
+    manifest.json holds its fields, in this order."""
 
     policy: str
     seed: int
     config_digest: str
     config: dict
     started_at: str
+    finished_at: str | None = None
+    status: str = "running"
     solver_backend: str
     value_backend: str
     value_threads: int
@@ -592,11 +562,9 @@ class RunManifest:
     blas: dict
     python: str
     numpy: str
-    status: str = "running"
-    finished_at: str | None = None
+    value_products: str | None = None
     rows_written: int = 0
     stop_reason: str | None = None
-    value_products: str | None = None
     error: str | None = None
     outputs: tuple[str, ...] = ()
 
@@ -627,28 +595,7 @@ class RunManifest:
         return manifest
 
     def write(self, out: Path) -> None:
-        payload = {
-            "policy": self.policy,
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "config": self.config,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "status": self.status,
-            "solver_backend": self.solver_backend,
-            "value_backend": self.value_backend,
-            "value_threads": self.value_threads,
-            "native_isa": self.native_isa,
-            "blas": self.blas,
-            "python": self.python,
-            "numpy": self.numpy,
-            "value_products": self.value_products,
-            "rows_written": self.rows_written,
-            "stop_reason": self.stop_reason,
-            "error": self.error,
-            "outputs": list(self.outputs),
-        }
-        (out / self.PATH).write_text(json.dumps(payload, indent=2) + "\n")
+        (out / self.PATH).write_text(json.dumps(asdict(self), indent=2) + "\n")
 
     def finalize(
         self,
@@ -672,32 +619,3 @@ class RunManifest:
         """Record a run that raised: the error and the rows written before it."""
         self.error = f"{type(exc).__name__}: {exc}"
         self.finalize(out, None, rows, "failed", value_products)
-
-
-def run_experiment(
-    split: SplitDataset,
-    hyper: Hyperparams,
-    policy: SelectionPolicy,
-    rounds: int,
-    *,
-    eval_every: int = 1,
-    stop_at_accuracy: float | None = None,
-    out_dir: Path | str | None = None,
-    config_payload: dict | None = None,
-    audit_sink: list[dict] | None = None,
-    cost_ranges: dict | None = None,
-    log=None,
-) -> ExperimentResult:
-    """Convenience wrapper: build an Experiment and run it for `rounds`."""
-    exp = Experiment(
-        split,
-        hyper,
-        policy,
-        eval_every=eval_every,
-        stop_at_accuracy=stop_at_accuracy,
-        audit_sink=audit_sink,
-        cost_ranges=cost_ranges,
-    )
-    return exp.run(
-        rounds, out_dir=out_dir, config_payload=config_payload, log=log
-    )

@@ -29,7 +29,7 @@ _SHAPES: dict[tuple[int, int, int, int], bool] = {}
 LAYOUTS: Counter = Counter()
 
 
-def kmajor_product(features: np.ndarray, blocks, out: np.ndarray | None = None) -> np.ndarray:
+def kmajor_product(features: np.ndarray, blocks) -> np.ndarray:
     """np.vstack([(features @ w).T for w in blocks]), equal bit for bit: the
     (len(blocks) * b, n) class-major scores of the n rows of `features`
     under B weight blocks of one shape (d, b), block after block.
@@ -40,13 +40,11 @@ def kmajor_product(features: np.ndarray, blocks, out: np.ndarray | None = None) 
     (_same_bytes), returns the row-major bytes where they differ and keeps
     the verdict for the rest of the process. Blocks that are all +0.0 (the
     zero model every run starts from) give +0.0 scores without a product
-    or a probe: they show nothing of how a layout rounds. The scores are
-    written into `out` when given, a C-contiguous (B * b, n) float64 array.
+    or a probe: they show nothing of how a layout rounds.
     """
     n, d = features.shape
     width = blocks[0].shape[1]
-    if out is None:
-        out = np.empty((len(blocks) * width, n))
+    out = np.empty((len(blocks) * width, n))
     if zero_model(blocks):
         out[...] = 0.0
         return out

@@ -7,7 +7,7 @@ import numpy as np
 
 from .valuation import ContributionLedger
 
-POLICY_KINDS = ("cds", "random", "greedy", "full")
+POLICY_KINDS = ("cds", "random", "greedy")
 KEEP_RULE_KINDS = ("positive", "top_k", "threshold")
 
 
@@ -40,7 +40,6 @@ class KeepRule:
 class SelectionPolicy:
     kind: str = "cds"
     keep_rule: KeepRule = KeepRule()
-    greedy_k: int | None = None  # None means the usual exploration budget
     greedy_early_stop: bool = True
     beta_persistence: bool = False  # keep contribution means across rounds
 

@@ -16,7 +16,7 @@ from conftest import random_game, record_criterion
 from fedsel.cost import DeviceProfile, compute_time, comm_time, round_cost, uplink_rate
 from fedsel.data import DeviceDataset, generate_synthetic, load_idx_split
 from fedsel.losses import SmoothedHinge, SquaredLoss
-from fedsel.orchestrator import Experiment, rounds_to_target, run_experiment
+from fedsel.orchestrator import Experiment, rounds_to_target
 from fedsel.rng import substream
 from fedsel.selection import SelectionPolicy
 from fedsel.solver import Hyperparams, device_update, duality_gap
@@ -194,8 +194,8 @@ def paper_grid(idx_corpus):
             )
             return reached, cost
 
-        cds = run_experiment(split, hyper, SelectionPolicy(kind="cds"), rounds=14)
-        rnd = run_experiment(split, hyper, SelectionPolicy(kind="random"), rounds=14)
+        cds = Experiment(split, hyper, SelectionPolicy(kind="cds")).run(14)
+        rnd = Experiment(split, hyper, SelectionPolicy(kind="random")).run(14)
         greedy = Experiment(
             split, hyper, SelectionPolicy(kind="greedy"), stop_at_accuracy=TARGET
         ).run(14)
@@ -275,9 +275,7 @@ def test_criterion_8_exploitation_rounds_cost_nothing():
                 loss="smoothed_hinge", epochs=5, c_fraction=0.3,
                 delta_t=delta_t, seed=seed,
             )
-            results[delta_t] = run_experiment(
-                split, hyper, SelectionPolicy(kind="cds"), rounds=20
-            )
+            results[delta_t] = Experiment(split, hyper, SelectionPolicy(kind="cds")).run(20)
         costs_equal &= [m.round_cost_s for m in results[1].metrics] == [
             m.round_cost_s for m in results[5].metrics
         ]

@@ -157,6 +157,17 @@ def test_keep_values_the_rule_never_reads_are_rejected(overrides):
     assert main(["run", *[a for o in overrides for a in ("--set", o)]]) == 2
 
 
+def test_gamma_under_the_squared_loss_is_rejected(capsys):
+    overrides = ["solver.loss=squared", "solver.gamma=0.5"]
+    with pytest.raises(ConfigError, match="gamma=0.5 is read only by the smoothed_hinge"):
+        load_config(None, overrides)
+    assert main(["run", *[a for o in overrides for a in ("--set", o)]]) == 2
+    assert "gamma" in capsys.readouterr().err
+    # the default restated is fine, and the hinge reads any positive gamma
+    assert load_config(None, ["solver.loss=squared", "solver.gamma=1.0"]).hyper.gamma == 1.0
+    assert load_config(None, ["solver.gamma=0.5"]).hyper.make_loss().gamma == 0.5
+
+
 def test_keep_values_the_rule_reads_are_accepted():
     top_k = load_config(None, ["selection.keep_rule=top_k", "selection.keep_k=3"])
     assert top_k.policy.keep_rule.k == 3
@@ -257,6 +268,13 @@ def test_cli_compare_merges_runs_and_dedups(tmp_path, capsys):
     # 2 policies x 2 seeds x (initial row + 2 rounds) + header
     assert len(merged) == 1 + 4 * 3
     assert merged[0].startswith("seed,round,policy")
+    # each run's own metrics.csv, seed first, in run order
+    want = []
+    for seed in (1, 2):
+        for policy in ("cds", "random"):
+            header, *rows = (out / f"{policy}_seed{seed}" / "metrics.csv").read_text().splitlines()
+            want.extend(f"{seed},{row}" for row in rows)
+    assert merged == ["seed," + header, *want]
     summary = (out / "summary.csv").read_text().splitlines()
     assert summary[0] == "policy,seed,rounds_to_0.5,cum_cost_at_target_s,final_acc"
     assert len(summary) == 1 + 4

@@ -13,14 +13,14 @@ from fedsel import native, products, solver, valuation
 from fedsel.cli import main
 from fedsel.data import DeviceDataset, SplitDataset
 from fedsel.orchestrator import (
+    CSV_COLUMNS,
+    CSV_HEADER,
     Experiment,
     RoundMetrics,
     device_test_scores,
     evaluate_global,
     fairness_audit,
-    metrics_csv_lines,
     rounds_to_target,
-    run_experiment,
 )
 from fedsel.rng import DEVICE, substream
 from fedsel.selection import SelectionPolicy
@@ -37,6 +37,12 @@ from fedsel.solver import (
 from fedsel.valuation import CoalitionOracle
 
 HP = Hyperparams(loss="smoothed_hinge", epochs=2, c_fraction=0.5, seed=3)
+# manifest.json's keys, in the order readers of earlier run directories saw them
+MANIFEST_KEYS = [
+    "policy", "seed", "config_digest", "config", "started_at", "finished_at", "status",
+    "solver_backend", "value_backend", "value_threads", "native_isa", "blas", "python",
+    "numpy", "value_products", "rows_written", "stop_reason", "error", "outputs",
+]
 
 
 def test_zero_model_scores_class_zero_frequency():
@@ -91,10 +97,19 @@ def test_cds_and_random_share_the_exploration_stream():
     rnd = Experiment(split, hp, SelectionPolicy(kind="random"))
     for t in (1, 2, 5):
         assert cds._explored(t) == rnd._explored(t)
-    # full and greedy survey the entire fleet instead
-    for kind in ("full", "greedy"):
-        exp = Experiment(split, hp, SelectionPolicy(kind=kind))
-        assert exp._explored(1) == tuple(range(8))
+    # greedy surveys the entire fleet instead
+    greedy = Experiment(split, hp, SelectionPolicy(kind="greedy"))
+    assert greedy._explored(1) == tuple(range(8))
+
+
+def test_random_at_full_fraction_explores_and_accepts_every_device():
+    # full participation: every device's update in every round
+    split = tiny_split(num_devices=5)
+    exp = Experiment(split, replace(HP, c_fraction=1.0), SelectionPolicy(kind="random"))
+    state = GlobalState.zeros(split.feature_dim, split.total_train, 3)
+    for t in (1, 2, 3):
+        state, plan = exp.run_round(state, t)
+        assert plan.explored == plan.accepted == tuple(range(5))
 
 
 def _scratch_value(phi_cols, deltas, subset, features, labels, count):
@@ -320,11 +335,6 @@ def _reference_metrics(exp, shards, state, round_index, plan, round_cost_s, cum_
         float(np.mean(loss.value(scores(d.test_features), binary(d.test_labels))))
         for d in held
     ]
-    if plan is not None and plan.betas:
-        betas = np.array(sorted(plan.betas.values()))
-        beta_summary = (float(betas[0]), float(np.median(betas)), float(betas[-1]))
-    else:
-        beta_summary = (float("nan"),) * 3
     return RoundMetrics(
         round_index=round_index,
         policy=exp.policy.kind,
@@ -332,17 +342,12 @@ def _reference_metrics(exp, shards, state, round_index, plan, round_cost_s, cum_
         train_loss=data_term + reg_term,
         personalization_mean=float(np.mean(local_accs)),
         personalization_var=float(np.var(local_accs)),
-        personalization_min=float(np.min(local_accs)),
-        personalization_max=float(np.max(local_accs)),
         fairness_violations=sum(r > exp.hyper.theta_threshold for r in risks),
         duality_gap=gap,
         round_cost_s=round_cost_s,
         cum_cost_s=cum_cost_s,
         explored=0 if plan is None else len(plan.explored),
         accepted=0 if plan is None else len(plan.accepted),
-        beta_min=beta_summary[0],
-        beta_median=beta_summary[1],
-        beta_max=beta_summary[2],
     )
 
 
@@ -377,9 +382,7 @@ def test_evaluate_matches_two_pass_reference_bitwise(loss, monkeypatch):
 
 def test_zero_round_run_reports_only_the_initial_row(tmp_path):
     split = tiny_split()
-    result = run_experiment(
-        split, HP, SelectionPolicy(kind="cds"), rounds=0, out_dir=tmp_path / "r0"
-    )
+    result = Experiment(split, HP, SelectionPolicy(kind="cds")).run(0, out_dir=tmp_path / "r0")
     assert len(result.metrics) == 1
     row = result.metrics[0]
     assert row.round_index == 0
@@ -390,6 +393,7 @@ def test_zero_round_run_reports_only_the_initial_row(tmp_path):
     lines = (tmp_path / "r0" / "metrics.csv").read_text().splitlines()
     assert len(lines) == 2
     manifest = json.loads((tmp_path / "r0" / "manifest.json").read_text())
+    assert list(manifest) == MANIFEST_KEYS
     assert manifest["status"] == "complete"
     assert manifest["rows_written"] == 1
     assert manifest["stop_reason"] == "completed"
@@ -443,8 +447,9 @@ def test_crashed_run_marks_its_manifest_failed(tmp_path, monkeypatch):
     monkeypatch.setattr(orch, "device_update_ovr", broken_update)
     out = tmp_path / "crash"
     with pytest.raises(ValueError, match="diverged"):
-        run_experiment(tiny_split(), HP, SelectionPolicy(kind="cds"), rounds=2, out_dir=out)
+        Experiment(tiny_split(), HP, SelectionPolicy(kind="cds")).run(2, out_dir=out)
     manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest) == MANIFEST_KEYS
     assert manifest["status"] == "failed"
     assert manifest["error"] == "ValueError: local solve diverged"
     assert manifest["rows_written"] == 1  # the round-0 row, written before round 1
@@ -474,7 +479,7 @@ def test_failed_run_records_the_value_products_of_its_rounds(tmp_path, monkeypat
         monkeypatch.setattr(products, "_same_bytes", lambda a, b: verdict)
         out = tmp_path / recorded
         with pytest.raises(ValueError, match="cost model"):
-            run_experiment(tiny_split(), HP, SelectionPolicy(kind="cds"), rounds=2, out_dir=out)
+            Experiment(tiny_split(), HP, SelectionPolicy(kind="cds")).run(2, out_dir=out)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["value_products"] == recorded
@@ -484,10 +489,8 @@ def test_rerun_is_byte_identical_and_seed_sensitive():
     split = tiny_split()
     lines = []
     for seed in (3, 3, 4):
-        result = run_experiment(
-            split, replace(HP, seed=seed), SelectionPolicy(kind="cds"), rounds=2
-        )
-        lines.append(metrics_csv_lines(result.metrics))
+        result = Experiment(split, replace(HP, seed=seed), SelectionPolicy(kind="cds")).run(2)
+        lines.append([m.csv_line() for m in result.metrics])
     assert lines[0] == lines[1]
     assert lines[0] != lines[2]
 
@@ -515,7 +518,7 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
                 monkeypatch.setattr(products, "_same_bytes", lambda a, b: False)
             out = tmp_path / f"{hp.loss}-{backend}"
             kind = policy.split("-")[0]
-            run_experiment(split, hp, SelectionPolicy(kind=kind), rounds=3, out_dir=out)
+            Experiment(split, hp, SelectionPolicy(kind=kind)).run(3, out_dir=out)
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["solver_backend"] == solver.coordinate_backend()
             assert manifest["value_backend"] == valuation.value_backend()
@@ -532,23 +535,18 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
     assert runs[0] != runs[4]
 
 
-def test_round_costs_accumulate_and_beta_summary_present():
+def test_round_costs_accumulate():
     split = tiny_split()
-    result = run_experiment(split, HP, SelectionPolicy(kind="cds"), rounds=3)
+    result = Experiment(split, HP, SelectionPolicy(kind="cds")).run(3)
     costs = [m.round_cost_s for m in result.metrics[1:]]
     cums = [m.cum_cost_s for m in result.metrics[1:]]
     assert all(c > 0 for c in costs)
     np.testing.assert_allclose(np.cumsum(costs), cums, rtol=1e-12)
-    for m in result.metrics[1:]:
-        assert m.beta_min <= m.beta_median <= m.beta_max
-    # random aggregation reports no contribution snapshot
-    rnd = run_experiment(split, HP, SelectionPolicy(kind="random"), rounds=1)
-    assert np.isnan(rnd.metrics[-1].beta_min)
 
 
 def test_greedy_policy_accepts_nonempty_subset_of_fleet():
     split = tiny_split()
-    result = run_experiment(split, HP, SelectionPolicy(kind="greedy"), rounds=2)
+    result = Experiment(split, HP, SelectionPolicy(kind="greedy")).run(2)
     for m in result.metrics[1:]:
         assert m.explored == 4
         assert 1 <= m.accepted <= 4
@@ -605,7 +603,6 @@ def test_rounds_to_target():
         RoundMetrics(
             round_index=i, policy="cds", test_acc=acc, train_loss=0.0,
             personalization_mean=0.0, personalization_var=0.0,
-            personalization_min=0.0, personalization_max=0.0,
             fairness_violations=0, duality_gap=0.0, round_cost_s=0.0,
             cum_cost_s=0.0, explored=0, accepted=0,
         )
@@ -615,22 +612,25 @@ def test_rounds_to_target():
     assert rounds_to_target(rows, 0.95) is None
 
 
-def test_csv_lines_round_trip_header():
+def test_csv_lines_round_trip_header(tmp_path):
+    # a RoundMetrics is one metrics.csv row: its fields are the columns, in order
+    assert [f.name for f in fields(RoundMetrics)] == ["round_index", *CSV_COLUMNS[1:]]
     split = tiny_split()
-    result = run_experiment(split, HP, SelectionPolicy(kind="random"), rounds=1)
-    lines = metrics_csv_lines(result.metrics)
+    result = Experiment(split, HP, SelectionPolicy(kind="random")).run(1, out_dir=tmp_path)
+    text = (tmp_path / "metrics.csv").read_text()
+    assert text == CSV_HEADER + "".join(m.csv_line() for m in result.metrics)
+    lines = text.splitlines()
     assert lines[0].startswith("round,policy,test_acc")
     assert len(lines) == 1 + len(result.metrics)
-    assert all(len(line.split(",")) == len(lines[0].split(",")) for line in lines)
+    assert all(len(line.split(",")) == len(CSV_COLUMNS) for line in lines)
 
 
 def test_cds_audit_sink_collects_permutation_records():
     split = tiny_split()
     sink: list[dict] = []
-    run_experiment(
-        split, replace(HP, delta_t=2), SelectionPolicy(kind="cds"),
-        rounds=2, audit_sink=sink,
-    )
+    Experiment(
+        split, replace(HP, delta_t=2), SelectionPolicy(kind="cds"), audit_sink=sink
+    ).run(2)
     assert len(sink) == 4  # delta_t permutations per global round
     assert {e["global_round"] for e in sink} == {1, 2}
     for entry in sink:

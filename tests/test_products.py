@@ -10,7 +10,7 @@ from conftest import tiny_split
 from fedsel import products, solver, valuation
 from fedsel.cli import main
 from fedsel.data import DeviceDataset
-from fedsel.orchestrator import Experiment, device_test_scores, run_experiment
+from fedsel.orchestrator import Experiment, device_test_scores
 from fedsel.selection import SelectionPolicy
 from fedsel.solver import Hyperparams, device_update_ovr
 
@@ -60,11 +60,10 @@ def test_failed_probe_keeps_the_row_major_bytes_and_layout(fresh_probes, monkeyp
         return False
 
     monkeypatch.setattr(products, "_same_bytes", failing)
-    out = np.empty((12, 61))
     before = products.LAYOUTS.copy()
     for _ in range(2):
-        got = products.kmajor_product(features, blocks, out)
-        assert got is out and got.flags.c_contiguous
+        got = products.kmajor_product(features, blocks)
+        assert got.flags.c_contiguous
         assert same_bytes(got, row_major(features, blocks))
     assert probes == [4]
     assert products._SHAPES == {(61, 17, 3, 4): False}
@@ -119,7 +118,7 @@ def test_class_major_bytes_that_differ_after_the_zero_model_stay_row_major(
                 patch.setattr(products, "_same_bytes", lambda a, b: False)
             else:
                 patch.setattr(np, "matmul", one_ulp_off)
-            run_experiment(split, hp, SelectionPolicy(kind="cds"), rounds=3, out_dir=tmp_path / name)
+            Experiment(split, hp, SelectionPolicy(kind="cds")).run(3, out_dir=tmp_path / name)
             if name == "one_ulp_off":
                 assert products._SHAPES and not any(products._SHAPES.values())
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())

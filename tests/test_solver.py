@@ -572,7 +572,8 @@ def test_cloned_kernels_give_the_plain_bodys_bytes(plain_library):
 def fixed_device_updates(k, loss_name, n=17):
     """device_update (k=1) or device_update_ovr (k>1) on a fixed device."""
     device = make_device(n=n, dim=4, seed=31)
-    hp = Hyperparams(loss=loss_name, gamma=0.5, reg_lambda=0.1, epochs=3)
+    gamma = 0.5 if loss_name == "smoothed_hinge" else 1.0  # squared refuses a gamma
+    hp = Hyperparams(loss=loss_name, gamma=gamma, reg_lambda=0.1, epochs=3)
     if k == 1:
         update = device_update(
             device, np.full(4, 0.02), 0.5 * device.labels, hp, substream(5), total_samples=40
