@@ -76,6 +76,12 @@ DEFAULTS: dict[str, dict[str, tuple[str, object]]] = {
     },
 }
 
+# the [data] keys only one source reads; data_dir, a path, is accepted under both
+_SOURCE_KEYS = {
+    "idx": ("shards_per_device", "unbalanced", "validation_size", "device_test_fraction"),
+    "synthetic": ("synthetic_dim", "synthetic_train_size", "synthetic_separation"),
+}
+
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -260,6 +266,14 @@ def build_config(values: dict[str, dict[str, object]]) -> ExperimentConfig:
         raise ConfigError(
             f"data.source must be 'idx' or 'synthetic', got {data['source']!r}"
         )
+    # a value the chosen source never reads is refused rather than ignored
+    for source, keys in _SOURCE_KEYS.items():
+        for key in keys:
+            if source != data["source"] and data[key] != DEFAULTS["data"][key][1]:
+                raise ConfigError(
+                    f"data.{key}={data[key]} is read only by data.source={source!r}, "
+                    f"not {data['source']!r}"
+                )
     if orch["rounds"] < 0:
         raise ConfigError(f"orchestrator.rounds must be >= 0, got {orch['rounds']}")
     if orch["eval_every"] < 1:

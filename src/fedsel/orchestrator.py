@@ -124,37 +124,26 @@ def _accuracy(predicted: np.ndarray, labels: np.ndarray) -> float:
 def evaluate_global(
     phi_cols: np.ndarray,
     split: SplitDataset,
-    loss: Loss,
     reg_lambda: float,
-    train_margins: np.ndarray,
-    train_targets: np.ndarray,
-    train_values: np.ndarray | None = None,
+    train_values: np.ndarray,
 ) -> tuple[float, float]:
     """Test accuracy of the argmax predictor plus mean per-class train objective.
 
-    Both train arrays are class-major, (K, n) for the split's n training
-    rows: train_margins is phi_cols.T @ X.T for the training matrix X (as
-    products.kmajor_product gives it) and train_targets the one-vs-rest
-    targets, row k holding +1 where the label is k and -1 elsewhere. Any
-    other shape, the row-major (n, K) layout among them, raises ValueError.
-    train_values, when given, is _train_loss_values of those two arrays,
-    computed once for this and for fenchel_gap.
+    train_values is the loss value of each of the split's n training rows
+    under each one-vs-rest problem, (n, K), as _train_loss_values gives it.
+    Its mean is summed in that order, so any other shape, the class-major
+    (K, n) layout among them, raises ValueError.
     The objective averages, over the one-vs-rest problems, the regularized
     primal value on the full training pool; with phi_cols == 0 it equals
     loss.value(0, -1) averaged with loss.value(0, +1) weighted by class
     frequency, and the accuracy equals the frequency of class 0 because
     argmax breaks ties toward the lowest class id.
     """
-    kmajor = (phi_cols.shape[1], split.stacked_train()[0].shape[0])
-    if train_margins.shape != kmajor or train_targets.shape != kmajor:
-        raise ValueError(
-            f"train margins and targets must be class-major {kmajor}, got "
-            f"{train_margins.shape} and {train_targets.shape}"
-        )
+    row_major = (split.stacked_train()[0].shape[0], phi_cols.shape[1])
+    if train_values.shape != row_major:
+        raise ValueError(f"train values must be (n, K) {row_major}, got {train_values.shape}")
     test_scores = products.kmajor_product(split.test_features, [phi_cols])
     accuracy = _accuracy(np.argmax(test_scores, axis=0), split.test_labels)
-    if train_values is None:
-        train_values = _train_loss_values(train_margins, train_targets, loss)
     data_term = float(np.mean(train_values))
     reg_term = 0.5 * reg_lambda * float(np.mean(np.sum(phi_cols**2, axis=0)))
     return accuracy, data_term + reg_term
@@ -180,18 +169,11 @@ def device_test_scores(
 ) -> dict[int, np.ndarray]:
     """(n_test, K) scores of each device's local test split, keyed by device id.
 
-    Devices without held-out samples have no entry. The products stay
-    row-major: at the grid's 44 to 165 rows per device, class-major products
-    (products.kmajor_product) changed some scores. The zero model's scores
-    are +0.0 without a product (products.zero_model).
+    Devices without held-out samples have no entry. The scores are
+    products.row_major_scores.
     """
-    zero = products.zero_model([phi_cols])
     return {
-        device.device_id: (
-            np.zeros((device.test_features.shape[0], phi_cols.shape[1]))
-            if zero
-            else device.test_features @ phi_cols
-        )
+        device.device_id: products.row_major_scores(device.test_features, phi_cols)
         for device in devices
         if device.test_features is not None and device.test_features.shape[0] > 0
     }
@@ -254,7 +236,7 @@ class Experiment:
         self.loss = hyper.make_loss()
         self.reg_lambda = hyper.resolved_lambda(self.total_samples)
 
-        # class-major, (K, D), as evaluate_global takes them
+        # class-major, (K, D), as the train margins are
         self.train_targets = np.ascontiguousarray(
             one_vs_rest_targets(split.stacked_train()[1], self.num_classes).T
         )
@@ -354,15 +336,9 @@ class Experiment:
             ledger=self._persistent_ledger,
             audit_sink=sink,
         )
-        if self._persistent_ledger is not None:
-            visible = ContributionLedger(
-                beta={m: ledger.beta[m] for m in explored},
-                counts={m: ledger.counts[m] for m in explored},
-            )
-        else:
-            visible = ledger
-        accepted = exploit_select(visible, self.policy.keep_rule)
-        betas = {m: visible.beta[m] for m in explored}
+        # a persistent ledger also holds devices explored in earlier rounds
+        betas = {m: ledger.beta[m] for m in explored}
+        accepted = exploit_select(betas, self.policy.keep_rule)
         return RoundPlan(explored=explored, accepted=accepted, betas=betas)
 
     def run_round(
@@ -398,10 +374,7 @@ class Experiment:
     ) -> RoundMetrics:
         train_margins = products.kmajor_product(self.split.stacked_train()[0], [state.phi])
         train_values = _train_loss_values(train_margins, self.train_targets, self.loss)
-        test_acc, train_loss = evaluate_global(
-            state.phi, self.split, self.loss, self.reg_lambda, train_margins, self.train_targets,
-            train_values,
-        )
+        test_acc, train_loss = evaluate_global(state.phi, self.split, self.reg_lambda, train_values)
         duality_gap = float(
             np.mean(
                 [

@@ -10,8 +10,9 @@ shapes (44,001 rows: 56.6 -> 42.6 ms with SkylakeX kernels) and had its
 bytes, but not at every shape: at 44 to 165 rows some scores differed. So
 every shape is probed in the process against the row-major products, on
 its first use with a nonzero weight block, and a shape whose bytes differ
-stays on them, transposed. The zero model's products are not computed at
-all (zero_model).
+stays on them, transposed. The products of a device's few rows stay
+row-major (row_major_scores). The zero model's products are not computed
+at all (zero_model).
 """
 from __future__ import annotations
 
@@ -61,6 +62,20 @@ def kmajor_product(features: np.ndarray, blocks) -> np.ndarray:
                 out[j * width : (j + 1) * width] = scores.T
     LAYOUTS["k_major" if verdict else "row_major"] += 1
     return out
+
+
+def row_major_scores(features: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """features @ w, the (n, b) row-major scores of the n rows of `features`
+    under one (d, b) weight block; +0.0 without a product for the zero
+    model (zero_model).
+
+    A device's test scores and its local solve's base margins are these
+    products: at the grid's 44 to 165 rows per device, class-major products
+    (kmajor_product) changed some scores.
+    """
+    if zero_model([w]):
+        return np.zeros((features.shape[0], w.shape[1]))
+    return features @ w
 
 
 def zero_model(blocks) -> bool:

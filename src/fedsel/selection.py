@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .valuation import ContributionLedger
+from .valuation import prefix_values
 
 POLICY_KINDS = ("cds", "random", "greedy")
 KEEP_RULE_KINDS = ("positive", "top_k", "threshold")
@@ -76,21 +76,18 @@ def explore_select(num_devices: int, c_fraction: float, rng: np.random.Generator
     return tuple(int(m) for m in np.sort(picked))
 
 
-def _ranked(ledger: ContributionLedger) -> list[tuple[int, float]]:
-    """Devices by contribution descending, ties by ascending device id."""
-    return sorted(ledger.beta.items(), key=lambda item: (-item[1], item[0]))
+def exploit_select(betas: dict[int, float], keep_rule: KeepRule) -> tuple[int, ...]:
+    """Cut the explored devices' contributions {id: beta} into the accepted
+    set M-tilde.
 
-
-def exploit_select(ledger: ContributionLedger, keep_rule: KeepRule) -> tuple[int, ...]:
-    """Cut the contribution ranking into the accepted set M-tilde.
-
+    The devices are ranked by contribution descending, ties by ascending id.
     `positive` keeps strictly positive contributions, `threshold` keeps
     beta >= cutoff, `top_k` keeps the k best. Whenever a filter comes back
     empty the single best device is kept, so aggregation always has input.
     """
-    ranking = _ranked(ledger)
+    ranking = sorted(betas.items(), key=lambda item: (-item[1], item[0]))
     if not ranking:
-        raise ValueError("exploit_select needs a ledger covering the explored devices")
+        raise ValueError("exploit_select needs the contribution of at least one explored device")
     if keep_rule.kind == "positive":
         kept = [m for m, beta in ranking if beta > 0.0]
     elif keep_rule.kind == "threshold":
@@ -105,12 +102,12 @@ def exploit_select(ledger: ContributionLedger, keep_rule: KeepRule) -> tuple[int
 def greedy_from_value_fn(players, k: int, value_fn, early_stop: bool = False) -> tuple[int, ...]:
     """Iteratively add the player with the greatest coalition-value gain.
 
-    Candidate coalitions are valued as sorted tuples: one value_fn call each,
-    or, when value_fn has the method `walk_values` (see
-    valuation.CoalitionOracle), a sweep's candidates in one call to it, with
-    the chosen set as the shared prefix and each candidate as a one-member
-    walk. Ties go to the lowest player id. With early_stop, growth stops
-    once the best marginal gain is <= 0, but the first pick is always kept.
+    A sweep values its candidate coalitions, the chosen set plus each
+    remaining player in ascending order, in one valuation.prefix_values
+    call, with the chosen set as the shared prefix and each candidate as a
+    one-member walk. Ties go to the lowest player id. With early_stop,
+    growth stops once the best marginal gain is <= 0, but the first pick is
+    always kept.
     """
     players = sorted(players)
     if k <= 0:
@@ -118,18 +115,13 @@ def greedy_from_value_fn(players, k: int, value_fn, early_stop: bool = False) ->
     if k > len(players):
         raise ValueError(f"k={k} exceeds the {len(players)} available updates")
 
-    sweep = getattr(value_fn, "walk_values", None)
     chosen: list[int] = []
     current_value = value_fn(())
     remaining = players
     while len(chosen) < k and remaining:
         best_id, best_value = None, -np.inf
-        if sweep is not None:
-            walks = [(m,) for m in remaining]
-            candidate_values = [value for [value] in sweep(walks, tuple(chosen))]
-        else:
-            candidate_values = [value_fn(tuple(sorted(chosen + [m]))) for m in remaining]
-        for m, candidate_value in zip(remaining, candidate_values):
+        sweep = prefix_values(value_fn, [(m,) for m in remaining], tuple(chosen))
+        for m, [candidate_value] in zip(remaining, sweep):
             if candidate_value > best_value:
                 best_id, best_value = m, candidate_value
         if early_stop and chosen and best_value - current_value <= 0.0:

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import native
 from .losses import Loss, SmoothedHinge, SquaredLoss, make_loss
-from .products import zero_model
+from .products import row_major_scores
 from .rng import substream
 
 AGGREGATION_RULES = ("accepted", "explored", "all")
@@ -331,19 +331,25 @@ def scaled_gram(features, lam: float, total_samples: int) -> np.ndarray:
 
 
 def _solve_columns(
-    device, phi_cols, alpha_cols, labels_pm, loss, lam, total_samples, epochs, rng, gram_scaled=None
-):
-    """Run the local dual solve for K binary columns sharing one device."""
+    device, phi_cols, alpha_cols, labels_pm, hp: Hyperparams, rng, total_samples, epochs,
+    gram_scaled,
+) -> LocalUpdate:
+    """Run the local dual solve for K binary columns sharing one device: the
+    (n, K) LocalUpdate of device_update and device_update_ovr, whose
+    arguments these are."""
+    if device.size == 0:
+        raise ValueError(f"device {device.device_id} has no training samples")
+    if isinstance(rng, (int, np.integer)):
+        rng = substream(int(rng))
+    epochs = hp.epochs if epochs is None else epochs
+    lam = hp.resolved_lambda(total_samples)
+    loss = hp.make_loss()
     feats = np.asarray(device.features, dtype=np.float64)
-    lam_total = lam * total_samples
     if gram_scaled is None:
         gram_scaled = scaled_gram(feats, lam, total_samples)
     gram_scaled = np.ascontiguousarray(gram_scaled, dtype=np.float64)
     qii = np.diagonal(gram_scaled).copy()
-    if zero_model([phi_cols]):  # the zero model: +0.0, as the product gives
-        base_margins = np.zeros((feats.shape[0], phi_cols.shape[1]))
-    else:
-        base_margins = feats @ phi_cols
+    base_margins = row_major_scores(feats, phi_cols)
     alpha_cols = np.ascontiguousarray(alpha_cols, dtype=np.float64)
     labels_pm = np.ascontiguousarray(labels_pm, dtype=np.float64)
     orders = _visit_orders(rng, epochs, labels_pm.shape[0])
@@ -354,7 +360,7 @@ def _solve_columns(
         rho, margins = _kernel_passes(kernel, *args)
     else:
         rho, margins = _coordinate_passes(*args)
-    delta_phi = feats.T @ rho / lam_total
+    delta_phi = feats.T @ rho / (lam * total_samples)
 
     # projection guards the conjugates against ulp drift in aggregated alpha
     alpha0 = loss.project_dual(alpha_cols, labels_pm)
@@ -368,7 +374,7 @@ def _solve_columns(
     )
     gap = (loss.value(margins, labels_pm) + conj1 + beta * margins).sum(axis=0) / total_samples
     theta = _theta_from_certificate(improvement, gap)
-    return rho, delta_phi, theta
+    return LocalUpdate(device.device_id, device.sample_indices, rho, delta_phi, theta)
 
 
 def device_update(
@@ -391,36 +397,18 @@ def device_update(
     is the device's scaled_gram(features, lambda, total_samples), computed
     here when not given.
     """
-    if device.size == 0:
-        raise ValueError(f"device {device.device_id} has no training samples")
     labels = device.labels if labels is None else np.asarray(labels)
     if not np.all(np.abs(labels) == 1):
         raise ValueError("device_update needs labels in {-1, +1}")
-    if isinstance(rng, (int, np.integer)):
-        rng = substream(int(rng))
-    epochs = hp.epochs if epochs is None else epochs
-    lam = hp.resolved_lambda(total_samples)
-    loss = hp.make_loss()
-
-    rho, delta_phi, theta = _solve_columns(
+    update = _solve_columns(
         device,
         np.asarray(phi, dtype=np.float64)[:, None],
         np.asarray(alpha_slice, dtype=np.float64)[:, None],
         np.asarray(labels, dtype=np.float64)[:, None],
-        loss,
-        lam,
-        total_samples,
-        epochs,
-        rng,
-        gram_scaled=gram_scaled,
+        hp, rng, total_samples, epochs, gram_scaled,
     )
-    return LocalUpdate(
-        device_id=device.device_id,
-        sample_indices=device.sample_indices,
-        rho=rho[:, 0],
-        delta_phi=delta_phi[:, 0],
-        achieved_theta=float(theta[0]),
-    )
+    rho, delta_phi, theta = update.rho[:, 0], update.delta_phi[:, 0], update.achieved_theta[0]
+    return replace(update, rho=rho, delta_phi=delta_phi, achieved_theta=float(theta))
 
 
 def device_update_ovr(
@@ -445,23 +433,9 @@ def device_update_ovr(
     matrix products may differ from a lone run in the last ulp).
     `gram_scaled` is as in device_update.
     """
-    if device.size == 0:
-        raise ValueError(f"device {device.device_id} has no training samples")
-    if isinstance(rng, (int, np.integer)):
-        rng = substream(int(rng))
-    epochs = hp.epochs if epochs is None else epochs
-    lam = hp.resolved_lambda(total_samples)
-    loss = hp.make_loss()
-    rho, delta_phi, theta = _solve_columns(
+    return _solve_columns(
         device, phi_cols, alpha_cols, one_vs_rest_targets(device.labels, num_classes),
-        loss, lam, total_samples, epochs, rng, gram_scaled=gram_scaled,
-    )
-    return LocalUpdate(
-        device_id=device.device_id,
-        sample_indices=device.sample_indices,
-        rho=rho,
-        delta_phi=delta_phi,
-        achieved_theta=theta,
+        hp, rng, total_samples, epochs, gram_scaled,
     )
 
 

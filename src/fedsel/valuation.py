@@ -169,16 +169,10 @@ class CoalitionOracle:
             )
         kernel = _walk_kernel() if walks and walks[0] else None
         if kernel is None or not self._kernel_safe:
-            return self._walk_values_by_call(walks, prefix)
+            return prefix_values(self.__call__, walks, prefix)  # a method has no walk_values
         work = self._base.size * (len(self._members) + 2 * len(walks) * len(walks[0]))
         ranges = min(value_threads(), 1 + work // RANGE_WORK)
         return self._kernel_walk_values(kernel, walks, ranges, prefix)[0]
-
-    def _walk_values_by_call(self, walks, prefix=()) -> list[list[float]]:
-        return [
-            [self(tuple(sorted((*prefix, *walk[:size])))) for size in range(1, len(walk) + 1)]
-            for walk in walks
-        ]
 
     @functools.cached_property
     def _kernel_safe(self) -> bool:
@@ -234,6 +228,25 @@ class CoalitionOracle:
         ])
         hits = correct.sum(axis=0).reshape(len(walks), steps).tolist()
         return [[h / n for h in walk] for walk in hits], int(exact_rows.sum())
+
+
+def prefix_values(value_fn, walks, prefix=()) -> list[list[float]]:
+    """[[value_fn(tuple(sorted((*prefix, *walk[:size])))) for size in range(1, len(walk) + 1)]
+    for walk in walks]: the value of the prefix plus each nonempty prefix of
+    each walk.
+
+    value_fn.walk_values(walks, prefix) gives them when value_fn has that
+    method (CoalitionOracle); otherwise each value is one value_fn call, in
+    that order, walk after walk.
+    """
+    walk_values = getattr(value_fn, "walk_values", None)
+    if walk_values is not None:
+        return walk_values(walks, prefix)
+    prefix = tuple(prefix)
+    return [
+        [value_fn(tuple(sorted((*prefix, *walk[:size])))) for size in range(1, len(walk) + 1)]
+        for walk in walks
+    ]
 
 
 def _validation_scores(features, weights) -> list[np.ndarray]:
@@ -309,7 +322,7 @@ def _walk_probe_matches(kernel) -> bool:
     """Whether the walk kernel reproduces the numpy path's values on the
     probe games (_probe_games), scored as one row range and as two."""
     for oracle, perms, prefix in _probe_games():
-        expected = oracle._walk_values_by_call(perms, prefix)
+        expected = prefix_values(oracle.__call__, perms, prefix)
         for ranges in (1, 2):
             if oracle._kernel_walk_values(kernel, perms, ranges, prefix)[0] != expected:
                 return False
@@ -474,12 +487,12 @@ def tmc_estimate(
     then evaluates one prefix per non-truncated step except the last, which
     reuses the full-set value: at most delta_t * (len(players) - 1) + 2 calls.
 
-    With trunc_tol == 0 no walk depends on a value, so when value_fn has a
-    method `walk_values` (see CoalitionOracle) every walk but its last member
-    goes to it in one call, which returns the values of each walk's proper
-    prefixes instead of one call per prefix; the ledger and the audit
-    entries are the same. With trunc_tol > 0, and for a value_fn without
-    that method, each prefix is one value_fn call.
+    With trunc_tol == 0 no walk depends on a value, so every walk but its
+    last member goes to one prefix_values call: after the empty and full
+    sets, value_fn values each walk's proper prefixes in walk order, or its
+    method `walk_values` (see CoalitionOracle) values them all at once, with
+    the same ledger and audit entries. With trunc_tol > 0 each prefix a
+    walk reaches is one value_fn call.
     """
     players = tuple(game.players)
     if not players:
@@ -495,11 +508,10 @@ def tmc_estimate(
     empty_value = float(game.value_fn(()))
     full_value = float(game.value_fn(tuple(sorted(players))))
     perms = [tuple(np.random.default_rng((seed, t)).permutation(players)) for t in range(delta_t)]
-    walk_values = getattr(game.value_fn, "walk_values", None)
-    prefix_values = None
-    if trunc_tol == 0 and walk_values is not None:
+    precomputed = None
+    if trunc_tol == 0:
         walks = [perm[:-1] for perm in perms]  # the full set's value is known
-        prefix_values = iter([value for walk in walk_values(walks) for value in walk])
+        precomputed = iter([v for walk in prefix_values(game.value_fn, walks) for v in walk])
     for t_prime, perm in enumerate(perms):
         previous = empty_value
         truncated_from = None
@@ -511,8 +523,8 @@ def tmc_estimate(
                     truncated_from = step
             elif step == n - 1:
                 current = full_value
-            elif prefix_values is not None:
-                current = float(next(prefix_values))
+            elif precomputed is not None:
+                current = float(next(precomputed))
             else:
                 current = float(game.value_fn(tuple(sorted(perm[: step + 1]))))
             marginal = current - previous

@@ -4,15 +4,18 @@ Criteria 5-7 share one experiment grid on the session corpus (real MNIST when
 FEDSEL_DATA_DIR points at it, the bundled surrogate otherwise): 100 devices,
 2-shard unbalanced non-iid partition, C=0.1, E=10, lambda=1/D, 14 rounds.
 """
+import os
 import subprocess
 import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import random_game, record_criterion
 
+import fedsel
 from fedsel.cost import DeviceProfile, compute_time, comm_time, round_cost, uplink_rate
 from fedsel.data import DeviceDataset, generate_synthetic, load_idx_split
 from fedsel.losses import SmoothedHinge, SquaredLoss
@@ -302,11 +305,13 @@ def test_criterion_9_cli_rerun_is_byte_identical(tmp_path):
         "--set", "orchestrator.rounds=5",
         "--set", "selection.c_fraction=0.5",
     ]
+    # the children import the sources this test imports
+    env = {**os.environ, "PYTHONPATH": str(Path(fedsel.__file__).parents[1])}
     bodies = []
     for name in ("first", "second"):
         out = tmp_path / name
         proc = subprocess.run(
-            [*base, "--out", str(out)], capture_output=True, text=True, timeout=300
+            [*base, "--out", str(out)], capture_output=True, text=True, env=env, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
         bodies.append((out / "metrics.csv").read_bytes())

@@ -182,6 +182,36 @@ def test_keep_values_the_rule_reads_are_accepted():
     assert random.policy.kind == "random"
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["data.source=synthetic", "data.validation_size=7"],
+        ["data.source=synthetic", "data.device_test_fraction=0.5"],
+        ["data.source=synthetic", "data.shards_per_device=9"],
+        ["data.source=synthetic", "data.unbalanced=true"],
+        ["data.synthetic_dim=7"],
+        ["data.source=idx", "data.synthetic_train_size=100"],
+        ["data.synthetic_separation=1.5"],
+    ],
+)
+def test_data_values_the_source_never_reads_are_rejected(overrides, capsys):
+    key = overrides[-1].partition("=")[0]
+    with pytest.raises(ConfigError, match=rf"{key}=.* is read only by data\.source="):
+        load_config(None, overrides)
+    assert main(["run", *[a for o in overrides for a in ("--set", o)]]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_data_values_the_source_reads_are_accepted():
+    synthetic = ["data.source=synthetic", "data.synthetic_dim=7", "data.synthetic_separation=1.5"]
+    assert load_config(None, synthetic).values["data"]["synthetic_dim"] == 7
+    idx = ["data.validation_size=7", "data.unbalanced=true", "data.shards_per_device=9"]
+    assert load_config(None, idx).values["data"]["shards_per_device"] == 9
+    # defaults restated under either source are fine, and so is a data_dir
+    load_config(None, ["data.source=synthetic", "data.validation_size=5000", "data.data_dir=x"])
+    load_config(None, ["data.synthetic_dim=20", "data.data_dir=x"])
+
+
 def test_load_config_flag_patches():
     cfg = load_config(None, ["orchestrator.seed=5"], seed=9, policy="greedy", out_dir="x")
     assert cfg.hyper.seed == 9  # flags win over --set

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import tiny_split
 
-from fedsel import products, solver, valuation
+from fedsel import products, valuation
 from fedsel.cli import main
 from fedsel.data import DeviceDataset
 from fedsel.orchestrator import Experiment, device_test_scores
@@ -240,7 +240,7 @@ def test_zero_model_local_solve_is_the_blas_bytes(monkeypatch, loss):
     runs = []
     for forced in (False, True):
         if forced:
-            monkeypatch.setattr(solver, "zero_model", lambda blocks: False)
+            monkeypatch.setattr(products, "zero_model", lambda blocks: False)
         update = device_update_ovr(device, phi, alpha, 4, hp, 9, total_samples=600)
         runs.append([update.rho, update.delta_phi, update.achieved_theta])
     for a, b in zip(*runs):

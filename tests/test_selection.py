@@ -5,7 +5,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fedsel.rng import EXPLORE, substream
-from fedsel.valuation import CoalitionOracle, ContributionLedger
+from fedsel.valuation import CoalitionOracle
 from fedsel.selection import (
     KeepRule,
     RoundPlan,
@@ -16,10 +16,6 @@ from fedsel.selection import (
     greedy_from_value_fn,
     random_aggregate_plan,
 )
-
-
-def ledger_from(betas: dict[int, float]) -> ContributionLedger:
-    return ContributionLedger(beta=dict(betas), counts={m: 1 for m in betas})
 
 
 # -- exploration -----------------------------------------------------------------
@@ -59,35 +55,35 @@ def test_explore_select_fraction_bounds():
 
 
 def test_exploit_keeps_strictly_positive():
-    ledger = ledger_from({0: 0.3, 1: -0.1, 2: 0.0})
-    assert exploit_select(ledger, KeepRule("positive")) == (0,)
+    betas = {0: 0.3, 1: -0.1, 2: 0.0}
+    assert exploit_select(betas, KeepRule("positive")) == (0,)
 
 
 def test_exploit_all_negative_falls_back_to_best():
-    ledger = ledger_from({0: -0.5, 1: -0.2, 2: -0.9})
-    assert exploit_select(ledger, KeepRule("positive")) == (1,)
+    betas = {0: -0.5, 1: -0.2, 2: -0.9}
+    assert exploit_select(betas, KeepRule("positive")) == (1,)
 
 
 def test_exploit_top_k():
-    ledger = ledger_from({0: 0.1, 1: 0.5, 2: 0.3, 3: -0.2})
-    assert exploit_select(ledger, KeepRule("top_k", k=2)) == (1, 2)
+    betas = {0: 0.1, 1: 0.5, 2: 0.3, 3: -0.2}
+    assert exploit_select(betas, KeepRule("top_k", k=2)) == (1, 2)
 
 
 def test_exploit_threshold():
-    ledger = ledger_from({0: 0.1, 1: 0.5, 2: 0.3})
-    assert exploit_select(ledger, KeepRule("threshold", cutoff=0.3)) == (1, 2)
+    betas = {0: 0.1, 1: 0.5, 2: 0.3}
+    assert exploit_select(betas, KeepRule("threshold", cutoff=0.3)) == (1, 2)
     # cutoff above everyone still keeps the single best
-    assert exploit_select(ledger, KeepRule("threshold", cutoff=9.0)) == (1,)
+    assert exploit_select(betas, KeepRule("threshold", cutoff=9.0)) == (1,)
 
 
 def test_exploit_tie_breaks_to_lowest_id():
-    ledger = ledger_from({4: -1.0, 2: -1.0, 7: -1.0})
-    assert exploit_select(ledger, KeepRule("positive")) == (2,)
+    betas = {4: -1.0, 2: -1.0, 7: -1.0}
+    assert exploit_select(betas, KeepRule("positive")) == (2,)
 
 
 def test_exploit_empty_ledger_is_an_error():
-    with pytest.raises(ValueError, match="ledger"):
-        exploit_select(ContributionLedger(), KeepRule())
+    with pytest.raises(ValueError, match="at least one explored device"):
+        exploit_select({}, KeepRule())
 
 
 @given(
@@ -101,8 +97,8 @@ def test_exploit_positive_cut_is_scale_invariant(betas, scale):
     # round to one value, so the claim covers scalings that keep them.
     assume(all((scaled_betas[m] > 0.0) == (b > 0.0) for m, b in betas.items()))
     assume(len(set(scaled_betas.values())) == len(set(betas.values())))
-    base = exploit_select(ledger_from(betas), KeepRule("positive"))
-    scaled = exploit_select(ledger_from(scaled_betas), KeepRule("positive"))
+    base = exploit_select(betas, KeepRule("positive"))
+    scaled = exploit_select(scaled_betas, KeepRule("positive"))
     assert base == scaled
 
 
@@ -151,6 +147,18 @@ def test_greedy_picks_by_marginal_gain():
     assert greedy_from_value_fn([0, 1, 2], 1, lambda s: table[s]) == (2,)
     assert greedy_from_value_fn([0, 1, 2], 2, lambda s: table[s]) == (1, 2)
     assert greedy_from_value_fn([0, 1, 2], 3, lambda s: table[s]) == (0, 1, 2)
+
+
+def test_greedy_sweeps_value_each_candidate_in_ascending_order():
+    calls = []
+
+    def value(subset):
+        calls.append(subset)
+        return float(sum(subset))
+
+    assert greedy_from_value_fn([9, 2, 5], 2, value) == (5, 9)
+    # each sweep values sorted(chosen + [m]) for every remaining m, ascending
+    assert calls == [(), (2,), (5,), (9,), (2, 9), (5, 9)]
 
 
 def test_greedy_tie_goes_to_lowest_id():

@@ -492,6 +492,24 @@ def test_tmc_batch_and_per_call_paths_agree(rule, total_devices):
     assert len(calls) == 7 * (len(players) - 1) + 2
 
 
+def test_tmc_values_each_walk_in_order_without_a_batch_method():
+    players = (3, 1, 4, 7)
+    calls, audit = [], []
+
+    def plain(subset):
+        calls.append(subset)
+        return len(subset) / 7 + sum(subset) / 100
+
+    tmc_estimate(
+        CoalitionGame(players, plain), delta_t=5, trunc_tol=0.0, seed=4, audit_sink=audit.append
+    )
+    # the empty set, the full set, then each walk's proper prefixes, walk after walk
+    walks = [entry["permutation"] for entry in audit]
+    prefixes = [tuple(sorted(walk[:size])) for walk in walks for size in range(1, len(players))]
+    assert calls == [(), (1, 3, 4, 7), *prefixes]
+    assert len(calls) == 5 * (len(players) - 1) + 2
+
+
 def test_tmc_batches_every_walk_in_one_call():
     oracle = oracle_game()
     players = (1, 4, 6, 9, 12, 15)
@@ -501,9 +519,9 @@ def test_tmc_batches_every_walk_in_one_call():
         def __call__(self, subset):
             return oracle(subset)
 
-        def walk_values(self, walks):
+        def walk_values(self, walks, prefix=()):
             batches.append(list(walks))
-            return oracle.walk_values(walks)
+            return oracle.walk_values(walks, prefix)
 
     audit = []
     tmc_estimate(
