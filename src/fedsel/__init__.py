@@ -15,7 +15,6 @@ from .data import (
     DataFormatError,
     DeviceDataset,
     SplitDataset,
-    build_split,
     generate_synthetic,
     load_idx_split,
     parse_idx,
@@ -46,7 +45,6 @@ from .solver import (
     device_update_ovr,
     dual_objective,
     duality_gap,
-    local_subproblem_value,
     primal_objective,
 )
 from .valuation import (
@@ -71,7 +69,6 @@ __all__ = [
     "DataFormatError",
     "DeviceDataset",
     "SplitDataset",
-    "build_split",
     "generate_synthetic",
     "load_idx_split",
     "parse_idx",
@@ -99,7 +96,6 @@ __all__ = [
     "device_update_ovr",
     "dual_objective",
     "duality_gap",
-    "local_subproblem_value",
     "primal_objective",
     "CoalitionGame",
     "CoalitionOracle",

@@ -9,6 +9,7 @@ the offending section.key; the CLI maps that to exit code 2.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -97,7 +98,10 @@ def _coerce(section: str, key: str, tag: str, raw: str):
         if tag == "int":
             return int(raw)
         if tag == "float":
-            return float(raw)
+            value = float(raw)
+            if math.isnan(value):
+                raise ValueError(f"not a number: {raw!r}")
+            return value
         if tag == "bool":
             low = raw.lower()
             if low in _TRUE:

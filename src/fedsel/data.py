@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import gzip
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,15 +72,16 @@ def read_idx(path: str | Path) -> np.ndarray:
 class DeviceDataset:
     """One device's local training shard plus its held-out test split.
 
-    sample_indices are global dual-coordinate ids (contiguous per device).
-    Inside a SplitDataset, features is a float64 row view of the split's one
-    training matrix.
+    sample_indices are the device's global dual-coordinate ids. Inside a
+    SplitDataset they are the device's row range of the split's one training
+    matrix, assigned by the split, and features is a float64 row view of that
+    matrix. A device used on its own keeps the ids it is given.
     """
 
     device_id: int
     features: np.ndarray
     labels: np.ndarray
-    sample_indices: np.ndarray
+    sample_indices: np.ndarray | None = None
     test_features: np.ndarray | None = None
     test_labels: np.ndarray | None = None
 
@@ -94,7 +95,12 @@ class DeviceDataset:
 
 @dataclass
 class SplitDataset:
-    """Per-device shards, server validation, global test, and their metadata.
+    """Per-device shards, server validation split and global test split.
+
+    The split owns the dual ids: each device's sample_indices are its row
+    range of the training matrix, which holds the devices' rows in device
+    order. A device given other ids is refused with DataFormatError, since
+    its local updates would land on other devices' dual coordinates.
 
     Every feature matrix is held once, as one C-contiguous float64 matrix:
     the training pool in dual-coordinate order, the device test splits in
@@ -102,7 +108,7 @@ class SplitDataset:
     device's features and test_features become row views of the first two.
     Construction converts what it is given (float32, one array per device)
     into this layout, dropping each device's own copy as its rows are
-    written; arrays already in it, as the loaders write them, are kept.
+    written; arrays already in it, as load_idx_split writes them, are kept.
     """
 
     devices: list[DeviceDataset]
@@ -111,9 +117,18 @@ class SplitDataset:
     test_features: np.ndarray
     test_labels: np.ndarray
     num_classes: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        start = 0
+        for dev in self.devices:
+            ids = np.arange(start, start + dev.size)
+            if dev.sample_indices is not None and not np.array_equal(dev.sample_indices, ids):
+                raise DataFormatError(
+                    f"device {dev.device_id} is given dual ids other than its rows "
+                    f"[{start}, {start + dev.size}) of the training matrix"
+                )
+            dev.sample_indices = ids
+            start += dev.size
         train = _hold_rows(self.devices, "features", self.feature_dim)
         held = [dev for dev in self.devices if dev.test_features is not None]
         _hold_rows(held, "test_features", self.feature_dim)
@@ -289,117 +304,6 @@ def _carve_local_tests(
     return carved
 
 
-def _assign_dual_ids(devices: list[DeviceDataset]) -> list[DeviceDataset]:
-    """Renumber sample_indices as contiguous global dual-coordinate blocks."""
-    cursor = 0
-    for dev in devices:
-        dev.sample_indices = np.arange(cursor, cursor + dev.size)
-        cursor += dev.size
-    return devices
-
-
-def _assemble(
-    write_rows,
-    dim: int,
-    train_labels: np.ndarray,
-    test_features: np.ndarray,
-    test_labels: np.ndarray,
-    num_devices: int,
-    shards_per_device: int,
-    seed: int,
-    validation_size: int,
-    device_test_fraction: float,
-    unbalanced: bool,
-) -> SplitDataset:
-    """Carve server validation, partition, carve local tests, then write rows.
-
-    Sample ids are routed first; write_rows(ids, out) then fills the float64
-    rows out with training samples ids, straight in their final matrix.
-    """
-    n = len(train_labels)
-    if not 0 <= validation_size < n:
-        raise DataFormatError(
-            f"validation_size {validation_size} out of range for {n} training samples"
-        )
-    if not 0 <= device_test_fraction < 1:
-        raise DataFormatError(
-            f"device_test_fraction must be in [0, 1), got {device_test_fraction}"
-        )
-    rng = substream(seed)
-    val_pos = np.sort(rng.choice(n, size=validation_size, replace=False))
-    train_mask = np.ones(n, dtype=bool)
-    train_mask[val_pos] = False
-    pool = np.flatnonzero(train_mask)
-    parts = shard_partition(
-        train_labels[pool], num_devices, shards_per_device, seed, unbalanced
-    )
-    carved = _carve_local_tests([pool[part] for part in parts], device_test_fraction, seed)
-    train = np.empty((sum(len(ids) for ids, _ in carved), dim))
-    device_test = np.empty((sum(len(ids) for _, ids in carved), dim))
-    devices = []
-    train_cursor = test_cursor = 0
-    for m, (train_ids, test_ids) in enumerate(carved):
-        rows = train[train_cursor : train_cursor + len(train_ids)]
-        test_rows = device_test[test_cursor : test_cursor + len(test_ids)]
-        write_rows(train_ids, rows)
-        write_rows(test_ids, test_rows)
-        devices.append(
-            DeviceDataset(
-                device_id=m,
-                features=rows,
-                labels=train_labels[train_ids],
-                sample_indices=train_ids,
-                test_features=test_rows,
-                test_labels=train_labels[test_ids],
-            )
-        )
-        train_cursor += len(rows)
-        test_cursor += len(test_rows)
-    validation = np.empty((len(val_pos), dim))
-    write_rows(val_pos, validation)
-    num_classes = int(max(train_labels.max(), test_labels.max())) + 1
-    return SplitDataset(
-        devices=_assign_dual_ids(devices),
-        validation_features=validation,
-        validation_labels=train_labels[val_pos],
-        test_features=test_features,
-        test_labels=test_labels,
-        num_classes=num_classes,
-        meta={
-            "seed": seed,
-            "num_devices": num_devices,
-            "shards_per_device": shards_per_device,
-            "unbalanced": unbalanced,
-            "validation_size": validation_size,
-            "device_test_fraction": device_test_fraction,
-        },
-    )
-
-
-def build_split(
-    train_features: np.ndarray,
-    train_labels: np.ndarray,
-    test_features: np.ndarray,
-    test_labels: np.ndarray,
-    num_devices: int,
-    shards_per_device: int,
-    seed: int,
-    validation_size: int = 5000,
-    device_test_fraction: float = 0.2,
-    unbalanced: bool = False,
-) -> SplitDataset:
-    """Split float feature arrays: validation, device shards, local tests."""
-
-    def copy_rows(ids: np.ndarray, out: np.ndarray) -> None:
-        out[...] = train_features[ids]
-
-    return _assemble(
-        copy_rows, train_features.shape[1], train_labels, test_features, test_labels,
-        num_devices, shards_per_device, seed, validation_size, device_test_fraction,
-        unbalanced,
-    )
-
-
 # rows per float32 temporary when pixels are written into a float64 matrix
 _PIXEL_BLOCK_ROWS = 512
 
@@ -444,9 +348,12 @@ def load_idx_split(
 ) -> SplitDataset:
     """Load an MNIST-layout IDX directory and build the full split.
 
-    Expects the four canonical filenames (optionally gzipped). Pixels are
-    scaled to [0, 1] and flattened, and a bias column is appended, as they are
-    written from the uint8 images straight into the split's float64 matrices.
+    Expects the four canonical filenames (optionally gzipped). Sample ids are
+    routed first: the server validation split is drawn from the training
+    pool, the rest is shard-partitioned across devices, and each device's
+    local test split is carved from its shard. Pixels are then scaled to
+    [0, 1] and flattened, and a bias column is appended, as they are written
+    from the uint8 images straight into the split's float64 matrices.
     """
     data_dir = Path(data_dir)
     arrays = {key: read_idx(_find_idx(data_dir, stem)) for key, stem in IDX_FILES.items()}
@@ -463,25 +370,68 @@ def load_idx_split(
 
     train_images = arrays["train_images"].reshape(len(arrays["train_images"]), -1)
     test_images = arrays["test_images"].reshape(len(arrays["test_images"]), -1)
+    train_labels = arrays["train_labels"].astype(np.int64)
+    test_labels = arrays["test_labels"].astype(np.int64)
     dim = train_images.shape[1] + 1
     test_features = np.empty((len(test_images), dim))
     _write_pixels(test_images, np.arange(len(test_images)), test_features)
-    split = _assemble(
-        lambda ids, out: _write_pixels(train_images, ids, out),
-        dim,
-        arrays["train_labels"].astype(np.int64),
-        test_features,
-        arrays["test_labels"].astype(np.int64),
-        num_devices,
-        shards_per_device,
-        seed,
-        validation_size,
-        device_test_fraction,
-        unbalanced,
+
+    n = len(train_labels)
+    if not 0 <= validation_size < n:
+        raise DataFormatError(
+            f"validation_size {validation_size} out of range for {n} training samples"
+        )
+    if not 0 <= device_test_fraction < 1:
+        raise DataFormatError(
+            f"device_test_fraction must be in [0, 1), got {device_test_fraction}"
+        )
+    rng = substream(seed)
+    val_pos = np.sort(rng.choice(n, size=validation_size, replace=False))
+    train_mask = np.ones(n, dtype=bool)
+    train_mask[val_pos] = False
+    pool = np.flatnonzero(train_mask)
+    parts = shard_partition(
+        train_labels[pool], num_devices, shards_per_device, seed, unbalanced
     )
-    split.meta["source"] = str(data_dir)
-    split.meta["image_shape"] = list(arrays["train_images"].shape[1:])
-    return split
+    carved = _carve_local_tests([pool[part] for part in parts], device_test_fraction, seed)
+    train = np.empty((sum(len(ids) for ids, _ in carved), dim))
+    device_test = np.empty((sum(len(ids) for _, ids in carved), dim))
+    devices = []
+    train_cursor = test_cursor = 0
+    for m, (train_ids, test_ids) in enumerate(carved):
+        rows = train[train_cursor : train_cursor + len(train_ids)]
+        test_rows = device_test[test_cursor : test_cursor + len(test_ids)]
+        _write_pixels(train_images, train_ids, rows)
+        _write_pixels(train_images, test_ids, test_rows)
+        devices.append(
+            DeviceDataset(
+                device_id=m,
+                features=rows,
+                labels=train_labels[train_ids],
+                test_features=test_rows,
+                test_labels=train_labels[test_ids],
+            )
+        )
+        train_cursor += len(rows)
+        test_cursor += len(test_rows)
+    validation = np.empty((len(val_pos), dim))
+    _write_pixels(train_images, val_pos, validation)
+    return SplitDataset(
+        devices=devices,
+        validation_features=validation,
+        validation_labels=train_labels[val_pos],
+        test_features=test_features,
+        test_labels=test_labels,
+        num_classes=int(max(train_labels.max(), test_labels.max())) + 1,
+    )
+
+
+# generate_synthetic's fresh draws: validation, global test and per-device
+# test sizes, and the blobs' per-coordinate noise standard deviation
+SYNTHETIC_VALIDATION_SIZE = 200
+SYNTHETIC_TEST_SIZE = 400
+SYNTHETIC_DEVICE_TEST_SIZE = 8
+SYNTHETIC_NOISE_SCALE = 0.5
 
 
 def generate_synthetic(
@@ -490,10 +440,6 @@ def generate_synthetic(
     num_devices: int,
     separation: float,
     seed: int,
-    validation_size: int = 200,
-    test_size: int = 400,
-    device_test_size: int = 8,
-    noise_scale: float = 0.5,
 ) -> SplitDataset:
     """Two Gaussian blobs with class-mean distance `separation`.
 
@@ -513,7 +459,7 @@ def generate_synthetic(
     centers[1, 0] = +separation / 2.0
 
     def draw(labels: np.ndarray) -> np.ndarray:
-        return centers[labels] + noise_scale * rng.normal(size=(len(labels), dim))
+        return centers[labels] + SYNTHETIC_NOISE_SCALE * rng.normal(size=(len(labels), dim))
 
     def balanced_labels(n: int) -> np.ndarray:
         return np.repeat([0, 1], [n - n // 2, n // 2])
@@ -537,23 +483,21 @@ def generate_synthetic(
                 device_id=m,
                 features=train_feats[idx],
                 labels=train_labels[idx],
-                sample_indices=idx,
             )
         )
 
-    val_labels = balanced_labels(validation_size)
-    test_labels = balanced_labels(test_size)
+    val_labels = balanced_labels(SYNTHETIC_VALIDATION_SIZE)
+    test_labels = balanced_labels(SYNTHETIC_TEST_SIZE)
     val_feats = scaled(draw(val_labels))
     test_feats = scaled(draw(test_labels))
 
     for dev in devices:
         freq = np.bincount(dev.labels, minlength=2).astype(float)
-        local_labels = rng.choice(2, size=device_test_size, p=freq / freq.sum())
+        local_labels = rng.choice(2, size=SYNTHETIC_DEVICE_TEST_SIZE, p=freq / freq.sum())
         local_labels = np.sort(local_labels)
         dev.test_features = scaled(draw(local_labels))
         dev.test_labels = local_labels
 
-    devices = _assign_dual_ids(devices)
     return SplitDataset(
         devices=devices,
         validation_features=val_feats,
@@ -561,13 +505,6 @@ def generate_synthetic(
         test_features=test_feats,
         test_labels=test_labels,
         num_classes=2,
-        meta={
-            "seed": seed,
-            "kind": "synthetic",
-            "dim": dim,
-            "separation": separation,
-            "noise_scale": noise_scale,
-        },
     )
 
 

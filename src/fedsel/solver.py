@@ -161,44 +161,6 @@ def fenchel_gap(alpha, margins, labels, loss: Loss, values=None) -> float:
     return float(np.mean(terms))
 
 
-def local_subproblem_value(
-    rho,
-    phi,
-    device,
-    lam: float,
-    total_samples: int,
-    num_devices: int,
-    loss: Loss,
-    alpha=None,
-    labels=None,
-) -> float:
-    """Local model of the global dual improvement for one device.
-
-    value(rho) = -1/M + [R(alpha + rho) - R(alpha)] restricted to the device's
-    own coordinates; the constant never moves the maximizer, and rho = 0 gives
-    exactly -1/M. `alpha` is the device's current dual slice (zeros if None);
-    `labels` defaults to the device's own labels, which must be in {-1, +1}.
-    """
-    rho = np.asarray(rho, dtype=np.float64)
-    if rho.shape != (device.size,):
-        raise ValueError(
-            f"rho must cover exactly the device's {device.size} coordinates, "
-            f"got shape {rho.shape}"
-        )
-    labels = device.labels if labels is None else labels
-    alpha = np.zeros(device.size) if alpha is None else np.asarray(alpha, dtype=np.float64)
-    feats = np.asarray(device.features, dtype=np.float64)
-    base_margins = feats @ np.asarray(phi, dtype=np.float64)
-    conj_change = loss.conjugate(-alpha, labels) - loss.conjugate(-(alpha + rho), labels)
-    delta_phi = feats.T @ rho / (lam * total_samples)
-    return float(
-        -1.0 / num_devices
-        + conj_change.sum() / total_samples
-        - (rho * base_margins).sum() / total_samples
-        - 0.5 * lam * delta_phi @ delta_phi
-    )
-
-
 def one_vs_rest_targets(labels, num_classes: int) -> np.ndarray:
     """(n, K) matrix of {-1, +1} targets, +1 where the label is the column's class."""
     return np.where(labels[:, None] == np.arange(num_classes)[None, :], 1.0, -1.0)

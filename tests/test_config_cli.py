@@ -7,6 +7,7 @@ import pytest
 
 from fedsel.cli import main
 from fedsel.config import (
+    DEFAULTS,
     ConfigError,
     apply_overrides,
     build_config,
@@ -100,6 +101,31 @@ def test_config_coercion_errors(tmp_path):
     path.write_text("[data]\nunbalanced = maybe\n")
     with pytest.raises(ConfigError, match="boolean"):
         read_config_file(path)
+
+
+FLOAT_KEYS = [
+    f"{section}.{key}"
+    for section, keys in DEFAULTS.items()
+    for key, (tag, _) in keys.items()
+    if tag in ("float", "opt_float")
+]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_nan_float_values_are_rejected(key, tmp_path, capsys):
+    # a NaN threshold or target compares false everywhere, so it would switch
+    # its check off silently instead of failing the run
+    with pytest.raises(ConfigError, match=rf"{key}: not a number"):
+        apply_overrides(default_values(), [f"{key}=nan"])
+    section, _, name = key.partition(".")
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[{section}]\n{name} = NaN\n")
+    with pytest.raises(ConfigError, match=rf"{key}: not a number"):
+        read_config_file(path)
+    assert main(["run", "--set", f"{key}=nan"]) == 2
+    assert key in capsys.readouterr().err
+    # infinity stays a value: it is each key's own check that rules on it
+    assert apply_overrides(default_values(), [f"{key}=inf"])[section][name] == float("inf")
 
 
 def test_overrides_dotted_and_bare():
@@ -373,3 +399,30 @@ def test_cli_partition_report(capsys):
     assert "devices=5" in captured.out
     assert captured.out.count("device ") == 5
     assert "labels={" in captured.out
+
+
+# -- package surface -------------------------------------------------------------
+
+PUBLIC_NAMES = [
+    "CoalitionGame", "CoalitionOracle", "ConfigError", "ContributionLedger",
+    "DataFormatError", "DeviceDataset", "DeviceProfile", "Experiment",
+    "ExperimentConfig", "ExperimentResult", "GlobalState", "Hyperparams", "KeepRule",
+    "LOSSES", "LocalUpdate", "RoundMetrics", "RoundPlan", "RunManifest",
+    "SelectionPolicy", "SmoothedHinge", "SplitDataset", "SquaredLoss", "__version__",
+    "apply_dual_update", "comm_time", "compute_time", "device_update",
+    "device_update_ovr", "dual_objective", "duality_gap", "evaluate_global",
+    "exact_shapley", "exploit_select", "explore_select", "fairness_audit",
+    "generate_synthetic", "load_config", "load_idx_split", "make_loss", "parse_idx",
+    "primal_objective", "sample_profiles", "schedule_cost", "tmc_estimate", "write_idx",
+]
+
+
+def test_public_names_are_pinned():
+    # a name added to or dropped from fedsel.__all__ shows up in this list's diff
+    import fedsel
+
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert len(fedsel.__all__) == len(set(fedsel.__all__))
+    assert sorted(fedsel.__all__) == PUBLIC_NAMES
+    for name in fedsel.__all__:
+        assert getattr(fedsel, name) is not None, name

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import tiny_split
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -15,7 +16,6 @@ from fedsel.data import (
     DeviceDataset,
     IDX_FILES,
     SplitDataset,
-    build_split,
     generate_synthetic,
     load_idx_split,
     parse_idx,
@@ -160,7 +160,7 @@ def test_synthetic_one_sample_per_device():
     assert split.total_train == 8
 
 
-def test_synthetic_shapes_and_meta():
+def test_synthetic_shapes():
     split = generate_synthetic(dim=5, train_size=60, num_devices=6, separation=2.0, seed=3)
     assert split.feature_dim == 6  # bias column appended
     assert split.num_classes == 2
@@ -168,9 +168,21 @@ def test_synthetic_shapes_and_meta():
     assert len(split.test_labels) == 400
     for dev in split.devices:
         assert dev.test_features is not None and len(dev.test_labels) == 8
-    assert split.meta["kind"] == "synthetic"
     with pytest.raises(DataFormatError):
         generate_synthetic(dim=0, train_size=10, num_devices=2, separation=1.0, seed=1)
+
+
+def test_synthetic_devices_get_their_row_ranges_as_dual_ids():
+    # samples are dealt round-robin, so a device's pool positions are not its rows
+    split = generate_synthetic(dim=3, train_size=23, num_devices=4, separation=2.0, seed=4)
+    matrix, labels = split.stacked_train()
+    cursor = 0
+    for dev in split.devices:
+        assert np.array_equal(dev.sample_indices, np.arange(cursor, cursor + dev.size))
+        assert np.array_equal(matrix[dev.sample_indices], dev.features)
+        assert np.array_equal(labels[dev.sample_indices], dev.labels)
+        cursor += dev.size
+    assert cursor == 23
 
 
 # -- IDX corpus and full split -----------------------------------------------
@@ -306,13 +318,20 @@ def test_load_idx_split_peak_memory_is_the_matrices_it_holds(idx_corpus):
     assert peak <= 1.25 * held, f"peak {peak / held:.2f}x the split's matrices"
 
 
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """A 300-image IDX corpus of 3 classes of 4 x 4 images."""
+    return write_synthetic_image_corpus(
+        tmp_path_factory.mktemp("small_corpus"), num_classes=3, side=4,
+        train_size=300, test_size=50, seed=6,
+    )
+
+
 @pytest.mark.parametrize("fraction", [1.0, 1.5, -0.5, float("nan")])
-def test_build_split_rejects_device_test_fraction_outside_unit_interval(fraction):
-    feats = np.zeros((60, 3))
-    labels = np.arange(60) % 3
+def test_build_split_rejects_device_test_fraction_outside_unit_interval(small_corpus, fraction):
     with pytest.raises(DataFormatError, match="device_test_fraction"):
-        build_split(feats, labels, feats, labels, num_devices=2, shards_per_device=2,
-                    seed=1, validation_size=10, device_test_fraction=fraction)
+        load_idx_split(small_corpus, num_devices=2, shards_per_device=2, seed=1,
+                       validation_size=10, device_test_fraction=fraction)
 
 
 def test_load_idx_split_missing_file(tmp_path):
@@ -320,13 +339,9 @@ def test_load_idx_split_missing_file(tmp_path):
         load_idx_split(tmp_path, num_devices=2, shards_per_device=2, seed=1)
 
 
-def test_build_split_dual_ids_are_contiguous():
-    rng = np.random.default_rng(5)
-    feats = rng.uniform(size=(300, 4))
-    labels = rng.integers(3, size=300)
-    split = build_split(
-        feats, labels, feats[:50], labels[:50],
-        num_devices=5, shards_per_device=2, seed=8,
+def test_build_split_dual_ids_are_contiguous(small_corpus):
+    split = load_idx_split(
+        small_corpus, num_devices=5, shards_per_device=2, seed=8,
         validation_size=30, device_test_fraction=0.2,
     )
     cursor = 0
@@ -364,22 +379,6 @@ def _assert_row_views(split, expected_rows):
         assert features.dtype == np.float64 and features.flags.c_contiguous
 
 
-def test_build_split_devices_are_float64_row_views():
-    rng = np.random.default_rng(3)
-    feats = rng.uniform(size=(300, 4)).astype(np.float32)
-    feats[:, 0] = np.arange(300)  # row id, exact in float32
-    labels = rng.integers(3, size=300)
-    split = build_split(
-        feats, labels, feats[:50], labels[:50],
-        num_devices=5, shards_per_device=2, seed=8,
-        validation_size=30, device_test_fraction=0.2,
-    )
-    rows = {dev.device_id: feats[dev.features[:, 0].astype(int)] for dev in split.devices}
-    _assert_row_views(split, rows)
-    for dev in split.devices:
-        assert np.array_equal(dev.labels, labels[dev.features[:, 0].astype(int)])
-
-
 def test_hand_built_split_devices_are_float64_row_views():
     rng = np.random.default_rng(4)
     shards = [rng.normal(size=(n, 3)).astype(np.float32) for n in (4, 1, 6)]
@@ -408,3 +407,27 @@ def test_hand_built_split_devices_are_float64_row_views():
             assert dev.test_features.tobytes() == test.astype(np.float64).tobytes()
     assert split.validation_features.tobytes() == shards[0].astype(np.float64).tobytes()
     assert split.test_features.tobytes() == shards[2][::2].astype(np.float64).tobytes()
+
+
+def test_split_refuses_dual_ids_other_than_its_rows():
+    # each device keeps a block of its own size, counted from the end of the
+    # pool: updates would land on another device's dual coordinates
+    base = tiny_split(num_devices=4)
+    total = base.total_train
+
+    def rebuilt(ids_of):
+        devices = [
+            DeviceDataset(dev.device_id, dev.features, dev.labels, ids_of(m, dev),
+                          dev.test_features, dev.test_labels)
+            for m, dev in enumerate(base.devices)
+        ]
+        return SplitDataset(devices, base.validation_features, base.validation_labels,
+                            base.test_features, base.test_labels, base.num_classes)
+
+    with pytest.raises(DataFormatError, match="device 0 .* rows \\[0, 12\\)"):
+        rebuilt(lambda m, dev: np.arange(total - 12 * (m + 1), total - 12 * m))
+    with pytest.raises(DataFormatError, match="device 1"):
+        rebuilt(lambda m, dev: dev.sample_indices[: 11 if m == 1 else 12])
+    split = rebuilt(lambda m, dev: None)
+    for m, dev in enumerate(split.devices):
+        assert np.array_equal(dev.sample_indices, np.arange(12 * m, 12 * (m + 1)))

@@ -21,7 +21,6 @@ from fedsel.solver import (
     dual_objective,
     duality_gap,
     fenchel_gap,
-    local_subproblem_value,
     primal_from_dual,
     primal_objective,
 )
@@ -178,51 +177,6 @@ def test_gap_median_nonincreasing_over_passes():
     assert all(b <= a + 1e-12 for a, b in zip(medians, medians[1:]))
 
 
-# -- local subproblem -----------------------------------------------------------
-
-
-def test_local_subproblem_value_at_zero_rho():
-    device = make_device(n=10, dim=3, seed=9)
-    value = local_subproblem_value(
-        np.zeros(10), np.zeros(3), device, lam=0.1, total_samples=40,
-        num_devices=4, loss=HINGE,
-    )
-    assert value == -0.25
-
-
-def test_local_subproblem_value_shape_check():
-    device = make_device(n=10, dim=3, seed=10)
-    with pytest.raises(ValueError, match="coordinates"):
-        local_subproblem_value(
-            np.zeros(9), np.zeros(3), device, lam=0.1, total_samples=40,
-            num_devices=4, loss=HINGE,
-        )
-
-
-def test_local_subproblem_value_matches_independent_rederivation():
-    # recompute the definition from scratch, including the quadratic term
-    device = make_device(n=8, dim=3, seed=11)
-    rng = np.random.default_rng(12)
-    phi = rng.normal(size=3)
-    rho = device.labels * rng.uniform(0.0, 0.4, size=8)
-    lam, total, m_count = 0.2, 32, 4
-
-    def oracle(r):
-        conj0 = HINGE.conjugate(-np.zeros(8), device.labels)
-        conj1 = HINGE.conjugate(-r, device.labels)
-        dphi = device.features.T @ r / (lam * total)
-        return (
-            -1.0 / m_count
-            + (conj0 - conj1).sum() / total
-            - (r * (device.features @ phi)).sum() / total
-            - 0.5 * lam * dphi @ dphi
-        )
-
-    for r in (rho, 2.0 * rho * 0.5, 0.5 * rho):
-        got = local_subproblem_value(r, phi, device, lam, total, m_count, HINGE)
-        assert got == pytest.approx(oracle(r), abs=1e-12)
-
-
 # -- device updates -------------------------------------------------------------
 
 
@@ -306,6 +260,42 @@ def test_ovr_column_matches_lone_run():
         )
         assert update.achieved_theta[cls] == pytest.approx(
             lone.achieved_theta, abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("loss_name", ["smoothed_hinge", "squared"])
+def test_ovr_theta_matches_an_independent_certificate(loss_name):
+    # rederive each column's theta from the returned rho: the local dual
+    # improvement from the definition, including the quadratic term, and the
+    # Fenchel gap left at the updated margins
+    # one epoch at a small lambda leaves theta mid-range (0.3 to 0.6 here)
+    n, dim, k, lam, total = 16, 3, 3, 0.02, 48
+    rng = np.random.default_rng(11)
+    feats = rng.normal(size=(n, dim))
+    labels = rng.integers(k, size=n)
+    device = DeviceDataset(0, feats, labels, np.arange(n))
+    hp = Hyperparams(loss=loss_name, reg_lambda=lam, epochs=1)
+    loss = hp.make_loss()
+    targets = np.where(labels[:, None] == np.arange(k), 1.0, -1.0)
+    phi = rng.normal(size=(dim, k)) * 0.1
+    alpha = targets * rng.uniform(0.0, 0.6, size=(n, k))  # inside the hinge's dual box
+
+    update = device_update_ovr(device, phi, alpha, k, hp, substream(3), total_samples=total)
+    for c in range(k):
+        y, a, r = targets[:, c], alpha[:, c], update.rho[:, c]
+        dphi = feats.T @ r / (lam * total)
+        conj0 = loss.conjugate(-a, y)
+        conj1 = loss.conjugate(-(a + r), y)
+        improvement = (
+            (conj0 - conj1).sum() / total
+            - (r * (feats @ phi[:, c])).sum() / total
+            - 0.5 * lam * dphi @ dphi
+        )
+        margins = feats @ (phi[:, c] + dphi)
+        gap = (loss.value(margins, y) + conj1 + (a + r) * margins).sum() / total
+        assert improvement > 0 and gap > 0
+        assert update.achieved_theta[c] == pytest.approx(
+            gap / (improvement + gap), abs=1e-9
         )
 
 
