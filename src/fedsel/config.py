@@ -291,12 +291,21 @@ def build_config(values: dict[str, dict[str, object]]) -> ExperimentConfig:
             f"data.device_test_fraction must be in [0, 1), "
             f"got {data['device_test_fraction']}"
         )
+    # an infinite separation makes every blob centre infinite, and scaling
+    # then turns every feature into NaN
+    if not math.isfinite(data["synthetic_separation"]):
+        raise ConfigError(
+            f"data.synthetic_separation must be finite, got {data['synthetic_separation']}"
+        )
     cost = values["cost"]
     for lo_key, hi_key in (
         ("cpu_freq_min_hz", "cpu_freq_max_hz"),
         ("cycles_per_bit_min", "cycles_per_bit_max"),
         ("snr_min", "snr_max"),
     ):
+        # profiles are drawn uniformly from each range, which must be finite
+        if not math.isfinite(cost[hi_key]):
+            raise ConfigError(f"cost.{hi_key} must be finite, got {cost[hi_key]}")
         if not 0 < cost[lo_key] <= cost[hi_key]:
             raise ConfigError(
                 f"cost.{lo_key}..{hi_key} must satisfy 0 < min <= max, "

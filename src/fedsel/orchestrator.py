@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import native, products
+from . import native, products, solver
 from .cost import sample_profiles, schedule_cost
 from .data import DeviceDataset, SplitDataset
 from .losses import Loss
@@ -35,6 +35,7 @@ from .solver import (
     GlobalState,
     Hyperparams,
     LocalUpdate,
+    _solve_columns,
     aggregation_count,
     apply_dual_update,
     coordinate_backend,
@@ -147,6 +148,13 @@ def evaluate_global(
     data_term = float(np.mean(train_values))
     reg_term = 0.5 * reg_lambda * float(np.mean(np.sum(phi_cols**2, axis=0)))
     return accuracy, data_term + reg_term
+
+
+def _dual_rows(alpha: np.ndarray, device: DeviceDataset) -> np.ndarray:
+    """A view of the device's rows of alpha: a split gives every device one
+    row range of dual ids (SplitDataset)."""
+    start = device.sample_indices[0] if device.size else 0
+    return alpha[start : start + device.size]
 
 
 def _train_loss_values(
@@ -281,20 +289,26 @@ class Experiment:
     def _device_updates(
         self, round_index: int, explored: tuple[int, ...], state: GlobalState
     ) -> dict[int, LocalUpdate]:
-        updates: dict[int, LocalUpdate] = {}
-        for m in explored:
-            # sliced just before the solve, so one device's dual rows are held at a time
-            updates[m] = device_update_ovr(
-                self.devices[m],
-                state.phi,
-                state.alpha[self.devices[m].sample_indices],
-                self.num_classes,
-                self.hyper,
-                substream(self.hyper.seed, DEVICE, round_index, m),
-                total_samples=self.total_samples,
-                gram_scaled=self._scaled_gram(m),
+        devices = [self.devices[m] for m in explored]
+        alpha_rows = [_dual_rows(state.alpha, device) for device in devices]
+        rngs = [substream(self.hyper.seed, DEVICE, round_index, m) for m in explored]
+        grams = [self._scaled_gram(m) for m in explored]
+        if device_update_ovr is solver.device_update_ovr:
+            updates = _solve_columns(
+                devices, state.phi, alpha_rows, [device.labels for device in devices],
+                self.num_classes, self.hyper, rngs, self.total_samples, None, grams,
             )
-        return updates
+        else:
+            # a replaced per-device update (a tracer's wrapper, a test's fake)
+            # is called device by device; the bytes are the batch's
+            updates = [
+                device_update_ovr(
+                    device, state.phi, alpha_cols, self.num_classes, self.hyper, rng,
+                    total_samples=self.total_samples, gram_scaled=gram,
+                )
+                for device, alpha_cols, rng, gram in zip(devices, alpha_rows, rngs, grams)
+            ]
+        return dict(zip(explored, updates))
 
     def _plan(
         self,

@@ -6,9 +6,11 @@ the primal iterate w(alpha) = grad g*(phi). Devices own disjoint blocks of the
 dual vector alpha (one coordinate per training sample) and improve them by
 randomized coordinate ascent with exact closed-form steps; the server absorbs
 accepted increments into (alpha, phi) keeping the two consistent to machine
-precision. The coordinate loop runs in a small C kernel (_sdca.c, built on
-first use by fedsel.native) when a compiler is available and the kernel
-reproduces the numpy reference loop bit for bit; otherwise the numpy loop runs.
+precision. The devices a round explores are solved as one batch
+(_solve_columns): each device's coordinate loop and theta certificate run as
+one compiled job (_sdca.c, built on first use by fedsel.native) when a
+compiler is available and the jobs reproduce the numpy reference loop and
+certificate bit for bit; otherwise the numpy reference runs.
 
 Conventions: feature matrices are row-per-sample (n, d); the dual dimension D
 is always the global training size, so every data term carries 1/D and the
@@ -19,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -193,27 +196,37 @@ def _coordinate_passes(labels_pm, alpha0, margins, gram_scaled, qii, loss, order
 _LOSS_CODES = {SmoothedHinge: 0, SquaredLoss: 1}
 
 
+class _Compiled(NamedTuple):
+    """The compiled twins from the shared library: `passes` runs the
+    coordinate loop alone (sdca_passes), `job` one device's local solve, the
+    coordinate loop and then the certificate's column sums (sdca_job)."""
+
+    passes: Callable
+    job: Callable
+
+
 def _bind_kernel(library):
-    """The compiled coordinate loop from the shared library, or None when
-    there is no library or the loop fails its probe."""
+    """The compiled coordinate loop and device job from the shared library,
+    or None when there is no library or either fails its probe."""
     if library is None:
         return None
-    kernel = library.sdca_passes
-    kernel.argtypes = [
+    passes, job = library.sdca_passes, library.sdca_job
+    passes.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, native.I64, ctypes.c_int32,
         ctypes.c_double, *[native.F64] * 6,
     ]
-    kernel.restype = None
-    return kernel if _probe_matches(kernel) else None
+    passes.restype = None
+    job.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, native.I64, ctypes.c_int32,
+        ctypes.c_double, native.I64, *[native.F64] * 6,
+    ]
+    job.restype = ctypes.c_int
+    kernels = _Compiled(passes, job)
+    return kernels if _probe_matches(kernels) else None
 
 
-def _kernel_passes(kernel, labels_pm, alpha0, margins, gram_scaled, qii, loss, orders):
-    """_coordinate_passes through the compiled kernel; same arguments, same bytes.
-
-    The kernel holds the margins K-major, (K, n): they are copied in
-    transposed and copied back out as a fresh C-contiguous (n, K) array.
-    """
-    n, k = labels_pm.shape
+def _check_shapes(n, k, alpha0, margins, gram_scaled, qii, orders) -> None:
+    """Refuse arguments the compiled kernels would read out of bounds."""
     if not (
         alpha0.shape == margins.shape == (n, k)
         and gram_scaled.shape == (n, n)
@@ -223,13 +236,112 @@ def _kernel_passes(kernel, labels_pm, alpha0, margins, gram_scaled, qii, loss, o
         and (orders.size == 0 or 0 <= orders.min() <= orders.max() < n)
     ):
         raise ValueError("coordinate kernel arguments have inconsistent shapes")
+
+
+def _kernel_passes(kernels, labels_pm, alpha0, margins, gram_scaled, qii, loss, orders):
+    """_coordinate_passes through the compiled loop; same arguments, same bytes.
+
+    The loop holds the margins K-major, (K, n): they are copied in
+    transposed and copied back out as a fresh C-contiguous (n, K) array.
+    """
+    n, k = labels_pm.shape
+    _check_shapes(n, k, alpha0, margins, gram_scaled, qii, orders)
     rho = np.zeros((n, k))
     margins_t = np.array(margins.T, dtype=np.float64, order="C")
-    kernel(
+    kernels.passes(
         n, k, orders.shape[0], orders, _LOSS_CODES[type(loss)], getattr(loss, "gamma", 0.0),
         labels_pm, alpha0, gram_scaled, qii, rho, margins_t,
     )
     return rho, np.array(margins_t.T, order="C")
+
+
+def _certificate_sums(loss, labels_pm, alpha0, rho, base_margins, margins) -> np.ndarray:
+    """The theta certificate's three (K,) column sums, as a (3, K) array:
+    sum(conj0 - conj1), sum(rho * base_margins) and
+    sum(value + conj1 + beta * margins), where conj0 and conj1 are the
+    conjugates at alpha0 and beta = alpha0 + rho, each projected onto the
+    conjugate's domain first, and margins are the margins after the passes.
+
+    The numpy reference: the compiled job must reproduce its bytes.
+    """
+    # projection guards the conjugates against ulp drift in aggregated alpha
+    alpha_in = loss.project_dual(alpha0, labels_pm)
+    beta = loss.project_dual(alpha0 + rho, labels_pm)
+    conj0 = loss.conjugate(-alpha_in, labels_pm)
+    conj1 = loss.conjugate(-beta, labels_pm)
+    return np.array([
+        (conj0 - conj1).sum(axis=0),
+        (rho * base_margins).sum(axis=0),
+        (loss.value(margins, labels_pm) + conj1 + beta * margins).sum(axis=0),
+    ])
+
+
+def _local_solves(kernels, loss, jobs, lanes=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each job's coordinate passes and certificate sums: one (rho, sums) per job.
+
+    A job is one device's (classes, alpha0, base_margins, gram_scaled, qii,
+    orders), as _solve_columns prepares them; its targets are +1 in the
+    column of the sample's class and -1 elsewhere. With the compiled
+    kernels each job is one sdca_job call, and the calls run on at most
+    `lanes` lanes (value_threads() when None), balanced by their E * n^2
+    coordinate work; this thread allocates and checks every buffer first, so
+    a lane calls nothing but the jobs. Without them the numpy reference runs
+    here, job after job. A job reads and writes only its own buffers, so the
+    results do not depend on `lanes`.
+    """
+    if kernels is None:
+        results = []
+        for classes, alpha0, base, gram_scaled, qii, orders in jobs:
+            labels_pm = one_vs_rest_targets(classes, base.shape[1])
+            rho, margins = _coordinate_passes(
+                labels_pm, alpha0, base, gram_scaled, qii, loss, orders
+            )
+            results.append((rho, _certificate_sums(loss, labels_pm, alpha0, rho, base, margins)))
+        return results
+    results, calls, work = [], [], []
+    for classes, alpha0, base, gram_scaled, qii, orders in jobs:
+        n, k = base.shape
+        _check_shapes(n, k, alpha0, base, gram_scaled, qii, orders)
+        if classes.shape != (n,):
+            raise ValueError("coordinate kernel arguments have inconsistent shapes")
+        rho, sums = np.zeros((n, k)), np.empty((3, k))
+        results.append((rho, sums))
+        calls.append(functools.partial(
+            kernels.job, n, k, orders.shape[0], orders, _LOSS_CODES[type(loss)],
+            getattr(loss, "gamma", 0.0), classes, alpha0, gram_scaled, qii, base, rho, sums,
+        ))
+        work.append(orders.size * n)
+    _run_lanes(calls, work, lanes)
+    # which NaN a sum holds depends on the operand order of each addition,
+    # which the C compiler may swap: the numpy reference gives those sums
+    for j, (_, sums) in enumerate(results):
+        if np.isnan(sums).any():
+            results[j] = _local_solves(None, loss, jobs[j : j + 1], 1)[0]
+    return results
+
+
+def _run_lanes(calls, work, lanes: int | None) -> None:
+    """Run the job calls on at most `lanes` lanes (value_threads() when
+    None), each running its calls in turn: largest work first, each to the
+    lane with the least work so far. The lanes run through valuation's
+    _run_concurrently, the first on this thread."""
+    from . import valuation  # valuation imports this module, so bind it at call time
+
+    if lanes is None:
+        lanes = valuation.value_threads() if len(calls) > 1 else 1
+    loads = [0] * max(1, min(lanes, len(calls)))
+    groups = [[] for _ in loads]
+    for j in sorted(range(len(calls)), key=lambda j: -work[j]):
+        lane = loads.index(min(loads))
+        groups[lane].append(calls[j])
+        loads[lane] += work[j]
+    valuation._run_concurrently([functools.partial(_run_jobs, group) for group in groups])
+
+
+def _run_jobs(calls) -> None:
+    for call in calls:
+        if call() != 0:
+            raise MemoryError("no memory for a local solve's scratch")
 
 
 def _probe_inputs() -> list[tuple]:
@@ -257,12 +369,62 @@ def _probe_inputs() -> list[tuple]:
     ]
 
 
-def _probe_matches(kernel) -> bool:
-    """Whether the kernel reproduces the numpy loop's bytes on _probe_inputs."""
+def _probe_jobs() -> list[tuple]:
+    """The probe's _local_solves arguments: (loss, jobs) for each loss.
+
+    Jobs of 4 one-vs-rest columns and 37 samples, and of a single column and
+    301 samples (numpy sums a contiguous column pairwise: 301 rows take its
+    split, its blocks of 8 and its remainder). alpha0 holds 0, -0.0,
+    interior values, both clip bounds and values outside the hinge's dual
+    domain; the base margins hold -0.0. One job's last column has a NaN base
+    margin, whose steps move with NaN deltas and give a +inf hinge
+    conjugate. The jobs of 0 epochs have negative base margins, so every
+    rho * base is -0.0 and their sums show that numpy adds from +0.0.
+    """
+    rng = np.random.default_rng(23)
+    cases = []
+    for loss in (SmoothedHinge(gamma=0.5), SquaredLoss()):
+        jobs = []
+        for n, k, epochs, nan in (
+            (37, 4, 2, False), (37, 4, 2, True), (301, 1, 2, False), (37, 4, 0, False),
+            (301, 1, 0, False),
+        ):
+            feats = rng.normal(size=(n, 5))
+            gram_scaled = feats @ feats.T / n
+            classes = rng.integers(0, max(k, 2), size=n)
+            labels_pm = one_vs_rest_targets(classes, k)
+            alpha0 = labels_pm * rng.choice([0.0, -0.0, 0.3, 1.0, 1.5, -0.2], size=(n, k))
+            base = rng.normal(size=(n, k))
+            base[::7] = -0.0
+            if epochs == 0:
+                base = -np.abs(base)
+            if nan:
+                base[n // 2, k - 1] = np.nan
+            jobs.append((
+                classes, alpha0, base, gram_scaled, np.diagonal(gram_scaled).copy(),
+                _visit_orders(rng, epochs, n),
+            ))
+        cases.append((loss, jobs))
+    return cases
+
+
+def _probe_matches(kernels) -> bool:
+    """Whether the compiled loop reproduces the numpy loop's bytes on
+    _probe_inputs, and the compiled jobs the numpy loop's and certificate's
+    bytes on _probe_jobs."""
     for args in _probe_inputs():
         expected = _coordinate_passes(*args)
-        got = _kernel_passes(kernel, *args)
+        got = _kernel_passes(kernels, *args)
         if any(a.tobytes() != b.tobytes() for a, b in zip(expected, got)):
+            return False
+    for loss, jobs in _probe_jobs():
+        expected = _local_solves(None, loss, jobs, 1)
+        got = _local_solves(kernels, loss, jobs, 1)
+        if any(
+            a.tobytes() != b.tobytes()
+            for pair_a, pair_b in zip(expected, got)
+            for a, b in zip(pair_a, pair_b)
+        ):
             return False
     return True
 
@@ -273,7 +435,8 @@ def _kernel():
 
 
 def coordinate_backend() -> str:
-    """Which coordinate loop runs: "c" for the verified compiled kernel, else "numpy"."""
+    """Which local solve runs: "c" for the verified compiled loop and
+    certificate, else "numpy"."""
     return "numpy" if _kernel() is None else "c"
 
 
@@ -293,50 +456,69 @@ def scaled_gram(features, lam: float, total_samples: int) -> np.ndarray:
 
 
 def _solve_columns(
-    device, phi_cols, alpha_cols, labels_pm, hp: Hyperparams, rng, total_samples, epochs,
-    gram_scaled,
-) -> LocalUpdate:
-    """Run the local dual solve for K binary columns sharing one device: the
-    (n, K) LocalUpdate of device_update and device_update_ovr, whose
-    arguments these are."""
-    if device.size == 0:
-        raise ValueError(f"device {device.device_id} has no training samples")
-    if isinstance(rng, (int, np.integer)):
-        rng = substream(int(rng))
+    devices, phi_cols, alpha_rows, classes, num_classes: int, hp: Hyperparams, rngs,
+    total_samples, epochs, grams,
+) -> list[LocalUpdate]:
+    """The local dual solves of a list of devices, K one-vs-rest columns
+    each: one (n, K) LocalUpdate per device, in order.
+
+    phi_cols is (d, K), K = num_classes. Each device comes with its dual rows
+    (n, K), its class ids (its targets are +1 in the column of the sample's
+    class and -1 elsewhere), its rng (or seed) and its scaled Gram (None:
+    computed here); `epochs` overrides hp.epochs. Three phases:
+
+    1. this thread makes every BLAS product and RNG draw, device after
+       device: the Gram where not given, the row-major base margins and the
+       E visit orders;
+    2. _local_solves runs each device's coordinate passes and certificate
+       sums, on at most value_threads() lanes;
+    3. this thread computes delta_phi = feats.T @ rho / (lambda * D) and theta.
+
+    Every buffer belongs to one device and every BLAS call is made on this
+    thread, so each update has the bytes of solving its device alone.
+    """
     epochs = hp.epochs if epochs is None else epochs
     lam = hp.resolved_lambda(total_samples)
     loss = hp.make_loss()
-    feats = np.asarray(device.features, dtype=np.float64)
-    if gram_scaled is None:
-        gram_scaled = scaled_gram(feats, lam, total_samples)
-    gram_scaled = np.ascontiguousarray(gram_scaled, dtype=np.float64)
-    qii = np.diagonal(gram_scaled).copy()
-    base_margins = row_major_scores(feats, phi_cols)
-    alpha_cols = np.ascontiguousarray(alpha_cols, dtype=np.float64)
-    labels_pm = np.ascontiguousarray(labels_pm, dtype=np.float64)
-    orders = _visit_orders(rng, epochs, labels_pm.shape[0])
-
-    kernel = _kernel()
-    args = (labels_pm, alpha_cols, base_margins, gram_scaled, qii, loss, orders)
-    if kernel is not None:
-        rho, margins = _kernel_passes(kernel, *args)
-    else:
-        rho, margins = _coordinate_passes(*args)
-    delta_phi = feats.T @ rho / (lam * total_samples)
-
-    # projection guards the conjugates against ulp drift in aggregated alpha
-    alpha0 = loss.project_dual(alpha_cols, labels_pm)
-    beta = loss.project_dual(alpha_cols + rho, labels_pm)
-    conj0 = loss.conjugate(-alpha0, labels_pm)
-    conj1 = loss.conjugate(-beta, labels_pm)
-    improvement = (
-        (conj0 - conj1).sum(axis=0) / total_samples
-        - (rho * base_margins).sum(axis=0) / total_samples
-        - 0.5 * lam * (delta_phi * delta_phi).sum(axis=0)
-    )
-    gap = (loss.value(margins, labels_pm) + conj1 + beta * margins).sum(axis=0) / total_samples
-    theta = _theta_from_certificate(improvement, gap)
-    return LocalUpdate(device.device_id, device.sample_indices, rho, delta_phi, theta)
+    phi_cols = np.asarray(phi_cols, dtype=np.float64)
+    jobs = []
+    for device, alpha_cols, labels, rng, gram_scaled in zip(
+        devices, alpha_rows, classes, rngs, grams, strict=True
+    ):
+        if device.size == 0:
+            raise ValueError(f"device {device.device_id} has no training samples")
+        if isinstance(rng, (int, np.integer)):
+            rng = substream(int(rng))
+        feats = np.asarray(device.features, dtype=np.float64)
+        if gram_scaled is None:
+            gram_scaled = scaled_gram(feats, lam, total_samples)
+        gram_scaled = np.ascontiguousarray(gram_scaled, dtype=np.float64)
+        alpha_cols = np.ascontiguousarray(alpha_cols, dtype=np.float64)
+        if phi_cols.shape[1:] != (num_classes,) or alpha_cols.shape != (device.size, num_classes):
+            raise ValueError(
+                f"device {device.device_id}: phi and alpha need {num_classes} columns and "
+                f"alpha one row per sample"
+            )
+        jobs.append((
+            np.ascontiguousarray(labels, dtype=np.int64),
+            alpha_cols,
+            row_major_scores(feats, phi_cols),
+            gram_scaled,
+            np.diagonal(gram_scaled).copy(),
+            _visit_orders(rng, epochs, device.size),
+        ))
+    updates = []
+    for device, (rho, sums) in zip(devices, _local_solves(_kernel(), loss, jobs)):
+        feats = np.asarray(device.features, dtype=np.float64)
+        delta_phi = feats.T @ rho / (lam * total_samples)
+        improvement = (
+            sums[0] / total_samples
+            - sums[1] / total_samples
+            - 0.5 * lam * (delta_phi * delta_phi).sum(axis=0)
+        )
+        theta = _theta_from_certificate(improvement, sums[2] / total_samples)
+        updates.append(LocalUpdate(device.device_id, device.sample_indices, rho, delta_phi, theta))
+    return updates
 
 
 def device_update(
@@ -362,12 +544,13 @@ def device_update(
     labels = device.labels if labels is None else np.asarray(labels)
     if not np.all(np.abs(labels) == 1):
         raise ValueError("device_update needs labels in {-1, +1}")
-    update = _solve_columns(
-        device,
+    # one column whose class 0 is the label +1
+    [update] = _solve_columns(
+        [device],
         np.asarray(phi, dtype=np.float64)[:, None],
-        np.asarray(alpha_slice, dtype=np.float64)[:, None],
-        np.asarray(labels, dtype=np.float64)[:, None],
-        hp, rng, total_samples, epochs, gram_scaled,
+        [np.asarray(alpha_slice, dtype=np.float64)[:, None]],
+        [np.where(labels == 1, 0, 1)],
+        1, hp, [rng], total_samples, epochs, [gram_scaled],
     )
     rho, delta_phi, theta = update.rho[:, 0], update.delta_phi[:, 0], update.achieved_theta[0]
     return replace(update, rho=rho, delta_phi=delta_phi, achieved_theta=float(theta))
@@ -395,10 +578,11 @@ def device_update_ovr(
     matrix products may differ from a lone run in the last ulp).
     `gram_scaled` is as in device_update.
     """
-    return _solve_columns(
-        device, phi_cols, alpha_cols, one_vs_rest_targets(device.labels, num_classes),
-        hp, rng, total_samples, epochs, gram_scaled,
+    [update] = _solve_columns(
+        [device], phi_cols, [alpha_cols], [device.labels], num_classes, hp, [rng],
+        total_samples, epochs, [gram_scaled],
     )
+    return update
 
 
 def aggregation_count(rule: str, accepted: int, explored: int, total_devices: int | None) -> int:

@@ -308,6 +308,18 @@ def test_cli_run_config_error_exits_2(capsys):
         assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key", ["data.synthetic_separation", "cost.cpu_freq_max_hz", "cost.snr_max"]
+)
+def test_cli_run_refuses_an_infinite_value(key, tmp_path, capsys):
+    # before any data is built: no NaN metrics, no OverflowError mid-run
+    code = main(["run", *TINY, "--quiet", "--out", str(tmp_path / "run"), "--set", f"{key}=inf"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and key in err and "finite" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_compare_merges_runs_and_dedups(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main([

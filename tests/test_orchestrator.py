@@ -160,6 +160,29 @@ def test_value_fn_matches_coalition_value_on_every_subset():
                 ]
 
 
+def test_round_batch_equals_device_by_device_updates(monkeypatch):
+    # the round solves its explored devices as one batch; a replaced
+    # per-device update is called device by device, with the same bytes
+    split = tiny_split(num_devices=6, samples_per_device=40)
+    exp = Experiment(split, replace(HP, c_fraction=1.0), SelectionPolicy(kind="greedy"))
+    state = GlobalState.zeros(split.feature_dim, split.total_train, 3)
+    state, _ = exp.run_round(state, 1)  # round 2 starts from nonzero phi and alpha
+    calls = []
+
+    def by_device(device, *args, **kwargs):
+        calls.append(device.device_id)
+        return solver.device_update_ovr(device, *args, **kwargs)
+
+    batch = exp._device_updates(2, exp._explored(2), state)
+    monkeypatch.setattr(orch, "device_update_ovr", by_device)
+    one_by_one = exp._device_updates(2, exp._explored(2), state)
+    assert calls == list(range(6)) and list(batch) == list(one_by_one) == calls
+    for m, update in batch.items():
+        other = one_by_one[m]
+        for name in ("rho", "delta_phi", "achieved_theta"):
+            assert getattr(update, name).tobytes() == getattr(other, name).tobytes(), (m, name)
+
+
 def test_null_update_round_keeps_phi_and_falls_back_to_top_one(monkeypatch):
     split = tiny_split()
 

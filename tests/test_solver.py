@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedsel import native, solver, valuation
+from fedsel import native, products, solver, valuation
 from fedsel.data import DeviceDataset
 from fedsel.losses import SmoothedHinge, SquaredLoss
 from fedsel.rng import substream
@@ -593,6 +593,141 @@ def test_device_updates_equal_across_backends(monkeypatch, loss_name, k):
     monkeypatch.setattr(solver, "_kernel", lambda: None)
     assert solver.coordinate_backend() == "numpy"
     assert update_bytes(fixed_device_updates(k, loss_name)) == compiled
+
+
+def reference_update(device, phi_cols, alpha_cols, labels_pm, hp, rng, total_samples):
+    """One device's local solve as it ran before devices were solved in
+    batches, kept as a frozen numpy reference: the numpy coordinate loop and
+    the certificate spelled out."""
+    lam = hp.resolved_lambda(total_samples)
+    loss = hp.make_loss()
+    feats = device.features
+    gram_scaled = solver.scaled_gram(feats, lam, total_samples)
+    base_margins = products.row_major_scores(feats, phi_cols)
+    orders = solver._visit_orders(rng, hp.epochs, device.size)
+    rho, margins = solver._coordinate_passes(
+        labels_pm, alpha_cols, base_margins, gram_scaled, np.diagonal(gram_scaled).copy(), loss,
+        orders,
+    )
+    delta_phi = feats.T @ rho / (lam * total_samples)
+    alpha0 = loss.project_dual(alpha_cols, labels_pm)
+    beta = loss.project_dual(alpha_cols + rho, labels_pm)
+    conj0 = loss.conjugate(-alpha0, labels_pm)
+    conj1 = loss.conjugate(-beta, labels_pm)
+    improvement = (
+        (conj0 - conj1).sum(axis=0) / total_samples
+        - (rho * base_margins).sum(axis=0) / total_samples
+        - 0.5 * lam * (delta_phi * delta_phi).sum(axis=0)
+    )
+    gap = (loss.value(margins, labels_pm) + conj1 + beta * margins).sum(axis=0) / total_samples
+    return rho, delta_phi, solver._theta_from_certificate(improvement, gap)
+
+
+def batch_inputs(k, seed=3):
+    """A round's worth of devices for _solve_columns: 165 and 441 rows (a
+    grid device's, odd), and 9 and 37 rows; k = 1 is one binary column.
+    alpha holds 0, -0.0, interior values, both clip bounds and values
+    outside the hinge's dual domain. When k > 1, phi's column 0 is -0.0,
+    and the 441-row device's last column holds one NaN alpha: its steps
+    move with NaN deltas and its hinge conjugates are +inf."""
+    rng = np.random.default_rng(seed)
+    dim, devices, alpha_rows, classes = 6, [], [], []
+    for device_id, n in enumerate((165, 9, 441, 37)):
+        labels = rng.integers(0, max(k, 2), size=n)
+        feats = rng.normal(size=(n, dim)) + labels[:, None] * 0.2
+        devices.append(DeviceDataset(device_id, feats, labels, np.arange(n)))
+        targets = solver.one_vs_rest_targets(labels, k)
+        alpha_rows.append(targets * rng.choice([0.0, -0.0, 0.3, 0.8, 1.0, 1.5, -0.2], size=(n, k)))
+        classes.append(labels)
+    phi_cols = rng.normal(size=(dim, k)) * 0.1
+    if k > 1:
+        phi_cols[:, 0] = -0.0
+        alpha_rows[2][200, -1] = np.nan
+    return devices, phi_cols, alpha_rows, classes
+
+
+def batch_updates(devices, phi_cols, alpha_rows, classes, hp, total_samples=2000):
+    k = phi_cols.shape[1]
+    rngs = [substream(7, device.device_id) for device in devices]
+    return solver._solve_columns(
+        devices, phi_cols, alpha_rows, classes, k, hp, rngs, total_samples, None,
+        [None] * len(devices),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("k", [1, 10])
+@pytest.mark.parametrize("loss_name", ["smoothed_hinge", "squared"])
+def test_batch_matches_the_numpy_reference_on_every_lane_count(monkeypatch, loss_name, k):
+    gamma = 0.5 if loss_name == "smoothed_hinge" else 1.0  # squared refuses a gamma
+    hp = Hyperparams(loss=loss_name, gamma=gamma, reg_lambda=0.01, epochs=3)
+    devices, phi_cols, alpha_rows, classes = batch_inputs(k)
+    expected = [
+        [a.tobytes() for a in reference_update(
+            device, phi_cols, alpha, solver.one_vs_rest_targets(labels, k), hp,
+            substream(7, device.device_id), 2000,
+        )]
+        for device, alpha, labels in zip(devices, alpha_rows, classes)
+    ]
+    nan_devices = [m for m, (rho, _, _) in enumerate(expected) if np.isnan(np.frombuffer(rho)).any()]
+    assert nan_devices == ([2] if k > 1 else [])
+
+    def solved():
+        return [
+            [u.rho.tobytes(), u.delta_phi.tobytes(), u.achieved_theta.tobytes()]
+            for u in batch_updates(devices, phi_cols, alpha_rows, classes, hp)
+        ]
+
+    # the kernels' probes fan out before the count starts
+    backend, most = solver.coordinate_backend(), valuation.value_threads()
+    lanes = []
+    fan_out = valuation._run_concurrently
+
+    def counted(calls):
+        lanes.append(len(calls))
+        fan_out(calls)
+
+    monkeypatch.setattr(valuation, "_run_concurrently", counted)
+    probes = [
+        (loss, jobs, solver._local_solves(None, loss, jobs, 1))
+        for loss, jobs in solver._probe_jobs()
+    ]
+    if shutil.which("cc") is not None:  # a built job must pass its probe
+        assert backend == "c"
+        for count in range(1, most + 1):
+            monkeypatch.setattr(valuation, "value_threads", lambda: count)
+            assert solved() == expected, count
+            for loss, jobs, reference in probes:
+                got = solver._local_solves(solver._kernel(), loss, jobs, count)
+                assert [[a.tobytes() for a in pair] for pair in got] == [
+                    [a.tobytes() for a in pair] for pair in reference
+                ]
+        # one fan-out per batch, on min(lanes, jobs) lanes
+        assert lanes == [
+            min(count, jobs)
+            for count in range(1, most + 1)
+            for jobs in (len(devices), *(len(jobs) for _, jobs, _ in probes))
+        ]
+    monkeypatch.setattr(solver, "_kernel", lambda: None)  # the compiled job forced off
+    assert solver.coordinate_backend() == "numpy"
+    assert solved() == expected
+
+
+@needs_compiler
+def test_certificate_probe_mismatch_falls_back_to_numpy(tmp_path, monkeypatch):
+    reference = update_bytes(fixed_device_updates(10, "smoothed_hinge"))
+    exact = solver._certificate_sums
+
+    def one_ulp_off(*args):  # stands in for a miscompiled certificate
+        return np.nextafter(exact(*args), np.inf)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_certificate_sums", one_ulp_off)
+        kernels = solver._bind_kernel(native.load_library(cache_dir=tmp_path))
+    assert kernels is None
+    monkeypatch.setattr(solver, "_kernel", lambda: kernels)
+    assert solver.coordinate_backend() == "numpy"  # the manifest's solver_backend
+    assert update_bytes(fixed_device_updates(10, "smoothed_hinge")) == reference
 
 
 def test_missing_compiler_falls_back_to_numpy(tmp_path, monkeypatch):
