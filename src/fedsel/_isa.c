@@ -7,8 +7,9 @@
  * AVX2 and a baseline body of each kernel, and the loader's resolver binds
  * the widest body the CPU runs: the library needs no -march and still runs
  * on any x86-64 CPU. Define FEDSEL_NO_TARGET_CLONES, or build anywhere else,
- * and the plain function is emitted. Vector width changes no result: the
- * kernels have no floating-point reduction the compiler may reorder, and
+ * and the plain function is emitted. Vector width changes no result:
+ * without -ffast-math the compiler never reassociates a floating-point sum,
+ * so the certificate's sums keep their source order in every body, and
  * neither the AVX-512F nor the AVX2 target includes FMA (-ffp-contract=off
  * forbids contraction anyway), so all bodies round every operation alike
  * and give the same bytes.

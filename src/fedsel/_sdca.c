@@ -1,25 +1,26 @@
-/* Closed-form dual coordinate ascent over K one-vs-rest columns, and the
- * local solve's theta certificate.
+/* One device's local dual solve: closed-form coordinate ascent over K
+ * one-vs-rest columns, then the theta certificate. sdca_job is the one solver
+ * symbol; it is described at the end.
  *
- * sdca_passes is the compiled twin of fedsel.solver._coordinate_passes: the
- * same visit orders, the same operations in the same order, so rho and
- * margins come out bitwise-equal to the numpy loop. Build without FMA
- * contraction and without -ffast-math. All arrays are C-contiguous: orders
- * (epochs, n), labels, alpha0 and rho (n, k), gram (n, n), qii (n). The
- * margins are held K-major, (k, n), so the rank-1 update after each step is k
- * contiguous loops over the samples, which the compiler vectorises; every
- * element is still one rounded product followed by one rounded add. A column
- * updates its rho and margins only when its own step moved: columns share
- * only the visit order and the Gram row, and a zero step would add only zeros.
- * loss 0 is the smoothed hinge of width gamma, loss 1 the squared loss.
- *
- * sdca_certificate is the twin of fedsel.solver._certificate_sums, and
- * sdca_job runs one device's whole local solve: both are described below.
+ * Its coordinate passes are the compiled twin of
+ * fedsel.solver._coordinate_passes: the same visit orders, the same
+ * operations in the same order, so rho and margins come out bitwise-equal to
+ * the numpy loop. Build without FMA contraction and without -ffast-math. All
+ * arrays are C-contiguous: orders (epochs, n), labels, alpha0 and rho (n, k),
+ * gram (n, n), qii (n). The margins are held K-major, (k, n), so the rank-1
+ * update after each step is k contiguous loops over the samples, which the
+ * compiler vectorises; every element is still one rounded product followed by
+ * one rounded add. A column updates its rho and margins only when its own
+ * step moved: columns share only the visit order and the Gram row, and a zero
+ * step would add only zeros. loss 0 is the smoothed hinge of width gamma,
+ * loss 1 the squared loss. sdca_certificate is the twin of
+ * fedsel.solver._certificate_sums.
  */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
+/* always inlined: each target_clones body of sdca_job vectorises its own copy */
 static inline __attribute__((always_inline)) void
 coordinate_passes(int64_t n, int64_t k, int64_t epochs, const int64_t *orders, int32_t loss,
                   double gamma, const double *labels, const double *alpha0, const double *gram,
@@ -52,14 +53,6 @@ coordinate_passes(int64_t n, int64_t k, int64_t epochs, const int64_t *orders, i
             }
         }
     }
-}
-
-FEDSEL_CLONES  /* from _isa.c */
-void sdca_passes(int64_t n, int64_t k, int64_t epochs, const int64_t *orders,
-                 int32_t loss, double gamma, const double *labels, const double *alpha0,
-                 const double *gram, const double *qii, double *rho, double *margins)
-{
-    coordinate_passes(n, k, epochs, orders, loss, gamma, labels, alpha0, gram, qii, rho, margins);
 }
 
 /* The certificate's inputs: labels, alpha0, rho and base (n, k), margins
@@ -183,7 +176,7 @@ sdca_certificate(const certificate_inputs *in, double *sums)
  * of the sample's class, classes (n), and -1 elsewhere. The targets and the
  * K-major margins live only while the job runs. Returns 0, or -1 when that
  * scratch cannot be allocated (rho and sums are then untouched). */
-FEDSEL_CLONES
+FEDSEL_CLONES  /* from _isa.c */
 int sdca_job(int64_t n, int64_t k, int64_t epochs, const int64_t *orders, int32_t loss,
              double gamma, const int64_t *classes, const double *alpha0, const double *gram,
              const double *qii, const double *base, double *rho, double *sums)

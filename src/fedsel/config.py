@@ -239,6 +239,16 @@ def build_config(values: dict[str, dict[str, object]]) -> ExperimentConfig:
         values["orchestrator"],
         values["data"],
     )
+    # each gives NaN metrics when infinite: gamma and lambda the losses and
+    # gaps, the bandwidth the round costs, and the separation infinite blob
+    # centres, which scaling turns into NaN features
+    for section, key in (
+        ("solver", "gamma"), ("solver", "reg_lambda"), ("cost", "bandwidth_hz"),
+        ("data", "synthetic_separation"),
+    ):
+        value = values[section][key]
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{section}.{key} must be finite, got {value}")
     try:
         hyper = Hyperparams(
             loss=s["loss"],
@@ -291,12 +301,15 @@ def build_config(values: dict[str, dict[str, object]]) -> ExperimentConfig:
             f"data.device_test_fraction must be in [0, 1), "
             f"got {data['device_test_fraction']}"
         )
-    # an infinite separation makes every blob centre infinite, and scaling
-    # then turns every feature into NaN
-    if not math.isfinite(data["synthetic_separation"]):
-        raise ConfigError(
-            f"data.synthetic_separation must be finite, got {data['synthetic_separation']}"
-        )
+    if data["source"] == "synthetic":
+        if data["synthetic_dim"] < 1:
+            raise ConfigError(f"data.synthetic_dim must be >= 1, got {data['synthetic_dim']}")
+        # every device holds at least one training sample
+        if data["synthetic_train_size"] < data["num_devices"]:
+            raise ConfigError(
+                f"data.synthetic_train_size must be >= data.num_devices "
+                f"({data['num_devices']}), got {data['synthetic_train_size']}"
+            )
     cost = values["cost"]
     for lo_key, hi_key in (
         ("cpu_freq_min_hz", "cpu_freq_max_hz"),

@@ -8,9 +8,10 @@ randomized coordinate ascent with exact closed-form steps; the server absorbs
 accepted increments into (alpha, phi) keeping the two consistent to machine
 precision. The devices a round explores are solved as one batch
 (_solve_columns): each device's coordinate loop and theta certificate run as
-one compiled job (_sdca.c, built on first use by fedsel.native) when a
-compiler is available and the jobs reproduce the numpy reference loop and
-certificate bit for bit; otherwise the numpy reference runs.
+one call of the compiled job sdca_job (_sdca.c, built on first use by
+fedsel.native) when a compiler is available and the job reproduces the numpy
+reference loop and certificate bit for bit; otherwise the numpy reference
+runs.
 
 Conventions: feature matrices are row-per-sample (n, d); the dual dimension D
 is always the global training size, so every data term carries 1/D and the
@@ -21,7 +22,6 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -196,39 +196,26 @@ def _coordinate_passes(labels_pm, alpha0, margins, gram_scaled, qii, loss, order
 _LOSS_CODES = {SmoothedHinge: 0, SquaredLoss: 1}
 
 
-class _Compiled(NamedTuple):
-    """The compiled twins from the shared library: `passes` runs the
-    coordinate loop alone (sdca_passes), `job` one device's local solve, the
-    coordinate loop and then the certificate's column sums (sdca_job)."""
-
-    passes: Callable
-    job: Callable
-
-
 def _bind_kernel(library):
-    """The compiled coordinate loop and device job from the shared library,
-    or None when there is no library or either fails its probe."""
+    """The compiled device job (sdca_job) from the shared library, or None
+    when there is no library or the job fails its probe."""
     if library is None:
         return None
-    passes, job = library.sdca_passes, library.sdca_job
-    passes.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, native.I64, ctypes.c_int32,
-        ctypes.c_double, *[native.F64] * 6,
-    ]
-    passes.restype = None
+    job = library.sdca_job
     job.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, native.I64, ctypes.c_int32,
         ctypes.c_double, native.I64, *[native.F64] * 6,
     ]
     job.restype = ctypes.c_int
-    kernels = _Compiled(passes, job)
-    return kernels if _probe_matches(kernels) else None
+    return job if _probe_matches(job) else None
 
 
-def _check_shapes(n, k, alpha0, margins, gram_scaled, qii, orders) -> None:
-    """Refuse arguments the compiled kernels would read out of bounds."""
+def _check_shapes(classes, alpha0, base, gram_scaled, qii, orders) -> None:
+    """Refuse a job the compiled kernel would read out of bounds."""
+    n, k = base.shape
     if not (
-        alpha0.shape == margins.shape == (n, k)
+        classes.shape == (n,)
+        and alpha0.shape == (n, k)
         and gram_scaled.shape == (n, n)
         and qii.shape == (n,)
         and orders.ndim == 2
@@ -236,23 +223,6 @@ def _check_shapes(n, k, alpha0, margins, gram_scaled, qii, orders) -> None:
         and (orders.size == 0 or 0 <= orders.min() <= orders.max() < n)
     ):
         raise ValueError("coordinate kernel arguments have inconsistent shapes")
-
-
-def _kernel_passes(kernels, labels_pm, alpha0, margins, gram_scaled, qii, loss, orders):
-    """_coordinate_passes through the compiled loop; same arguments, same bytes.
-
-    The loop holds the margins K-major, (K, n): they are copied in
-    transposed and copied back out as a fresh C-contiguous (n, K) array.
-    """
-    n, k = labels_pm.shape
-    _check_shapes(n, k, alpha0, margins, gram_scaled, qii, orders)
-    rho = np.zeros((n, k))
-    margins_t = np.array(margins.T, dtype=np.float64, order="C")
-    kernels.passes(
-        n, k, orders.shape[0], orders, _LOSS_CODES[type(loss)], getattr(loss, "gamma", 0.0),
-        labels_pm, alpha0, gram_scaled, qii, rho, margins_t,
-    )
-    return rho, np.array(margins_t.T, order="C")
 
 
 def _certificate_sums(loss, labels_pm, alpha0, rho, base_margins, margins) -> np.ndarray:
@@ -276,20 +246,20 @@ def _certificate_sums(loss, labels_pm, alpha0, rho, base_margins, margins) -> np
     ])
 
 
-def _local_solves(kernels, loss, jobs, lanes=None) -> list[tuple[np.ndarray, np.ndarray]]:
+def _local_solves(kernel, loss, jobs, lanes=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each job's coordinate passes and certificate sums: one (rho, sums) per job.
 
     A job is one device's (classes, alpha0, base_margins, gram_scaled, qii,
     orders), as _solve_columns prepares them; its targets are +1 in the
     column of the sample's class and -1 elsewhere. With the compiled
-    kernels each job is one sdca_job call, and the calls run on at most
+    kernel (sdca_job) each job is one call, and the calls run on at most
     `lanes` lanes (value_threads() when None), balanced by their E * n^2
     coordinate work; this thread allocates and checks every buffer first, so
-    a lane calls nothing but the jobs. Without them the numpy reference runs
+    a lane calls nothing but the jobs. Without it the numpy reference runs
     here, job after job. A job reads and writes only its own buffers, so the
     results do not depend on `lanes`.
     """
-    if kernels is None:
+    if kernel is None:
         results = []
         for classes, alpha0, base, gram_scaled, qii, orders in jobs:
             labels_pm = one_vs_rest_targets(classes, base.shape[1])
@@ -300,14 +270,12 @@ def _local_solves(kernels, loss, jobs, lanes=None) -> list[tuple[np.ndarray, np.
         return results
     results, calls, work = [], [], []
     for classes, alpha0, base, gram_scaled, qii, orders in jobs:
+        _check_shapes(classes, alpha0, base, gram_scaled, qii, orders)
         n, k = base.shape
-        _check_shapes(n, k, alpha0, base, gram_scaled, qii, orders)
-        if classes.shape != (n,):
-            raise ValueError("coordinate kernel arguments have inconsistent shapes")
         rho, sums = np.zeros((n, k)), np.empty((3, k))
         results.append((rho, sums))
         calls.append(functools.partial(
-            kernels.job, n, k, orders.shape[0], orders, _LOSS_CODES[type(loss)],
+            kernel, n, k, orders.shape[0], orders, _LOSS_CODES[type(loss)],
             getattr(loss, "gamma", 0.0), classes, alpha0, gram_scaled, qii, base, rho, sums,
         ))
         work.append(orders.size * n)
@@ -344,31 +312,6 @@ def _run_jobs(calls) -> None:
             raise MemoryError("no memory for a local solve's scratch")
 
 
-def _probe_inputs() -> list[tuple]:
-    """The probe's _coordinate_passes arguments, one tuple per loss.
-
-    37 samples (odd, so the kernel's vectorised margin loop and its scalar
-    remainder both run), 4 columns, 2 epochs, alpha0 spread over the interior
-    and both clip bounds, so in many steps some columns move and others do
-    not; one NaN base margin in the last column, whose steps then move with
-    NaN deltas.
-    """
-    rng = np.random.default_rng(17)
-    n, k = 37, 4
-    feats = rng.normal(size=(n, 5))
-    gram_scaled = feats @ feats.T / n
-    qii = np.diagonal(gram_scaled).copy()
-    labels_pm = np.where(rng.random((n, k)) < 0.5, 1.0, -1.0)
-    alpha0 = labels_pm * rng.choice([0.0, 0.3, 1.0], size=(n, k))
-    margins = rng.normal(size=(n, k))
-    margins[n // 2, k - 1] = np.nan
-    orders = _visit_orders(rng, 2, n)
-    return [
-        (labels_pm, alpha0, margins, gram_scaled, qii, loss, orders)
-        for loss in (SmoothedHinge(gamma=0.5), SquaredLoss())
-    ]
-
-
 def _probe_jobs() -> list[tuple]:
     """The probe's _local_solves arguments: (loss, jobs) for each loss.
 
@@ -376,8 +319,10 @@ def _probe_jobs() -> list[tuple]:
     301 samples (numpy sums a contiguous column pairwise: 301 rows take its
     split, its blocks of 8 and its remainder). alpha0 holds 0, -0.0,
     interior values, both clip bounds and values outside the hinge's dual
-    domain; the base margins hold -0.0. One job's last column has a NaN base
-    margin, whose steps move with NaN deltas and give a +inf hinge
+    domain; the base margins hold -0.0. In the 4-column hinge jobs many steps
+    move some columns and leave others still, column 0 among the still ones,
+    which checks the loop's per-column gate. One job's last column has a NaN
+    base margin, whose steps move with NaN deltas and give a +inf hinge
     conjugate. The jobs of 0 epochs have negative base margins, so every
     rho * base is -0.0 and their sums show that numpy adds from +0.0.
     """
@@ -408,18 +353,12 @@ def _probe_jobs() -> list[tuple]:
     return cases
 
 
-def _probe_matches(kernels) -> bool:
-    """Whether the compiled loop reproduces the numpy loop's bytes on
-    _probe_inputs, and the compiled jobs the numpy loop's and certificate's
+def _probe_matches(kernel) -> bool:
+    """Whether the compiled jobs reproduce the numpy loop's and certificate's
     bytes on _probe_jobs."""
-    for args in _probe_inputs():
-        expected = _coordinate_passes(*args)
-        got = _kernel_passes(kernels, *args)
-        if any(a.tobytes() != b.tobytes() for a, b in zip(expected, got)):
-            return False
     for loss, jobs in _probe_jobs():
         expected = _local_solves(None, loss, jobs, 1)
-        got = _local_solves(kernels, loss, jobs, 1)
+        got = _local_solves(kernel, loss, jobs, 1)
         if any(
             a.tobytes() != b.tobytes()
             for pair_a, pair_b in zip(expected, got)

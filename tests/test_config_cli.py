@@ -309,7 +309,11 @@ def test_cli_run_config_error_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "key", ["data.synthetic_separation", "cost.cpu_freq_max_hz", "cost.snr_max"]
+    "key",
+    [
+        "data.synthetic_separation", "cost.cpu_freq_max_hz", "cost.cycles_per_bit_max",
+        "cost.snr_max", "cost.bandwidth_hz", "solver.gamma", "solver.reg_lambda",
+    ],
 )
 def test_cli_run_refuses_an_infinite_value(key, tmp_path, capsys):
     # before any data is built: no NaN metrics, no OverflowError mid-run
@@ -317,6 +321,17 @@ def test_cli_run_refuses_an_infinite_value(key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "config error" in err and key in err and "finite" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "override", ["data.synthetic_dim=0", "data.synthetic_train_size=4"]  # TINY has 5 devices
+)
+def test_cli_run_refuses_synthetic_sizes_it_cannot_split(override, tmp_path, capsys):
+    code = main(["run", *TINY, "--quiet", "--out", str(tmp_path / "run"), "--set", override])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and override.partition("=")[0] in err
     assert not (tmp_path / "run").exists()
 
 

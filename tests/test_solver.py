@@ -1,5 +1,6 @@
 """Dual solver contracts: objectives, gaps, device updates, aggregation."""
 import fnmatch
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -306,15 +307,17 @@ needs_compiler = pytest.mark.skipif(
 )
 
 
-def pass_inputs(n, k, alpha_kind, loss, seed=0):
-    """_coordinate_passes arguments for a device of n samples and k columns.
+def job_inputs(n, k, alpha_kind, seed=0):
+    """A _local_solves job for a device of n samples and k columns, without
+    its visit orders: (classes, alpha0, base_margins, gram_scaled, qii).
 
-    alpha_kind: "zero", "interior" (strictly inside the hinge box), "bounds"
-    (every coordinate at 0 or at the box edge), "optimum": alpha = y and
-    margins -0.0, where every step's K deltas are +0.0 for both losses (the
-    update must then be skipped: adding +0.0 would turn the margins' -0.0
-    into +0.0), or "nan": "bounds" with one NaN margin in the last column,
-    whose steps then move with NaN deltas.
+    The targets come from the class ids: one-vs-rest for k > 1, +1 for class
+    0 when k = 1. alpha_kind: "zero", "interior" (strictly inside the hinge
+    box), "bounds" (every coordinate at 0 or at the box edge), "optimum":
+    alpha = y and margins -0.0, where every step's K deltas are +0.0 for both
+    losses (the update must then be skipped: adding +0.0 would turn the
+    margins' -0.0 into +0.0), or "nan": "bounds" with one NaN margin in the
+    last column, whose steps then move with NaN deltas.
     """
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n, 6)) / 2.0
@@ -322,7 +325,8 @@ def pass_inputs(n, k, alpha_kind, loss, seed=0):
     gram = feats @ feats.T
     gram_scaled = np.ascontiguousarray(gram / lam_total)
     qii = np.diagonal(gram) / lam_total
-    labels_pm = np.where(rng.random((n, k)) < 0.4, 1.0, -1.0)
+    classes = rng.integers(0, max(k, 2), size=n)
+    labels_pm = solver.one_vs_rest_targets(classes, k)
     margins = feats @ rng.normal(size=(6, k))
     alpha0 = np.zeros((n, k))
     if alpha_kind == "interior":
@@ -334,7 +338,19 @@ def pass_inputs(n, k, alpha_kind, loss, seed=0):
         alpha0 = labels_pm * rng.choice([0.0, 1.0], size=(n, k))
     if alpha_kind == "nan":
         margins[n // 2, k - 1] = np.nan
-    return labels_pm, alpha0, margins, gram_scaled, qii, loss
+    return classes, alpha0, margins, gram_scaled, qii
+
+
+def passes_args(loss, job):
+    """_coordinate_passes arguments of one _local_solves job."""
+    classes, alpha0, base, gram_scaled, qii, orders = job
+    labels_pm = solver.one_vs_rest_targets(classes, base.shape[1])
+    return labels_pm, alpha0, base, gram_scaled, qii, loss, orders
+
+
+def solve_bytes(kernel, loss, jobs):
+    """The bytes of each job's rho and certificate sums from _local_solves."""
+    return [[a.tobytes() for a in pair] for pair in solver._local_solves(kernel, loss, jobs, 1)]
 
 
 @needs_compiler
@@ -349,17 +365,13 @@ def test_kernel_matches_numpy_loop_bitwise(loss, alpha_kind, k):
     # 601 is odd and large: one call runs the vectorised margin loop and its
     # scalar remainder
     for n in (1, 17, 600, 601):
-        args = pass_inputs(n, k, alpha_kind, loss, seed=n)
+        fields = job_inputs(n, k, alpha_kind, seed=n)
         for epochs in (0, 1, 3):
-            orders = solver._visit_orders(substream(n, epochs), epochs, n)
-            rho, margins = solver._coordinate_passes(*args, orders)
-            got_rho, got_margins = solver._kernel_passes(kernel, *args, orders)
-            assert got_margins.shape == (n, k) and got_margins.dtype == np.float64
-            assert got_margins.flags.c_contiguous
-            assert got_rho.tobytes() == rho.tobytes(), (n, epochs)
-            assert got_margins.tobytes() == margins.tobytes(), (n, epochs)
+            jobs = [(*fields, solver._visit_orders(substream(n, epochs), epochs, n))]
+            expected = solve_bytes(None, loss, jobs)
+            assert solve_bytes(kernel, loss, jobs) == expected, (n, epochs)
             if alpha_kind == "optimum":
-                assert not rho.any() and margins.tobytes() == args[2].tobytes()
+                assert not np.frombuffer(expected[0][0]).any()
 
 
 def all_columns_passes(labels_pm, alpha0, margins, gram_scaled, qii, loss, orders, steps=None):
@@ -380,15 +392,6 @@ def all_columns_passes(labels_pm, alpha0, margins, gram_scaled, qii, loss, order
                 rho[i] += delta
                 margins += np.outer(gram_scaled[i], delta)
     return rho, margins
-
-
-def gated_passes(*args):
-    """_coordinate_passes, then the kernel's passes when the kernel is loaded."""
-    kernel = solver._kernel()
-    results = [solver._coordinate_passes(*args)]
-    if kernel is not None:
-        results.append(solver._kernel_passes(kernel, *args))
-    return results
 
 
 def mixed_steps(steps):
@@ -425,26 +428,28 @@ def test_column_gate_matches_all_columns_loop_bitwise(loss):
             steps = []
             rho, margins = all_columns_passes(*args, orders, steps=steps)
             mixed += mixed_steps(steps)
-            for got_rho, got_margins in gated_passes(*args, orders):
-                assert got_rho.tobytes() == rho.tobytes(), (n, epochs)
-                assert got_margins.tobytes() == margins.tobytes(), (n, epochs)
+            got_rho, got_margins = solver._coordinate_passes(*args, orders)
+            assert got_rho.tobytes() == rho.tobytes(), (n, epochs)
+            assert got_margins.tobytes() == margins.tobytes(), (n, epochs)
     assert mixed > 0
 
 
-def test_probe_inputs_mix_moving_and_still_columns():
+def test_probe_jobs_mix_moving_and_still_columns():
     # squared-loss steps nearly always move; the hinge columns at their clip
     # bounds are the ones that stay still
-    hinge, squared = solver._probe_inputs()
-    steps = []
-    all_columns_passes(*hinge, steps=steps)
-    moved = np.array(steps)
-    assert mixed_steps(steps) > 0
-    # the first column is still while another moves: a gate on column 0 alone
-    # would skip those steps
-    assert np.any(~moved[:, 0] & moved[:, 1:].any(axis=1))
-    for args in (hinge, squared):
+    (hinge, hinge_jobs), (squared, squared_jobs) = solver._probe_jobs()
+    for job in hinge_jobs[:2]:  # the two 37x4 jobs of 2 epochs
+        steps = []
+        all_columns_passes(*passes_args(hinge, job), steps=steps)
+        moved = np.array(steps)
+        assert mixed_steps(steps) > 0
+        # the first column is still while another moves: a gate on column 0
+        # alone would skip those steps
+        assert np.any(~moved[:, 0] & moved[:, 1:].any(axis=1))
+    for loss, jobs in ((hinge, hinge_jobs), (squared, squared_jobs)):
         # once the NaN spreads, every step of the last column moves with a NaN delta
-        assert np.isnan(solver._coordinate_passes(*args)[0][:, -1]).all()
+        rho, _ = solver._coordinate_passes(*passes_args(loss, jobs[1]))
+        assert np.isnan(rho[:, -1]).all()
 
 
 @pytest.mark.parametrize("loss", [SmoothedHinge(gamma=1.0), SquaredLoss()], ids=repr)
@@ -453,17 +458,26 @@ def test_still_column_keeps_negative_zero_margins(loss):
     # to a still column's -0.0 margins when another column moved, which turns
     # some of them into +0.0; the gated loop leaves them -0.0, rho identical
     n = 23
-    labels_pm, alpha0, margins, gram_scaled, qii, _ = pass_inputs(n, 2, "interior", loss)
+    classes, alpha0, margins, gram_scaled, qii = job_inputs(n, 2, "interior")
+    labels_pm = solver.one_vs_rest_targets(classes, 2)
     alpha0[:, 1] = labels_pm[:, 1]  # column 1 at its optimum: every step is +0.0
     margins[:, 1] = -0.0
     orders = solver._visit_orders(substream(3), 2, n)
     args = (labels_pm, alpha0, margins, gram_scaled, qii, loss, orders)
     old_rho, old_margins = all_columns_passes(*args)
     assert np.signbit(old_margins[:, 1]).sum() < n  # the old loop did flip some
-    for rho, got_margins in gated_passes(*args):
-        assert rho.tobytes() == old_rho.tobytes()
-        assert got_margins[:, 1].tobytes() == margins[:, 1].tobytes()  # all still -0.0
-        assert got_margins[:, 0].tobytes() == old_margins[:, 0].tobytes()
+    rho, got_margins = solver._coordinate_passes(*args)
+    assert rho.tobytes() == old_rho.tobytes()
+    assert got_margins[:, 1].tobytes() == margins[:, 1].tobytes()  # all still -0.0
+    assert got_margins[:, 0].tobytes() == old_margins[:, 0].tobytes()
+
+
+def c_functions(source: str) -> dict[str, bool]:
+    """The functions a C source defines, each mapped to whether it is static."""
+    source = re.sub(r"/\*.*?\*/|//[^\n]*|^#[^\n]*", "", source, flags=re.S | re.M)
+    source = re.sub(r"__attribute__\s*\(\([^()]*\)\)", "", source)
+    found = re.finditer(r"^([^\s{}][^;{}()]*?)\b(\w+)\s*\([^;{}]*\)\s*\{", source, re.M)
+    return {m.group(2): "static" in m.group(1).split() for m in found}
 
 
 def test_kernel_compile_flags_keep_ieee_arithmetic(tmp_path, monkeypatch):
@@ -476,7 +490,7 @@ def test_kernel_compile_flags_keep_ieee_arithmetic(tmp_path, monkeypatch):
         assert unsafe not in flags
     assert not any(flag.startswith("-march=") for flag in flags)
 
-    # both kernels are built by that one command, into one library
+    # every kernel is built by that one command, into one library
     builds = []
 
     def record(command, input, **_):
@@ -487,7 +501,12 @@ def test_kernel_compile_flags_keep_ieee_arithmetic(tmp_path, monkeypatch):
     assert native.load_library(cache_dir=tmp_path) is None
     [(command, source)] = builds
     assert command[1 : 1 + len(flags)] == list(flags)
-    assert b"void sdca_passes(" in source and b"void walk_values(" in source
+    # a non-static function is an entry point of the library: each must be
+    # one that some module binds, so an unused one fails here
+    functions = c_functions(source.decode())
+    assert {"coordinate_passes", "sdca_certificate", "walk_values"} <= set(functions)
+    entry_points = {name for name, static in functions.items() if not static}
+    assert entry_points == {"native_isa", "sdca_job", "walk_values"}
 
 
 @pytest.fixture(scope="module")
@@ -548,15 +567,14 @@ def test_cloned_kernels_give_the_plain_bodys_bytes(plain_library):
     assert exact_rows > 0
     cloned, plain = solver._kernel(), solver._bind_kernel(plain_library)
     assert cloned is not None and plain is not None
-    inputs = [*solver._probe_inputs(), *(
-        (*pass_inputs(n, 10, kind, loss, seed=n), solver._visit_orders(substream(n), 3, n))
+    cases = [*solver._probe_jobs(), *(
+        (loss, [(*job_inputs(n, 10, kind, seed=n), solver._visit_orders(substream(n), 3, n))])
         for n in (165, 440)  # a grid device's rows, odd and even
         for kind in ("interior", "bounds", "nan")
         for loss in (HINGE, SQUARED)
     )]
-    for args in inputs:
-        for a, b in zip(solver._kernel_passes(cloned, *args), solver._kernel_passes(plain, *args)):
-            assert a.tobytes() == b.tobytes()
+    for loss, jobs in cases:  # the coordinate loop and the certificate
+        assert solve_bytes(cloned, loss, jobs) == solve_bytes(plain, loss, jobs)
 
 
 def fixed_device_updates(k, loss_name, n=17):
