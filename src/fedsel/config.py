@@ -288,8 +288,9 @@ def build_config(values: dict[str, dict[str, object]]) -> ExperimentConfig:
                     f"data.{key}={data[key]} is read only by data.source={source!r}, "
                     f"not {data['source']!r}"
                 )
-    if orch["rounds"] < 0:
-        raise ConfigError(f"orchestrator.rounds must be >= 0, got {orch['rounds']}")
+    for key in ("rounds", "seed"):  # numpy seeds only non-negative integers
+        if orch[key] < 0:
+            raise ConfigError(f"orchestrator.{key} must be >= 0, got {orch[key]}")
     if orch["eval_every"] < 1:
         raise ConfigError(
             f"orchestrator.eval_every must be >= 1, got {orch['eval_every']}"

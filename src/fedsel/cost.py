@@ -116,7 +116,7 @@ def sample_profiles(
     the drawn SNR, which the profile's snr gives back only to rounding: the
     round trip tx = snr * N0 * B, then tx / (N0 * B), changed 32,318 of
     100,000 uniform draws from [1, 15] at B = 1 MHz in their last bits (at
-    most 2.4e-16 relative).
+    most 2.4e-16 relative). A compute or uplink time that overflows raises.
     """
     rng = substream(seed, PROFILES)
     noise_density = 1e-9
@@ -136,4 +136,7 @@ def sample_profiles(
             noise_density_w_hz=noise_density,
             bandwidth_hz=bandwidth_hz,
         )
+        times = compute_time(profiles[m]), comm_time(profiles[m])
+        if not np.isfinite(times).all():
+            raise ValueError(f"device {m}'s compute and uplink times must be finite, got {times}")
     return profiles

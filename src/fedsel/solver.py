@@ -96,8 +96,7 @@ class GlobalState:
 
     def consistency_error(self, features: np.ndarray, lam: float) -> float:
         """max-norm distance between phi and its recomputation from alpha."""
-        total = self.alpha.shape[0]
-        recomputed = np.asarray(features, dtype=np.float64).T @ self.alpha / (lam * total)
+        recomputed = primal_from_dual(self.alpha, features, lam)
         return float(np.max(np.abs(self.phi - recomputed), initial=0.0))
 
 
@@ -120,8 +119,7 @@ class LocalUpdate:
 def dual_objective(alpha, features, labels, loss: Loss, lam: float) -> float:
     """(1/D) sum_i -f_i*(-alpha_i) - (lambda/2)||phi(alpha)||^2."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    total = alpha.shape[0]
-    phi = np.asarray(features, dtype=np.float64).T @ alpha / (lam * total)
+    phi = primal_from_dual(alpha, features, lam)
     conj = loss.conjugate(-alpha, labels)
     return float(-np.mean(conj) - 0.5 * lam * phi @ phi)
 
@@ -136,8 +134,7 @@ def primal_objective(w, features, labels, loss: Loss, lam: float) -> float:
 def primal_from_dual(alpha, features, lam: float) -> np.ndarray:
     """w(alpha) = grad g*(phi(alpha)) = phi(alpha) for the L2 regularizer."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    total = alpha.shape[0]
-    return np.asarray(features, dtype=np.float64).T @ alpha / (lam * total)
+    return np.asarray(features, dtype=np.float64).T @ alpha / (lam * alpha.shape[0])
 
 
 def duality_gap(alpha, features, labels, loss: Loss, lam: float) -> float:

@@ -487,12 +487,11 @@ def tmc_estimate(
     then evaluates one prefix per non-truncated step except the last, which
     reuses the full-set value: at most delta_t * (len(players) - 1) + 2 calls.
 
-    With trunc_tol == 0 no walk depends on a value, so every walk but its
-    last member goes to one prefix_values call: after the empty and full
-    sets, value_fn values each walk's proper prefixes in walk order, or its
-    method `walk_values` (see CoalitionOracle) values them all at once, with
-    the same ledger and audit entries. With trunc_tol > 0 each prefix a
-    walk reaches is one value_fn call.
+    A walk's truncation point depends only on its own prefix values and the
+    full-set value, so a value_fn with the method `walk_values` (see
+    CoalitionOracle) values every walk's proper prefixes in one call, with
+    value_fn's bits, and each walk reads them up to its truncation point; no
+    call is made when every walk truncates at its first step.
     """
     players = tuple(game.players)
     if not players:
@@ -508,10 +507,9 @@ def tmc_estimate(
     empty_value = float(game.value_fn(()))
     full_value = float(game.value_fn(tuple(sorted(players))))
     perms = [tuple(np.random.default_rng((seed, t)).permutation(players)) for t in range(delta_t)]
-    precomputed = None
-    if trunc_tol == 0:
-        walks = [perm[:-1] for perm in perms]  # the full set's value is known
-        precomputed = iter([v for walk in prefix_values(game.value_fn, walks) for v in walk])
+    table = None
+    if hasattr(game.value_fn, "walk_values") and not abs(full_value - empty_value) < trunc_tol:
+        table = game.value_fn.walk_values([perm[:-1] for perm in perms])  # v(N) is known
     for t_prime, perm in enumerate(perms):
         previous = empty_value
         truncated_from = None
@@ -523,8 +521,8 @@ def tmc_estimate(
                     truncated_from = step
             elif step == n - 1:
                 current = full_value
-            elif precomputed is not None:
-                current = float(next(precomputed))
+            elif table is not None:
+                current = float(table[t_prime][step])
             else:
                 current = float(game.value_fn(tuple(sorted(perm[: step + 1]))))
             marginal = current - previous

@@ -149,6 +149,7 @@ def test_overrides_dotted_and_bare():
         ("orchestrator.policy=oracle", "policy"),
         ("solver.loss=logistic", "loss"),
         ("orchestrator.rounds=-1", "rounds"),
+        ("orchestrator.seed=-1", "orchestrator.seed"),
         ("orchestrator.eval_every=0", "eval_every"),
         ("data.num_devices=0", "num_devices"),
         ("data.source=csv", "data.source"),
@@ -321,6 +322,29 @@ def test_cli_run_refuses_an_infinite_value(key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "config error" in err and key in err and "finite" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_run_refuses_a_round_cost_that_overflows(tmp_path, capsys):
+    # finite ranges whose compute time overflows: no run writes cum_cost_s=inf
+    out = tmp_path / "run"
+    code = main([
+        "run", *TINY, "--quiet", "--out", str(out), "--set", "cost.cycles_per_bit_max=1e308",
+    ])
+    assert code == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "seed_args", [["--set", "orchestrator.seed=-1"], ["--seed", "-1"]]
+)
+def test_cli_run_refuses_a_negative_seed(seed_args, tmp_path, capsys):
+    # numpy seeds only non-negative integers, and its error names no key
+    code = main(["run", *TINY, "--quiet", "--out", str(tmp_path / "run"), *seed_args])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "orchestrator.seed" in err
     assert not (tmp_path / "run").exists()
 
 

@@ -142,3 +142,11 @@ def test_sampled_profiles_feed_the_cost_formulas():
         m: 2 * compute_time(profiles[m]) + comm_time(profiles[m]) for m in profiles
     }
     assert report.round_cost_s == max(expected.values())
+
+
+def test_sample_profiles_refuse_a_time_that_overflows():
+    # cycles_per_bit * data_bits overflows to inf, which every round cost would carry
+    with pytest.raises(ValueError, match="device 0's compute and uplink times must be finite"):
+        sample_profiles(3, [1] * 3, feature_count=5, seed=0, cycles_per_bit_range=(10.0, 1e308))
+    with pytest.raises(ValueError, match="device 2's"):
+        sample_profiles(3, [1, 1, 1e306], feature_count=5, seed=0)

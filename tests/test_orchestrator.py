@@ -3,6 +3,7 @@ import json
 import platform
 from dataclasses import fields, replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from fedsel.solver import (
 )
 from fedsel.valuation import CoalitionOracle
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 HP = Hyperparams(loss="smoothed_hinge", epochs=2, c_fraction=0.5, seed=3)
 # manifest.json's keys, in the order readers of earlier run directories saw them
 MANIFEST_KEYS = [
@@ -560,6 +562,33 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
             monkeypatch.undo()
     assert runs[0] == runs[1] == runs[2] == runs[3] and runs[4] == runs[5] == runs[6] == runs[7]
     assert runs[0] != runs[4]
+
+
+def test_truncated_walks_write_the_same_bytes_with_the_walk_kernel_off(tmp_path, monkeypatch):
+    # walks that truncate mid-walk read the kernel's batch only up to their stops
+    audit = []
+
+    def audited(*args, audit_sink, **kwargs):
+        return valuation.tmc_estimate(*args, audit_sink=audit.append, **kwargs)
+
+    monkeypatch.setattr(orch, "tmc_estimate", audited)
+    runs = []
+    for kernel in ("on", "off"):
+        if kernel == "off":
+            monkeypatch.setattr(valuation, "_walk_kernel", lambda: None)
+        out = tmp_path / kernel
+        code = main([
+            "run", "--quiet", "--config", str(CONFIGS / "synthetic_quick.ini"), "--out", str(out),
+            "--set", "valuation.trunc_tol=0.01", "--set", "valuation.delta_t=4",
+        ])
+        assert code == 0
+        runs.append((out / "metrics.csv").read_bytes())
+    assert runs[0] == runs[1]
+    half = len(audit) // 2
+    assert repr(audit[:half]) == repr(audit[half:])
+    assert any(
+        entry["truncated_from"] not in (None, 0, len(entry["permutation"]) - 1) for entry in audit
+    )
 
 
 def test_round_costs_accumulate():

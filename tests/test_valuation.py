@@ -1,4 +1,5 @@
 """Contribution estimation: ledger, coalition values, TMC vs exact Shapley."""
+import functools
 import json
 import multiprocessing
 import os
@@ -470,26 +471,87 @@ def test_batch_values_reject_unknown_members():
         oracle_game().walk_values([(1,), (4,)], (2,))
 
 
-@pytest.mark.parametrize("rule, total_devices", RULES)
-def test_tmc_batch_and_per_call_paths_agree(rule, total_devices):
-    oracle = oracle_game(rule, total_devices)
-    players = (1, 4, 6, 9, 12, 15)
+TRUNC_TOLS = (0.0, 0.001, 0.01, 0.05, float("inf"))
+GRID_PLAYERS = tuple(range(3, 63, 2))
+
+
+def climbing_oracle(n_val=301, dim=7, players=(1, 4, 6, 9, 12, 15)):
+    """A 10-class accepted-rule oracle whose member updates each lean towards
+    the model that labels the validation rows: accuracy climbs along a walk,
+    so a truncating walk stops partway."""
+    rng = np.random.default_rng(0)
+    features = rng.normal(size=(n_val, dim))
+    truth = rng.normal(size=(dim, 10))
+    labels = np.argmax(features @ truth, axis=1)
+    deltas = {m: 2 * truth + 3 * rng.normal(size=(dim, 10)) for m in players}
+    return CoalitionOracle(rng.normal(size=(dim, 10)), deltas, features, labels)
+
+
+@functools.cache
+def grid_oracle():
+    """A grid-sized climbing oracle: 30 members, 785 features x 10 classes,
+    5,000 validation rows."""
+    return climbing_oracle(5000, 785, GRID_PLAYERS)
+
+
+TMC_GAMES = ("accepted-None", "explored-None", "all-11", "grid")
+
+
+def tmc_game(name):
+    """(oracle, players) of a TMC_GAMES entry: the random oracle under the
+    aggregation rule and total the name spells, or the grid-sized oracle."""
+    if name == "grid":
+        return grid_oracle(), GRID_PLAYERS
+    rule, total = name.split("-")
+    return oracle_game(rule, None if total == "None" else int(total)), (1, 4, 6, 9, 12, 15)
+
+
+def tmc_cases(names):
+    """(game, trunc_tol) params: each named game at each of TRUNC_TOLS, the
+    untruncated case under the game's name alone."""
+    return [
+        pytest.param(name, tol, id=name if tol == 0 else f"{name}-{tol}")
+        for name in names
+        for tol in TRUNC_TOLS
+    ]
+
+
+class Recorded:
+    """An oracle that logs its per-subset calls and its walk_values batches."""
+
+    def __init__(self, oracle):
+        self.oracle, self.calls, self.batches = oracle, [], []
+
+    def __call__(self, subset):
+        self.calls.append(subset)
+        return self.oracle(subset)
+
+    def walk_values(self, walks, prefix=()):
+        self.batches.append((list(walks), prefix))
+        return self.oracle.walk_values(walks, prefix)
+
+
+def tmc_run(value_fn, players, trunc_tol, delta_t=7, seed=3):
+    """The ledger and the audit entries of one tmc_estimate call."""
+    audit = []
+    ledger = tmc_estimate(
+        CoalitionGame(players, value_fn), delta_t, trunc_tol, seed, audit_sink=audit.append
+    )
+    return ledger, audit
+
+
+@pytest.mark.parametrize("game, trunc_tol", tmc_cases(TMC_GAMES))
+def test_tmc_batch_and_per_call_paths_agree(game, trunc_tol):
+    oracle, players = tmc_game(game)
     calls = []
 
-    def plain(subset):  # no batch method: one call per prefix
+    def plain(subset):  # no batch method: one call per prefix a walk reaches
         calls.append(subset)
         return oracle(subset)
 
-    results = []
-    for value_fn in (oracle, plain):
-        audit = []
-        ledger = tmc_estimate(
-            CoalitionGame(players, value_fn), delta_t=7, trunc_tol=0.0, seed=3,
-            audit_sink=audit.append,
-        )
-        results.append((repr(ledger), audit))
-    assert results[0] == results[1]
-    assert len(calls) == 7 * (len(players) - 1) + 2
+    assert repr(tmc_run(oracle, players, trunc_tol)) == repr(tmc_run(plain, players, trunc_tol))
+    budget = 7 * (len(players) - 1) + 2
+    assert len(calls) == budget if trunc_tol == 0 else len(calls) <= budget
 
 
 def test_tmc_values_each_walk_in_order_without_a_batch_method():
@@ -510,46 +572,40 @@ def test_tmc_values_each_walk_in_order_without_a_batch_method():
     assert len(calls) == 5 * (len(players) - 1) + 2
 
 
-def test_tmc_batches_every_walk_in_one_call():
-    oracle = oracle_game()
+@pytest.mark.parametrize("game, trunc_tol", tmc_cases(["accepted-None", "grid"]))
+def test_tmc_batches_every_walk_in_one_call(game, trunc_tol):
+    oracle, players = tmc_game(game)
+    recorded = Recorded(oracle)
+    _, audit = tmc_run(recorded, players, trunc_tol, delta_t=5, seed=8)
+    assert recorded.calls == [(), tuple(sorted(players))]  # no per-prefix calls
+    if abs(audit[0]["full_value"] - audit[0]["empty_value"]) < trunc_tol:
+        assert recorded.batches == []  # every walk truncates at its first step
+    else:
+        # each walk but its last member: the full set's value is known
+        assert recorded.batches == [([tuple(entry["permutation"][:-1]) for entry in audit], ())]
+
+
+@pytest.mark.parametrize("trunc_tol", [0.01, 0.05])
+def test_tmc_truncating_walks_read_the_batch_up_to_their_stops(trunc_tol):
+    # the batch values every proper prefix, each walk reads it up to its
+    # stopping point, and a plain value_fn is called only that far
     players = (1, 4, 6, 9, 12, 15)
-    batches = []
+    oracle = climbing_oracle(players=players)
+    recorded, calls = Recorded(oracle), []
 
-    class Recorded:
-        def __call__(self, subset):
-            return oracle(subset)
+    def plain(subset):
+        calls.append(subset)
+        return oracle(subset)
 
-        def walk_values(self, walks, prefix=()):
-            batches.append(list(walks))
-            return oracle.walk_values(walks, prefix)
-
-    audit = []
-    tmc_estimate(
-        CoalitionGame(players, Recorded()), delta_t=5, trunc_tol=0.0, seed=8,
-        audit_sink=audit.append,
-    )
-    assert len(batches) == 1
-    # each walk but its last member: the full set's value is known
-    assert [list(walk) for walk in batches[0]] == [entry["permutation"][:-1] for entry in audit]
-
-
-def test_tmc_with_truncation_keeps_per_prefix_calls():
-    # a truncating walk's stopping point depends on the values it sees
-    oracle = oracle_game()
-    players = (1, 4, 6, 9, 12, 15)
-
-    class Unbatched:
-        def __call__(self, subset):
-            return oracle(subset)
-
-        def walk_values(self, walks, prefix=()):
-            raise AssertionError("a truncating walk must not batch")
-
-    for tol in (0.02, 0.05):
-        ledger = tmc_estimate(CoalitionGame(players, Unbatched()), 4, tol, seed=2)
-        plain = tmc_estimate(CoalitionGame(players, lambda s: oracle(s)), 4, tol, seed=2)
-        assert repr(ledger) == repr(plain)
-        assert set(ledger.counts.values()) == {4}
+    batched = tmc_run(recorded, players, trunc_tol)
+    assert repr(batched) == repr(tmc_run(plain, players, trunc_tol))
+    ledger, audit = batched
+    n = len(players)
+    stops = [entry["truncated_from"] for entry in audit]
+    assert any(stop is not None and 0 < stop < n - 1 for stop in stops)  # mid-walk
+    assert len(calls) == 2 + sum(n - 1 if stop is None else min(stop, n - 1) for stop in stops)
+    assert recorded.calls == [(), players] and len(recorded.batches) == 1
+    assert set(ledger.counts.values()) == {7}
 
 
 # -- walk values -----------------------------------------------------------------
