@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import DEFAULTS, ConfigError, ExperimentConfig, check_legal, load_config
 from .data import DataFormatError
 from .orchestrator import CSV_HEADER, Experiment, ExperimentResult, rounds_to_target
 from .selfcheck import SUITES, run_selfcheck
@@ -133,6 +133,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             seed_ints.append(int(s))
         except ValueError:
             raise ConfigError(f"seed {s!r} is not an integer") from None
+    # a legal accuracy target is one that orchestrator.stop_at_accuracy accepts
+    legal_accuracy = DEFAULTS["orchestrator"]["stop_at_accuracy"][2]
+    check_legal("--target-accuracy", args.target_accuracy, legal_accuracy)
 
     base = load_config(args.config, args.overrides, None, None, args.out)
     out_root = Path(base.out_dir) if base.out_dir else Path("compare_out")

@@ -1,10 +1,14 @@
-"""Experiment configuration: one defaults table, INI-style files, overrides.
+"""Experiment configuration: one key table, INI-style files, overrides.
 
 A config file is a sectioned key/value tree; sections mirror module names.
-Every key has exactly one default below, so a minimal file only states what
-it changes. `--set section.key=value` (or a bare key when unique) patches the
-parsed tree before validation. All validation failures raise ConfigError with
-the offending section.key; the CLI maps that to exit code 2.
+Every key has one entry in DEFAULTS: its type, its default, its legal values
+and the key value that reads it, so a minimal file only states what it
+changes. `--set section.key=value` (or a bare key when unique) patches the
+parsed tree before validation. `build_config` checks every key against its
+entry in one loop; besides that loop only two checks relate keys to each
+other (synthetic train size against devices, cost minimum against maximum).
+Every refusal raises ConfigError naming the offending section.key; the CLI
+maps that to exit code 2.
 """
 from __future__ import annotations
 
@@ -15,72 +19,75 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import SplitDataset, generate_synthetic, load_idx_split
-from .selection import KeepRule, SelectionPolicy
-from .solver import Hyperparams
+from .losses import LOSSES
+from .selection import KEEP_RULE_KINDS, POLICY_KINDS, KeepRule, SelectionPolicy
+from .solver import AGGREGATION_RULES, Hyperparams
 
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending key."""
 
 
-# type tags: int/float/bool/str plus opt_* variants where empty means None
-DEFAULTS: dict[str, dict[str, tuple[str, object]]] = {
+# Each key maps to (type tag, default, legal values, reader). Type tags are
+# int/float/bool/str plus opt_* variants where empty means None. Legal values
+# are an interval such as "(0, 1]" (an open inf end refuses infinity), a tuple
+# of choices, or None for any value of the type. The reader is None or the one
+# (section.key, value) under which the key is read; under any other value the
+# key must keep its default. Policy is never a reader: compare runs one config
+# under every policy.
+_IDX = ("data.source", "idx")
+_SYNTHETIC = ("data.source", "synthetic")
+DEFAULTS: dict[str, dict[str, tuple]] = {
     "data": {
-        "source": ("str", "idx"),  # idx | synthetic
-        "data_dir": ("opt_str", None),  # falls back to FEDSEL_DATA_DIR
-        "num_devices": ("int", 100),
-        "shards_per_device": ("int", 2),
-        "unbalanced": ("bool", False),
-        "validation_size": ("int", 5000),
-        "device_test_fraction": ("float", 0.2),
-        "synthetic_dim": ("int", 20),
-        "synthetic_train_size": ("int", 2000),
-        "synthetic_separation": ("float", 3.0),
+        "source": ("str", "idx", ("idx", "synthetic"), None),
+        "data_dir": ("opt_str", None, None, None),  # falls back to FEDSEL_DATA_DIR
+        "num_devices": ("int", 100, "[1, inf)", None),
+        "shards_per_device": ("int", 2, "[1, inf)", _IDX),
+        "unbalanced": ("bool", False, None, _IDX),
+        "validation_size": ("int", 5000, "[1, inf)", _IDX),
+        "device_test_fraction": ("float", 0.2, "[0, 1)", _IDX),
+        "synthetic_dim": ("int", 20, "[1, inf)", _SYNTHETIC),
+        "synthetic_train_size": ("int", 2000, "[1, inf)", _SYNTHETIC),
+        "synthetic_separation": ("float", 3.0, "[0, inf)", _SYNTHETIC),
     },
     "solver": {
-        "loss": ("str", "smoothed_hinge"),
-        "gamma": ("float", 1.0),
-        "reg_lambda": ("opt_float", None),  # empty means 1/D
-        "epochs": ("int", 10),
-        "aggregation_denominator": ("str", "accepted"),
+        "loss": ("str", "smoothed_hinge", tuple(LOSSES), None),
+        "gamma": ("float", 1.0, "(0, inf)", ("solver.loss", "smoothed_hinge")),
+        "reg_lambda": ("opt_float", None, "(0, inf)", None),  # empty means 1/D
+        "epochs": ("int", 10, "[1, inf)", None),
+        "aggregation_denominator": ("str", "accepted", AGGREGATION_RULES, None),
     },
     "selection": {
-        "c_fraction": ("float", 0.1),
-        "keep_rule": ("str", "positive"),
-        "keep_k": ("int", 1),
-        "keep_cutoff": ("float", 0.0),
-        "greedy_early_stop": ("bool", True),
-        "beta_persistence": ("bool", False),
+        "c_fraction": ("float", 0.1, "(0, 1]", None),
+        "keep_rule": ("str", "positive", KEEP_RULE_KINDS, None),
+        "keep_k": ("int", 1, "[1, inf)", ("selection.keep_rule", "top_k")),
+        "keep_cutoff": ("float", 0.0, "(-inf, inf)", ("selection.keep_rule", "threshold")),
+        "greedy_early_stop": ("bool", True, None, None),
+        "beta_persistence": ("bool", False, None, None),
     },
     "valuation": {
-        "delta_t": ("int", 1),
-        "trunc_tol": ("float", 0.0),
+        "delta_t": ("int", 1, "[1, inf)", None),
+        "trunc_tol": ("float", 0.0, "[0, inf]", None),  # inf truncates every walk at once
     },
     "cost": {
-        "cpu_freq_min_hz": ("float", 0.5e9),
-        "cpu_freq_max_hz": ("float", 10e9),
-        "cycles_per_bit_min": ("float", 10.0),
-        "cycles_per_bit_max": ("float", 40.0),
-        "snr_min": ("float", 1.0),
-        "snr_max": ("float", 15.0),
-        "bandwidth_hz": ("float", 1e6),
+        "cpu_freq_min_hz": ("float", 0.5e9, "(0, inf)", None),
+        "cpu_freq_max_hz": ("float", 10e9, "(0, inf)", None),
+        "cycles_per_bit_min": ("float", 10.0, "(0, inf)", None),
+        "cycles_per_bit_max": ("float", 40.0, "(0, inf)", None),
+        "snr_min": ("float", 1.0, "(0, inf)", None),
+        "snr_max": ("float", 15.0, "(0, inf)", None),
+        "bandwidth_hz": ("float", 1e6, "(0, inf)", None),
     },
     "orchestrator": {
-        "policy": ("str", "cds"),
-        "rounds": ("int", 50),
-        "seed": ("int", 1),
-        "eval_every": ("int", 1),
-        "theta_threshold": ("float", 0.5),
-        "stop_at_accuracy": ("opt_float", None),
-        "duality_gap_target": ("opt_float", None),
-        "out_dir": ("opt_str", None),
+        "policy": ("str", "cds", POLICY_KINDS, None),
+        "rounds": ("int", 50, "[0, inf)", None),
+        "seed": ("int", 1, "[0, inf)", None),  # numpy seeds only non-negative integers
+        "eval_every": ("int", 1, "[1, inf)", None),
+        "theta_threshold": ("float", 0.5, "[0, inf)", None),  # a risk is a mean loss
+        "stop_at_accuracy": ("opt_float", None, "(0, 1]", None),
+        "duality_gap_target": ("opt_float", None, "(0, inf)", None),
+        "out_dir": ("opt_str", None, None, None),
     },
-}
-
-# the [data] keys only one source reads; data_dir, a path, is accepted under both
-_SOURCE_KEYS = {
-    "idx": ("shards_per_device", "unbalanced", "validation_size", "device_test_fraction"),
-    "synthetic": ("synthetic_dim", "synthetic_train_size", "synthetic_separation"),
 }
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -116,7 +123,7 @@ def _coerce(section: str, key: str, tag: str, raw: str):
 
 def default_values() -> dict[str, dict[str, object]]:
     return {
-        section: {key: default for key, (_, default) in keys.items()}
+        section: {key: spec[1] for key, spec in keys.items()}
         for section, keys in DEFAULTS.items()
     }
 
@@ -230,25 +237,61 @@ class ExperimentConfig:
         )
 
 
+def check_legal(where: str, value, legal) -> None:
+    """Raise ConfigError naming `where` unless value is among legal (see DEFAULTS)."""
+    if legal is None:
+        return
+    if isinstance(legal, tuple):
+        if value not in legal:
+            raise ConfigError(f"{where} must be one of {legal}, got {value!r}")
+        return
+    lo, hi = (float(end) for end in legal[1:-1].split(","))
+    above = lo <= value if legal[0] == "[" else lo < value
+    below = value <= hi if legal[-1] == "]" else value < hi
+    if not (above and below):  # also false for NaN
+        raise ConfigError(f"{where} must be in {legal}, got {value}")
+
+
 def build_config(values: dict[str, dict[str, object]]) -> ExperimentConfig:
     """Turn a resolved key tree into validated runtime objects."""
-    s, sel, val, orch, data = (
+    for section, keys in DEFAULTS.items():
+        for key, (_, default, legal, reader) in keys.items():
+            value = values[section][key]
+            if value is not None:
+                check_legal(f"{section}.{key}", value, legal)
+            if reader is not None:
+                reader_name, wanted = reader
+                reader_section, _, reader_key = reader_name.partition(".")
+                read_as = values[reader_section][reader_key]
+                # a value the run never reads is refused rather than ignored
+                if read_as != wanted and value != default:
+                    raise ConfigError(
+                        f"{section}.{key}={value} is read only by {reader_name}={wanted!r}, "
+                        f"not {read_as!r}"
+                    )
+    s, sel, val, orch, data, cost = (
         values["solver"],
         values["selection"],
         values["valuation"],
         values["orchestrator"],
         values["data"],
+        values["cost"],
     )
-    # each gives NaN metrics when infinite: gamma and lambda the losses and
-    # gaps, the bandwidth the round costs, and the separation infinite blob
-    # centres, which scaling turns into NaN features
-    for section, key in (
-        ("solver", "gamma"), ("solver", "reg_lambda"), ("cost", "bandwidth_hz"),
-        ("data", "synthetic_separation"),
+    # every synthetic device holds at least one training sample
+    if data["source"] == "synthetic" and data["synthetic_train_size"] < data["num_devices"]:
+        raise ConfigError(
+            f"data.synthetic_train_size must be >= data.num_devices "
+            f"({data['num_devices']}), got {data['synthetic_train_size']}"
+        )
+    for lo_key, hi_key in (
+        ("cpu_freq_min_hz", "cpu_freq_max_hz"),
+        ("cycles_per_bit_min", "cycles_per_bit_max"),
+        ("snr_min", "snr_max"),
     ):
-        value = values[section][key]
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{section}.{key} must be finite, got {value}")
+        if cost[lo_key] > cost[hi_key]:
+            raise ConfigError(
+                f"cost.{lo_key}={cost[lo_key]} must be <= cost.{hi_key}={cost[hi_key]}"
+            )
     try:
         hyper = Hyperparams(
             loss=s["loss"],
@@ -263,7 +306,6 @@ def build_config(values: dict[str, dict[str, object]]) -> ExperimentConfig:
             seed=orch["seed"],
             aggregation_denominator=s["aggregation_denominator"],
         )
-        hyper.make_loss()  # force loss-name and gamma validation now, not mid-run
         keep = KeepRule(
             kind=sel["keep_rule"], k=sel["keep_k"], cutoff=sel["keep_cutoff"]
         )
@@ -275,58 +317,6 @@ def build_config(values: dict[str, dict[str, object]]) -> ExperimentConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    if data["source"] not in ("idx", "synthetic"):
-        raise ConfigError(
-            f"data.source must be 'idx' or 'synthetic', got {data['source']!r}"
-        )
-    # a value the chosen source never reads is refused rather than ignored
-    for source, keys in _SOURCE_KEYS.items():
-        for key in keys:
-            if source != data["source"] and data[key] != DEFAULTS["data"][key][1]:
-                raise ConfigError(
-                    f"data.{key}={data[key]} is read only by data.source={source!r}, "
-                    f"not {data['source']!r}"
-                )
-    for key in ("rounds", "seed"):  # numpy seeds only non-negative integers
-        if orch[key] < 0:
-            raise ConfigError(f"orchestrator.{key} must be >= 0, got {orch[key]}")
-    if orch["eval_every"] < 1:
-        raise ConfigError(
-            f"orchestrator.eval_every must be >= 1, got {orch['eval_every']}"
-        )
-    if data["num_devices"] < 1:
-        raise ConfigError(f"data.num_devices must be >= 1, got {data['num_devices']}")
-    if not 0 <= data["device_test_fraction"] < 1:
-        raise ConfigError(
-            f"data.device_test_fraction must be in [0, 1), "
-            f"got {data['device_test_fraction']}"
-        )
-    if data["source"] == "synthetic":
-        if data["synthetic_dim"] < 1:
-            raise ConfigError(f"data.synthetic_dim must be >= 1, got {data['synthetic_dim']}")
-        # every device holds at least one training sample
-        if data["synthetic_train_size"] < data["num_devices"]:
-            raise ConfigError(
-                f"data.synthetic_train_size must be >= data.num_devices "
-                f"({data['num_devices']}), got {data['synthetic_train_size']}"
-            )
-    cost = values["cost"]
-    for lo_key, hi_key in (
-        ("cpu_freq_min_hz", "cpu_freq_max_hz"),
-        ("cycles_per_bit_min", "cycles_per_bit_max"),
-        ("snr_min", "snr_max"),
-    ):
-        # profiles are drawn uniformly from each range, which must be finite
-        if not math.isfinite(cost[hi_key]):
-            raise ConfigError(f"cost.{hi_key} must be finite, got {cost[hi_key]}")
-        if not 0 < cost[lo_key] <= cost[hi_key]:
-            raise ConfigError(
-                f"cost.{lo_key}..{hi_key} must satisfy 0 < min <= max, "
-                f"got ({cost[lo_key]}, {cost[hi_key]})"
-            )
-    if cost["bandwidth_hz"] <= 0:
-        raise ConfigError(f"cost.bandwidth_hz must be > 0, got {cost['bandwidth_hz']}")
 
     return ExperimentConfig(
         hyper=hyper,

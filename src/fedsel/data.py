@@ -250,6 +250,9 @@ def shard_partition(
     n = len(labels)
     if n == 0:
         raise DataFormatError("cannot partition an empty sample list")
+    for name, count in (("num_devices", num_devices), ("shards_per_device", shards_per_device)):
+        if count < 1:
+            raise DataFormatError(f"shard_partition needs {name} >= 1, got {count}")
     num_shards = num_devices * shards_per_device
     if num_shards > n:
         raise DataFormatError(

@@ -1,5 +1,6 @@
 """Config parsing/validation and the command-line contract."""
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +107,7 @@ def test_config_coercion_errors(tmp_path):
 FLOAT_KEYS = [
     f"{section}.{key}"
     for section, keys in DEFAULTS.items()
-    for key, (tag, _) in keys.items()
+    for key, (tag, *_) in keys.items()
     if tag in ("float", "opt_float")
 ]
 
@@ -160,11 +161,19 @@ def test_overrides_dotted_and_bare():
         ("data.device_test_fraction=1.0", "device_test_fraction"),
         ("data.device_test_fraction=1.5", "device_test_fraction"),
         ("data.device_test_fraction=-0.5", "device_test_fraction"),
+        ("data.shards_per_device=-1", "data.shards_per_device"),
+        ("data.validation_size=0", "data.validation_size"),
+        ("orchestrator.theta_threshold=-1", "orchestrator.theta_threshold"),
+        ("orchestrator.stop_at_accuracy=-1", "orchestrator.stop_at_accuracy"),
+        ("orchestrator.stop_at_accuracy=1.5", "orchestrator.stop_at_accuracy"),
+        ("orchestrator.duality_gap_target=-1", "orchestrator.duality_gap_target"),
     ],
 )
 def test_build_config_validation(override, message):
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=message) as refused:
         load_config(None, [override])
+    # the message opens with the key it refuses, as section.key
+    assert str(refused.value).startswith(override.partition("=")[0])
 
 
 @pytest.mark.parametrize(
@@ -186,7 +195,7 @@ def test_keep_values_the_rule_never_reads_are_rejected(overrides):
 
 def test_gamma_under_the_squared_loss_is_rejected(capsys):
     overrides = ["solver.loss=squared", "solver.gamma=0.5"]
-    with pytest.raises(ConfigError, match="gamma=0.5 is read only by the smoothed_hinge"):
+    with pytest.raises(ConfigError, match=r"solver\.gamma=0\.5 is read only by solver\.loss="):
         load_config(None, overrides)
     assert main(["run", *[a for o in overrides for a in ("--set", o)]]) == 2
     assert "gamma" in capsys.readouterr().err
@@ -239,6 +248,86 @@ def test_data_values_the_source_reads_are_accepted():
     load_config(None, ["data.synthetic_dim=20", "data.data_dir=x"])
 
 
+def _just_outside(tag: str, legal: str) -> list[str]:
+    """The values just past each finite end of an interval such as "(0, 1]"."""
+    lo, hi = (float(end) for end in legal[1:-1].split(","))
+    outside = []
+    if math.isfinite(lo):
+        step = lo - 1 if tag == "int" else np.nextafter(lo, -np.inf)
+        outside.append(lo if legal[0] == "(" else step)
+    if math.isfinite(hi):
+        step = hi + 1 if tag == "int" else np.nextafter(hi, np.inf)
+        outside.append(hi if legal[-1] == ")" else step)
+    return [str(int(v)) if tag == "int" else repr(float(v)) for v in outside]
+
+
+def _other_value(tag: str, default) -> str:
+    """A legal value of the key that is not its default."""
+    if tag == "bool":
+        return str(not default).lower()
+    if tag == "int":
+        return str(default + 1)
+    return repr(default / 2 if default else 0.5)
+
+
+def _schema_cases() -> list[tuple[str, ...]]:
+    """Every key's refusal candidates, derived from its DEFAULTS entry."""
+    cases = []
+    for section, keys in DEFAULTS.items():
+        for key, (tag, default, legal, reader) in keys.items():
+            name = f"{section}.{key}"
+            raws = ["bogus"]
+            if tag.endswith("float"):
+                raws += ["nan", "inf", "-inf"]
+            if isinstance(legal, str):
+                raws += _just_outside(tag, legal)
+            cases += [(f"{name}={raw}",) for raw in raws]
+            if reader is not None:
+                reader_name, wanted = reader
+                reader_section, _, reader_key = reader_name.partition(".")
+                for unread in DEFAULTS[reader_section][reader_key][2]:
+                    if unread != wanted:
+                        cases.append(
+                            (f"{reader_name}={unread}", f"{name}={_other_value(tag, default)}")
+                        )
+    return cases
+
+
+# The cases that build a config, each with the reason it is legal.
+LEGAL_CASES = {
+    ("data.data_dir=bogus",): "a path, read when the split is built",
+    ("orchestrator.out_dir=bogus",): "a path the run creates",
+    ("valuation.trunc_tol=inf",): "every walk truncates at step 0",
+    # a key read only by some policies: compare runs one config under every policy
+    ("orchestrator.policy=greedy", "selection.c_fraction=0.5"): "greedy explores every device",
+    ("orchestrator.policy=random", "valuation.delta_t=5"): "only cds values contributions",
+    ("orchestrator.policy=random", "selection.keep_rule=threshold"): "only cds keeps by rule",
+    ("orchestrator.policy=greedy", "selection.beta_persistence=true"): "only cds keeps betas",
+    ("orchestrator.policy=cds", "selection.greedy_early_stop=false"): "only greedy stops early",
+}
+SCHEMA_CASES = _schema_cases()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    SCHEMA_CASES + [case for case in LEGAL_CASES if case not in SCHEMA_CASES],
+    ids=" ".join,
+)
+def test_every_key_refuses_what_its_entry_does_not_allow(overrides, tmp_path, capsys, monkeypatch):
+    # a case wrongly legal then stops at the empty data_dir, before any split is read
+    monkeypatch.delenv("FEDSEL_DATA_DIR", raising=False)
+    if overrides in LEGAL_CASES:
+        load_config(None, list(overrides))
+        return
+    # refused before any split is built: exit 2 naming the key, and no run directory
+    out = tmp_path / "run"
+    code = main(["run", "--out", str(out), *[a for o in overrides for a in ("--set", o)]])
+    key = overrides[-1].partition("=")[0]
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert not out.exists()
+
+
 def test_load_config_flag_patches():
     cfg = load_config(None, ["orchestrator.seed=5"], seed=9, policy="greedy", out_dir="x")
     assert cfg.hyper.seed == 9  # flags win over --set
@@ -259,6 +348,32 @@ def test_build_split_synthetic_and_missing_idx_dir(monkeypatch):
     monkeypatch.delenv("FEDSEL_DATA_DIR", raising=False)
     with pytest.raises(ConfigError, match="FEDSEL_DATA_DIR"):
         load_config(None, []).build_split()
+
+
+def test_readme_config_block_shows_every_key_with_its_entry(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    shown: dict[str, dict[str, str]] = {}
+    for line in block.splitlines():
+        if line.startswith("["):
+            section = shown.setdefault(line.strip("[]"), {})
+        elif line and not line.startswith("#"):
+            setting, _, comment = line.partition("#")
+            section[setting.partition("=")[0].strip()] = comment
+    assert {s: sorted(keys) for s, keys in shown.items()} == {
+        s: sorted(keys) for s, keys in DEFAULTS.items()
+    }
+    # each line states its key's legal values and reader, and its value is the default
+    for section, keys in DEFAULTS.items():
+        for key, (_, _, legal, reader) in keys.items():
+            comment = shown[section][key]
+            if legal is not None:
+                assert (legal if isinstance(legal, str) else " | ".join(legal)) in comment, key
+            if reader is not None:
+                assert f"read when {reader[0]} = {reader[1]}" in comment, key
+    path = tmp_path / "readme.ini"
+    path.write_text(block, encoding="utf-8")
+    assert read_config_file(path) == default_values()
 
 
 # -- CLI --------------------------------------------------------------------------
@@ -321,7 +436,7 @@ def test_cli_run_refuses_an_infinite_value(key, tmp_path, capsys):
     code = main(["run", *TINY, "--quiet", "--out", str(tmp_path / "run"), "--set", f"{key}=inf"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "config error" in err and key in err and "finite" in err
+    assert "config error" in err and f"{key} must be in" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -387,6 +502,16 @@ def test_cli_compare_merges_runs_and_dedups(tmp_path, capsys):
     assert len(summary) == 1 + 4
     assert (out / "cds_seed1" / "metrics.csv").exists()
     assert (out / "random_seed2" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("target", ["nan", "1.5", "-1", "0"])
+def test_cli_compare_refuses_an_accuracy_target_no_run_can_report(target, tmp_path, capsys):
+    # nan and 1.5 are never reached, and -1 and 0 are met by the initial model
+    out = tmp_path / "cmp"
+    code = main(["compare", *TINY, "--quiet", "--out", str(out), "--target-accuracy", target])
+    assert code == 2
+    assert "config error: --target-accuracy must be in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_compare_rejects_bad_seed(capsys):

@@ -102,6 +102,21 @@ def test_shard_partition_single_device():
     assert sorted(only.tolist()) == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ((0, 2), "num_devices >= 1, got 0"),
+        ((-1, 2), "num_devices >= 1, got -1"),
+        ((5, 0), "shards_per_device >= 1, got 0"),
+        ((5, -1), "shards_per_device >= 1, got -1"),
+    ],
+)
+def test_shard_partition_refuses_counts_below_one(counts, message):
+    # numpy's own error ("number sections must be larger than 0.") names no argument
+    with pytest.raises(DataFormatError, match=message):
+        shard_partition(np.arange(20) % 10, *counts, seed=1)
+
+
 def test_shard_partition_deterministic():
     labels = np.random.default_rng(2).integers(10, size=2000)
     a = shard_partition(labels, 20, 2, seed=9)
