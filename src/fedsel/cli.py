@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULTS, ConfigError, ExperimentConfig, check_legal, load_config
 from .data import DataFormatError
-from .orchestrator import CSV_HEADER, Experiment, ExperimentResult, rounds_to_target
+from .orchestrator import CSV_HEADER, Experiment, ExperimentResult, fast_paths, rounds_to_target
 from .selfcheck import SUITES, run_selfcheck
 
 
@@ -99,8 +99,15 @@ def _run(cfg: ExperimentConfig, split, out_dir, quiet: bool) -> ExperimentResult
     )
 
 
+def _warn_declined_fast_paths() -> None:
+    for name, record in fast_paths().items():
+        if record["status"] != "c":
+            print(f"warning: {name} falls back to numpy: {record['reason']}", file=sys.stderr)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.overrides, args.seed, args.policy, args.out)
+    _warn_declined_fast_paths()
     result = _run(cfg, cfg.build_split(), cfg.out_dir, args.quiet)
     last = result.metrics[-1]
     print(
@@ -140,6 +147,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     base = load_config(args.config, args.overrides, None, None, args.out)
     out_root = Path(base.out_dir) if base.out_dir else Path("compare_out")
     out_root.mkdir(parents=True, exist_ok=True)
+    _warn_declined_fast_paths()
 
     merged_lines: list[str] = []
     table: list[dict] = []

@@ -1,21 +1,21 @@
-"""Build, cache and load the compiled kernels.
+"""Build, cache and load the compiled kernels, and record which of them run.
 
 Every C source in SOURCES goes into one shared library, built on first use
-with `cc COMPILE_FLAGS` and cached in the package's __pycache__ under the
-SHA-256 of the sources and the compile command. The modules that use a
-kernel bind it from the library and check it against their numpy reference
-with their own probe, so a failed probe disables only that kernel. Without a
-compiler, or when the build or the load fails, there is no library and every
-kernel falls back to numpy.
+with `COMPILER COMPILE_FLAGS` and cached in the package's __pycache__ under
+the SHA-256 of the sources and the compile command. `kernel` binds each
+kernel once per process and checks it with its module's probe against the
+numpy reference, so a failed probe disables only that kernel; without a
+library every kernel falls back to numpy. FAST_PATHS records each outcome and
+why numpy runs. `lanes` and `run_concurrently` are the kernels' one fan-out.
 """
 from __future__ import annotations
 
 import ctypes
-import functools
 import hashlib
 import os
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ SOURCES = tuple(
 # AVX-512, AVX2 or baseline clone (see _isa.c). Each kernel starts on a 64-byte
 # boundary, so its loops sit where they would in a library of its own: 32
 # bytes further on, the coordinate loop ran 40% slower on an x86-64 host.
+COMPILER = "cc"
 COMPILE_FLAGS = ("-O3", "-ffp-contract=off", "-falign-functions=64", "-fPIC", "-shared")
 LIBRARY_PREFIX = "_native"
 # _sdca.*.so held the coordinate loop alone before the kernels shared a library
@@ -72,48 +73,109 @@ def _remove_stale_libraries(cache_dir: Path, keep: Path) -> None:
                     pass
 
 
-def load_library(compiler: str = "cc", cache_dir: Path | None = None) -> ctypes.CDLL | None:
-    """The kernels' shared library, or None when it cannot be built or loaded.
+def load_library(compiler: str = COMPILER, cache_dir: Path | None = None) -> ctypes.CDLL:
+    """The kernels' shared library, built with `compiler` where not cached.
 
     The library is cached in `cache_dir` (the package's __pycache__ by
     default); a fresh build there removes the libraries of other keys. When
     that directory is not writable it is built in a private temporary
-    directory instead. A missing or unreadable source also gives None.
+    directory instead. Raises OSError where the compiler is missing or a
+    source or the library cannot be read or loaded, and CalledProcessError
+    where the build fails.
     """
     command = [compiler, *COMPILE_FLAGS]
     cache_dir = Path(__file__).with_name("__pycache__") if cache_dir is None else Path(cache_dir)
-    try:
-        source = b"\n".join(path.read_bytes() for path in SOURCES)
-        key = hashlib.sha256(source + "\0".join(command).encode()).hexdigest()
-        target = cache_dir / f"{LIBRARY_PREFIX}.{key}.so"
-        if target.exists() or _writable(cache_dir):
-            if not target.exists():
-                _compile(source, command, target)
-                _remove_stale_libraries(cache_dir, keep=target)
-            return ctypes.CDLL(str(target))
-        with tempfile.TemporaryDirectory(prefix="fedsel-") as private:
-            target = Path(private) / target.name
+    source = b"\n".join(path.read_bytes() for path in SOURCES)
+    key = hashlib.sha256(source + "\0".join(command).encode()).hexdigest()
+    target = cache_dir / f"{LIBRARY_PREFIX}.{key}.so"
+    if target.exists() or _writable(cache_dir):
+        if not target.exists():
             _compile(source, command, target)
-            return ctypes.CDLL(str(target))  # stays mapped once the file is gone
-    except (OSError, subprocess.CalledProcessError):
-        return None
+            _remove_stale_libraries(cache_dir, keep=target)
+        return ctypes.CDLL(str(target))
+    with tempfile.TemporaryDirectory(prefix="fedsel-") as private:
+        target = Path(private) / target.name
+        _compile(source, command, target)
+        return ctypes.CDLL(str(target))  # stays mapped once the file is gone
 
 
-@functools.cache
+# name -> {"status": "c" or "numpy", "reason": None or why numpy runs}, the library's with "clone"
+FAST_PATHS: dict[str, dict] = {}
+_BOUND: dict[str, object] = {}  # name -> the library or kernel that runs, or None
+
+
 def library() -> ctypes.CDLL | None:
-    """The process's shared library, built or loaded on first use."""
-    return load_library()
+    """The process's shared library, built or loaded on first use, or None.
+
+    Recorded under "library" in FAST_PATHS, with the kernel clone the loader
+    binds on this CPU ("avx512f", "avx2" or "default") or the reason: "no
+    compiler", "build failed: " and the compiler's first stderr line (or its
+    exit status), or the read or load error."""
+    if "library" not in _BOUND:
+        lib = reason = clone = None
+        try:
+            lib = load_library(COMPILER)
+            clone = bind(lib, "native_isa", [], ctypes.c_char_p, callable)().decode()
+        except subprocess.CalledProcessError as error:
+            lines = (error.stderr or b"").decode(errors="replace").strip().splitlines()
+            reason = f"build failed: {lines[0] if lines else f'exit {error.returncode}'}"
+        except OSError as error:
+            missing = isinstance(error, FileNotFoundError) and error.filename == COMPILER
+            reason = "no compiler" if missing else str(error)
+        _BOUND["library"] = lib
+        FAST_PATHS["library"] = dict(status="numpy" if reason else "c", reason=reason, clone=clone)
+    return _BOUND["library"]
 
 
-def native_isa(lib: ctypes.CDLL | None) -> str | None:
-    """The kernel clone the loader binds in `lib` on this CPU: "avx512f",
-    "avx2" or "default", or None without a library."""
-    if lib is None:
-        return None
-    report = lib.native_isa
-    report.argtypes = []
-    report.restype = ctypes.c_char_p
-    return report().decode()
+def bind(lib: ctypes.CDLL, name: str, argtypes: list, restype, probe):
+    """lib's function `name`, typed, or None when probe(function) is false."""
+    function = getattr(lib, name)
+    function.argtypes, function.restype = argtypes, restype
+    return function if probe(function) else None
+
+
+def kernel(name: str, argtypes: list, restype, probe):
+    """The process's kernel `name`, bound and probed on first use (see bind), or None where
+    numpy runs; recorded in FAST_PATHS with the reason "no library" or "probe mismatch"."""
+    if name not in _BOUND:
+        lib = library()
+        function = None if lib is None else bind(lib, name, argtypes, restype, probe)
+        reason = "no library" if lib is None else "probe mismatch" if function is None else None
+        _BOUND[name] = function
+        FAST_PATHS[name] = dict(status="numpy" if reason else "c", reason=reason)
+    return _BOUND[name]
+
+
+def lanes() -> int:
+    """Most lanes one fan-out of compiled calls runs on: two per usable CPU
+    (see valuation.RANGE_WORK)."""
+    if hasattr(os, "sched_getaffinity"):
+        return 2 * len(os.sched_getaffinity(0))
+    return 2 * (os.cpu_count() or 1)  # no affinity call on this platform (macOS)
+
+
+def run_concurrently(calls) -> None:
+    """Run every call: the first on this thread, each other on a thread started
+    and joined here, so no thread outlives the call (a forked child inherits
+    none). An error on another thread is raised here once all have finished."""
+    errors = []
+
+    def run(call):
+        try:
+            call()
+        except Exception as error:  # handed to the calling thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=run, args=(call,)) for call in calls[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        calls[0]()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _openblas_symbols(name: str) -> tuple[str, ...]:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import native, products, solver
+from . import native, products, solver, valuation
 from .cost import sample_profiles, schedule_cost
 from .data import DeviceDataset, SplitDataset
 from .losses import Loss
@@ -38,20 +38,12 @@ from .solver import (
     _solve_columns,
     aggregation_count,
     apply_dual_update,
-    coordinate_backend,
     device_update_ovr,
     fenchel_gap,
     one_vs_rest_targets,
     scaled_gram,
 )
-from .valuation import (
-    CoalitionGame,
-    CoalitionOracle,
-    ContributionLedger,
-    tmc_estimate,
-    value_backend,
-    value_threads,
-)
+from .valuation import CoalitionGame, CoalitionOracle, ContributionLedger, tmc_estimate
 
 CSV_COLUMNS = (
     "round",
@@ -230,6 +222,8 @@ class Experiment:
     ):
         if eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if stop_at_accuracy is not None and not 0.0 < stop_at_accuracy <= 1.0:
+            raise ValueError(f"stop_at_accuracy must be in (0, 1], got {stop_at_accuracy}")
         self.split = split
         self.hyper = hyper
         self.policy = policy
@@ -530,6 +524,12 @@ class Experiment:
         )
 
 
+def fast_paths() -> dict:
+    """native.FAST_PATHS by name once both kernels are bound: the manifest's `fast_paths`."""
+    solver._kernel(), valuation._walk_kernel()
+    return {name: dict(record) for name, record in sorted(native.FAST_PATHS.items())}
+
+
 @dataclass(kw_only=True)
 class RunManifest:
     """Provenance record written before round 1 and finalized at exit;
@@ -542,10 +542,8 @@ class RunManifest:
     started_at: str
     finished_at: str | None = None
     status: str = "running"
-    solver_backend: str
-    value_backend: str
-    value_threads: int
-    native_isa: str | None
+    fast_paths: dict
+    lanes: int
     blas: dict
     python: str
     numpy: str
@@ -570,10 +568,8 @@ class RunManifest:
             config_digest=cls.digest(config),
             config=config,
             started_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            solver_backend=coordinate_backend(),
-            value_backend=value_backend(),
-            value_threads=value_threads(),
-            native_isa=native.native_isa(native.library()),
+            fast_paths=fast_paths(),
+            lanes=native.lanes(),
             blas=native.blas(),
             python=platform.python_version(),
             numpy=np.__version__,

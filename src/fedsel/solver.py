@@ -8,10 +8,10 @@ randomized coordinate ascent with exact closed-form steps; the server absorbs
 accepted increments into (alpha, phi) keeping the two consistent to machine
 precision. The devices a round explores are solved as one batch
 (_solve_columns): each device's coordinate loop and theta certificate run as
-one call of the compiled job sdca_job (_sdca.c, built on first use by
-fedsel.native) when a compiler is available and the job reproduces the numpy
-reference loop and certificate bit for bit; otherwise the numpy reference
-runs.
+one call of the compiled job sdca_job (_sdca.c), bound by fedsel.native
+when a compiler is available and the job reproduces the numpy reference loop
+and certificate bit for bit on its probe (_probe_matches); otherwise the
+numpy reference runs. native.FAST_PATHS records which ran and why.
 
 Conventions: feature matrices are row-per-sample (n, d); the dual dimension D
 is always the global training size, so every data term carries 1/D and the
@@ -63,6 +63,10 @@ class Hyperparams:
             raise ValueError(f"trunc_tol must be >= 0, got {self.trunc_tol}")
         if self.reg_lambda is not None and not self.reg_lambda > 0.0:
             raise ValueError(f"reg_lambda must be positive, got {self.reg_lambda}")
+        if not 0.0 <= self.theta_threshold < np.inf:  # also false for NaN
+            raise ValueError(f"theta_threshold must be in [0, inf), got {self.theta_threshold}")
+        if self.duality_gap_target is not None and not 0.0 < self.duality_gap_target < np.inf:
+            raise ValueError(f"duality_gap_target must be in (0, inf), got {self.duality_gap_target}")
         if self.aggregation_denominator not in AGGREGATION_RULES:
             raise ValueError(
                 f"aggregation_denominator must be one of {AGGREGATION_RULES}, "
@@ -193,20 +197,6 @@ def _coordinate_passes(labels_pm, alpha0, margins, gram_scaled, qii, loss, order
 _LOSS_CODES = {SmoothedHinge: 0, SquaredLoss: 1}
 
 
-def _bind_kernel(library):
-    """The compiled device job (sdca_job) from the shared library, or None
-    when there is no library or the job fails its probe."""
-    if library is None:
-        return None
-    job = library.sdca_job
-    job.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, native.I64, ctypes.c_int32,
-        ctypes.c_double, native.I64, *[native.F64] * 6,
-    ]
-    job.restype = ctypes.c_int
-    return job if _probe_matches(job) else None
-
-
 def _check_shapes(classes, alpha0, base, gram_scaled, qii, orders) -> None:
     """Refuse a job the compiled kernel would read out of bounds."""
     n, k = base.shape
@@ -250,7 +240,7 @@ def _local_solves(kernel, loss, jobs, lanes=None) -> list[tuple[np.ndarray, np.n
     orders), as _solve_columns prepares them; its targets are +1 in the
     column of the sample's class and -1 elsewhere. With the compiled
     kernel (sdca_job) each job is one call, and the calls run on at most
-    `lanes` lanes (value_threads() when None), balanced by their E * n^2
+    `lanes` lanes (native.lanes() when None), balanced by their E * n^2
     coordinate work; this thread allocates and checks every buffer first, so
     a lane calls nothing but the jobs. Without it the numpy reference runs
     here, job after job. A job reads and writes only its own buffers, so the
@@ -286,21 +276,19 @@ def _local_solves(kernel, loss, jobs, lanes=None) -> list[tuple[np.ndarray, np.n
 
 
 def _run_lanes(calls, work, lanes: int | None) -> None:
-    """Run the job calls on at most `lanes` lanes (value_threads() when
-    None), each running its calls in turn: largest work first, each to the
-    lane with the least work so far. The lanes run through valuation's
-    _run_concurrently, the first on this thread."""
-    from . import valuation  # valuation imports this module, so bind it at call time
-
+    """Run the job calls on at most `lanes` lanes (native.lanes() when None),
+    each running its calls in turn: largest work first, each to the lane
+    with the least work so far. The lanes run through
+    native.run_concurrently, the first on this thread."""
     if lanes is None:
-        lanes = valuation.value_threads() if len(calls) > 1 else 1
+        lanes = native.lanes() if len(calls) > 1 else 1
     loads = [0] * max(1, min(lanes, len(calls)))
     groups = [[] for _ in loads]
     for j in sorted(range(len(calls)), key=lambda j: -work[j]):
         lane = loads.index(min(loads))
         groups[lane].append(calls[j])
         loads[lane] += work[j]
-    valuation._run_concurrently([functools.partial(_run_jobs, group) for group in groups])
+    native.run_concurrently([functools.partial(_run_jobs, group) for group in groups])
 
 
 def _run_jobs(calls) -> None:
@@ -365,15 +353,12 @@ def _probe_matches(kernel) -> bool:
     return True
 
 
-@functools.cache
 def _kernel():
-    return _bind_kernel(native.library())
-
-
-def coordinate_backend() -> str:
-    """Which local solve runs: "c" for the verified compiled loop and
-    certificate, else "numpy"."""
-    return "numpy" if _kernel() is None else "c"
+    argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, native.I64, ctypes.c_int32,
+        ctypes.c_double, native.I64, *[native.F64] * 6,
+    ]
+    return native.kernel("sdca_job", argtypes, ctypes.c_int, _probe_matches)
 
 
 def _theta_from_certificate(improvement: np.ndarray, gap: np.ndarray) -> np.ndarray:
@@ -407,7 +392,7 @@ def _solve_columns(
        device: the Gram where not given, the row-major base margins and the
        E visit orders;
     2. _local_solves runs each device's coordinate passes and certificate
-       sums, on at most value_threads() lanes;
+       sums, on at most native.lanes() lanes;
     3. this thread computes delta_phi = feats.T @ rho / (lambda * D) and theta.
 
     Every buffer belongs to one device and every BLAS call is made on this

@@ -5,14 +5,14 @@ the server-validation accuracy of the model obtained by aggregating just that
 subset's updates. Contributions are running means of permutation marginals,
 estimated by truncated Monte-Carlo walks; a brute-force subset-enumeration
 Shapley implementation serves as the validation oracle for small games.
+CoalitionOracle.walk_values runs the walk kernel (_coalition.c) where
+fedsel.native binds it, else one numpy call per value.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,7 +68,7 @@ VALUE_BLOCK_ROWS = 64  # validation rows per block of the compiled walk kernel
 # and scoring. The calls follow the oracle's BLAS products, after which
 # OpenBLAS's idle worker busy-waits on one core (a grid pass burns twice its
 # wall time in CPU), so a call may run two ranges per usable CPU
-# (value_threads) and take a larger share of the cores from that worker. On
+# (native.lanes) and take a larger share of the cores from that worker. On
 # a 2-core AVX-512 host, with 4 ranges against 2, the six truncated
 # Monte-Carlo calls of a grid pass (146M each) took 0.31-0.32 s against
 # 0.43-0.45 s, and with RANGE_WORK at 4M against 16M (one range) the 13
@@ -156,7 +156,7 @@ class CoalitionOracle:
         the labels are not integers, or a base or member score is not finite
         (np.argmax ranks NaN first, the kernel does not). The rows are split
         into one range per RANGE_WORK of the call's work, at most
-        value_threads() of them.
+        native.lanes() of them.
         """
         prefix = tuple(prefix)
         if len({len(walk) for walk in walks}) > 1:
@@ -171,7 +171,7 @@ class CoalitionOracle:
         if kernel is None or not self._kernel_safe:
             return prefix_values(self.__call__, walks, prefix)  # a method has no walk_values
         work = self._base.size * (len(self._members) + 2 * len(walks) * len(walks[0]))
-        ranges = min(value_threads(), 1 + work // RANGE_WORK)
+        ranges = min(native.lanes(), 1 + work // RANGE_WORK)
         return self._kernel_walk_values(kernel, walks, ranges, prefix)[0]
 
     @functools.cached_property
@@ -217,7 +217,7 @@ class CoalitionOracle:
         exact_rows = np.empty(len(bounds), dtype=np.int64)
         itemsize = self._base.itemsize
         base = self._base.ctypes.data
-        _run_concurrently([
+        native.run_concurrently([
             functools.partial(
                 kernel, stop - start, k, n, VALUE_BLOCK_ROWS, base + start * itemsize,
                 members + np.uintp(start * itemsize), len(ids), labels[start:stop],
@@ -276,46 +276,6 @@ def _row_ranges(n: int, ranges: int) -> list[tuple[int, int]]:
     parts = max(1, min(ranges, blocks))
     edges = [min(n, blocks * p // parts * VALUE_BLOCK_ROWS) for p in range(parts + 1)]
     return list(zip(edges[:-1], edges[1:]))
-
-
-def _run_concurrently(calls) -> None:
-    """Run every call: the first on this thread, each other on a thread started
-    and joined here, so no thread outlives the call (a forked child inherits
-    none). An error on another thread is raised here once all have finished."""
-    errors = []
-
-    def run(call):
-        try:
-            call()
-        except Exception as error:  # handed to the calling thread
-            errors.append(error)
-
-    threads = [threading.Thread(target=run, args=(call,)) for call in calls[1:]]
-    for thread in threads:
-        thread.start()
-    try:
-        calls[0]()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
-def _bind_walk_kernel(library):
-    """The compiled walk kernel from the shared library, or None when there
-    is no library or the kernel fails its probe."""
-    if library is None:
-        return None
-    kernel = library.walk_values
-    kernel.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-        native.POINTERS,
-        ctypes.c_int64, native.I64, ctypes.c_int64, native.I64, ctypes.c_int64, ctypes.c_int64,
-        native.I64, native.F64, native.I64, native.I64, native.F64,
-    ]
-    kernel.restype = None
-    return kernel if _walk_probe_matches(kernel) else None
 
 
 def _walk_probe_matches(kernel) -> bool:
@@ -447,25 +407,14 @@ def _cancelling_prefix_game(n):
     return np.zeros((n, 2)), deltas, np.zeros(n, dtype=np.int64)
 
 
-@functools.cache
 def _walk_kernel():
-    return _bind_walk_kernel(native.library())
-
-
-def value_backend() -> str:
-    """Which path values coalitions: "c" when the walk kernel passed its
-    probe, else "numpy"."""
-    return "numpy" if _walk_kernel() is None else "c"
-
-
-def value_threads() -> int:
-    """Most threads one `walk_values` call runs the kernel on: two per usable
-    CPU (see RANGE_WORK), or 1 on the numpy path."""
-    if _walk_kernel() is None:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return 2 * len(os.sched_getaffinity(0))
-    return 2 * (os.cpu_count() or 1)  # no affinity call on this platform (macOS)
+    argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+        native.POINTERS,
+        ctypes.c_int64, native.I64, ctypes.c_int64, native.I64, ctypes.c_int64, ctypes.c_int64,
+        native.I64, native.F64, native.I64, native.I64, native.F64,
+    ]
+    return native.kernel("walk_values", argtypes, None, _walk_probe_matches)
 
 
 def tmc_estimate(

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from fedsel import native
 from fedsel.data import SplitDataset, write_synthetic_image_corpus
 
 # Frozen desk-scale corpus recipe; see the acceptance tests for the measured
@@ -79,6 +80,36 @@ def tiny_split(
         test_labels=test_y,
         num_classes=num_classes,
     )
+
+
+def force_numpy(monkeypatch, *names, reason="forced off"):
+    """Record each fast path in `names` as declined in native's registry, so
+    numpy runs in its place and a run's manifest says so; monkeypatch
+    restores the registry."""
+    for name in names:
+        monkeypatch.setitem(native._BOUND, name, None)
+        monkeypatch.setitem(native.FAST_PATHS, name, {"status": "numpy", "reason": reason})
+
+
+def fresh_fast_paths(monkeypatch):
+    """An empty registry in native, so the library and each kernel are bound
+    again on first use; monkeypatch restores the process's registry."""
+    monkeypatch.setattr(native, "FAST_PATHS", {})
+    monkeypatch.setattr(native, "_BOUND", {})
+
+
+def count_fan_outs(monkeypatch):
+    """A list that collects the number of lanes of every native.run_concurrently
+    call: a batch's local solves, or a walk-kernel pass's row ranges."""
+    counts = []
+    run = native.run_concurrently
+
+    def counting(calls):
+        counts.append(len(calls))
+        run(calls)
+
+    monkeypatch.setattr(native, "run_concurrently", counting)
+    return counts
 
 
 def random_game(n: int, seed: int):

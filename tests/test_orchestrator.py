@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import tiny_split
+from conftest import force_numpy, fresh_fast_paths, tiny_split
 
 import fedsel.orchestrator as orch
 from fedsel import native, products, solver, valuation
@@ -42,8 +42,8 @@ HP = Hyperparams(loss="smoothed_hinge", epochs=2, c_fraction=0.5, seed=3)
 # manifest.json's keys, in the order readers of earlier run directories saw them
 MANIFEST_KEYS = [
     "policy", "seed", "config_digest", "config", "started_at", "finished_at", "status",
-    "solver_backend", "value_backend", "value_threads", "native_isa", "blas", "python",
-    "numpy", "value_products", "rows_written", "stop_reason", "error", "outputs",
+    "fast_paths", "lanes", "blas", "python", "numpy", "value_products", "rows_written",
+    "stop_reason", "error", "outputs",
 ]
 
 
@@ -426,11 +426,16 @@ def test_zero_round_run_reports_only_the_initial_row(tmp_path):
     assert manifest["status"] == "complete"
     assert manifest["rows_written"] == 1
     assert manifest["stop_reason"] == "completed"
-    assert manifest["solver_backend"] == solver.coordinate_backend()
-    assert manifest["value_backend"] == valuation.value_backend()
-    assert manifest["value_threads"] == valuation.value_threads()
-    assert manifest["native_isa"] == native.native_isa(native.library())
-    assert manifest["native_isa"] in ("avx512f", "avx2", "default", None)
+    # the library's outcome and each kernel's, with the clone the library loaded
+    library, *kernels = manifest["fast_paths"].values()
+    assert manifest["fast_paths"] == orch.fast_paths()
+    assert list(manifest["fast_paths"]) == ["library", "sdca_job", "walk_values"]
+    assert list(library) == ["status", "reason", "clone"]
+    assert all(list(record) == ["status", "reason"] for record in kernels)
+    if native.library() is not None:
+        assert library == {"status": "c", "reason": None, "clone": library["clone"]}
+        assert library["clone"] in ("avx512f", "avx2", "default")
+    assert manifest["lanes"] == native.lanes() >= 2
     assert manifest["blas"] == native.blas()
     assert set(manifest["blas"]) == {"name", "version", "threads", "core"}
     assert manifest["python"] == platform.python_version()
@@ -455,10 +460,32 @@ def test_eval_every_skips_intermediate_rows_but_keeps_final():
 
 def test_accuracy_stop_target():
     split = tiny_split()
-    exp = Experiment(split, HP, SelectionPolicy(kind="random"), stop_at_accuracy=0.0)
+    # the least legal target: any accuracy above 0 reaches it
+    exp = Experiment(split, HP, SelectionPolicy(kind="random"), stop_at_accuracy=5e-324)
     result = exp.run(10)
     assert result.stop_reason == "accuracy_target"
     assert result.metrics[-1].round_index == 1
+
+
+@pytest.mark.parametrize(
+    "argument, value",
+    [
+        ("theta_threshold", -1.0), ("theta_threshold", np.inf), ("theta_threshold", np.nan),
+        ("duality_gap_target", -1.0), ("duality_gap_target", 0.0),
+        ("duality_gap_target", np.inf), ("duality_gap_target", np.nan),
+        ("stop_at_accuracy", -1.0), ("stop_at_accuracy", 0.0), ("stop_at_accuracy", 1.5),
+        ("stop_at_accuracy", np.nan),
+    ],
+)
+def test_library_refuses_what_the_config_table_refuses(argument, value):
+    # the intervals of config.DEFAULTS: theta_threshold [0, inf),
+    # duality_gap_target (0, inf) and stop_at_accuracy (0, 1], None allowed
+    # for the last two
+    with pytest.raises(ValueError, match=f"^{argument} must be in"):
+        if argument == "stop_at_accuracy":
+            Experiment(tiny_split(), HP, SelectionPolicy(kind="cds"), stop_at_accuracy=value)
+        else:
+            replace(HP, **{argument: value})
 
 
 def test_duality_gap_stop_target():
@@ -500,7 +527,7 @@ def test_failed_run_records_the_value_products_of_its_rounds(tmp_path, monkeypat
     def broken_cost(*args, **kwargs):  # after round 1's plan
         raise ValueError("cost model failed")
 
-    valuation.value_backend()  # the kernels' probes run unpatched
+    orch.fast_paths()  # the kernels' probes run unpatched
     monkeypatch.setattr(orch, "schedule_cost", broken_cost)
     # every probe passed (the bytes are not checked here), then every probe failed
     for verdict, recorded in ((True, "k_major"), (False, "row_major")):
@@ -534,25 +561,26 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
     for hp in (base, replace(base, loss="squared", aggregation_denominator="explored")):
         for backend in ("fan-out", "numpy", "one-range", "row-major"):
             if backend == "fan-out":  # every batch on three threads
-                monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+                monkeypatch.setattr(native.os, "sched_getaffinity", lambda pid: {0, 1, 2})
                 monkeypatch.setattr(valuation, "RANGE_WORK", 1)
             if backend == "numpy":
-                monkeypatch.setattr(solver, "_kernel", lambda: None)
-                monkeypatch.setattr(valuation, "_walk_kernel", lambda: None)
+                force_numpy(monkeypatch, "sdca_job", "walk_values")
             if backend == "one-range":  # as on a host with one usable CPU
-                monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid: {0})
+                monkeypatch.setattr(native.os, "sched_getaffinity", lambda pid: {0})
             if backend == "row-major":  # as on a BLAS whose class-major products differ
-                valuation.value_backend()  # the kernels' probes run unpatched
+                orch.fast_paths()  # the kernels' probes run unpatched
                 monkeypatch.setattr(products, "_SHAPES", {})
                 monkeypatch.setattr(products, "_same_bytes", lambda a, b: False)
             out = tmp_path / f"{hp.loss}-{backend}"
             kind = policy.split("-")[0]
             Experiment(split, hp, SelectionPolicy(kind=kind)).run(3, out_dir=out)
             manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["solver_backend"] == solver.coordinate_backend()
-            assert manifest["value_backend"] == valuation.value_backend()
-            assert manifest["value_threads"] == valuation.value_threads()
-            assert manifest["native_isa"] == native.native_isa(native.library())
+            assert manifest["fast_paths"] == orch.fast_paths()
+            if backend == "numpy":
+                forced = {"status": "numpy", "reason": "forced off"}
+                assert manifest["fast_paths"]["sdca_job"] == forced
+                assert manifest["fast_paths"]["walk_values"] == forced
+            assert manifest["lanes"] == native.lanes()
             assert manifest["blas"] == native.blas()
             if backend == "row-major":
                 assert manifest["value_products"] == "row_major"
@@ -575,7 +603,7 @@ def test_truncated_walks_write_the_same_bytes_with_the_walk_kernel_off(tmp_path,
     runs = []
     for kernel in ("on", "off"):
         if kernel == "off":
-            monkeypatch.setattr(valuation, "_walk_kernel", lambda: None)
+            force_numpy(monkeypatch, "walk_values")
         out = tmp_path / kernel
         code = main([
             "run", "--quiet", "--config", str(CONFIGS / "synthetic_quick.ini"), "--out", str(out),
@@ -589,6 +617,37 @@ def test_truncated_walks_write_the_same_bytes_with_the_walk_kernel_off(tmp_path,
     assert any(
         entry["truncated_from"] not in (None, 0, len(entry["permutation"]) - 1) for entry in audit
     )
+
+
+def test_runs_without_a_compiler_say_so_and_write_the_same_bytes(tmp_path, monkeypatch, capsys):
+    quick = ["--config", str(CONFIGS / "synthetic_quick.ini"), "--set", "orchestrator.rounds=4"]
+    assert main(["run", "--quiet", *quick, "--out", str(tmp_path / "compiled")]) == 0
+    compiled = capsys.readouterr()
+    fresh_fast_paths(monkeypatch)
+    monkeypatch.setattr(native, "COMPILER", str(tmp_path / "no-such-cc"))
+    assert main(["run", "--quiet", *quick, "--out", str(tmp_path / "numpy")]) == 0
+    declined = capsys.readouterr()
+    assert declined.out.split(" out=")[0] == compiled.out.split(" out=")[0]
+    assert declined.err.splitlines() == [
+        "warning: library falls back to numpy: no compiler",
+        "warning: sdca_job falls back to numpy: no library",
+        "warning: walk_values falls back to numpy: no library",
+    ]
+    manifest = json.loads((tmp_path / "numpy" / "manifest.json").read_text())
+    assert manifest["status"] == "complete"
+    assert manifest["fast_paths"]["library"] == {
+        "status": "numpy", "reason": "no compiler", "clone": None,
+    }
+    assert (tmp_path / "numpy" / "metrics.csv").read_bytes() == (
+        tmp_path / "compiled" / "metrics.csv"
+    ).read_bytes()
+    # compare warns once per declined path, not once per run
+    code = main([
+        "compare", "--quiet", *quick, "--policies", "cds,random", "--seeds", "1,2",
+        "--out", str(tmp_path / "sweep"),
+    ])
+    assert code == 0
+    assert capsys.readouterr().err == declined.err
 
 
 def test_round_costs_accumulate():

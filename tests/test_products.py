@@ -109,7 +109,7 @@ def test_class_major_bytes_that_differ_after_the_zero_model_stay_row_major(
 
     split = tiny_split()
     hp = Hyperparams(loss="smoothed_hinge", epochs=2, c_fraction=0.5, seed=3)
-    valuation.value_backend()  # the kernels' probes run unpatched
+    valuation._walk_kernel()  # the kernel's probe runs unpatched
     runs = []
     for name in ("row_major", "one_ulp_off"):
         with monkeypatch.context() as patch:
@@ -159,7 +159,7 @@ def test_synthetic_quick_metrics_equal_with_every_probe_failed(tmp_path, monkeyp
     runs = []
     for verdict in ("probed", "row_major"):
         if verdict == "row_major":
-            valuation.value_backend()  # the kernels' probes run unpatched
+            valuation._walk_kernel()  # the kernel's probe runs unpatched
             monkeypatch.setattr(products, "_SHAPES", {})
             monkeypatch.setattr(products, "_same_bytes", lambda a, b: False)
         out = tmp_path / verdict

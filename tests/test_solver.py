@@ -1,5 +1,6 @@
 """Dual solver contracts: objectives, gaps, device updates, aggregation."""
 import fnmatch
+import os
 import re
 import shutil
 from dataclasses import replace
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import count_fan_outs, force_numpy, fresh_fast_paths
 
-from fedsel import native, products, solver, valuation
+from fedsel import native, orchestrator, products, solver, valuation
 from fedsel.data import DeviceDataset
 from fedsel.losses import SmoothedHinge, SquaredLoss
 from fedsel.rng import substream
@@ -481,6 +483,7 @@ def c_functions(source: str) -> dict[str, bool]:
 
 
 def test_kernel_compile_flags_keep_ieee_arithmetic(tmp_path, monkeypatch):
+    bound = set(orchestrator.fast_paths()) - {"library"}  # every name the registry binds
     # no FMA contraction, no value-changing optimisation, no CPU-specific code:
     # a cached library may be loaded on another CPU, where the probe cannot
     # catch an illegal instruction
@@ -498,15 +501,18 @@ def test_kernel_compile_flags_keep_ieee_arithmetic(tmp_path, monkeypatch):
         raise native.subprocess.CalledProcessError(1, command)
 
     monkeypatch.setattr(native.subprocess, "run", record)
-    assert native.load_library(cache_dir=tmp_path) is None
+    with pytest.raises(native.subprocess.CalledProcessError):
+        native.load_library(cache_dir=tmp_path)
     [(command, source)] = builds
     assert command[1 : 1 + len(flags)] == list(flags)
-    # a non-static function is an entry point of the library: each must be
-    # one that some module binds, so an unused one fails here
+    # a non-static function is an entry point of the library: each but the
+    # clone report must be a kernel the registry binds, so an unused one
+    # fails here, and so does a bound name the library does not export
     functions = c_functions(source.decode())
     assert {"coordinate_passes", "sdca_certificate", "walk_values"} <= set(functions)
     entry_points = {name for name, static in functions.items() if not static}
     assert entry_points == {"native_isa", "sdca_job", "walk_values"}
+    assert entry_points - {"native_isa"} == bound
 
 
 @pytest.fixture(scope="module")
@@ -518,13 +524,27 @@ def plain_library(tmp_path_factory):
         return native.load_library(cache_dir=tmp_path_factory.mktemp("plain"))
 
 
+def plain_kernels(plain_library, monkeypatch):
+    """The plain library's sdca_job and walk_values, bound and probed by a
+    fresh registry that loads it (None on a probe mismatch); the process's
+    registry is back once the test ends."""
+    fresh_fast_paths(monkeypatch)
+    monkeypatch.setattr(native, "load_library", lambda compiler: plain_library)
+    return solver._kernel(), valuation._walk_kernel()
+
+
 @needs_compiler
-def test_kernels_built_without_target_clones_pass_both_probes(plain_library):
-    assert native.native_isa(native.library()) in ("avx512f", "avx2", "default")
-    assert native.native_isa(plain_library) == "default"
-    assert solver._bind_kernel(plain_library) is not None
-    assert valuation._bind_walk_kernel(plain_library) is not None
-    assert native.native_isa(None) is None
+def test_kernels_built_without_target_clones_pass_both_probes(plain_library, monkeypatch):
+    assert native.library() is not None
+    clone = native.FAST_PATHS["library"]["clone"]  # the body the loader binds on this CPU
+    assert clone in ("avx512f", "avx2", "default")
+    assert native.FAST_PATHS["library"] == {"status": "c", "reason": None, "clone": clone}
+    assert None not in plain_kernels(plain_library, monkeypatch)
+    assert orchestrator.fast_paths() == {
+        "library": {"status": "c", "reason": None, "clone": "default"},
+        "sdca_job": {"status": "c", "reason": None},
+        "walk_values": {"status": "c", "reason": None},
+    }
 
 
 def tmc_sized_game(n=640, members=30, classes=10, seed=41):
@@ -547,15 +567,16 @@ def tmc_sized_game(n=640, members=30, classes=10, seed=41):
 
 
 @needs_compiler
-def test_cloned_kernels_give_the_plain_bodys_bytes(plain_library):
-    # the body the loader binds here (see native_isa) against the baseline
+def test_cloned_kernels_give_the_plain_bodys_bytes(plain_library, monkeypatch):
+    # the body the loader binds here (the library's clone) against the baseline
     # body, on the probe games, a TMC-sized game with exact ties and a
     # split into more row ranges than CPUs
-    cloned, plain = valuation._walk_kernel(), valuation._bind_walk_kernel(plain_library)
+    cloned_job, cloned = solver._kernel(), valuation._walk_kernel()
+    plain_job, plain = plain_kernels(plain_library, monkeypatch)
     assert cloned is not None and plain is not None
     cases = [(oracle, walks, prefix, (1, 2)) for oracle, walks, prefix in valuation._probe_games()]
     oracle, walks = tmc_sized_game()
-    most = valuation.value_threads()  # two ranges per usable CPU
+    most = native.lanes()  # two ranges per usable CPU
     cases.append((oracle, walks, (), (1, most)))
     cases.append((oracle, [(m,) for m in range(10, 30)], tuple(range(10)), (1, most)))
     exact_rows = 0
@@ -565,7 +586,7 @@ def test_cloned_kernels_give_the_plain_bodys_bytes(plain_library):
             assert got == oracle._kernel_walk_values(plain, walks, 1, prefix), parts
             exact_rows += got[1]
     assert exact_rows > 0
-    cloned, plain = solver._kernel(), solver._bind_kernel(plain_library)
+    cloned, plain = cloned_job, plain_job
     assert cloned is not None and plain is not None
     cases = [*solver._probe_jobs(), *(
         (loss, [(*job_inputs(n, 10, kind, seed=n), solver._visit_orders(substream(n), 3, n))])
@@ -606,10 +627,10 @@ def update_bytes(updates):
 @pytest.mark.parametrize("k", [1, 10])
 @pytest.mark.parametrize("loss_name", ["smoothed_hinge", "squared"])
 def test_device_updates_equal_across_backends(monkeypatch, loss_name, k):
-    assert solver.coordinate_backend() == "c"
+    assert solver._kernel() is not None
     compiled = update_bytes(fixed_device_updates(k, loss_name))
-    monkeypatch.setattr(solver, "_kernel", lambda: None)
-    assert solver.coordinate_backend() == "numpy"
+    force_numpy(monkeypatch, "sdca_job")
+    assert solver._kernel() is None
     assert update_bytes(fixed_device_updates(k, loss_name)) == compiled
 
 
@@ -697,23 +718,16 @@ def test_batch_matches_the_numpy_reference_on_every_lane_count(monkeypatch, loss
         ]
 
     # the kernels' probes fan out before the count starts
-    backend, most = solver.coordinate_backend(), valuation.value_threads()
-    lanes = []
-    fan_out = valuation._run_concurrently
-
-    def counted(calls):
-        lanes.append(len(calls))
-        fan_out(calls)
-
-    monkeypatch.setattr(valuation, "_run_concurrently", counted)
+    kernel, most = solver._kernel(), native.lanes()
+    lanes = count_fan_outs(monkeypatch)
     probes = [
         (loss, jobs, solver._local_solves(None, loss, jobs, 1))
         for loss, jobs in solver._probe_jobs()
     ]
     if shutil.which("cc") is not None:  # a built job must pass its probe
-        assert backend == "c"
+        assert kernel is not None
         for count in range(1, most + 1):
-            monkeypatch.setattr(valuation, "value_threads", lambda: count)
+            monkeypatch.setattr(native, "lanes", lambda: count)
             assert solved() == expected, count
             for loss, jobs, reference in probes:
                 got = solver._local_solves(solver._kernel(), loss, jobs, count)
@@ -726,41 +740,97 @@ def test_batch_matches_the_numpy_reference_on_every_lane_count(monkeypatch, loss
             for count in range(1, most + 1)
             for jobs in (len(devices), *(len(jobs) for _, jobs, _ in probes))
         ]
-    monkeypatch.setattr(solver, "_kernel", lambda: None)  # the compiled job forced off
-    assert solver.coordinate_backend() == "numpy"
+    force_numpy(monkeypatch, "sdca_job")  # the compiled job forced off
+    assert solver._kernel() is None
     assert solved() == expected
 
 
 @needs_compiler
-def test_certificate_probe_mismatch_falls_back_to_numpy(tmp_path, monkeypatch):
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+def test_local_solves_fan_out_without_the_walk_kernel(monkeypatch):
+    # the lane count is the process's, not the walk kernel's: with the walk
+    # kernel declined, a round's compiled solves still fan out
+    hp = Hyperparams(loss="smoothed_hinge", gamma=0.5, reg_lambda=0.01, epochs=3)
+    devices, phi_cols, alpha_rows, classes = batch_inputs(10)
+    assert solver._kernel() is not None  # its probe runs before the count starts
+    most = native.lanes()
+    force_numpy(monkeypatch, "walk_values")
+    lanes = count_fan_outs(monkeypatch)
+
+    def solved():
+        return [
+            [u.rho.tobytes(), u.delta_phi.tobytes(), u.achieved_theta.tobytes()]
+            for u in batch_updates(devices, phi_cols, alpha_rows, classes, hp)
+        ]
+
+    fanned_out = solved()
+    monkeypatch.setattr(native, "lanes", lambda: 1)
+    assert fanned_out == solved()
+    assert lanes == [min(most, len(devices)), 1]
+
+
+def assert_only_sdca_job_declined(reason):
+    """The registry, once both kernels are bound, holds the library and the
+    walk kernel as compiled and sdca_job as declined for `reason`."""
+    paths = orchestrator.fast_paths()  # what a run's manifest records
+    assert paths["library"]["status"] == paths["walk_values"]["status"] == "c"
+    assert paths["sdca_job"] == {"status": "numpy", "reason": reason}
+
+
+@needs_compiler
+def test_certificate_probe_mismatch_falls_back_to_numpy(monkeypatch):
     reference = update_bytes(fixed_device_updates(10, "smoothed_hinge"))
     exact = solver._certificate_sums
 
     def one_ulp_off(*args):  # stands in for a miscompiled certificate
         return np.nextafter(exact(*args), np.inf)
 
+    fresh_fast_paths(monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_certificate_sums", one_ulp_off)
-        kernels = solver._bind_kernel(native.load_library(cache_dir=tmp_path))
-    assert kernels is None
-    monkeypatch.setattr(solver, "_kernel", lambda: kernels)
-    assert solver.coordinate_backend() == "numpy"  # the manifest's solver_backend
+        assert solver._kernel() is None
+    assert_only_sdca_job_declined("probe mismatch")
     assert update_bytes(fixed_device_updates(10, "smoothed_hinge")) == reference
 
 
 def test_missing_compiler_falls_back_to_numpy(tmp_path, monkeypatch):
     reference = update_bytes(fixed_device_updates(10, "smoothed_hinge"))
     missing = str(tmp_path / "no-such-cc")
-    monkeypatch.setattr(
-        solver, "_kernel", lambda: solver._bind_kernel(native.load_library(missing, tmp_path))
-    )
-    assert solver.coordinate_backend() == "numpy"
-    assert update_bytes(fixed_device_updates(10, "smoothed_hinge")) == reference
+    with pytest.raises(FileNotFoundError):
+        native.load_library(missing, tmp_path)
     assert list(tmp_path.iterdir()) == []  # no partial library left behind
+    fresh_fast_paths(monkeypatch)
+    monkeypatch.setattr(native, "COMPILER", missing)
+    assert solver._kernel() is None
+    assert orchestrator.fast_paths() == {
+        "library": {"status": "numpy", "reason": "no compiler", "clone": None},
+        "sdca_job": {"status": "numpy", "reason": "no library"},
+        "walk_values": {"status": "numpy", "reason": "no library"},
+    }
+    assert update_bytes(fixed_device_updates(10, "smoothed_hinge")) == reference
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the stub compiler is a shell script")
+def test_failed_build_records_the_compilers_first_stderr_line(tmp_path, monkeypatch):
+    stub = tmp_path / "stub-cc"
+    stub.write_text("#!/bin/sh\necho 'stub-cc: no such target' >&2\nexit 1\n")
+    stub.chmod(0o755)
+    fresh_fast_paths(monkeypatch)
+    monkeypatch.setattr(native, "COMPILER", str(stub))
+    assert native.library() is None
+    assert native.FAST_PATHS == {
+        "library": {"status": "numpy", "reason": "build failed: stub-cc: no such target",
+                    "clone": None},
+    }
+    # a build that fails without a word is named by its exit status
+    stub.write_text("#!/bin/sh\nexit 3\n")
+    fresh_fast_paths(monkeypatch)
+    assert native.library() is None
+    assert native.FAST_PATHS["library"]["reason"] == "build failed: exit 3"
 
 
 @needs_compiler
-def test_probe_mismatch_falls_back_to_numpy(tmp_path, monkeypatch):
+def test_probe_mismatch_falls_back_to_numpy(monkeypatch):
     reference = update_bytes(fixed_device_updates(10, "smoothed_hinge"))
     exact = solver._coordinate_passes
 
@@ -768,12 +838,11 @@ def test_probe_mismatch_falls_back_to_numpy(tmp_path, monkeypatch):
         rho, margins = exact(*args)
         return np.nextafter(rho, np.inf), margins
 
+    fresh_fast_paths(monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_coordinate_passes", one_ulp_off)
-        kernel = solver._bind_kernel(native.load_library(cache_dir=tmp_path))
-    assert kernel is None
-    monkeypatch.setattr(solver, "_kernel", lambda: kernel)
-    assert solver.coordinate_backend() == "numpy"
+        assert solver._kernel() is None
+    assert_only_sdca_job_declined("probe mismatch")
     assert update_bytes(fixed_device_updates(10, "smoothed_hinge")) == reference
 
 
@@ -817,8 +886,13 @@ def test_fresh_kernel_build_removes_stale_libraries(tmp_path):
 def test_missing_kernel_source_gives_no_library(tmp_path, monkeypatch):
     # as in an installed package that left a source out
     monkeypatch.setattr(native, "SOURCES", (*native.SOURCES, tmp_path / "_missing.c"))
-    assert native.load_library(cache_dir=tmp_path / "cache") is None
+    with pytest.raises(FileNotFoundError):
+        native.load_library(cache_dir=tmp_path / "cache")
     assert not (tmp_path / "cache").exists()
+    fresh_fast_paths(monkeypatch)
+    assert native.library() is None
+    reason = native.FAST_PATHS["library"]["reason"]
+    assert reason != "no compiler" and "_missing.c" in reason
 
 
 def test_blas_facts_that_cannot_be_read_are_none(monkeypatch):

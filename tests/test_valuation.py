@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_game
+from conftest import count_fan_outs, force_numpy, fresh_fast_paths, random_game
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,7 +189,7 @@ def random_walks(players, walks, seed=0):
 @pytest.mark.parametrize("rule, total_devices", RULES)
 def test_batch_values_equal_calls_on_walk_prefixes(rule, total_devices):
     # a sweep after every prefix of five walks, and a walk's own chosen order
-    assert valuation.value_backend() == "c"
+    assert valuation._walk_kernel() is not None
     players = (1, 4, 6, 9, 12, 15)
     for n_val in (1, 64, 301):  # one row, one full block, and a partial last block
         oracle = oracle_game(rule, total_devices, n_val=n_val)
@@ -219,24 +219,11 @@ def test_batch_values_equal_calls_across_row_ranges(n_val):
                 assert exact_rows == 0  # random scores: every row is certified
 
 
-def count_ranges(monkeypatch):
-    """A list that collects the number of row ranges of every kernel pass."""
-    ranges = []
-    run = valuation._run_concurrently
-
-    def counting(calls):
-        ranges.append(len(calls))
-        run(calls)
-
-    monkeypatch.setattr(valuation, "_run_concurrently", counting)
-    return ranges
-
-
 @needs_compiler
 def test_batch_values_fan_out_only_with_enough_work(monkeypatch):
     assert valuation._walk_kernel() is not None  # its probe runs before the count starts
-    ranges = count_ranges(monkeypatch)
-    monkeypatch.setattr(valuation, "value_threads", lambda: 3)
+    ranges = count_fan_outs(monkeypatch)
+    monkeypatch.setattr(native, "lanes", lambda: 3)
     oracle = oracle_game(n_val=301)  # 5 blocks
     walks, prefix = sweep((1, 4, 6, 9, 12, 15), (4, 12)), (4, 12)
     expected = walk_calls(oracle, walks, prefix)
@@ -268,7 +255,7 @@ def test_run_concurrently_raises_a_thread_error_after_joining_all():
 
     before = threading.active_count()
     with pytest.raises(ValueError, match="range 1 failed"):
-        valuation._run_concurrently(
+        native.run_concurrently(
             [lambda: finished.append(0), fail, lambda: finished.append(2)]
         )
     assert sorted(finished) == [0, 2]
@@ -282,7 +269,7 @@ def _values_in_child(oracle, walks, prefix, conn):
 
 @needs_compiler
 def test_batch_values_finish_in_a_forked_child(monkeypatch):
-    monkeypatch.setattr(valuation, "value_threads", lambda: 3)
+    monkeypatch.setattr(native, "lanes", lambda: 3)
     monkeypatch.setattr(valuation, "RANGE_WORK", 1)
     oracle = oracle_game(n_val=301)
     walks, prefix = sweep((1, 4, 6, 9, 12, 15), (6,)), (6,)
@@ -379,8 +366,8 @@ def test_greedy_through_the_kernel_picks_as_per_call_greedy(
     monkeypatch, rule, total_devices, ranges
 ):
     assert valuation._walk_kernel() is not None  # its probe runs before the count starts
-    passes = count_ranges(monkeypatch)
-    monkeypatch.setattr(valuation, "value_threads", lambda: ranges)
+    passes = count_fan_outs(monkeypatch)
+    monkeypatch.setattr(native, "lanes", lambda: ranges)
     monkeypatch.setattr(valuation, "RANGE_WORK", 1)
     sweeps = []
     walk_values = CoalitionOracle.walk_values
@@ -454,9 +441,8 @@ def test_labels_the_kernel_cannot_read_take_the_numpy_path(monkeypatch):
 def test_forced_numpy_fallback_gives_the_same_values(monkeypatch):
     cases = sweeps_after((1, 4, 6, 9, 12, 15), [(), *walk_prefixes((1, 4, 6, 9, 12, 15), 4)])
     expected = [oracle_game("all", 11).walk_values(walks, prefix) for walks, prefix in cases]
-    monkeypatch.setattr(valuation, "_walk_kernel", lambda: None)
-    assert valuation.value_backend() == "numpy"
-    assert valuation.value_threads() == 1
+    force_numpy(monkeypatch, "walk_values")
+    assert valuation._walk_kernel() is None
     oracle = oracle_game("all", 11)
     kernel_unused(oracle, monkeypatch)
     assert [oracle.walk_values(walks, prefix) for walks, prefix in cases] == expected
@@ -701,8 +687,8 @@ def test_walk_values_equal_calls_at_extreme_scales(scale):
 @needs_compiler
 def test_walk_values_fan_out_only_with_enough_work(monkeypatch):
     assert valuation._walk_kernel() is not None  # its probe runs before the count starts
-    ranges = count_ranges(monkeypatch)
-    monkeypatch.setattr(valuation, "value_threads", lambda: 3)
+    ranges = count_fan_outs(monkeypatch)
+    monkeypatch.setattr(native, "lanes", lambda: 3)
     oracle = oracle_game(n_val=301)  # 5 blocks
     perms = random_walks((1, 4, 6, 9, 12, 15), 5)
     expected = walk_calls(oracle, perms)
@@ -717,40 +703,44 @@ def test_walk_values_fan_out_only_with_enough_work(monkeypatch):
 @needs_compiler
 def test_a_call_runs_at_most_two_ranges_per_usable_cpu(monkeypatch):
     assert valuation._walk_kernel() is not None  # its probe runs before the count starts
-    ranges = count_ranges(monkeypatch)
+    ranges = count_fan_outs(monkeypatch)
     monkeypatch.setattr(valuation, "RANGE_WORK", 1)
     oracle = oracle_game(n_val=301)  # 5 blocks
     perms = random_walks((1, 4, 6, 9, 12, 15), 5)
     expected = walk_calls(oracle, perms)
     for cpus in ({0}, {0, 1}, {0, 1, 2}):
-        monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        assert valuation.value_threads() == 2 * len(cpus)
+        monkeypatch.setattr(native.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert native.lanes() == 2 * len(cpus)
         assert oracle.walk_values(perms) == expected
     assert ranges == [2, 4, 5]  # never more ranges than blocks
 
 
 @needs_compiler
 def test_walk_probe_scores_two_row_ranges_on_one_cpu(monkeypatch):
-    monkeypatch.setattr(valuation.os, "sched_getaffinity", lambda pid: {0})
-    ranges = count_ranges(monkeypatch)
-    assert valuation._bind_walk_kernel(native.library()) is not None
+    monkeypatch.setattr(native.os, "sched_getaffinity", lambda pid: {0})
+    fresh_fast_paths(monkeypatch)
+    ranges = count_fan_outs(monkeypatch)
+    assert valuation._walk_kernel() is not None
     assert max(ranges) >= 2
 
 
 @needs_compiler
 def test_walk_probe_mismatch_disables_only_the_walk_kernel(monkeypatch):
-    library = native.library()
     exact = CoalitionOracle._kernel_walk_values
 
     def one_row_off(self, *args):  # stands in for a miscompiled kernel
         values, exact_rows = exact(self, *args)
         return [[v + 1.0 / len(self._labels) for v in walk] for walk in values], exact_rows
 
+    fresh_fast_paths(monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(CoalitionOracle, "_kernel_walk_values", one_row_off)
-        assert valuation._bind_walk_kernel(library) is None
-    assert valuation._bind_walk_kernel(library) is not None
-    assert solver._bind_kernel(library) is not None
+        assert valuation._walk_kernel() is None
+    assert valuation._walk_kernel() is None  # probed once per process
+    assert solver._kernel() is not None
+    assert native.FAST_PATHS["walk_values"] == {"status": "numpy", "reason": "probe mismatch"}
+    assert native.FAST_PATHS["sdca_job"] == {"status": "c", "reason": None}
+    assert native.FAST_PATHS["library"]["status"] == "c"
 
 
 def test_walk_values_reject_bad_walks():
@@ -784,7 +774,7 @@ def test_walk_values_with_non_finite_scores_take_the_numpy_path(monkeypatch, poi
 def test_forced_numpy_fallback_gives_the_same_walk_values(monkeypatch):
     perms = random_walks((1, 4, 6, 9, 12, 15), 4)
     expected = oracle_game("explored").walk_values(perms)
-    monkeypatch.setattr(valuation, "_walk_kernel", lambda: None)
+    force_numpy(monkeypatch, "walk_values")
     oracle = oracle_game("explored")
     kernel_unused(oracle, monkeypatch)
     assert oracle.walk_values(perms) == expected == walk_calls(oracle, perms)
@@ -908,7 +898,7 @@ def test_probe_mismatch_keeps_per_member_products(monkeypatch):
     perms = random_walks(tuple(deltas), 3)
     sweeps = sweeps_after(tuple(deltas), [(), *walk_prefixes(tuple(deltas), 2)])
     reference = CoalitionOracle(phi, deltas, features, labels, "explored")
-    valuation.value_backend()  # binds the kernel: its probe builds oracles too
+    valuation._walk_kernel()  # binds the kernel: its probe builds oracles too
     probes = []
     monkeypatch.setattr(products, "_SHAPES", {})
     monkeypatch.setattr(products, "_same_bytes", recording_probe(probes, False))
