@@ -159,7 +159,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 # one split per seed; every policy sees identical data and
                 # identical exploration draws, so comparisons are paired
                 split = cfg.build_split()
-            result = _run(cfg, split, out_root / f"{policy}_seed{seed}", args.quiet)
+            try:
+                result = _run(cfg, split, out_root / f"{policy}_seed{seed}", args.quiet)
+            except Exception as exc:
+                # the run's manifest says "failed"; the sweep goes on
+                print(
+                    f"failed policy={policy} seed={seed}: {type(exc).__name__}: {exc}",
+                    file=sys.stderr,
+                )
+                table.append({"policy": policy, "seed": seed, "status": "failed"})
+                continue
             merged_lines.extend(f"{seed},{m.csv_line()}" for m in result.metrics)
             reached = rounds_to_target(result.metrics, args.target_accuracy)
             cost = next(
@@ -177,6 +186,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     "rounds": reached,
                     "cost": cost,
                     "final_acc": result.metrics[-1].test_acc,
+                    "status": "complete",
                 }
             )
             if not args.quiet:
@@ -194,25 +204,35 @@ def cmd_compare(args: argparse.Namespace) -> int:
     target_col = f"rounds_to_{args.target_accuracy:g}"
     summary_path = out_root / "summary.csv"
     with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(f"policy,seed,{target_col},cum_cost_at_target_s,final_acc\n")
+        fh.write(f"policy,seed,{target_col},cum_cost_at_target_s,final_acc,status\n")
         for entry in table:
+            if entry["status"] == "failed":
+                fh.write(f"{entry['policy']},{entry['seed']},,,,failed\n")
+                continue
             rounds = "" if entry["rounds"] is None else entry["rounds"]
             fh.write(
                 f"{entry['policy']},{entry['seed']},{rounds},"
-                f"{repr(entry['cost'])},{repr(entry['final_acc'])}\n"
+                f"{repr(entry['cost'])},{repr(entry['final_acc'])},complete\n"
             )
 
     print(f"\n{'policy':<8} median_{target_col:<16} median_cost_at_target_s")
     for policy in policies:
-        reached = [e["rounds"] for e in table if e["policy"] == policy]
-        costs = [e["cost"] for e in table if e["policy"] == policy]
-        if any(r is None for r in reached):
+        done = [e for e in table if e["policy"] == policy and e["status"] == "complete"]
+        reached = [e["rounds"] for e in done]
+        costs = [e["cost"] for e in done]
+        if not done:
+            med_r, med_c = "failed", "n/a"
+        elif any(r is None for r in reached):
             med_r, med_c = "never", "n/a"
         else:
             med_r = f"{np.median(reached):g}"
             med_c = f"{np.median(costs):.3f}"
         print(f"{policy:<8} {med_r:<23} {med_c}")
     print(f"merged CSV: {merged_path}\nsummary CSV: {summary_path}")
+    failed = sum(e["status"] == "failed" for e in table)
+    if failed:
+        print(f"{failed} of {len(table)} runs failed", file=sys.stderr)
+        return 1
     return 0
 
 

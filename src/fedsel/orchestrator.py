@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
+import sys
 import time
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
@@ -252,9 +253,12 @@ class Experiment:
             **(cost_ranges or {}),
         )
 
-        # every device's Gram matrix over lambda*D once computed: 8 * sum(n_m^2)
-        # bytes at most, which is no more than 8 * D * max(n_m)
+        # each device's Gram matrix over lambda*D, from its first local solve:
+        # inside run() until its last scheduled one (_last_solve), so no Gram
+        # is built twice and none outlives its use; kept for the Experiment's
+        # life when run_round is driven by hand
         self._gram_cache: dict[int, np.ndarray] = {}
+        self._last_solve: dict[int, int] | None = None
         self._persistent_ledger: ContributionLedger | None = (
             ContributionLedger() if policy.beta_persistence else None
         )
@@ -360,6 +364,10 @@ class Experiment:
         """
         explored = self._explored(round_index)
         updates = self._device_updates(round_index, explored, state)
+        if self._last_solve is not None:
+            for m in explored:
+                if self._last_solve[m] == round_index:
+                    del self._gram_cache[m]
         deltas = {m: u.delta_phi for m, u in updates.items()}
         plan = self._plan(round_index, explored, state.phi, deltas)
         count = aggregation_count(
@@ -440,6 +448,7 @@ class Experiment:
     ) -> ExperimentResult:
         if rounds < 0:
             raise ValueError("rounds must be >= 0")
+        started = time.monotonic()
         out = Path(out_dir) if out_dir is not None else None
         manifest = None
         csv_handle = None
@@ -475,6 +484,8 @@ class Experiment:
                 )
 
         try:
+            # the explored sets never read the model: the schedule is known now
+            self._last_solve = {m: t for t in range(1, rounds + 1) for m in self._explored(t)}
             emit(self.evaluate(state, 0, None, 0.0, 0.0))
             for t in range(1, rounds + 1):
                 state, plan = self.run_round(state, t)
@@ -502,14 +513,19 @@ class Experiment:
                         break
         except BaseException as exc:
             if manifest is not None:
-                manifest.fail(out, exc, len(metrics), value_products())
+                manifest.fail(
+                    out, exc, len(metrics), value_products(), time.monotonic() - started
+                )
             raise
         finally:
+            self._last_solve = None
+            self._gram_cache.clear()
             if csv_handle is not None:
                 csv_handle.close()
         if manifest is not None:
             manifest.finalize(
-                out, stop_reason, len(metrics), value_products=value_products()
+                out, stop_reason, len(metrics), value_products=value_products(),
+                wall_s=time.monotonic() - started,
             )
         return ExperimentResult(
             policy=self.policy.kind,
@@ -552,6 +568,8 @@ class RunManifest:
     stop_reason: str | None = None
     error: str | None = None
     outputs: tuple[str, ...] = ()
+    wall_s: float | None = None
+    peak_rss_mib: float | None = None
 
     PATH = "manifest.json"
 
@@ -587,6 +605,7 @@ class RunManifest:
         rows: int,
         status: str = "complete",
         value_products: str | None = None,
+        wall_s: float | None = None,
     ) -> None:
         self.status = status
         self.value_products = value_products
@@ -594,11 +613,29 @@ class RunManifest:
         self.stop_reason = stop_reason
         self.rows_written = rows
         self.outputs = ("metrics.csv", self.PATH)
+        self.wall_s = wall_s
+        self.peak_rss_mib = _peak_rss_mib()
         self.write(out)
 
     def fail(
-        self, out: Path, exc: BaseException, rows: int, value_products: str | None = None
+        self,
+        out: Path,
+        exc: BaseException,
+        rows: int,
+        value_products: str | None = None,
+        wall_s: float | None = None,
     ) -> None:
         """Record a run that raised: the error and the rows written before it."""
         self.error = f"{type(exc).__name__}: {exc}"
-        self.finalize(out, None, rows, "failed", value_products)
+        self.finalize(out, None, rows, "failed", value_products, wall_s)
+
+
+def _peak_rss_mib() -> float | None:
+    """The whole process's peak resident set so far, in MiB; None without `resource`."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts bytes on macOS and KiB on Linux
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10

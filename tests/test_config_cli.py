@@ -16,6 +16,7 @@ from fedsel.config import (
     load_config,
     read_config_file,
 )
+from fedsel.orchestrator import Experiment
 from fedsel.selfcheck import run_selfcheck
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
@@ -498,10 +499,46 @@ def test_cli_compare_merges_runs_and_dedups(tmp_path, capsys):
             want.extend(f"{seed},{row}" for row in rows)
     assert merged == ["seed," + header, *want]
     summary = (out / "summary.csv").read_text().splitlines()
-    assert summary[0] == "policy,seed,rounds_to_0.5,cum_cost_at_target_s,final_acc"
+    assert summary[0] == "policy,seed,rounds_to_0.5,cum_cost_at_target_s,final_acc,status"
     assert len(summary) == 1 + 4
+    assert all(line.endswith(",complete") for line in summary[1:])
     assert (out / "cds_seed1" / "metrics.csv").exists()
     assert (out / "random_seed2" / "manifest.json").exists()
+
+
+def test_cli_compare_keeps_going_after_a_failed_run(tmp_path, capsys, monkeypatch):
+    run_round = Experiment.run_round
+
+    def failing(self, state, round_index):
+        if self.policy.kind == "random" and self.hyper.seed == 1 and round_index == 2:
+            raise ValueError("local solve diverged")
+        return run_round(self, state, round_index)
+
+    monkeypatch.setattr(Experiment, "run_round", failing)
+    out = tmp_path / "cmp"
+    code = main([
+        "compare", *TINY, "--quiet", "--out", str(out),
+        "--policies", "cds,random", "--seeds", "1,2", "--target-accuracy", "0.5",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "failed policy=random seed=1: ValueError: local solve diverged" in captured.err
+    manifest = json.loads((out / "random_seed1" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+
+    # the three runs that finished, as in their own metrics.csv
+    merged = (out / "merged_metrics.csv").read_text().splitlines()
+    want = []
+    for policy, seed in (("cds", 1), ("cds", 2), ("random", 2)):
+        header, *rows = (out / f"{policy}_seed{seed}" / "metrics.csv").read_text().splitlines()
+        want.extend(f"{seed},{row}" for row in rows)
+    assert merged == ["seed," + header, *want]
+    summary = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()]
+    assert [(row[0], row[1], row[-1]) for row in summary[1:]] == [
+        ("cds", "1", "complete"), ("random", "1", "failed"),
+        ("cds", "2", "complete"), ("random", "2", "complete"),
+    ]
+    assert summary[2] == ["random", "1", "", "", "", "failed"]
 
 
 @pytest.mark.parametrize("target", ["nan", "1.5", "-1", "0"])

@@ -1,6 +1,8 @@
 """Round-loop behavior: evaluation, pairing, aggregation, stopping, reporting."""
 import json
 import platform
+import resource
+import sys
 from dataclasses import fields, replace
 from itertools import combinations
 from pathlib import Path
@@ -34,6 +36,7 @@ from fedsel.solver import (
     apply_dual_update,
     device_update_ovr,
     one_vs_rest_targets,
+    scaled_gram,
 )
 from fedsel.valuation import CoalitionOracle
 
@@ -43,7 +46,7 @@ HP = Hyperparams(loss="smoothed_hinge", epochs=2, c_fraction=0.5, seed=3)
 MANIFEST_KEYS = [
     "policy", "seed", "config_digest", "config", "started_at", "finished_at", "status",
     "fast_paths", "lanes", "blas", "python", "numpy", "value_products", "rows_written",
-    "stop_reason", "error", "outputs",
+    "stop_reason", "error", "outputs", "wall_s", "peak_rss_mib",
 ]
 
 
@@ -442,6 +445,18 @@ def test_zero_round_run_reports_only_the_initial_row(tmp_path):
     assert manifest["numpy"] == np.__version__
     # the round-0 evaluation scores the zero model: +0.0 without a product
     assert manifest["value_products"] is None
+    assert 0.0 < manifest["wall_s"] < 60.0
+    # ru_maxrss is in KiB on Linux, and the process's peak only grows
+    assert 0.0 < manifest["peak_rss_mib"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def test_peak_rss_reads_the_platforms_unit_and_is_null_without_resource(monkeypatch):
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert kib / 1024 <= orch._peak_rss_mib() < kib / 1024 + 64
+    monkeypatch.setattr(orch.sys, "platform", "darwin")  # ru_maxrss counts bytes there
+    assert orch._peak_rss_mib() == pytest.approx(kib / 2**20, rel=0.1)
+    monkeypatch.setitem(sys.modules, "resource", None)  # import raises ImportError
+    assert orch._peak_rss_mib() is None
 
 
 def test_run_rejects_negative_rounds_and_bad_eval_every():
@@ -511,6 +526,7 @@ def test_crashed_run_marks_its_manifest_failed(tmp_path, monkeypatch):
     assert manifest["rows_written"] == 1  # the round-0 row, written before round 1
     assert manifest["stop_reason"] is None
     assert manifest["value_products"] is None  # round 0 scores the zero model without one
+    assert manifest["wall_s"] > 0.0 and manifest["peak_rss_mib"] > 0.0
     assert len((out / "metrics.csv").read_text().splitlines()) == 2
 
     cli_out = tmp_path / "cli"
@@ -539,6 +555,96 @@ def test_failed_run_records_the_value_products_of_its_rounds(tmp_path, monkeypat
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["value_products"] == recorded
+
+
+def manual_rows(exp, rounds):
+    """The rows of exp.run(rounds) from run_round and evaluate called by
+    hand, which keeps every Gram it builds."""
+    state = GlobalState.zeros(exp.split.feature_dim, exp.total_samples, exp.num_classes)
+    rows = [exp.evaluate(state, 0, None, 0.0, 0.0)]
+    cum_cost = 0.0
+    for t in range(1, rounds + 1):
+        state, plan = exp.run_round(state, t)
+        report = orch.schedule_cost(
+            exp.profiles, plan.explored, epochs=exp.hyper.epochs, cumulative_before=cum_cost
+        )
+        cum_cost = report.cumulative_s
+        rows.append(exp.evaluate(state, t, plan, report.round_cost_s, cum_cost))
+    return rows
+
+
+def gram_lifetimes(monkeypatch, split):
+    """Record the device of each Gram build and the cached devices after each round."""
+    owners = {id(device.features): device.device_id for device in split.devices}
+    built, held = [], {}
+
+    def counted(features, *args):
+        built.append(owners[id(features)])
+        return scaled_gram(features, *args)
+
+    run_round = Experiment.run_round
+
+    def recorded(self, state, round_index):
+        result = run_round(self, state, round_index)
+        held[round_index] = set(self._gram_cache)
+        return result
+
+    monkeypatch.setattr(orch, "scaled_gram", counted)
+    monkeypatch.setattr(Experiment, "run_round", recorded)
+    return built, held
+
+
+def explored_between(exp, first, last):
+    return set().union(*(exp._explored(t) for t in range(first, last + 1)))
+
+
+ROUNDS = 5
+
+
+@pytest.mark.parametrize("kind", ["cds", "random", "greedy"])
+def test_run_holds_each_gram_until_its_devices_last_scheduled_round(kind, monkeypatch):
+    split = tiny_split(num_devices=8)
+    hp = replace(HP, c_fraction=0.25)
+    reference = Experiment(split, hp, SelectionPolicy(kind=kind))
+    want = manual_rows(reference, ROUNDS)
+    scheduled = explored_between(reference, 1, ROUNDS)
+    # a hand-driven round loop has no schedule and drops no Gram
+    assert set(reference._gram_cache) == scheduled
+
+    built, held = gram_lifetimes(monkeypatch, split)
+    exp = Experiment(split, hp, SelectionPolicy(kind=kind))
+    result = exp.run(ROUNDS)
+    assert [repr(row) for row in result.metrics] == [repr(row) for row in want]
+    assert sorted(built) == sorted(scheduled)  # no Gram is built twice
+    for t in range(1, ROUNDS + 1):
+        assert held[t] == explored_between(exp, 1, t) & explored_between(exp, t + 1, ROUNDS)
+    # some Gram is held past its first round, so reuse is exercised
+    assert any(held[t] for t in range(1, ROUNDS))
+    assert exp._gram_cache == {}
+
+
+@pytest.mark.parametrize("kind", ["cds", "random", "greedy"])
+def test_run_drops_every_gram_when_it_stops_early_or_raises(kind, monkeypatch):
+    split = tiny_split(num_devices=8)
+    hp = replace(HP, c_fraction=0.25)
+    built, held = gram_lifetimes(monkeypatch, split)
+    # the least legal target: round 1 reaches it
+    exp = Experiment(split, hp, SelectionPolicy(kind=kind), stop_at_accuracy=5e-324)
+    assert exp.run(ROUNDS).stop_reason == "accuracy_target"
+    assert list(held) == [1]
+    assert held[1] == set(exp._explored(1)) & explored_between(exp, 2, ROUNDS) != set()
+    assert exp._gram_cache == {}
+
+    def broken_cost(*args, **kwargs):  # after round 1's solves
+        raise ValueError("cost model failed")
+
+    monkeypatch.setattr(orch, "schedule_cost", broken_cost)
+    held.clear()
+    exp = Experiment(split, hp, SelectionPolicy(kind=kind))
+    with pytest.raises(ValueError, match="cost model"):
+        exp.run(ROUNDS)
+    assert held[1] != set()
+    assert exp._gram_cache == {}
 
 
 def test_rerun_is_byte_identical_and_seed_sensitive():
