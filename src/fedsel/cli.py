@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -484,33 +484,36 @@ class Experiment:
                 )
 
         try:
-            # the explored sets never read the model: the schedule is known now
-            self._last_solve = {m: t for t in range(1, rounds + 1) for m in self._explored(t)}
-            emit(self.evaluate(state, 0, None, 0.0, 0.0))
-            for t in range(1, rounds + 1):
-                state, plan = self.run_round(state, t)
-                report = schedule_cost(
-                    self.profiles,
-                    plan.explored,
-                    epochs=self.hyper.epochs,
-                    cumulative_before=cum_cost,
-                )
-                cum_cost = report.cumulative_s
-                if t % self.eval_every == 0 or t == rounds:
-                    row = self.evaluate(state, t, plan, report.round_cost_s, cum_cost)
-                    emit(row)
-                    if (
-                        self.stop_at_accuracy is not None
-                        and row.test_acc >= self.stop_at_accuracy
-                    ):
-                        stop_reason = "accuracy_target"
-                        break
-                    if (
-                        self.hyper.duality_gap_target is not None
-                        and row.duality_gap <= self.hyper.duality_gap_target
-                    ):
-                        stop_reason = "duality_gap_target"
-                        break
+            # a floating-point fault fails the run instead of writing garbage;
+            # underflow to a subnormal or zero stays silent
+            with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+                # the explored sets never read the model: the schedule is known now
+                self._last_solve = {m: t for t in range(1, rounds + 1) for m in self._explored(t)}
+                emit(self.evaluate(state, 0, None, 0.0, 0.0))
+                for t in range(1, rounds + 1):
+                    state, plan = self.run_round(state, t)
+                    report = schedule_cost(
+                        self.profiles,
+                        plan.explored,
+                        epochs=self.hyper.epochs,
+                        cumulative_before=cum_cost,
+                    )
+                    cum_cost = report.cumulative_s
+                    if t % self.eval_every == 0 or t == rounds:
+                        row = self.evaluate(state, t, plan, report.round_cost_s, cum_cost)
+                        emit(row)
+                        if (
+                            self.stop_at_accuracy is not None
+                            and row.test_acc >= self.stop_at_accuracy
+                        ):
+                            stop_reason = "accuracy_target"
+                            break
+                        if (
+                            self.hyper.duality_gap_target is not None
+                            and row.duality_gap <= self.hyper.duality_gap_target
+                        ):
+                            stop_reason = "duality_gap_target"
+                            break
         except BaseException as exc:
             if manifest is not None:
                 manifest.fail(

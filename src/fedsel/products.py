@@ -10,9 +10,11 @@ shapes (44,001 rows: 56.6 -> 42.6 ms with SkylakeX kernels) and had its
 bytes, but not at every shape: at 44 to 165 rows some scores differed. So
 every shape is probed in the process against the row-major products, on
 its first use with a nonzero weight block, and a shape whose bytes differ
-stays on them, transposed. The products of a device's few rows stay
-row-major (row_major_scores). The zero model's products are not computed
-at all (zero_model).
+stays on them, transposed. The probe takes its row-major references over
+row chunks of at most PROBE_ROWS rows; tests check that each chunk's bytes
+are its rows of the full-height product. The products of a device's few
+rows stay row-major (row_major_scores). The zero model's products are not
+computed at all (zero_model).
 """
 from __future__ import annotations
 
@@ -28,6 +30,11 @@ _SHAPES: dict[tuple[int, int, int, int], bool] = {}
 # ("k_major") and as row-major products, transposed ("row_major"); the zero
 # model's +0.0 scores are neither
 LAYOUTS: Counter = Counter()
+# the most rows of one row-major product a probe takes: OpenBLAS keeps each
+# thread's packing buffer at its largest size until the process exits, and
+# that size grows with the product's rows (62.8 MiB resident after one
+# 44,001-row reference, 6.1 MiB after 2,048-row ones)
+PROBE_ROWS = 2048
 
 
 def kmajor_product(features: np.ndarray, blocks) -> np.ndarray:
@@ -36,12 +43,16 @@ def kmajor_product(features: np.ndarray, blocks) -> np.ndarray:
     under B weight blocks of one shape (d, b), block after block.
 
     Where the shape (n, d, b, B) passed its probe, this is the one product
-    `hstack(blocks).T @ features.T`. Until the shape has a verdict, each
-    call also computes the row-major products, compares them byte for byte
-    (_same_bytes), returns the row-major bytes where they differ and keeps
-    the verdict for the rest of the process. Blocks that are all +0.0 (the
-    zero model every run starts from) give +0.0 scores without a product
-    or a probe: they show nothing of how a layout rounds.
+    `hstack(blocks).T @ features.T`. The first call of a shape also probes
+    it: over near-equal row chunks of at most PROBE_ROWS rows
+    (_probe_chunks), it computes each chunk's row-major products and
+    compares them byte for byte with the chunk's class-major columns
+    (_same_bytes). The shape keeps the verdict `k_major` for the rest of the
+    process only if every chunk matched; otherwise this call and every later
+    one return the full-height row-major products `features @ w`,
+    transposed. Blocks that are all +0.0 (the zero model every run starts
+    from) give +0.0 scores without a product or a probe: they show nothing
+    of how a layout rounds.
     """
     n, d = features.shape
     width = blocks[0].shape[1]
@@ -53,13 +64,14 @@ def kmajor_product(features: np.ndarray, blocks) -> np.ndarray:
     verdict = _SHAPES.get(shape)  # None: not probed yet
     if verdict is not False:
         np.matmul(np.hstack(blocks).T, features.T, out=out)
+    if verdict is None:
+        verdict = _SHAPES[shape] = all(
+            _same_bytes([features[rows] @ w for w in blocks], out[:, rows])
+            for rows in _probe_chunks(n)
+        )
     if not verdict:
-        by_block = [features @ w for w in blocks]
-        if verdict is None:
-            verdict = _SHAPES[shape] = _same_bytes(by_block, out)
-        if not verdict:
-            for j, scores in enumerate(by_block):
-                out[j * width : (j + 1) * width] = scores.T
+        for j, w in enumerate(blocks):
+            out[j * width : (j + 1) * width] = (features @ w).T
     LAYOUTS["k_major" if verdict else "row_major"] += 1
     return out
 
@@ -91,6 +103,15 @@ def zero_model(blocks) -> bool:
     """
     arrays = [np.asarray(w) for w in blocks]
     return all(a.dtype == np.float64 and not a.view(np.uint64).any() for a in arrays)
+
+
+def _probe_chunks(n: int) -> list[slice]:
+    """The row ranges a probe compares: ceil(n / PROBE_ROWS) near-equal
+    ranges that tile [0, n), so no chunk is a small tail (row-major products
+    of 44 or 100 rows take another BLAS path and round otherwise)."""
+    parts = max(1, -(-n // PROBE_ROWS))
+    bounds = [n * i // parts for i in range(parts + 1)]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
 def _same_bytes(by_block, kmajor: np.ndarray) -> bool:

@@ -373,7 +373,9 @@ def _theta_from_certificate(improvement: np.ndarray, gap: np.ndarray) -> np.ndar
 def scaled_gram(features, lam: float, total_samples: int) -> np.ndarray:
     """The device's Gram matrix over lambda*D, the local solve's coupling matrix."""
     features = np.asarray(features, dtype=np.float64)
-    return features @ features.T / (lam * total_samples)
+    gram = features @ features.T
+    gram /= lam * total_samples  # in place: the same ufunc and bytes, no second n x n array
+    return gram
 
 
 def _solve_columns(

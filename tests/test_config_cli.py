@@ -19,7 +19,8 @@ from fedsel.config import (
 from fedsel.orchestrator import Experiment
 from fedsel.selfcheck import run_selfcheck
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.ini"))
 
 TINY = [
     "--set", "data.source=synthetic",
@@ -539,6 +540,41 @@ def test_cli_compare_keeps_going_after_a_failed_run(tmp_path, capsys, monkeypatc
         ("cds", "2", "complete"), ("random", "2", "complete"),
     ]
     assert summary[2] == ["random", "1", "", "", "", "failed"]
+
+
+# a legal lambda whose Grams overflow to inf: without the guard every round
+# ran to exit 0 with no coordinate moved and test_acc stuck at 0.5
+TINY_LAMBDA = [
+    "--config", str(CONFIG_DIR / "synthetic_quick.ini"),
+    "--set", "solver.reg_lambda=5e-324", "--set", "orchestrator.rounds=3",
+]
+
+
+def test_cli_run_fails_on_a_floating_point_fault(tmp_path, capsys):
+    errors = np.geterr()
+    out = tmp_path / "tiny_lambda"
+    assert main(["run", *TINY_LAMBDA, "--quiet", "--out", str(out)]) == 1
+    assert "error: overflow encountered" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("FloatingPointError: overflow encountered")
+    assert np.geterr() == errors  # the guard holds only inside the run
+
+
+def test_cli_compare_lists_a_floating_point_fault_as_failed(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    code = main([
+        "compare", *TINY_LAMBDA, "--quiet", "--out", str(out),
+        "--policies", "cds,random", "--seeds", "1",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    for policy in ("cds", "random"):  # the sweep went on after the first fault
+        assert f"failed policy={policy} seed=1: FloatingPointError" in err
+        manifest = json.loads((out / f"{policy}_seed1" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert summary[1:] == ["cds,1,,,,failed", "random,1,,,,failed"]
 
 
 @pytest.mark.parametrize("target", ["nan", "1.5", "-1", "0"])

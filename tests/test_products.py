@@ -42,11 +42,70 @@ def test_kmajor_product_equals_row_major_at_the_grid_shapes(fresh_probes):
             phi = rng.normal(size=(785, 10))
             assert same_bytes(products.kmajor_product(features, [phi]), row_major(features, [phi]))
         assert (rows, 785, 10, 1) in products._SHAPES
+        # a k_major verdict rests on the probe's row chunks: each must hold
+        # its rows of the full-height row-major bytes
+        full = features @ phi
+        for chunk in products._probe_chunks(rows):
+            assert same_bytes(features[chunk] @ phi, full[chunk]), (rows, chunk)
     for members in range(1, 21):
         for _ in range(2):
             deltas = [rng.normal(size=(785, 10)) for _ in range(members)]
             got = products.kmajor_product(features, deltas)
             assert same_bytes(got, row_major(features, deltas)), members
+
+
+def probe_start(kmajor):
+    """The first row a probe chunk compares: its offset in the class-major buffer."""
+    return (kmajor.ctypes.data - kmajor.base.ctypes.data) // kmajor.itemsize
+
+
+@pytest.mark.parametrize("rows", [1, 2048, 2049, 5000, 44001])
+def test_probe_compares_near_equal_row_chunks_that_tile_the_rows(fresh_probes, monkeypatch, rows):
+    rng = np.random.default_rng(rows)
+    features = rng.normal(size=(rows, 3))
+    blocks = [rng.normal(size=(3, 2)) for _ in range(2)]
+    chunks = []
+
+    def recording(by_block, kmajor):  # every chunk is compared
+        chunks.append((probe_start(kmajor), by_block, kmajor.copy()))
+        return True
+
+    monkeypatch.setattr(products, "_same_bytes", recording)
+    got = products.kmajor_product(features, blocks)
+    starts = [start for start, _, _ in chunks]
+    stops = [start + kmajor.shape[1] for start, _, kmajor in chunks]
+    assert starts == [0, *stops[:-1]] and stops[-1] == rows
+    sizes = [stop - start for start, stop in zip(starts, stops)]
+    assert max(sizes) <= products.PROBE_ROWS
+    if rows > products.PROBE_ROWS:
+        assert min(sizes) >= products.PROBE_ROWS // 2
+    else:
+        assert sizes == [rows]
+    for start, by_block, kmajor in chunks:  # each chunk's own rows, in both layouts
+        stop = start + kmajor.shape[1]
+        assert same_bytes(kmajor, got[:, start:stop])
+        for scores, w in zip(by_block, blocks):
+            assert same_bytes(scores, features[start:stop] @ w)
+
+
+def test_probe_failing_on_the_last_chunk_keeps_the_full_height_bytes(fresh_probes, monkeypatch):
+    rng = np.random.default_rng(11)
+    features = rng.normal(size=(5000, 7))
+    blocks = [rng.normal(size=(7, 3)) for _ in range(2)]
+    probes = []
+
+    def last_differs(by_block, kmajor):
+        probes.append(probe_start(kmajor))
+        return probe_start(kmajor) + kmajor.shape[1] < len(features)
+
+    monkeypatch.setattr(products, "_same_bytes", last_differs)
+    before = products.LAYOUTS.copy()
+    for _ in range(2):
+        got = products.kmajor_product(features, blocks)
+        assert same_bytes(got, row_major(features, blocks))
+    assert probes == [0, 1666, 3333]  # three chunks, probed on the first call only
+    assert products._SHAPES == {(5000, 7, 3, 2): False}
+    assert products.LAYOUTS - before == {"row_major": 2}
 
 
 def test_failed_probe_keeps_the_row_major_bytes_and_layout(fresh_probes, monkeypatch):

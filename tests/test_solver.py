@@ -229,6 +229,18 @@ def test_device_update_label_validation():
         )
 
 
+def test_scaled_gram_is_the_divided_product_bit_for_bit():
+    # the grid's 44 to 660 rows per device by 785 features, and small ones;
+    # negative entries included, and a lambda * D that is not a power of two
+    rng = np.random.default_rng(21)
+    for rows, dim, lam, total in ((1, 3, 0.1, 7), (37, 12, 1e-3, 600), (440, 785, 1e-4, 44001)):
+        features = rng.normal(size=(rows, dim))
+        expected = features @ features.T / (lam * total)
+        got = solver.scaled_gram(features, lam, total)
+        assert got.shape == expected.shape and (features < 0).any()
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_ovr_column_matches_lone_run():
     n, dim, k = 14, 3, 4
     rng = np.random.default_rng(17)
