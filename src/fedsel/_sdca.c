@@ -1,6 +1,7 @@
 /* One device's local dual solve: closed-form coordinate ascent over K
- * one-vs-rest columns, then the theta certificate. sdca_job is the one solver
- * symbol; it is described at the end.
+ * one-vs-rest columns, then the theta certificate. sdca_job is the solver
+ * symbol and pack_upper packs the Gram it reads; both are described at the
+ * end.
  *
  * Its coordinate passes are the compiled twin of
  * fedsel.solver._coordinate_passes: the same visit orders, the same
@@ -15,10 +16,23 @@
  * step would add only zeros. loss 0 is the smoothed hinge of width gamma,
  * loss 1 the squared loss. sdca_certificate is the twin of
  * fedsel.solver._certificate_sums.
+ *
+ * A device's scaled Gram is symmetric byte for byte, so it is held packed:
+ * its upper triangle row by row, n(n+1)/2 doubles (LAPACK's packed storage,
+ * UPLO='U'), row i starting at i*n - i(i-1)/2 with its diagonal entry.
+ * pack_upper packs a square Gram and refuses one that is not symmetric;
+ * sdca_job unpacks the triangle into the caller's n x n scratch before its
+ * passes, so the passes read the square they always read.
  */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
+
+/* The lower triangle is read and written TILE upper rows at a time: each row
+ * below them takes its TILE entries from those rows' columns, so the reads
+ * advance along TILE rows at once and stay in the cache. */
+#define TILE 32
 
 /* always inlined: each target_clones body of sdca_job vectorises its own copy */
 static inline __attribute__((always_inline)) void
@@ -170,16 +184,71 @@ sdca_certificate(const certificate_inputs *in, double *sums)
         }
 }
 
-/* One device's local solve: the coordinate passes from the row-major base
- * margins (n, k), then the certificate's column sums into sums (3, k). rho
- * (n, k) must be zero on entry. The one-vs-rest targets are +1 in the column
- * of the sample's class, classes (n), and -1 elsewhere. The targets and the
- * K-major margins live only while the job runs. Returns 0, or -1 when that
- * scratch cannot be allocated (rho and sums are then untouched). */
+/* The bits of x, to compare bytes rather than values (-0.0 == 0.0, NaN != NaN). */
+static inline uint64_t bits_of(double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    return bits;
+}
+
+/* Packs the upper triangle of the n x n gram into upper (n(n+1)/2), row by
+ * row, as numpy's gram[np.triu(np.ones((n, n), bool))] does. Returns 0, or
+ * -1 when some entry below the diagonal differs in any bit from its mirror
+ * above it, which the packed triangle could not give back (upper is then
+ * still written). */
+int pack_upper(int64_t n, const double *gram, double *upper)
+{
+    uint64_t differ = 0;
+    for (int64_t ib = 0; ib < n; ib += TILE) {
+        const int64_t iend = ib + TILE < n ? ib + TILE : n;
+        for (int64_t j = ib + 1; j < n; j++) {
+            const double *row = gram + j * n;
+            const int64_t end = j < iend ? j : iend;
+            for (int64_t i = ib; i < end; i++)
+                differ |= bits_of(row[i]) ^ bits_of(gram[i * n + j]);
+        }
+    }
+    for (int64_t i = 0; i < n; i++) {
+        memcpy(upper, gram + i * n + i, sizeof(double) * (size_t)(n - i));
+        upper += n - i;
+    }
+    return differ ? -1 : 0;
+}
+
+/* The n x n symmetric gram whose upper triangle upper packs: each packed row
+ * copied into its row, then the strict lower triangle mirrored from the upper
+ * one, TILE rows at a time. */
+static void unpack_upper(int64_t n, const double *upper, double *gram)
+{
+    for (int64_t i = 0; i < n; i++) {
+        memcpy(gram + i * n + i, upper, sizeof(double) * (size_t)(n - i));
+        upper += n - i;
+    }
+    for (int64_t ib = 0; ib < n; ib += TILE) {
+        const int64_t iend = ib + TILE < n ? ib + TILE : n;
+        for (int64_t j = ib + 1; j < n; j++) {
+            double *restrict row = gram + j * n;
+            const int64_t end = j < iend ? j : iend;
+            for (int64_t i = ib; i < end; i++)
+                row[i] = gram[i * n + j];
+        }
+    }
+}
+
+/* One device's local solve: the Gram unpacked from gram_upper (n(n+1)/2, see
+ * pack_upper) into gram, scratch of at least n x n doubles; the coordinate
+ * passes from the row-major base margins (n, k); then the certificate's
+ * column sums into sums (3, k). rho (n, k) must be zero on entry. The
+ * one-vs-rest targets are +1 in the column of the sample's class, classes
+ * (n), and -1 elsewhere. The targets and the K-major margins live only while
+ * the job runs. Returns 0, or -1 when that scratch cannot be allocated (rho
+ * and sums are then untouched). */
 FEDSEL_CLONES  /* from _isa.c */
 int sdca_job(int64_t n, int64_t k, int64_t epochs, const int64_t *orders, int32_t loss,
-             double gamma, const int64_t *classes, const double *alpha0, const double *gram,
-             const double *qii, const double *base, double *rho, double *sums)
+             double gamma, const int64_t *classes, const double *alpha0,
+             const double *gram_upper, const double *qii, const double *base, double *rho,
+             double *sums, double *gram)
 {
     double *labels = malloc(sizeof(double) * (size_t)(n * k));
     double *margins = malloc(sizeof(double) * (size_t)(n * k));
@@ -193,6 +262,7 @@ int sdca_job(int64_t n, int64_t k, int64_t epochs, const int64_t *orders, int32_
             labels[i * k + c] = classes[i] == c ? 1.0 : -1.0;
             margins[c * n + i] = base[i * k + c];
         }
+    unpack_upper(n, gram_upper, gram);
     coordinate_passes(n, k, epochs, orders, loss, gamma, labels, alpha0, gram, qii, rho, margins);
     const certificate_inputs in = {n, k, loss, gamma, labels, alpha0, rho, base, margins};
     sdca_certificate(&in, sums);

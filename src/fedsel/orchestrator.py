@@ -36,13 +36,13 @@ from .solver import (
     GlobalState,
     Hyperparams,
     LocalUpdate,
+    _scaled_gram_upper,
     _solve_columns,
     aggregation_count,
     apply_dual_update,
     device_update_ovr,
     fenchel_gap,
     one_vs_rest_targets,
-    scaled_gram,
 )
 from .valuation import CoalitionGame, CoalitionOracle, ContributionLedger, tmc_estimate
 
@@ -253,10 +253,10 @@ class Experiment:
             **(cost_ranges or {}),
         )
 
-        # each device's Gram matrix over lambda*D, from its first local solve:
-        # inside run() until its last scheduled one (_last_solve), so no Gram
-        # is built twice and none outlives its use; kept for the Experiment's
-        # life when run_round is driven by hand
+        # each device's Gram matrix over lambda*D as its packed upper triangle,
+        # from its first local solve: inside run() until its last scheduled
+        # one (_last_solve), so no Gram is built twice and none outlives its
+        # use; kept for the Experiment's life when run_round is driven by hand
         self._gram_cache: dict[int, np.ndarray] = {}
         self._last_solve: dict[int, int] | None = None
         self._persistent_ledger: ContributionLedger | None = (
@@ -265,11 +265,11 @@ class Experiment:
 
     # -- per-device caches ------------------------------------------------
 
-    def _scaled_gram(self, device_id: int) -> np.ndarray:
+    def _gram_upper(self, device_id: int) -> np.ndarray:
         gram = self._gram_cache.get(device_id)
         if gram is None:
-            gram = self._gram_cache[device_id] = scaled_gram(
-                self.devices[device_id].features, self.reg_lambda, self.total_samples
+            gram = self._gram_cache[device_id] = _scaled_gram_upper(
+                self.devices[device_id].features, self.reg_lambda, self.total_samples, device_id
             )
         return gram
 
@@ -290,7 +290,7 @@ class Experiment:
         devices = [self.devices[m] for m in explored]
         alpha_rows = [_dual_rows(state.alpha, device) for device in devices]
         rngs = [substream(self.hyper.seed, DEVICE, round_index, m) for m in explored]
-        grams = [self._scaled_gram(m) for m in explored]
+        grams = [self._gram_upper(m) for m in explored]
         if device_update_ovr is solver.device_update_ovr:
             updates = _solve_columns(
                 devices, state.phi, alpha_rows, [device.labels for device in devices],
@@ -302,7 +302,7 @@ class Experiment:
             updates = [
                 device_update_ovr(
                     device, state.phi, alpha_cols, self.num_classes, self.hyper, rng,
-                    total_samples=self.total_samples, gram_scaled=gram,
+                    total_samples=self.total_samples, gram_upper=gram,
                 )
                 for device, alpha_cols, rng, gram in zip(devices, alpha_rows, rngs, grams)
             ]
@@ -544,8 +544,8 @@ class Experiment:
 
 
 def fast_paths() -> dict:
-    """native.FAST_PATHS by name once both kernels are bound: the manifest's `fast_paths`."""
-    solver._kernel(), valuation._walk_kernel()
+    """native.FAST_PATHS by name once every kernel is bound: the manifest's `fast_paths`."""
+    solver._kernel(), solver._pack_kernel(), valuation._walk_kernel()
     return {name: dict(record) for name, record in sorted(native.FAST_PATHS.items())}
 
 

@@ -13,6 +13,16 @@ when a compiler is available and the job reproduces the numpy reference loop
 and certificate bit for bit on its probe (_probe_matches); otherwise the
 numpy reference runs. native.FAST_PATHS records which ran and why.
 
+A device's scaled Gram is symmetric byte for byte (numpy forms X @ X.T by
+mirroring one computed triangle), so it is held packed: its upper triangle
+row by row in n(n+1)/2 float64 (LAPACK's packed storage, UPLO='U'), half
+the bytes of the square. _scaled_gram_upper builds the square, packs it
+with the compiled pack_upper (numpy's mask pack where that is not bound)
+and lets the square go; it refuses a Gram that is not symmetric, whose
+triangle would give other bytes back. Each job unpacks its triangle into a
+square scratch of its lane: sdca_job in C, _unpack_upper for the numpy
+reference.
+
 Conventions: feature matrices are row-per-sample (n, d); the dual dimension D
 is always the global training size, so every data term carries 1/D and the
 shared-vector map is phi = F.T @ alpha / (lambda * D).
@@ -197,13 +207,13 @@ def _coordinate_passes(labels_pm, alpha0, margins, gram_scaled, qii, loss, order
 _LOSS_CODES = {SmoothedHinge: 0, SquaredLoss: 1}
 
 
-def _check_shapes(classes, alpha0, base, gram_scaled, qii, orders) -> None:
+def _check_shapes(classes, alpha0, base, gram_upper, qii, orders) -> None:
     """Refuse a job the compiled kernel would read out of bounds."""
     n, k = base.shape
     if not (
         classes.shape == (n,)
         and alpha0.shape == (n, k)
-        and gram_scaled.shape == (n, n)
+        and gram_upper.shape == (n * (n + 1) // 2,)
         and qii.shape == (n,)
         and orders.ndim == 2
         and orders.shape[1] == n
@@ -236,37 +246,41 @@ def _certificate_sums(loss, labels_pm, alpha0, rho, base_margins, margins) -> np
 def _local_solves(kernel, loss, jobs, lanes=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each job's coordinate passes and certificate sums: one (rho, sums) per job.
 
-    A job is one device's (classes, alpha0, base_margins, gram_scaled, qii,
-    orders), as _solve_columns prepares them; its targets are +1 in the
-    column of the sample's class and -1 elsewhere. With the compiled
-    kernel (sdca_job) each job is one call, and the calls run on at most
-    `lanes` lanes (native.lanes() when None), balanced by their E * n^2
-    coordinate work; this thread allocates and checks every buffer first, so
-    a lane calls nothing but the jobs. Without it the numpy reference runs
-    here, job after job. A job reads and writes only its own buffers, so the
-    results do not depend on `lanes`.
+    A job is one device's (classes, alpha0, base_margins, gram_upper, qii,
+    orders), as _solve_columns prepares them: gram_upper is the packed upper
+    triangle of its scaled Gram (see _scaled_gram_upper), and its targets
+    are +1 in the column of the sample's class and -1 elsewhere. With the
+    compiled kernel (sdca_job) each job is one call, and the calls run on at
+    most `lanes` lanes (native.lanes() when None), balanced by their E * n^2
+    coordinate work; this thread allocates and checks every buffer first,
+    the square each lane unpacks its Grams into included, so a lane calls
+    nothing but the jobs. Without it the numpy reference runs here, job
+    after job, each on its Gram unpacked alone. A job reads and writes only
+    its own buffers, so the results do not depend on `lanes`.
     """
     if kernel is None:
         results = []
-        for classes, alpha0, base, gram_scaled, qii, orders in jobs:
+        for classes, alpha0, base, gram_upper, qii, orders in jobs:
             labels_pm = one_vs_rest_targets(classes, base.shape[1])
+            gram_scaled = _unpack_upper(gram_upper, base.shape[0])
             rho, margins = _coordinate_passes(
                 labels_pm, alpha0, base, gram_scaled, qii, loss, orders
             )
             results.append((rho, _certificate_sums(loss, labels_pm, alpha0, rho, base, margins)))
         return results
-    results, calls, work = [], [], []
-    for classes, alpha0, base, gram_scaled, qii, orders in jobs:
-        _check_shapes(classes, alpha0, base, gram_scaled, qii, orders)
+    results, calls, sizes, work = [], [], [], []
+    for classes, alpha0, base, gram_upper, qii, orders in jobs:
+        _check_shapes(classes, alpha0, base, gram_upper, qii, orders)
         n, k = base.shape
         rho, sums = np.zeros((n, k)), np.empty((3, k))
         results.append((rho, sums))
         calls.append(functools.partial(
             kernel, n, k, orders.shape[0], orders, _LOSS_CODES[type(loss)],
-            getattr(loss, "gamma", 0.0), classes, alpha0, gram_scaled, qii, base, rho, sums,
+            getattr(loss, "gamma", 0.0), classes, alpha0, gram_upper, qii, base, rho, sums,
         ))
+        sizes.append(n)
         work.append(orders.size * n)
-    _run_lanes(calls, work, lanes)
+    _run_lanes(calls, sizes, work, lanes)
     # which NaN a sum holds depends on the operand order of each addition,
     # which the C compiler may swap: the numpy reference gives those sums
     for j, (_, sums) in enumerate(results):
@@ -275,25 +289,32 @@ def _local_solves(kernel, loss, jobs, lanes=None) -> list[tuple[np.ndarray, np.n
     return results
 
 
-def _run_lanes(calls, work, lanes: int | None) -> None:
+def _run_lanes(calls, sizes, work, lanes: int | None) -> None:
     """Run the job calls on at most `lanes` lanes (native.lanes() when None),
     each running its calls in turn: largest work first, each to the lane
-    with the least work so far. The lanes run through
+    with the least work so far. Each call takes the square its job of
+    sizes[j] samples unpacks its Gram into: one per lane, allocated here
+    with the side of the lane's largest job. The lanes run through
     native.run_concurrently, the first on this thread."""
     if lanes is None:
         lanes = native.lanes() if len(calls) > 1 else 1
     loads = [0] * max(1, min(lanes, len(calls)))
     groups = [[] for _ in loads]
+    sides = [0] * len(loads)
     for j in sorted(range(len(calls)), key=lambda j: -work[j]):
         lane = loads.index(min(loads))
         groups[lane].append(calls[j])
         loads[lane] += work[j]
-    native.run_concurrently([functools.partial(_run_jobs, group) for group in groups])
+        sides[lane] = max(sides[lane], sizes[j])
+    native.run_concurrently([
+        functools.partial(_run_jobs, group, np.empty(side * side))
+        for group, side in zip(groups, sides)
+    ])
 
 
-def _run_jobs(calls) -> None:
+def _run_jobs(calls, square) -> None:
     for call in calls:
-        if call() != 0:
+        if call(square) != 0:
             raise MemoryError("no memory for a local solve's scratch")
 
 
@@ -331,8 +352,8 @@ def _probe_jobs() -> list[tuple]:
             if nan:
                 base[n // 2, k - 1] = np.nan
             jobs.append((
-                classes, alpha0, base, gram_scaled, np.diagonal(gram_scaled).copy(),
-                _visit_orders(rng, epochs, n),
+                classes, alpha0, base, _numpy_pack(gram_scaled)[0],
+                np.diagonal(gram_scaled).copy(), _visit_orders(rng, epochs, n),
             ))
         cases.append((loss, jobs))
     return cases
@@ -356,9 +377,57 @@ def _probe_matches(kernel) -> bool:
 def _kernel():
     argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, native.I64, ctypes.c_int32,
-        ctypes.c_double, native.I64, *[native.F64] * 6,
+        ctypes.c_double, native.I64, *[native.F64] * 7,
     ]
     return native.kernel("sdca_job", argtypes, ctypes.c_int, _probe_matches)
+
+
+def _numpy_pack(gram) -> tuple[np.ndarray, bool]:
+    """The upper triangle of the square gram packed row by row, and whether
+    every entry below the diagonal has its mirror's bytes: the reference of
+    pack_upper."""
+    upper = np.triu(np.ones(gram.shape, dtype=bool))
+    packed, mirrored = gram[upper], gram.T[upper]
+    return packed, packed.tobytes() == mirrored.tobytes()
+
+
+def _unpack_upper(gram_upper, n: int) -> np.ndarray:
+    """The symmetric n x n matrix whose upper triangle gram_upper packs."""
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    gram = np.empty((n, n))
+    gram[upper] = gram_upper
+    gram.T[upper] = gram_upper
+    return gram
+
+
+def _pack_probe_matches(kernel) -> bool:
+    """Whether the compiled pack gives numpy's mask pack and its verdict: on
+    symmetric matrices of sizes below, at and above the kernel's 32-row tile,
+    holding zeros and a NaN, and on each with the sign of one entry below the
+    diagonal flipped, in the tile of the diagonal and in one off it (row 0 is
+    zero: there the flip gives -0.0 against +0.0)."""
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 31, 32, 33, 70):
+        feats = rng.normal(size=(n, 3))
+        feats[::5] = 0.0
+        gram = feats @ feats.T
+        gram[n // 2, n // 2] = np.nan
+        cases = [gram]
+        for i, j in ((n - 1, n // 2), (n - 1, 0)):
+            if i > j:
+                cases.append(gram.copy())
+                cases[-1].view(np.uint64)[i, j] ^= 1 << 63
+        for case in cases:
+            packed, symmetric = _numpy_pack(case)
+            got = np.empty_like(packed)
+            if (kernel(n, case, got) == 0) != symmetric or got.tobytes() != packed.tobytes():
+                return False
+    return True
+
+
+def _pack_kernel():
+    argtypes = [ctypes.c_int64, native.F64, native.F64]
+    return native.kernel("pack_upper", argtypes, ctypes.c_int, _pack_probe_matches)
 
 
 def _theta_from_certificate(improvement: np.ndarray, gap: np.ndarray) -> np.ndarray:
@@ -378,6 +447,36 @@ def scaled_gram(features, lam: float, total_samples: int) -> np.ndarray:
     return gram
 
 
+def _scaled_gram_upper(features, lam: float, total_samples: int, device_id) -> np.ndarray:
+    """scaled_gram's upper triangle, packed row by row in n(n+1)/2 float64.
+
+    Raises ValueError, naming the device, where the Gram is not symmetric
+    byte for byte, as a BLAS that does not mirror X @ X.T could make it, or
+    numpy given a view of every other column (it multiplies copies through
+    gemm): the triangle would not give its bytes back."""
+    gram = scaled_gram(features, lam, total_samples)
+    kernel = _pack_kernel()
+    if kernel is None:
+        packed, symmetric = _numpy_pack(gram)
+    else:
+        n = gram.shape[0]
+        packed = np.empty(n * (n + 1) // 2)
+        symmetric = kernel(n, gram, packed) == 0
+    if not symmetric:
+        raise ValueError(
+            f"device {device_id}: its scaled Gram is not symmetric byte for byte, "
+            f"so its upper triangle cannot hold it"
+        )
+    return packed
+
+
+def _packed_diagonal(gram_upper, n: int) -> np.ndarray:
+    """The diagonal of the n x n matrix whose upper triangle gram_upper packs:
+    row i starts at i*n - i(i-1)/2 with its diagonal entry."""
+    rows = np.arange(n)
+    return gram_upper[rows * n - rows * (rows - 1) // 2]
+
+
 def _solve_columns(
     devices, phi_cols, alpha_rows, classes, num_classes: int, hp: Hyperparams, rngs,
     total_samples, epochs, grams,
@@ -387,8 +486,9 @@ def _solve_columns(
 
     phi_cols is (d, K), K = num_classes. Each device comes with its dual rows
     (n, K), its class ids (its targets are +1 in the column of the sample's
-    class and -1 elsewhere), its rng (or seed) and its scaled Gram (None:
-    computed here); `epochs` overrides hp.epochs. Three phases:
+    class and -1 elsewhere), its rng (or seed) and its scaled Gram's packed
+    upper triangle (None: computed here, see _scaled_gram_upper); `epochs`
+    overrides hp.epochs. Three phases:
 
     1. this thread makes every BLAS product and RNG draw, device after
        device: the Gram where not given, the row-major base margins and the
@@ -405,7 +505,7 @@ def _solve_columns(
     loss = hp.make_loss()
     phi_cols = np.asarray(phi_cols, dtype=np.float64)
     jobs = []
-    for device, alpha_cols, labels, rng, gram_scaled in zip(
+    for device, alpha_cols, labels, rng, gram_upper in zip(
         devices, alpha_rows, classes, rngs, grams, strict=True
     ):
         if device.size == 0:
@@ -413,21 +513,26 @@ def _solve_columns(
         if isinstance(rng, (int, np.integer)):
             rng = substream(int(rng))
         feats = np.asarray(device.features, dtype=np.float64)
-        if gram_scaled is None:
-            gram_scaled = scaled_gram(feats, lam, total_samples)
-        gram_scaled = np.ascontiguousarray(gram_scaled, dtype=np.float64)
+        if gram_upper is None:
+            gram_upper = _scaled_gram_upper(feats, lam, total_samples, device.device_id)
+        gram_upper = np.ascontiguousarray(gram_upper, dtype=np.float64)
         alpha_cols = np.ascontiguousarray(alpha_cols, dtype=np.float64)
         if phi_cols.shape[1:] != (num_classes,) or alpha_cols.shape != (device.size, num_classes):
             raise ValueError(
                 f"device {device.device_id}: phi and alpha need {num_classes} columns and "
                 f"alpha one row per sample"
             )
+        if gram_upper.shape != (device.size * (device.size + 1) // 2,):
+            raise ValueError(
+                f"device {device.device_id}: gram_upper needs the n(n+1)/2 values of its "
+                f"scaled Gram's packed upper triangle"
+            )
         jobs.append((
             np.ascontiguousarray(labels, dtype=np.int64),
             alpha_cols,
             row_major_scores(feats, phi_cols),
-            gram_scaled,
-            np.diagonal(gram_scaled).copy(),
+            gram_upper,
+            _packed_diagonal(gram_upper, device.size),
             _visit_orders(rng, epochs, device.size),
         ))
     updates = []
@@ -454,15 +559,16 @@ def device_update(
     total_samples: int,
     labels=None,
     epochs: int | None = None,
-    gram_scaled=None,
+    gram_upper=None,
 ) -> LocalUpdate:
     """E passes of seeded randomized dual coordinate ascent on one device.
 
     Labels must be in {-1, +1} (pass binarized labels for one-vs-rest use).
     `epochs` overrides hp.epochs and may be 0, in which case rho = 0 and
-    achieved_theta = 1 whenever any improvement was available. `gram_scaled`
-    is the device's scaled_gram(features, lambda, total_samples), computed
-    here when not given.
+    achieved_theta = 1 whenever any improvement was available. `gram_upper`
+    is the upper triangle of the device's scaled_gram(features, lambda,
+    total_samples), packed row by row in n(n+1)/2 values, computed here when
+    not given.
     """
     labels = device.labels if labels is None else np.asarray(labels)
     if not np.all(np.abs(labels) == 1):
@@ -473,7 +579,7 @@ def device_update(
         np.asarray(phi, dtype=np.float64)[:, None],
         [np.asarray(alpha_slice, dtype=np.float64)[:, None]],
         [np.where(labels == 1, 0, 1)],
-        1, hp, [rng], total_samples, epochs, [gram_scaled],
+        1, hp, [rng], total_samples, epochs, [gram_upper],
     )
     rho, delta_phi, theta = update.rho[:, 0], update.delta_phi[:, 0], update.achieved_theta[0]
     return replace(update, rho=rho, delta_phi=delta_phi, achieved_theta=float(theta))
@@ -489,7 +595,7 @@ def device_update_ovr(
     *,
     total_samples: int,
     epochs: int | None = None,
-    gram_scaled=None,
+    gram_upper=None,
 ) -> LocalUpdate:
     """One-vs-rest device update: all K class columns in one sweep.
 
@@ -499,11 +605,11 @@ def device_update_ovr(
     column k are bitwise-identical to a lone device_update run with the same
     rng stream; delta_phi and achieved_theta agree to rounding (batched
     matrix products may differ from a lone run in the last ulp).
-    `gram_scaled` is as in device_update.
+    `gram_upper` is as in device_update.
     """
     [update] = _solve_columns(
         [device], phi_cols, [alpha_cols], [device.labels], num_classes, hp, [rng],
-        total_samples, epochs, [gram_scaled],
+        total_samples, epochs, [gram_upper],
     )
     return update
 

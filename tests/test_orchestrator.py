@@ -14,7 +14,7 @@ from conftest import force_numpy, fresh_fast_paths, tiny_split
 import fedsel.orchestrator as orch
 from fedsel import native, products, solver, valuation
 from fedsel.cli import main
-from fedsel.data import DeviceDataset, SplitDataset
+from fedsel.data import DeviceDataset, SplitDataset, generate_synthetic
 from fedsel.orchestrator import (
     CSV_COLUMNS,
     CSV_HEADER,
@@ -32,6 +32,7 @@ from fedsel.solver import (
     GlobalState,
     Hyperparams,
     LocalUpdate,
+    _scaled_gram_upper,
     aggregation_count,
     apply_dual_update,
     device_update_ovr,
@@ -192,7 +193,7 @@ def test_null_update_round_keeps_phi_and_falls_back_to_top_one(monkeypatch):
     split = tiny_split()
 
     def zero_updates(device, phi_cols, alpha_cols, num_classes, hp, rng, *,
-                     total_samples, epochs=None, gram_scaled=None):
+                     total_samples, epochs=None, gram_upper=None):
         return LocalUpdate(
             device_id=device.device_id,
             sample_indices=device.sample_indices,
@@ -255,7 +256,7 @@ def per_class_round(exp, states, round_index):
             exp.hyper,
             substream(exp.hyper.seed, DEVICE, round_index, m),
             total_samples=exp.total_samples,
-            gram_scaled=exp._scaled_gram(m),
+            gram_upper=exp._gram_upper(m),
         )
         updates[m] = [
             LocalUpdate(
@@ -432,7 +433,7 @@ def test_zero_round_run_reports_only_the_initial_row(tmp_path):
     # the library's outcome and each kernel's, with the clone the library loaded
     library, *kernels = manifest["fast_paths"].values()
     assert manifest["fast_paths"] == orch.fast_paths()
-    assert list(manifest["fast_paths"]) == ["library", "sdca_job", "walk_values"]
+    assert list(manifest["fast_paths"]) == ["library", "pack_upper", "sdca_job", "walk_values"]
     assert list(library) == ["status", "reason", "clone"]
     assert all(list(record) == ["status", "reason"] for record in kernels)
     if native.library() is not None:
@@ -580,7 +581,7 @@ def gram_lifetimes(monkeypatch, split):
 
     def counted(features, *args):
         built.append(owners[id(features)])
-        return scaled_gram(features, *args)
+        return _scaled_gram_upper(features, *args)
 
     run_round = Experiment.run_round
 
@@ -589,7 +590,7 @@ def gram_lifetimes(monkeypatch, split):
         held[round_index] = set(self._gram_cache)
         return result
 
-    monkeypatch.setattr(orch, "scaled_gram", counted)
+    monkeypatch.setattr(orch, "_scaled_gram_upper", counted)
     monkeypatch.setattr(Experiment, "run_round", recorded)
     return built, held
 
@@ -621,6 +622,25 @@ def test_run_holds_each_gram_until_its_devices_last_scheduled_round(kind, monkey
     # some Gram is held past its first round, so reuse is exercised
     assert any(held[t] for t in range(1, ROUNDS))
     assert exp._gram_cache == {}
+
+
+def test_greedy_round_holds_each_gram_as_its_packed_upper_triangle():
+    # a byte count, not RSS: round 1 of greedy solves every device, and each
+    # cached Gram holds n(n+1)/2 float64, the upper triangle of its square
+    split = generate_synthetic(dim=5, train_size=50, num_devices=8, separation=2.0, seed=5)
+    sizes = {device.device_id: device.size for device in split.devices}
+    assert len(set(sizes.values())) > 1
+    exp = Experiment(split, HP, SelectionPolicy(kind="greedy"))
+    state = GlobalState.zeros(split.feature_dim, split.total_train, split.num_classes)
+    exp.run_round(state, 1)
+    assert set(exp._gram_cache) == set(sizes)
+    assert sum(g.nbytes for g in exp._gram_cache.values()) == 8 * sum(
+        n * (n + 1) // 2 for n in sizes.values()
+    )
+    for m, gram in exp._gram_cache.items():
+        square = scaled_gram(exp.devices[m].features, exp.reg_lambda, exp.total_samples)
+        assert gram.shape == (sizes[m] * (sizes[m] + 1) // 2,)
+        assert gram.tobytes() == square[np.triu(np.ones(square.shape, dtype=bool))].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["cds", "random", "greedy"])
@@ -670,7 +690,7 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
                 monkeypatch.setattr(native.os, "sched_getaffinity", lambda pid: {0, 1, 2})
                 monkeypatch.setattr(valuation, "RANGE_WORK", 1)
             if backend == "numpy":
-                force_numpy(monkeypatch, "sdca_job", "walk_values")
+                force_numpy(monkeypatch, "pack_upper", "sdca_job", "walk_values")
             if backend == "one-range":  # as on a host with one usable CPU
                 monkeypatch.setattr(native.os, "sched_getaffinity", lambda pid: {0})
             if backend == "row-major":  # as on a BLAS whose class-major products differ
@@ -684,6 +704,7 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
             assert manifest["fast_paths"] == orch.fast_paths()
             if backend == "numpy":
                 forced = {"status": "numpy", "reason": "forced off"}
+                assert manifest["fast_paths"]["pack_upper"] == forced
                 assert manifest["fast_paths"]["sdca_job"] == forced
                 assert manifest["fast_paths"]["walk_values"] == forced
             assert manifest["lanes"] == native.lanes()
@@ -736,6 +757,7 @@ def test_runs_without_a_compiler_say_so_and_write_the_same_bytes(tmp_path, monke
     assert declined.out.split(" out=")[0] == compiled.out.split(" out=")[0]
     assert declined.err.splitlines() == [
         "warning: library falls back to numpy: no compiler",
+        "warning: pack_upper falls back to numpy: no library",
         "warning: sdca_job falls back to numpy: no library",
         "warning: walk_values falls back to numpy: no library",
     ]

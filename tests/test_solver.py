@@ -33,6 +33,11 @@ HINGE = SmoothedHinge(gamma=1.0)
 SQUARED = SquaredLoss()
 
 
+needs_compiler = pytest.mark.skipif(
+    shutil.which("cc") is None, reason="no C compiler: the numpy loop is the only backend"
+)
+
+
 def make_device(n=20, dim=4, seed=0, device_id=0):
     rng = np.random.default_rng(seed)
     labels = rng.choice([-1.0, 1.0], size=n)
@@ -241,6 +246,125 @@ def test_scaled_gram_is_the_divided_product_bit_for_bit():
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+# sizes below, at and above the compiled pack's 32-row tile, and a grid
+# device's rows, odd, and the grid's largest
+PACK_SIZES = (1, 2, 31, 32, 33, 301, 663)
+
+
+def mask_pack(gram):
+    """The upper triangle of the square gram, row by row, by numpy's mask."""
+    return gram[np.triu(np.ones(gram.shape, dtype=bool))]
+
+
+def assert_byte_symmetric(gram):
+    assert gram.tobytes() == np.ascontiguousarray(gram.T).tobytes()
+
+
+def layouts(features):
+    """features as C-contiguous rows, as every other row of a taller matrix
+    and in Fortran order. (A view of every other column is not symmetric at
+    301 rows: numpy copies each operand of such a product and calls gemm.)"""
+    tall = np.empty((2 * features.shape[0], features.shape[1]))
+    tall[::2] = features
+    return features, tall[::2], np.asfortranarray(features)
+
+
+def test_scaled_gram_is_byte_symmetric_in_every_layout():
+    # the premise of holding only the upper triangle: X @ X.T mirrors one
+    # computed triangle in each of these layouts (which may round the
+    # products differently)
+    rng = np.random.default_rng(5)
+    for n in PACK_SIZES:
+        for layout in layouts(rng.normal(size=(n, 785))):
+            assert_byte_symmetric(solver.scaled_gram(layout, 1e-4, 44001))
+
+
+def test_scaled_gram_is_byte_symmetric_on_every_grid_device(idx_corpus):
+    from fedsel.data import load_idx_split
+
+    split = load_idx_split(
+        idx_corpus[0], num_devices=100, shards_per_device=2, seed=1, validation_size=5000,
+        device_test_fraction=0.2, unbalanced=True,
+    )
+    lam, total = 1.0 / split.total_train, split.total_train
+    for device in split.devices:
+        gram = solver.scaled_gram(device.features, lam, total)
+        assert_byte_symmetric(gram)
+        packed = solver._scaled_gram_upper(device.features, lam, total, device.device_id)
+        assert packed.tobytes() == mask_pack(gram).tobytes(), device.device_id
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+def test_packed_gram_gives_the_scaled_grams_bytes_back(monkeypatch, backend):
+    if backend == "numpy":
+        force_numpy(monkeypatch, "pack_upper")
+    elif solver._pack_kernel() is None:
+        pytest.skip("no compiled pack: the numpy mask pack is the only backend")
+    rng = np.random.default_rng(9)
+    for n in PACK_SIZES:
+        features = rng.normal(size=(n, 40))
+        features[::4] = 0.0  # rows of zero products, whose -0.0 or +0.0 must survive
+        gram = solver.scaled_gram(features, 0.01, 900)
+        packed = solver._scaled_gram_upper(features, 0.01, 900, device_id=3)
+        assert packed.shape == (n * (n + 1) // 2,)
+        assert packed.tobytes() == mask_pack(gram).tobytes(), n
+        assert solver._unpack_upper(packed, n).tobytes() == gram.tobytes(), n
+        diagonal = solver._packed_diagonal(packed, n)
+        assert diagonal.tobytes() == np.diagonal(gram).copy().tobytes(), n
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+def test_a_gram_with_one_flipped_lower_bit_is_refused(monkeypatch, backend):
+    if backend == "numpy":
+        force_numpy(monkeypatch, "pack_upper")
+    elif solver._pack_kernel() is None:
+        pytest.skip("no compiled pack: the numpy mask pack is the only backend")
+    exact = solver.scaled_gram
+    rng = np.random.default_rng(13)
+    features = rng.normal(size=(70, 8))
+    features[0] = 0.0  # row and column 0 hold +0.0
+    # the last mantissa bit in the diagonal's tile and in one off it, and the
+    # sign of a zero: -0.0 == 0.0, but its bytes differ
+    for i, j, bit in ((20, 3, 0), (69, 40, 0), (69, 0, 63)):
+
+        def flipped(*args):
+            gram = exact(*args)
+            gram.view(np.uint64)[i, j] ^= np.uint64(1) << np.uint64(bit)
+            return gram
+
+        monkeypatch.setattr(solver, "scaled_gram", flipped)
+        with pytest.raises(ValueError, match="device 7: its scaled Gram is not symmetric"):
+            solver._scaled_gram_upper(features, 0.1, 500, device_id=7)
+    monkeypatch.setattr(solver, "scaled_gram", exact)
+    assert solver._scaled_gram_upper(features, 0.1, 500, device_id=7).size == 70 * 71 // 2
+
+
+def test_a_square_gram_is_refused_where_the_packed_triangle_is_due():
+    device = make_device(n=5)
+    hp = Hyperparams(reg_lambda=0.1, epochs=1)
+    square = solver.scaled_gram(device.features, 0.1, 10)
+    with pytest.raises(ValueError, match="device 0: gram_upper needs the n"):
+        device_update(
+            device, np.zeros(4), np.zeros(5), hp, substream(0), total_samples=10,
+            gram_upper=square,
+        )
+
+
+@needs_compiler
+def test_compiled_pack_equals_the_numpy_mask_pack():
+    kernel = solver._pack_kernel()
+    assert kernel is not None, "a C compiler is present but the pack was not loaded"
+    rng = np.random.default_rng(17)
+    for n in PACK_SIZES:
+        gram = rng.normal(size=(n, n))
+        for case in (gram + gram.T, gram):  # symmetric, and not (where n > 1)
+            got = np.empty(n * (n + 1) // 2)
+            symmetric = case.tobytes() == np.ascontiguousarray(case.T).tobytes()
+            assert kernel(n, np.ascontiguousarray(case), got) == (0 if symmetric else -1)
+            assert got.tobytes() == mask_pack(case).tobytes(), n
+            assert solver._numpy_pack(case)[1] == symmetric
+
+
 def test_ovr_column_matches_lone_run():
     n, dim, k = 14, 3, 4
     rng = np.random.default_rng(17)
@@ -316,11 +440,6 @@ def test_ovr_theta_matches_an_independent_certificate(loss_name):
 
 # -- compiled coordinate kernel ------------------------------------------------
 
-needs_compiler = pytest.mark.skipif(
-    shutil.which("cc") is None, reason="no C compiler: the numpy loop is the only backend"
-)
-
-
 def job_inputs(n, k, alpha_kind, seed=0):
     """A _local_solves job for a device of n samples and k columns, without
     its visit orders: (classes, alpha0, base_margins, gram_scaled, qii).
@@ -355,10 +474,18 @@ def job_inputs(n, k, alpha_kind, seed=0):
     return classes, alpha0, margins, gram_scaled, qii
 
 
+def packed_job(fields, orders):
+    """The _local_solves job of job_inputs' fields and visit orders: its Gram
+    packed as its upper triangle."""
+    classes, alpha0, base, gram_scaled, qii = fields
+    return classes, alpha0, base, mask_pack(gram_scaled), qii, orders
+
+
 def passes_args(loss, job):
     """_coordinate_passes arguments of one _local_solves job."""
-    classes, alpha0, base, gram_scaled, qii, orders = job
+    classes, alpha0, base, gram_upper, qii, orders = job
     labels_pm = solver.one_vs_rest_targets(classes, base.shape[1])
+    gram_scaled = solver._unpack_upper(gram_upper, base.shape[0])
     return labels_pm, alpha0, base, gram_scaled, qii, loss, orders
 
 
@@ -381,11 +508,63 @@ def test_kernel_matches_numpy_loop_bitwise(loss, alpha_kind, k):
     for n in (1, 17, 600, 601):
         fields = job_inputs(n, k, alpha_kind, seed=n)
         for epochs in (0, 1, 3):
-            jobs = [(*fields, solver._visit_orders(substream(n, epochs), epochs, n))]
+            jobs = [packed_job(fields, solver._visit_orders(substream(n, epochs), epochs, n))]
             expected = solve_bytes(None, loss, jobs)
             assert solve_bytes(kernel, loss, jobs) == expected, (n, epochs)
             if alpha_kind == "optimum":
                 assert not np.frombuffer(expected[0][0]).any()
+
+
+# job sizes below, at, above and at twice the unpack's 32-row tile, and a
+# grid device's odd rows: largest first, so one lane's square is reused by
+# smaller jobs and holds a larger job's entries past their rows
+TILE_SIZES = (165, 65, 64, 33, 32, 31, 1)
+
+
+def tile_jobs(k, seed=0):
+    return [
+        packed_job(job_inputs(n, k, "interior", seed=seed + n), solver._visit_orders(
+            substream(seed, n), 2, n
+        ))
+        for n in TILE_SIZES
+    ]
+
+
+@needs_compiler
+@pytest.mark.parametrize("k", [1, 10])
+@pytest.mark.parametrize("loss", [SmoothedHinge(gamma=0.5), SquaredLoss()], ids=repr)
+def test_compiled_and_numpy_solves_agree_on_packed_jobs_around_the_tile(loss, k):
+    kernel = solver._kernel()
+    assert kernel is not None
+    jobs = tile_jobs(k)
+    expected = solve_bytes(None, loss, jobs)
+    assert solve_bytes(kernel, loss, jobs) == expected
+    for lanes in (2, 3):
+        got = solver._local_solves(kernel, loss, jobs, lanes)
+        assert [[a.tobytes() for a in pair] for pair in got] == expected, lanes
+
+
+@needs_compiler
+def test_each_lane_unpacks_into_one_square_of_its_largest_job(monkeypatch):
+    kernel = solver._kernel()
+    calls = []
+
+    def recording(*args):  # sdca_job's arguments: n first, the square last
+        calls.append((args[0], args[-1]))
+        return kernel(*args)
+
+    jobs = tile_jobs(10, seed=4)
+    expected = solve_bytes(None, HINGE, jobs)
+    for lanes in (1, 2, 4):
+        calls.clear()
+        got = solver._local_solves(recording, HINGE, jobs, lanes)
+        assert [[a.tobytes() for a in pair] for pair in got] == expected, lanes
+        squares = {id(square): square for _, square in calls}
+        assert len(squares) == min(lanes, len(jobs))  # one per lane
+        for key, square in squares.items():
+            sides = [n for n, used in calls if id(used) == key]
+            assert square.size == max(sides) ** 2  # no larger than its largest job needs
+        assert max(square.size for square in squares.values()) == max(TILE_SIZES) ** 2
 
 
 def all_columns_passes(labels_pm, alpha0, margins, gram_scaled, qii, loss, orders, steps=None):
@@ -523,7 +702,7 @@ def test_kernel_compile_flags_keep_ieee_arithmetic(tmp_path, monkeypatch):
     functions = c_functions(source.decode())
     assert {"coordinate_passes", "sdca_certificate", "walk_values"} <= set(functions)
     entry_points = {name for name, static in functions.items() if not static}
-    assert entry_points == {"native_isa", "sdca_job", "walk_values"}
+    assert entry_points == {"native_isa", "pack_upper", "sdca_job", "walk_values"}
     assert entry_points - {"native_isa"} == bound
 
 
@@ -554,6 +733,7 @@ def test_kernels_built_without_target_clones_pass_both_probes(plain_library, mon
     assert None not in plain_kernels(plain_library, monkeypatch)
     assert orchestrator.fast_paths() == {
         "library": {"status": "c", "reason": None, "clone": "default"},
+        "pack_upper": {"status": "c", "reason": None},
         "sdca_job": {"status": "c", "reason": None},
         "walk_values": {"status": "c", "reason": None},
     }
@@ -601,7 +781,9 @@ def test_cloned_kernels_give_the_plain_bodys_bytes(plain_library, monkeypatch):
     cloned, plain = cloned_job, plain_job
     assert cloned is not None and plain is not None
     cases = [*solver._probe_jobs(), *(
-        (loss, [(*job_inputs(n, 10, kind, seed=n), solver._visit_orders(substream(n), 3, n))])
+        (loss, [packed_job(
+            job_inputs(n, 10, kind, seed=n), solver._visit_orders(substream(n), 3, n)
+        )])
         for n in (165, 440)  # a grid device's rows, odd and even
         for kind in ("interior", "bounds", "nan")
         for loss in (HINGE, SQUARED)
@@ -816,6 +998,7 @@ def test_missing_compiler_falls_back_to_numpy(tmp_path, monkeypatch):
     assert solver._kernel() is None
     assert orchestrator.fast_paths() == {
         "library": {"status": "numpy", "reason": "no compiler", "clone": None},
+        "pack_upper": {"status": "numpy", "reason": "no library"},
         "sdca_job": {"status": "numpy", "reason": "no library"},
         "walk_values": {"status": "numpy", "reason": "no library"},
     }
