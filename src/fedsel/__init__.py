@@ -10,50 +10,12 @@ construction.
 """
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .cost import DeviceProfile, comm_time, compute_time, sample_profiles, schedule_cost
-from .data import (
-    DataFormatError,
-    DeviceDataset,
-    SplitDataset,
-    generate_synthetic,
-    load_idx_split,
-    parse_idx,
-    write_idx,
-)
+from .data import DataFormatError, DeviceDataset, SplitDataset, generate_synthetic, load_idx_split
 from .losses import LOSSES, SmoothedHinge, SquaredLoss, make_loss
-from .orchestrator import (
-    Experiment,
-    ExperimentResult,
-    RoundMetrics,
-    RunManifest,
-    evaluate_global,
-    fairness_audit,
-)
-from .selection import (
-    KeepRule,
-    RoundPlan,
-    SelectionPolicy,
-    exploit_select,
-    explore_select,
-)
-from .solver import (
-    GlobalState,
-    Hyperparams,
-    LocalUpdate,
-    apply_dual_update,
-    device_update,
-    device_update_ovr,
-    dual_objective,
-    duality_gap,
-    primal_objective,
-)
-from .valuation import (
-    CoalitionGame,
-    CoalitionOracle,
-    ContributionLedger,
-    exact_shapley,
-    tmc_estimate,
-)
+from .orchestrator import Experiment, ExperimentResult
+from .selection import KeepRule, SelectionPolicy
+from .solver import GlobalState, Hyperparams, device_update, device_update_ovr, duality_gap
+from .valuation import CoalitionGame, CoalitionOracle, exact_shapley, tmc_estimate
 
 __version__ = "0.1.0"
 
@@ -61,45 +23,26 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "load_config",
-    "DeviceProfile",
-    "comm_time",
-    "compute_time",
-    "sample_profiles",
-    "schedule_cost",
     "DataFormatError",
     "DeviceDataset",
     "SplitDataset",
     "generate_synthetic",
     "load_idx_split",
-    "parse_idx",
-    "write_idx",
     "LOSSES",
     "SmoothedHinge",
     "SquaredLoss",
     "make_loss",
     "Experiment",
     "ExperimentResult",
-    "RoundMetrics",
-    "RunManifest",
-    "evaluate_global",
-    "fairness_audit",
     "KeepRule",
-    "RoundPlan",
     "SelectionPolicy",
-    "exploit_select",
-    "explore_select",
     "GlobalState",
     "Hyperparams",
-    "LocalUpdate",
-    "apply_dual_update",
     "device_update",
     "device_update_ovr",
-    "dual_objective",
     "duality_gap",
-    "primal_objective",
     "CoalitionGame",
     "CoalitionOracle",
-    "ContributionLedger",
     "exact_shapley",
     "tmc_estimate",
     "__version__",

@@ -3,10 +3,12 @@
 A config file is a sectioned key/value tree; sections mirror module names.
 Every key has one entry in DEFAULTS: its type, its default, its legal values
 and the key value that reads it, so a minimal file only states what it
-changes. `--set section.key=value` (or a bare key when unique) patches the
-parsed tree before validation. `build_config` checks every key against its
-entry in one loop; besides that loop only two checks relate keys to each
-other (synthetic train size against devices, cost minimum against maximum).
+changes; a key that a library setting backs takes its entry from that
+setting's declaration (fedsel.settings). `--set section.key=value` (or a bare
+key when unique) patches the parsed tree before validation. `build_config`
+checks every key against its entry in one call; besides that call only two
+checks relate keys to each other (synthetic train size against devices, cost
+minimum against maximum).
 Every refusal raises ConfigError naming the offending section.key; the CLI
 maps that to exit code 2.
 """
@@ -19,24 +21,93 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import SplitDataset, generate_synthetic, load_idx_split
-from .losses import LOSSES
-from .selection import KEEP_RULE_KINDS, POLICY_KINDS, KeepRule, SelectionPolicy
-from .solver import AGGREGATION_RULES, Hyperparams
+from .selection import KeepRule, SelectionPolicy
+# ConfigError and check_legal stay importable from here, as the CLI does
+from .settings import (
+    ConfigError, Setting, check_fields, check_legal, check_values, declared, setting,
+)
+from .solver import Hyperparams
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; message names the offending key."""
+@dataclass
+class ExperimentConfig:
+    """Validated run description; `values` is the resolved key tree verbatim.
+
+    Experiment and Experiment.run take rounds, eval_every and
+    stop_at_accuracy as arguments, checked against these fields."""
+
+    hyper: Hyperparams
+    policy: SelectionPolicy
+    rounds: int = setting("orchestrator.rounds", "int", 50, "[0, inf)")
+    eval_every: int = setting("orchestrator.eval_every", "int", 1, "[1, inf)")
+    stop_at_accuracy: float | None = setting(
+        "orchestrator.stop_at_accuracy", "opt_float", None, "(0, 1]"
+    )
+    out_dir: str | None = setting("orchestrator.out_dir", "opt_str", None)
+    values: dict[str, dict[str, object]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+
+    def payload(self) -> dict:
+        return self.values
+
+    def cost_ranges(self) -> dict:
+        """Profile-sampling kwargs from the [cost] section."""
+        c = self.values["cost"]
+        return {
+            "cpu_freq_range_hz": (c["cpu_freq_min_hz"], c["cpu_freq_max_hz"]),
+            "cycles_per_bit_range": (c["cycles_per_bit_min"], c["cycles_per_bit_max"]),
+            "snr_range": (c["snr_min"], c["snr_max"]),
+            "bandwidth_hz": c["bandwidth_hz"],
+        }
+
+    def build_split(self) -> SplitDataset:
+        d = self.values["data"]
+        seed = self.hyper.seed
+        if d["source"] == "synthetic":
+            return generate_synthetic(
+                dim=d["synthetic_dim"],
+                train_size=d["synthetic_train_size"],
+                num_devices=d["num_devices"],
+                separation=d["synthetic_separation"],
+                seed=seed,
+            )
+        data_dir = d["data_dir"] or os.environ.get("FEDSEL_DATA_DIR")
+        if not data_dir:
+            raise ConfigError(
+                "data.data_dir is empty and FEDSEL_DATA_DIR is not set; "
+                "point one of them at an IDX dataset directory"
+            )
+        return load_idx_split(
+            data_dir,
+            num_devices=d["num_devices"],
+            shards_per_device=d["shards_per_device"],
+            seed=seed,
+            validation_size=d["validation_size"],
+            device_test_fraction=d["device_test_fraction"],
+            unbalanced=d["unbalanced"],
+        )
 
 
-# Each key maps to (type tag, default, legal values, reader). Type tags are
-# int/float/bool/str plus opt_* variants where empty means None. Legal values
-# are an interval such as "(0, 1]" (an open inf end refuses infinity), a tuple
-# of choices, or None for any value of the type. The reader is None or the one
-# (section.key, value) under which the key is read; under any other value the
-# key must keep its default. Policy is never a reader: compare runs one config
-# under every policy.
+# Each key maps to (type tag, default, legal values, reader), as
+# settings.Setting describes them. Policy is never a reader: compare runs one
+# config under every policy. A key that a library setting backs takes its
+# entry from that setting's declaration (_library); the data and cost keys,
+# which feed plain function keyword arguments, are written here.
 _IDX = ("data.source", "idx")
 _SYNTHETIC = ("data.source", "synthetic")
+_LIBRARY = {
+    spec.key: spec.entry()
+    for owner in (Hyperparams, KeepRule, SelectionPolicy, ExperimentConfig)
+    for spec in declared(owner).values()
+}
+
+
+def _library(section: str, *keys: str) -> dict[str, tuple]:
+    return {key: _LIBRARY[f"{section}.{key}"] for key in keys}
+
+
 DEFAULTS: dict[str, dict[str, tuple]] = {
     "data": {
         "source": ("str", "idx", ("idx", "synthetic"), None),
@@ -50,25 +121,14 @@ DEFAULTS: dict[str, dict[str, tuple]] = {
         "synthetic_train_size": ("int", 2000, "[1, inf)", _SYNTHETIC),
         "synthetic_separation": ("float", 3.0, "[0, inf)", _SYNTHETIC),
     },
-    "solver": {
-        "loss": ("str", "smoothed_hinge", tuple(LOSSES), None),
-        "gamma": ("float", 1.0, "(0, inf)", ("solver.loss", "smoothed_hinge")),
-        "reg_lambda": ("opt_float", None, "(0, inf)", None),  # empty means 1/D
-        "epochs": ("int", 10, "[1, inf)", None),
-        "aggregation_denominator": ("str", "accepted", AGGREGATION_RULES, None),
-    },
-    "selection": {
-        "c_fraction": ("float", 0.1, "(0, 1]", None),
-        "keep_rule": ("str", "positive", KEEP_RULE_KINDS, None),
-        "keep_k": ("int", 1, "[1, inf)", ("selection.keep_rule", "top_k")),
-        "keep_cutoff": ("float", 0.0, "(-inf, inf)", ("selection.keep_rule", "threshold")),
-        "greedy_early_stop": ("bool", True, None, None),
-        "beta_persistence": ("bool", False, None, None),
-    },
-    "valuation": {
-        "delta_t": ("int", 1, "[1, inf)", None),
-        "trunc_tol": ("float", 0.0, "[0, inf]", None),  # inf truncates every walk at once
-    },
+    "solver": _library(
+        "solver", "loss", "gamma", "reg_lambda", "epochs", "aggregation_denominator"
+    ),
+    "selection": _library(
+        "selection",
+        "c_fraction", "keep_rule", "keep_k", "keep_cutoff", "greedy_early_stop", "beta_persistence",
+    ),
+    "valuation": _library("valuation", "delta_t", "trunc_tol"),
     "cost": {
         "cpu_freq_min_hz": ("float", 0.5e9, "(0, inf)", None),
         "cpu_freq_max_hz": ("float", 10e9, "(0, inf)", None),
@@ -78,16 +138,11 @@ DEFAULTS: dict[str, dict[str, tuple]] = {
         "snr_max": ("float", 15.0, "(0, inf)", None),
         "bandwidth_hz": ("float", 1e6, "(0, inf)", None),
     },
-    "orchestrator": {
-        "policy": ("str", "cds", POLICY_KINDS, None),
-        "rounds": ("int", 50, "[0, inf)", None),
-        "seed": ("int", 1, "[0, inf)", None),  # numpy seeds only non-negative integers
-        "eval_every": ("int", 1, "[1, inf)", None),
-        "theta_threshold": ("float", 0.5, "[0, inf)", None),  # a risk is a mean loss
-        "stop_at_accuracy": ("opt_float", None, "(0, 1]", None),
-        "duality_gap_target": ("opt_float", None, "(0, inf)", None),
-        "out_dir": ("opt_str", None, None, None),
-    },
+    "orchestrator": _library(
+        "orchestrator",
+        "policy", "rounds", "seed", "eval_every",
+        "theta_threshold", "stop_at_accuracy", "duality_gap_target", "out_dir",
+    ),
 }
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -184,99 +239,22 @@ def apply_overrides(
     return values
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated run description; `values` is the resolved key tree verbatim."""
-
-    hyper: Hyperparams
-    policy: SelectionPolicy
-    rounds: int
-    eval_every: int
-    stop_at_accuracy: float | None
-    out_dir: str | None
-    values: dict[str, dict[str, object]] = field(default_factory=dict)
-
-    def payload(self) -> dict:
-        return self.values
-
-    def cost_ranges(self) -> dict:
-        """Profile-sampling kwargs from the [cost] section."""
-        c = self.values["cost"]
-        return {
-            "cpu_freq_range_hz": (c["cpu_freq_min_hz"], c["cpu_freq_max_hz"]),
-            "cycles_per_bit_range": (c["cycles_per_bit_min"], c["cycles_per_bit_max"]),
-            "snr_range": (c["snr_min"], c["snr_max"]),
-            "bandwidth_hz": c["bandwidth_hz"],
-        }
-
-    def build_split(self) -> SplitDataset:
-        d = self.values["data"]
-        seed = self.hyper.seed
-        if d["source"] == "synthetic":
-            return generate_synthetic(
-                dim=d["synthetic_dim"],
-                train_size=d["synthetic_train_size"],
-                num_devices=d["num_devices"],
-                separation=d["synthetic_separation"],
-                seed=seed,
-            )
-        data_dir = d["data_dir"] or os.environ.get("FEDSEL_DATA_DIR")
-        if not data_dir:
-            raise ConfigError(
-                "data.data_dir is empty and FEDSEL_DATA_DIR is not set; "
-                "point one of them at an IDX dataset directory"
-            )
-        return load_idx_split(
-            data_dir,
-            num_devices=d["num_devices"],
-            shards_per_device=d["shards_per_device"],
-            seed=seed,
-            validation_size=d["validation_size"],
-            device_test_fraction=d["device_test_fraction"],
-            unbalanced=d["unbalanced"],
-        )
-
-
-def check_legal(where: str, value, legal) -> None:
-    """Raise ConfigError naming `where` unless value is among legal (see DEFAULTS)."""
-    if legal is None:
-        return
-    if isinstance(legal, tuple):
-        if value not in legal:
-            raise ConfigError(f"{where} must be one of {legal}, got {value!r}")
-        return
-    lo, hi = (float(end) for end in legal[1:-1].split(","))
-    above = lo <= value if legal[0] == "[" else lo < value
-    below = value <= hi if legal[-1] == "]" else value < hi
-    if not (above and below):  # also false for NaN
-        raise ConfigError(f"{where} must be in {legal}, got {value}")
+def _from_keys(owner, tree: dict[str, dict[str, object]], **fields):
+    """An owner whose every declared field holds the value of its key in tree."""
+    for name, spec in declared(owner).items():
+        section, _, key = spec.key.partition(".")
+        fields[name] = tree[section][key]
+    return owner(**fields)
 
 
 def build_config(values: dict[str, dict[str, object]]) -> ExperimentConfig:
     """Turn a resolved key tree into validated runtime objects."""
-    for section, keys in DEFAULTS.items():
-        for key, (_, default, legal, reader) in keys.items():
-            value = values[section][key]
-            if value is not None:
-                check_legal(f"{section}.{key}", value, legal)
-            if reader is not None:
-                reader_name, wanted = reader
-                reader_section, _, reader_key = reader_name.partition(".")
-                read_as = values[reader_section][reader_key]
-                # a value the run never reads is refused rather than ignored
-                if read_as != wanted and value != default:
-                    raise ConfigError(
-                        f"{section}.{key}={value} is read only by {reader_name}={wanted!r}, "
-                        f"not {read_as!r}"
-                    )
-    s, sel, val, orch, data, cost = (
-        values["solver"],
-        values["selection"],
-        values["valuation"],
-        values["orchestrator"],
-        values["data"],
-        values["cost"],
-    )
+    check_values({
+        f"{section}.{key}": (Setting(f"{section}.{key}", *entry), values[section][key])
+        for section, keys in DEFAULTS.items()
+        for key, entry in keys.items()
+    })
+    data, cost = values["data"], values["cost"]
     # every synthetic device holds at least one training sample
     if data["source"] == "synthetic" and data["synthetic_train_size"] < data["num_devices"]:
         raise ConfigError(
@@ -292,39 +270,11 @@ def build_config(values: dict[str, dict[str, object]]) -> ExperimentConfig:
             raise ConfigError(
                 f"cost.{lo_key}={cost[lo_key]} must be <= cost.{hi_key}={cost[hi_key]}"
             )
-    try:
-        hyper = Hyperparams(
-            loss=s["loss"],
-            gamma=s["gamma"],
-            reg_lambda=s["reg_lambda"],
-            epochs=s["epochs"],
-            c_fraction=sel["c_fraction"],
-            delta_t=val["delta_t"],
-            trunc_tol=val["trunc_tol"],
-            theta_threshold=orch["theta_threshold"],
-            duality_gap_target=orch["duality_gap_target"],
-            seed=orch["seed"],
-            aggregation_denominator=s["aggregation_denominator"],
-        )
-        keep = KeepRule(
-            kind=sel["keep_rule"], k=sel["keep_k"], cutoff=sel["keep_cutoff"]
-        )
-        policy = SelectionPolicy(
-            kind=orch["policy"],
-            keep_rule=keep,
-            greedy_early_stop=sel["greedy_early_stop"],
-            beta_persistence=sel["beta_persistence"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    return ExperimentConfig(
-        hyper=hyper,
-        policy=policy,
-        rounds=orch["rounds"],
-        eval_every=orch["eval_every"],
-        stop_at_accuracy=orch["stop_at_accuracy"],
-        out_dir=orch["out_dir"],
+    return _from_keys(
+        ExperimentConfig,
+        values,
+        hyper=_from_keys(Hyperparams, values),
+        policy=_from_keys(SelectionPolicy, values, keep_rule=_from_keys(KeepRule, values)),
         values=values,
     )
 

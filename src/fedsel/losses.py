@@ -20,16 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .settings import Setting, check_fields, check_values
+
+GAMMA = Setting("solver.gamma", "float", 1.0, "(0, inf)", ("solver.loss", "smoothed_hinge"))
+
 
 @dataclass(frozen=True)
 class SmoothedHinge:
     """Hinge loss with a quadratic head of width gamma (gamma > 0)."""
 
-    gamma: float = 1.0
+    gamma: float = GAMMA.field()
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        check_fields(self)
 
     def value(self, margins, labels):
         z = 1.0 - np.asarray(labels) * np.asarray(margins)
@@ -98,16 +101,9 @@ class SquaredLoss:
 Loss = SmoothedHinge | SquaredLoss
 
 LOSSES = {"smoothed_hinge": SmoothedHinge, "squared": SquaredLoss}
+LOSS = Setting("solver.loss", "str", "smoothed_hinge", tuple(LOSSES))
 
 
-def make_loss(name: str, gamma: float = 1.0) -> Loss:
-    if name == "smoothed_hinge":
-        return SmoothedHinge(gamma=gamma)
-    if name == "squared":
-        # a value the loss never reads is refused rather than ignored
-        if gamma != SmoothedHinge.gamma:
-            raise ValueError(
-                f"gamma={gamma} is read only by the smoothed_hinge loss, not 'squared'"
-            )
-        return SquaredLoss()
-    raise ValueError(f"unknown loss {name!r}, expected one of {sorted(LOSSES)}")
+def make_loss(name: str, gamma: float = GAMMA.default) -> Loss:
+    check_values({"loss": (LOSS, name), "gamma": (GAMMA, gamma)})
+    return SmoothedHinge(gamma=gamma) if name == "smoothed_hinge" else SquaredLoss()

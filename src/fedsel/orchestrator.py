@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import native, products, solver, valuation
+from .config import ExperimentConfig
 from .cost import sample_profiles, schedule_cost
 from .data import DeviceDataset, SplitDataset
 from .losses import Loss
@@ -32,6 +33,7 @@ from .selection import (
     greedy_from_value_fn,
     random_aggregate_plan,
 )
+from .settings import check_args
 from .solver import (
     GlobalState,
     Hyperparams,
@@ -216,15 +218,12 @@ class Experiment:
         hyper: Hyperparams,
         policy: SelectionPolicy,
         *,
-        eval_every: int = 1,
-        stop_at_accuracy: float | None = None,
+        eval_every: int = ExperimentConfig.eval_every,
+        stop_at_accuracy: float | None = ExperimentConfig.stop_at_accuracy,
         audit_sink: list[dict] | None = None,
         cost_ranges: dict | None = None,
     ):
-        if eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if stop_at_accuracy is not None and not 0.0 < stop_at_accuracy <= 1.0:
-            raise ValueError(f"stop_at_accuracy must be in (0, 1], got {stop_at_accuracy}")
+        check_args(ExperimentConfig, eval_every=eval_every, stop_at_accuracy=stop_at_accuracy)
         self.split = split
         self.hyper = hyper
         self.policy = policy
@@ -446,8 +445,7 @@ class Experiment:
         config_payload: dict | None = None,
         log=None,
     ) -> ExperimentResult:
-        if rounds < 0:
-            raise ValueError("rounds must be >= 0")
+        check_args(ExperimentConfig, rounds=rounds)
         started = time.monotonic()
         out = Path(out_dir) if out_dir is not None else None
         manifest = None

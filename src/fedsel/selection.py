@@ -5,47 +5,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .settings import check_args, check_fields, setting
+from .solver import Hyperparams
 from .valuation import prefix_values
-
-POLICY_KINDS = ("cds", "random", "greedy")
-KEEP_RULE_KINDS = ("positive", "top_k", "threshold")
 
 
 @dataclass(frozen=True)
 class KeepRule:
     """How the sorted contribution list is cut into the accepted set."""
 
-    kind: str = "positive"
-    k: int = 1
-    cutoff: float = 0.0
+    kind: str = setting(
+        "selection.keep_rule", "str", "positive", ("positive", "top_k", "threshold")
+    )
+    k: int = setting("selection.keep_k", "int", 1, "[1, inf)", ("selection.keep_rule", "top_k"))
+    cutoff: float = setting(
+        "selection.keep_cutoff", "float", 0.0, "(-inf, inf)", ("selection.keep_rule", "threshold")
+    )
 
     def __post_init__(self) -> None:
-        if self.kind not in KEEP_RULE_KINDS:
-            raise ValueError(f"keep rule must be one of {KEEP_RULE_KINDS}, got {self.kind!r}")
-        if self.kind == "top_k" and self.k < 1:
-            raise ValueError(f"top_k keep rule needs k >= 1, got {self.k}")
-        # a value the rule never reads is refused rather than ignored
-        if self.kind != "top_k" and self.k != KeepRule.k:
-            raise ValueError(
-                f"keep_k={self.k} is read only by the top_k keep rule, not {self.kind!r}"
-            )
-        if self.kind != "threshold" and self.cutoff != KeepRule.cutoff:
-            raise ValueError(
-                f"keep_cutoff={self.cutoff} is read only by the threshold keep rule, "
-                f"not {self.kind!r}"
-            )
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class SelectionPolicy:
-    kind: str = "cds"
+    kind: str = setting("orchestrator.policy", "str", "cds", ("cds", "random", "greedy"))
     keep_rule: KeepRule = KeepRule()
-    greedy_early_stop: bool = True
-    beta_persistence: bool = False  # keep contribution means across rounds
+    greedy_early_stop: bool = setting("selection.greedy_early_stop", "bool", True)
+    # keep contribution means across rounds
+    beta_persistence: bool = setting("selection.beta_persistence", "bool", False)
 
     def __post_init__(self) -> None:
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(f"policy must be one of {POLICY_KINDS}, got {self.kind!r}")
+        check_fields(self)
 
 
 @dataclass
@@ -69,8 +59,7 @@ def exploration_size(num_devices: int, c_fraction: float) -> int:
 
 def explore_select(num_devices: int, c_fraction: float, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniform sample without replacement of max(1, floor(C*M)) device ids."""
-    if not 0.0 < c_fraction <= 1.0:
-        raise ValueError(f"c_fraction must be in (0, 1], got {c_fraction}")
+    check_args(Hyperparams, c_fraction=c_fraction)
     size = exploration_size(num_devices, c_fraction)
     picked = rng.choice(num_devices, size=size, replace=False)
     return tuple(int(m) for m in np.sort(picked))

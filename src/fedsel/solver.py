@@ -36,52 +36,43 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import native
-from .losses import Loss, SmoothedHinge, SquaredLoss, make_loss
+from .losses import GAMMA, LOSS, Loss, SmoothedHinge, SquaredLoss, make_loss
 from .products import row_major_scores
 from .rng import substream
+from .settings import check_fields, setting
 
 AGGREGATION_RULES = ("accepted", "explored", "all")
 
 
 @dataclass
 class Hyperparams:
-    """The experiment-wide knob bag; validated on construction.
+    """The experiment-wide knob bag; each field declares its config key,
+    default and legal values, and construction checks them all.
 
     reg_lambda=None means "resolve to 1/D once the dataset size is known".
     """
 
-    loss: str = "smoothed_hinge"
-    gamma: float = 1.0
-    reg_lambda: float | None = None
-    epochs: int = 10
-    c_fraction: float = 0.1
-    delta_t: int = 1
-    trunc_tol: float = 0.0
-    theta_threshold: float = 0.5
-    duality_gap_target: float | None = None
-    seed: int = 1
-    aggregation_denominator: str = "accepted"
+    loss: str = LOSS.field()
+    gamma: float = GAMMA.field()
+    reg_lambda: float | None = setting("solver.reg_lambda", "opt_float", None, "(0, inf)")
+    epochs: int = setting("solver.epochs", "int", 10, "[1, inf)")
+    c_fraction: float = setting("selection.c_fraction", "float", 0.1, "(0, 1]")
+    delta_t: int = setting("valuation.delta_t", "int", 1, "[1, inf)")
+    # inf truncates every walk at once
+    trunc_tol: float = setting("valuation.trunc_tol", "float", 0.0, "[0, inf]")
+    # a risk is a mean loss
+    theta_threshold: float = setting("orchestrator.theta_threshold", "float", 0.5, "[0, inf)")
+    duality_gap_target: float | None = setting(
+        "orchestrator.duality_gap_target", "opt_float", None, "(0, inf)"
+    )
+    # numpy seeds only non-negative integers
+    seed: int = setting("orchestrator.seed", "int", 1, "[0, inf)")
+    aggregation_denominator: str = setting(
+        "solver.aggregation_denominator", "str", "accepted", AGGREGATION_RULES
+    )
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.c_fraction <= 1.0:
-            raise ValueError(f"c_fraction must be in (0, 1], got {self.c_fraction}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.delta_t < 1:
-            raise ValueError(f"delta_t must be >= 1, got {self.delta_t}")
-        if self.trunc_tol < 0.0:
-            raise ValueError(f"trunc_tol must be >= 0, got {self.trunc_tol}")
-        if self.reg_lambda is not None and not self.reg_lambda > 0.0:
-            raise ValueError(f"reg_lambda must be positive, got {self.reg_lambda}")
-        if not 0.0 <= self.theta_threshold < np.inf:  # also false for NaN
-            raise ValueError(f"theta_threshold must be in [0, inf), got {self.theta_threshold}")
-        if self.duality_gap_target is not None and not 0.0 < self.duality_gap_target < np.inf:
-            raise ValueError(f"duality_gap_target must be in (0, inf), got {self.duality_gap_target}")
-        if self.aggregation_denominator not in AGGREGATION_RULES:
-            raise ValueError(
-                f"aggregation_denominator must be one of {AGGREGATION_RULES}, "
-                f"got {self.aggregation_denominator!r}"
-            )
+        check_fields(self)
 
     def resolved_lambda(self, total_samples: int) -> float:
         if self.reg_lambda is not None:
@@ -440,8 +431,12 @@ def _theta_from_certificate(improvement: np.ndarray, gap: np.ndarray) -> np.ndar
 
 
 def scaled_gram(features, lam: float, total_samples: int) -> np.ndarray:
-    """The device's Gram matrix over lambda*D, the local solve's coupling matrix."""
-    features = np.asarray(features, dtype=np.float64)
+    """The device's Gram matrix over lambda*D, the local solve's coupling matrix.
+
+    The product is taken of C-contiguous rows: numpy multiplies a strided
+    view, such as every other column, through gemm on separate copies, and
+    that Gram need not be symmetric byte for byte."""
+    features = np.ascontiguousarray(features, dtype=np.float64)
     gram = features @ features.T
     gram /= lam * total_samples  # in place: the same ufunc and bytes, no second n x n array
     return gram
@@ -451,9 +446,8 @@ def _scaled_gram_upper(features, lam: float, total_samples: int, device_id) -> n
     """scaled_gram's upper triangle, packed row by row in n(n+1)/2 float64.
 
     Raises ValueError, naming the device, where the Gram is not symmetric
-    byte for byte, as a BLAS that does not mirror X @ X.T could make it, or
-    numpy given a view of every other column (it multiplies copies through
-    gemm): the triangle would not give its bytes back."""
+    byte for byte, as a BLAS that does not mirror X @ X.T could make it:
+    the triangle would not give its bytes back."""
     gram = scaled_gram(features, lam, total_samples)
     kernel = _pack_kernel()
     if kernel is None:
@@ -512,7 +506,8 @@ def _solve_columns(
             raise ValueError(f"device {device.device_id} has no training samples")
         if isinstance(rng, (int, np.integer)):
             rng = substream(int(rng))
-        feats = np.asarray(device.features, dtype=np.float64)
+        # a strided view would give its products other bytes (see scaled_gram)
+        feats = np.ascontiguousarray(device.features, dtype=np.float64)
         if gram_upper is None:
             gram_upper = _scaled_gram_upper(feats, lam, total_samples, device.device_id)
         gram_upper = np.ascontiguousarray(gram_upper, dtype=np.float64)
@@ -537,7 +532,7 @@ def _solve_columns(
         ))
     updates = []
     for device, (rho, sums) in zip(devices, _local_solves(_kernel(), loss, jobs)):
-        feats = np.asarray(device.features, dtype=np.float64)
+        feats = np.ascontiguousarray(device.features, dtype=np.float64)
         delta_phi = feats.T @ rho / (lam * total_samples)
         improvement = (
             sums[0] / total_samples

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import native
 from .products import kmajor_product
-from .solver import aggregation_count
+from .settings import check_args
+from .solver import Hyperparams, aggregation_count
 
 EXACT_PLAYER_GUARD = 10
 
@@ -445,10 +446,7 @@ def tmc_estimate(
     players = tuple(game.players)
     if not players:
         raise ValueError("tmc_estimate needs at least one player")
-    if delta_t < 1:
-        raise ValueError(f"delta_t must be >= 1, got {delta_t}")
-    if trunc_tol < 0:
-        raise ValueError(f"trunc_tol must be >= 0, got {trunc_tol}")
+    check_args(Hyperparams, delta_t=delta_t, trunc_tol=trunc_tol)
     if ledger is None:
         ledger = ContributionLedger()
 

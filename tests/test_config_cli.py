@@ -1,6 +1,8 @@
 """Config parsing/validation and the command-line contract."""
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,14 +12,19 @@ from fedsel.cli import main
 from fedsel.config import (
     DEFAULTS,
     ConfigError,
+    ExperimentConfig,
     apply_overrides,
     build_config,
     default_values,
     load_config,
     read_config_file,
 )
+from fedsel.data import generate_synthetic
 from fedsel.orchestrator import Experiment
+from fedsel.selection import KeepRule, SelectionPolicy
 from fedsel.selfcheck import run_selfcheck
+from fedsel.settings import declared
+from fedsel.solver import Hyperparams
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.ini"))
@@ -328,6 +335,91 @@ def test_every_key_refuses_what_its_entry_does_not_allow(overrides, tmp_path, ca
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}")
     assert not out.exists()
+
+
+# Each key a library setting backs, with the dataclass field that declares it
+LIBRARY_KEYS = {
+    spec.key: (owner, name)
+    for owner in (Hyperparams, KeepRule, SelectionPolicy, ExperimentConfig)
+    for name, spec in declared(owner).items()
+}
+
+
+def _library_value(raw: str):
+    """The value a library caller passes where a config file holds raw."""
+    for parse in (int, float):
+        try:
+            return parse(raw)
+        except ValueError:
+            pass
+    return {"true": True, "false": False}.get(raw, raw)
+
+
+def _library_cases() -> list[tuple[str, ...]]:
+    """The table's cases on library keys only, plus the non-integers an int
+    key's parser refuses and the library receives as floats."""
+    cases = [
+        case for case in SCHEMA_CASES + list(LEGAL_CASES)
+        if all(item.partition("=")[0] in LIBRARY_KEYS for item in case)
+    ]
+    for section, keys in DEFAULTS.items():
+        for key, (tag, *_) in keys.items():
+            if tag == "int" and f"{section}.{key}" in LIBRARY_KEYS:
+                cases += [(f"{section}.{key}={raw}",) for raw in ("2.5", "nan")]
+    return list(dict.fromkeys(cases))
+
+
+@pytest.mark.parametrize("overrides", _library_cases(), ids=" ".join)
+def test_library_refuses_what_the_config_table_refuses(overrides):
+    # among the cases: Hyperparams(reg_lambda=inf), (gamma=inf), (trunc_tol=nan),
+    # (delta_t=nan), (epochs=2.5), (seed=-1), (loss="bogus"), (loss="squared",
+    # gamma=0.5), KeepRule(cutoff=inf) and (cutoff=nan)
+    arguments: dict = {}
+    for item in overrides:
+        key, _, raw = item.partition("=")
+        owner, name = LIBRARY_KEYS[key]
+        arguments.setdefault(owner, {})[name] = _library_value(raw)
+
+    def build():
+        for owner, kwargs in arguments.items():
+            if owner is ExperimentConfig:
+                owner(Hyperparams(), SelectionPolicy(), **kwargs)
+            else:
+                owner(**kwargs)
+
+    if overrides in LEGAL_CASES:
+        load_config(None, list(overrides))
+        build()
+        return
+    with pytest.raises(ConfigError):
+        load_config(None, list(overrides))
+    # the refusal names the field, as Class.field
+    owner, name = LIBRARY_KEYS[overrides[-1].partition("=")[0]]
+    with pytest.raises(ValueError, match="^" + re.escape(f"{owner.__name__}.{name}") + r"\b"):
+        build()
+    if owner is ExperimentConfig and name != "out_dir":
+        # Experiment takes these as arguments, and its run takes rounds
+        kwargs = dict(arguments[owner])
+        rounds = kwargs.pop("rounds", 0)
+        split = generate_synthetic(dim=3, train_size=40, num_devices=4, separation=3.0, seed=1)
+        with pytest.raises(ValueError, match="^" + name + r"\b"):
+            Experiment(split, Hyperparams(), SelectionPolicy(), **kwargs).run(rounds)
+
+
+def test_library_fields_and_config_keys_stay_paired():
+    # every field build_config sets from a key declares that key, once, and
+    # every key outside the data and cost sections is declared by such a field
+    built = {"hyper", "policy", "keep_rule", "values"}  # fields that hold no one key's value
+    declared_keys = [
+        field.metadata["setting"].key
+        for owner in (Hyperparams, KeepRule, SelectionPolicy, ExperimentConfig)
+        for field in dataclasses.fields(owner)
+        if field.name not in built
+    ]
+    library_sections = set(DEFAULTS) - {"data", "cost"}
+    table_keys = [f"{section}.{key}" for section in library_sections for key in DEFAULTS[section]]
+    assert sorted(declared_keys) == sorted(table_keys)
+    assert sorted(LIBRARY_KEYS) == sorted(declared_keys)
 
 
 def test_load_config_flag_patches():
@@ -653,16 +745,11 @@ def test_cli_partition_report(capsys):
 # -- package surface -------------------------------------------------------------
 
 PUBLIC_NAMES = [
-    "CoalitionGame", "CoalitionOracle", "ConfigError", "ContributionLedger",
-    "DataFormatError", "DeviceDataset", "DeviceProfile", "Experiment",
-    "ExperimentConfig", "ExperimentResult", "GlobalState", "Hyperparams", "KeepRule",
-    "LOSSES", "LocalUpdate", "RoundMetrics", "RoundPlan", "RunManifest",
-    "SelectionPolicy", "SmoothedHinge", "SplitDataset", "SquaredLoss", "__version__",
-    "apply_dual_update", "comm_time", "compute_time", "device_update",
-    "device_update_ovr", "dual_objective", "duality_gap", "evaluate_global",
-    "exact_shapley", "exploit_select", "explore_select", "fairness_audit",
-    "generate_synthetic", "load_config", "load_idx_split", "make_loss", "parse_idx",
-    "primal_objective", "sample_profiles", "schedule_cost", "tmc_estimate", "write_idx",
+    "CoalitionGame", "CoalitionOracle", "ConfigError", "DataFormatError", "DeviceDataset",
+    "Experiment", "ExperimentConfig", "ExperimentResult", "GlobalState", "Hyperparams",
+    "KeepRule", "LOSSES", "SelectionPolicy", "SmoothedHinge", "SplitDataset", "SquaredLoss",
+    "__version__", "device_update", "device_update_ovr", "duality_gap", "exact_shapley",
+    "generate_synthetic", "load_config", "load_idx_split", "make_loss", "tmc_estimate",
 ]
 
 

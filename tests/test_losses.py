@@ -13,7 +13,7 @@ def test_make_loss_names():
     assert isinstance(make_loss("smoothed_hinge"), SmoothedHinge)
     assert isinstance(make_loss("squared"), SquaredLoss)
     assert make_loss("smoothed_hinge", gamma=0.5).gamma == 0.5
-    with pytest.raises(ValueError, match="unknown loss"):
+    with pytest.raises(ValueError, match="loss must be one of"):
         make_loss("absolute")
     assert set(LOSSES) == {"smoothed_hinge", "squared"}
 

@@ -483,27 +483,6 @@ def test_accuracy_stop_target():
     assert result.metrics[-1].round_index == 1
 
 
-@pytest.mark.parametrize(
-    "argument, value",
-    [
-        ("theta_threshold", -1.0), ("theta_threshold", np.inf), ("theta_threshold", np.nan),
-        ("duality_gap_target", -1.0), ("duality_gap_target", 0.0),
-        ("duality_gap_target", np.inf), ("duality_gap_target", np.nan),
-        ("stop_at_accuracy", -1.0), ("stop_at_accuracy", 0.0), ("stop_at_accuracy", 1.5),
-        ("stop_at_accuracy", np.nan),
-    ],
-)
-def test_library_refuses_what_the_config_table_refuses(argument, value):
-    # the intervals of config.DEFAULTS: theta_threshold [0, inf),
-    # duality_gap_target (0, inf) and stop_at_accuracy (0, 1], None allowed
-    # for the last two
-    with pytest.raises(ValueError, match=f"^{argument} must be in"):
-        if argument == "stop_at_accuracy":
-            Experiment(tiny_split(), HP, SelectionPolicy(kind="cds"), stop_at_accuracy=value)
-        else:
-            replace(HP, **{argument: value})
-
-
 def test_duality_gap_stop_target():
     split = tiny_split()
     hp = replace(HP, duality_gap_target=1e9)

@@ -106,19 +106,21 @@ def test_exploit_positive_cut_is_scale_invariant(betas, scale):
 
 
 def test_keep_rule_validation():
-    with pytest.raises(ValueError, match="keep rule"):
+    with pytest.raises(ValueError, match="KeepRule.kind must be one of"):
         KeepRule("best")
-    with pytest.raises(ValueError, match="top_k"):
+    with pytest.raises(ValueError, match=r"KeepRule.k must be in \[1, inf\)"):
         KeepRule("top_k", k=0)
-    with pytest.raises(ValueError, match="keep_k=2 is read only by the top_k"):
+    with pytest.raises(ValueError, match="KeepRule.k=2 is read only by KeepRule.kind='top_k'"):
         KeepRule("positive", k=2)
-    with pytest.raises(ValueError, match="keep_cutoff=0.5 is read only by the threshold"):
+    with pytest.raises(
+        ValueError, match="KeepRule.cutoff=0.5 is read only by KeepRule.kind='threshold'"
+    ):
         KeepRule("top_k", k=2, cutoff=0.5)
     assert KeepRule("threshold", k=1, cutoff=0.5).cutoff == 0.5
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError, match="policy"):
+    with pytest.raises(ValueError, match="SelectionPolicy.kind must be one of"):
         SelectionPolicy(kind="oracle")
     assert SelectionPolicy().kind == "cds"
 

@@ -261,12 +261,13 @@ def assert_byte_symmetric(gram):
 
 
 def layouts(features):
-    """features as C-contiguous rows, as every other row of a taller matrix
-    and in Fortran order. (A view of every other column is not symmetric at
-    301 rows: numpy copies each operand of such a product and calls gemm.)"""
+    """features as C-contiguous rows, as every other row of a taller matrix,
+    as every other column of a wider one and in Fortran order."""
     tall = np.empty((2 * features.shape[0], features.shape[1]))
     tall[::2] = features
-    return features, tall[::2], np.asfortranarray(features)
+    wide = np.empty((features.shape[0], 2 * features.shape[1]))
+    wide[:, ::2] = features
+    return features, tall[::2], wide[:, ::2], np.asfortranarray(features)
 
 
 def test_scaled_gram_is_byte_symmetric_in_every_layout():
@@ -292,6 +293,29 @@ def test_scaled_gram_is_byte_symmetric_on_every_grid_device(idx_corpus):
         assert_byte_symmetric(gram)
         packed = solver._scaled_gram_upper(device.features, lam, total, device.device_id)
         assert packed.tobytes() == mask_pack(gram).tobytes(), device.device_id
+
+
+def test_a_device_of_strided_features_solves_as_its_contiguous_copy():
+    # numpy multiplies a view of every other column through gemm on copies,
+    # whose Gram was not symmetric at 301 x 785; the solve takes C-contiguous
+    # rows, so the view gives its copy's update byte for byte
+    rng = np.random.default_rng(17)
+    view = rng.normal(size=(301, 2 * 785))[:, ::2]
+    labels = rng.choice([-1.0, 1.0], size=301)
+    hp = Hyperparams(reg_lambda=1e-3, epochs=2)
+    updates = [
+        device_update(
+            DeviceDataset(
+                device_id=4, features=feats, labels=labels, sample_indices=np.arange(301)
+            ),
+            np.zeros(785), np.zeros(301), hp, substream(3), total_samples=301,
+        )
+        for feats in (view, np.ascontiguousarray(view))
+    ]
+    strided, contiguous = updates
+    assert strided.rho.tobytes() == contiguous.rho.tobytes()
+    assert strided.delta_phi.tobytes() == contiguous.delta_phi.tobytes()
+    assert strided.achieved_theta == contiguous.achieved_theta
 
 
 @pytest.mark.parametrize("backend", ["compiled", "numpy"])
