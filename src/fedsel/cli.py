@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULTS, ConfigError, ExperimentConfig, check_legal, load_config
+from .config import DEFAULTS, ConfigError, ExperimentConfig, load_config
 from .data import DataFormatError
 from .orchestrator import CSV_HEADER, Experiment, ExperimentResult, fast_paths, rounds_to_target
 from .selfcheck import SUITES, run_selfcheck
@@ -141,10 +141,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
         except ValueError:
             raise ConfigError(f"seed {s!r} is not an integer") from None
     # a legal accuracy target is one that orchestrator.stop_at_accuracy accepts
-    legal_accuracy = DEFAULTS["orchestrator"]["stop_at_accuracy"][2]
-    check_legal("--target-accuracy", args.target_accuracy, legal_accuracy)
+    DEFAULTS["orchestrator"]["stop_at_accuracy"].check("--target-accuracy", args.target_accuracy)
 
     base = load_config(args.config, args.overrides, None, None, args.out)
+    # every run's config is checked before the first run starts
+    configs = {
+        (seed, policy): load_config(args.config, args.overrides, seed, policy, args.out)
+        for seed in seed_ints
+        for policy in policies
+    }
     out_root = Path(base.out_dir) if base.out_dir else Path("compare_out")
     out_root.mkdir(parents=True, exist_ok=True)
     _warn_declined_fast_paths()
@@ -154,7 +159,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for seed in seed_ints:
         split = None
         for policy in policies:
-            cfg = load_config(args.config, args.overrides, seed, policy, args.out)
+            cfg = configs[seed, policy]
             if split is None:
                 # one split per seed; every policy sees identical data and
                 # identical exploration draws, so comparisons are paired

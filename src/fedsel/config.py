@@ -1,14 +1,12 @@
 """Experiment configuration: one key table, INI-style files, overrides.
 
 A config file is a sectioned key/value tree; sections mirror module names.
-Every key has one entry in DEFAULTS: its type, its default, its legal values
-and the key value that reads it, so a minimal file only states what it
-changes; a key that a library setting backs takes its entry from that
-setting's declaration (fedsel.settings). `--set section.key=value` (or a bare
-key when unique) patches the parsed tree before validation. `build_config`
-checks every key against its entry in one call; besides that call only two
-checks relate keys to each other (synthetic train size against devices, cost
-minimum against maximum).
+Every key has one entry in DEFAULTS, the Setting (fedsel.settings) that the
+module reading it declares: its type, its default, its legal values, the key
+value that reads it and the key it is bounded by, so a minimal file only
+states what it changes. `--set section.key=value` (or a bare key when
+unique) patches the parsed tree before validation. `build_config` checks
+every key against its Setting, and the keys against each other, in one call.
 Every refusal raises ConfigError naming the offending section.key; the CLI
 maps that to exit code 2.
 """
@@ -20,12 +18,11 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import cost, data
 from .data import SplitDataset, generate_synthetic, load_idx_split
 from .selection import KeepRule, SelectionPolicy
-# ConfigError and check_legal stay importable from here, as the CLI does
-from .settings import (
-    ConfigError, Setting, check_fields, check_legal, check_values, declared, setting,
-)
+# ConfigError stays importable from here, as the CLI does
+from .settings import ConfigError, Setting, check_fields, check_values, declared, setting
 from .solver import Hyperparams
 
 
@@ -90,68 +87,35 @@ class ExperimentConfig:
         )
 
 
-# Each key maps to (type tag, default, legal values, reader), as
-# settings.Setting describes them. Policy is never a reader: compare runs one
-# config under every policy. A key that a library setting backs takes its
-# entry from that setting's declaration (_library); the data and cost keys,
-# which feed plain function keyword arguments, are written here.
-_IDX = ("data.source", "idx")
-_SYNTHETIC = ("data.source", "synthetic")
-_LIBRARY = {
-    spec.key: spec.entry()
-    for owner in (Hyperparams, KeepRule, SelectionPolicy, ExperimentConfig)
+# Every key's Setting, as the module that reads it declares it. Policy is
+# never a reader: compare runs one config under every policy.
+_DECLARED = {
+    spec.key: spec
+    for owner in (data, cost, Hyperparams, KeepRule, SelectionPolicy, ExperimentConfig)
     for spec in declared(owner).values()
 }
-
-
-def _library(section: str, *keys: str) -> dict[str, tuple]:
-    return {key: _LIBRARY[f"{section}.{key}"] for key in keys}
-
-
-DEFAULTS: dict[str, dict[str, tuple]] = {
-    "data": {
-        "source": ("str", "idx", ("idx", "synthetic"), None),
-        "data_dir": ("opt_str", None, None, None),  # falls back to FEDSEL_DATA_DIR
-        "num_devices": ("int", 100, "[1, inf)", None),
-        "shards_per_device": ("int", 2, "[1, inf)", _IDX),
-        "unbalanced": ("bool", False, None, _IDX),
-        "validation_size": ("int", 5000, "[1, inf)", _IDX),
-        "device_test_fraction": ("float", 0.2, "[0, 1)", _IDX),
-        "synthetic_dim": ("int", 20, "[1, inf)", _SYNTHETIC),
-        "synthetic_train_size": ("int", 2000, "[1, inf)", _SYNTHETIC),
-        "synthetic_separation": ("float", 3.0, "[0, inf)", _SYNTHETIC),
-    },
-    "solver": _library(
-        "solver", "loss", "gamma", "reg_lambda", "epochs", "aggregation_denominator"
-    ),
-    "selection": _library(
-        "selection",
-        "c_fraction", "keep_rule", "keep_k", "keep_cutoff", "greedy_early_stop", "beta_persistence",
-    ),
-    "valuation": _library("valuation", "delta_t", "trunc_tol"),
-    "cost": {
-        "cpu_freq_min_hz": ("float", 0.5e9, "(0, inf)", None),
-        "cpu_freq_max_hz": ("float", 10e9, "(0, inf)", None),
-        "cycles_per_bit_min": ("float", 10.0, "(0, inf)", None),
-        "cycles_per_bit_max": ("float", 40.0, "(0, inf)", None),
-        "snr_min": ("float", 1.0, "(0, inf)", None),
-        "snr_max": ("float", 15.0, "(0, inf)", None),
-        "bandwidth_hz": ("float", 1e6, "(0, inf)", None),
-    },
-    "orchestrator": _library(
-        "orchestrator",
-        "policy", "rounds", "seed", "eval_every",
-        "theta_threshold", "stop_at_accuracy", "duality_gap_target", "out_dir",
-    ),
+DEFAULTS: dict[str, dict[str, Setting]] = {
+    section: {key: _DECLARED[f"{section}.{key}"] for key in keys.split()}
+    for section, keys in {
+        "data": "source data_dir num_devices shards_per_device unbalanced validation_size"
+                " device_test_fraction synthetic_dim synthetic_train_size synthetic_separation",
+        "solver": "loss gamma reg_lambda epochs aggregation_denominator",
+        "selection": "c_fraction keep_rule keep_k keep_cutoff greedy_early_stop beta_persistence",
+        "valuation": "delta_t trunc_tol",
+        "cost": "cpu_freq_min_hz cpu_freq_max_hz cycles_per_bit_min cycles_per_bit_max"
+                " snr_min snr_max bandwidth_hz",
+        "orchestrator": "policy rounds seed eval_every theta_threshold stop_at_accuracy"
+                        " duality_gap_target out_dir",
+    }.items()
 }
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-def _coerce(section: str, key: str, tag: str, raw: str):
-    raw = raw.strip()
-    where = f"{section}.{key}"
+def _coerce(spec: Setting, raw: str):
+    """raw as a value of spec's type, or ConfigError naming spec's key."""
+    raw, tag = raw.strip(), spec.tag
     if tag.startswith("opt_"):
         if raw == "" or raw.lower() == "none":
             return None
@@ -173,12 +137,12 @@ def _coerce(section: str, key: str, tag: str, raw: str):
             raise ValueError(f"not a boolean: {raw!r}")
         return raw
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"{spec.key}: {exc}") from None
 
 
 def default_values() -> dict[str, dict[str, object]]:
     return {
-        section: {key: spec[1] for key, spec in keys.items()}
+        section: {key: spec.default for key, spec in keys.items()}
         for section, keys in DEFAULTS.items()
     }
 
@@ -206,8 +170,7 @@ def read_config_file(path: str | Path) -> dict[str, dict[str, object]]:
                     f"unknown key {section}.{key} "
                     f"(known keys: {sorted(DEFAULTS[section])})"
                 )
-            tag = DEFAULTS[section][key][0]
-            values[section][key] = _coerce(section, key, tag, raw)
+            values[section][key] = _coerce(DEFAULTS[section][key], raw)
     return values
 
 
@@ -234,8 +197,7 @@ def apply_overrides(
                     f"qualify it as section.key"
                 )
             section, key = hits[0], dotted
-        tag = DEFAULTS[section][key][0]
-        values[section][key] = _coerce(section, key, tag, raw)
+        values[section][key] = _coerce(DEFAULTS[section][key], raw)
     return values
 
 
@@ -250,26 +212,10 @@ def _from_keys(owner, tree: dict[str, dict[str, object]], **fields):
 def build_config(values: dict[str, dict[str, object]]) -> ExperimentConfig:
     """Turn a resolved key tree into validated runtime objects."""
     check_values({
-        f"{section}.{key}": (Setting(f"{section}.{key}", *entry), values[section][key])
+        f"{section}.{key}": (spec, values[section][key])
         for section, keys in DEFAULTS.items()
-        for key, entry in keys.items()
+        for key, spec in keys.items()
     })
-    data, cost = values["data"], values["cost"]
-    # every synthetic device holds at least one training sample
-    if data["source"] == "synthetic" and data["synthetic_train_size"] < data["num_devices"]:
-        raise ConfigError(
-            f"data.synthetic_train_size must be >= data.num_devices "
-            f"({data['num_devices']}), got {data['synthetic_train_size']}"
-        )
-    for lo_key, hi_key in (
-        ("cpu_freq_min_hz", "cpu_freq_max_hz"),
-        ("cycles_per_bit_min", "cycles_per_bit_max"),
-        ("snr_min", "snr_max"),
-    ):
-        if cost[lo_key] > cost[hi_key]:
-            raise ConfigError(
-                f"cost.{lo_key}={cost[lo_key]} must be <= cost.{hi_key}={cost[hi_key]}"
-            )
     return _from_keys(
         ExperimentConfig,
         values,

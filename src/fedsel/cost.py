@@ -7,19 +7,34 @@ and all server-side work (including contribution permutations) are free.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .rng import PROFILES, substream
+from .settings import Setting, check_values
 
 BITS_PER_FEATURE = 8  # a raw feature's size in a device's data
 PAYLOAD_BITS_PER_WEIGHT = 32  # an uploaded weight's size
 
+# the [cost] config keys: the uniform ranges sample_profiles draws from
+CPU_FREQ_MIN_HZ = Setting(
+    "cost.cpu_freq_min_hz", "float", 0.5e9, "(0, inf)", bound=("<=", "cost.cpu_freq_max_hz")
+)
+CPU_FREQ_MAX_HZ = Setting("cost.cpu_freq_max_hz", "float", 10e9, "(0, inf)")
+CYCLES_PER_BIT_MIN = Setting(
+    "cost.cycles_per_bit_min", "float", 10.0, "(0, inf)", bound=("<=", "cost.cycles_per_bit_max")
+)
+CYCLES_PER_BIT_MAX = Setting("cost.cycles_per_bit_max", "float", 40.0, "(0, inf)")
+SNR_MIN = Setting("cost.snr_min", "float", 1.0, "(0, inf)", bound=("<=", "cost.snr_max"))
+SNR_MAX = Setting("cost.snr_max", "float", 15.0, "(0, inf)")
+BANDWIDTH_HZ = Setting("cost.bandwidth_hz", "float", 1e6, "(0, inf)")
+
 
 @dataclass(frozen=True)
 class DeviceProfile:
-    """Per-device compute/radio parameters, all strictly positive."""
+    """Per-device compute/radio parameters, all positive and finite."""
 
     device_id: int
     cycles_per_bit: float
@@ -32,12 +47,10 @@ class DeviceProfile:
     bandwidth_hz: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "cycles_per_bit", "cpu_freq_hz", "data_bits", "payload_bits",
-            "tx_power_w", "channel_gain", "noise_density_w_hz", "bandwidth_hz",
-        ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"DeviceProfile.{name} must be positive, got {getattr(self, name)}")
+        for f in fields(self)[1:]:  # every field but device_id
+            value = getattr(self, f.name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"DeviceProfile.{f.name} must be in (0, inf), got {value}")
 
     @property
     def snr(self) -> float:
@@ -104,10 +117,12 @@ def sample_profiles(
     device_sizes,
     feature_count: int,
     seed: int,
-    cpu_freq_range_hz: tuple[float, float] = (0.5e9, 10e9),
-    cycles_per_bit_range: tuple[float, float] = (10.0, 40.0),
-    snr_range: tuple[float, float] = (1.0, 15.0),
-    bandwidth_hz: float = 1e6,
+    cpu_freq_range_hz: tuple[float, float] = (CPU_FREQ_MIN_HZ.default, CPU_FREQ_MAX_HZ.default),
+    cycles_per_bit_range: tuple[float, float] = (
+        CYCLES_PER_BIT_MIN.default, CYCLES_PER_BIT_MAX.default
+    ),
+    snr_range: tuple[float, float] = (SNR_MIN.default, SNR_MAX.default),
+    bandwidth_hz: float = BANDWIDTH_HZ.default,
 ) -> dict[int, DeviceProfile]:
     """Draw one heterogeneous profile per device from uniform ranges, seeded.
 
@@ -116,8 +131,18 @@ def sample_profiles(
     the drawn SNR, which the profile's snr gives back only to rounding: the
     round trip tx = snr * N0 * B, then tx / (N0 * B), changed 32,318 of
     100,000 uniform draws from [1, 15] at B = 1 MHz in their last bits (at
-    most 2.4e-16 relative). A compute or uplink time that overflows raises.
+    most 2.4e-16 relative). An argument its [cost] setting refuses (named as
+    `snr_range[0]`) and a compute or uplink time that overflows raise.
     """
+    check_values({
+        "cpu_freq_range_hz[0]": (CPU_FREQ_MIN_HZ, cpu_freq_range_hz[0]),
+        "cpu_freq_range_hz[1]": (CPU_FREQ_MAX_HZ, cpu_freq_range_hz[1]),
+        "cycles_per_bit_range[0]": (CYCLES_PER_BIT_MIN, cycles_per_bit_range[0]),
+        "cycles_per_bit_range[1]": (CYCLES_PER_BIT_MAX, cycles_per_bit_range[1]),
+        "snr_range[0]": (SNR_MIN, snr_range[0]),
+        "snr_range[1]": (SNR_MAX, snr_range[1]),
+        "bandwidth_hz": (BANDWIDTH_HZ, bandwidth_hz),
+    })
     rng = substream(seed, PROFILES)
     noise_density = 1e-9
     profiles = {}

@@ -19,6 +19,23 @@ from pathlib import Path
 import numpy as np
 
 from .rng import LOCAL_TEST, substream
+from .settings import Setting, check_values
+
+# the [data] config keys: where the split comes from and how it is cut
+_IDX, _SYNTHETIC = ("data.source", "idx"), ("data.source", "synthetic")
+SOURCE = Setting("data.source", "str", "idx", ("idx", "synthetic"))
+DATA_DIR = Setting("data.data_dir", "opt_str", None)  # falls back to FEDSEL_DATA_DIR
+NUM_DEVICES = Setting("data.num_devices", "int", 100, "[1, inf)")
+SHARDS_PER_DEVICE = Setting("data.shards_per_device", "int", 2, "[1, inf)", _IDX)
+UNBALANCED = Setting("data.unbalanced", "bool", False, None, _IDX)
+VALIDATION_SIZE = Setting("data.validation_size", "int", 5000, "[1, inf)", _IDX)
+DEVICE_TEST_FRACTION = Setting("data.device_test_fraction", "float", 0.2, "[0, 1)", _IDX)
+SYNTHETIC_DIM = Setting("data.synthetic_dim", "int", 20, "[1, inf)", _SYNTHETIC)
+# every synthetic device holds at least one training sample
+SYNTHETIC_TRAIN_SIZE = Setting(
+    "data.synthetic_train_size", "int", 2000, "[1, inf)", _SYNTHETIC, (">=", "data.num_devices")
+)
+SYNTHETIC_SEPARATION = Setting("data.synthetic_separation", "float", 3.0, "[0, inf)", _SYNTHETIC)
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -237,7 +254,7 @@ def shard_partition(
     num_devices: int,
     shards_per_device: int,
     seed: int,
-    unbalanced: bool = False,
+    unbalanced: bool = UNBALANCED.default,
 ) -> list[np.ndarray]:
     """Assign sample ids to devices via the label-sorted shard scheme.
 
@@ -250,9 +267,11 @@ def shard_partition(
     n = len(labels)
     if n == 0:
         raise DataFormatError("cannot partition an empty sample list")
-    for name, count in (("num_devices", num_devices), ("shards_per_device", shards_per_device)):
-        if count < 1:
-            raise DataFormatError(f"shard_partition needs {name} >= 1, got {count}")
+    check_values({
+        "num_devices": (NUM_DEVICES, num_devices),
+        "shards_per_device": (SHARDS_PER_DEVICE, shards_per_device),
+        "unbalanced": (UNBALANCED, unbalanced),
+    })
     num_shards = num_devices * shards_per_device
     if num_shards > n:
         raise DataFormatError(
@@ -345,9 +364,9 @@ def load_idx_split(
     num_devices: int,
     shards_per_device: int,
     seed: int,
-    validation_size: int = 5000,
-    device_test_fraction: float = 0.2,
-    unbalanced: bool = False,
+    validation_size: int = VALIDATION_SIZE.default,
+    device_test_fraction: float = DEVICE_TEST_FRACTION.default,
+    unbalanced: bool = UNBALANCED.default,
 ) -> SplitDataset:
     """Load an MNIST-layout IDX directory and build the full split.
 
@@ -356,8 +375,16 @@ def load_idx_split(
     pool, the rest is shard-partitioned across devices, and each device's
     local test split is carved from its shard. Pixels are then scaled to
     [0, 1] and flattened, and a bias column is appended, as they are written
-    from the uint8 images straight into the split's float64 matrices.
+    from the uint8 images straight into the split's float64 matrices. An
+    argument its [data] setting refuses is refused before any file is read.
     """
+    check_values({
+        "num_devices": (NUM_DEVICES, num_devices),
+        "shards_per_device": (SHARDS_PER_DEVICE, shards_per_device),
+        "validation_size": (VALIDATION_SIZE, validation_size),
+        "device_test_fraction": (DEVICE_TEST_FRACTION, device_test_fraction),
+        "unbalanced": (UNBALANCED, unbalanced),
+    })
     data_dir = Path(data_dir)
     arrays = {key: read_idx(_find_idx(data_dir, stem)) for key, stem in IDX_FILES.items()}
     for key in ("train_images", "test_images"):
@@ -380,13 +407,9 @@ def load_idx_split(
     _write_pixels(test_images, np.arange(len(test_images)), test_features)
 
     n = len(train_labels)
-    if not 0 <= validation_size < n:
+    if validation_size >= n:
         raise DataFormatError(
             f"validation_size {validation_size} out of range for {n} training samples"
-        )
-    if not 0 <= device_test_fraction < 1:
-        raise DataFormatError(
-            f"device_test_fraction must be in [0, 1), got {device_test_fraction}"
         )
     rng = substream(seed)
     val_pos = np.sort(rng.choice(n, size=validation_size, replace=False))
@@ -451,11 +474,12 @@ def generate_synthetic(
     are fresh draws from the same blobs, per-device labels resampled from that
     device's own label histogram. Samples are dealt round-robin by label.
     """
-    if dim < 1 or train_size < num_devices:
-        raise DataFormatError(
-            f"need dim >= 1 and train_size >= devices, got dim={dim}, "
-            f"train_size={train_size}, devices={num_devices}"
-        )
+    check_values({
+        "dim": (SYNTHETIC_DIM, dim),
+        "train_size": (SYNTHETIC_TRAIN_SIZE, train_size),
+        "num_devices": (NUM_DEVICES, num_devices),
+        "separation": (SYNTHETIC_SEPARATION, separation),
+    })
     rng = substream(seed)
     centers = np.zeros((2, dim))
     centers[0, 0] = -separation / 2.0

@@ -1,13 +1,12 @@
-"""Library settings: each one's config key, type, default, legal values and
-reader, declared once and checked by one rule.
+"""Settings: each one's config key, type, default, legal values, reader and
+bound, declared once by the module that reads it and checked by one rule.
 
 A Setting is declared on the dataclass field that holds it (`setting(...)`);
-one that a function without such a dataclass takes too is a module constant
-(losses.GAMMA, losses.LOSS). Each such dataclass's `__post_init__` checks all
-of its declared fields with check_fields, and a function that takes one of
-these values as an argument checks it against the same declaration
-(check_args, check_values). config.DEFAULTS takes the entries of these keys
-from their declarations.
+one that a function takes is a module constant (losses.GAMMA, the data and
+cost keys). Each such dataclass's `__post_init__` checks all of its declared
+fields with check_fields, and a function checks its arguments against the
+same declarations (check_args, check_values). config.DEFAULTS holds these
+declarations themselves.
 """
 from __future__ import annotations
 
@@ -37,7 +36,8 @@ class Setting:
     None. Legal values are an interval such as "(0, 1]" (an open inf end
     refuses infinity), a tuple of choices, or None for any value of the
     type. The reader is None or the one (section.key, value) under which the
-    setting is read; under any other value it must keep its default.
+    setting is read; under any other value it must keep its default. The
+    bound is None or a ("<=" or ">=", section.key) its value, when read, obeys.
     """
 
     key: str
@@ -45,10 +45,7 @@ class Setting:
     default: object
     legal: object = None
     reader: tuple[str, object] | None = None
-
-    def entry(self) -> tuple:
-        """The (type tag, default, legal values, reader) of config.DEFAULTS."""
-        return (self.tag, self.default, self.legal, self.reader)
+    bound: tuple[str, str] | None = None
 
     def field(self) -> dataclasses.Field:
         """A dataclass field that holds this setting, at its default."""
@@ -62,7 +59,15 @@ class Setting:
         # bool is an Integral, but no int or float setting takes one
         if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
             raise ConfigError(f"{where} must be {wording}, got {value!r}")
-        check_legal(where, value, self.legal)
+        legal = self.legal
+        if isinstance(legal, tuple) and value not in legal:
+            raise ConfigError(f"{where} must be one of {legal}, got {value!r}")
+        if isinstance(legal, str):
+            lo, hi = (float(end) for end in legal[1:-1].split(","))
+            above = lo <= value if legal[0] == "[" else lo < value
+            below = value <= hi if legal[-1] == "]" else value < hi
+            if not (above and below):  # also false for NaN
+                raise ConfigError(f"{where} must be in {legal}, got {value}")
 
 
 def setting(key: str, tag: str, default, legal=None, reader=None) -> dataclasses.Field:
@@ -70,23 +75,10 @@ def setting(key: str, tag: str, default, legal=None, reader=None) -> dataclasses
     return Setting(key, tag, default, legal, reader).field()
 
 
-def check_legal(where: str, value, legal) -> None:
-    """Raise ConfigError naming `where` unless value is among legal (see Setting)."""
-    if legal is None:
-        return
-    if isinstance(legal, tuple):
-        if value not in legal:
-            raise ConfigError(f"{where} must be one of {legal}, got {value!r}")
-        return
-    lo, hi = (float(end) for end in legal[1:-1].split(","))
-    above = lo <= value if legal[0] == "[" else lo < value
-    below = value <= hi if legal[-1] == "]" else value < hi
-    if not (above and below):  # also false for NaN
-        raise ConfigError(f"{where} must be in {legal}, got {value}")
-
-
 def declared(owner) -> dict[str, Setting]:
-    """The Setting of each field of dataclass owner that declares one, by field name."""
+    """The Settings owner declares, by name: a module's constants or a dataclass's fields."""
+    if not dataclasses.is_dataclass(owner):
+        return {name: v for name, v in vars(owner).items() if isinstance(v, Setting)}
     return {
         f.name: f.metadata["setting"]
         for f in dataclasses.fields(owner)
@@ -95,23 +87,28 @@ def declared(owner) -> dict[str, Setting]:
 
 
 def check_values(named: Mapping[str, tuple[Setting, object]]) -> None:
-    """Check each (setting, value) under its name, in order, and its reader.
+    """Check each (setting, value) under its name, in order, then its reader and bound.
 
     A setting whose reader is among the named settings must keep its default
-    unless that reader holds the value that reads it.
+    unless that reader holds the value that reads it. A setting that is read
+    must bear its bound to the named setting the bound names.
     """
-    names = {spec.key: name for name, (spec, _) in named.items()}
     for name, (spec, value) in named.items():
         spec.check(name, value)
-        if spec.reader is None or spec.reader[0] not in names:
+    names = {spec.key: name for name, (spec, _) in named.items()}
+    for name, (spec, value) in named.items():
+        reader = spec.reader and names.get(spec.reader[0])
+        if reader and named[reader][1] != spec.reader[1]:
+            # a value that is never read is refused rather than ignored
+            if value != spec.default:
+                raise ConfigError(f"{name}={value} is read only by "
+                                  f"{reader}={spec.reader[1]!r}, not {named[reader][1]!r}")
             continue
-        reader_name = names[spec.reader[0]]
-        wanted, read_as = spec.reader[1], named[reader_name][1]
-        # a value that is never read is refused rather than ignored
-        if read_as != wanted and value != spec.default:
-            raise ConfigError(
-                f"{name}={value} is read only by {reader_name}={wanted!r}, not {read_as!r}"
-            )
+        other = spec.bound and names.get(spec.bound[1])
+        if other:
+            relation, limit = spec.bound[0], named[other][1]
+            if value > limit if relation == "<=" else value < limit:
+                raise ConfigError(f"{name}={value} must be {relation} {other}={limit}")
 
 
 def check_args(owner, **values) -> None:

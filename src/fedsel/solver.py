@@ -44,7 +44,7 @@ from .settings import check_fields, setting
 AGGREGATION_RULES = ("accepted", "explored", "all")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparams:
     """The experiment-wide knob bag; each field declares its config key,
     default and legal values, and construction checks them all.

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,9 @@ from fedsel.config import (
     load_config,
     read_config_file,
 )
-from fedsel.data import generate_synthetic
+from fedsel import cost, data
+from fedsel.cost import sample_profiles
+from fedsel.data import generate_synthetic, load_idx_split
 from fedsel.orchestrator import Experiment
 from fedsel.selection import KeepRule, SelectionPolicy
 from fedsel.selfcheck import run_selfcheck
@@ -114,10 +117,10 @@ def test_config_coercion_errors(tmp_path):
 
 
 FLOAT_KEYS = [
-    f"{section}.{key}"
-    for section, keys in DEFAULTS.items()
-    for key, (tag, *_) in keys.items()
-    if tag in ("float", "opt_float")
+    spec.key
+    for keys in DEFAULTS.values()
+    for spec in keys.values()
+    if spec.tag in ("float", "opt_float")
 ]
 
 
@@ -279,26 +282,38 @@ def _other_value(tag: str, default) -> str:
     return repr(default / 2 if default else 0.5)
 
 
+def _setting(key: str):
+    section, _, name = key.partition(".")
+    return DEFAULTS[section][name]
+
+
 def _schema_cases() -> list[tuple[str, ...]]:
     """Every key's refusal candidates, derived from its DEFAULTS entry."""
     cases = []
-    for section, keys in DEFAULTS.items():
-        for key, (tag, default, legal, reader) in keys.items():
-            name = f"{section}.{key}"
+    for keys in DEFAULTS.values():
+        for spec in keys.values():
+            name, tag = spec.key, spec.tag
             raws = ["bogus"]
             if tag.endswith("float"):
                 raws += ["nan", "inf", "-inf"]
-            if isinstance(legal, str):
-                raws += _just_outside(tag, legal)
+            if isinstance(spec.legal, str):
+                raws += _just_outside(tag, spec.legal)
             cases += [(f"{name}={raw}",) for raw in raws]
-            if reader is not None:
-                reader_name, wanted = reader
-                reader_section, _, reader_key = reader_name.partition(".")
-                for unread in DEFAULTS[reader_section][reader_key][2]:
+            read = ()
+            if spec.reader is not None:
+                reader_name, wanted = spec.reader
+                read = (f"{reader_name}={wanted}",)
+                for unread in _setting(reader_name).legal:
                     if unread != wanted:
                         cases.append(
-                            (f"{reader_name}={unread}", f"{name}={_other_value(tag, default)}")
+                            (f"{reader_name}={unread}", f"{name}={_other_value(tag, spec.default)}")
                         )
+            if spec.bound is not None:
+                # just past the other key's default, which the case leaves alone
+                relation, other = spec.bound
+                limit = _setting(other).default
+                step = 1 if tag == "int" else limit
+                cases.append((*read, f"{name}={limit + step if relation == '<=' else limit - step}"))
     return cases
 
 
@@ -343,6 +358,34 @@ LIBRARY_KEYS = {
     for owner in (Hyperparams, KeepRule, SelectionPolicy, ExperimentConfig)
     for name, spec in declared(owner).items()
 }
+# Each [data] and [cost] key, with the argument that takes it in each library
+# function that does; range arguments hold two keys, named arg[0] and arg[1]
+FUNCTION_KEYS = {
+    load_idx_split: {
+        "data.num_devices": "num_devices",
+        "data.shards_per_device": "shards_per_device",
+        "data.validation_size": "validation_size",
+        "data.device_test_fraction": "device_test_fraction",
+        "data.unbalanced": "unbalanced",
+    },
+    generate_synthetic: {
+        "data.synthetic_dim": "dim",
+        "data.synthetic_train_size": "train_size",
+        "data.num_devices": "num_devices",
+        "data.synthetic_separation": "separation",
+    },
+    sample_profiles: {
+        "cost.cpu_freq_min_hz": "cpu_freq_range_hz[0]",
+        "cost.cpu_freq_max_hz": "cpu_freq_range_hz[1]",
+        "cost.cycles_per_bit_min": "cycles_per_bit_range[0]",
+        "cost.cycles_per_bit_max": "cycles_per_bit_range[1]",
+        "cost.snr_min": "snr_range[0]",
+        "cost.snr_max": "snr_range[1]",
+        "cost.bandwidth_hz": "bandwidth_hz",
+    },
+}
+# the data.source under which build_split calls each data function
+SOURCE_OF = {load_idx_split: "idx", generate_synthetic: "synthetic"}
 
 
 def _library_value(raw: str):
@@ -355,25 +398,66 @@ def _library_value(raw: str):
     return {"true": True, "false": False}.get(raw, raw)
 
 
+def _functions_of(case: tuple[str, ...]) -> list:
+    """The functions that take every key of case; data.source may pick the function."""
+    values = dict(item.partition("=")[::2] for item in case)
+    return [
+        function for function, keys in FUNCTION_KEYS.items()
+        if case[-1].partition("=")[0] in keys
+        and all(
+            key in keys or (key == "data.source" and raw == SOURCE_OF.get(function))
+            for key, raw in values.items()
+        )
+    ]
+
+
+def _call(function, case: tuple[str, ...], data_dir: Path):
+    """function at its keys' defaults, but at the values case gives them."""
+    given = {key: _library_value(raw) for key, _, raw in (i.partition("=") for i in case)}
+    kwargs: dict = {}
+    for key, argument in FUNCTION_KEYS[function].items():
+        value = given.get(key, _setting(key).default)
+        name, _, end = argument.partition("[")
+        kwargs[name] = kwargs.get(name, ()) + (value,) if end else value
+    if function is load_idx_split:
+        return load_idx_split(data_dir, seed=1, **kwargs)
+    if function is generate_synthetic:
+        return generate_synthetic(seed=1, **kwargs)
+    return sample_profiles(2, [1, 1], feature_count=2, seed=0, **kwargs)
+
+
 def _library_cases() -> list[tuple[str, ...]]:
     """The table's cases on library keys only, plus the non-integers an int
     key's parser refuses and the library receives as floats."""
     cases = [
         case for case in SCHEMA_CASES + list(LEGAL_CASES)
-        if all(item.partition("=")[0] in LIBRARY_KEYS for item in case)
+        if all(item.partition("=")[0] in LIBRARY_KEYS for item in case) or _functions_of(case)
     ]
-    for section, keys in DEFAULTS.items():
-        for key, (tag, *_) in keys.items():
-            if tag == "int" and f"{section}.{key}" in LIBRARY_KEYS:
-                cases += [(f"{section}.{key}={raw}",) for raw in ("2.5", "nan")]
+    for keys in DEFAULTS.values():
+        for spec in keys.values():
+            if spec.tag == "int" and (spec.key in LIBRARY_KEYS or _functions_of((spec.key,))):
+                cases += [(f"{spec.key}={raw}",) for raw in ("2.5", "nan")]
     return list(dict.fromkeys(cases))
 
 
 @pytest.mark.parametrize("overrides", _library_cases(), ids=" ".join)
-def test_library_refuses_what_the_config_table_refuses(overrides):
+def test_library_refuses_what_the_config_table_refuses(overrides, tmp_path):
     # among the cases: Hyperparams(reg_lambda=inf), (gamma=inf), (trunc_tol=nan),
     # (delta_t=nan), (epochs=2.5), (seed=-1), (loss="bogus"), (loss="squared",
-    # gamma=0.5), KeepRule(cutoff=inf) and (cutoff=nan)
+    # gamma=0.5), KeepRule(cutoff=inf) and (cutoff=nan); load_idx_split(
+    # validation_size=0), generate_synthetic(separation=-1.0 or nan),
+    # (train_size=99) under 100 devices, sample_profiles(snr_range=(-1.0, 15.0))
+    # and (bandwidth_hz=inf)
+    functions = _functions_of(overrides)
+    if functions:
+        with pytest.raises(ConfigError):
+            load_config(None, list(overrides))
+        # the refusal names the argument, before any IDX file is read
+        for function in functions:
+            argument = FUNCTION_KEYS[function][overrides[-1].partition("=")[0]]
+            with pytest.raises(ValueError, match="^" + re.escape(argument) + "[ =]"):
+                _call(function, overrides, tmp_path)
+        return
     arguments: dict = {}
     for item in overrides:
         key, _, raw = item.partition("=")
@@ -407,19 +491,37 @@ def test_library_refuses_what_the_config_table_refuses(overrides):
 
 
 def test_library_fields_and_config_keys_stay_paired():
-    # every field build_config sets from a key declares that key, once, and
-    # every key outside the data and cost sections is declared by such a field
+    # every field build_config sets from a key declares that key
     built = {"hyper", "policy", "keep_rule", "values"}  # fields that hold no one key's value
-    declared_keys = [
-        field.metadata["setting"].key
-        for owner in (Hyperparams, KeepRule, SelectionPolicy, ExperimentConfig)
-        for field in dataclasses.fields(owner)
-        if field.name not in built
+    for owner in (Hyperparams, KeepRule, SelectionPolicy, ExperimentConfig):
+        for field in dataclasses.fields(owner):
+            assert field.name in built or "setting" in field.metadata, field.name
+    assert sorted(LIBRARY_KEYS) == sorted(
+        spec.key for section in ("solver", "selection", "valuation", "orchestrator")
+        for spec in DEFAULTS[section].values()
+    )
+    # every Setting that any fedsel module or dataclass holds, by key: each
+    # key is declared once (losses.GAMMA and LOSS are shared, not copied),
+    # and the table's entry is that very object
+    owners = [module for name, module in sys.modules.items() if name.startswith("fedsel.")]
+    owners += [
+        value for module in list(owners) for value in vars(module).values()
+        if isinstance(value, type) and dataclasses.is_dataclass(value)
     ]
-    library_sections = set(DEFAULTS) - {"data", "cost"}
-    table_keys = [f"{section}.{key}" for section in library_sections for key in DEFAULTS[section]]
-    assert sorted(declared_keys) == sorted(table_keys)
-    assert sorted(LIBRARY_KEYS) == sorted(declared_keys)
+    declarations: dict[str, set[int]] = {}
+    objects = {}
+    for owner in owners:
+        for spec in declared(owner).values():
+            declarations.setdefault(spec.key, set()).add(id(spec))
+            objects[id(spec)] = spec
+    assert {key for key, ids in declarations.items() if len(ids) > 1} == set()
+    table = {spec.key: spec for keys in DEFAULTS.values() for spec in keys.values()}
+    assert sorted(table) == sorted(declarations)
+    for key, spec in table.items():
+        assert declarations[key] == {id(spec)}, key
+    # the data and cost keys are the constants of the modules that read them
+    assert {spec.key for spec in declared(data).values()} == {f"data.{k}" for k in DEFAULTS["data"]}
+    assert {spec.key for spec in declared(cost).values()} == {f"cost.{k}" for k in DEFAULTS["cost"]}
 
 
 def test_load_config_flag_patches():
@@ -457,12 +559,16 @@ def test_readme_config_block_shows_every_key_with_its_entry(tmp_path):
     assert {s: sorted(keys) for s, keys in shown.items()} == {
         s: sorted(keys) for s, keys in DEFAULTS.items()
     }
-    # each line states its key's legal values and reader, and its value is the default
+    # each line states its key's legal values, bound and reader, and its value is the default
     for section, keys in DEFAULTS.items():
-        for key, (_, _, legal, reader) in keys.items():
-            comment = shown[section][key]
+        for key, spec in keys.items():
+            comment, legal, reader = shown[section][key], spec.legal, spec.reader
             if legal is not None:
                 assert (legal if isinstance(legal, str) else " | ".join(legal)) in comment, key
+            # a bound shows as "<= other_key" or ">= other_key", and only a bound does
+            shown_bound = re.search(r"[<>]= \w+", comment)
+            bound = spec.bound and f"{spec.bound[0]} {spec.bound[1].partition('.')[2]}"
+            assert (shown_bound and shown_bound.group()) == bound, key
             if reader is not None:
                 assert f"read when {reader[0]} = {reader[1]}" in comment, key
     path = tmp_path / "readme.ini"
@@ -676,6 +782,21 @@ def test_cli_compare_refuses_an_accuracy_target_no_run_can_report(target, tmp_pa
     code = main(["compare", *TINY, "--quiet", "--out", str(out), "--target-accuracy", target])
     assert code == 2
     assert "config error: --target-accuracy must be in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "policies, seeds, key",
+    [("cds,bogus", "1", "orchestrator.policy"), ("cds", "1,-1", "orchestrator.seed")],
+)
+def test_cli_compare_checks_every_config_before_its_first_run(policies, seeds, key, tmp_path, capsys):
+    # a bad entry late in either list is refused before the first run writes its directory
+    out = tmp_path / "cmp"
+    code = main([
+        "compare", *TINY, "--quiet", "--out", str(out), "--policies", policies, "--seeds", seeds,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
     assert not out.exists()
 
 

@@ -1,4 +1,6 @@
 """Time-cost model: compute/uplink formulas, straggler rounds, profile sampling."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -59,6 +61,12 @@ def test_profile_positivity_validation():
         profile(cpu=0.0)
     with pytest.raises(ValueError, match="payload_bits"):
         profile(payload=-1.0)
+    # every field must be finite too: an infinite one makes a time 0 or inf
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=r"^DeviceProfile\.bandwidth_hz must be in \(0, inf\)"):
+            replace(profile(), bandwidth_hz=value)
+        with pytest.raises(ValueError, match=r"^DeviceProfile\.cycles_per_bit must be"):
+            profile(cycles=value)
 
 
 def test_round_cost_is_straggler_max():

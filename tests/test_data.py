@@ -1,5 +1,6 @@
 """IDX codec, partitioner, and dataset-builder contracts."""
 import gzip
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -26,6 +27,7 @@ from fedsel.data import (
 )
 from fedsel.data import _carve_local_tests
 from fedsel.rng import substream
+from fedsel.settings import ConfigError
 
 
 def idx_bytes(magic_ndim: int, dims: tuple[int, ...], payload: bytes) -> bytes:
@@ -105,15 +107,16 @@ def test_shard_partition_single_device():
 @pytest.mark.parametrize(
     "counts, message",
     [
-        ((0, 2), "num_devices >= 1, got 0"),
-        ((-1, 2), "num_devices >= 1, got -1"),
-        ((5, 0), "shards_per_device >= 1, got 0"),
-        ((5, -1), "shards_per_device >= 1, got -1"),
+        ((0, 2), "num_devices must be in [1, inf), got 0"),
+        ((-1, 2), "num_devices must be in [1, inf), got -1"),
+        ((5, 0), "shards_per_device must be in [1, inf), got 0"),
+        ((5, -1), "shards_per_device must be in [1, inf), got -1"),
     ],
 )
 def test_shard_partition_refuses_counts_below_one(counts, message):
-    # numpy's own error ("number sections must be larger than 0.") names no argument
-    with pytest.raises(DataFormatError, match=message):
+    # numpy's own error ("number sections must be larger than 0.") names no
+    # argument; the refusal is the data.num_devices / data.shards_per_device one
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
         shard_partition(np.arange(20) % 10, *counts, seed=1)
 
 
@@ -183,7 +186,8 @@ def test_synthetic_shapes():
     assert len(split.test_labels) == 400
     for dev in split.devices:
         assert dev.test_features is not None and len(dev.test_labels) == 8
-    with pytest.raises(DataFormatError):
+    # data.synthetic_dim's refusal, named as the argument
+    with pytest.raises(ConfigError, match=r"^dim must be in \[1, inf\), got 0"):
         generate_synthetic(dim=0, train_size=10, num_devices=2, separation=1.0, seed=1)
 
 
@@ -344,7 +348,7 @@ def small_corpus(tmp_path_factory):
 
 @pytest.mark.parametrize("fraction", [1.0, 1.5, -0.5, float("nan")])
 def test_build_split_rejects_device_test_fraction_outside_unit_interval(small_corpus, fraction):
-    with pytest.raises(DataFormatError, match="device_test_fraction"):
+    with pytest.raises(ConfigError, match=r"^device_test_fraction must be in \[0, 1\)"):
         load_idx_split(small_corpus, num_devices=2, shards_per_device=2, seed=1,
                        validation_size=10, device_test_fraction=fraction)
 

@@ -3,7 +3,7 @@ import fnmatch
 import os
 import re
 import shutil
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -1232,3 +1232,11 @@ def test_hyperparams_validation():
     assert replace(Hyperparams(), epochs=5).epochs == 5
     with pytest.raises(ValueError, match="epochs"):
         replace(Hyperparams(), epochs=0)
+
+
+def test_hyperparams_fields_cannot_be_assigned():
+    # an assignment would skip the checks that construction runs
+    hp = Hyperparams()
+    with pytest.raises(FrozenInstanceError):
+        hp.epochs = 2.5
+    assert hp.epochs == 10
