@@ -14,7 +14,7 @@ from .data import DataFormatError, DeviceDataset, SplitDataset, generate_synthet
 from .losses import LOSSES, SmoothedHinge, SquaredLoss, make_loss
 from .orchestrator import Experiment, ExperimentResult
 from .selection import KeepRule, SelectionPolicy
-from .solver import GlobalState, Hyperparams, device_update, device_update_ovr, duality_gap
+from .solver import GlobalState, Hyperparams, device_update, duality_gap
 from .valuation import CoalitionGame, CoalitionOracle, exact_shapley, tmc_estimate
 
 __version__ = "0.1.0"
@@ -39,7 +39,6 @@ __all__ = [
     "GlobalState",
     "Hyperparams",
     "device_update",
-    "device_update_ovr",
     "duality_gap",
     "CoalitionGame",
     "CoalitionOracle",

@@ -119,27 +119,26 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dedup(items: list[str], what: str) -> list[str]:
-    seen: list[str] = []
-    for item in items:
-        if item in seen:
-            print(f"warning: duplicate {what} {item!r} ignored", file=sys.stderr)
+def _entries(raw: str, what: str, parse=str) -> list:
+    """raw's comma-separated entries, parsed, each value kept once, in order."""
+    kept = []
+    for item in filter(None, (s.strip() for s in raw.split(","))):
+        try:
+            value = parse(item)
+        except ValueError:
+            raise ConfigError(f"{what} {item!r} is not an integer") from None
+        if value in kept:
+            print(f"warning: duplicate {what} {value!r} ignored", file=sys.stderr)
         else:
-            seen.append(item)
-    return seen
+            kept.append(value)
+    return kept
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    policies = _dedup([p.strip() for p in args.policies.split(",") if p.strip()], "policy")
-    seeds = _dedup([s.strip() for s in args.seeds.split(",") if s.strip()], "seed")
+    policies = _entries(args.policies, "policy")
+    seeds = _entries(args.seeds, "seed", int)
     if not policies or not seeds:
         raise ConfigError("compare needs at least one policy and one seed")
-    seed_ints = []
-    for s in seeds:
-        try:
-            seed_ints.append(int(s))
-        except ValueError:
-            raise ConfigError(f"seed {s!r} is not an integer") from None
     # a legal accuracy target is one that orchestrator.stop_at_accuracy accepts
     DEFAULTS["orchestrator"]["stop_at_accuracy"].check("--target-accuracy", args.target_accuracy)
 
@@ -147,96 +146,75 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # every run's config is checked before the first run starts
     configs = {
         (seed, policy): load_config(args.config, args.overrides, seed, policy, args.out)
-        for seed in seed_ints
+        for seed in seeds
         for policy in policies
     }
-    out_root = Path(base.out_dir) if base.out_dir else Path("compare_out")
-    out_root.mkdir(parents=True, exist_ok=True)
+    out_root = Path(base.out_dir or "compare_out")
     _warn_declined_fast_paths()
 
-    merged_lines: list[str] = []
-    table: list[dict] = []
-    for seed in seed_ints:
-        split = None
+    # one record per run: policy, seed, its metrics (None if it failed) and
+    # the row of the round that first reached the target (None if none did)
+    records = []
+    for seed in seeds:
+        # one split per seed; every policy sees identical data and
+        # identical exploration draws, so comparisons are paired
+        split = configs[seed, policies[0]].build_split()
+        # nothing is written before the first split exists
+        out_root.mkdir(parents=True, exist_ok=True)
         for policy in policies:
-            cfg = configs[seed, policy]
-            if split is None:
-                # one split per seed; every policy sees identical data and
-                # identical exploration draws, so comparisons are paired
-                split = cfg.build_split()
+            out_dir = out_root / f"{policy}_seed{seed}"
             try:
-                result = _run(cfg, split, out_root / f"{policy}_seed{seed}", args.quiet)
+                metrics = _run(configs[seed, policy], split, out_dir, args.quiet).metrics
             except Exception as exc:
                 # the run's manifest says "failed"; the sweep goes on
                 print(
                     f"failed policy={policy} seed={seed}: {type(exc).__name__}: {exc}",
                     file=sys.stderr,
                 )
-                table.append({"policy": policy, "seed": seed, "status": "failed"})
+                records.append((policy, seed, None, None))
                 continue
-            merged_lines.extend(f"{seed},{m.csv_line()}" for m in result.metrics)
-            reached = rounds_to_target(result.metrics, args.target_accuracy)
-            cost = next(
-                (
-                    m.cum_cost_s
-                    for m in result.metrics
-                    if reached is not None and m.round_index == reached
-                ),
-                float("nan"),
-            )
-            table.append(
-                {
-                    "policy": policy,
-                    "seed": seed,
-                    "rounds": reached,
-                    "cost": cost,
-                    "final_acc": result.metrics[-1].test_acc,
-                    "status": "complete",
-                }
-            )
+            reached = rounds_to_target(metrics, args.target_accuracy)
+            hit = next((m for m in metrics if m.round_index == reached), None)
+            records.append((policy, seed, metrics, hit))
             if not args.quiet:
                 print(
                     f"done policy={policy} seed={seed} "
                     f"rounds_to_{args.target_accuracy}={reached} "
-                    f"final_acc={result.metrics[-1].test_acc:.4f}"
+                    f"final_acc={metrics[-1].test_acc:.4f}"
                 )
 
     merged_path = out_root / "merged_metrics.csv"
     with open(merged_path, "w", encoding="utf-8") as fh:
         fh.write("seed," + CSV_HEADER)
-        fh.writelines(merged_lines)
+        for _, seed, metrics, _ in records:
+            fh.writelines(f"{seed},{m.csv_line()}" for m in metrics or ())
 
     target_col = f"rounds_to_{args.target_accuracy:g}"
     summary_path = out_root / "summary.csv"
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(f"policy,seed,{target_col},cum_cost_at_target_s,final_acc,status\n")
-        for entry in table:
-            if entry["status"] == "failed":
-                fh.write(f"{entry['policy']},{entry['seed']},,,,failed\n")
+        for policy, seed, metrics, hit in records:
+            if metrics is None:
+                fh.write(f"{policy},{seed},,,,failed\n")
                 continue
-            rounds = "" if entry["rounds"] is None else entry["rounds"]
-            fh.write(
-                f"{entry['policy']},{entry['seed']},{rounds},"
-                f"{repr(entry['cost'])},{repr(entry['final_acc'])},complete\n"
-            )
+            rounds, cost = ("", float("nan")) if hit is None else (hit.round_index, hit.cum_cost_s)
+            fh.write(f"{policy},{seed},{rounds},{cost!r},{metrics[-1].test_acc!r},complete\n")
 
     print(f"\n{'policy':<8} median_{target_col:<16} median_cost_at_target_s")
     for policy in policies:
-        done = [e for e in table if e["policy"] == policy and e["status"] == "complete"]
-        reached = [e["rounds"] for e in done]
-        costs = [e["cost"] for e in done]
-        if not done:
+        hits = [hit for p, _, metrics, hit in records if p == policy and metrics is not None]
+        if not hits:
             med_r, med_c = "failed", "n/a"
-        elif any(r is None for r in reached):
+        elif any(hit is None for hit in hits):
             med_r, med_c = "never", "n/a"
         else:
-            med_r = f"{np.median(reached):g}"
-            med_c = f"{np.median(costs):.3f}"
+            med_r = f"{np.median([hit.round_index for hit in hits]):g}"
+            med_c = f"{np.median([hit.cum_cost_s for hit in hits]):.3f}"
         print(f"{policy:<8} {med_r:<23} {med_c}")
     print(f"merged CSV: {merged_path}\nsummary CSV: {summary_path}")
-    failed = sum(e["status"] == "failed" for e in table)
+    failed = sum(metrics is None for _, _, metrics, _ in records)
     if failed:
-        print(f"{failed} of {len(table)} runs failed", file=sys.stderr)
+        print(f"{failed} of {len(records)} runs failed", file=sys.stderr)
         return 1
     return 0
 

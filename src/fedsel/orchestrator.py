@@ -117,32 +117,14 @@ def _accuracy(predicted: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(predicted == labels))
 
 
-def evaluate_global(
-    phi_cols: np.ndarray,
-    split: SplitDataset,
-    reg_lambda: float,
-    train_values: np.ndarray,
-) -> tuple[float, float]:
-    """Test accuracy of the argmax predictor plus mean per-class train objective.
+def evaluate_global(phi_cols: np.ndarray, split: SplitDataset) -> float:
+    """Test accuracy of the argmax predictor over the split's global test set.
 
-    train_values is the loss value of each of the split's n training rows
-    under each one-vs-rest problem, (n, K), as _train_loss_values gives it.
-    Its mean is summed in that order, so any other shape, the class-major
-    (K, n) layout among them, raises ValueError.
-    The objective averages, over the one-vs-rest problems, the regularized
-    primal value on the full training pool; with phi_cols == 0 it equals
-    loss.value(0, -1) averaged with loss.value(0, +1) weighted by class
-    frequency, and the accuracy equals the frequency of class 0 because
-    argmax breaks ties toward the lowest class id.
+    With phi_cols == 0 it equals the frequency of class 0, because argmax
+    breaks ties toward the lowest class id.
     """
-    row_major = (split.stacked_train()[0].shape[0], phi_cols.shape[1])
-    if train_values.shape != row_major:
-        raise ValueError(f"train values must be (n, K) {row_major}, got {train_values.shape}")
     test_scores = products.kmajor_product(split.test_features, [phi_cols])
-    accuracy = _accuracy(np.argmax(test_scores, axis=0), split.test_labels)
-    data_term = float(np.mean(train_values))
-    reg_term = 0.5 * reg_lambda * float(np.mean(np.sum(phi_cols**2, axis=0)))
-    return accuracy, data_term + reg_term
+    return _accuracy(np.argmax(test_scores, axis=0), split.test_labels)
 
 
 def _dual_rows(alpha: np.ndarray, device: DeviceDataset) -> np.ndarray:
@@ -389,7 +371,12 @@ class Experiment:
     ) -> RoundMetrics:
         train_margins = products.kmajor_product(self.split.stacked_train()[0], [state.phi])
         train_values = _train_loss_values(train_margins, self.train_targets, self.loss)
-        test_acc, train_loss = evaluate_global(state.phi, self.split, self.reg_lambda, train_values)
+        test_acc = evaluate_global(state.phi, self.split)
+        # the regularized primal objective on the full training pool, averaged
+        # over the one-vs-rest problems
+        train_loss = float(np.mean(train_values)) + 0.5 * self.reg_lambda * float(
+            np.mean(np.sum(state.phi**2, axis=0))
+        )
         duality_gap = float(
             np.mean(
                 [

@@ -705,6 +705,32 @@ def test_cli_compare_merges_runs_and_dedups(tmp_path, capsys):
     assert (out / "random_seed2" / "manifest.json").exists()
 
 
+def test_cli_compare_drops_a_repeated_seed_by_value(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    code = main([
+        "compare", *TINY, "--quiet", "--out", str(out), "--policies", "cds", "--seeds", "1,01",
+    ])
+    assert code == 0
+    assert "warning: duplicate seed 1 ignored" in capsys.readouterr().err
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in summary[1:]] == [["cds", "1"]]
+    header, *rows = (out / "cds_seed1" / "metrics.csv").read_text().splitlines()
+    merged = (out / "merged_metrics.csv").read_text().splitlines()
+    assert merged == ["seed," + header, *(f"1,{row}" for row in rows)]
+
+
+def test_cli_compare_writes_nothing_before_its_first_split_exists(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("FEDSEL_DATA_DIR", raising=False)
+    out = tmp_path / "cmp"
+    code = main([
+        "compare", "--set", "data.source=idx", "--set", "data.data_dir=",
+        "--policies", "cds", "--seeds", "1", "--out", str(out),
+    ])
+    assert code == 2
+    assert "config error: data.data_dir is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_compare_keeps_going_after_a_failed_run(tmp_path, capsys, monkeypatch):
     run_round = Experiment.run_round
 
@@ -869,7 +895,7 @@ PUBLIC_NAMES = [
     "CoalitionGame", "CoalitionOracle", "ConfigError", "DataFormatError", "DeviceDataset",
     "Experiment", "ExperimentConfig", "ExperimentResult", "GlobalState", "Hyperparams",
     "KeepRule", "LOSSES", "SelectionPolicy", "SmoothedHinge", "SplitDataset", "SquaredLoss",
-    "__version__", "device_update", "device_update_ovr", "duality_gap", "exact_shapley",
+    "__version__", "device_update", "duality_gap", "exact_shapley",
     "generate_synthetic", "load_config", "load_idx_split", "make_loss", "tmc_estimate",
 ]
 

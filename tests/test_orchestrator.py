@@ -36,7 +36,6 @@ from fedsel.solver import (
     aggregation_count,
     apply_dual_update,
     device_update_ovr,
-    one_vs_rest_targets,
     scaled_gram,
 )
 from fedsel.valuation import CoalitionOracle
@@ -51,34 +50,14 @@ MANIFEST_KEYS = [
 ]
 
 
-def train_values(split, phi_cols, loss):
-    """The (n, K) train loss values evaluate_global takes, as Experiment.evaluate makes them."""
-    features, labels = split.stacked_train()
-    k = phi_cols.shape[1]
-    return orch._train_loss_values((features @ phi_cols).T, one_vs_rest_targets(labels, k).T, loss)
-
-
 def test_zero_model_scores_class_zero_frequency():
     split = tiny_split()
-    phi_cols = np.zeros((split.feature_dim, 3))
-    acc, train_loss = evaluate_global(
-        phi_cols, split, HP.resolved_lambda(split.total_train),
-        train_values(split, phi_cols, HP.make_loss()),
-    )
-    assert acc == float(np.mean(split.test_labels == 0))
+    state = GlobalState.zeros(split.feature_dim, split.total_train, split.num_classes)
+    row = Experiment(split, HP, SelectionPolicy(kind="random")).evaluate(state, 0, None, 0.0, 0.0)
+    assert row.test_acc == evaluate_global(state.phi, split)
+    assert row.test_acc == float(np.mean(split.test_labels == 0))
     # smoothed hinge at margin 0 is 1/2 for both targets, regularizer is 0
-    assert train_loss == 0.5
-
-
-def test_evaluate_global_rejects_class_major_train_values():
-    # zero margins score 1/2 in any layout, so only the shape check can tell
-    split = tiny_split()
-    phi_cols = np.zeros((split.feature_dim, 3))
-    values = train_values(split, phi_cols, HP.make_loss())
-    lam = HP.resolved_lambda(split.total_train)
-    for bad in (values.T, values[:-1], values[:, :2]):
-        with pytest.raises(ValueError, match=r"\(n, K\)"):
-            evaluate_global(phi_cols, split, lam, bad)
+    assert row.train_loss == 0.5
 
 
 def test_single_device_full_participation_is_identity_aggregation():
