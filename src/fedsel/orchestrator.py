@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import platform
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -202,7 +203,6 @@ class Experiment:
         *,
         eval_every: int = ExperimentConfig.eval_every,
         stop_at_accuracy: float | None = ExperimentConfig.stop_at_accuracy,
-        audit_sink: list[dict] | None = None,
         cost_ranges: dict | None = None,
     ):
         check_args(ExperimentConfig, eval_every=eval_every, stop_at_accuracy=stop_at_accuracy)
@@ -211,7 +211,6 @@ class Experiment:
         self.policy = policy
         self.eval_every = eval_every
         self.stop_at_accuracy = stop_at_accuracy
-        self.audit_sink = audit_sink
 
         self.devices = {d.device_id: d for d in split.devices}
         self.num_devices = len(split.devices)
@@ -314,12 +313,6 @@ class Experiment:
             )
             return RoundPlan(explored=explored, accepted=accepted, betas={})
 
-        sink = None
-        if self.audit_sink is not None:
-            def sink(entry: dict) -> None:
-                entry["global_round"] = round_index
-                self.audit_sink.append(entry)
-
         game = CoalitionGame(players=explored, value_fn=value)
         ledger = tmc_estimate(
             game,
@@ -327,7 +320,6 @@ class Experiment:
             self.hyper.trunc_tol,
             stream_seed(self.hyper.seed, VALUATION, round_index),
             ledger=self._persistent_ledger,
-            audit_sink=sink,
         )
         # a persistent ledger also holds devices explored in earlier rounds
         betas = {m: ledger.beta[m] for m in explored}
@@ -435,32 +427,18 @@ class Experiment:
         check_args(ExperimentConfig, rounds=rounds)
         started = time.monotonic()
         out = Path(out_dir) if out_dir is not None else None
-        manifest = None
-        csv_handle = None
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
-            manifest = RunManifest.start(
-                out, self.policy.kind, self.hyper.seed, config_payload or {}
-            )
-            csv_handle = open(out / "metrics.csv", "w", encoding="utf-8")
-            csv_handle.write(CSV_HEADER)
-        # after RunManifest.start: the kernels' probes it runs make products too
-        layouts_before = products.LAYOUTS.copy()
-
-        def value_products() -> str | None:
-            ran = products.LAYOUTS - layouts_before
-            return "row_major" if ran["row_major"] else "k_major" if ran["k_major"] else None
-
         state = GlobalState.zeros(self.split.feature_dim, self.total_samples, self.num_classes)
         metrics: list[RoundMetrics] = []
         stop_reason = "completed"
         cum_cost = 0.0
+        record = None if out is None else RunDirectory.start(
+            out, self.policy.kind, self.hyper.seed, config_payload or {}, started
+        )
 
         def emit(row: RoundMetrics) -> None:
             metrics.append(row)
-            if csv_handle is not None:
-                csv_handle.write(row.csv_line())
-                csv_handle.flush()
+            if record is not None:
+                record.write_row(row)
             if log is not None:
                 log(
                     f"round {row.round_index:4d} policy={row.policy} "
@@ -500,21 +478,14 @@ class Experiment:
                             stop_reason = "duality_gap_target"
                             break
         except BaseException as exc:
-            if manifest is not None:
-                manifest.fail(
-                    out, exc, len(metrics), value_products(), time.monotonic() - started
-                )
+            if record is not None:
+                record.close(None, exc)
             raise
         finally:
             self._last_solve = None
             self._gram_cache.clear()
-            if csv_handle is not None:
-                csv_handle.close()
-        if manifest is not None:
-            manifest.finalize(
-                out, stop_reason, len(metrics), value_products=value_products(),
-                wall_s=time.monotonic() - started,
-            )
+        if record is not None:
+            record.close(stop_reason)
         return ExperimentResult(
             policy=self.policy.kind,
             seed=self.hyper.seed,
@@ -535,22 +506,24 @@ def fast_paths() -> dict:
 
 
 @dataclass(kw_only=True)
-class RunManifest:
-    """Provenance record written before round 1 and finalized at exit;
-    manifest.json holds its fields, in this order."""
+class RunDirectory:
+    """A run directory's one writer. manifest.json holds these fields, in
+    this order: it says `running` from before round 0, and `complete` or
+    `failed` once close has run. metrics.csv gets one flushed row per
+    evaluation."""
 
     policy: str
     seed: int
     config_digest: str
     config: dict
-    started_at: str
+    started_at: str = field(default_factory=lambda: time.strftime("%Y-%m-%dT%H:%M:%S%z"))
     finished_at: str | None = None
     status: str = "running"
-    fast_paths: dict
-    lanes: int
-    blas: dict
-    python: str
-    numpy: str
+    fast_paths: dict = field(default_factory=fast_paths)
+    lanes: int = field(default_factory=native.lanes)
+    blas: dict = field(default_factory=native.blas)
+    python: str = field(default_factory=platform.python_version)
+    numpy: str = np.__version__
     value_products: str | None = None
     rows_written: int = 0
     stop_reason: str | None = None
@@ -567,55 +540,64 @@ class RunManifest:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     @classmethod
-    def start(cls, out: Path, policy: str, seed: int, config: dict) -> "RunManifest":
-        manifest = cls(
-            policy=policy,
-            seed=seed,
-            config_digest=cls.digest(config),
-            config=config,
-            started_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            fast_paths=fast_paths(),
-            lanes=native.lanes(),
-            blas=native.blas(),
-            python=platform.python_version(),
-            numpy=np.__version__,
+    def start(
+        cls, out: Path, policy: str, seed: int, config: dict, started: float
+    ) -> "RunDirectory":
+        """Create out, write its running manifest and open metrics.csv with
+        its header; wall_s counts from started, a time.monotonic() reading."""
+        out.mkdir(parents=True, exist_ok=True)
+        config = _finite_json(config)
+        record = cls(policy=policy, seed=seed, config_digest=cls.digest(config), config=config)
+        record._out, record._started, record._csv = out, started, None
+        # after the fast_paths field: the kernels' probes it runs make products too
+        record._layouts = products.LAYOUTS.copy()
+        record._write_manifest()
+        try:
+            record._csv = open(out / "metrics.csv", "w", encoding="utf-8")
+            record._csv.write(CSV_HEADER)
+        except BaseException as exc:
+            record.close(None, exc)
+            raise
+        return record
+
+    def write_row(self, row: RoundMetrics) -> None:
+        """Append row to metrics.csv and flush it, so a killed run keeps its rows."""
+        self._csv.write(row.csv_line())
+        self._csv.flush()
+        self.rows_written += 1
+
+    def close(self, stop_reason: str | None, error: BaseException | None = None) -> None:
+        """Close metrics.csv and write the final manifest: `failed` with
+        error if one is given, else `complete`."""
+        if self._csv is not None:
+            self._csv.close()
+        ran = products.LAYOUTS - self._layouts
+        self.value_products = (
+            "row_major" if ran["row_major"] else "k_major" if ran["k_major"] else None
         )
-        manifest.write(out)
-        return manifest
-
-    def write(self, out: Path) -> None:
-        (out / self.PATH).write_text(json.dumps(asdict(self), indent=2) + "\n")
-
-    def finalize(
-        self,
-        out: Path,
-        stop_reason: str | None,
-        rows: int,
-        status: str = "complete",
-        value_products: str | None = None,
-        wall_s: float | None = None,
-    ) -> None:
-        self.status = status
-        self.value_products = value_products
         self.finished_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+        self.status = "complete" if error is None else "failed"
         self.stop_reason = stop_reason
-        self.rows_written = rows
+        if error is not None:
+            self.error = f"{type(error).__name__}: {error}"
         self.outputs = ("metrics.csv", self.PATH)
-        self.wall_s = wall_s
+        self.wall_s = time.monotonic() - self._started
         self.peak_rss_mib = _peak_rss_mib()
-        self.write(out)
+        self._write_manifest()
 
-    def fail(
-        self,
-        out: Path,
-        exc: BaseException,
-        rows: int,
-        value_products: str | None = None,
-        wall_s: float | None = None,
-    ) -> None:
-        """Record a run that raised: the error and the rows written before it."""
-        self.error = f"{type(exc).__name__}: {exc}"
-        self.finalize(out, None, rows, "failed", value_products, wall_s)
+    def _write_manifest(self) -> None:
+        text = json.dumps(asdict(self), indent=2, allow_nan=False)
+        (self._out / self.PATH).write_text(text + "\n")
+
+
+def _finite_json(value):
+    """value with each non-finite float as the string --set reads back
+    ("inf"): JSON has no infinity."""
+    if isinstance(value, dict):
+        return {key: _finite_json(item) for key, item in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return value
 
 
 def _peak_rss_mib() -> float | None:

@@ -498,6 +498,61 @@ def test_crashed_run_marks_its_manifest_failed(tmp_path, monkeypatch):
     assert json.loads((cli_out / "manifest.json").read_text())["status"] == "failed"
 
 
+def test_a_running_run_directory_holds_its_flushed_rows(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    seen = {}
+
+    def interrupted(*args, **kwargs):  # round 1, after its plan
+        seen["manifest"] = json.loads((out / "manifest.json").read_text())
+        seen["csv"] = (out / "metrics.csv").read_text()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(orch, "schedule_cost", interrupted)
+    experiment = Experiment(tiny_split(), HP, SelectionPolicy(kind="cds"))
+    with pytest.raises(KeyboardInterrupt):
+        experiment.run(2, out_dir=out)
+    running = seen["manifest"]
+    assert list(running) == MANIFEST_KEYS
+    assert running["status"] == "running"
+    assert running["finished_at"] is running["wall_s"] is running["peak_rss_mib"] is None
+    assert running["rows_written"] == 0
+    zero = GlobalState.zeros(
+        experiment.split.feature_dim, experiment.total_samples, experiment.num_classes
+    )
+    assert seen["csv"] == CSV_HEADER + experiment.evaluate(zero, 0, None, 0.0, 0.0).csv_line()
+    failed = json.loads((out / "manifest.json").read_text())
+    assert failed["status"] == "failed"
+    assert failed["error"] == "KeyboardInterrupt: "
+    assert failed["rows_written"] == 1
+
+
+def test_a_metrics_csv_that_cannot_be_opened_fails_the_manifest(tmp_path):
+    out = tmp_path / "run"
+    (out / "metrics.csv").mkdir(parents=True)
+    code = main(["run", "--quiet", "--config", str(CONFIGS / "synthetic_quick.ini"),
+                 "--out", str(out)])
+    assert code == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest) == MANIFEST_KEYS
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("IsADirectoryError: ")
+    assert manifest["rows_written"] == 0
+
+
+def test_a_non_finite_config_value_is_written_as_strict_json(tmp_path):
+    def refuse(constant):
+        raise ValueError(f"manifest.json holds {constant}, which is not JSON")
+
+    out = tmp_path / "run"
+    code = main(["run", "--quiet", "--config", str(CONFIGS / "synthetic_quick.ini"),
+                 "--out", str(out), "--set", "orchestrator.rounds=1",
+                 "--set", "valuation.trunc_tol=inf"])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+    assert manifest["config"]["valuation"]["trunc_tol"] == "inf"  # as --set reads it back
+    assert manifest["config_digest"] == orch.RunDirectory.digest(manifest["config"])
+
+
 def test_failed_run_records_the_value_products_of_its_rounds(tmp_path, monkeypatch):
     def broken_cost(*args, **kwargs):  # after round 1's plan
         raise ValueError("cost model failed")
@@ -681,7 +736,7 @@ def test_truncated_walks_write_the_same_bytes_with_the_walk_kernel_off(tmp_path,
     # walks that truncate mid-walk read the kernel's batch only up to their stops
     audit = []
 
-    def audited(*args, audit_sink, **kwargs):
+    def audited(*args, **kwargs):
         return valuation.tmc_estimate(*args, audit_sink=audit.append, **kwargs)
 
     monkeypatch.setattr(orch, "tmc_estimate", audited)
@@ -826,15 +881,17 @@ def test_csv_lines_round_trip_header(tmp_path):
     assert all(len(line.split(",")) == len(CSV_COLUMNS) for line in lines)
 
 
-def test_cds_audit_sink_collects_permutation_records():
-    split = tiny_split()
-    sink: list[dict] = []
-    Experiment(
-        split, replace(HP, delta_t=2), SelectionPolicy(kind="cds"), audit_sink=sink
-    ).run(2)
-    assert len(sink) == 4  # delta_t permutations per global round
-    assert {e["global_round"] for e in sink} == {1, 2}
-    for entry in sink:
+def test_cds_audit_sink_collects_permutation_records(monkeypatch):
+    audits: list[list[dict]] = []  # one list per valuation, in round order
+
+    def audited(*args, **kwargs):
+        audits.append([])
+        return valuation.tmc_estimate(*args, audit_sink=audits[-1].append, **kwargs)
+
+    monkeypatch.setattr(orch, "tmc_estimate", audited)
+    Experiment(tiny_split(), replace(HP, delta_t=2), SelectionPolicy(kind="cds")).run(2)
+    assert [len(audit) for audit in audits] == [2, 2]  # delta_t permutations per global round
+    for entry in audits[0] + audits[1]:
         assert set(entry) >= {"permutation", "marginals", "truncated_from"}
 
 
