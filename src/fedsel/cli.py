@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULTS, ConfigError, ExperimentConfig, load_config
-from .data import DataFormatError
 from .orchestrator import CSV_HEADER, Experiment, ExperimentResult, fast_paths, rounds_to_target
 from .selfcheck import SUITES, run_selfcheck
 
@@ -257,10 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, FloatingPointError) as exc:
+    except (OSError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

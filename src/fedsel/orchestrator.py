@@ -15,7 +15,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,27 +49,11 @@ from .solver import (
 )
 from .valuation import CoalitionGame, CoalitionOracle, ContributionLedger, tmc_estimate
 
-CSV_COLUMNS = (
-    "round",
-    "policy",
-    "test_acc",
-    "train_loss",
-    "personalization_mean",
-    "personalization_var",
-    "fairness_violations",
-    "duality_gap",
-    "round_cost_s",
-    "cum_cost_s",
-    "explored",
-    "accepted",
-)
-CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
-
 
 @dataclass
 class RoundMetrics:
     """One metrics.csv row: global and per-device quality after a completed
-    round. The fields are CSV_COLUMNS, in order; round_index is `round`."""
+    round. Its fields, in order, are CSV_COLUMNS; round_index is `round`."""
 
     round_index: int
     policy: str
@@ -89,6 +73,10 @@ class RoundMetrics:
         which round-trips exactly, keeping rerun CSVs byte-identical."""
         cells = (repr(v) if isinstance(v, float) else str(v) for v in astuple(self))
         return ",".join(cells) + "\n"
+
+
+CSV_COLUMNS = ("round", *(f.name for f in fields(RoundMetrics)[1:]))
+CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
 def rounds_to_target(metrics: list[RoundMetrics], target: float) -> int | None:
@@ -150,46 +138,34 @@ def _train_loss_values(
     return values
 
 
-def device_test_scores(
-    phi_cols: np.ndarray, devices: list[DeviceDataset]
-) -> dict[int, np.ndarray]:
-    """(n_test, K) scores of each device's local test split, keyed by device id.
-
-    Devices without held-out samples have no entry. The scores are
-    products.row_major_scores.
-    """
-    return {
-        device.device_id: products.row_major_scores(device.test_features, phi_cols)
-        for device in devices
-        if device.test_features is not None and device.test_features.shape[0] > 0
-    }
-
-
 def fairness_audit(
-    test_scores: dict[int, np.ndarray],
+    phi_cols: np.ndarray,
     devices: list[DeviceDataset],
     loss: Loss,
     threshold: float,
     num_classes: int,
-) -> tuple[dict[int, float], set[int]]:
-    """Per-device held-out risk and the ids whose risk exceeds the threshold.
+) -> tuple[dict[int, float], dict[int, float], set[int]]:
+    """Each device's held-out accuracy and risk, keyed by device id, and the
+    ids whose risk exceeds the threshold.
 
-    test_scores comes from device_test_scores. Risk for a device is the mean
-    one-vs-rest loss over its local test split (samples x classes). Devices
-    without held-out samples carry no risk estimate and cannot violate.
+    A device's scores are products.row_major_scores of its local test split;
+    its accuracy is the argmax predictor's, its risk the mean one-vs-rest loss
+    (samples x classes). Devices without held-out samples have no entry and
+    cannot violate.
     """
+    accuracies: dict[int, float] = {}
     risks: dict[int, float] = {}
     violators: set[int] = set()
     for device in devices:
-        margins = test_scores.get(device.device_id)
-        if margins is None:
+        if device.test_features is None or device.test_features.shape[0] == 0:
             continue
+        scores = products.row_major_scores(device.test_features, phi_cols)
+        accuracies[device.device_id] = _accuracy(np.argmax(scores, axis=1), device.test_labels)
         targets = one_vs_rest_targets(device.test_labels, num_classes)
-        risk = float(np.mean(loss.value(margins, targets)))
-        risks[device.device_id] = risk
+        risk = risks[device.device_id] = float(np.mean(loss.value(scores, targets)))
         if risk > threshold:
             violators.add(device.device_id)
-    return risks, violators
+    return accuracies, risks, violators
 
 
 class Experiment:
@@ -380,24 +356,15 @@ class Experiment:
             )
         )
 
-        test_scores = device_test_scores(state.phi, self.split.devices)
-        local_accs = [
-            _accuracy(np.argmax(scores, axis=1), self.devices[m].test_labels)
-            for m, scores in test_scores.items()
-        ]
-        if local_accs:
+        accuracies, _, violators = fairness_audit(
+            state.phi, self.split.devices, self.loss, self.hyper.theta_threshold, self.num_classes
+        )
+        if accuracies:
+            local_accs = list(accuracies.values())
             pers_mean = float(np.mean(local_accs))
             pers_var = float(np.var(local_accs))
         else:
             pers_mean = pers_var = float("nan")
-
-        _, violators = fairness_audit(
-            test_scores,
-            self.split.devices,
-            self.loss,
-            self.hyper.theta_threshold,
-            self.num_classes,
-        )
 
         return RoundMetrics(
             round_index=round_index,
@@ -580,7 +547,7 @@ class RunDirectory:
         self.stop_reason = stop_reason
         if error is not None:
             self.error = f"{type(error).__name__}: {error}"
-        self.outputs = ("metrics.csv", self.PATH)
+        self.outputs = ("metrics.csv", self.PATH) if self._csv is not None else (self.PATH,)
         self.wall_s = time.monotonic() - self._started
         self.peak_rss_mib = _peak_rss_mib()
         self._write_manifest()

@@ -20,7 +20,6 @@ from fedsel.orchestrator import (
     CSV_HEADER,
     Experiment,
     RoundMetrics,
-    device_test_scores,
     evaluate_global,
     fairness_audit,
     rounds_to_target,
@@ -537,6 +536,7 @@ def test_a_metrics_csv_that_cannot_be_opened_fails_the_manifest(tmp_path):
     assert manifest["status"] == "failed"
     assert manifest["error"].startswith("IsADirectoryError: ")
     assert manifest["rows_written"] == 0
+    assert manifest["outputs"] == ["manifest.json"]  # metrics.csv was never written
 
 
 def test_a_non_finite_config_value_is_written_as_strict_json(tmp_path):
@@ -812,14 +812,16 @@ def test_fairness_audit_threshold_extremes():
     split = tiny_split()
     loss = HP.make_loss()
     phi = np.zeros((split.feature_dim, 3))
-    scores = device_test_scores(phi, split.devices)
-    risks, violators = fairness_audit(scores, split.devices, loss, float("inf"), 3)
+    accuracies, risks, violators = fairness_audit(phi, split.devices, loss, float("inf"), 3)
     assert violators == set()
-    assert set(risks) == {0, 1, 2, 3}
+    assert set(risks) == set(accuracies) == {0, 1, 2, 3}
     # at threshold 0 every audited device violates: hinge risk at phi=0 is 1/2
-    _, violators = fairness_audit(scores, split.devices, loss, 0.0, 3)
+    _, _, violators = fairness_audit(phi, split.devices, loss, 0.0, 3)
     assert violators == {0, 1, 2, 3}
     assert all(r == 0.5 for r in risks.values())
+    # at phi=0 argmax ties go to class 0: accuracy is label 0's frequency
+    for device in split.devices:
+        assert accuracies[device.device_id] == float(np.mean(device.test_labels == 0))
 
 
 def test_fairness_audit_identical_devices_agree():
@@ -835,8 +837,8 @@ def test_fairness_audit_identical_devices_agree():
     )
     rng = np.random.default_rng(0)
     phi = rng.normal(size=(split.feature_dim, 3))
-    scores = device_test_scores(phi, [clone, twin])
-    risks, violators = fairness_audit(scores, [clone, twin], HP.make_loss(), 0.4, 3)
+    accuracies, risks, violators = fairness_audit(phi, [clone, twin], HP.make_loss(), 0.4, 3)
+    assert accuracies[clone.device_id] == accuracies[9]
     assert risks[clone.device_id] == risks[9]
     assert (clone.device_id in violators) == (9 in violators)
 
@@ -849,9 +851,9 @@ def test_fairness_audit_skips_devices_without_holdout():
         labels=split.devices[0].labels,
         sample_indices=split.devices[0].sample_indices,
     )
-    scores = device_test_scores(np.zeros((split.feature_dim, 3)), [bare])
-    risks, violators = fairness_audit(scores, [bare], HP.make_loss(), 0.0, 3)
-    assert risks == {} and violators == set()
+    phi = np.zeros((split.feature_dim, 3))
+    accuracies, risks, violators = fairness_audit(phi, [bare], HP.make_loss(), 0.0, 3)
+    assert accuracies == {} and risks == {} and violators == set()
 
 
 def test_rounds_to_target():

@@ -1,7 +1,6 @@
 """Class-major products: byte equality with the row-major products they replace."""
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from conftest import tiny_split
 from fedsel import products, valuation
 from fedsel.cli import main
 from fedsel.data import DeviceDataset
-from fedsel.orchestrator import Experiment, device_test_scores
+from fedsel.orchestrator import Experiment
 from fedsel.selection import SelectionPolicy
 from fedsel.solver import Hyperparams, device_update_ovr
 
@@ -265,23 +264,19 @@ def test_only_positive_zero_weights_are_the_zero_model():
     assert not products.zero_model([np.zeros((5, 3), dtype=np.float32)])  # takes the product
 
 
-def test_zero_model_device_test_scores_are_the_blas_bytes():
+def test_zero_model_scores_of_device_test_splits_are_the_blas_bytes():
     rng = np.random.default_rng(4)
-    grid_like = [  # the grid's 44 to 165 test rows per device
-        SimpleNamespace(device_id=m, test_features=negative_features(rng, rows, 785))
-        for m, rows in enumerate((44, 101, 165))
-    ]
+    # the grid's 44 to 165 test rows per device
+    grid_like = [negative_features(rng, rows, 785) for rows in (44, 101, 165)]
     split = tiny_split()
-    cases = ((grid_like, np.zeros((785, 10))), (split.devices, np.zeros((split.feature_dim, 3))))
-    for devices, phi in cases:
-        got = device_test_scores(phi, devices)
-        expected = {
-            d.device_id: d.test_features @ phi
-            for d in devices
-            if d.test_features is not None and len(d.test_features)
-        }
-        assert got.keys() == expected.keys() and expected
-        assert all(same_bytes(got[m], expected[m]) for m in expected)
+    cases = (
+        (grid_like, np.zeros((785, 10))),
+        ([d.test_features for d in split.devices], np.zeros((split.feature_dim, 3))),
+    )
+    for test_features, phi in cases:
+        for features in test_features:
+            got = products.row_major_scores(features, phi)
+            assert same_bytes(got, features @ phi)
 
 
 @pytest.mark.parametrize("loss", ["smoothed_hinge", "squared"])
