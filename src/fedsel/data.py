@@ -11,13 +11,18 @@ partitions.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import gzip
+import mmap
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import native
 from .rng import LOCAL_TEST, substream
 from .settings import Setting, check_values
 
@@ -48,8 +53,9 @@ class DataFormatError(ValueError):
     """Raised for malformed IDX input or impossible partition requests."""
 
 
-def parse_idx(raw: bytes) -> np.ndarray:
-    """Decode one IDX file into a uint8 array shaped per its header."""
+def parse_idx(raw: bytes | mmap.mmap) -> np.ndarray:
+    """Decode one IDX file, its bytes or a read-only map of it, into a uint8
+    array shaped per its header: a view of raw."""
     if len(raw) < 4:
         raise DataFormatError(f"IDX header truncated: {len(raw)} bytes")
     magic = struct.unpack(">I", raw[:4])[0]
@@ -78,11 +84,16 @@ def write_idx(array: np.ndarray) -> bytes:
 
 
 def read_idx(path: str | Path) -> np.ndarray:
-    """Read an IDX file from disk, transparently handling .gz."""
+    """Read an IDX file from disk: a .gz file whole, a plain one mapped
+    read-only, so the array views the map and no copy of the file is made."""
     path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rb") as fh:
-        return parse_idx(fh.read())
+    if path.suffix == ".gz":
+        with gzip.open(path, "rb") as fh:
+            return parse_idx(fh.read())
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:  # an empty file cannot be mapped
+            return parse_idx(b"")
+        return parse_idx(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
 
 
 @dataclass
@@ -334,7 +345,8 @@ def _write_pixels(images: np.ndarray, ids: np.ndarray, out: np.ndarray) -> None:
     """Write flattened uint8 images[ids] into the float64 rows out.
 
     A pixel becomes float32(u8) / float32(255), then float64, and the last
-    column is the bias 1.0; rows go in blocks of _PIXEL_BLOCK_ROWS.
+    column is the bias 1.0; rows go in blocks of _PIXEL_BLOCK_ROWS. The numpy
+    reference of decode_pixels, and its fallback.
     """
     for start in range(0, len(ids), _PIXEL_BLOCK_ROWS):
         block = images[ids[start : start + _PIXEL_BLOCK_ROWS]].astype(np.float32)
@@ -342,6 +354,58 @@ def _write_pixels(images: np.ndarray, ids: np.ndarray, out: np.ndarray) -> None:
         rows = out[start : start + len(block)]
         rows[:, :-1] = block
         rows[:, -1] = 1.0
+
+
+def _decode_pixels(images: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """A new float64 matrix of the flattened uint8 images[ids] and a bias
+    column, as _write_pixels writes them.
+
+    An id outside images is refused with ValueError before any row is
+    written. With the compiled decode_pixels the rows are cut into at most
+    native.lanes() near-equal ranges, decoded concurrently through
+    native.run_concurrently; without it _write_pixels runs. Each row is
+    decoded on its own, so the bytes depend neither on the lanes nor on
+    which of the two runs.
+    """
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    n, width = images.shape
+    if not (ids.ndim == 1 and (ids.size == 0 or 0 <= ids.min() <= ids.max() < n)):
+        raise ValueError(f"pixel decode ids must be a vector of rows in [0, {n})")
+    out = np.empty((len(ids), width + 1))
+    kernel = _pixel_kernel()
+    if kernel is None:
+        _write_pixels(images, ids, out)
+    elif len(ids):
+        lanes = min(native.lanes(), len(ids))
+        bounds = [len(ids) * lane // lanes for lane in range(lanes + 1)]
+        native.run_concurrently([
+            functools.partial(kernel, stop - start, width, images, ids[start:stop], out[start:stop])
+            for start, stop in zip(bounds, bounds[1:])
+        ])
+    return out
+
+
+def _pixel_probe_matches(kernel) -> bool:
+    """Whether the compiled decode gives _write_pixels' bytes on every byte
+    value, at row widths 1, 7 and 784, with ids unsorted and repeated (516
+    of them at width 1, so the reference writes more than one block)."""
+    rng = np.random.default_rng(37)
+    for width in (1, 7, 784):
+        count = -(-256 // width) + 2
+        images = (np.arange(count * width) % 256).astype(np.uint8).reshape(count, width)
+        ids = np.concatenate([rng.permutation(count), rng.permutation(count)])
+        expected = np.empty((len(ids), width + 1))
+        _write_pixels(images, ids, expected)
+        got = np.full_like(expected, np.nan)
+        kernel(len(ids), width, images, ids, got)
+        if got.tobytes() != expected.tobytes():
+            return False
+    return True
+
+
+def _pixel_kernel():
+    argtypes = [ctypes.c_int64, ctypes.c_int64, native.U8, native.I64, native.F64]
+    return native.kernel("decode_pixels", argtypes, None, _pixel_probe_matches)
 
 
 IDX_FILES = {
@@ -374,9 +438,11 @@ def load_idx_split(
     routed first: the server validation split is drawn from the training
     pool, the rest is shard-partitioned across devices, and each device's
     local test split is carved from its shard. Pixels are then scaled to
-    [0, 1] and flattened, and a bias column is appended, as they are written
-    from the uint8 images straight into the split's float64 matrices. An
-    argument its [data] setting refuses is refused before any file is read.
+    [0, 1] and flattened, and a bias column is appended, as each of the
+    split's four float64 matrices is decoded from the uint8 images in one
+    pass (_decode_pixels). An argument its [data] setting refuses is refused
+    before any file is read, and a partition that cannot be made before any
+    pixel is decoded.
     """
     check_values({
         "num_devices": (NUM_DEVICES, num_devices),
@@ -397,15 +463,13 @@ def load_idx_split(
         raise DataFormatError("train image/label counts disagree")
     if len(arrays["test_images"]) != len(arrays["test_labels"]):
         raise DataFormatError("test image/label counts disagree")
+    if arrays["train_images"].shape[1:] != arrays["test_images"].shape[1:]:
+        raise DataFormatError("train and test image shapes disagree")
 
     train_images = arrays["train_images"].reshape(len(arrays["train_images"]), -1)
     test_images = arrays["test_images"].reshape(len(arrays["test_images"]), -1)
     train_labels = arrays["train_labels"].astype(np.int64)
     test_labels = arrays["test_labels"].astype(np.int64)
-    dim = train_images.shape[1] + 1
-    test_features = np.empty((len(test_images), dim))
-    _write_pixels(test_images, np.arange(len(test_images)), test_features)
-
     n = len(train_labels)
     if validation_size >= n:
         raise DataFormatError(
@@ -420,28 +484,25 @@ def load_idx_split(
         train_labels[pool], num_devices, shards_per_device, seed, unbalanced
     )
     carved = _carve_local_tests([pool[part] for part in parts], device_test_fraction, seed)
-    train = np.empty((sum(len(ids) for ids, _ in carved), dim))
-    device_test = np.empty((sum(len(ids) for _, ids in carved), dim))
+    # one decode per matrix; each device's rows are then a view of the first two
+    train = _decode_pixels(train_images, np.concatenate([ids for ids, _ in carved]))
+    device_test = _decode_pixels(train_images, np.concatenate([ids for _, ids in carved]))
+    validation = _decode_pixels(train_images, val_pos)
+    test_features = _decode_pixels(test_images, np.arange(len(test_images)))
     devices = []
     train_cursor = test_cursor = 0
     for m, (train_ids, test_ids) in enumerate(carved):
-        rows = train[train_cursor : train_cursor + len(train_ids)]
-        test_rows = device_test[test_cursor : test_cursor + len(test_ids)]
-        _write_pixels(train_images, train_ids, rows)
-        _write_pixels(train_images, test_ids, test_rows)
         devices.append(
             DeviceDataset(
                 device_id=m,
-                features=rows,
+                features=train[train_cursor : train_cursor + len(train_ids)],
                 labels=train_labels[train_ids],
-                test_features=test_rows,
+                test_features=device_test[test_cursor : test_cursor + len(test_ids)],
                 test_labels=train_labels[test_ids],
             )
         )
-        train_cursor += len(rows)
-        test_cursor += len(test_rows)
-    validation = np.empty((len(val_pos), dim))
-    _write_pixels(train_images, val_pos, validation)
+        train_cursor += len(train_ids)
+        test_cursor += len(test_ids)
     return SplitDataset(
         devices=devices,
         validation_features=validation,

@@ -22,7 +22,8 @@ import numpy as np
 
 # _isa.c comes first: it defines the FEDSEL_CLONES attribute the kernels use
 SOURCES = tuple(
-    Path(__file__).with_name(name) for name in ("_isa.c", "_sdca.c", "_coalition.c")
+    Path(__file__).with_name(name)
+    for name in ("_isa.c", "_pixels.c", "_sdca.c", "_coalition.c")
 )
 # No FMA contraction, no value-changing optimisation and no -march: a cached
 # library may be loaded on another CPU, where the loader binds each kernel's
@@ -37,6 +38,7 @@ _STALE_PATTERNS = (f"{LIBRARY_PREFIX}.*.so", "_sdca.*.so")
 
 F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+U8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 POINTERS = np.ctypeslib.ndpointer(dtype=np.uintp, flags="C_CONTIGUOUS")  # of float64 arrays
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import native, products, solver, valuation
+from . import data, native, products, solver, valuation
 from .config import ExperimentConfig
 from .cost import sample_profiles, schedule_cost
 from .data import DeviceDataset, SplitDataset
@@ -468,7 +468,7 @@ class Experiment:
 
 def fast_paths() -> dict:
     """native.FAST_PATHS by name once every kernel is bound: the manifest's `fast_paths`."""
-    solver._kernel(), solver._pack_kernel(), valuation._walk_kernel()
+    data._pixel_kernel(), solver._kernel(), solver._pack_kernel(), valuation._walk_kernel()
     return {name: dict(record) for name, record in sorted(native.FAST_PATHS.items())}
 
 

@@ -1,17 +1,19 @@
 """IDX codec, partitioner, and dataset-builder contracts."""
 import gzip
 import re
+import shutil
 import struct
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import tiny_split
+from conftest import count_fan_outs, force_numpy, tiny_split
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fedsel import data, native
 from fedsel.data import (
     DataFormatError,
     DeviceDataset,
@@ -25,7 +27,7 @@ from fedsel.data import (
     write_idx,
     write_synthetic_image_corpus,
 )
-from fedsel.data import _carve_local_tests
+from fedsel.data import _carve_local_tests, _write_pixels
 from fedsel.rng import substream
 from fedsel.settings import ConfigError
 
@@ -83,6 +85,15 @@ def test_read_idx_handles_gzip(tmp_path):
     gz.write_bytes(gzip.compress(write_idx(arr)))
     assert np.array_equal(read_idx(plain), arr)
     assert np.array_equal(read_idx(gz), arr)
+
+
+@pytest.mark.parametrize("raw", [b"", b"\x00\x00"])
+def test_read_idx_refuses_a_truncated_plain_file(tmp_path, raw):
+    # a plain file is mapped, and an empty one cannot be: both stay loud
+    short = tmp_path / "short-idx3-ubyte"
+    short.write_bytes(raw)
+    with pytest.raises(DataFormatError, match="truncated"):
+        read_idx(short)
 
 
 # -- partitioner -------------------------------------------------------------
@@ -301,8 +312,11 @@ def _split_fields(split):
     return fields
 
 
+@pytest.mark.parametrize("decode", ["compiled", "numpy"])
 @pytest.mark.parametrize("unbalanced", [False, True])
-def test_load_idx_split_matches_the_float32_pool_bytes(tmp_path, unbalanced):
+def test_load_idx_split_matches_the_float32_pool_bytes(tmp_path, monkeypatch, unbalanced, decode):
+    if decode == "numpy":
+        force_numpy(monkeypatch, "decode_pixels")
     # devices, validation and test all span more than one 512-row pixel block
     corpus = write_synthetic_image_corpus(tmp_path, train_size=4000, test_size=700, seed=3)
     args = dict(num_devices=4, shards_per_device=2, seed=5, validation_size=600,
@@ -316,6 +330,47 @@ def test_load_idx_split_matches_the_float32_pool_bytes(tmp_path, unbalanced):
         assert got[name].shape == expected.shape, name
         assert got[name].tobytes() == expected.tobytes(), name
     _assert_row_views(split, {dev.device_id: dev.features for dev in split.devices})
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler: numpy decodes")
+def test_decode_kernel_gives_the_numpy_bytes():
+    kernel = data._pixel_kernel()
+    assert kernel is not None and native.FAST_PATHS["decode_pixels"]["status"] == "c"
+    rng = np.random.default_rng(11)
+    for width in (1, 7, 784):
+        rows = -(-256 // width) + 3  # every byte value, 0 to 255
+        images = (np.arange(rows * width) % 256).astype(np.uint8).reshape(rows, width)
+        ids = np.concatenate([rng.permutation(rows), rng.integers(0, rows, size=2 * rows)])
+        expected = np.empty((len(ids), width + 1))
+        _write_pixels(images, ids, expected)
+        got = np.full_like(expected, np.nan)
+        kernel(len(ids), width, images, ids, got)
+        assert got.tobytes() == expected.tobytes(), width
+        assert data._decode_pixels(images, ids).tobytes() == expected.tobytes(), width
+
+
+def test_decode_refuses_ids_outside_the_images(monkeypatch):
+    calls = count_fan_outs(monkeypatch)
+    images = np.zeros((5, 3), dtype=np.uint8)
+    for ids in ([0, 5], [-1, 2], [[0, 1]]):
+        with pytest.raises(ValueError, match=r"rows in \[0, 5\)"):
+            data._decode_pixels(images, np.array(ids))
+    assert calls == []  # refused before the kernel ran
+    assert data._decode_pixels(images, np.array([], dtype=np.int64)).shape == (0, 4)
+
+
+def test_load_idx_split_bytes_do_not_depend_on_the_decode_lanes(tmp_path, monkeypatch):
+    corpus = write_synthetic_image_corpus(tmp_path, train_size=1500, test_size=300, seed=4)
+    args = dict(num_devices=3, shards_per_device=2, seed=2, validation_size=200)
+    lanes = count_fan_outs(monkeypatch)
+    fanned_out = _split_fields(load_idx_split(corpus, **args))
+    if native.FAST_PATHS["decode_pixels"]["status"] == "c":
+        assert lanes == [native.lanes()] * 4  # train, device test, validation, test
+    monkeypatch.setattr(native, "lanes", lambda: 1)
+    one_lane = _split_fields(load_idx_split(corpus, **args))
+    assert fanned_out.keys() == one_lane.keys()
+    for name, rows in one_lane.items():
+        assert fanned_out[name].tobytes() == rows.tobytes(), name
 
 
 def test_load_idx_split_peak_memory_is_the_matrices_it_holds(idx_corpus):
@@ -351,6 +406,23 @@ def test_build_split_rejects_device_test_fraction_outside_unit_interval(small_co
     with pytest.raises(ConfigError, match=r"^device_test_fraction must be in \[0, 1\)"):
         load_idx_split(small_corpus, num_devices=2, shards_per_device=2, seed=1,
                        validation_size=10, device_test_fraction=fraction)
+
+
+def test_load_idx_split_refuses_validation_size_before_decoding(small_corpus, monkeypatch):
+    decodes = []
+    monkeypatch.setattr(data, "_decode_pixels", lambda *args: decodes.append(args))
+    with pytest.raises(DataFormatError, match="validation_size 300 out of range for 300"):
+        load_idx_split(small_corpus, num_devices=2, shards_per_device=2, seed=1,
+                       validation_size=300)
+    assert decodes == []
+
+
+def test_load_idx_split_refuses_test_images_of_another_shape(small_corpus, tmp_path):
+    for stem in IDX_FILES.values():
+        (tmp_path / stem).write_bytes((small_corpus / stem).read_bytes())
+    (tmp_path / IDX_FILES["test_images"]).write_bytes(write_idx(np.zeros((50, 5, 4), np.uint8)))
+    with pytest.raises(DataFormatError, match="train and test image shapes disagree"):
+        load_idx_split(tmp_path, num_devices=2, shards_per_device=2, seed=1, validation_size=10)
 
 
 def test_load_idx_split_missing_file(tmp_path):

@@ -409,9 +409,12 @@ def test_zero_round_run_reports_only_the_initial_row(tmp_path):
     assert manifest["rows_written"] == 1
     assert manifest["stop_reason"] == "completed"
     # the library's outcome and each kernel's, with the clone the library loaded
-    library, *kernels = manifest["fast_paths"].values()
+    library = manifest["fast_paths"]["library"]
+    kernels = [record for name, record in manifest["fast_paths"].items() if name != "library"]
     assert manifest["fast_paths"] == orch.fast_paths()
-    assert list(manifest["fast_paths"]) == ["library", "pack_upper", "sdca_job", "walk_values"]
+    assert list(manifest["fast_paths"]) == [
+        "decode_pixels", "library", "pack_upper", "sdca_job", "walk_values",
+    ]
     assert list(library) == ["status", "reason", "clone"]
     assert all(list(record) == ["status", "reason"] for record in kernels)
     if native.library() is not None:
@@ -703,7 +706,7 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
                 monkeypatch.setattr(native.os, "sched_getaffinity", lambda pid: {0, 1, 2})
                 monkeypatch.setattr(valuation, "RANGE_WORK", 1)
             if backend == "numpy":
-                force_numpy(monkeypatch, "pack_upper", "sdca_job", "walk_values")
+                force_numpy(monkeypatch, "decode_pixels", "pack_upper", "sdca_job", "walk_values")
             if backend == "one-range":  # as on a host with one usable CPU
                 monkeypatch.setattr(native.os, "sched_getaffinity", lambda pid: {0})
             if backend == "row-major":  # as on a BLAS whose class-major products differ
@@ -717,6 +720,7 @@ def test_metrics_csv_bytes_equal_with_numpy_fallback(tmp_path, monkeypatch, poli
             assert manifest["fast_paths"] == orch.fast_paths()
             if backend == "numpy":
                 forced = {"status": "numpy", "reason": "forced off"}
+                assert manifest["fast_paths"]["decode_pixels"] == forced
                 assert manifest["fast_paths"]["pack_upper"] == forced
                 assert manifest["fast_paths"]["sdca_job"] == forced
                 assert manifest["fast_paths"]["walk_values"] == forced
@@ -769,6 +773,7 @@ def test_runs_without_a_compiler_say_so_and_write_the_same_bytes(tmp_path, monke
     declined = capsys.readouterr()
     assert declined.out.split(" out=")[0] == compiled.out.split(" out=")[0]
     assert declined.err.splitlines() == [
+        "warning: decode_pixels falls back to numpy: no library",
         "warning: library falls back to numpy: no compiler",
         "warning: pack_upper falls back to numpy: no library",
         "warning: sdca_job falls back to numpy: no library",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import count_fan_outs, force_numpy, fresh_fast_paths
 
-from fedsel import native, orchestrator, products, solver, valuation
+from fedsel import data, native, orchestrator, products, solver, valuation
 from fedsel.data import DeviceDataset
 from fedsel.losses import SmoothedHinge, SquaredLoss
 from fedsel.rng import substream
@@ -726,7 +726,7 @@ def test_kernel_compile_flags_keep_ieee_arithmetic(tmp_path, monkeypatch):
     functions = c_functions(source.decode())
     assert {"coordinate_passes", "sdca_certificate", "walk_values"} <= set(functions)
     entry_points = {name for name, static in functions.items() if not static}
-    assert entry_points == {"native_isa", "pack_upper", "sdca_job", "walk_values"}
+    assert entry_points == {"native_isa", "decode_pixels", "pack_upper", "sdca_job", "walk_values"}
     assert entry_points - {"native_isa"} == bound
 
 
@@ -740,12 +740,12 @@ def plain_library(tmp_path_factory):
 
 
 def plain_kernels(plain_library, monkeypatch):
-    """The plain library's sdca_job and walk_values, bound and probed by a
-    fresh registry that loads it (None on a probe mismatch); the process's
-    registry is back once the test ends."""
+    """The plain library's sdca_job, walk_values and decode_pixels, bound and
+    probed by a fresh registry that loads it (None on a probe mismatch); the
+    process's registry is back once the test ends."""
     fresh_fast_paths(monkeypatch)
     monkeypatch.setattr(native, "load_library", lambda compiler: plain_library)
-    return solver._kernel(), valuation._walk_kernel()
+    return solver._kernel(), valuation._walk_kernel(), data._pixel_kernel()
 
 
 @needs_compiler
@@ -756,6 +756,7 @@ def test_kernels_built_without_target_clones_pass_both_probes(plain_library, mon
     assert native.FAST_PATHS["library"] == {"status": "c", "reason": None, "clone": clone}
     assert None not in plain_kernels(plain_library, monkeypatch)
     assert orchestrator.fast_paths() == {
+        "decode_pixels": {"status": "c", "reason": None},
         "library": {"status": "c", "reason": None, "clone": "default"},
         "pack_upper": {"status": "c", "reason": None},
         "sdca_job": {"status": "c", "reason": None},
@@ -788,7 +789,8 @@ def test_cloned_kernels_give_the_plain_bodys_bytes(plain_library, monkeypatch):
     # body, on the probe games, a TMC-sized game with exact ties and a
     # split into more row ranges than CPUs
     cloned_job, cloned = solver._kernel(), valuation._walk_kernel()
-    plain_job, plain = plain_kernels(plain_library, monkeypatch)
+    cloned_decode = data._pixel_kernel()
+    plain_job, plain, plain_decode = plain_kernels(plain_library, monkeypatch)
     assert cloned is not None and plain is not None
     cases = [(oracle, walks, prefix, (1, 2)) for oracle, walks, prefix in valuation._probe_games()]
     oracle, walks = tmc_sized_game()
@@ -814,6 +816,14 @@ def test_cloned_kernels_give_the_plain_bodys_bytes(plain_library, monkeypatch):
     )]
     for loss, jobs in cases:  # the coordinate loop and the certificate
         assert solve_bytes(cloned, loss, jobs) == solve_bytes(plain, loss, jobs)
+    assert cloned_decode is not None and plain_decode is not None
+    rng = np.random.default_rng(3)
+    images = rng.integers(0, 256, size=(600, 784), dtype=np.uint8)  # MNIST-shaped rows
+    ids = rng.integers(0, 600, size=1000)
+    decoded = [np.empty((1000, 785)) for _ in range(2)]
+    for decode, out in zip((cloned_decode, plain_decode), decoded):
+        decode(1000, 784, images, ids, out)
+    assert decoded[0].tobytes() == decoded[1].tobytes()
 
 
 def fixed_device_updates(k, loss_name, n=17):
@@ -1021,6 +1031,7 @@ def test_missing_compiler_falls_back_to_numpy(tmp_path, monkeypatch):
     monkeypatch.setattr(native, "COMPILER", missing)
     assert solver._kernel() is None
     assert orchestrator.fast_paths() == {
+        "decode_pixels": {"status": "numpy", "reason": "no library"},
         "library": {"status": "numpy", "reason": "no compiler", "clone": None},
         "pack_upper": {"status": "numpy", "reason": "no library"},
         "sdca_job": {"status": "numpy", "reason": "no library"},
