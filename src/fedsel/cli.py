@@ -233,7 +233,7 @@ def cmd_partition_report(args: argparse.Namespace) -> int:
     for device in split.devices:
         hist = device.label_histogram(split.num_classes)
         present = {int(c): int(n) for c, n in enumerate(hist) if n}
-        test_n = 0 if device.test_features is None else len(device.test_labels)
+        test_n = 0 if device.test_labels is None else len(device.test_labels)
         print(
             f"device {device.device_id:3d}: train={device.size:5d} "
             f"test={test_n:4d} labels={present}"

@@ -17,6 +17,7 @@ import gzip
 import mmap
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,6 +97,111 @@ def read_idx(path: str | Path) -> np.ndarray:
         return parse_idx(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
 
 
+# rows one decode of held-out pixels writes at most, unless one part alone has more
+DECODE_ROWS = 256
+
+
+@dataclass(frozen=True, eq=False)
+class HeldOutRows:
+    """Rows [start, stop) of a held-out feature matrix: rows read only when
+    a model is evaluated.
+
+    `matrix` is C-contiguous and holds either the float64 feature rows
+    themselves, or, as uint8, the (n, width) pixels they decode from: each
+    pixel becomes float64(float32(u8) / float32(255)), and a last column is
+    the bias 1.0, as _write_pixels writes them. Either way the rows are
+    (stop - start, d) float64 to a reader (`shape`); held_out_blocks reads
+    them, and slicing gives a range of them over the same matrix.
+    """
+
+    matrix: np.ndarray
+    start: int
+    stop: int
+
+    def __post_init__(self) -> None:
+        m = self.matrix
+        if not (
+            m.ndim == 2
+            and m.flags.c_contiguous
+            and m.dtype in (np.float64, np.uint8)
+            and 0 <= self.start <= self.stop <= len(m)
+        ):
+            raise ValueError(
+                "held-out rows need a C-contiguous 2-D float64 or uint8 matrix "
+                f"and a row range inside it, got {m.dtype} {m.shape} [{self.start}, {self.stop})"
+            )
+
+    @classmethod
+    def of(cls, rows) -> "HeldOutRows":
+        """rows as they are if a HeldOutRows, else all the rows of a
+        C-contiguous float64 copy of them (no copy where they already are)."""
+        if isinstance(rows, cls):
+            return rows
+        matrix = np.ascontiguousarray(rows, dtype=np.float64)
+        return cls(matrix, 0, len(matrix))
+
+    @property
+    def pixels(self) -> bool:
+        return self.matrix.dtype == np.uint8
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), self.matrix.shape[1] + self.pixels
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, span: slice) -> "HeldOutRows":
+        start, stop, step = span.indices(len(self))
+        if step != 1:
+            raise ValueError("held-out rows are sliced into contiguous ranges only")
+        return HeldOutRows(self.matrix, self.start + start, self.start + max(start, stop))
+
+    def rows(self) -> np.ndarray:
+        """The float64 rows: a view of a float64 matrix, or a new decoded matrix."""
+        return next(held_out_blocks([self]))
+
+
+def held_out_blocks(parts: list[HeldOutRows]) -> Iterator[np.ndarray]:
+    """Each part's (len(part), d) float64 rows, in order.
+
+    Rows held as float64 are views of their matrix. Pixels are decoded on
+    this thread (_decode_pixels) into one scratch matrix, reused: parts
+    that follow each other in one pixel matrix are decoded by one call
+    while together they hold at most DECODE_ROWS rows, and a longer part is
+    decoded alone. So a block decoded into the scratch holds its rows only
+    until the next block is asked for. Each row is decoded on its own, so
+    its bytes do not depend on the grouping.
+    """
+    groups: list[list[HeldOutRows]] = []
+    for part in parts:
+        group = groups[-1] if groups else None
+        if (
+            group
+            and part.pixels
+            and part.matrix is group[0].matrix
+            and part.start == group[-1].stop
+            and part.stop - group[0].start <= DECODE_ROWS
+        ):
+            group.append(part)
+        else:
+            groups.append([part])
+    most = max((g[-1].stop - g[0].start for g in groups if g[0].pixels), default=0)
+    scratch = np.empty((0, 0))
+    for group in groups:
+        first, last = group[0], group[-1]
+        if not first.pixels:
+            yield first.matrix[first.start : first.stop]
+            continue
+        width = first.matrix.shape[1] + 1
+        if scratch.shape[1] != width:
+            scratch = np.empty((most, width))
+        rows = scratch[: last.stop - first.start]
+        _decode_pixels(first.matrix, np.arange(first.start, last.stop), rows)
+        for part in group:
+            yield rows[part.start - first.start : part.stop - first.start]
+
+
 @dataclass
 class DeviceDataset:
     """One device's local training shard plus its held-out test split.
@@ -103,14 +209,16 @@ class DeviceDataset:
     sample_indices are the device's global dual-coordinate ids. Inside a
     SplitDataset they are the device's row range of the split's one training
     matrix, assigned by the split, and features is a float64 row view of that
-    matrix. A device used on its own keeps the ids it is given.
+    matrix. A device used on its own keeps the ids and test features it is
+    given. Inside a split, test_features are HeldOutRows: the device's rows
+    of the split's one device-test matrix.
     """
 
     device_id: int
     features: np.ndarray
     labels: np.ndarray
     sample_indices: np.ndarray | None = None
-    test_features: np.ndarray | None = None
+    test_features: HeldOutRows | np.ndarray | None = None
     test_labels: np.ndarray | None = None
 
     @property
@@ -130,19 +238,23 @@ class SplitDataset:
     order. A device given other ids is refused with DataFormatError, since
     its local updates would land on other devices' dual coordinates.
 
-    Every feature matrix is held once, as one C-contiguous float64 matrix:
-    the training pool in dual-coordinate order, the device test splits in
-    device order, the validation split and the global test split. Every
-    device's features and test_features become row views of the first two.
-    Construction converts what it is given (float32, one array per device)
-    into this layout, dropping each device's own copy as its rows are
-    written; arrays already in it, as load_idx_split writes them, are kept.
+    Every feature matrix is held once. The training pool, in dual-coordinate
+    order, and the validation split are C-contiguous float64 matrices, and
+    every device's features are row views of the first. The held-out rows,
+    read only at evaluation, are HeldOutRows: the device test splits, in
+    device order, over one matrix, and the global test split over another.
+    load_idx_split holds those two as their uint8 pixels, decoded at each
+    read (held_out_blocks); any other split holds them as float64, read as
+    views. Construction converts what it is given (float32, one array per
+    device) into this layout, dropping each device's own copy as its rows
+    are written; arrays already in it, as load_idx_split writes them, are
+    kept.
     """
 
     devices: list[DeviceDataset]
     validation_features: np.ndarray
     validation_labels: np.ndarray
-    test_features: np.ndarray
+    test_features: HeldOutRows
     test_labels: np.ndarray
     num_classes: int
 
@@ -157,13 +269,12 @@ class SplitDataset:
                 )
             dev.sample_indices = ids
             start += dev.size
-        train = _hold_rows(self.devices, "features", self.feature_dim)
-        held = [dev for dev in self.devices if dev.test_features is not None]
-        _hold_rows(held, "test_features", self.feature_dim)
+        train = _hold_rows(self.devices, self.feature_dim)
+        _hold_test_rows([dev for dev in self.devices if dev.test_features is not None])
         self.validation_features = np.ascontiguousarray(
             self.validation_features, dtype=np.float64
         )
-        self.test_features = np.ascontiguousarray(self.test_features, dtype=np.float64)
+        self.test_features = HeldOutRows.of(self.test_features)
         self._train = train, np.concatenate([dev.labels for dev in self.devices])
 
     @property
@@ -182,13 +293,13 @@ class SplitDataset:
         return self._train
 
 
-def _hold_rows(devices: list[DeviceDataset], attr: str, dim: int) -> np.ndarray:
-    """Rebind each device's `attr` to row views of one float64 matrix, returned.
+def _hold_rows(devices: list[DeviceDataset], dim: int) -> np.ndarray:
+    """Rebind each device's features to row views of one float64 matrix, returned.
 
     The devices' arrays are kept as they are when they already are
     consecutive C-contiguous float64 row views covering one such matrix.
     """
-    blocks = [getattr(dev, attr) for dev in devices]
+    blocks = [dev.features for dev in devices]
     base = blocks[0].base if blocks else None
     if (
         isinstance(base, np.ndarray)
@@ -206,14 +317,40 @@ def _hold_rows(devices: list[DeviceDataset], attr: str, dim: int) -> np.ndarray:
         ):
             return base
     del blocks, base  # so each device's own array is freed once its rows are copied
-    matrix = np.empty((sum(len(getattr(dev, attr)) for dev in devices), dim))
+    matrix = np.empty((sum(dev.size for dev in devices), dim))
     cursor = 0
     for dev in devices:
-        rows = matrix[cursor : cursor + len(getattr(dev, attr))]
-        rows[...] = getattr(dev, attr)
-        setattr(dev, attr, rows)
+        rows = matrix[cursor : cursor + dev.size]
+        rows[...] = dev.features
+        dev.features = rows
         cursor += len(rows)
     return matrix
+
+
+def _hold_test_rows(devices: list[DeviceDataset]) -> None:
+    """Rebind each device's test_features to its rows of one held-out matrix,
+    in device order.
+
+    They are kept as they are when they already are HeldOutRows over
+    consecutive ranges covering one matrix, as load_idx_split gives them;
+    otherwise their rows are copied into one new float64 matrix, each
+    device's own dropped as its rows are written.
+    """
+    parts = [dev.test_features for dev in devices]
+    if parts and all(isinstance(part, HeldOutRows) for part in parts):
+        matrix, ends = parts[0].matrix, [0] + [part.stop for part in parts]
+        if ends[-1] == len(matrix) and all(
+            part.matrix is matrix and part.start == end for part, end in zip(parts, ends)
+        ):
+            return
+    matrix = np.empty((sum(len(part) for part in parts), parts[0].shape[1] if parts else 0))
+    del parts
+    cursor = 0
+    for dev in devices:
+        rows = HeldOutRows.of(dev.test_features).rows()
+        matrix[cursor : cursor + len(rows)] = rows
+        dev.test_features = HeldOutRows(matrix, cursor, cursor + len(rows))
+        cursor += len(rows)
 
 
 def _label_aligned_shards(labels: np.ndarray, num_shards: int) -> list[np.ndarray]:
@@ -356,13 +493,16 @@ def _write_pixels(images: np.ndarray, ids: np.ndarray, out: np.ndarray) -> None:
         rows[:, -1] = 1.0
 
 
-def _decode_pixels(images: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """A new float64 matrix of the flattened uint8 images[ids] and a bias
-    column, as _write_pixels writes them.
+def _decode_pixels(
+    images: np.ndarray, ids: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The flattened uint8 images[ids] and a bias column as float64 rows, as
+    _write_pixels writes them: into `out`, on this thread, or into a new
+    matrix cut into ranges decoded concurrently. Returned.
 
     An id outside images is refused with ValueError before any row is
-    written. With the compiled decode_pixels the rows are cut into at most
-    native.lanes() near-equal ranges, decoded concurrently through
+    written. With the compiled decode_pixels a new matrix's rows are cut
+    into at most native.lanes() near-equal ranges, run through
     native.run_concurrently; without it _write_pixels runs. Each row is
     decoded on its own, so the bytes depend neither on the lanes nor on
     which of the two runs.
@@ -371,12 +511,15 @@ def _decode_pixels(images: np.ndarray, ids: np.ndarray) -> np.ndarray:
     n, width = images.shape
     if not (ids.ndim == 1 and (ids.size == 0 or 0 <= ids.min() <= ids.max() < n)):
         raise ValueError(f"pixel decode ids must be a vector of rows in [0, {n})")
-    out = np.empty((len(ids), width + 1))
+    if out is None:
+        out, lanes = np.empty((len(ids), width + 1)), native.lanes()
+    else:
+        lanes = 1
     kernel = _pixel_kernel()
     if kernel is None:
         _write_pixels(images, ids, out)
     elif len(ids):
-        lanes = min(native.lanes(), len(ids))
+        lanes = min(lanes, len(ids))
         bounds = [len(ids) * lane // lanes for lane in range(lanes + 1)]
         native.run_concurrently([
             functools.partial(kernel, stop - start, width, images, ids[start:stop], out[start:stop])
@@ -438,11 +581,13 @@ def load_idx_split(
     routed first: the server validation split is drawn from the training
     pool, the rest is shard-partitioned across devices, and each device's
     local test split is carved from its shard. Pixels are then scaled to
-    [0, 1] and flattened, and a bias column is appended, as each of the
-    split's four float64 matrices is decoded from the uint8 images in one
-    pass (_decode_pixels). An argument its [data] setting refuses is refused
-    before any file is read, and a partition that cannot be made before any
-    pixel is decoded.
+    [0, 1] and flattened, and a bias column is appended, as the training
+    and validation float64 matrices are each decoded from the uint8 images
+    in one pass (_decode_pixels). The device test and global test rows are
+    held as their gathered uint8 pixels (HeldOutRows), decoded each time an
+    evaluation reads them. An argument its [data] setting refuses is
+    refused before any file is read, and a partition that cannot be made
+    before any pixel is decoded.
     """
     check_values({
         "num_devices": (NUM_DEVICES, num_devices),
@@ -484,11 +629,11 @@ def load_idx_split(
         train_labels[pool], num_devices, shards_per_device, seed, unbalanced
     )
     carved = _carve_local_tests([pool[part] for part in parts], device_test_fraction, seed)
-    # one decode per matrix; each device's rows are then a view of the first two
+    # one decode per float64 matrix; each device's rows are then a view of
+    # the first, and its held-out rows a range of the gathered test pixels
     train = _decode_pixels(train_images, np.concatenate([ids for ids, _ in carved]))
-    device_test = _decode_pixels(train_images, np.concatenate([ids for _, ids in carved]))
     validation = _decode_pixels(train_images, val_pos)
-    test_features = _decode_pixels(test_images, np.arange(len(test_images)))
+    device_test = train_images[np.concatenate([ids for _, ids in carved])]
     devices = []
     train_cursor = test_cursor = 0
     for m, (train_ids, test_ids) in enumerate(carved):
@@ -497,7 +642,9 @@ def load_idx_split(
                 device_id=m,
                 features=train[train_cursor : train_cursor + len(train_ids)],
                 labels=train_labels[train_ids],
-                test_features=device_test[test_cursor : test_cursor + len(test_ids)],
+                test_features=HeldOutRows(
+                    device_test, test_cursor, test_cursor + len(test_ids)
+                ),
                 test_labels=train_labels[test_ids],
             )
         )
@@ -507,7 +654,8 @@ def load_idx_split(
         devices=devices,
         validation_features=validation,
         validation_labels=train_labels[val_pos],
-        test_features=test_features,
+        # a copy: the split outlives the mapped file
+        test_features=HeldOutRows(test_images.copy(), 0, len(test_images)),
         test_labels=test_labels,
         num_classes=int(max(train_labels.max(), test_labels.max())) + 1,
     )

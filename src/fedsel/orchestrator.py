@@ -109,11 +109,25 @@ def _accuracy(predicted: np.ndarray, labels: np.ndarray) -> float:
 def evaluate_global(phi_cols: np.ndarray, split: SplitDataset) -> float:
     """Test accuracy of the argmax predictor over the split's global test set.
 
-    With phi_cols == 0 it equals the frequency of class 0, because argmax
-    breaks ties toward the lowest class id.
+    The scores are products.kmajor_product of the test rows in the near-equal
+    chunks products._probe_chunks cuts, each chunk read by
+    data.held_out_blocks: each chunk's scores are its rows of the
+    full-height product, in either layout. With phi_cols == 0 it equals the
+    frequency of class 0, because argmax breaks ties toward the lowest class
+    id, and no row is read (see products.zero_model).
     """
-    test_scores = products.kmajor_product(split.test_features, [phi_cols])
-    return _accuracy(np.argmax(test_scores, axis=0), split.test_labels)
+    labels = split.test_labels
+    chunks = _read_unless_zero(
+        phi_cols, [split.test_features[span] for span in products._probe_chunks(len(labels))]
+    )
+    predicted = [np.argmax(products.kmajor_product(rows, [phi_cols]), axis=0) for rows in chunks]
+    return _accuracy(np.concatenate(predicted), labels)
+
+
+def _read_unless_zero(phi_cols: np.ndarray, parts: list[data.HeldOutRows]):
+    """The float64 rows of each part (data.held_out_blocks), or for the zero
+    model the parts themselves: its +0.0 scores need only their shape."""
+    return parts if products.zero_model([phi_cols]) else data.held_out_blocks(parts)
 
 
 def _dual_rows(alpha: np.ndarray, device: DeviceDataset) -> np.ndarray:
@@ -148,18 +162,23 @@ def fairness_audit(
     """Each device's held-out accuracy and risk, keyed by device id, and the
     ids whose risk exceeds the threshold.
 
-    A device's scores are products.row_major_scores of its local test split;
-    its accuracy is the argmax predictor's, its risk the mean one-vs-rest loss
-    (samples x classes). Devices without held-out samples have no entry and
-    cannot violate.
+    A device's scores are products.row_major_scores of its local test split,
+    read by data.held_out_blocks (pixels a few devices at a time; none for
+    the zero model); its accuracy is the argmax predictor's, its risk the
+    mean one-vs-rest loss (samples x classes). Devices without held-out
+    samples have no entry and cannot violate.
     """
     accuracies: dict[int, float] = {}
     risks: dict[int, float] = {}
     violators: set[int] = set()
-    for device in devices:
-        if device.test_features is None or device.test_features.shape[0] == 0:
-            continue
-        scores = products.row_major_scores(device.test_features, phi_cols)
+    held = [
+        device for device in devices
+        if device.test_features is not None and len(device.test_features)
+    ]
+    parts = [data.HeldOutRows.of(device.test_features) for device in held]
+    rows_of = _read_unless_zero(phi_cols, parts)
+    for device, rows in zip(held, rows_of):
+        scores = products.row_major_scores(rows, phi_cols)
         accuracies[device.device_id] = _accuracy(np.argmax(scores, axis=1), device.test_labels)
         targets = one_vs_rest_targets(device.test_labels, num_classes)
         risk = risks[device.device_id] = float(np.mean(loss.value(scores, targets)))

@@ -1,8 +1,9 @@
 """Class-major products of a fixed data matrix with thin weight blocks.
 
 Evaluation and the value oracle multiply a tall data matrix (on the paper
-grid the 44,001 training, 10,000 test or 5,000 validation rows by 785
-features) by thin weight blocks: phi or one explored update, (d, K) each.
+grid the 44,001 training or 5,000 validation rows by 785 features, or the
+10,000 test rows in the 2,000-row chunks of _probe_chunks) by thin weight
+blocks: phi or one explored update, (d, K) each.
 `kmajor_product` returns such a product class-major, as the (K, n) product
 `W.T @ X.T`, so each class is one contiguous row. With OpenBLAS 0.3.31 on
 2-core x86-64 hosts this was faster than the row-major `X @ W` at the grid
@@ -99,7 +100,8 @@ def zero_model(blocks) -> bool:
     sums start from +0.0, to which adding either zero gives +0.0 (tests
     check this against BLAS on features with negative entries). So callers
     return +0.0 arrays instead of such a product; -0.0 weights take the
-    product.
+    product. kmajor_product and row_major_scores then read only
+    `features.shape`, so rows not yet read (data.HeldOutRows) may stand in.
     """
     arrays = [np.asarray(w) for w in blocks]
     return all(a.dtype == np.float64 and not a.view(np.uint64).any() for a in arrays)

@@ -889,6 +889,36 @@ def test_cli_partition_report(capsys):
     assert "labels={" in captured.out
 
 
+def test_cli_partition_report_counts_held_out_rows_without_reading_them(
+    tmp_path, capsys, monkeypatch
+):
+    corpus = data.write_synthetic_image_corpus(
+        tmp_path, num_classes=3, side=4, train_size=300, test_size=50, seed=6
+    )
+    args = dict(num_devices=4, shards_per_device=2, seed=2, validation_size=30)
+    split = load_idx_split(corpus, **args)
+    decodes = []
+    decode = data._decode_pixels
+
+    def spy(images, ids, out=None):
+        decodes.append(out is None)  # a new matrix: a set-up decode
+        return decode(images, ids, out)
+
+    monkeypatch.setattr(data, "_decode_pixels", spy)
+    code = main([
+        "partition-report", "--seed", "2", "--set", f"data.data_dir={corpus}",
+        "--set", "data.num_devices=4", "--set", "data.validation_size=30",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert decodes == [True, True]  # the training and validation matrices only
+    assert f"validation=30 test={len(split.test_labels)}" in captured.out
+    lines = [line for line in captured.out.splitlines() if line.startswith("device ")]
+    assert len(lines) == 4
+    for line, dev in zip(lines, split.devices):
+        assert f"train={dev.size:5d} test={len(dev.test_features):4d} " in line
+
+
 # -- package surface -------------------------------------------------------------
 
 PUBLIC_NAMES = [

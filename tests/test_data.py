@@ -17,9 +17,11 @@ from fedsel import data, native
 from fedsel.data import (
     DataFormatError,
     DeviceDataset,
+    HeldOutRows,
     IDX_FILES,
     SplitDataset,
     generate_synthetic,
+    held_out_blocks,
     load_idx_split,
     parse_idx,
     read_idx,
@@ -179,7 +181,7 @@ def test_synthetic_separable_reaches_perfect_train_accuracy():
 def test_synthetic_zero_separation_is_chance_level():
     split = generate_synthetic(dim=2, train_size=400, num_devices=4, separation=0.0, seed=1)
     feats, labels = split.stacked_train()
-    acc = _ridge_fit_accuracy(feats, labels, split.test_features, split.test_labels)
+    acc = _ridge_fit_accuracy(feats, labels, split.test_features.rows(), split.test_labels)
     assert 0.35 <= acc <= 0.65
 
 
@@ -297,18 +299,22 @@ def _float32_pool_split(corpus_dir, num_devices, shards_per_device, seed,
 
 
 def _split_fields(split):
+    """Every field of the split as arrays; held-out rows as they are read."""
     train, train_labels = split.stacked_train()
     fields = {
         "train": train,
         "train_labels": train_labels,
         "validation": split.validation_features,
         "validation_labels": split.validation_labels,
-        "test": split.test_features,
+        "test": split.test_features.rows(),
         "test_labels": split.test_labels,
     }
     for dev in split.devices:
         for name in ("features", "labels", "sample_indices", "test_features", "test_labels"):
-            fields[f"device{dev.device_id}.{name}"] = getattr(dev, name)
+            value = getattr(dev, name)
+            fields[f"device{dev.device_id}.{name}"] = (
+                value.rows() if name == "test_features" else value
+            )
     return fields
 
 
@@ -330,6 +336,7 @@ def test_load_idx_split_matches_the_float32_pool_bytes(tmp_path, monkeypatch, un
         assert got[name].shape == expected.shape, name
         assert got[name].tobytes() == expected.tobytes(), name
     _assert_row_views(split, {dev.device_id: dev.features for dev in split.devices})
+    _assert_held_as_pixels(split)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler: numpy decodes")
@@ -363,9 +370,13 @@ def test_load_idx_split_bytes_do_not_depend_on_the_decode_lanes(tmp_path, monkey
     corpus = write_synthetic_image_corpus(tmp_path, train_size=1500, test_size=300, seed=4)
     args = dict(num_devices=3, shards_per_device=2, seed=2, validation_size=200)
     lanes = count_fan_outs(monkeypatch)
-    fanned_out = _split_fields(load_idx_split(corpus, **args))
+    split = load_idx_split(corpus, **args)
+    decoded_at_load = len(lanes)
+    fanned_out = _split_fields(split)
     if native.FAST_PATHS["decode_pixels"]["status"] == "c":
-        assert lanes == [native.lanes()] * 4  # train, device test, validation, test
+        # train and validation; the held-out rows stay pixels, read on one lane
+        assert lanes[:decoded_at_load] == [native.lanes()] * 2
+        assert lanes[decoded_at_load:] == [1] * (len(lanes) - decoded_at_load) != []
     monkeypatch.setattr(native, "lanes", lambda: 1)
     one_lane = _split_fields(load_idx_split(corpus, **args))
     assert fanned_out.keys() == one_lane.keys()
@@ -385,9 +396,9 @@ def test_load_idx_split_peak_memory_is_the_matrices_it_holds(idx_corpus):
         tracemalloc.stop()
     held = (
         split.stacked_train()[0].nbytes
-        + sum(dev.test_features.nbytes for dev in split.devices)
+        + split.devices[0].test_features.matrix.nbytes
         + split.validation_features.nbytes
-        + split.test_features.nbytes
+        + split.test_features.matrix.nbytes
     )
     assert peak <= 1.25 * held, f"peak {peak / held:.2f}x the split's matrices"
 
@@ -447,8 +458,8 @@ def test_build_split_dual_ids_are_contiguous(small_corpus):
 def _assert_row_views(split, expected_rows):
     """Every device's features are float64, C-contiguous row views of the one
     training matrix and hold expected_rows[device_id] exactly; every device
-    test split is a row view of one device-test matrix, in device order, and
-    the validation and test matrices are C-contiguous float64."""
+    test split is a range of one held-out matrix, in device order, and the
+    validation matrix is C-contiguous float64."""
     matrix, _ = split.stacked_train()
     assert split.stacked_train()[0] is matrix
     assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
@@ -459,15 +470,22 @@ def _assert_row_views(split, expected_rows):
         assert np.array_equal(dev.features, expected_rows[dev.device_id])
         assert np.array_equal(matrix[dev.sample_indices], dev.features)
     held = [dev.test_features for dev in split.devices if dev.test_features is not None]
-    tests = held[0].base
-    assert tests.dtype == np.float64 and tests.flags.c_contiguous
-    for rows in held:
-        assert rows.dtype == np.float64 and rows.flags.c_contiguous
-        assert rows.base is tests
-        assert len(rows) == 0 or np.shares_memory(rows, tests)
-    assert np.array_equal(np.concatenate(held), tests)
-    for features in (split.validation_features, split.test_features):
-        assert features.dtype == np.float64 and features.flags.c_contiguous
+    tests = held[0].matrix
+    assert tests.flags.c_contiguous
+    assert [part.start for part in held] == [0, *[part.stop for part in held[:-1]]]
+    assert held[-1].stop == len(tests)
+    assert all(part.matrix is tests for part in held)
+    features = split.validation_features
+    assert features.dtype == np.float64 and features.flags.c_contiguous
+
+
+def _assert_held_as_pixels(split):
+    """An IDX split's device test and global test rows are held as one uint8
+    pixel matrix each, in at most 1/8 of the bytes of their float64 rows."""
+    held = [split.devices[0].test_features.matrix, split.test_features.matrix]
+    assert all(matrix.dtype == np.uint8 for matrix in held)
+    float64_bytes = sum(len(matrix) * split.feature_dim * 8 for matrix in held)
+    assert sum(matrix.nbytes for matrix in held) <= float64_bytes / 8
 
 
 def test_hand_built_split_devices_are_float64_row_views():
@@ -495,9 +513,75 @@ def test_hand_built_split_devices_are_float64_row_views():
         if test is None:
             assert dev.test_features is None
         else:
-            assert dev.test_features.tobytes() == test.astype(np.float64).tobytes()
+            assert not dev.test_features.pixels
+            rows = dev.test_features.rows()
+            assert rows.flags.c_contiguous
+            assert len(rows) == 0 or np.shares_memory(rows, dev.test_features.matrix)
+            assert rows.tobytes() == test.astype(np.float64).tobytes()
     assert split.validation_features.tobytes() == shards[0].astype(np.float64).tobytes()
-    assert split.test_features.tobytes() == shards[2][::2].astype(np.float64).tobytes()
+    tests = split.test_features.rows()
+    assert tests.dtype == np.float64 and tests.flags.c_contiguous
+    assert tests.tobytes() == shards[2][::2].astype(np.float64).tobytes()
+
+
+def test_held_out_blocks_decode_consecutive_parts_together(monkeypatch):
+    rng = np.random.default_rng(9)
+    pixels = rng.integers(0, 256, size=(700, 5), dtype=np.uint8)
+    other = rng.integers(0, 256, size=(40, 5), dtype=np.uint8)
+    floats = rng.normal(size=(30, 6))
+    held, held_other = HeldOutRows(pixels, 0, 700), HeldOutRows(other, 0, 40)
+    parts = [
+        held[0:100], held[100:250], held[250:256], held[256:600], held[600:650],
+        held_other[0:40], HeldOutRows.of(floats)[3:9], held[650:700], held[0:0],
+    ]
+    decodes = []
+    decode = data._decode_pixels
+
+    def spy(images, ids, out=None):
+        decodes.append((images is pixels, int(ids[0]) if len(ids) else None, len(ids)))
+        return decode(images, ids, out)
+
+    monkeypatch.setattr(data, "_decode_pixels", spy)
+    blocks = [block.copy() for block in held_out_blocks(parts)]
+    # at most DECODE_ROWS rows a call, a longer part alone, and never across matrices
+    assert decodes == [
+        (True, 0, 256), (True, 256, 344), (True, 600, 50), (False, 0, 40), (True, 650, 50),
+        (True, None, 0),
+    ]
+    expected = _decode_pixels_whole(pixels)
+    for part, block in zip(parts, blocks):
+        assert block.shape == part.shape
+        if part.matrix is pixels:
+            assert block.tobytes() == expected[part.start : part.stop].tobytes()
+    assert blocks[5].tobytes() == _decode_pixels_whole(other).tobytes()
+    assert blocks[6].tobytes() == floats[3:9].tobytes()
+    assert np.shares_memory(next(held_out_blocks([parts[6]])), floats)  # float64 rows: a view
+
+
+def _decode_pixels_whole(pixels):
+    rows = np.empty((len(pixels), pixels.shape[1] + 1))
+    _write_pixels(pixels, np.arange(len(pixels)), rows)
+    return rows
+
+
+def test_held_out_rows_refuse_what_cannot_be_read():
+    pixels = np.zeros((6, 4), dtype=np.uint8)
+    for matrix, start, stop in (
+        (pixels, 0, 7), (pixels, 4, 3), (pixels, -1, 2), (pixels[:, ::2], 0, 6),
+        (pixels.astype(np.float32), 0, 6), (np.zeros(6), 0, 6),
+    ):
+        with pytest.raises(ValueError, match="held-out rows need"):
+            HeldOutRows(matrix, start, stop)
+    held = HeldOutRows(pixels, 1, 5)
+    assert held.shape == (4, 5) and held.pixels
+    assert (held[1:3].start, held[1:3].stop) == (2, 4)
+    assert (held[3:10].start, held[3:10].stop) == (4, 5)
+    assert len(held[3:1]) == 0
+    with pytest.raises(ValueError, match="contiguous ranges"):
+        held[::2]
+    rows = HeldOutRows.of(np.ones((3, 2), dtype=np.float32))
+    assert rows.matrix.dtype == np.float64 and not rows.pixels and rows.shape == (3, 2)
+    assert HeldOutRows.of(rows) is rows
 
 
 def test_split_refuses_dual_ids_other_than_its_rows():

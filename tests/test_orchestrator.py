@@ -2,6 +2,7 @@
 import json
 import platform
 import resource
+import shutil
 import sys
 from dataclasses import fields, replace
 from itertools import combinations
@@ -12,9 +13,9 @@ import pytest
 from conftest import force_numpy, fresh_fast_paths, tiny_split
 
 import fedsel.orchestrator as orch
-from fedsel import native, products, solver, valuation
+from fedsel import data, native, products, solver, valuation
 from fedsel.cli import main
-from fedsel.data import DeviceDataset, SplitDataset, generate_synthetic
+from fedsel.data import DeviceDataset, SplitDataset, _write_pixels, generate_synthetic
 from fedsel.orchestrator import (
     CSV_COLUMNS,
     CSV_HEADER,
@@ -299,7 +300,7 @@ def _float32_split() -> tuple:
             features=shard,
             labels=d.labels,
             sample_indices=d.sample_indices,
-            test_features=None if d.device_id == 2 else d.test_features.astype(np.float32),
+            test_features=None if d.device_id == 2 else d.test_features.rows().astype(np.float32),
             test_labels=None if d.device_id == 2 else d.test_labels,
         )
         for d, shard in zip(base.devices, shards)
@@ -308,7 +309,7 @@ def _float32_split() -> tuple:
         devices=devices,
         validation_features=base.validation_features.astype(np.float32),
         validation_labels=base.validation_labels,
-        test_features=base.test_features.astype(np.float32),
+        test_features=base.test_features.rows().astype(np.float32),
         test_labels=base.test_labels,
         num_classes=base.num_classes,
     )
@@ -341,15 +342,15 @@ def _reference_metrics(exp, shards, state, round_index, plan, round_cost_s, cum_
         for k in range(num_classes)
     ]))
     held = [d for d in split.devices if d.test_features is not None]
-    local_accs = [accuracy(d.test_features, d.test_labels) for d in held]
+    local_accs = [accuracy(d.test_features.rows(), d.test_labels) for d in held]
     risks = [
-        float(np.mean(loss.value(scores(d.test_features), binary(d.test_labels))))
+        float(np.mean(loss.value(scores(d.test_features.rows()), binary(d.test_labels))))
         for d in held
     ]
     return RoundMetrics(
         round_index=round_index,
         policy=exp.policy.kind,
-        test_acc=accuracy(split.test_features, split.test_labels),
+        test_acc=accuracy(split.test_features.rows(), split.test_labels),
         train_loss=data_term + reg_term,
         personalization_mean=float(np.mean(local_accs)),
         personalization_var=float(np.var(local_accs)),
@@ -848,6 +849,23 @@ def test_fairness_audit_identical_devices_agree():
     assert (clone.device_id in violators) == (9 in violators)
 
 
+def test_fairness_audit_reads_a_device_used_on_its_own():
+    split = tiny_split(num_devices=2)
+    device = split.devices[1]
+    alone = DeviceDataset(
+        device_id=7, features=device.features, labels=device.labels,
+        test_features=device.test_features.rows().copy(),
+        test_labels=device.test_labels,
+    )
+    phi = np.random.default_rng(1).normal(size=(split.feature_dim, 3))
+    loss = HP.make_loss()
+    in_split = fairness_audit(phi, [device], loss, 0.4, 3)
+    on_its_own = fairness_audit(phi, [alone], loss, 0.4, 3)
+    assert on_its_own == tuple({7: d[device.device_id]} for d in in_split[:2]) + (
+        {7} if device.device_id in in_split[2] else set(),
+    )
+
+
 def test_fairness_audit_skips_devices_without_holdout():
     split = tiny_split(num_devices=2)
     bare = type(split.devices[0])(
@@ -912,3 +930,100 @@ def test_beta_persistence_keeps_means_across_rounds():
     for m, count in exp._persistent_ledger.counts.items():
         assert count >= counts_after_1.get(m, 0)
     assert max(exp._persistent_ledger.counts.values()) > max(counts_after_1.values())
+
+
+# -- the paper grid's held-out rows, held as pixels ------------------------------
+
+# perfbench's grid_cds workload, for 2 rounds
+GRID_CDS = [
+    "data.source=idx", "data.num_devices=100", "data.shards_per_device=2",
+    "data.unbalanced=true", "data.validation_size=5000", "data.device_test_fraction=0.2",
+    "solver.loss=smoothed_hinge", "orchestrator.policy=cds", "selection.c_fraction=0.1",
+    "solver.epochs=10", "valuation.delta_t=1", "orchestrator.rounds=2",
+    "orchestrator.eval_every=1",
+]
+ALL_KERNELS = ("decode_pixels", "sdca_job", "pack_upper", "walk_values")
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("decode", ["compiled", "numpy"])
+def test_held_out_pixel_scores_are_the_float64_bytes_on_the_grid(idx_corpus, monkeypatch, decode):
+    if decode == "numpy":
+        force_numpy(monkeypatch, "decode_pixels")
+    split = data.load_idx_split(
+        idx_corpus[0], num_devices=100, shards_per_device=2, seed=1, unbalanced=True
+    )
+
+    def float64_rows(held):  # the float64 matrix the split held before
+        rows = np.empty((len(held.matrix), split.feature_dim))
+        _write_pixels(held.matrix, np.arange(len(held.matrix)), rows)
+        return rows
+
+    device_test = float64_rows(split.devices[0].test_features)
+    test = float64_rows(split.test_features)
+    decodes, device_scores, test_scores = [], [], []
+    decode_pixels, row_major_scores, kmajor_product = (
+        data._decode_pixels, products.row_major_scores, products.kmajor_product
+    )
+
+    def spied_decode(images, ids, out=None):
+        decodes.append(len(ids))
+        return decode_pixels(images, ids, out)
+
+    def recorded(scores, product):
+        def record(*args):
+            scores.append(product(*args))
+            return scores[-1]
+
+        return record
+
+    monkeypatch.setattr(data, "_decode_pixels", spied_decode)
+    monkeypatch.setattr(products, "row_major_scores", recorded(device_scores, row_major_scores))
+    monkeypatch.setattr(products, "kmajor_product", recorded(test_scores, kmajor_product))
+    loss = HP.make_loss()
+    zero = np.zeros((split.feature_dim, split.num_classes))
+    assert evaluate_global(zero, split) == float(np.mean(split.test_labels == 0))
+    fairness_audit(zero, split.devices, loss, 0.5, split.num_classes)
+    assert decodes == []  # the zero model reads no row
+    rng = np.random.default_rng(23)
+    for _ in range(2):  # the first probes the chunk shape, the second uses its verdict
+        phi = rng.normal(scale=0.05, size=(split.feature_dim, split.num_classes))
+        decodes.clear(), device_scores.clear(), test_scores.clear()
+        evaluate_global(phi, split)
+        fairness_audit(phi, split.devices, loss, 0.5, split.num_classes)
+        assert sum(decodes) == len(test) + len(device_test)
+        assert decodes[:5] == [2000] * 5  # the probe's chunks of the 10,000 test rows
+        assert max(decodes[5:]) <= data.DECODE_ROWS
+        assert same_bytes(np.hstack(test_scores), kmajor_product(test, [phi]))
+        assert len(device_scores) == len(split.devices)
+        for dev, scores in zip(split.devices, device_scores):
+            rows = device_test[dev.test_features.start : dev.test_features.stop]
+            assert same_bytes(scores, row_major_scores(rows, phi)), dev.device_id
+    expected = "numpy" if decode == "numpy" or shutil.which("cc") is None else "c"
+    assert native.FAST_PATHS["decode_pixels"]["status"] == expected
+
+
+def test_grid_cds_metrics_equal_with_every_kernel_declined(idx_corpus, tmp_path, monkeypatch):
+    overrides = [*GRID_CDS, f"data.data_dir={idx_corpus[0]}"]
+    runs = []
+    for backend in ("compiled", "numpy"):
+        if backend == "numpy":
+            force_numpy(monkeypatch, *ALL_KERNELS)
+        out = tmp_path / backend
+        code = main([
+            "run", "--quiet", "--seed", "1", *[a for o in overrides for a in ("--set", o)],
+            "--out", str(out),
+        ])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        statuses = {name: manifest["fast_paths"][name]["status"] for name in ALL_KERNELS}
+        if backend == "numpy":
+            assert statuses == dict.fromkeys(ALL_KERNELS, "numpy")
+        elif shutil.which("cc") is not None:
+            assert statuses == dict.fromkeys(ALL_KERNELS, "c")
+        runs.append((out / "metrics.csv").read_bytes())
+    assert runs[0].count(b"\n") == 4  # the header, round 0 and 2 rounds
+    assert runs[0] == runs[1]

@@ -8,7 +8,7 @@ from conftest import tiny_split
 
 from fedsel import products, valuation
 from fedsel.cli import main
-from fedsel.data import DeviceDataset
+from fedsel.data import DeviceDataset, HeldOutRows, held_out_blocks
 from fedsel.orchestrator import Experiment
 from fedsel.selection import SelectionPolicy
 from fedsel.solver import Hyperparams, device_update_ovr
@@ -51,6 +51,16 @@ def test_kmajor_product_equals_row_major_at_the_grid_shapes(fresh_probes):
             deltas = [rng.normal(size=(785, 10)) for _ in range(members)]
             got = products.kmajor_product(features, deltas)
             assert same_bytes(got, row_major(features, deltas)), members
+    # the global test rows held as pixels, read chunk by chunk as evaluate_global reads them
+    pixels = rng.integers(0, 256, size=(10000, 784), dtype=np.uint8)
+    held = HeldOutRows(pixels, 0, len(pixels))
+    features = held.rows()
+    chunks = [held[span] for span in products._probe_chunks(len(held))]
+    for _ in range(3):
+        phi = rng.normal(size=(785, 10))
+        got = np.hstack([products.kmajor_product(rows, [phi]) for rows in held_out_blocks(chunks)])
+        assert same_bytes(got, row_major(features, [phi]))
+        assert same_bytes(got, products.kmajor_product(features, [phi]))
 
 
 def probe_start(kmajor):
@@ -271,7 +281,7 @@ def test_zero_model_scores_of_device_test_splits_are_the_blas_bytes():
     split = tiny_split()
     cases = (
         (grid_like, np.zeros((785, 10))),
-        ([d.test_features for d in split.devices], np.zeros((split.feature_dim, 3))),
+        ([d.test_features.rows() for d in split.devices], np.zeros((split.feature_dim, 3))),
     )
     for test_features, phi in cases:
         for features in test_features:
