@@ -18,7 +18,7 @@ import mmap
 import os
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -97,20 +97,21 @@ def read_idx(path: str | Path) -> np.ndarray:
         return parse_idx(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
 
 
-# rows one decode of held-out pixels writes at most, unless one part alone has more
+# rows one decode of pixels writes at most, unless one part alone has more
 DECODE_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
-class HeldOutRows:
-    """Rows [start, stop) of a held-out feature matrix: rows read only when
-    a model is evaluated.
+class FeatureRows:
+    """Rows [start, stop) of one feature matrix of a split: a device's
+    training rows, its held-out rows, all training rows or the global test
+    rows.
 
     `matrix` is C-contiguous and holds either the float64 feature rows
     themselves, or, as uint8, the (n, width) pixels they decode from: each
     pixel becomes float64(float32(u8) / float32(255)), and a last column is
     the bias 1.0, as _write_pixels writes them. Either way the rows are
-    (stop - start, d) float64 to a reader (`shape`); held_out_blocks reads
+    (stop - start, d) float64 to a reader (`shape`); feature_blocks reads
     them, and slicing gives a range of them over the same matrix.
     """
 
@@ -127,13 +128,13 @@ class HeldOutRows:
             and 0 <= self.start <= self.stop <= len(m)
         ):
             raise ValueError(
-                "held-out rows need a C-contiguous 2-D float64 or uint8 matrix "
+                "feature rows need a C-contiguous 2-D float64 or uint8 matrix "
                 f"and a row range inside it, got {m.dtype} {m.shape} [{self.start}, {self.stop})"
             )
 
     @classmethod
-    def of(cls, rows) -> "HeldOutRows":
-        """rows as they are if a HeldOutRows, else all the rows of a
+    def of(cls, rows) -> "FeatureRows":
+        """rows as they are if a FeatureRows, else all the rows of a
         C-contiguous float64 copy of them (no copy where they already are)."""
         if isinstance(rows, cls):
             return rows
@@ -151,18 +152,18 @@ class HeldOutRows:
     def __len__(self) -> int:
         return self.stop - self.start
 
-    def __getitem__(self, span: slice) -> "HeldOutRows":
+    def __getitem__(self, span: slice) -> "FeatureRows":
         start, stop, step = span.indices(len(self))
         if step != 1:
-            raise ValueError("held-out rows are sliced into contiguous ranges only")
-        return HeldOutRows(self.matrix, self.start + start, self.start + max(start, stop))
+            raise ValueError("feature rows are sliced into contiguous ranges only")
+        return FeatureRows(self.matrix, self.start + start, self.start + max(start, stop))
 
     def rows(self) -> np.ndarray:
         """The float64 rows: a view of a float64 matrix, or a new decoded matrix."""
-        return next(held_out_blocks([self]))
+        return next(feature_blocks([self]))
 
 
-def held_out_blocks(parts: list[HeldOutRows]) -> Iterator[np.ndarray]:
+def feature_blocks(parts: list[FeatureRows]) -> Iterator[np.ndarray]:
     """Each part's (len(part), d) float64 rows, in order.
 
     Rows held as float64 are views of their matrix. Pixels are decoded on
@@ -173,7 +174,7 @@ def held_out_blocks(parts: list[HeldOutRows]) -> Iterator[np.ndarray]:
     until the next block is asked for. Each row is decoded on its own, so
     its bytes do not depend on the grouping.
     """
-    groups: list[list[HeldOutRows]] = []
+    groups: list[list[FeatureRows]] = []
     for part in parts:
         group = groups[-1] if groups else None
         if (
@@ -206,19 +207,20 @@ def held_out_blocks(parts: list[HeldOutRows]) -> Iterator[np.ndarray]:
 class DeviceDataset:
     """One device's local training shard plus its held-out test split.
 
-    sample_indices are the device's global dual-coordinate ids. Inside a
-    SplitDataset they are the device's row range of the split's one training
-    matrix, assigned by the split, and features is a float64 row view of that
-    matrix. A device used on its own keeps the ids and test features it is
-    given. Inside a split, test_features are HeldOutRows: the device's rows
-    of the split's one device-test matrix.
+    A device used on its own holds what it is given: an (n, d) features
+    array, its dual ids and its test features. Inside a SplitDataset,
+    features and test_features are FeatureRows, the device's row ranges of
+    the split's one training matrix and one device-test matrix, and
+    sample_indices are its training range's dual-coordinate ids, assigned
+    by the split. Either way `size` counts the training rows without
+    reading them.
     """
 
     device_id: int
-    features: np.ndarray
+    features: FeatureRows | np.ndarray
     labels: np.ndarray
     sample_indices: np.ndarray | None = None
-    test_features: HeldOutRows | np.ndarray | None = None
+    test_features: FeatureRows | np.ndarray | None = None
     test_labels: np.ndarray | None = None
 
     @property
@@ -238,25 +240,29 @@ class SplitDataset:
     order. A device given other ids is refused with DataFormatError, since
     its local updates would land on other devices' dual coordinates.
 
-    Every feature matrix is held once. The training pool, in dual-coordinate
-    order, and the validation split are C-contiguous float64 matrices, and
-    every device's features are row views of the first. The held-out rows,
-    read only at evaluation, are HeldOutRows: the device test splits, in
-    device order, over one matrix, and the global test split over another.
-    load_idx_split holds those two as their uint8 pixels, decoded at each
-    read (held_out_blocks); any other split holds them as float64, read as
-    views. Construction converts what it is given (float32, one array per
-    device) into this layout, dropping each device's own copy as its rows
-    are written; arrays already in it, as load_idx_split writes them, are
+    Every feature matrix is held once. The training rows (train_features,
+    labels train_labels) and the device test splits are FeatureRows over
+    one matrix each, in device order, every device's features and
+    test_features a range of them; the global test split is FeatureRows
+    over another. load_idx_split holds these three as their uint8 pixels,
+    decoded by each reader into a scratch as it reads them
+    (feature_blocks); any other split holds them as float64, read as
+    views. The validation split is a C-contiguous float64 matrix.
+    Construction converts what it is given (float32, one array per device)
+    into this layout, dropping each device's own copy as its rows are
+    written; FeatureRows already in it, as load_idx_split gives them, are
     kept.
     """
 
     devices: list[DeviceDataset]
     validation_features: np.ndarray
     validation_labels: np.ndarray
-    test_features: HeldOutRows
+    test_features: FeatureRows
     test_labels: np.ndarray
     num_classes: int
+    # every device's training rows and labels, in dual-coordinate order
+    train_features: FeatureRows = field(init=False, repr=False)
+    train_labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         start = 0
@@ -269,13 +275,13 @@ class SplitDataset:
                 )
             dev.sample_indices = ids
             start += dev.size
-        train = _hold_rows(self.devices, self.feature_dim)
-        _hold_test_rows([dev for dev in self.devices if dev.test_features is not None])
+        self.train_features = _hold_rows(self.devices, "features")
+        self.train_labels = np.concatenate([dev.labels for dev in self.devices])
+        _hold_rows([dev for dev in self.devices if dev.test_features is not None], "test_features")
         self.validation_features = np.ascontiguousarray(
             self.validation_features, dtype=np.float64
         )
-        self.test_features = HeldOutRows.of(self.test_features)
-        self._train = train, np.concatenate([dev.labels for dev in self.devices])
+        self.test_features = FeatureRows.of(self.test_features)
 
     @property
     def total_train(self) -> int:
@@ -286,71 +292,40 @@ class SplitDataset:
         return self.devices[0].features.shape[1]
 
     def stacked_train(self) -> tuple[np.ndarray, np.ndarray]:
-        """The float64 training matrix and its labels, in dual-coordinate order.
-
-        Both are the arrays the split holds, not copies.
-        """
-        return self._train
-
-
-def _hold_rows(devices: list[DeviceDataset], dim: int) -> np.ndarray:
-    """Rebind each device's features to row views of one float64 matrix, returned.
-
-    The devices' arrays are kept as they are when they already are
-    consecutive C-contiguous float64 row views covering one such matrix.
-    """
-    blocks = [dev.features for dev in devices]
-    base = blocks[0].base if blocks else None
-    if (
-        isinstance(base, np.ndarray)
-        and base.dtype == np.float64
-        and base.flags.c_contiguous
-    ):
-        starts = np.cumsum([0] + [len(block) for block in blocks])
-        if starts[-1] == len(base) and all(
-            block.base is base
-            and block.dtype == base.dtype
-            and block.flags.c_contiguous
-            and block.shape[1:] == base.shape[1:]
-            and block.ctypes.data == base.ctypes.data + start * base.strides[0]
-            for block, start in zip(blocks, starts)
-        ):
-            return base
-    del blocks, base  # so each device's own array is freed once its rows are copied
-    matrix = np.empty((sum(dev.size for dev in devices), dim))
-    cursor = 0
-    for dev in devices:
-        rows = matrix[cursor : cursor + dev.size]
-        rows[...] = dev.features
-        dev.features = rows
-        cursor += len(rows)
-    return matrix
+        """The training rows as a new float64 matrix and their labels as a
+        new array, in dual-coordinate order: each call decodes or copies
+        anew, since the split keeps no float64 training matrix (on the grid,
+        44,001 x 785 float64 take 263.5 MiB)."""
+        rows = self.train_features.rows()
+        return (rows if self.train_features.pixels else rows.copy()), self.train_labels.copy()
 
 
-def _hold_test_rows(devices: list[DeviceDataset]) -> None:
-    """Rebind each device's test_features to its rows of one held-out matrix,
-    in device order.
+def _hold_rows(devices: list[DeviceDataset], attr: str) -> FeatureRows:
+    """Rebind each device's `attr` features to its rows of one feature
+    matrix, in device order; returns all the rows of that matrix.
 
-    They are kept as they are when they already are HeldOutRows over
+    They are kept as they are when they already are FeatureRows over
     consecutive ranges covering one matrix, as load_idx_split gives them;
     otherwise their rows are copied into one new float64 matrix, each
     device's own dropped as its rows are written.
     """
-    parts = [dev.test_features for dev in devices]
-    if parts and all(isinstance(part, HeldOutRows) for part in parts):
+    parts = [getattr(dev, attr) for dev in devices]
+    if parts and all(isinstance(part, FeatureRows) for part in parts):
         matrix, ends = parts[0].matrix, [0] + [part.stop for part in parts]
         if ends[-1] == len(matrix) and all(
             part.matrix is matrix and part.start == end for part, end in zip(parts, ends)
         ):
-            return
+            return FeatureRows(matrix, 0, len(matrix))
     matrix = np.empty((sum(len(part) for part in parts), parts[0].shape[1] if parts else 0))
     del parts
     cursor = 0
     for dev in devices:
-        rows = HeldOutRows.of(dev.test_features).rows()
-        matrix[cursor : cursor + len(rows)] = rows
-        dev.test_features = HeldOutRows(matrix, cursor, cursor + len(rows))
+        part = getattr(dev, attr)
+        rows = matrix[cursor : cursor + len(part)]
+        rows[...] = part.rows() if isinstance(part, FeatureRows) else part
+        setattr(dev, attr, FeatureRows(matrix, cursor, cursor + len(rows)))
         cursor += len(rows)
+    return FeatureRows(matrix, 0, len(matrix))
 
 
 def _label_aligned_shards(labels: np.ndarray, num_shards: int) -> list[np.ndarray]:
@@ -500,8 +475,9 @@ def _decode_pixels(
     _write_pixels writes them: into `out`, on this thread, or into a new
     matrix cut into ranges decoded concurrently. Returned.
 
-    An id outside images is refused with ValueError before any row is
-    written. With the compiled decode_pixels a new matrix's rows are cut
+    An id outside images, or an `out` that is not C-contiguous float64 of
+    shape (len(ids), width + 1), is refused with ValueError before any row
+    is written. With the compiled decode_pixels a new matrix's rows are cut
     into at most native.lanes() near-equal ranges, run through
     native.run_concurrently; without it _write_pixels runs. Each row is
     decoded on its own, so the bytes depend neither on the lanes nor on
@@ -513,6 +489,11 @@ def _decode_pixels(
         raise ValueError(f"pixel decode ids must be a vector of rows in [0, {n})")
     if out is None:
         out, lanes = np.empty((len(ids), width + 1)), native.lanes()
+    elif out.dtype != np.float64 or not out.flags.c_contiguous or out.shape != (len(ids), width + 1):
+        raise ValueError(
+            f"pixel decode out must be C-contiguous float64 of shape ({len(ids)}, {width + 1}), "
+            f"got {out.dtype} {out.shape}"
+        )
     else:
         lanes = 1
     kernel = _pixel_kernel()
@@ -580,14 +561,14 @@ def load_idx_split(
     Expects the four canonical filenames (optionally gzipped). Sample ids are
     routed first: the server validation split is drawn from the training
     pool, the rest is shard-partitioned across devices, and each device's
-    local test split is carved from its shard. Pixels are then scaled to
-    [0, 1] and flattened, and a bias column is appended, as the training
-    and validation float64 matrices are each decoded from the uint8 images
-    in one pass (_decode_pixels). The device test and global test rows are
-    held as their gathered uint8 pixels (HeldOutRows), decoded each time an
-    evaluation reads them. An argument its [data] setting refuses is
-    refused before any file is read, and a partition that cannot be made
-    before any pixel is decoded.
+    local test split is carved from its shard. The devices' training rows,
+    their test rows and the global test rows are held as their gathered
+    uint8 pixels (FeatureRows), which each reader decodes as it reads them:
+    each pixel scaled to [0, 1], the image flattened and a bias column
+    appended. Only the validation split is decoded here, into one float64
+    matrix in one pass (_decode_pixels). An argument its [data] setting
+    refuses is refused before any file is read, and a partition that cannot
+    be made before any pixel is decoded.
     """
     check_values({
         "num_devices": (NUM_DEVICES, num_devices),
@@ -629,10 +610,10 @@ def load_idx_split(
         train_labels[pool], num_devices, shards_per_device, seed, unbalanced
     )
     carved = _carve_local_tests([pool[part] for part in parts], device_test_fraction, seed)
-    # one decode per float64 matrix; each device's rows are then a view of
-    # the first, and its held-out rows a range of the gathered test pixels
-    train = _decode_pixels(train_images, np.concatenate([ids for ids, _ in carved]))
+    # the validation split is the one decoded matrix; each device's training
+    # and held-out rows are ranges of the gathered pixels
     validation = _decode_pixels(train_images, val_pos)
+    train = train_images[np.concatenate([ids for ids, _ in carved])]
     device_test = train_images[np.concatenate([ids for _, ids in carved])]
     devices = []
     train_cursor = test_cursor = 0
@@ -640,9 +621,9 @@ def load_idx_split(
         devices.append(
             DeviceDataset(
                 device_id=m,
-                features=train[train_cursor : train_cursor + len(train_ids)],
+                features=FeatureRows(train, train_cursor, train_cursor + len(train_ids)),
                 labels=train_labels[train_ids],
-                test_features=HeldOutRows(
+                test_features=FeatureRows(
                     device_test, test_cursor, test_cursor + len(test_ids)
                 ),
                 test_labels=train_labels[test_ids],
@@ -655,7 +636,7 @@ def load_idx_split(
         validation_features=validation,
         validation_labels=train_labels[val_pos],
         # a copy: the split outlives the mapped file
-        test_features=HeldOutRows(test_images.copy(), 0, len(test_images)),
+        test_features=FeatureRows(test_images.copy(), 0, len(test_images)),
         test_labels=test_labels,
         num_classes=int(max(train_labels.max(), test_labels.max())) + 1,
     )

@@ -107,27 +107,29 @@ def _accuracy(predicted: np.ndarray, labels: np.ndarray) -> float:
 
 
 def evaluate_global(phi_cols: np.ndarray, split: SplitDataset) -> float:
-    """Test accuracy of the argmax predictor over the split's global test set.
-
-    The scores are products.kmajor_product of the test rows in the near-equal
-    chunks products._probe_chunks cuts, each chunk read by
-    data.held_out_blocks: each chunk's scores are its rows of the
-    full-height product, in either layout. With phi_cols == 0 it equals the
-    frequency of class 0, because argmax breaks ties toward the lowest class
-    id, and no row is read (see products.zero_model).
+    """Test accuracy of the argmax predictor over the split's global test set,
+    from its chunked scores (_kmajor_scores). With phi_cols == 0 it equals
+    the frequency of class 0, because argmax breaks ties toward the lowest
+    class id, and no row is read (see products.zero_model).
     """
-    labels = split.test_labels
-    chunks = _read_unless_zero(
-        phi_cols, [split.test_features[span] for span in products._probe_chunks(len(labels))]
-    )
-    predicted = [np.argmax(products.kmajor_product(rows, [phi_cols]), axis=0) for rows in chunks]
-    return _accuracy(np.concatenate(predicted), labels)
+    predicted = np.argmax(_kmajor_scores(phi_cols, split.test_features), axis=0)
+    return _accuracy(predicted, split.test_labels)
 
 
-def _read_unless_zero(phi_cols: np.ndarray, parts: list[data.HeldOutRows]):
-    """The float64 rows of each part (data.held_out_blocks), or for the zero
+def _kmajor_scores(phi_cols: np.ndarray, rows: data.FeatureRows) -> np.ndarray:
+    """The (K, n) class-major scores of all n rows, products.kmajor_product
+    of each near-equal chunk products._probe_chunks cuts, as
+    data.feature_blocks reads it (pixels decoded one chunk at a time): each
+    chunk's scores are its rows of the full-height product, in either
+    layout. The zero model reads no row."""
+    chunks = _read_unless_zero(phi_cols, [rows[span] for span in products._probe_chunks(len(rows))])
+    return np.hstack([products.kmajor_product(chunk, [phi_cols]) for chunk in chunks])
+
+
+def _read_unless_zero(phi_cols: np.ndarray, parts: list[data.FeatureRows]):
+    """The float64 rows of each part (data.feature_blocks), or for the zero
     model the parts themselves: its +0.0 scores need only their shape."""
-    return parts if products.zero_model([phi_cols]) else data.held_out_blocks(parts)
+    return parts if products.zero_model([phi_cols]) else data.feature_blocks(parts)
 
 
 def _dual_rows(alpha: np.ndarray, device: DeviceDataset) -> np.ndarray:
@@ -163,7 +165,7 @@ def fairness_audit(
     ids whose risk exceeds the threshold.
 
     A device's scores are products.row_major_scores of its local test split,
-    read by data.held_out_blocks (pixels a few devices at a time; none for
+    read by data.feature_blocks (pixels a few devices at a time; none for
     the zero model); its accuracy is the argmax predictor's, its risk the
     mean one-vs-rest loss (samples x classes). Devices without held-out
     samples have no entry and cannot violate.
@@ -175,7 +177,7 @@ def fairness_audit(
         device for device in devices
         if device.test_features is not None and len(device.test_features)
     ]
-    parts = [data.HeldOutRows.of(device.test_features) for device in held]
+    parts = [data.FeatureRows.of(device.test_features) for device in held]
     rows_of = _read_unless_zero(phi_cols, parts)
     for device, rows in zip(held, rows_of):
         scores = products.row_major_scores(rows, phi_cols)
@@ -216,7 +218,7 @@ class Experiment:
 
         # class-major, (K, D), as the train margins are
         self.train_targets = np.ascontiguousarray(
-            one_vs_rest_targets(split.stacked_train()[1], self.num_classes).T
+            one_vs_rest_targets(split.train_labels, self.num_classes).T
         )
 
         sizes = {d.device_id: d.size for d in split.devices}
@@ -229,9 +231,10 @@ class Experiment:
         )
 
         # each device's Gram matrix over lambda*D as its packed upper triangle,
-        # from its first local solve: inside run() until its last scheduled
-        # one (_last_solve), so no Gram is built twice and none outlives its
-        # use; kept for the Experiment's life when run_round is driven by hand
+        # built by its first local solve from the rows the solve decodes:
+        # inside run() until its last scheduled one (_last_solve), so no Gram
+        # is built twice and none outlives its use; kept for the
+        # Experiment's life when run_round is driven by hand
         self._gram_cache: dict[int, np.ndarray] = {}
         self._last_solve: dict[int, int] | None = None
         self._persistent_ledger: ContributionLedger | None = (
@@ -241,10 +244,13 @@ class Experiment:
     # -- per-device caches ------------------------------------------------
 
     def _gram_upper(self, device_id: int) -> np.ndarray:
+        """The device's cached Gram, built from its rows where missing: for
+        a per-device update, which cannot hand its Gram back."""
         gram = self._gram_cache.get(device_id)
         if gram is None:
+            rows = data.FeatureRows.of(self.devices[device_id].features).rows()
             gram = self._gram_cache[device_id] = _scaled_gram_upper(
-                self.devices[device_id].features, self.reg_lambda, self.total_samples, device_id
+                rows, self.reg_lambda, self.total_samples, device_id
             )
         return gram
 
@@ -265,21 +271,24 @@ class Experiment:
         devices = [self.devices[m] for m in explored]
         alpha_rows = [_dual_rows(state.alpha, device) for device in devices]
         rngs = [substream(self.hyper.seed, DEVICE, round_index, m) for m in explored]
-        grams = [self._gram_upper(m) for m in explored]
         if device_update_ovr is solver.device_update_ovr:
+            # the batch builds each missing Gram from the rows it decodes
+            # anyway, and fills it in
+            grams = [self._gram_cache.get(m) for m in explored]
             updates = _solve_columns(
                 devices, state.phi, alpha_rows, [device.labels for device in devices],
                 self.num_classes, self.hyper, rngs, self.total_samples, None, grams,
             )
+            self._gram_cache.update(zip(explored, grams))
         else:
             # a replaced per-device update (a tracer's wrapper, a test's fake)
             # is called device by device; the bytes are the batch's
             updates = [
                 device_update_ovr(
                     device, state.phi, alpha_cols, self.num_classes, self.hyper, rng,
-                    total_samples=self.total_samples, gram_upper=gram,
+                    total_samples=self.total_samples, gram_upper=self._gram_upper(m),
                 )
-                for device, alpha_cols, rng, gram in zip(devices, alpha_rows, rngs, grams)
+                for m, device, alpha_cols, rng in zip(explored, devices, alpha_rows, rngs)
             ]
         return dict(zip(explored, updates))
 
@@ -356,7 +365,7 @@ class Experiment:
         round_cost_s: float,
         cum_cost_s: float,
     ) -> RoundMetrics:
-        train_margins = products.kmajor_product(self.split.stacked_train()[0], [state.phi])
+        train_margins = _kmajor_scores(state.phi, self.split.train_features)
         train_values = _train_loss_values(train_margins, self.train_targets, self.loss)
         test_acc = evaluate_global(state.phi, self.split)
         # the regularized primal objective on the full training pool, averaged

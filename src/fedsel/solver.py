@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import native
+from . import data, native
 from .losses import GAMMA, LOSS, Loss, SmoothedHinge, SquaredLoss, make_loss
 from .products import row_major_scores
 from .rng import substream
@@ -481,15 +481,20 @@ def _solve_columns(
     phi_cols is (d, K), K = num_classes. Each device comes with its dual rows
     (n, K), its class ids (its targets are +1 in the column of the sample's
     class and -1 elsewhere), its rng (or seed) and its scaled Gram's packed
-    upper triangle (None: computed here, see _scaled_gram_upper); `epochs`
-    overrides hp.epochs. Three phases:
+    upper triangle, or None: then it is built here (_scaled_gram_upper) and
+    written into `grams`, so a caller can keep it; `epochs` overrides
+    hp.epochs. A device's features are read by data.feature_blocks: views
+    of float64 rows, pixels decoded on this thread into one scratch, so at
+    most one device's decoded rows (or a few small consecutive ones) are
+    alive at a time. Three phases:
 
-    1. this thread makes every BLAS product and RNG draw, device after
-       device: the Gram where not given, the row-major base margins and the
-       E visit orders;
+    1. this thread reads each device's rows and makes every BLAS product and
+       RNG draw, device after device: the Gram where not given, the
+       row-major base margins and the E visit orders;
     2. _local_solves runs each device's coordinate passes and certificate
        sums, on at most native.lanes() lanes;
-    3. this thread computes delta_phi = feats.T @ rho / (lambda * D) and theta.
+    3. this thread reads each device's rows again and computes
+       delta_phi = feats.T @ rho / (lambda * D) and theta.
 
     Every buffer belongs to one device and every BLAS call is made on this
     thread, so each update has the bytes of solving its device alone.
@@ -498,19 +503,21 @@ def _solve_columns(
     lam = hp.resolved_lambda(total_samples)
     loss = hp.make_loss()
     phi_cols = np.asarray(phi_cols, dtype=np.float64)
-    jobs = []
-    for device, alpha_cols, labels, rng, gram_upper in zip(
-        devices, alpha_rows, classes, rngs, grams, strict=True
-    ):
+    for device in devices:
         if device.size == 0:
             raise ValueError(f"device {device.device_id} has no training samples")
+    # a strided view would give its products other bytes (see scaled_gram):
+    # FeatureRows.of copies such rows C-contiguous
+    parts = [data.FeatureRows.of(device.features) for device in devices]
+    jobs = []
+    for j, (device, feats, alpha_cols, labels, rng) in enumerate(zip(
+        devices, data.feature_blocks(parts), alpha_rows, classes, rngs, strict=True
+    )):
         if isinstance(rng, (int, np.integer)):
             rng = substream(int(rng))
-        # a strided view would give its products other bytes (see scaled_gram)
-        feats = np.ascontiguousarray(device.features, dtype=np.float64)
-        if gram_upper is None:
-            gram_upper = _scaled_gram_upper(feats, lam, total_samples, device.device_id)
-        gram_upper = np.ascontiguousarray(gram_upper, dtype=np.float64)
+        if grams[j] is None:
+            grams[j] = _scaled_gram_upper(feats, lam, total_samples, device.device_id)
+        gram_upper = np.ascontiguousarray(grams[j], dtype=np.float64)
         alpha_cols = np.ascontiguousarray(alpha_cols, dtype=np.float64)
         if phi_cols.shape[1:] != (num_classes,) or alpha_cols.shape != (device.size, num_classes):
             raise ValueError(
@@ -531,8 +538,8 @@ def _solve_columns(
             _visit_orders(rng, epochs, device.size),
         ))
     updates = []
-    for device, (rho, sums) in zip(devices, _local_solves(_kernel(), loss, jobs)):
-        feats = np.ascontiguousarray(device.features, dtype=np.float64)
+    solved = _local_solves(_kernel(), loss, jobs)
+    for device, feats, (rho, sums) in zip(devices, data.feature_blocks(parts), solved):
         delta_phi = feats.T @ rho / (lam * total_samples)
         improvement = (
             sums[0] / total_samples

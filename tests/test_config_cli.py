@@ -911,7 +911,7 @@ def test_cli_partition_report_counts_held_out_rows_without_reading_them(
     ])
     captured = capsys.readouterr()
     assert code == 0
-    assert decodes == [True, True]  # the training and validation matrices only
+    assert decodes == [True]  # the validation matrix only: no training row is read
     assert f"validation=30 test={len(split.test_labels)}" in captured.out
     lines = [line for line in captured.out.splitlines() if line.startswith("device ")]
     assert len(lines) == 4

@@ -17,11 +17,11 @@ from fedsel import data, native
 from fedsel.data import (
     DataFormatError,
     DeviceDataset,
-    HeldOutRows,
     IDX_FILES,
+    FeatureRows,
     SplitDataset,
+    feature_blocks,
     generate_synthetic,
-    held_out_blocks,
     load_idx_split,
     parse_idx,
     read_idx,
@@ -211,7 +211,7 @@ def test_synthetic_devices_get_their_row_ranges_as_dual_ids():
     cursor = 0
     for dev in split.devices:
         assert np.array_equal(dev.sample_indices, np.arange(cursor, cursor + dev.size))
-        assert np.array_equal(matrix[dev.sample_indices], dev.features)
+        assert np.array_equal(matrix[dev.sample_indices], dev.features.rows())
         assert np.array_equal(labels[dev.sample_indices], dev.labels)
         cursor += dev.size
     assert cursor == 23
@@ -313,7 +313,7 @@ def _split_fields(split):
         for name in ("features", "labels", "sample_indices", "test_features", "test_labels"):
             value = getattr(dev, name)
             fields[f"device{dev.device_id}.{name}"] = (
-                value.rows() if name == "test_features" else value
+                value.rows() if name in ("features", "test_features") else value
             )
     return fields
 
@@ -335,7 +335,7 @@ def test_load_idx_split_matches_the_float32_pool_bytes(tmp_path, monkeypatch, un
         assert got[name].dtype == expected.dtype, name
         assert got[name].shape == expected.shape, name
         assert got[name].tobytes() == expected.tobytes(), name
-    _assert_row_views(split, {dev.device_id: dev.features for dev in split.devices})
+    _assert_row_views(split, {m: want[f"device{m}.features"] for m in range(len(split.devices))})
     _assert_held_as_pixels(split)
 
 
@@ -366,6 +366,32 @@ def test_decode_refuses_ids_outside_the_images(monkeypatch):
     assert data._decode_pixels(images, np.array([], dtype=np.int64)).shape == (0, 4)
 
 
+@pytest.mark.parametrize("decode", ["compiled", "numpy"])
+def test_decode_refuses_an_out_of_another_shape(monkeypatch, decode):
+    if decode == "numpy":
+        force_numpy(monkeypatch, "decode_pixels")
+    calls = count_fan_outs(monkeypatch)
+    images = np.arange(30, dtype=np.uint8).reshape(10, 3)
+    ids = np.arange(10)
+    buffer = np.zeros((20, 4))
+    for out in (
+        buffer[:5],  # short: 5 rows past the view would be written
+        np.zeros((10, 3)),  # no room for the bias column
+        np.zeros((10, 5)),
+        np.zeros((11, 4)),
+        np.zeros((10, 4), dtype=np.float32),
+        np.zeros((10, 4), order="F"),
+        buffer[::2],
+    ):
+        with pytest.raises(ValueError, match=r"out must be C-contiguous float64 of shape \(10, 4\)"):
+            data._decode_pixels(images, ids, out)
+    assert not buffer.any()  # refused before any row was written
+    assert calls == []
+    out = buffer[:10]
+    assert data._decode_pixels(images, ids, out) is out
+    assert out.tobytes() == _decode_pixels_whole(images).tobytes()
+
+
 def test_load_idx_split_bytes_do_not_depend_on_the_decode_lanes(tmp_path, monkeypatch):
     corpus = write_synthetic_image_corpus(tmp_path, train_size=1500, test_size=300, seed=4)
     args = dict(num_devices=3, shards_per_device=2, seed=2, validation_size=200)
@@ -374,14 +400,32 @@ def test_load_idx_split_bytes_do_not_depend_on_the_decode_lanes(tmp_path, monkey
     decoded_at_load = len(lanes)
     fanned_out = _split_fields(split)
     if native.FAST_PATHS["decode_pixels"]["status"] == "c":
-        # train and validation; the held-out rows stay pixels, read on one lane
-        assert lanes[:decoded_at_load] == [native.lanes()] * 2
+        # validation only; the training and held-out rows stay pixels, read on one lane
+        assert lanes[:decoded_at_load] == [native.lanes()]
         assert lanes[decoded_at_load:] == [1] * (len(lanes) - decoded_at_load) != []
     monkeypatch.setattr(native, "lanes", lambda: 1)
     one_lane = _split_fields(load_idx_split(corpus, **args))
     assert fanned_out.keys() == one_lane.keys()
     for name, rows in one_lane.items():
         assert fanned_out[name].tobytes() == rows.tobytes(), name
+
+
+@pytest.mark.parametrize("source", ["idx", "synthetic"])
+def test_stacked_train_is_a_new_copy_at_each_call(small_corpus, source):
+    # the split keeps no float64 training matrix: each call decodes or copies anew
+    if source == "idx":
+        split = load_idx_split(small_corpus, num_devices=3, shards_per_device=2, seed=1,
+                               validation_size=30)
+    else:
+        split = generate_synthetic(dim=3, train_size=40, num_devices=3, separation=2.0, seed=1)
+    (first, first_labels), (second, second_labels) = split.stacked_train(), split.stacked_train()
+    assert first.tobytes() == second.tobytes() and first_labels.tobytes() == second_labels.tobytes()
+    for a, b in ((first, second), (first_labels, second_labels)):
+        assert not np.shares_memory(a, b)
+    assert first.shape == (split.total_train, split.feature_dim) and first.dtype == np.float64
+    for held in (split.train_features.matrix, split.train_labels):
+        assert not np.shares_memory(first, held) and not np.shares_memory(first_labels, held)
+    assert split.train_features.pixels == (source == "idx")
 
 
 def test_load_idx_split_peak_memory_is_the_matrices_it_holds(idx_corpus):
@@ -395,7 +439,7 @@ def test_load_idx_split_peak_memory_is_the_matrices_it_holds(idx_corpus):
     finally:
         tracemalloc.stop()
     held = (
-        split.stacked_train()[0].nbytes
+        split.train_features.matrix.nbytes
         + split.devices[0].test_features.matrix.nbytes
         + split.validation_features.nbytes
         + split.test_features.matrix.nbytes
@@ -456,36 +500,45 @@ def test_build_split_dual_ids_are_contiguous(small_corpus):
 
 
 def _assert_row_views(split, expected_rows):
-    """Every device's features are float64, C-contiguous row views of the one
-    training matrix and hold expected_rows[device_id] exactly; every device
-    test split is a range of one held-out matrix, in device order, and the
-    validation matrix is C-contiguous float64."""
-    matrix, _ = split.stacked_train()
-    assert split.stacked_train()[0] is matrix
-    assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+    """Every device's training rows are a range of one training matrix, and
+    its test rows a range of one device-test matrix: in device order, each
+    range starting where the one before stops, together covering the
+    matrix. The training rows read as expected_rows[device_id] exactly,
+    and as their rows of stacked_train(); the validation matrix is
+    C-contiguous float64."""
+    for attr in ("features", "test_features"):
+        held = [getattr(dev, attr) for dev in split.devices if getattr(dev, attr) is not None]
+        matrix = held[0].matrix
+        assert matrix.flags.c_contiguous
+        assert all(isinstance(part, FeatureRows) and part.matrix is matrix for part in held)
+        assert [part.start for part in held] == [0, *[part.stop for part in held[:-1]]]
+        assert held[-1].stop == len(matrix)
+    whole = split.train_features
+    assert whole.matrix is split.devices[0].features.matrix
+    assert (whole.start, whole.stop) == (0, split.total_train)
+    train, labels = split.stacked_train()
+    assert train.dtype == np.float64 and train.flags.c_contiguous
     for dev in split.devices:
-        assert dev.features.dtype == np.float64
-        assert dev.features.flags.c_contiguous
-        assert np.shares_memory(dev.features, matrix)
-        assert np.array_equal(dev.features, expected_rows[dev.device_id])
-        assert np.array_equal(matrix[dev.sample_indices], dev.features)
-    held = [dev.test_features for dev in split.devices if dev.test_features is not None]
-    tests = held[0].matrix
-    assert tests.flags.c_contiguous
-    assert [part.start for part in held] == [0, *[part.stop for part in held[:-1]]]
-    assert held[-1].stop == len(tests)
-    assert all(part.matrix is tests for part in held)
+        rows = dev.features.rows()
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        assert np.array_equal(rows, expected_rows[dev.device_id])
+        assert np.array_equal(train[dev.sample_indices], rows)
+        assert np.array_equal(labels[dev.sample_indices], dev.labels)
     features = split.validation_features
     assert features.dtype == np.float64 and features.flags.c_contiguous
 
 
 def _assert_held_as_pixels(split):
-    """An IDX split's device test and global test rows are held as one uint8
-    pixel matrix each, in at most 1/8 of the bytes of their float64 rows."""
-    held = [split.devices[0].test_features.matrix, split.test_features.matrix]
-    assert all(matrix.dtype == np.uint8 for matrix in held)
-    float64_bytes = sum(len(matrix) * split.feature_dim * 8 for matrix in held)
-    assert sum(matrix.nbytes for matrix in held) <= float64_bytes / 8
+    """An IDX split's training, device test and global test rows are held
+    as one uint8 pixel matrix each, each in at most 1/8 of the bytes of its
+    float64 rows."""
+    held = [
+        split.train_features.matrix, split.devices[0].test_features.matrix,
+        split.test_features.matrix,
+    ]
+    for matrix in held:
+        float64_bytes = len(matrix) * split.feature_dim * 8
+        assert matrix.dtype == np.uint8 and matrix.nbytes <= float64_bytes / 8
 
 
 def test_hand_built_split_devices_are_float64_row_views():
@@ -509,6 +562,9 @@ def test_hand_built_split_devices_are_float64_row_views():
         num_classes=1,
     )
     _assert_row_views(split, dict(enumerate(shards)))
+    for dev in split.devices:
+        assert not dev.features.pixels
+        assert np.shares_memory(dev.features.rows(), split.train_features.matrix)
     for dev, test in zip(split.devices, held_out):
         if test is None:
             assert dev.test_features is None
@@ -524,15 +580,15 @@ def test_hand_built_split_devices_are_float64_row_views():
     assert tests.tobytes() == shards[2][::2].astype(np.float64).tobytes()
 
 
-def test_held_out_blocks_decode_consecutive_parts_together(monkeypatch):
+def test_feature_blocks_decode_consecutive_parts_together(monkeypatch):
     rng = np.random.default_rng(9)
     pixels = rng.integers(0, 256, size=(700, 5), dtype=np.uint8)
     other = rng.integers(0, 256, size=(40, 5), dtype=np.uint8)
     floats = rng.normal(size=(30, 6))
-    held, held_other = HeldOutRows(pixels, 0, 700), HeldOutRows(other, 0, 40)
+    held, held_other = FeatureRows(pixels, 0, 700), FeatureRows(other, 0, 40)
     parts = [
         held[0:100], held[100:250], held[250:256], held[256:600], held[600:650],
-        held_other[0:40], HeldOutRows.of(floats)[3:9], held[650:700], held[0:0],
+        held_other[0:40], FeatureRows.of(floats)[3:9], held[650:700], held[0:0],
     ]
     decodes = []
     decode = data._decode_pixels
@@ -542,7 +598,7 @@ def test_held_out_blocks_decode_consecutive_parts_together(monkeypatch):
         return decode(images, ids, out)
 
     monkeypatch.setattr(data, "_decode_pixels", spy)
-    blocks = [block.copy() for block in held_out_blocks(parts)]
+    blocks = [block.copy() for block in feature_blocks(parts)]
     # at most DECODE_ROWS rows a call, a longer part alone, and never across matrices
     assert decodes == [
         (True, 0, 256), (True, 256, 344), (True, 600, 50), (False, 0, 40), (True, 650, 50),
@@ -555,7 +611,7 @@ def test_held_out_blocks_decode_consecutive_parts_together(monkeypatch):
             assert block.tobytes() == expected[part.start : part.stop].tobytes()
     assert blocks[5].tobytes() == _decode_pixels_whole(other).tobytes()
     assert blocks[6].tobytes() == floats[3:9].tobytes()
-    assert np.shares_memory(next(held_out_blocks([parts[6]])), floats)  # float64 rows: a view
+    assert np.shares_memory(next(feature_blocks([parts[6]])), floats)  # float64 rows: a view
 
 
 def _decode_pixels_whole(pixels):
@@ -564,24 +620,24 @@ def _decode_pixels_whole(pixels):
     return rows
 
 
-def test_held_out_rows_refuse_what_cannot_be_read():
+def test_feature_rows_refuse_what_cannot_be_read():
     pixels = np.zeros((6, 4), dtype=np.uint8)
     for matrix, start, stop in (
         (pixels, 0, 7), (pixels, 4, 3), (pixels, -1, 2), (pixels[:, ::2], 0, 6),
         (pixels.astype(np.float32), 0, 6), (np.zeros(6), 0, 6),
     ):
-        with pytest.raises(ValueError, match="held-out rows need"):
-            HeldOutRows(matrix, start, stop)
-    held = HeldOutRows(pixels, 1, 5)
+        with pytest.raises(ValueError, match="feature rows need"):
+            FeatureRows(matrix, start, stop)
+    held = FeatureRows(pixels, 1, 5)
     assert held.shape == (4, 5) and held.pixels
     assert (held[1:3].start, held[1:3].stop) == (2, 4)
     assert (held[3:10].start, held[3:10].stop) == (4, 5)
     assert len(held[3:1]) == 0
     with pytest.raises(ValueError, match="contiguous ranges"):
         held[::2]
-    rows = HeldOutRows.of(np.ones((3, 2), dtype=np.float32))
+    rows = FeatureRows.of(np.ones((3, 2), dtype=np.float32))
     assert rows.matrix.dtype == np.float64 and not rows.pixels and rows.shape == (3, 2)
-    assert HeldOutRows.of(rows) is rows
+    assert FeatureRows.of(rows) is rows
 
 
 def test_split_refuses_dual_ids_other_than_its_rows():

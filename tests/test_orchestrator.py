@@ -293,7 +293,7 @@ def _float32_split() -> tuple:
     """A tiny split built from float32 arrays, as IDX pixels arrive, where
     device 2 has no local test split; also returns the float32 training shards."""
     base = tiny_split(num_devices=5, samples_per_device=14)
-    shards = [d.features.astype(np.float32) for d in base.devices]
+    shards = [d.features.rows().astype(np.float32) for d in base.devices]
     devices = [
         DeviceDataset(
             device_id=d.device_id,
@@ -591,14 +591,13 @@ def manual_rows(exp, rounds):
     return rows
 
 
-def gram_lifetimes(monkeypatch, split):
+def gram_lifetimes(monkeypatch):
     """Record the device of each Gram build and the cached devices after each round."""
-    owners = {id(device.features): device.device_id for device in split.devices}
     built, held = [], {}
 
-    def counted(features, *args):
-        built.append(owners[id(features)])
-        return _scaled_gram_upper(features, *args)
+    def counted(features, lam, total_samples, device_id):
+        built.append(device_id)
+        return _scaled_gram_upper(features, lam, total_samples, device_id)
 
     run_round = Experiment.run_round
 
@@ -607,7 +606,7 @@ def gram_lifetimes(monkeypatch, split):
         held[round_index] = set(self._gram_cache)
         return result
 
-    monkeypatch.setattr(orch, "_scaled_gram_upper", counted)
+    monkeypatch.setattr(solver, "_scaled_gram_upper", counted)
     monkeypatch.setattr(Experiment, "run_round", recorded)
     return built, held
 
@@ -629,7 +628,7 @@ def test_run_holds_each_gram_until_its_devices_last_scheduled_round(kind, monkey
     # a hand-driven round loop has no schedule and drops no Gram
     assert set(reference._gram_cache) == scheduled
 
-    built, held = gram_lifetimes(monkeypatch, split)
+    built, held = gram_lifetimes(monkeypatch)
     exp = Experiment(split, hp, SelectionPolicy(kind=kind))
     result = exp.run(ROUNDS)
     assert [repr(row) for row in result.metrics] == [repr(row) for row in want]
@@ -655,7 +654,7 @@ def test_greedy_round_holds_each_gram_as_its_packed_upper_triangle():
         n * (n + 1) // 2 for n in sizes.values()
     )
     for m, gram in exp._gram_cache.items():
-        square = scaled_gram(exp.devices[m].features, exp.reg_lambda, exp.total_samples)
+        square = scaled_gram(exp.devices[m].features.rows(), exp.reg_lambda, exp.total_samples)
         assert gram.shape == (sizes[m] * (sizes[m] + 1) // 2,)
         assert gram.tobytes() == square[np.triu(np.ones(square.shape, dtype=bool))].tobytes()
 
@@ -664,7 +663,7 @@ def test_greedy_round_holds_each_gram_as_its_packed_upper_triangle():
 def test_run_drops_every_gram_when_it_stops_early_or_raises(kind, monkeypatch):
     split = tiny_split(num_devices=8)
     hp = replace(HP, c_fraction=0.25)
-    built, held = gram_lifetimes(monkeypatch, split)
+    built, held = gram_lifetimes(monkeypatch)
     # the least legal target: round 1 reaches it
     exp = Experiment(split, hp, SelectionPolicy(kind=kind), stop_at_accuracy=5e-324)
     assert exp.run(ROUNDS).stop_reason == "accuracy_target"
@@ -1027,3 +1026,102 @@ def test_grid_cds_metrics_equal_with_every_kernel_declined(idx_corpus, tmp_path,
         runs.append((out / "metrics.csv").read_bytes())
     assert runs[0].count(b"\n") == 4  # the header, round 0 and 2 rounds
     assert runs[0] == runs[1]
+
+
+# -- the paper grid's training rows, held as pixels -------------------------------
+
+
+def spy_decodes(monkeypatch):
+    """A list of (images, ids) for every data._decode_pixels call."""
+    decodes = []
+    decode = data._decode_pixels
+
+    def spy(images, ids, out=None):
+        decodes.append((images, np.asarray(ids)))
+        return decode(images, ids, out)
+
+    monkeypatch.setattr(data, "_decode_pixels", spy)
+    return decodes
+
+
+def test_no_training_row_is_decoded_before_the_first_solve(idx_corpus, monkeypatch):
+    decodes = spy_decodes(monkeypatch)
+    split = data.load_idx_split(
+        idx_corpus[0], num_devices=100, shards_per_device=2, seed=1, unbalanced=True
+    )
+    # the validation split only, from the images themselves
+    assert [len(ids) for _, ids in decodes] == [len(split.validation_labels)]
+    train = split.train_features.matrix
+    assert train.dtype == np.uint8 and decodes[0][0] is not train
+    exp = Experiment(split, HP, SelectionPolicy(kind="cds"))
+    state = GlobalState.zeros(split.feature_dim, split.total_train, split.num_classes)
+    exp.evaluate(state, 0, None, 0.0, 0.0)
+    assert len(decodes) == 1  # neither the labels nor the zero model read a row
+    # a round decodes each explored device's rows twice: its solve, then its delta_phi
+    for round_index in (1, 2):
+        del decodes[:]
+        state, plan = exp.run_round(state, round_index)
+        assert all(images is train for images, _ in decodes)
+        rows = np.concatenate([ids for _, ids in decodes])
+        explored = np.concatenate([exp.devices[m].sample_indices for m in plan.explored])
+        assert np.array_equal(np.sort(rows), np.sort(np.concatenate([explored, explored])))
+    # an evaluation decodes every training row once, in the probe's chunks
+    del decodes[:]
+    exp.evaluate(state, 2, plan, 0.0, 0.0)
+    train_chunks = [len(ids) for images, ids in decodes if images is train]
+    assert train_chunks == [s.stop - s.start for s in products._probe_chunks(split.total_train)]
+    assert set(train_chunks) == {2000, 2001}
+
+
+@pytest.mark.parametrize("decode", ["compiled", "numpy"])
+def test_training_pixel_products_are_the_float64_bytes_on_the_grid(idx_corpus, monkeypatch, decode):
+    if decode == "numpy":
+        force_numpy(monkeypatch, "decode_pixels")
+    split = data.load_idx_split(
+        idx_corpus[0], num_devices=100, shards_per_device=2, seed=1, unbalanced=True
+    )
+    pixels = split.train_features.matrix
+    train = np.empty((len(pixels), split.feature_dim))  # the float64 matrix the split held before
+    _write_pixels(pixels, np.arange(len(pixels)), train)
+    rng = np.random.default_rng(29)
+    for _ in range(2):  # the first probes the chunk shapes, the second uses their verdicts
+        phi = rng.normal(scale=0.05, size=(split.feature_dim, split.num_classes))
+        got = orch._kmajor_scores(phi, split.train_features)
+        assert same_bytes(got, products.kmajor_product(train, [phi]))
+
+    # every device's local solve, from its decoded rows and from its float64 row view
+    hp = replace(HP, epochs=1)
+    views = [
+        DeviceDataset(dev.device_id, train[dev.sample_indices[0] : dev.sample_indices[-1] + 1],
+                      dev.labels, dev.sample_indices)
+        for dev in split.devices
+    ]
+    alpha = [np.zeros((dev.size, split.num_classes)) for dev in split.devices]
+    labels = [dev.labels for dev in split.devices]
+    base_margins = []
+    row_major_scores = solver.row_major_scores
+
+    def recorded(features, w):
+        base_margins[-1].append(row_major_scores(features, w))
+        return base_margins[-1][-1]
+
+    monkeypatch.setattr(solver, "row_major_scores", recorded)
+    solved = []
+    for devices in (split.devices, views):
+        base_margins.append([])
+        grams = [None] * len(devices)
+        rngs = [substream(1, DEVICE, 1, dev.device_id) for dev in devices]
+        updates = solver._solve_columns(
+            devices, phi, alpha, labels, split.num_classes, hp, rngs, split.total_train,
+            None, grams,
+        )
+        solved.append((grams, updates))
+    (grams, updates), (want_grams, want_updates) = solved
+    for j, dev in enumerate(split.devices):
+        assert grams[j].tobytes() == want_grams[j].tobytes(), dev.device_id
+        assert same_bytes(base_margins[0][j], base_margins[1][j]), dev.device_id
+        for name in ("rho", "delta_phi", "achieved_theta"):
+            got, want = getattr(updates[j], name), getattr(want_updates[j], name)
+            assert same_bytes(got, want), (dev.device_id, name)
+    expected = "numpy" if decode == "numpy" or shutil.which("cc") is None else "c"
+    assert native.FAST_PATHS["decode_pixels"]["status"] == expected

@@ -8,7 +8,7 @@ from conftest import tiny_split
 
 from fedsel import products, valuation
 from fedsel.cli import main
-from fedsel.data import DeviceDataset, HeldOutRows, held_out_blocks
+from fedsel.data import DeviceDataset, FeatureRows, feature_blocks
 from fedsel.orchestrator import Experiment
 from fedsel.selection import SelectionPolicy
 from fedsel.solver import Hyperparams, device_update_ovr
@@ -53,12 +53,12 @@ def test_kmajor_product_equals_row_major_at_the_grid_shapes(fresh_probes):
             assert same_bytes(got, row_major(features, deltas)), members
     # the global test rows held as pixels, read chunk by chunk as evaluate_global reads them
     pixels = rng.integers(0, 256, size=(10000, 784), dtype=np.uint8)
-    held = HeldOutRows(pixels, 0, len(pixels))
+    held = FeatureRows(pixels, 0, len(pixels))
     features = held.rows()
     chunks = [held[span] for span in products._probe_chunks(len(held))]
     for _ in range(3):
         phi = rng.normal(size=(785, 10))
-        got = np.hstack([products.kmajor_product(rows, [phi]) for rows in held_out_blocks(chunks)])
+        got = np.hstack([products.kmajor_product(rows, [phi]) for rows in feature_blocks(chunks)])
         assert same_bytes(got, row_major(features, [phi]))
         assert same_bytes(got, products.kmajor_product(features, [phi]))
 

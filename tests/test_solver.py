@@ -289,9 +289,10 @@ def test_scaled_gram_is_byte_symmetric_on_every_grid_device(idx_corpus):
     )
     lam, total = 1.0 / split.total_train, split.total_train
     for device in split.devices:
-        gram = solver.scaled_gram(device.features, lam, total)
+        features = device.features.rows()
+        gram = solver.scaled_gram(features, lam, total)
         assert_byte_symmetric(gram)
-        packed = solver._scaled_gram_upper(device.features, lam, total, device.device_id)
+        packed = solver._scaled_gram_upper(features, lam, total, device.device_id)
         assert packed.tobytes() == mask_pack(gram).tobytes(), device.device_id
 
 
