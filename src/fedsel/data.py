@@ -12,7 +12,6 @@ partitions.
 from __future__ import annotations
 
 import ctypes
-import functools
 import gzip
 import mmap
 import os
@@ -97,10 +96,6 @@ def read_idx(path: str | Path) -> np.ndarray:
         return parse_idx(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
 
 
-# rows one decode of pixels writes at most, unless one part alone has more
-DECODE_ROWS = 256
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureRows:
     """Rows [start, stop) of one feature matrix of a split: a device's
@@ -166,66 +161,54 @@ class FeatureRows:
 def feature_blocks(parts: list[FeatureRows]) -> Iterator[np.ndarray]:
     """Each part's (len(part), d) float64 rows, in order.
 
-    Rows held as float64 are views of their matrix. Pixels are decoded on
-    this thread (_decode_pixels) into one scratch matrix, reused: parts
-    that follow each other in one pixel matrix are decoded by one call
-    while together they hold at most DECODE_ROWS rows, and a longer part is
-    decoded alone. So a block decoded into the scratch holds its rows only
-    until the next block is asked for. Each row is decoded on its own, so
-    its bytes do not depend on the grouping.
+    Rows held as float64 are views of their matrix. Each pixel part is
+    decoded alone, on this thread (_decode_pixels), into one scratch sized
+    by the longest pixel part and reused: a decoded block holds its rows
+    only until the next block is asked for. The parts come from one split,
+    so the scratch takes the first pixel part's width; a part of another
+    width is refused by _decode_pixels before any row is written.
     """
-    groups: list[list[FeatureRows]] = []
+    most = max((len(part) for part in parts if part.pixels), default=0)
+    scratch = None
     for part in parts:
-        group = groups[-1] if groups else None
-        if (
-            group
-            and part.pixels
-            and part.matrix is group[0].matrix
-            and part.start == group[-1].stop
-            and part.stop - group[0].start <= DECODE_ROWS
-        ):
-            group.append(part)
-        else:
-            groups.append([part])
-    most = max((g[-1].stop - g[0].start for g in groups if g[0].pixels), default=0)
-    scratch = np.empty((0, 0))
-    for group in groups:
-        first, last = group[0], group[-1]
-        if not first.pixels:
-            yield first.matrix[first.start : first.stop]
+        if not part.pixels:
+            yield part.matrix[part.start : part.stop]
             continue
-        width = first.matrix.shape[1] + 1
-        if scratch.shape[1] != width:
-            scratch = np.empty((most, width))
-        rows = scratch[: last.stop - first.start]
-        _decode_pixels(first.matrix, np.arange(first.start, last.stop), rows)
-        for part in group:
-            yield rows[part.start - first.start : part.stop - first.start]
+        if scratch is None:
+            scratch = np.empty((most, part.shape[1]))
+        rows = scratch[: len(part)]
+        _decode_pixels(part.matrix, np.arange(part.start, part.stop), rows)
+        yield rows
 
 
 @dataclass
 class DeviceDataset:
     """One device's local training shard plus its held-out test split.
 
-    A device used on its own holds what it is given: an (n, d) features
-    array, its dual ids and its test features. Inside a SplitDataset,
-    features and test_features are FeatureRows, the device's row ranges of
+    features and test_features are FeatureRows: construction turns an
+    array into all the rows of a C-contiguous float64 copy of it, made only
+    where it is not one already (FeatureRows.of), and keeps FeatureRows as
+    they are. Inside a SplitDataset they are the device's row ranges of
     the split's one training matrix and one device-test matrix, and
     sample_indices are its training range's dual-coordinate ids, assigned
-    by the split. Either way `size` counts the training rows without
-    reading them.
+    by the split. `size` counts the training rows without reading them.
     """
 
     device_id: int
-    features: FeatureRows | np.ndarray
+    features: FeatureRows
     labels: np.ndarray
     sample_indices: np.ndarray | None = None
-    test_features: FeatureRows | np.ndarray | None = None
+    test_features: FeatureRows | None = None
     test_labels: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        self.features = FeatureRows.of(self.features)
+        if self.test_features is not None:
+            self.test_features = FeatureRows.of(self.test_features)
 
     @property
     def size(self) -> int:
-        return self.features.shape[0]
+        return len(self.features)
 
     def label_histogram(self, num_classes: int) -> np.ndarray:
         return np.bincount(self.labels, minlength=num_classes)
@@ -238,7 +221,11 @@ class SplitDataset:
     The split owns the dual ids: each device's sample_indices are its row
     range of the training matrix, which holds the devices' rows in device
     order. A device given other ids is refused with DataFormatError, since
-    its local updates would land on other devices' dual coordinates.
+    its local updates would land on other devices' dual coordinates. So is
+    a label count other than its rows' (a device's training or test split,
+    the validation or global test split), test_features without
+    test_labels or the reverse, and a label outside [0, num_classes); these
+    checks read no row.
 
     Every feature matrix is held once. The training rows (train_features,
     labels train_labels) and the device test splits are FeatureRows over
@@ -248,10 +235,9 @@ class SplitDataset:
     decoded by each reader into a scratch as it reads them
     (feature_blocks); any other split holds them as float64, read as
     views. The validation split is a C-contiguous float64 matrix.
-    Construction converts what it is given (float32, one array per device)
-    into this layout, dropping each device's own copy as its rows are
-    written; FeatureRows already in it, as load_idx_split gives them, are
-    kept.
+    Construction copies the devices' rows into this layout, dropping each
+    device's own matrix as its rows are written, unless they already are
+    consecutive ranges of one matrix, as load_idx_split gives them.
     """
 
     devices: list[DeviceDataset]
@@ -265,6 +251,7 @@ class SplitDataset:
     train_labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._check_labels()
         start = 0
         for dev in self.devices:
             ids = np.arange(start, start + dev.size)
@@ -282,6 +269,29 @@ class SplitDataset:
             self.validation_features, dtype=np.float64
         )
         self.test_features = FeatureRows.of(self.test_features)
+
+    def _check_labels(self) -> None:
+        """Refuse labels that cannot belong to their rows: a count other
+        than the rows' (len, so no row is read), or a class outside
+        [0, num_classes)."""
+        splits = [("validation", self.validation_features, self.validation_labels),
+                  ("global test", self.test_features, self.test_labels)]
+        for dev in self.devices:
+            if (dev.test_features is None) != (dev.test_labels is None):
+                raise DataFormatError(
+                    f"device {dev.device_id} needs both test_features and test_labels, or neither"
+                )
+            splits.append((f"device {dev.device_id} training", dev.features, dev.labels))
+            if dev.test_labels is not None:
+                splits.append((f"device {dev.device_id} test", dev.test_features, dev.test_labels))
+        for name, rows, labels in splits:
+            labels = np.asarray(labels)
+            if len(labels) != len(rows):
+                raise DataFormatError(
+                    f"{name} split: label count {len(labels)} differs from its row count {len(rows)}"
+                )
+            if np.any((labels < 0) | (labels >= self.num_classes)):
+                raise DataFormatError(f"{name} split: a label is outside [0, {self.num_classes})")
 
     @property
     def total_train(self) -> int:
@@ -301,16 +311,15 @@ class SplitDataset:
 
 
 def _hold_rows(devices: list[DeviceDataset], attr: str) -> FeatureRows:
-    """Rebind each device's `attr` features to its rows of one feature
-    matrix, in device order; returns all the rows of that matrix.
+    """Rebind each device's `attr` rows to its rows of one feature matrix,
+    in device order; returns all the rows of that matrix.
 
-    They are kept as they are when they already are FeatureRows over
-    consecutive ranges covering one matrix, as load_idx_split gives them;
-    otherwise their rows are copied into one new float64 matrix, each
-    device's own dropped as its rows are written.
+    Rows over consecutive ranges covering one matrix, as load_idx_split
+    gives them, are kept as they are; otherwise they are copied into one
+    new float64 matrix, each device's own dropped as its rows are written.
     """
     parts = [getattr(dev, attr) for dev in devices]
-    if parts and all(isinstance(part, FeatureRows) for part in parts):
+    if parts:
         matrix, ends = parts[0].matrix, [0] + [part.stop for part in parts]
         if ends[-1] == len(matrix) and all(
             part.matrix is matrix and part.start == end for part, end in zip(parts, ends)
@@ -322,7 +331,7 @@ def _hold_rows(devices: list[DeviceDataset], attr: str) -> FeatureRows:
     for dev in devices:
         part = getattr(dev, attr)
         rows = matrix[cursor : cursor + len(part)]
-        rows[...] = part.rows() if isinstance(part, FeatureRows) else part
+        rows[...] = part.rows()
         setattr(dev, attr, FeatureRows(matrix, cursor, cursor + len(rows)))
         cursor += len(rows)
     return FeatureRows(matrix, 0, len(matrix))
@@ -472,40 +481,31 @@ def _decode_pixels(
     images: np.ndarray, ids: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """The flattened uint8 images[ids] and a bias column as float64 rows, as
-    _write_pixels writes them: into `out`, on this thread, or into a new
-    matrix cut into ranges decoded concurrently. Returned.
+    _write_pixels writes them, into `out` or a new matrix; returned.
 
     An id outside images, or an `out` that is not C-contiguous float64 of
     shape (len(ids), width + 1), is refused with ValueError before any row
-    is written. With the compiled decode_pixels a new matrix's rows are cut
-    into at most native.lanes() near-equal ranges, run through
-    native.run_concurrently; without it _write_pixels runs. Each row is
-    decoded on its own, so the bytes depend neither on the lanes nor on
-    which of the two runs.
+    is written. The rows are written by one call on this thread: the
+    compiled decode_pixels, or _write_pixels without it. Each row is
+    decoded on its own, so the bytes depend neither on which of the two
+    runs nor on which rows share a call.
     """
     ids = np.ascontiguousarray(ids, dtype=np.int64)
     n, width = images.shape
     if not (ids.ndim == 1 and (ids.size == 0 or 0 <= ids.min() <= ids.max() < n)):
         raise ValueError(f"pixel decode ids must be a vector of rows in [0, {n})")
     if out is None:
-        out, lanes = np.empty((len(ids), width + 1)), native.lanes()
+        out = np.empty((len(ids), width + 1))
     elif out.dtype != np.float64 or not out.flags.c_contiguous or out.shape != (len(ids), width + 1):
         raise ValueError(
             f"pixel decode out must be C-contiguous float64 of shape ({len(ids)}, {width + 1}), "
             f"got {out.dtype} {out.shape}"
         )
-    else:
-        lanes = 1
     kernel = _pixel_kernel()
     if kernel is None:
         _write_pixels(images, ids, out)
-    elif len(ids):
-        lanes = min(lanes, len(ids))
-        bounds = [len(ids) * lane // lanes for lane in range(lanes + 1)]
-        native.run_concurrently([
-            functools.partial(kernel, stop - start, width, images, ids[start:stop], out[start:stop])
-            for start, stop in zip(bounds, bounds[1:])
-        ])
+    else:
+        kernel(len(ids), width, images, ids, out)
     return out
 
 
@@ -691,29 +691,23 @@ def generate_synthetic(
         return np.hstack([features, np.ones((len(features), 1))])
 
     train_feats = scaled(train_raw)
-    order = np.arange(train_size)  # already label-sorted by construction
-    devices = []
-    for m in range(num_devices):
-        idx = order[order % num_devices == m]
-        devices.append(
-            DeviceDataset(
-                device_id=m,
-                features=train_feats[idx],
-                labels=train_labels[idx],
-            )
-        )
-
     val_labels = balanced_labels(SYNTHETIC_VALIDATION_SIZE)
     test_labels = balanced_labels(SYNTHETIC_TEST_SIZE)
     val_feats = scaled(draw(val_labels))
     test_feats = scaled(draw(test_labels))
-
-    for dev in devices:
-        freq = np.bincount(dev.labels, minlength=2).astype(float)
-        local_labels = rng.choice(2, size=SYNTHETIC_DEVICE_TEST_SIZE, p=freq / freq.sum())
-        local_labels = np.sort(local_labels)
-        dev.test_features = scaled(draw(local_labels))
-        dev.test_labels = local_labels
+    devices = []
+    for m in range(num_devices):
+        idx = np.arange(m, train_size, num_devices)  # label-sorted by construction
+        labels = train_labels[idx]
+        freq = np.bincount(labels, minlength=2).astype(float)
+        local_labels = np.sort(rng.choice(2, size=SYNTHETIC_DEVICE_TEST_SIZE, p=freq / freq.sum()))
+        devices.append(DeviceDataset(
+            device_id=m,
+            features=train_feats[idx],
+            labels=labels,
+            test_features=scaled(draw(local_labels)),
+            test_labels=local_labels,
+        ))
 
     return SplitDataset(
         devices=devices,

@@ -165,7 +165,7 @@ def fairness_audit(
     ids whose risk exceeds the threshold.
 
     A device's scores are products.row_major_scores of its local test split,
-    read by data.feature_blocks (pixels a few devices at a time; none for
+    read by data.feature_blocks (pixels one device at a time; none for
     the zero model); its accuracy is the argmax predictor's, its risk the
     mean one-vs-rest loss (samples x classes). Devices without held-out
     samples have no entry and cannot violate.
@@ -177,8 +177,7 @@ def fairness_audit(
         device for device in devices
         if device.test_features is not None and len(device.test_features)
     ]
-    parts = [data.FeatureRows.of(device.test_features) for device in held]
-    rows_of = _read_unless_zero(phi_cols, parts)
+    rows_of = _read_unless_zero(phi_cols, [device.test_features for device in held])
     for device, rows in zip(held, rows_of):
         scores = products.row_major_scores(rows, phi_cols)
         accuracies[device.device_id] = _accuracy(np.argmax(scores, axis=1), device.test_labels)
@@ -248,7 +247,7 @@ class Experiment:
         a per-device update, which cannot hand its Gram back."""
         gram = self._gram_cache.get(device_id)
         if gram is None:
-            rows = data.FeatureRows.of(self.devices[device_id].features).rows()
+            rows = self.devices[device_id].features.rows()
             gram = self._gram_cache[device_id] = _scaled_gram_upper(
                 rows, self.reg_lambda, self.total_samples, device_id
             )

@@ -21,7 +21,7 @@ import numpy as np
 from .data import DeviceDataset
 from .losses import Loss, SmoothedHinge, SquaredLoss
 from .solver import Hyperparams, device_update, duality_gap
-from .valuation import CoalitionGame, ContributionLedger, exact_shapley, tmc_estimate
+from .valuation import CoalitionGame, exact_shapley, tmc_estimate
 
 _CHECK_SEED = 20240901
 

@@ -485,8 +485,7 @@ def _solve_columns(
     written into `grams`, so a caller can keep it; `epochs` overrides
     hp.epochs. A device's features are read by data.feature_blocks: views
     of float64 rows, pixels decoded on this thread into one scratch, so at
-    most one device's decoded rows (or a few small consecutive ones) are
-    alive at a time. Three phases:
+    most one device's decoded rows are alive at a time. Three phases:
 
     1. this thread reads each device's rows and makes every BLAS product and
        RNG draw, device after device: the Gram where not given, the
@@ -506,9 +505,7 @@ def _solve_columns(
     for device in devices:
         if device.size == 0:
             raise ValueError(f"device {device.device_id} has no training samples")
-    # a strided view would give its products other bytes (see scaled_gram):
-    # FeatureRows.of copies such rows C-contiguous
-    parts = [data.FeatureRows.of(device.features) for device in devices]
+    parts = [device.features for device in devices]
     jobs = []
     for j, (device, feats, alpha_cols, labels, rng) in enumerate(zip(
         devices, data.feature_blocks(parts), alpha_rows, classes, rngs, strict=True

@@ -50,9 +50,6 @@ class ContributionLedger:
     def get(self, device_id: int) -> float:
         return self.beta.get(device_id, 0.0)
 
-    def items(self) -> list[tuple[int, float]]:
-        return sorted(self.beta.items())
-
 
 def record_marginal(ledger: ContributionLedger, device_id: int, marginal: float) -> ContributionLedger:
     """Fold one observed marginal into the device's running mean."""

@@ -1,4 +1,5 @@
 """Config parsing/validation and the command-line contract."""
+import ast
 import dataclasses
 import json
 import math
@@ -939,3 +940,26 @@ def test_public_names_are_pinned():
     assert sorted(fedsel.__all__) == PUBLIC_NAMES
     for name in fedsel.__all__:
         assert getattr(fedsel, name) is not None, name
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the repo has no linter: an import nothing reads is dead code; a name a
+    # module lists in __all__ is re-exported, and __future__ imports are flags
+    unused = {}
+    for path in sorted(Path(data.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported, used, exported = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+        if imported - used - exported:
+            unused[path.name] = sorted(imported - used - exported)
+    assert unused == {}

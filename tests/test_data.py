@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import count_fan_outs, force_numpy, tiny_split
+from conftest import force_numpy, tiny_split
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -356,21 +356,43 @@ def test_decode_kernel_gives_the_numpy_bytes():
         assert data._decode_pixels(images, ids).tobytes() == expected.tobytes(), width
 
 
+def spy_pixel_writes(monkeypatch):
+    """A list that collects the row count of every call of the bound decode
+    kernel and of data._write_pixels: the two writers of decoded rows."""
+    calls = []
+    kernel, write = data._pixel_kernel(), data._write_pixels
+    if kernel is not None:
+
+        def spied_kernel(rows, *args):
+            calls.append(rows)
+            kernel(rows, *args)
+
+        monkeypatch.setitem(native._BOUND, "decode_pixels", spied_kernel)
+
+    def spied_write(images, ids, out):
+        calls.append(len(ids))
+        write(images, ids, out)
+
+    monkeypatch.setattr(data, "_write_pixels", spied_write)
+    return calls
+
+
 def test_decode_refuses_ids_outside_the_images(monkeypatch):
-    calls = count_fan_outs(monkeypatch)
+    calls = spy_pixel_writes(monkeypatch)
     images = np.zeros((5, 3), dtype=np.uint8)
     for ids in ([0, 5], [-1, 2], [[0, 1]]):
         with pytest.raises(ValueError, match=r"rows in \[0, 5\)"):
             data._decode_pixels(images, np.array(ids))
-    assert calls == []  # refused before the kernel ran
+    assert calls == []  # refused before any row was written
     assert data._decode_pixels(images, np.array([], dtype=np.int64)).shape == (0, 4)
+    assert calls == [0]
 
 
 @pytest.mark.parametrize("decode", ["compiled", "numpy"])
 def test_decode_refuses_an_out_of_another_shape(monkeypatch, decode):
     if decode == "numpy":
         force_numpy(monkeypatch, "decode_pixels")
-    calls = count_fan_outs(monkeypatch)
+    calls = spy_pixel_writes(monkeypatch)
     images = np.arange(30, dtype=np.uint8).reshape(10, 3)
     ids = np.arange(10)
     buffer = np.zeros((20, 4))
@@ -389,25 +411,8 @@ def test_decode_refuses_an_out_of_another_shape(monkeypatch, decode):
     assert calls == []
     out = buffer[:10]
     assert data._decode_pixels(images, ids, out) is out
+    assert calls == [10]  # one call on this thread
     assert out.tobytes() == _decode_pixels_whole(images).tobytes()
-
-
-def test_load_idx_split_bytes_do_not_depend_on_the_decode_lanes(tmp_path, monkeypatch):
-    corpus = write_synthetic_image_corpus(tmp_path, train_size=1500, test_size=300, seed=4)
-    args = dict(num_devices=3, shards_per_device=2, seed=2, validation_size=200)
-    lanes = count_fan_outs(monkeypatch)
-    split = load_idx_split(corpus, **args)
-    decoded_at_load = len(lanes)
-    fanned_out = _split_fields(split)
-    if native.FAST_PATHS["decode_pixels"]["status"] == "c":
-        # validation only; the training and held-out rows stay pixels, read on one lane
-        assert lanes[:decoded_at_load] == [native.lanes()]
-        assert lanes[decoded_at_load:] == [1] * (len(lanes) - decoded_at_load) != []
-    monkeypatch.setattr(native, "lanes", lambda: 1)
-    one_lane = _split_fields(load_idx_split(corpus, **args))
-    assert fanned_out.keys() == one_lane.keys()
-    for name, rows in one_lane.items():
-        assert fanned_out[name].tobytes() == rows.tobytes(), name
 
 
 @pytest.mark.parametrize("source", ["idx", "synthetic"])
@@ -580,7 +585,7 @@ def test_hand_built_split_devices_are_float64_row_views():
     assert tests.tobytes() == shards[2][::2].astype(np.float64).tobytes()
 
 
-def test_feature_blocks_decode_consecutive_parts_together(monkeypatch):
+def test_feature_blocks_decode_each_pixel_part_alone(monkeypatch):
     rng = np.random.default_rng(9)
     pixels = rng.integers(0, 256, size=(700, 5), dtype=np.uint8)
     other = rng.integers(0, 256, size=(40, 5), dtype=np.uint8)
@@ -590,20 +595,22 @@ def test_feature_blocks_decode_consecutive_parts_together(monkeypatch):
         held[0:100], held[100:250], held[250:256], held[256:600], held[600:650],
         held_other[0:40], FeatureRows.of(floats)[3:9], held[650:700], held[0:0],
     ]
-    decodes = []
+    decodes, scratches = [], set()
     decode = data._decode_pixels
 
     def spy(images, ids, out=None):
         decodes.append((images is pixels, int(ids[0]) if len(ids) else None, len(ids)))
+        scratches.add(out.ctypes.data)
         return decode(images, ids, out)
 
     monkeypatch.setattr(data, "_decode_pixels", spy)
     blocks = [block.copy() for block in feature_blocks(parts)]
-    # at most DECODE_ROWS rows a call, a longer part alone, and never across matrices
+    # one call per pixel part, into one scratch, and never across matrices
     assert decodes == [
-        (True, 0, 256), (True, 256, 344), (True, 600, 50), (False, 0, 40), (True, 650, 50),
-        (True, None, 0),
+        (True, 0, 100), (True, 100, 150), (True, 250, 6), (True, 256, 344), (True, 600, 50),
+        (False, 0, 40), (True, 650, 50), (True, None, 0),
     ]
+    assert len(scratches) == 1
     expected = _decode_pixels_whole(pixels)
     for part, block in zip(parts, blocks):
         assert block.shape == part.shape
@@ -612,6 +619,13 @@ def test_feature_blocks_decode_consecutive_parts_together(monkeypatch):
     assert blocks[5].tobytes() == _decode_pixels_whole(other).tobytes()
     assert blocks[6].tobytes() == floats[3:9].tobytes()
     assert np.shares_memory(next(feature_blocks([parts[6]])), floats)  # float64 rows: a view
+    # a part of another width is refused before any of its rows is written
+    wider = FeatureRows(np.zeros((4, 6), dtype=np.uint8), 0, 4)
+    blocks = feature_blocks([held[0:3], wider])
+    first = next(blocks)
+    with pytest.raises(ValueError, match=r"out must be C-contiguous float64 of shape \(4, 7\)"):
+        next(blocks)
+    assert first.tobytes() == expected[0:3].tobytes()
 
 
 def _decode_pixels_whole(pixels):
@@ -662,3 +676,53 @@ def test_split_refuses_dual_ids_other_than_its_rows():
     split = rebuilt(lambda m, dev: None)
     for m, dev in enumerate(split.devices):
         assert np.array_equal(dev.sample_indices, np.arange(12 * m, 12 * (m + 1)))
+
+
+def _set_device(m, **fields):
+    def change(split):
+        split["devices"][m].update(fields)
+
+    return change
+
+
+@pytest.mark.parametrize("change, message", [
+    (_set_device(1, labels=[1, 2]), r"device 1 training split: a label is outside \[0, 2\)"),
+    (_set_device(0, test_labels=[-1]), r"device 0 test split: a label is outside \[0, 2\)"),
+    (lambda split: split.update(validation_labels=[0, 2]), r"validation split: a label is outside"),
+    (lambda split: split.update(test_labels=[1, 0, 7]), r"global test split: a label is outside"),
+    (_set_device(0, labels=[0, 1]), "device 0 training split: label count 2 differs from its row count 3"),
+    (_set_device(1, test_labels=[1, 1]), "device 1 test split: label count 2 differs from its row count 1"),
+    (lambda split: split.update(validation_labels=[0]), "validation split: label count 1 differs"),
+    (lambda split: split.update(test_labels=[1, 0]), "global test split: label count 2 differs"),
+    (_set_device(0, test_labels=None), "device 0 needs both test_features and test_labels"),
+    (_set_device(1, test_features=None), "device 1 needs both test_features and test_labels"),
+])
+def test_split_refuses_labels_that_cannot_belong_to_its_rows(monkeypatch, change, message):
+    # pixel rows, so a check that read one would decode it
+    decodes = []
+    monkeypatch.setattr(data, "_decode_pixels", lambda *args: decodes.append(args))
+
+    def pixels(n):
+        return FeatureRows(np.arange(4 * n, dtype=np.uint8).reshape(n, 4), 0, n)
+
+    train, device_test = pixels(5), pixels(2)
+    fields = dict(
+        devices=[
+            dict(device_id=0, features=train[0:3], labels=[0, 1, 1],
+                 test_features=device_test[0:1], test_labels=[0]),
+            dict(device_id=1, features=train[3:5], labels=[1, 0],
+                 test_features=device_test[1:2], test_labels=[1]),
+        ],
+        validation_features=np.zeros((2, 5)), validation_labels=[0, 1],
+        test_features=pixels(3), test_labels=[1, 0, 1], num_classes=2,
+    )
+
+    def built():
+        given = {**fields, "devices": [DeviceDataset(**dev) for dev in fields["devices"]]}
+        return SplitDataset(**given)
+
+    assert built().train_features.matrix is train.matrix
+    change(fields)
+    with pytest.raises(DataFormatError, match=message):
+        built()
+    assert decodes == []

@@ -995,7 +995,8 @@ def test_held_out_pixel_scores_are_the_float64_bytes_on_the_grid(idx_corpus, mon
         fairness_audit(phi, split.devices, loss, 0.5, split.num_classes)
         assert sum(decodes) == len(test) + len(device_test)
         assert decodes[:5] == [2000] * 5  # the probe's chunks of the 10,000 test rows
-        assert max(decodes[5:]) <= data.DECODE_ROWS
+        held = [len(dev.test_features) for dev in split.devices if len(dev.test_features)]
+        assert decodes[5:] == held  # then one decode per device's held-out rows
         assert same_bytes(np.hstack(test_scores), kmajor_product(test, [phi]))
         assert len(device_scores) == len(split.devices)
         for dev, scores in zip(split.devices, device_scores):

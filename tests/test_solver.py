@@ -179,7 +179,7 @@ def test_gap_median_nonincreasing_over_passes():
                 device, np.zeros(4), np.zeros(30), hp,
                 substream(seed), total_samples=30, epochs=epochs,
             )
-            gaps.append(duality_gap(update.rho, device.features, device.labels, HINGE, lam))
+            gaps.append(duality_gap(update.rho, device.features.rows(), device.labels, HINGE, lam))
         gap_rows.append(gaps)
     medians = np.median(np.array(gap_rows), axis=0)
     assert all(b <= a + 1e-12 for a, b in zip(medians, medians[1:]))
@@ -203,11 +203,11 @@ def test_device_update_improves_dual_objective():
     device = make_device(n=25, dim=5, seed=14)
     lam = 0.1
     hp = Hyperparams(loss="smoothed_hinge", reg_lambda=lam, epochs=3)
-    before = dual_objective(np.zeros(25), device.features, device.labels, HINGE, lam)
+    before = dual_objective(np.zeros(25), device.features.rows(), device.labels, HINGE, lam)
     update = device_update(
         device, np.zeros(5), np.zeros(25), hp, substream(2), total_samples=25
     )
-    after = dual_objective(update.rho, device.features, device.labels, HINGE, lam)
+    after = dual_objective(update.rho, device.features.rows(), device.labels, HINGE, lam)
     assert after > before
     assert 0.0 <= update.achieved_theta <= 1.0
 
@@ -367,7 +367,7 @@ def test_a_gram_with_one_flipped_lower_bit_is_refused(monkeypatch, backend):
 def test_a_square_gram_is_refused_where_the_packed_triangle_is_due():
     device = make_device(n=5)
     hp = Hyperparams(reg_lambda=0.1, epochs=1)
-    square = solver.scaled_gram(device.features, 0.1, 10)
+    square = solver.scaled_gram(device.features.rows(), 0.1, 10)
     with pytest.raises(ValueError, match="device 0: gram_upper needs the n"):
         device_update(
             device, np.zeros(4), np.zeros(5), hp, substream(0), total_samples=10,
@@ -869,7 +869,7 @@ def reference_update(device, phi_cols, alpha_cols, labels_pm, hp, rng, total_sam
     the certificate spelled out."""
     lam = hp.resolved_lambda(total_samples)
     loss = hp.make_loss()
-    feats = device.features
+    feats = device.features.rows()
     gram_scaled = solver.scaled_gram(feats, lam, total_samples)
     base_margins = products.row_major_scores(feats, phi_cols)
     orders = solver._visit_orders(rng, hp.epochs, device.size)
