@@ -141,14 +141,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # a legal accuracy target is one that orchestrator.stop_at_accuracy accepts
     DEFAULTS["orchestrator"]["stop_at_accuracy"].check("--target-accuracy", args.target_accuracy)
 
-    base = load_config(args.config, args.overrides, None, None, args.out)
     # every run's config is checked before the first run starts
     configs = {
         (seed, policy): load_config(args.config, args.overrides, seed, policy, args.out)
         for seed in seeds
         for policy in policies
     }
-    out_root = Path(base.out_dir or "compare_out")
+    # no seed or policy moves out_dir, so every run's config holds the same one
+    out_root = Path(configs[seeds[0], policies[0]].out_dir or "compare_out")
     _warn_declined_fast_paths()
 
     # one record per run: policy, seed, its metrics (None if it failed) and
@@ -233,10 +233,9 @@ def cmd_partition_report(args: argparse.Namespace) -> int:
     for device in split.devices:
         hist = device.label_histogram(split.num_classes)
         present = {int(c): int(n) for c, n in enumerate(hist) if n}
-        test_n = 0 if device.test_labels is None else len(device.test_labels)
         print(
             f"device {device.device_id:3d}: train={device.size:5d} "
-            f"test={test_n:4d} labels={present}"
+            f"test={len(device.test_labels):4d} labels={present}"
         )
     return 0
 

@@ -57,14 +57,6 @@ class DeviceProfile:
         return self.tx_power_w * self.channel_gain / (self.noise_density_w_hz * self.bandwidth_hz)
 
 
-@dataclass
-class RoundCostReport:
-    """The straggler round cost and the running total it brings the run to."""
-
-    round_cost_s: float
-    cumulative_s: float
-
-
 def compute_time(profile: DeviceProfile) -> float:
     """Seconds of local computation: cycles_per_bit * data_bits / cpu_freq."""
     return profile.cycles_per_bit * profile.data_bits / profile.cpu_freq_hz
@@ -83,33 +75,26 @@ def comm_time(profile: DeviceProfile) -> float:
     return profile.payload_bits / (rate * profile.bandwidth_hz)
 
 
-def round_cost(per_device: dict[int, tuple[float, float]], cumulative_before: float = 0.0) -> RoundCostReport:
-    """Straggler cost: max over scheduled devices of compute + uplink time."""
+def round_cost(per_device: dict[int, tuple[float, float]]) -> float:
+    """Straggler cost in seconds: max over scheduled devices of compute +
+    uplink time. An empty schedule is refused."""
     if not per_device:
         raise ValueError("round_cost needs a nonempty schedule")
-    worst = max(t_comp + t_comm for t_comp, t_comm in per_device.values())
-    return RoundCostReport(
-        round_cost_s=worst,
-        cumulative_s=cumulative_before + worst,
-    )
+    return max(t_comp + t_comm for t_comp, t_comm in per_device.values())
 
 
-def schedule_cost(
-    profiles: dict[int, DeviceProfile],
-    scheduled,
-    epochs: int = 1,
-    cumulative_before: float = 0.0,
-) -> RoundCostReport:
-    """Cost report for one exploration round.
+def schedule_cost(profiles: dict[int, DeviceProfile], scheduled, epochs: int = 1) -> float:
+    """One exploration round's straggler cost in seconds (round_cost).
 
     Each scheduled device runs `epochs` passes over its local data and uploads
     once. Exploitation (server-side permutation sampling) never appears here.
+    The run, not this model, keeps the running total.
     """
     per_device = {
         m: (epochs * compute_time(profiles[m]), comm_time(profiles[m]))
         for m in scheduled
     }
-    return round_cost(per_device, cumulative_before)
+    return round_cost(per_device)
 
 
 def sample_profiles(

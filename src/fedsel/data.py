@@ -42,9 +42,6 @@ SYNTHETIC_TRAIN_SIZE = Setting(
 )
 SYNTHETIC_SEPARATION = Setting("data.synthetic_separation", "float", 3.0, "[0, inf)", _SYNTHETIC)
 
-IMAGE_MAGIC = 0x00000803
-LABEL_MAGIC = 0x00000801
-
 # magic byte 3 encodes the element type; only unsigned byte (0x08) is supported
 _IDX_UBYTE = 0x08
 
@@ -192,6 +189,10 @@ class DeviceDataset:
     the split's one training matrix and one device-test matrix, and
     sample_indices are its training range's dual-coordinate ids, assigned
     by the split. `size` counts the training rows without reading them.
+
+    The held-out split is never None: a device built without test_features
+    holds 0 float64 rows of its training width, and one built without
+    test_labels an empty int64 array.
     """
 
     device_id: int
@@ -203,8 +204,11 @@ class DeviceDataset:
 
     def __post_init__(self) -> None:
         self.features = FeatureRows.of(self.features)
-        if self.test_features is not None:
-            self.test_features = FeatureRows.of(self.test_features)
+        if self.test_features is None:
+            self.test_features = np.empty((0, self.features.shape[1]))
+        self.test_features = FeatureRows.of(self.test_features)
+        if self.test_labels is None:
+            self.test_labels = np.empty(0, dtype=np.int64)
 
     @property
     def size(self) -> int:
@@ -221,11 +225,13 @@ class SplitDataset:
     The split owns the dual ids: each device's sample_indices are its row
     range of the training matrix, which holds the devices' rows in device
     order. A device given other ids is refused with DataFormatError, since
-    its local updates would land on other devices' dual coordinates. So is
-    a label count other than its rows' (a device's training or test split,
-    the validation or global test split), test_features without
-    test_labels or the reverse, and a label outside [0, num_classes); these
-    checks read no row.
+    its local updates would land on other devices' dual coordinates. So are
+    device ids other than 0..M-1, each used once (in any order), which the
+    cost model keys its profiles by; a device with no training rows, which
+    no round can run; a label count other than its rows' (a device's
+    training or test split, the validation or global test split), so a
+    device given only one of test_features and test_labels; and a label
+    outside [0, num_classes). These checks read no row.
 
     Every feature matrix is held once. The training rows (train_features,
     labels train_labels) and the device test splits are FeatureRows over
@@ -251,9 +257,16 @@ class SplitDataset:
     train_labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        device_ids = [dev.device_id for dev in self.devices]
+        if sorted(device_ids) != list(range(len(device_ids))):
+            raise DataFormatError(
+                f"device ids must be 0..{len(device_ids) - 1}, each used once, got {device_ids}"
+            )
         self._check_labels()
         start = 0
         for dev in self.devices:
+            if not dev.size:
+                raise DataFormatError(f"device {dev.device_id} has no training rows")
             ids = np.arange(start, start + dev.size)
             if dev.sample_indices is not None and not np.array_equal(dev.sample_indices, ids):
                 raise DataFormatError(
@@ -264,7 +277,7 @@ class SplitDataset:
             start += dev.size
         self.train_features = _hold_rows(self.devices, "features")
         self.train_labels = np.concatenate([dev.labels for dev in self.devices])
-        _hold_rows([dev for dev in self.devices if dev.test_features is not None], "test_features")
+        _hold_rows(self.devices, "test_features")
         self.validation_features = np.ascontiguousarray(
             self.validation_features, dtype=np.float64
         )
@@ -277,13 +290,8 @@ class SplitDataset:
         splits = [("validation", self.validation_features, self.validation_labels),
                   ("global test", self.test_features, self.test_labels)]
         for dev in self.devices:
-            if (dev.test_features is None) != (dev.test_labels is None):
-                raise DataFormatError(
-                    f"device {dev.device_id} needs both test_features and test_labels, or neither"
-                )
             splits.append((f"device {dev.device_id} training", dev.features, dev.labels))
-            if dev.test_labels is not None:
-                splits.append((f"device {dev.device_id} test", dev.test_features, dev.test_labels))
+            splits.append((f"device {dev.device_id} test", dev.test_features, dev.test_labels))
         for name, rows, labels in splits:
             labels = np.asarray(labels)
             if len(labels) != len(rows):

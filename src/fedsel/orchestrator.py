@@ -134,8 +134,8 @@ def _read_unless_zero(phi_cols: np.ndarray, parts: list[data.FeatureRows]):
 
 def _dual_rows(alpha: np.ndarray, device: DeviceDataset) -> np.ndarray:
     """A view of the device's rows of alpha: a split gives every device one
-    row range of dual ids (SplitDataset)."""
-    start = device.sample_indices[0] if device.size else 0
+    nonempty row range of dual ids (SplitDataset)."""
+    start = device.sample_indices[0]
     return alpha[start : start + device.size]
 
 
@@ -167,16 +167,13 @@ def fairness_audit(
     A device's scores are products.row_major_scores of its local test split,
     read by data.feature_blocks (pixels one device at a time; none for
     the zero model); its accuracy is the argmax predictor's, its risk the
-    mean one-vs-rest loss (samples x classes). Devices without held-out
-    samples have no entry and cannot violate.
+    mean one-vs-rest loss (samples x classes). A device whose held-out
+    split has 0 rows has no entry and cannot violate.
     """
     accuracies: dict[int, float] = {}
     risks: dict[int, float] = {}
     violators: set[int] = set()
-    held = [
-        device for device in devices
-        if device.test_features is not None and len(device.test_features)
-    ]
+    held = [device for device in devices if len(device.test_features)]
     rows_of = _read_unless_zero(phi_cols, [device.test_features for device in held])
     for device, rows in zip(held, rows_of):
         scores = products.row_major_scores(rows, phi_cols)
@@ -449,15 +446,10 @@ class Experiment:
                 emit(self.evaluate(state, 0, None, 0.0, 0.0))
                 for t in range(1, rounds + 1):
                     state, plan = self.run_round(state, t)
-                    report = schedule_cost(
-                        self.profiles,
-                        plan.explored,
-                        epochs=self.hyper.epochs,
-                        cumulative_before=cum_cost,
-                    )
-                    cum_cost = report.cumulative_s
+                    round_cost_s = schedule_cost(self.profiles, plan.explored, epochs=self.hyper.epochs)
+                    cum_cost += round_cost_s
                     if t % self.eval_every == 0 or t == rounds:
-                        row = self.evaluate(state, t, plan, report.round_cost_s, cum_cost)
+                        row = self.evaluate(state, t, plan, round_cost_s, cum_cost)
                         emit(row)
                         if (
                             self.stop_at_accuracy is not None

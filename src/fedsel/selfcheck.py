@@ -170,8 +170,6 @@ def check_duality() -> tuple[bool, str]:
             features=features,
             labels=labels,
             sample_indices=np.arange(n),
-            test_features=features[:0],
-            test_labels=labels[:0].astype(np.int64),
         )
         update = device_update(
             device, np.zeros(d), np.zeros(n), hp, rng=11 + trial, total_samples=n

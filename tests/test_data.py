@@ -198,7 +198,7 @@ def test_synthetic_shapes():
     assert len(split.validation_labels) == 200
     assert len(split.test_labels) == 400
     for dev in split.devices:
-        assert dev.test_features is not None and len(dev.test_labels) == 8
+        assert len(dev.test_features) == len(dev.test_labels) == 8
     # data.synthetic_dim's refusal, named as the argument
     with pytest.raises(ConfigError, match=r"^dim must be in \[1, inf\), got 0"):
         generate_synthetic(dim=0, train_size=10, num_devices=2, separation=1.0, seed=1)
@@ -571,14 +571,14 @@ def test_hand_built_split_devices_are_float64_row_views():
         assert not dev.features.pixels
         assert np.shares_memory(dev.features.rows(), split.train_features.matrix)
     for dev, test in zip(split.devices, held_out):
-        if test is None:
-            assert dev.test_features is None
-        else:
-            assert not dev.test_features.pixels
-            rows = dev.test_features.rows()
-            assert rows.flags.c_contiguous
-            assert len(rows) == 0 or np.shares_memory(rows, dev.test_features.matrix)
-            assert rows.tobytes() == test.astype(np.float64).tobytes()
+        assert not dev.test_features.pixels
+        rows = dev.test_features.rows()
+        assert rows.flags.c_contiguous
+        assert len(rows) == 0 or np.shares_memory(rows, dev.test_features.matrix)
+        # a device built without a held-out split holds 0 rows of its width
+        expected = np.empty((0, 3)) if test is None else test.astype(np.float64)
+        assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+    assert split.devices[2].test_labels.dtype == np.int64 and split.devices[2].test_labels.size == 0
     assert split.validation_features.tobytes() == shards[0].astype(np.float64).tobytes()
     tests = split.test_features.rows()
     assert tests.dtype == np.float64 and tests.flags.c_contiguous
@@ -694,8 +694,9 @@ def _set_device(m, **fields):
     (_set_device(1, test_labels=[1, 1]), "device 1 test split: label count 2 differs from its row count 1"),
     (lambda split: split.update(validation_labels=[0]), "validation split: label count 1 differs"),
     (lambda split: split.update(test_labels=[1, 0]), "global test split: label count 2 differs"),
-    (_set_device(0, test_labels=None), "device 0 needs both test_features and test_labels"),
-    (_set_device(1, test_features=None), "device 1 needs both test_features and test_labels"),
+    # a device given only one of its held-out rows and labels
+    (_set_device(0, test_labels=None), "device 0 test split: label count 0 differs from its row count 1"),
+    (_set_device(1, test_features=None), "device 1 test split: label count 1 differs from its row count 0"),
 ])
 def test_split_refuses_labels_that_cannot_belong_to_its_rows(monkeypatch, change, message):
     # pixel rows, so a check that read one would decode it

@@ -5,7 +5,7 @@ import resource
 import shutil
 import sys
 from dataclasses import fields, replace
-from itertools import combinations
+from itertools import accumulate, combinations
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ from conftest import force_numpy, fresh_fast_paths, tiny_split
 import fedsel.orchestrator as orch
 from fedsel import data, native, products, solver, valuation
 from fedsel.cli import main
-from fedsel.data import DeviceDataset, SplitDataset, _write_pixels, generate_synthetic
+from fedsel.data import DataFormatError, DeviceDataset, SplitDataset, _write_pixels, generate_synthetic
 from fedsel.orchestrator import (
     CSV_COLUMNS,
     CSV_HEADER,
@@ -341,7 +341,7 @@ def _reference_metrics(exp, shards, state, round_index, plan, round_cost_s, cum_
         solver.fenchel_gap(state.alpha[:, k], gap_margins[:, k], targets[:, k], loss)
         for k in range(num_classes)
     ]))
-    held = [d for d in split.devices if d.test_features is not None]
+    held = [d for d in split.devices if len(d.test_features)]
     local_accs = [accuracy(d.test_features.rows(), d.test_labels) for d in held]
     risks = [
         float(np.mean(loss.value(scores(d.test_features.rows()), binary(d.test_labels))))
@@ -557,6 +557,32 @@ def test_a_non_finite_config_value_is_written_as_strict_json(tmp_path):
     assert manifest["config_digest"] == orch.RunDirectory.digest(manifest["config"])
 
 
+@pytest.mark.parametrize("device_ids, sizes, message", [
+    ((5, 7, 9), (12, 12, 12), r"device ids must be 0\.\.2, each used once, got \[5, 7, 9\]"),
+    ((0, 0, 1), (12, 12, 12), r"device ids must be 0\.\.2, each used once, got \[0, 0, 1\]"),
+    ((0, 1, 2), (12, 0, 12), "device 1 has no training rows"),
+    ((1, 0, 2), (12, 12, 12), None),  # 0..M-1 in any order runs
+])
+def test_split_refuses_devices_no_round_can_run(monkeypatch, device_ids, sizes, message):
+    base = tiny_split(num_devices=3)
+    devices = [
+        DeviceDataset(m, dev.features[:n], dev.labels[:n], None, dev.test_features, dev.test_labels)
+        for m, n, dev in zip(device_ids, sizes, base.devices)
+    ]
+    rest = (
+        base.validation_features, base.validation_labels, base.test_features, base.test_labels,
+        base.num_classes,
+    )
+    if message is None:
+        result = Experiment(SplitDataset(devices, *rest), HP, SelectionPolicy(kind="cds")).run(2)
+        assert result.stop_reason == "completed"
+        return
+    # before the cost model's KeyError or DeviceProfile refusal, and reading no row
+    monkeypatch.setattr(data.FeatureRows, "rows", lambda self: pytest.fail("a row was read"))
+    with pytest.raises(DataFormatError, match=message):
+        SplitDataset(devices, *rest)
+
+
 def test_failed_run_records_the_value_products_of_its_rounds(tmp_path, monkeypatch):
     def broken_cost(*args, **kwargs):  # after round 1's plan
         raise ValueError("cost model failed")
@@ -575,6 +601,26 @@ def test_failed_run_records_the_value_products_of_its_rounds(tmp_path, monkeypat
         assert manifest["value_products"] == recorded
 
 
+@pytest.mark.parametrize("eval_every", [1, 2])
+def test_cum_cost_sums_every_round_cost_in_round_order(eval_every):
+    rounds = 5
+    exp = Experiment(tiny_split(), HP, SelectionPolicy(kind="cds"), eval_every=eval_every)
+    result = exp.run(rounds)
+    costs = [
+        orch.schedule_cost(exp.profiles, exp._explored(t), epochs=HP.epochs)
+        for t in range(1, rounds + 1)
+    ]
+    assert len(set(costs)) > 1  # so a missed or reordered round would show
+    totals = list(accumulate(costs, initial=0.0))  # totals[t]: rounds 1..t, in order
+    rows = result.metrics[1:]
+    assert [row.round_index for row in rows] == [*range(eval_every, rounds, eval_every), rounds]
+    for row in rows:
+        assert row.round_cost_s.hex() == costs[row.round_index - 1].hex()
+        assert row.cum_cost_s.hex() == totals[row.round_index].hex()
+    if eval_every > 1:  # a round that is not evaluated is paid for too
+        assert rows[-1].cum_cost_s > sum(row.round_cost_s for row in rows)
+
+
 def manual_rows(exp, rounds):
     """The rows of exp.run(rounds) from run_round and evaluate called by
     hand, which keeps every Gram it builds."""
@@ -583,11 +629,9 @@ def manual_rows(exp, rounds):
     cum_cost = 0.0
     for t in range(1, rounds + 1):
         state, plan = exp.run_round(state, t)
-        report = orch.schedule_cost(
-            exp.profiles, plan.explored, epochs=exp.hyper.epochs, cumulative_before=cum_cost
-        )
-        cum_cost = report.cumulative_s
-        rows.append(exp.evaluate(state, t, plan, report.round_cost_s, cum_cost))
+        round_cost_s = orch.schedule_cost(exp.profiles, plan.explored, epochs=exp.hyper.epochs)
+        cum_cost += round_cost_s
+        rows.append(exp.evaluate(state, t, plan, round_cost_s, cum_cost))
     return rows
 
 
